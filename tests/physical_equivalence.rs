@@ -16,7 +16,7 @@
 use pbds_algebra::{col, lit, AggExpr, AggFunc, LogicalPlan, SortKey};
 use pbds_exec::{
     eval_expr, eval_predicate, execute_logical_parallel_with, execute_logical_with, Engine,
-    EngineProfile, ExecError, ExecOptions, ExecStats,
+    EngineProfile, ExecError, ExecOptions, ExecStats, PARALLEL_SCAN_THRESHOLD,
 };
 use pbds_provenance::{
     capture_lineage, capture_sketches_with_profile, CaptureConfig, FragmentAssigner, LookupMethod,
@@ -568,6 +568,41 @@ fn minmax_narrowing_still_selects_only_the_witness_fragment() {
 // Vectorized vs row-interpreter scan path: byte-identical rows *and* tags.
 // ---------------------------------------------------------------------------
 
+/// Execute `plan` with the scan path pinned to `vectorized` and `workers`
+/// scan workers, returning the relation, the per-row tags and the stats.
+///
+/// Adaptive lowering is off: an A/B must pin each arm to its path so the
+/// vectorized arm really exercises the bitmap kernels and the scan→aggregate
+/// pushdown rather than adaptively re-picking the row loop (both arms of the
+/// adaptive decision are row/tag-identical by construction — these tests are
+/// what proves it for each pinned path).
+fn run_pinned<P>(
+    db: &Database,
+    plan: &LogicalPlan,
+    profile: EngineProfile,
+    workers: usize,
+    vectorized: bool,
+    policy: &P,
+) -> ((Relation, Vec<P::Tag>), ExecStats)
+where
+    P: pbds_exec::TagPolicy + Sync,
+    P::Tag: Send,
+{
+    let opts = ExecOptions {
+        vectorized,
+        adaptive: false,
+        ..ExecOptions::default()
+    };
+    let mut stats = ExecStats::default();
+    let out = if workers > 1 {
+        execute_logical_parallel_with(db, plan, profile, policy, workers, opts, &mut stats)
+    } else {
+        execute_logical_with(db, plan, profile, policy, opts, &mut stats)
+    }
+    .unwrap();
+    (out, stats)
+}
+
 /// Run one plan through both scan paths and assert the result relations are
 /// identical row for row (not just bag-equal) with equal tag vectors.
 fn assert_paths_identical<P>(
@@ -581,26 +616,7 @@ fn assert_paths_identical<P>(
     P: pbds_exec::TagPolicy + Sync,
     P::Tag: Send + PartialEq + std::fmt::Debug,
 {
-    let run = |vectorized: bool| {
-        // Adaptive lowering off: the A/B must pin each arm to its path so the
-        // vectorized arm really exercises the bitmap kernels and the
-        // scan→aggregate pushdown rather than adaptively re-picking the row
-        // loop (both arms of the adaptive decision are row/tag-identical by
-        // construction — this test is what proves it for each pinned path).
-        let opts = ExecOptions {
-            vectorized,
-            adaptive: false,
-            ..ExecOptions::default()
-        };
-        let mut stats = ExecStats::default();
-        let out = if workers > 1 {
-            execute_logical_parallel_with(db, plan, profile, policy, workers, opts, &mut stats)
-        } else {
-            execute_logical_with(db, plan, profile, policy, opts, &mut stats)
-        }
-        .unwrap();
-        (out, stats)
-    };
+    let run = |vectorized: bool| run_pinned(db, plan, profile, workers, vectorized, policy);
     let ((rel_row, tags_row), stats_row) = run(false);
     let ((rel_vec, tags_vec), stats_vec) = run(true);
     assert_eq!(
@@ -671,6 +687,145 @@ fn vectorized_path_is_byte_identical_for_sketch_capture_tags() {
             }
         }
     }
+}
+
+/// `r(k, z, grp, v)` with `4 × PARALLEL_SCAN_THRESHOLD` rows: `k` is indexed,
+/// `z` carries the same clustered values without an index (so range
+/// predicates on it lower to zone-map scans that really skip), `grp` is runny
+/// and `v` has occasional NULLs. With 64-row blocks every even morsel cut of
+/// the whole table falls on a chunk boundary.
+fn big_db() -> Database {
+    let mut rng = StdRng::seed_from_u64(23);
+    let schema = Schema::from_pairs(&[
+        ("k", DataType::Int),
+        ("z", DataType::Int),
+        ("grp", DataType::Int),
+        ("v", DataType::Int),
+    ]);
+    let mut b = TableBuilder::new("r", schema);
+    b.block_size(64).index("k");
+    let mut grp = 0i64;
+    for i in 0..(4 * PARALLEL_SCAN_THRESHOLD) as i64 {
+        if rng.gen_range(0..5) == 0 {
+            grp = rng.gen_range(0..10);
+        }
+        let v = if rng.gen_range(0..30) == 0 {
+            Value::Null
+        } else {
+            Value::Int(rng.gen_range(-50..50))
+        };
+        b.push(vec![Value::Int(i), Value::Int(i), Value::Int(grp), v]);
+    }
+    let mut db = Database::new();
+    db.add_table(b.build());
+    db
+}
+
+/// Scan shapes over [`big_db`]: seq / zone-map / index access paths, with and
+/// without a pushed-down filter, plus blocking operators above the scan. The
+/// flag says whether every morsel cut for workers ∈ {2, 4} falls on a chunk
+/// boundary; a cut inside a chunk evaluates that chunk once per side, so only
+/// aligned shapes have worker-independent `vectorized_blocks`.
+fn big_scan_family() -> Vec<(LogicalPlan, bool)> {
+    let sum_v = || vec![AggExpr::new(AggFunc::Sum, col("v"), "total")];
+    vec![
+        (LogicalPlan::scan("r"), true),
+        (
+            LogicalPlan::scan("r").filter(col("grp").le(lit(4)).and(col("v").gt(lit(0)))),
+            true,
+        ),
+        // 128 candidate blocks = 8 192 rows: still fanned out after skipping.
+        (
+            LogicalPlan::scan("r").filter(col("z").between(lit(1_024), lit(9_215))),
+            true,
+        ),
+        // 193 candidate blocks: the morsel cuts fall inside chunks.
+        (
+            LogicalPlan::scan("r").filter(col("z").between(lit(1_000), lit(13_287))),
+            false,
+        ),
+        (
+            LogicalPlan::scan("r").filter(
+                col("k")
+                    .between(lit(100), lit(12_387))
+                    .and(col("v").gt(lit(0))),
+            ),
+            true,
+        ),
+        // The access path narrows the scan below the threshold: one morsel.
+        (
+            LogicalPlan::scan("r").filter(col("k").between(lit(10), lit(500))),
+            true,
+        ),
+        (
+            LogicalPlan::scan("r")
+                .filter(col("z").between(lit(1_024), lit(9_215)))
+                .aggregate(vec!["grp"], sum_v()),
+            true,
+        ),
+        (LogicalPlan::scan("r").aggregate(vec![], sum_v()), true),
+        (
+            LogicalPlan::scan("r")
+                .filter(col("k").ge(lit(20)))
+                .top_k(vec![SortKey::desc("v"), SortKey::asc("k")], 9),
+            true,
+        ),
+    ]
+}
+
+/// Every scan of [`big_scan_family`] — rows, tags and scan accounting — must
+/// not depend on the worker count or on the scan path.
+fn assert_worker_counts_identical<P>(db: &Database, policy: &P, what: &str)
+where
+    P: pbds_exec::TagPolicy + Sync,
+    P::Tag: Send + PartialEq + std::fmt::Debug,
+{
+    for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
+        for (i, (plan, aligned)) in big_scan_family().iter().enumerate() {
+            let ((rel, tags), base) = run_pinned(db, plan, profile, 1, false, policy);
+            for vectorized in [false, true] {
+                let (_, seq) = run_pinned(db, plan, profile, 1, vectorized, policy);
+                for workers in [1usize, 2, 4] {
+                    let ctx = format!(
+                        "{what} query #{i}, {profile:?}, workers {workers}, \
+                         vectorized {vectorized}\n{}",
+                        plan.display_tree()
+                    );
+                    let ((r, t), stats) =
+                        run_pinned(db, plan, profile, workers, vectorized, policy);
+                    assert_eq!(rel, r, "{ctx}");
+                    assert_eq!(tags, t, "{ctx}");
+                    assert_eq!(base.rows_scanned, stats.rows_scanned, "{ctx}");
+                    assert_eq!(base.full_scans, stats.full_scans, "{ctx}");
+                    assert_eq!(base.index_scans, stats.index_scans, "{ctx}");
+                    assert_eq!(base.blocks_skipped, stats.blocks_skipped, "{ctx}");
+                    assert_eq!(seq.vectorized_scans, stats.vectorized_scans, "{ctx}");
+                    if *aligned {
+                        assert_eq!(seq.vectorized_blocks, stats.vectorized_blocks, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn morsel_parallel_scans_are_byte_identical_above_the_threshold() {
+    let db = big_db();
+    // Must actually fan out: below the threshold every `workers` arm silently
+    // declines to the sequential operator.
+    assert!(db.table("r").unwrap().len() >= 2 * PARALLEL_SCAN_THRESHOLD);
+    assert_worker_counts_identical(&db, &pbds_exec::NoTag, "plain");
+
+    let part: PartitionRef = Arc::new(Partition::Range(RangePartition::from_uppers(
+        "r",
+        "grp",
+        vec![Value::Int(2), Value::Int(5), Value::Int(7)],
+    )));
+    let config = CaptureConfig::optimized();
+    let assigners = vec![FragmentAssigner::new(part, config.lookup)];
+    let policy = SketchTagPolicy::new(&assigners, &config);
+    assert_worker_counts_identical(&db, &policy, "capture");
 }
 
 #[test]
