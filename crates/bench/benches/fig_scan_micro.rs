@@ -20,7 +20,7 @@
 
 use pbds_algebra::{col, lit, AggExpr, AggFunc, LogicalPlan};
 use pbds_bench::harness::{median_time, TablePrinter};
-use pbds_exec::{execute_physical_with, lower, EngineProfile, ExecOptions, ExecStats, NoTag};
+use pbds_exec::{execute, lower, EngineProfile, ExecOptions, ExecStats, NoTag};
 use pbds_storage::Database;
 use pbds_workloads::crimes;
 use std::io::Write;
@@ -92,8 +92,8 @@ fn measure(db: &Database, rows: usize, shape: Shape, selectivity: f64, runs: usi
         let mut out = None;
         let elapsed = median_time(runs, || {
             let mut stats = ExecStats::default();
-            let (rel, _) = execute_physical_with(db, &physical, &NoTag, opts, &mut stats).unwrap();
-            out = Some(rel);
+            let done = execute(db, &physical, &NoTag, &opts, &mut stats).unwrap();
+            out = Some(done.relation);
         });
         let rps = rows as f64 / elapsed.as_secs_f64().max(1e-9);
         (rps, out.expect("at least one run"))

@@ -1,18 +1,15 @@
 //! The query execution engine.
 //!
-//! A thin facade over the physical operator pipeline: [`Engine::execute`]
-//! lowers the logical plan (see [`crate::physical::lower`]) and runs the
-//! resulting operator tree without tags. The lowering performs the rewrite
+//! A thin facade over the physical operator pipeline: every method lowers the
+//! logical plan (see [`crate::physical::lower`]) where it has to and runs the
+//! resulting operator tree, without tags, through the pipeline's one entry
+//! point, [`crate::physical::execute`]. The lowering performs the rewrite
 //! PBDS relies on — selections sitting directly above a table scan are pushed
 //! into the scan so that range predicates, including the ones PBDS injects
 //! from provenance sketches, can be answered through indexes and zone maps.
 
 use crate::eval::ExecError;
-use crate::physical::{
-    execute_logical_parallel_with, execute_logical_with, execute_physical_analyzed,
-    execute_physical_parallel_with, execute_physical_with, lower, ExecOptions, NoTag, PhysicalPlan,
-    PlanMetrics,
-};
+use crate::physical::{execute, lower, ExecOptions, Executed, NoTag, PhysicalPlan, PlanMetrics};
 use crate::profile::EngineProfile;
 use crate::stats::ExecStats;
 use pbds_algebra::LogicalPlan;
@@ -32,9 +29,7 @@ pub struct QueryOutput {
 #[derive(Debug, Clone, Copy)]
 pub struct Engine {
     profile: EngineProfile,
-    /// Number of scan workers; `0` and `1` both mean sequential.
-    parallelism: usize,
-    /// Execution switches (vectorized scan path on by default).
+    /// Execution switches (vectorized, adaptive, sequential by default).
     opts: ExecOptions,
 }
 
@@ -50,7 +45,6 @@ impl Engine {
     pub fn new(profile: EngineProfile) -> Self {
         Engine {
             profile,
-            parallelism: 1,
             opts: ExecOptions::default(),
         }
     }
@@ -65,41 +59,11 @@ impl Engine {
         self
     }
 
-    /// Whether scans take the vectorized columnar path.
-    pub fn vectorized(&self) -> bool {
-        self.opts.vectorized
-    }
-
-    /// Toggle adaptive scan lowering (on by default): each vectorized scan
-    /// re-decides between the bitmap path and the row loop from its predicted
-    /// selectivity (see [`crate::scan::scan_prefers_vectorized`]). With
-    /// `false`, [`Engine::with_vectorization`] is a static A/B switch — the
-    /// configuration the `fig_scan_micro` benchmark measures.
-    pub fn with_adaptive(mut self, on: bool) -> Self {
-        self.opts.adaptive = on;
-        self
-    }
-
-    /// Whether scans re-decide their path adaptively.
-    pub fn adaptive(&self) -> bool {
-        self.opts.adaptive
-    }
-
-    /// Feed observed execution statistics back into the adaptive scan
-    /// decision: the measured scan selectivity of a previous run of the same
-    /// workload ([`ExecStats::observed_scan_selectivity`]) overrides the
-    /// static table-stats estimate in subsequent executions.
-    pub fn with_observed_stats(mut self, stats: &ExecStats) -> Self {
-        self.opts.observed_selectivity = stats.observed_scan_selectivity();
-        self
-    }
-
-    /// Use morsel-parallel base-table scans with (up to) `workers` threads.
-    /// See [`crate::physical::execute_physical_parallel`] — results are
-    /// identical to sequential execution; only wall-clock time and the
-    /// `elapsed` statistic change.
+    /// Use morsel-parallel base-table scans with (up to) `workers` threads
+    /// ([`ExecOptions::workers`]) — results are identical to sequential
+    /// execution; only wall-clock time and the `elapsed` statistic change.
     pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers.max(1);
+        self.opts.workers = workers.max(1);
         self
     }
 
@@ -108,32 +72,10 @@ impl Engine {
         self.profile
     }
 
-    /// Number of scan workers this engine uses (1 = sequential).
-    pub fn parallelism(&self) -> usize {
-        self.parallelism.max(1)
-    }
-
     /// Execute a logical plan against a database: lower it to a physical
     /// plan, then run the batched operator pipeline without tags.
     pub fn execute(&self, db: &Database, plan: &LogicalPlan) -> Result<QueryOutput, ExecError> {
-        let sw = clock::Stopwatch::start();
-        let mut stats = ExecStats::default();
-        let (relation, _tags) = if self.parallelism() > 1 {
-            execute_logical_parallel_with(
-                db,
-                plan,
-                self.profile,
-                &NoTag,
-                self.parallelism(),
-                self.opts,
-                &mut stats,
-            )?
-        } else {
-            execute_logical_with(db, plan, self.profile, &NoTag, self.opts, &mut stats)?
-        };
-        stats.rows_output = relation.len() as u64;
-        stats.elapsed = sw.elapsed();
-        Ok(QueryOutput { relation, stats })
+        Ok(self.explain_analyze(db, plan)?.output)
     }
 
     /// Lower a logical plan with this engine's profile (exposed so callers
@@ -142,13 +84,10 @@ impl Engine {
         lower(db, plan, self.profile)
     }
 
-    /// Execute a logical plan with per-operator instrumentation — `EXPLAIN
-    /// ANALYZE`. Lowers the plan, runs it through
-    /// [`execute_physical_analyzed`], and returns the result together with
-    /// the physical plan and its per-operator metrics;
-    /// [`AnalyzedQuery::render`] prints the annotated tree. Always runs
-    /// sequentially regardless of [`Engine::with_parallelism`] — analyze
-    /// output is about per-operator attribution, not peak throughput.
+    /// Execute a logical plan and keep what every execution records besides
+    /// its result — `EXPLAIN ANALYZE`: the physical plan that ran and its
+    /// per-operator metrics. [`AnalyzedQuery::render`] prints the annotated
+    /// tree.
     pub fn explain_analyze(
         &self,
         db: &Database,
@@ -156,13 +95,9 @@ impl Engine {
     ) -> Result<AnalyzedQuery, ExecError> {
         let sw = clock::Stopwatch::start();
         let physical = lower(db, plan, self.profile)?;
-        let mut stats = ExecStats::default();
-        let (relation, _tags, metrics) =
-            execute_physical_analyzed(db, &physical, &NoTag, self.opts, &mut stats)?;
-        stats.rows_output = relation.len() as u64;
-        stats.elapsed = sw.elapsed();
+        let (output, metrics) = self.run(db, &physical, sw)?;
         Ok(AnalyzedQuery {
-            output: QueryOutput { relation, stats },
+            output,
             physical,
             metrics,
         })
@@ -174,23 +109,23 @@ impl Engine {
         db: &Database,
         plan: &PhysicalPlan,
     ) -> Result<QueryOutput, ExecError> {
-        let sw = clock::Stopwatch::start();
+        Ok(self.run(db, plan, clock::Stopwatch::start())?.0)
+    }
+
+    /// Run `plan` without tags; `sw` started when the caller's work did.
+    fn run(
+        &self,
+        db: &Database,
+        plan: &PhysicalPlan,
+        sw: clock::Stopwatch,
+    ) -> Result<(QueryOutput, PlanMetrics), ExecError> {
         let mut stats = ExecStats::default();
-        let (relation, _tags) = if self.parallelism() > 1 {
-            execute_physical_parallel_with(
-                db,
-                plan,
-                &NoTag,
-                self.parallelism(),
-                self.opts,
-                &mut stats,
-            )?
-        } else {
-            execute_physical_with(db, plan, &NoTag, self.opts, &mut stats)?
-        };
+        let Executed {
+            relation, metrics, ..
+        } = execute(db, plan, &NoTag, &self.opts, &mut stats)?;
         stats.rows_output = relation.len() as u64;
         stats.elapsed = sw.elapsed();
-        Ok(QueryOutput { relation, stats })
+        Ok((QueryOutput { relation, stats }, metrics))
     }
 }
 
@@ -439,6 +374,101 @@ mod tests {
         let rendered = analyzed.render();
         assert!(rendered.contains("rows="), "{rendered}");
         assert!(rendered.contains("elapsed="), "{rendered}");
+    }
+
+    /// `t(grp, v)` of `examples/explain.rs`, scaled to `rows` rows.
+    fn explain_db(rows: i64) -> Database {
+        let schema = Schema::from_pairs(&[("grp", DataType::Int), ("v", DataType::Int)]);
+        let mut b = TableBuilder::new("t", schema);
+        b.block_size(64).index("grp");
+        for i in 0..rows {
+            b.push(vec![Value::Int(i % 40), Value::Int((i * 13) % 997)]);
+        }
+        let mut db = Database::new();
+        db.add_table(b.build());
+        db
+    }
+
+    #[test]
+    fn explain_analyze_honours_parallelism() {
+        use crate::physical::PARALLEL_SCAN_THRESHOLD;
+        let db = explain_db(2 * PARALLEL_SCAN_THRESHOLD as i64);
+        // Limit > Sort > SeqScan: the scan leaf is pre-order id 2.
+        let plan = LogicalPlan::scan("t")
+            .filter(col("v").lt(lit(500)))
+            .top_k(vec![SortKey::desc("v"), SortKey::asc("grp")], 5);
+        let sequential = Engine::new(EngineProfile::ColumnarScan);
+        let expected = sequential.execute(&db, &plan).unwrap();
+        let analyzed = sequential
+            .with_parallelism(4)
+            .explain_analyze(&db, &plan)
+            .unwrap();
+        assert_eq!(analyzed.output.relation, expected.relation);
+        assert_eq!(
+            analyzed.output.stats.rows_scanned,
+            db.table("t").unwrap().len() as u64
+        );
+        let (root, leaf) = (&analyzed.metrics.ops[0], &analyzed.metrics.ops[2]);
+        assert!(leaf.ran);
+        assert_eq!(leaf.rows_scanned, analyzed.output.stats.rows_scanned);
+        // The workers' stats are merged inside the leaf's `next_batch`, so its
+        // wrapper attributes their encoded-block evaluations to the leaf.
+        assert!(leaf.encoded_blocks > 0);
+        assert_eq!(leaf.encoded_blocks, expected.stats.encoded_blocks);
+        assert!(root.elapsed >= leaf.elapsed);
+    }
+
+    #[test]
+    fn execute_and_explain_analyze_record_the_same_execution() {
+        let db = explain_db(2_000);
+        let top1 = LogicalPlan::scan("t")
+            .aggregate(
+                vec!["grp"],
+                vec![AggExpr::new(AggFunc::Sum, col("v"), "total")],
+            )
+            .top_k(vec![SortKey::desc("total")], 1);
+        let global = LogicalPlan::scan("t")
+            .filter(col("v").lt(lit(500)))
+            .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, col("v"), "total")]);
+        // (plan, fused by the scan→aggregate pushdown when vectorized)
+        let plans = [
+            (top1, true),
+            // The sketch-instrumented shape: a range on the indexed column.
+            (
+                LogicalPlan::scan("t")
+                    .filter(col("grp").between(lit(8), lit(12)))
+                    .aggregate(
+                        vec!["grp"],
+                        vec![AggExpr::new(AggFunc::Sum, col("v"), "total")],
+                    )
+                    .top_k(vec![SortKey::desc("total")], 1),
+                true,
+            ),
+            (global, true),
+            (LogicalPlan::scan("t").filter(col("v").ge(lit(0))), false),
+            (LogicalPlan::scan("t").filter(col("v").lt(lit(20))), false),
+        ];
+        for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
+            for vectorized in [true, false] {
+                let e = Engine::new(profile).with_vectorization(vectorized);
+                for (plan, fusable) in &plans {
+                    let mut plain = e.execute(&db, plan).unwrap();
+                    let mut analyzed = e.explain_analyze(&db, plan).unwrap();
+                    assert_eq!(plain.relation, analyzed.output.relation);
+                    plain.stats.elapsed = Default::default();
+                    analyzed.output.stats.elapsed = Default::default();
+                    assert_eq!(plain.stats, analyzed.output.stats);
+                    let fused = analyzed.metrics.ops.iter().any(|m| m.fused);
+                    assert_eq!(
+                        fused,
+                        *fusable && vectorized,
+                        "{profile:?}\n{}",
+                        analyzed.physical
+                    );
+                    assert_eq!(fused, plain.stats.agg_pushdown_blocks > 0);
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! physical operator pipeline ([`physical`]): logical plans are lowered to
 //! physical operators with explicit access paths (ordered-index range scans,
 //! zone-map block skipping or sequential scans), then executed in fixed-size
-//! row batches. The same pipeline serves plain execution ([`Engine`], tags
-//! disabled via [`NoTag`]) and provenance capture (`pbds-provenance` plugs in
-//! [`TagPolicy`] implementations whose per-row tags are sketch annotations or
-//! lineage tuple sets).
+//! row batches. The pipeline has one entry point, [`execute`]: plain
+//! execution and `EXPLAIN ANALYZE` reach it through [`Engine`] (tags
+//! disabled via [`NoTag`]), provenance capture through [`lower`] + [`execute`]
+//! (`pbds-provenance` plugs in [`TagPolicy`] implementations whose per-row
+//! tags are sketch annotations or lineage tuple sets). What varies between
+//! runs — scan path, worker count — is an [`ExecOptions`] field, not another
+//! function.
 //!
 //! Two [`EngineProfile`]s substitute for the paper's two evaluation hosts:
 //! `Indexed` mirrors a disk-based system with B-tree indexes and BRIN zone
@@ -29,16 +32,13 @@ pub use compiled::{ColRef, CompiledExpr};
 pub use engine::{AnalyzedQuery, Engine, QueryOutput};
 pub use eval::{eval_expr, eval_predicate, ExecError};
 pub use physical::{
-    execute_logical, execute_logical_parallel, execute_logical_parallel_with, execute_logical_with,
-    execute_physical, execute_physical_analyzed, execute_physical_parallel,
-    execute_physical_parallel_with, execute_physical_with, lower, lower_scan, Batch, ExecOptions,
-    NoTag, OpMetrics, PhysOp, PhysicalPlan, PlanMetrics, TagPolicy, BATCH_SIZE,
-    PARALLEL_SCAN_THRESHOLD,
+    execute, lower, lower_scan, Batch, ExecOptions, Executed, NoTag, OpMetrics, PhysOp,
+    PhysicalPlan, PlanMetrics, TagPolicy, BATCH_SIZE, PARALLEL_SCAN_THRESHOLD,
 };
 pub use profile::EngineProfile;
 pub use scan::{
-    estimate_scan_selectivity, extract_skip_ranges, scan_prefers_vectorized, scan_table,
-    ColumnRanges, VECTORIZED_SELECTIVITY_CUTOFF,
+    estimate_scan_selectivity, extract_skip_ranges, scan_prefers_vectorized, ColumnRanges,
+    VECTORIZED_SELECTIVITY_CUTOFF,
 };
 pub use stats::ExecStats;
 pub use vector::{eval_filter_block, eval_filter_block_counted, SelBitmap};

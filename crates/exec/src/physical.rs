@@ -36,13 +36,16 @@ use crate::stats::ExecStats;
 use crate::vector::{eval_filter_block_counted, sel_without_nulls, SelBitmap};
 use pbds_algebra::{infer_type, AggExpr, AggFunc, Expr, LogicalPlan, SortKey};
 use pbds_storage::{
-    Column, ColumnData, ColumnVector, DataType, Database, Relation, Row, Schema, Table, Value,
+    Column, ColumnData, ColumnVector, ColumnarChunk, ColumnarChunks, DataType, Database, Relation,
+    Row, Schema, Table, Value,
 };
 use pbds_telemetry::clock;
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Execution-time switches for the physical pipeline.
@@ -57,17 +60,17 @@ pub struct ExecOptions {
     /// decision below never upgrades an oracle run to the vectorized path.
     pub vectorized: bool,
     /// Decide the scan path per scan instead of statically: a scan whose
-    /// predicted selectivity (observed feedback first, then a table-stats
-    /// estimate — see [`estimate_scan_selectivity`]) says nearly every row
-    /// survives is lowered to the row loop with a pre-bound filter, because
-    /// the bitmap pass would materialize everything anyway. Only consulted
-    /// when `vectorized` is `true`; the scan→aggregate pushdown, which never
-    /// materializes rows, bypasses it.
+    /// table-stats selectivity estimate ([`estimate_scan_selectivity`]) says
+    /// nearly every row survives is lowered to the row loop with a pre-bound
+    /// filter, because the bitmap pass would materialize everything anyway.
+    /// Only consulted when `vectorized` is `true`; the scan→aggregate
+    /// pushdown, which never materializes rows, bypasses it.
     pub adaptive: bool,
-    /// Observed selectivity of a previous execution of the same workload
-    /// ([`ExecStats::observed_scan_selectivity`]); when set, it overrides the
-    /// static table-stats estimate in the adaptive decision.
-    pub observed_selectivity: Option<f64>,
+    /// Number of scan workers; `0` and `1` both mean sequential. With more,
+    /// leaf scans that still visit at least [`PARALLEL_SCAN_THRESHOLD`] rows
+    /// after index / zone-map skipping are split into that many contiguous
+    /// morsels scanned by scoped threads (see [`execute`]).
+    pub workers: usize,
 }
 
 impl Default for ExecOptions {
@@ -75,7 +78,7 @@ impl Default for ExecOptions {
         ExecOptions {
             vectorized: true,
             adaptive: true,
-            observed_selectivity: None,
+            workers: 1,
         }
     }
 }
@@ -121,10 +124,12 @@ impl<T> Batch<T> {
 /// How per-row tags are created and combined while the pipeline runs.
 ///
 /// Plain execution uses [`NoTag`]; provenance capture supplies policies whose
-/// tags are sketch annotations or lineage tuple sets.
-pub trait TagPolicy {
+/// tags are sketch annotations or lineage tuple sets. Policies are shared by
+/// reference with the scan workers of a morsel-parallel scan, which hand
+/// their tagged rows back to the calling thread — hence `Sync` and `Send`.
+pub trait TagPolicy: Sync {
     /// The per-row tag type.
-    type Tag: Clone;
+    type Tag: Clone + Send;
 
     /// Tag for a base-table row entering the pipeline (capture rule r0).
     fn seed_tag(&self, table: &str, schema: &Schema, row: &Row, row_id: u32) -> Self::Tag;
@@ -393,9 +398,9 @@ impl PhysicalPlan {
     }
 
     /// Render the `EXPLAIN ANALYZE` tree: the operator labels of the plain
-    /// `EXPLAIN` annotated per operator with the runtime metrics collected by
-    /// [`execute_physical_analyzed`]. `metrics` must come from executing
-    /// *this* plan (ids are pre-order positions).
+    /// `EXPLAIN` annotated per operator with the runtime metrics [`execute`]
+    /// returns. `metrics` must come from executing *this* plan (ids are
+    /// pre-order positions).
     pub fn render_analyze(&self, metrics: &PlanMetrics) -> String {
         let mut out = String::new();
         let mut id = 0usize;
@@ -434,8 +439,8 @@ impl PhysicalPlan {
     }
 }
 
-/// Runtime metrics of one operator collected by `EXPLAIN ANALYZE`
-/// ([`execute_physical_analyzed`]). `elapsed`, `rows_scanned` and
+/// Runtime metrics of one operator, recorded by every [`execute`] and
+/// rendered by `EXPLAIN ANALYZE`. `elapsed`, `rows_scanned` and
 /// `encoded_blocks` are **inclusive** of the operator's subtree — the pipeline
 /// is pull-based, so time spent producing a child batch is part of the
 /// parent's `next_batch` call. Self time is the parent's value minus its
@@ -468,8 +473,9 @@ pub struct PlanMetrics {
 }
 
 /// Shared mutable cell the analyze wrappers record into. Plain `RefCell` is
-/// sound here because operator trees are single-threaded by construction
-/// (`BoxOp` is not `Send`); the morsel-parallel path never wraps.
+/// sound here because an operator tree is single-threaded by construction
+/// (`BoxOp` is not `Send`); the workers of a morsel-parallel scan build their
+/// own unwrapped scan operators and report through the leaf that spawned them.
 type AnalyzeShared = RefCell<Vec<OpMetrics>>;
 
 /// Instrumentation wrapper around one operator: times every `next_batch`
@@ -744,192 +750,70 @@ pub fn lower_scan(table: &Table, predicate: Option<Expr>, profile: EngineProfile
 // Execution
 // ---------------------------------------------------------------------------
 
-/// Execute a physical plan, returning the result relation and the per-row
-/// tags produced by the policy (aligned with the relation's rows).
-pub fn execute_physical<P: TagPolicy>(
-    db: &Database,
-    plan: &PhysicalPlan,
-    policy: &P,
-    stats: &mut ExecStats,
-) -> Result<(Relation, Vec<P::Tag>), ExecError> {
-    execute_physical_with(db, plan, policy, ExecOptions::default(), stats)
+/// What [`execute`] returns.
+#[derive(Debug, Clone)]
+pub struct Executed<T> {
+    /// The result relation.
+    pub relation: Relation,
+    /// The per-row tags produced by the policy, aligned with the relation's
+    /// rows.
+    pub tags: Vec<T>,
+    /// Per-operator runtime metrics, indexed in the plan's pre-order (render
+    /// them with [`PhysicalPlan::render_analyze`]).
+    pub metrics: PlanMetrics,
 }
 
-/// [`execute_physical`] with explicit [`ExecOptions`] (e.g. to force the
-/// row-at-a-time scan interpreter for an A/B comparison).
-pub fn execute_physical_with<P: TagPolicy>(
-    db: &Database,
-    plan: &PhysicalPlan,
-    policy: &P,
-    opts: ExecOptions,
-    stats: &mut ExecStats,
-) -> Result<(Relation, Vec<P::Tag>), ExecError> {
-    let op = build_op(db, plan, policy, stats, opts, None, None)?;
-    drain_root(op, plan, stats)
-}
-
-/// Execute a physical plan with per-operator instrumentation — the engine of
-/// `EXPLAIN ANALYZE`. Every operator is wrapped so each `next_batch` call is
-/// timed (through the [`pbds_telemetry::clock`] seam) and its emitted
-/// rows/batches plus `ExecStats` deltas are attributed to the operator's
-/// pre-order id. Results are identical to [`execute_physical_with`]; the
-/// third return value indexes into the plan via [`PhysicalPlan::node_count`]
-/// pre-order and renders with [`PhysicalPlan::render_analyze`].
+/// Execute a physical plan: the one way into the operator pipeline, shared by
+/// plain execution, `EXPLAIN ANALYZE`, sketch capture and lineage capture.
 ///
-/// Runs sequentially (no morsel parallelism): analyze output is about
-/// attribution, and the wrappers share a single-threaded metrics cell.
-pub fn execute_physical_analyzed<P: TagPolicy>(
-    db: &Database,
-    plan: &PhysicalPlan,
-    policy: &P,
-    opts: ExecOptions,
-    stats: &mut ExecStats,
-) -> Result<(Relation, Vec<P::Tag>, PlanMetrics), ExecError> {
-    let cells: AnalyzeShared = RefCell::new(vec![OpMetrics::default(); plan.node_count()]);
-    let result = {
-        let op = build_op(db, plan, policy, stats, opts, None, Some((&cells, 0)))?;
-        drain_root(op, plan, stats)?
-    };
-    let (relation, tags) = result;
-    Ok((
-        relation,
-        tags,
-        PlanMetrics {
-            ops: cells.into_inner(),
-        },
-    ))
-}
-
-/// Execute a physical plan with morsel-parallel base-table scans.
+/// Every operator is wrapped so each `next_batch` call is timed (through the
+/// [`pbds_telemetry::clock`] seam) and its emitted rows/batches plus
+/// `ExecStats` deltas are attributed to the operator's pre-order id — two
+/// clock reads per batch of up to [`BATCH_SIZE`] rows, cheap enough to be
+/// always on.
 ///
-/// Leaf `SeqScan` / `ZoneMapScan` / `IndexRangeScan` operators over tables of
-/// at least [`PARALLEL_SCAN_THRESHOLD`] rows split their row-id lists into
-/// `workers` contiguous morsels, scanned by scoped `std::thread` workers.
-/// Each worker records its own [`ExecStats`]; the per-worker stats are folded
-/// with [`ExecStats::merge_parallel`] (counters sum, `elapsed` is max across
-/// branches). Morsels are concatenated in table order, so the produced rows —
-/// and therefore every operator above the scan — are **identical** to the
-/// sequential execution. Everything above the scans still runs on the calling
+/// With [`ExecOptions::workers`] above 1, leaf `SeqScan` / `ZoneMapScan` /
+/// `IndexRangeScan` operators that visit at least [`PARALLEL_SCAN_THRESHOLD`]
+/// rows split their row-id sets into that many contiguous morsels, scanned by
+/// scoped `std::thread` workers. Each worker records its own [`ExecStats`],
+/// folded with [`ExecStats::merge_parallel`] (counters sum, `elapsed` is max
+/// across branches). Morsels are concatenated in table order, so the produced
+/// rows — and therefore every operator above the scan — are **identical** to
+/// the sequential execution. Everything above the scans runs on the calling
 /// thread.
-pub fn execute_physical_parallel<P>(
+pub fn execute<P: TagPolicy>(
     db: &Database,
     plan: &PhysicalPlan,
     policy: &P,
-    workers: usize,
+    opts: &ExecOptions,
     stats: &mut ExecStats,
-) -> Result<(Relation, Vec<P::Tag>), ExecError>
-where
-    P: TagPolicy + Sync,
-    P::Tag: Send,
-{
-    execute_physical_parallel_with(db, plan, policy, workers, ExecOptions::default(), stats)
-}
-
-/// [`execute_physical_parallel`] with explicit [`ExecOptions`].
-pub fn execute_physical_parallel_with<P>(
-    db: &Database,
-    plan: &PhysicalPlan,
-    policy: &P,
-    workers: usize,
-    opts: ExecOptions,
-    stats: &mut ExecStats,
-) -> Result<(Relation, Vec<P::Tag>), ExecError>
-where
-    P: TagPolicy + Sync,
-    P::Tag: Send,
-{
-    if workers <= 1 {
-        return execute_physical_with(db, plan, policy, opts, stats);
-    }
-    let hook = move |table: &Table, op: &PhysOp, stats: &mut ExecStats| {
-        parallel_scan(table, op, policy, workers, opts, stats)
-    };
-    let op = build_op(db, plan, policy, stats, opts, Some(&hook), None)?;
-    drain_root(op, plan, stats)
-}
-
-/// Pull every batch out of the root operator into a relation + tag vector.
-fn drain_root<P: TagPolicy>(
-    mut op: BoxOp<'_, P>,
-    plan: &PhysicalPlan,
-    stats: &mut ExecStats,
-) -> Result<(Relation, Vec<P::Tag>), ExecError> {
+) -> Result<Executed<P::Tag>, ExecError> {
+    let cells: AnalyzeShared = RefCell::new(vec![OpMetrics::default(); plan.node_count()]);
     let mut relation = Relation::empty(plan.schema.clone());
     let mut tags = Vec::new();
-    while let Some(batch) = op.next_batch(stats)? {
-        stats.batches += 1;
-        for (row, tag) in batch.rows.into_iter().zip(batch.tags) {
-            relation.push(row);
-            tags.push(tag);
+    {
+        let builder = OpBuilder {
+            db,
+            policy,
+            opts: *opts,
+            metrics: &cells,
+        };
+        let mut root = builder.op(plan, 0, stats)?;
+        while let Some(batch) = root.next_batch(stats)? {
+            stats.batches += 1;
+            for (row, tag) in batch.rows.into_iter().zip(batch.tags) {
+                relation.push(row);
+                tags.push(tag);
+            }
         }
     }
-    Ok((relation, tags))
-}
-
-/// Lower a logical plan and execute it in one step.
-pub fn execute_logical<P: TagPolicy>(
-    db: &Database,
-    plan: &LogicalPlan,
-    profile: EngineProfile,
-    policy: &P,
-    stats: &mut ExecStats,
-) -> Result<(Relation, Vec<P::Tag>), ExecError> {
-    execute_logical_with(db, plan, profile, policy, ExecOptions::default(), stats)
-}
-
-/// [`execute_logical`] with explicit [`ExecOptions`].
-pub fn execute_logical_with<P: TagPolicy>(
-    db: &Database,
-    plan: &LogicalPlan,
-    profile: EngineProfile,
-    policy: &P,
-    opts: ExecOptions,
-    stats: &mut ExecStats,
-) -> Result<(Relation, Vec<P::Tag>), ExecError> {
-    let physical = lower(db, plan, profile)?;
-    execute_physical_with(db, &physical, policy, opts, stats)
-}
-
-/// Lower a logical plan and execute it with morsel-parallel scans.
-pub fn execute_logical_parallel<P>(
-    db: &Database,
-    plan: &LogicalPlan,
-    profile: EngineProfile,
-    policy: &P,
-    workers: usize,
-    stats: &mut ExecStats,
-) -> Result<(Relation, Vec<P::Tag>), ExecError>
-where
-    P: TagPolicy + Sync,
-    P::Tag: Send,
-{
-    execute_logical_parallel_with(
-        db,
-        plan,
-        profile,
-        policy,
-        workers,
-        ExecOptions::default(),
-        stats,
-    )
-}
-
-/// [`execute_logical_parallel`] with explicit [`ExecOptions`].
-pub fn execute_logical_parallel_with<P>(
-    db: &Database,
-    plan: &LogicalPlan,
-    profile: EngineProfile,
-    policy: &P,
-    workers: usize,
-    opts: ExecOptions,
-    stats: &mut ExecStats,
-) -> Result<(Relation, Vec<P::Tag>), ExecError>
-where
-    P: TagPolicy + Sync,
-    P::Tag: Send,
-{
-    let physical = lower(db, plan, profile)?;
-    execute_physical_parallel_with(db, &physical, policy, workers, opts, stats)
+    Ok(Executed {
+        relation,
+        tags,
+        metrics: PlanMetrics {
+            ops: cells.into_inner(),
+        },
+    })
 }
 
 pub(crate) trait BatchOp<P: TagPolicy> {
@@ -938,169 +822,136 @@ pub(crate) trait BatchOp<P: TagPolicy> {
 
 type BoxOp<'a, P> = Box<dyn BatchOp<P> + 'a>;
 
-/// Hook injected by [`execute_physical_parallel`]: given a leaf scan, either
-/// materialize its output rows using a worker pool (`Ok(Some(rows))`) or
-/// decline (`Ok(None)`, e.g. the table is too small to be worth fanning out),
-/// in which case the ordinary sequential scan operator is built.
-type ParallelScanHook<'h, P> = dyn Fn(
-        &Table,
-        &PhysOp,
-        &mut ExecStats,
-    ) -> Result<Option<TaggedRows<<P as TagPolicy>::Tag>>, ExecError>
-    + 'h;
-
-/// Build the operator for `plan`, wrapping it in an [`AnalyzeOp`] when
-/// `analyze` carries the metrics cells and this node's pre-order id.
-fn build_op<'a, P: TagPolicy>(
+/// What every operator of one execution is built from, besides its plan node.
+struct OpBuilder<'a, P: TagPolicy> {
     db: &'a Database,
-    plan: &'a PhysicalPlan,
     policy: &'a P,
-    stats: &mut ExecStats,
     opts: ExecOptions,
-    parallel: Option<&ParallelScanHook<'_, P>>,
-    analyze: Option<(&'a AnalyzeShared, usize)>,
-) -> Result<BoxOp<'a, P>, ExecError> {
-    let op = build_op_inner(db, plan, policy, stats, opts, parallel, analyze)?;
-    Ok(match analyze {
-        Some((metrics, id)) => Box::new(AnalyzeOp {
-            inner: op,
-            metrics,
-            id,
-        }),
-        None => op,
-    })
+    metrics: &'a AnalyzeShared,
 }
 
-fn build_op_inner<'a, P: TagPolicy>(
-    db: &'a Database,
-    plan: &'a PhysicalPlan,
-    policy: &'a P,
-    stats: &mut ExecStats,
-    opts: ExecOptions,
-    parallel: Option<&ParallelScanHook<'_, P>>,
-    analyze: Option<(&'a AnalyzeShared, usize)>,
-) -> Result<BoxOp<'a, P>, ExecError> {
-    // Pre-order child ids: a unary child is `id + 1`; a binary node's right
-    // child starts after the whole left subtree.
-    let unary = |a: Option<(&'a AnalyzeShared, usize)>| a.map(|(c, id)| (c, id + 1));
-    let binary = |a: Option<(&'a AnalyzeShared, usize)>, left: &PhysicalPlan| {
-        (
-            a.map(|(c, id)| (c, id + 1)),
-            a.map(|(c, id)| (c, id + 1 + left.node_count())),
-        )
-    };
-    match &plan.op {
-        PhysOp::SeqScan { table, .. }
-        | PhysOp::IndexRangeScan { table, .. }
-        | PhysOp::ZoneMapScan { table, .. } => {
-            let t = db.table(table)?;
-            if let Some(hook) = parallel {
-                if let Some(rows) = hook(t, &plan.op, stats)? {
-                    let mut out = Emitter::new();
-                    out.fill(rows);
-                    return Ok(Box::new(PrefetchedOp::<P> { out }));
-                }
+impl<'a, P: TagPolicy> OpBuilder<'a, P> {
+    /// Build the operator for `plan`, whose pre-order id is `id`, inside its
+    /// [`AnalyzeOp`]. Scans account for their rows when they are built, so
+    /// the rows counted while building this subtree are attributed here.
+    fn op(
+        &self,
+        plan: &'a PhysicalPlan,
+        id: usize,
+        stats: &mut ExecStats,
+    ) -> Result<BoxOp<'a, P>, ExecError> {
+        let scanned_before = stats.rows_scanned;
+        let inner = self.bare_op(plan, id, stats)?;
+        self.metrics.borrow_mut()[id].rows_scanned += stats.rows_scanned - scanned_before;
+        Ok(Box::new(AnalyzeOp {
+            inner,
+            metrics: self.metrics,
+            id,
+        }))
+    }
+
+    /// Pre-order child ids: a unary child is `id + 1`; a binary node's right
+    /// child starts after the whole left subtree.
+    fn bare_op(
+        &self,
+        plan: &'a PhysicalPlan,
+        id: usize,
+        stats: &mut ExecStats,
+    ) -> Result<BoxOp<'a, P>, ExecError> {
+        let policy = self.policy;
+        let right_id = |left: &PhysicalPlan| id + 1 + left.node_count();
+        match &plan.op {
+            PhysOp::SeqScan { table, .. }
+            | PhysOp::IndexRangeScan { table, .. }
+            | PhysOp::ZoneMapScan { table, .. } => {
+                make_scan_op(self.db.table(table)?, &plan.op, policy, self.opts, stats)
             }
-            make_scan_op(t, &plan.op, policy, opts, stats)
-        }
-        PhysOp::Filter { predicate, input } => Ok(Box::new(FilterOp {
-            predicate: CompiledExpr::compile(predicate, &input.schema),
-            input: build_op(db, input, policy, stats, opts, parallel, unary(analyze))?,
-        })),
-        PhysOp::Project { exprs, input } => Ok(Box::new(ProjectOp {
-            exprs: exprs
-                .iter()
-                .map(|(e, _)| CompiledExpr::compile(e, &input.schema))
-                .collect(),
-            input: build_op(db, input, policy, stats, opts, parallel, unary(analyze))?,
-        })),
-        PhysOp::HashAggregate {
-            group_by,
-            aggregates,
-            input,
-        } => {
-            let group_idx: Vec<usize> = group_by
-                .iter()
-                .map(|g| {
-                    input
-                        .schema
-                        .index_of(g)
-                        .ok_or_else(|| ExecError::UnknownColumn(g.clone()))
-                })
-                .collect::<Result<_, _>>()?;
-            // An aggregate directly above a chunk-aligned scan can aggregate
-            // over the selection bitmaps without materializing row batches.
-            // The parallel hook keeps priority: when a worker pool wants the
-            // scan, the generic operator pair consumes its prefetched rows.
-            if parallel.is_none() {
-                if let Some(op) =
-                    try_agg_pushdown(db, input, &group_idx, aggregates, policy, opts, stats)?
-                {
-                    // The input subtree was fused into this aggregate: its
-                    // operators never run on their own, so mark their
-                    // pre-order slots — the ANALYZE rendering shows them as
-                    // fused and attributes all work to this node.
-                    if let Some((metrics, id)) = analyze {
-                        let mut all = metrics.borrow_mut();
+            PhysOp::Filter { predicate, input } => Ok(Box::new(FilterOp {
+                predicate: CompiledExpr::compile(predicate, &input.schema),
+                input: self.op(input, id + 1, stats)?,
+            })),
+            PhysOp::Project { exprs, input } => Ok(Box::new(ProjectOp {
+                exprs: exprs
+                    .iter()
+                    .map(|(e, _)| CompiledExpr::compile(e, &input.schema))
+                    .collect(),
+                input: self.op(input, id + 1, stats)?,
+            })),
+            PhysOp::HashAggregate {
+                group_by,
+                aggregates,
+                input,
+            } => {
+                let group_idx: Vec<usize> = group_by
+                    .iter()
+                    .map(|g| {
+                        input
+                            .schema
+                            .index_of(g)
+                            .ok_or_else(|| ExecError::UnknownColumn(g.clone()))
+                    })
+                    .collect::<Result<_, _>>()?;
+                // An aggregate directly above a chunk-aligned scan can
+                // aggregate over the selection bitmaps without materializing
+                // row batches. Parallel scans keep priority: when a worker
+                // pool was asked for, the generic operator pair consumes the
+                // scan's rows.
+                if self.opts.workers <= 1 {
+                    if let Some(op) = try_agg_pushdown(
+                        self.db, input, &group_idx, aggregates, policy, self.opts, stats,
+                    )? {
+                        // The input subtree was fused into this aggregate:
+                        // its operators never run on their own, so mark their
+                        // pre-order slots — the ANALYZE rendering shows them
+                        // as fused and attributes all work to this node.
+                        let mut all = self.metrics.borrow_mut();
                         for slot in &mut all[id + 1..id + 1 + input.node_count()] {
                             slot.fused = true;
                         }
+                        return Ok(op);
                     }
-                    return Ok(op);
                 }
-            }
-            Ok(Box::new(HashAggregateOp {
-                group_idx,
-                group_by_empty: group_by.is_empty(),
-                aggregates,
-                agg_inputs: aggregates
-                    .iter()
-                    .map(|a| CompiledExpr::compile(&a.input, &input.schema))
-                    .collect(),
-                policy,
-                input: Some(build_op(
-                    db,
-                    input,
+                Ok(Box::new(HashAggregateOp {
+                    group_idx,
+                    group_by_empty: group_by.is_empty(),
+                    aggregates,
+                    agg_inputs: aggregates
+                        .iter()
+                        .map(|a| CompiledExpr::compile(&a.input, &input.schema))
+                        .collect(),
                     policy,
-                    stats,
-                    opts,
-                    parallel,
-                    unary(analyze),
-                )?),
-                out: Emitter::new(),
-            }))
-        }
-        PhysOp::HashJoin {
-            left,
-            right,
-            left_col,
-            right_col,
-        } => {
-            let li = left
-                .schema
-                .index_of(left_col)
-                .ok_or_else(|| ExecError::UnknownColumn(left_col.clone()))?;
-            let ri = right
-                .schema
-                .index_of(right_col)
-                .ok_or_else(|| ExecError::UnknownColumn(right_col.clone()))?;
-            let (la, ra) = binary(analyze, left);
-            Ok(Box::new(HashJoinOp {
-                left: build_op(db, left, policy, stats, opts, parallel, la)?,
-                right: Some(build_op(db, right, policy, stats, opts, parallel, ra)?),
-                li,
-                ri,
-                policy,
-                hasher: RandomState::new(),
-                build: HashMap::new(),
-                build_rows: Vec::new(),
-            }))
-        }
-        PhysOp::NestedLoopCross { left, right } => {
-            let (la, ra) = binary(analyze, left);
-            Ok(Box::new(NestedLoopCrossOp {
-                left: build_op(db, left, policy, stats, opts, parallel, la)?,
-                right: Some(build_op(db, right, policy, stats, opts, parallel, ra)?),
+                    input: Some(self.op(input, id + 1, stats)?),
+                    out: Emitter::new(),
+                }))
+            }
+            PhysOp::HashJoin {
+                left,
+                right,
+                left_col,
+                right_col,
+            } => {
+                let li = left
+                    .schema
+                    .index_of(left_col)
+                    .ok_or_else(|| ExecError::UnknownColumn(left_col.clone()))?;
+                let ri = right
+                    .schema
+                    .index_of(right_col)
+                    .ok_or_else(|| ExecError::UnknownColumn(right_col.clone()))?;
+                Ok(Box::new(HashJoinOp {
+                    left: self.op(left, id + 1, stats)?,
+                    right: Some(self.op(right, right_id(left), stats)?),
+                    li,
+                    ri,
+                    policy,
+                    hasher: RandomState::new(),
+                    build: HashMap::new(),
+                    build_rows: Vec::new(),
+                }))
+            }
+            PhysOp::NestedLoopCross { left, right } => Ok(Box::new(NestedLoopCrossOp {
+                left: self.op(left, id + 1, stats)?,
+                right: Some(self.op(right, right_id(left), stats)?),
                 policy,
                 right_rows: Vec::new(),
                 pending: std::collections::VecDeque::new(),
@@ -1108,61 +959,42 @@ fn build_op_inner<'a, P: TagPolicy>(
                 right_pos: 0,
                 left_count: 0,
                 done: false,
-            }))
-        }
-        PhysOp::Sort {
-            keys,
-            topk_limit,
-            input,
-        } => {
-            let key_idx: Vec<(usize, bool)> = keys
-                .iter()
-                .map(|k| {
-                    input
-                        .schema
-                        .index_of(&k.column)
-                        .map(|i| (i, k.descending))
-                        .ok_or_else(|| ExecError::UnknownColumn(k.column.clone()))
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(Box::new(SortOp {
-                key_idx,
-                topk_limit: *topk_limit,
-                input: Some(build_op(
-                    db,
-                    input,
-                    policy,
-                    stats,
-                    opts,
-                    parallel,
-                    unary(analyze),
-                )?),
-                out: Emitter::new(),
-            }))
-        }
-        PhysOp::Limit { limit, input } => Ok(Box::new(LimitOp {
-            remaining: *limit,
-            input: build_op(db, input, policy, stats, opts, parallel, unary(analyze))?,
-        })),
-        PhysOp::Distinct { input } => Ok(Box::new(DistinctOp {
-            policy,
-            input: Some(build_op(
-                db,
+            })),
+            PhysOp::Sort {
+                keys,
+                topk_limit,
                 input,
+            } => {
+                let key_idx: Vec<(usize, bool)> = keys
+                    .iter()
+                    .map(|k| {
+                        input
+                            .schema
+                            .index_of(&k.column)
+                            .map(|i| (i, k.descending))
+                            .ok_or_else(|| ExecError::UnknownColumn(k.column.clone()))
+                    })
+                    .collect::<Result<_, _>>()?;
+                Ok(Box::new(SortOp {
+                    key_idx,
+                    topk_limit: *topk_limit,
+                    input: Some(self.op(input, id + 1, stats)?),
+                    out: Emitter::new(),
+                }))
+            }
+            PhysOp::Limit { limit, input } => Ok(Box::new(LimitOp {
+                remaining: *limit,
+                input: self.op(input, id + 1, stats)?,
+            })),
+            PhysOp::Distinct { input } => Ok(Box::new(DistinctOp {
                 policy,
-                stats,
-                opts,
-                parallel,
-                unary(analyze),
-            )?),
-            out: Emitter::new(),
-        })),
-        PhysOp::Append { left, right } => {
-            let (la, ra) = binary(analyze, left);
-            Ok(Box::new(AppendOp {
-                left: Some(build_op(db, left, policy, stats, opts, parallel, la)?),
-                right: Some(build_op(db, right, policy, stats, opts, parallel, ra)?),
-            }))
+                input: Some(self.op(input, id + 1, stats)?),
+                out: Emitter::new(),
+            })),
+            PhysOp::Append { left, right } => Ok(Box::new(AppendOp {
+                left: Some(self.op(left, id + 1, stats)?),
+                right: Some(self.op(right, right_id(left), stats)?),
+            })),
         }
     }
 }
@@ -1264,9 +1096,11 @@ impl ScanSource {
 }
 
 /// Resolve a scan operator's row-id set against the current table, recording
-/// the access-path statistics (`full_scans` / `index_scans` / zone-map block
-/// counters — everything except `rows_scanned`, which the consumer accounts
-/// per visited row so the sequential and morsel-parallel paths agree).
+/// the access-path statistics up front: `full_scans` / `index_scans` / the
+/// zone-map block counters, and `rows_scanned` — every row of the resolved set
+/// counts as scanned when the scan is built, whichever operator then visits
+/// it (sequential, morsel-parallel or fused into an aggregate), so the three
+/// agree by construction.
 ///
 /// Lowering only emits index / zone-map scans when the physical-design
 /// artifact exists, but the database may have been mutated between `lower`
@@ -1284,13 +1118,10 @@ fn resolve_scan<'a>(
             table.name()
         ))
     };
-    match op {
+    let (filter, source) = match op {
         PhysOp::SeqScan { filter, .. } => {
             stats.full_scans += 1;
-            Ok((
-                filter.as_ref(),
-                ScanSource::Segments(vec![(0, table.len())]),
-            ))
+            (filter, ScanSource::Segments(vec![(0, table.len())]))
         }
         PhysOp::IndexRangeScan {
             column,
@@ -1303,7 +1134,7 @@ fn resolve_scan<'a>(
                 .ok_or_else(|| stale("IndexRangeScan", column))?;
             let rids = index.multi_range(ranges);
             stats.index_scans += 1;
-            Ok((filter.as_ref(), ScanSource::Rids(rids)))
+            (filter, ScanSource::Rids(rids))
         }
         PhysOp::ZoneMapScan {
             column,
@@ -1322,21 +1153,25 @@ fn resolve_scan<'a>(
             stats.blocks_total += zm.num_blocks() as u64;
             stats.blocks_skipped += (zm.num_blocks() - blocks.len()) as u64;
             let segs = blocks.into_iter().map(|b| (b.start, b.end)).collect();
-            Ok((filter.as_ref(), ScanSource::Segments(segs)))
+            (filter, ScanSource::Segments(segs))
         }
-        other => Err(ExecError::Plan(format!(
-            "resolve_scan on non-scan operator {other:?}"
-        ))),
-    }
+        other => {
+            return Err(ExecError::Plan(format!(
+                "resolve_scan on non-scan operator {other:?}"
+            )))
+        }
+    };
+    stats.rows_scanned += source.row_count() as u64;
+    Ok((filter.as_ref(), source))
 }
 
-pub(crate) struct ScanOp<'a, P: TagPolicy> {
+struct ScanOp<'a, P: TagPolicy> {
     table: &'a Table,
     policy: &'a P,
     filter: Option<&'a Expr>,
     /// Pre-bound filter; used instead of the interpreter when present
-    /// (rid-list scans under [`ExecOptions::vectorized`]).
-    compiled: Option<CompiledExpr>,
+    /// ([`ExecOptions::vectorized`]).
+    compiled: Option<Arc<CompiledExpr>>,
     source: RidSource,
     /// Table epoch the row-id set was resolved at; re-validated before every
     /// batch so a mutation can never make the scan read stale row ids.
@@ -1361,16 +1196,53 @@ fn check_scan_epoch(table: &Table, resolved_at: u64) -> Result<(), ExecError> {
     Ok(())
 }
 
-/// Predicted selectivity of a pushed-down scan filter for the adaptive
-/// lowering decision: observed feedback from a previous run of the same
-/// workload wins over the static table-stats estimate.
-fn predicted_scan_selectivity(table: &Table, pred: &Expr, opts: &ExecOptions) -> Option<f64> {
-    opts.observed_selectivity
-        .or_else(|| estimate_scan_selectivity(table, pred))
+/// A base-table scan whose filter binding and scan path are decided:
+/// everything a scan operator needs except which rows to visit. The
+/// sequential path builds one operator over the whole resolved
+/// [`ScanSource`]; a morsel-parallel scan builds one per morsel, on that
+/// morsel's worker ([`ParallelScanOp`]).
+struct ScanPlan<'a, P: TagPolicy> {
+    table: &'a Table,
+    policy: &'a P,
+    filter: Option<&'a Expr>,
+    /// The filter bound to the table schema once ([`ExecOptions::vectorized`];
+    /// it can hold large sketch range/key sets). `None` with a filter means
+    /// the row interpreter — the oracle path.
+    compiled: Option<Arc<CompiledExpr>>,
+    /// The chunk projection, fetched once through the epoch-checked cache,
+    /// when contiguous segments take the bitmap path ([`VectorScanOp`]).
+    chunks: Option<Arc<ColumnarChunks>>,
+    /// Table epoch the scan was resolved at; every operator re-validates it
+    /// before each batch.
+    epoch: u64,
 }
 
-/// Build the executor for a scan operator over an already-resolved table
-/// (`scan.rs`'s `scan_table` shares this path).
+impl<'a, P: TagPolicy> ScanPlan<'a, P> {
+    /// The operator scanning `source` — all of the scan, or one morsel.
+    fn op(&self, source: ScanSource) -> BoxOp<'a, P> {
+        match (&self.chunks, &self.compiled, source) {
+            (Some(chunks), Some(compiled), ScanSource::Segments(segs)) => Box::new(VectorScanOp {
+                table: self.table,
+                policy: self.policy,
+                compiled: compiled.clone(),
+                pieces: chunk_aligned_pieces(&segs, chunks.block_size()).into_iter(),
+                chunks: chunks.clone(),
+                current: None,
+                epoch: self.epoch,
+            }),
+            (_, _, source) => Box::new(ScanOp {
+                table: self.table,
+                policy: self.policy,
+                filter: self.filter,
+                compiled: self.compiled.clone(),
+                source: source.into_rid_source(),
+                epoch: self.epoch,
+            }),
+        }
+    }
+}
+
+/// Build the executor for a scan operator over an already-resolved table.
 ///
 /// Under [`ExecOptions::vectorized`], scans over contiguous row segments
 /// (sequential and zone-map scans) with a pushed-down filter evaluate the
@@ -1382,7 +1254,11 @@ fn predicted_scan_selectivity(table: &Table, pred: &Expr, opts: &ExecOptions) ->
 /// pass buys nothing when everything is materialized anyway. With
 /// `vectorized` off, everything runs through the row interpreter — the
 /// oracle path.
-pub(crate) fn make_scan_op<'a, P: TagPolicy>(
+///
+/// With [`ExecOptions::workers`] above 1, a scan that still visits at least
+/// [`PARALLEL_SCAN_THRESHOLD`] rows after index / zone-map skipping runs
+/// those same operators over morsels ([`ParallelScanOp`]).
+fn make_scan_op<'a, P: TagPolicy>(
     table: &'a Table,
     op: &'a PhysOp,
     policy: &'a P,
@@ -1390,49 +1266,31 @@ pub(crate) fn make_scan_op<'a, P: TagPolicy>(
     stats: &mut ExecStats,
 ) -> Result<BoxOp<'a, P>, ExecError> {
     let (filter, source) = resolve_scan(table, op, stats)?;
-    stats.rows_scanned += source.row_count() as u64;
-    let epoch = table.epoch();
-    if opts.vectorized {
-        if let Some(pred) = filter {
-            let compiled = CompiledExpr::compile(pred, table.schema());
-            let vectorize = !opts.adaptive
-                || scan_prefers_vectorized(predicted_scan_selectivity(table, pred, &opts));
-            if vectorize {
-                if let ScanSource::Segments(segs) = &source {
-                    stats.vectorized_scans += 1;
-                    // The chunk projection is fetched once through the
-                    // epoch-checked cache; the op re-validates the epoch
-                    // before trusting it for each batch.
-                    let chunks = table.columnar_chunks();
-                    return Ok(Box::new(VectorScanOp {
-                        table,
-                        policy,
-                        compiled,
-                        pieces: chunk_aligned_pieces(segs, chunks.block_size()).into_iter(),
-                        chunks,
-                        current: None,
-                        epoch,
-                    }));
-                }
-            }
-            return Ok(Box::new(ScanOp {
-                table,
-                policy,
-                filter,
-                compiled: Some(compiled),
-                source: source.into_rid_source(),
-                epoch,
-            }));
-        }
-    }
-    Ok(Box::new(ScanOp {
+    let mut scan = ScanPlan {
         table,
         policy,
         filter,
         compiled: None,
-        source: source.into_rid_source(),
-        epoch,
-    }))
+        chunks: None,
+        epoch: table.epoch(),
+    };
+    if let (true, Some(pred)) = (opts.vectorized, filter) {
+        scan.compiled = Some(Arc::new(CompiledExpr::compile(pred, table.schema())));
+        let bitmaps =
+            !opts.adaptive || scan_prefers_vectorized(estimate_scan_selectivity(table, pred));
+        if bitmaps && matches!(source, ScanSource::Segments(_)) {
+            stats.vectorized_scans += 1;
+            scan.chunks = Some(table.columnar_chunks());
+        }
+    }
+    if opts.workers > 1 && source.row_count() >= PARALLEL_SCAN_THRESHOLD {
+        return Ok(Box::new(ParallelScanOp {
+            scan,
+            morsels: source.split(opts.workers),
+            out: Emitter::new(),
+        }));
+    }
+    Ok(scan.op(source))
 }
 
 impl<P: TagPolicy> BatchOp<P> for ScanOp<'_, P> {
@@ -1488,10 +1346,10 @@ fn chunk_aligned_pieces(segments: &[(usize, usize)], block_size: usize) -> Vec<(
 struct VectorScanOp<'a, P: TagPolicy> {
     table: &'a Table,
     policy: &'a P,
-    compiled: CompiledExpr,
+    compiled: Arc<CompiledExpr>,
     pieces: std::vec::IntoIter<(usize, usize)>,
-    /// Chunk projection snapshot fetched (epoch-checked) at operator build.
-    chunks: std::sync::Arc<pbds_storage::ColumnarChunks>,
+    /// Chunk projection snapshot fetched (epoch-checked) at scan build.
+    chunks: Arc<ColumnarChunks>,
     /// Currently drained piece: `(piece_lo, selection, next bit index)`.
     current: Option<(usize, SelBitmap, usize)>,
     /// Table epoch `chunks` was fetched at; re-validated per batch.
@@ -1539,181 +1397,60 @@ impl<P: TagPolicy> BatchOp<P> for VectorScanOp<'_, P> {
 
 // -- morsel-parallel scans --------------------------------------------------
 
-/// Tables below this row count are scanned sequentially even when a parallel
-/// scan was requested — the thread fan-out costs more than it saves.
+/// Scans visiting fewer rows than this run sequentially even when scan
+/// workers were requested — the thread fan-out costs more than it saves.
 pub const PARALLEL_SCAN_THRESHOLD: usize = 4 * BATCH_SIZE;
 
-/// Tagged rows produced by one scan morsel.
-type TaggedRows<T> = Vec<(Row, T)>;
-
 /// What a scan-morsel worker hands back: its rows plus its local stats.
-type MorselResult<T> = Result<(TaggedRows<T>, ExecStats), ExecError>;
+type MorselResult<T> = Result<(Vec<(Row, T)>, ExecStats), ExecError>;
 
-/// Leaf operator emitting rows that were already materialized by a
-/// morsel-parallel scan.
-struct PrefetchedOp<P: TagPolicy> {
+/// Leaf scan that fans out over scoped threads. On its first `next_batch`
+/// every morsel — a contiguous piece of the resolved row-id set — is scanned
+/// on its own worker by the operator the sequential path would have built
+/// over it ([`ScanPlan::op`]), drained into worker-local rows and a
+/// worker-local [`ExecStats`]. The per-worker stats are folded in with
+/// [`ExecStats::merge_parallel`] and the morsels concatenated in table order,
+/// so the output is byte-identical to the sequential scan.
+struct ParallelScanOp<'a, P: TagPolicy> {
+    scan: ScanPlan<'a, P>,
+    morsels: Vec<ScanSource>,
     out: Emitter<P::Tag>,
 }
 
-impl<P: TagPolicy> BatchOp<P> for PrefetchedOp<P> {
-    fn next_batch(&mut self, _stats: &mut ExecStats) -> Result<Option<Batch<P::Tag>>, ExecError> {
+impl<P: TagPolicy> BatchOp<P> for ParallelScanOp<'_, P> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch<P::Tag>>, ExecError> {
+        if !self.out.filled {
+            let scan = &self.scan;
+            let results: Vec<MorselResult<P::Tag>> = std::thread::scope(|s| {
+                let handles: Vec<_> = std::mem::take(&mut self.morsels)
+                    .into_iter()
+                    .map(|morsel| {
+                        s.spawn(move || {
+                            let mut local = ExecStats::default();
+                            let mut rows = Vec::new();
+                            let mut op = scan.op(morsel);
+                            while let Some(batch) = op.next_batch(&mut local)? {
+                                rows.extend(batch.rows.into_iter().zip(batch.tags));
+                            }
+                            Ok((rows, local))
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("scan worker panicked"))
+                    .collect()
+            });
+            let mut rows = Vec::new();
+            for result in results {
+                let (morsel_rows, local) = result?;
+                stats.merge_parallel(&local);
+                rows.extend(morsel_rows);
+            }
+            self.out.fill(rows);
+        }
         Ok(self.out.emit())
     }
-}
-
-/// Scan one morsel on a worker thread: visit the morsel's row ids in order,
-/// apply the pushed-down filter, seed tags, and count the visited rows in a
-/// worker-local [`ExecStats`].
-///
-/// Mirrors the sequential scan's path choice: when the coordinator compiled
-/// the filter (`compiled` is `Some`, i.e. [`ExecOptions::vectorized`]) and
-/// the adaptive decision kept the chunk path (`use_chunks`), contiguous
-/// segments take the vectorized chunk path (morsel cuts that fall inside a
-/// chunk evaluate a partial block); rid lists — and adaptively row-lowered
-/// segment scans — use the compiled row filter; otherwise everything runs
-/// through the row interpreter.
-fn scan_morsel<P: TagPolicy>(
-    table: &Table,
-    filter: Option<&Expr>,
-    compiled: Option<&CompiledExpr>,
-    use_chunks: bool,
-    source: ScanSource,
-    policy: &P,
-    epoch: u64,
-) -> MorselResult<P::Tag> {
-    check_scan_epoch(table, epoch)?;
-    let schema = table.schema();
-    let name = table.name();
-    let mut local = ExecStats::default();
-    let mut out = Vec::new();
-    if let Some(compiled) = compiled {
-        if use_chunks {
-            if let ScanSource::Segments(segs) = &source {
-                let chunks = table.columnar_chunks();
-                let rows = table.rows();
-                for (lo, hi) in chunk_aligned_pieces(segs, chunks.block_size()) {
-                    let chunk = chunks
-                        .chunk_for(lo)
-                        .ok_or_else(|| ExecError::Plan("row id beyond chunk range".into()))?;
-                    let sel = eval_filter_block_counted(compiled, chunk, rows, lo, hi, &mut local)?;
-                    local.rows_scanned += (hi - lo) as u64;
-                    local.vectorized_blocks += 1;
-                    for j in sel.iter_ones() {
-                        let rid = lo + j;
-                        let row = &rows[rid];
-                        let tag = policy.seed_tag(name, schema, row, rid as u32);
-                        out.push((row.clone(), tag));
-                    }
-                }
-                return Ok((out, local));
-            }
-        }
-        let mut rids = source.into_rid_source();
-        while let Some(rid) = rids.next_rid() {
-            local.rows_scanned += 1;
-            let row = &table.rows()[rid as usize];
-            if !compiled.matches(row)? {
-                continue;
-            }
-            let tag = policy.seed_tag(name, schema, row, rid);
-            out.push((row.clone(), tag));
-        }
-        return Ok((out, local));
-    }
-    let mut rids = source.into_rid_source();
-    while let Some(rid) = rids.next_rid() {
-        local.rows_scanned += 1;
-        let row = &table.rows()[rid as usize];
-        if let Some(pred) = filter {
-            if !eval_predicate(pred, schema, row)? {
-                continue;
-            }
-        }
-        let tag = policy.seed_tag(name, schema, row, rid);
-        out.push((row.clone(), tag));
-    }
-    Ok((out, local))
-}
-
-/// Materialize a leaf scan using `workers` scoped threads, splitting the
-/// resolved row-id set into contiguous morsels of roughly equal size.
-///
-/// Returns `Ok(None)` when the table is too small to be worth fanning out
-/// (the caller then builds the ordinary sequential scan operator). Per-worker
-/// stats are folded into `stats` with [`ExecStats::merge_parallel`]; morsel
-/// outputs are concatenated in table order, so the result is byte-identical
-/// to a sequential scan.
-fn parallel_scan<P>(
-    table: &Table,
-    op: &PhysOp,
-    policy: &P,
-    workers: usize,
-    opts: ExecOptions,
-    stats: &mut ExecStats,
-) -> Result<Option<TaggedRows<P::Tag>>, ExecError>
-where
-    P: TagPolicy + Sync,
-    P::Tag: Send,
-{
-    if workers <= 1 || table.len() < PARALLEL_SCAN_THRESHOLD {
-        return Ok(None);
-    }
-    let (filter, source) = resolve_scan(table, op, stats)?;
-    let epoch = table.epoch();
-    // Same adaptive decision as the sequential `make_scan_op`: a segment
-    // scan predicted to keep nearly every row skips the bitmap pass, but the
-    // compiled filter is still shared with the workers' row loops.
-    let use_chunks = opts.vectorized
-        && filter.is_some_and(|pred| {
-            !opts.adaptive
-                || scan_prefers_vectorized(predicted_scan_selectivity(table, pred, &opts))
-        });
-    if use_chunks && matches!(source, ScanSource::Segments(_)) {
-        stats.vectorized_scans += 1;
-    }
-    // Compile the filter once on the coordinating thread (it can hold large
-    // sketch range/key sets) and share it with every morsel worker; also
-    // pre-build the chunk projection so workers share the cached build
-    // instead of racing to construct it.
-    let compiled = if opts.vectorized {
-        filter.map(|pred| {
-            if use_chunks {
-                let _ = table.columnar_chunks();
-            }
-            CompiledExpr::compile(pred, table.schema())
-        })
-    } else {
-        None
-    };
-    let compiled = compiled.as_ref();
-    if source.row_count() < PARALLEL_SCAN_THRESHOLD {
-        // The access path already narrowed the scan (index probe / zone-map
-        // skipping); scan the survivors sequentially as a single morsel.
-        let (rows, local) =
-            scan_morsel(table, filter, compiled, use_chunks, source, policy, epoch)?;
-        stats.merge_parallel(&local);
-        return Ok(Some(rows));
-    }
-    let morsels = source.split(workers);
-    let results: Vec<MorselResult<P::Tag>> = std::thread::scope(|s| {
-        let handles: Vec<_> = morsels
-            .into_iter()
-            .map(|m| {
-                s.spawn(move || scan_morsel(table, filter, compiled, use_chunks, m, policy, epoch))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::new();
-    for r in results {
-        let (rows, worker_stats) = r?;
-        stats.merge_parallel(&worker_stats);
-        out.extend(rows);
-    }
-    Ok(Some(out))
 }
 
 // -- streaming operators ----------------------------------------------------
@@ -1893,112 +1630,152 @@ fn hash_borrowed_key<'v>(state: &RandomState, values: impl Iterator<Item = &'v V
     h.finish()
 }
 
-impl<P: TagPolicy> HashAggregateOp<'_, P> {
-    fn drain_input(&mut self, stats: &mut ExecStats) -> Result<(), ExecError> {
-        let mut input = self.input.take().expect("aggregate drained once");
-        let n_aggs = self.aggregates.len();
-        // The min/max narrowing of rule r3 applies when the aggregation
-        // computes a single min or max.
-        let narrow = self.policy.minmax_narrowing()
-            && n_aggs == 1
-            && matches!(self.aggregates[0].func, AggFunc::Min | AggFunc::Max);
-        let want_max = matches!(self.aggregates.first().map(|a| a.func), Some(AggFunc::Max));
+/// The min/max narrowing of rule r3 applies when the aggregation computes a
+/// single min or max.
+fn narrows_to_witness<P: TagPolicy>(policy: &P, aggregates: &[AggExpr]) -> bool {
+    policy.minmax_narrowing()
+        && aggregates.len() == 1
+        && matches!(aggregates[0].func, AggFunc::Min | AggFunc::Max)
+}
 
-        // Keys hash as borrowed `Value`s (`Hash` is consistent with the
-        // exact, transitive `Eq`: Int/Float compare at full precision, so
-        // distinct 64-bit integers never conflate even where their `f64`
-        // images collide). The map is keyed by the 64-bit hash with explicit
-        // candidate comparison, so the per-row path neither clones the group
-        // key nor allocates a probe `Vec<Value>` — the key is materialized
-        // once per *group*, on the miss path only.
-        let hasher = RandomState::new();
-        let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut groups: Groups<P::Tag> = Vec::new();
+/// Hash-grouping state while input rows are folded in, shared by
+/// [`HashAggregateOp`] and the row-at-a-time variants of [`AggScanOp`].
+///
+/// Keys hash as borrowed `Value`s (`Hash` is consistent with the exact,
+/// transitive `Eq`: Int/Float compare at full precision, so distinct 64-bit
+/// integers never conflate even where their `f64` images collide). The map is
+/// keyed by the 64-bit hash with explicit candidate comparison, so the
+/// per-row path neither clones the group key nor allocates a probe
+/// `Vec<Value>` — the key is materialized once per *group*, on the miss path
+/// only.
+struct GroupFold<'a, P: TagPolicy> {
+    policy: &'a P,
+    n_aggs: usize,
+    /// See [`narrows_to_witness`].
+    narrow: bool,
+    /// Under narrowing: the single aggregate is a max (else a min).
+    want_max: bool,
+    hasher: RandomState,
+    index: HashMap<u64, Vec<usize>>,
+    groups: Groups<P::Tag>,
+}
 
-        while let Some(batch) = input.next_batch(stats)? {
-            stats.intermediate_rows += batch.len() as u64;
-            for (row, tag) in batch.rows.iter().zip(&batch.tags) {
-                let h = hash_borrowed_key(&hasher, self.group_idx.iter().map(|&i| &row[i]));
-                let candidates = index.entry(h).or_default();
-                let found = candidates.iter().copied().find(|&slot| {
-                    self.group_idx
-                        .iter()
-                        .zip(&groups[slot].0)
-                        .all(|(&i, k)| row[i] == *k)
-                });
-                let slot = match found {
-                    Some(slot) => slot,
-                    None => {
-                        let key: Vec<Value> =
-                            self.group_idx.iter().map(|&i| row[i].clone()).collect();
-                        let slot = groups.len();
-                        candidates.push(slot);
-                        // Under narrowing the accumulator's tag holds the
-                        // first member's tag as the all-NULL fallback; see
-                        // `finalize_groups`.
-                        groups.push((
-                            key,
-                            GroupAcc::new(
-                                n_aggs,
-                                if narrow {
-                                    tag.clone()
-                                } else {
-                                    self.policy.empty_tag()
-                                },
-                            ),
-                        ));
-                        slot
-                    }
+impl<'a, P: TagPolicy> GroupFold<'a, P> {
+    fn new(policy: &'a P, aggregates: &[AggExpr], narrow: bool) -> Self {
+        GroupFold {
+            policy,
+            n_aggs: aggregates.len(),
+            narrow,
+            want_max: matches!(aggregates.first().map(|a| a.func), Some(AggFunc::Max)),
+            hasher: RandomState::new(),
+            index: HashMap::new(),
+            groups: Vec::new(),
+        }
+    }
+
+    /// Fold one input row with its tag into its group. `group_idx` locates
+    /// the group key in `row`; `agg_input(ai)` reads the input value of
+    /// aggregate `ai` — evaluated from an expression or borrowed from a
+    /// column, the one thing the callers differ in.
+    #[inline]
+    fn fold<V: Borrow<Value>>(
+        &mut self,
+        row: &Row,
+        tag: &P::Tag,
+        group_idx: &[usize],
+        mut agg_input: impl FnMut(usize) -> Result<V, ExecError>,
+    ) -> Result<(), ExecError> {
+        let groups = &mut self.groups;
+        let h = hash_borrowed_key(&self.hasher, group_idx.iter().map(|&i| &row[i]));
+        let candidates = self.index.entry(h).or_default();
+        let found = candidates.iter().copied().find(|&slot| {
+            group_idx
+                .iter()
+                .zip(&groups[slot].0)
+                .all(|(&i, k)| row[i] == *k)
+        });
+        let slot = match found {
+            Some(slot) => slot,
+            None => {
+                let key: Vec<Value> = group_idx.iter().map(|&i| row[i].clone()).collect();
+                let slot = groups.len();
+                candidates.push(slot);
+                // Under narrowing the accumulator's tag holds the first
+                // member's tag as the all-NULL fallback; see
+                // `finalize_groups`.
+                let seed = if self.narrow {
+                    tag.clone()
+                } else {
+                    self.policy.empty_tag()
                 };
-                let acc = &mut groups[slot].1;
-                acc.count += 1;
-                for (ai, _agg) in self.aggregates.iter().enumerate() {
-                    let v = self.agg_inputs[ai].eval(row)?;
-                    if v.is_null() {
-                        continue;
-                    }
-                    acc.non_null[ai] += 1;
-                    if let Some(f) = v.as_f64() {
-                        acc.sums[ai] += f;
-                    }
-                    match (&v, acc.all_int[ai]) {
-                        (Value::Int(i), true) => acc.int_sums[ai] += i,
-                        _ => acc.all_int[ai] = false,
-                    }
-                    if acc.mins[ai].as_ref().is_none_or(|m| &v < m) {
-                        acc.mins[ai] = Some(v.clone());
-                    }
-                    if acc.maxs[ai].as_ref().is_none_or(|m| &v > m) {
-                        acc.maxs[ai] = Some(v.clone());
-                    }
-                    if narrow {
-                        // Keep the first strictly-extremal row as the witness
-                        // whose tag represents the whole group.
-                        let better = match &acc.witness {
-                            None => true,
-                            Some((best, _)) => {
-                                if want_max {
-                                    v > *best
-                                } else {
-                                    v < *best
-                                }
-                            }
-                        };
-                        if better {
-                            acc.witness = Some((v.clone(), tag.clone()));
+                groups.push((key, GroupAcc::new(self.n_aggs, seed)));
+                slot
+            }
+        };
+        let acc = &mut groups[slot].1;
+        acc.count += 1;
+        for ai in 0..self.n_aggs {
+            let v = agg_input(ai)?;
+            let v = v.borrow();
+            if v.is_null() {
+                continue;
+            }
+            acc.non_null[ai] += 1;
+            if let Some(f) = v.as_f64() {
+                acc.sums[ai] += f;
+            }
+            match (v, acc.all_int[ai]) {
+                (Value::Int(i), true) => acc.int_sums[ai] += i,
+                _ => acc.all_int[ai] = false,
+            }
+            if acc.mins[ai].as_ref().is_none_or(|m| v < m) {
+                acc.mins[ai] = Some(v.clone());
+            }
+            if acc.maxs[ai].as_ref().is_none_or(|m| v > m) {
+                acc.maxs[ai] = Some(v.clone());
+            }
+            if self.narrow {
+                // Keep the first strictly-extremal row as the witness whose
+                // tag represents the whole group.
+                let better = match &acc.witness {
+                    None => true,
+                    Some((best, _)) => {
+                        if self.want_max {
+                            v > best
+                        } else {
+                            v < best
                         }
                     }
-                }
-                if !narrow {
-                    self.policy.merge_tags(&mut acc.tag, tag);
+                };
+                if better {
+                    acc.witness = Some((v.clone(), tag.clone()));
                 }
             }
         }
+        if !self.narrow {
+            self.policy.merge_tags(&mut acc.tag, tag);
+        }
+        Ok(())
+    }
+}
 
+impl<P: TagPolicy> HashAggregateOp<'_, P> {
+    fn drain_input(&mut self, stats: &mut ExecStats) -> Result<(), ExecError> {
+        let mut input = self.input.take().expect("aggregate drained once");
+        let narrow = narrows_to_witness(self.policy, self.aggregates);
+        let mut fold = GroupFold::new(self.policy, self.aggregates, narrow);
+        while let Some(batch) = input.next_batch(stats)? {
+            stats.intermediate_rows += batch.len() as u64;
+            for (row, tag) in batch.rows.iter().zip(&batch.tags) {
+                fold.fold(row, tag, &self.group_idx, |ai| {
+                    self.agg_inputs[ai].eval(row)
+                })?;
+            }
+        }
         self.out.fill(finalize_groups(
             self.policy,
             self.aggregates,
-            groups,
+            fold.groups,
             narrow,
             self.group_by_empty,
         ));
@@ -2125,9 +1902,8 @@ fn try_agg_pushdown<'a, P: TagPolicy>(
             _ => return Ok(None),
         }
     }
-    // Committed: resolve the scan, mirroring `make_scan_op`'s accounting.
+    // Committed: resolve the scan, with the accounting every scan gets.
     let (filter, source) = resolve_scan(table, &input.op, stats)?;
-    stats.rows_scanned += source.row_count() as u64;
     let source = match source {
         ScanSource::Segments(segs) => {
             // A segment scan with a filter is a vectorized bitmap scan;
@@ -2195,7 +1971,7 @@ enum AggSource {
         /// Chunk-aligned `[lo, hi)` row-id pieces, in table order.
         pieces: Vec<(usize, usize)>,
         /// Chunk projection snapshot fetched (epoch-checked) at build.
-        chunks: std::sync::Arc<pbds_storage::ColumnarChunks>,
+        chunks: Arc<ColumnarChunks>,
     },
     /// Explicit row-id list from an index probe, filtered row-at-a-time.
     Rids(Vec<u32>),
@@ -2217,7 +1993,7 @@ enum NumShape {
 
 /// The column's [`NumShape`], or `None` when chunks disagree or any chunk
 /// holds a non-numeric layout — those columns take the row-at-a-time path.
-fn numeric_column_shape(chunks: &pbds_storage::ColumnarChunks, c: usize) -> Option<NumShape> {
+fn numeric_column_shape(chunks: &ColumnarChunks, c: usize) -> Option<NumShape> {
     let mut shape = None;
     for chunk in chunks.chunks() {
         let s = match chunk.column(c).data() {
@@ -2238,10 +2014,7 @@ fn numeric_column_shape(chunks: &pbds_storage::ColumnarChunks, c: usize) -> Opti
 impl<P: TagPolicy> AggScanOp<'_, P> {
     fn drain(&mut self, stats: &mut ExecStats) -> Result<(), ExecError> {
         check_scan_epoch(self.table, self.epoch)?;
-        let n_aggs = self.aggregates.len();
-        let narrow = self.policy.minmax_narrowing()
-            && n_aggs == 1
-            && matches!(self.aggregates[0].func, AggFunc::Min | AggFunc::Max);
+        let narrow = narrows_to_witness(self.policy, self.aggregates);
         // The column-at-a-time path may visit values out of row order (run
         // shortcuts), so it is only taken where order can never show:
         // no group keys (one global accumulator), trivial tags (no per-row
@@ -2284,11 +2057,11 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
     /// (the rows the generic aggregate would have counted batch-wise).
     fn select_piece<'c>(
         &self,
-        chunks: &'c pbds_storage::ColumnarChunks,
+        chunks: &'c ColumnarChunks,
         lo: usize,
         hi: usize,
         stats: &mut ExecStats,
-    ) -> Result<(&'c pbds_storage::ColumnarChunk, SelBitmap), ExecError> {
+    ) -> Result<(&'c ColumnarChunk, SelBitmap), ExecError> {
         let chunk = chunks
             .chunk_for(lo)
             .ok_or_else(|| ExecError::Plan("row id beyond chunk range".into()))?;
@@ -2333,26 +2106,28 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
         })
     }
 
-    /// Grouped / tagged aggregation row-at-a-time, replicating
-    /// [`HashAggregateOp::drain_input`] on borrowed rows. Chunk sources walk
-    /// the per-piece selection bitmaps; rid sources walk the rid list in
-    /// order, re-checking the compiled filter per row like [`ScanOp`].
+    /// Grouped / tagged aggregation row-at-a-time: the [`GroupFold`] of
+    /// [`HashAggregateOp`] on borrowed rows. Chunk sources walk the per-piece
+    /// selection bitmaps; rid sources walk the rid list in order, re-checking
+    /// the compiled filter per row like [`ScanOp`].
     fn drain_rowwise(
         &self,
         narrow: bool,
         stats: &mut ExecStats,
     ) -> Result<Groups<P::Tag>, ExecError> {
         let rows = self.table.rows();
-        let hasher = RandomState::new();
-        let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut groups: Groups<P::Tag> = Vec::new();
+        let (name, schema) = (self.table.name(), self.table.schema());
+        let mut fold = GroupFold::new(self.policy, self.aggregates, narrow);
+        let mut fold_row = |rid: usize, row: &Row| {
+            let tag = self.policy.seed_tag(name, schema, row, rid as u32);
+            fold.fold(row, &tag, &self.group_idx, |ai| Ok(&row[self.agg_cols[ai]]))
+        };
         match &self.source {
             AggSource::Chunks { pieces, chunks } => {
                 for &(lo, hi) in pieces {
                     let (_, sel) = self.select_piece(chunks, lo, hi, stats)?;
                     for j in sel.iter_ones() {
-                        let rid = lo + j;
-                        self.fold_row(rid, &rows[rid], narrow, &hasher, &mut index, &mut groups);
+                        fold_row(lo + j, &rows[lo + j])?;
                     }
                 }
             }
@@ -2369,99 +2144,13 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
                         }
                     }
                     selected += 1;
-                    self.fold_row(rid as usize, row, narrow, &hasher, &mut index, &mut groups);
+                    fold_row(rid as usize, row)?;
                 }
                 stats.agg_pushdown_blocks += 1;
                 stats.intermediate_rows += selected;
             }
         }
-        Ok(groups)
-    }
-
-    /// Fold one selected row into its group: the per-row body of
-    /// [`HashAggregateOp::drain_input`], verbatim, on a borrowed row.
-    fn fold_row(
-        &self,
-        rid: usize,
-        row: &Row,
-        narrow: bool,
-        hasher: &RandomState,
-        index: &mut HashMap<u64, Vec<usize>>,
-        groups: &mut Groups<P::Tag>,
-    ) {
-        let n_aggs = self.aggregates.len();
-        let want_max = matches!(self.aggregates.first().map(|a| a.func), Some(AggFunc::Max));
-        let tag = self
-            .policy
-            .seed_tag(self.table.name(), self.table.schema(), row, rid as u32);
-        let h = hash_borrowed_key(hasher, self.group_idx.iter().map(|&i| &row[i]));
-        let candidates = index.entry(h).or_default();
-        let found = candidates.iter().copied().find(|&slot| {
-            self.group_idx
-                .iter()
-                .zip(&groups[slot].0)
-                .all(|(&i, k)| row[i] == *k)
-        });
-        let slot = match found {
-            Some(slot) => slot,
-            None => {
-                let key: Vec<Value> = self.group_idx.iter().map(|&i| row[i].clone()).collect();
-                let slot = groups.len();
-                candidates.push(slot);
-                groups.push((
-                    key,
-                    GroupAcc::new(
-                        n_aggs,
-                        if narrow {
-                            tag.clone()
-                        } else {
-                            self.policy.empty_tag()
-                        },
-                    ),
-                ));
-                slot
-            }
-        };
-        let acc = &mut groups[slot].1;
-        acc.count += 1;
-        for ai in 0..n_aggs {
-            let v = &row[self.agg_cols[ai]];
-            if v.is_null() {
-                continue;
-            }
-            acc.non_null[ai] += 1;
-            if let Some(f) = v.as_f64() {
-                acc.sums[ai] += f;
-            }
-            match (v, acc.all_int[ai]) {
-                (Value::Int(i), true) => acc.int_sums[ai] += i,
-                _ => acc.all_int[ai] = false,
-            }
-            if acc.mins[ai].as_ref().is_none_or(|m| v < m) {
-                acc.mins[ai] = Some(v.clone());
-            }
-            if acc.maxs[ai].as_ref().is_none_or(|m| v > m) {
-                acc.maxs[ai] = Some(v.clone());
-            }
-            if narrow {
-                let better = match &acc.witness {
-                    None => true,
-                    Some((best, _)) => {
-                        if want_max {
-                            v > best
-                        } else {
-                            v < best
-                        }
-                    }
-                };
-                if better {
-                    acc.witness = Some((v.clone(), tag.clone()));
-                }
-            }
-        }
-        if !narrow {
-            self.policy.merge_tags(&mut acc.tag, &tag);
-        }
+        Ok(fold.groups)
     }
 }
 
@@ -2813,10 +2502,21 @@ mod tests {
         db
     }
 
-    fn run(db: &Database, plan: &LogicalPlan, profile: EngineProfile) -> (Relation, ExecStats) {
+    /// Lower and execute with explicit options, returning relation + stats.
+    fn run_with_opts(
+        db: &Database,
+        plan: &LogicalPlan,
+        profile: EngineProfile,
+        opts: ExecOptions,
+    ) -> (Relation, ExecStats) {
+        let physical = lower(db, plan, profile).unwrap();
         let mut stats = ExecStats::default();
-        let (rel, _) = execute_logical(db, plan, profile, &NoTag, &mut stats).unwrap();
-        (rel, stats)
+        let done = execute(db, &physical, &NoTag, &opts, &mut stats).unwrap();
+        (done.relation, stats)
+    }
+
+    fn run(db: &Database, plan: &LogicalPlan, profile: EngineProfile) -> (Relation, ExecStats) {
+        run_with_opts(db, plan, profile, ExecOptions::default())
     }
 
     #[test]
@@ -3013,7 +2713,14 @@ mod tests {
         let t = db.table("t").unwrap();
         stale_db.add_table(Table::new("t", t.schema().clone(), t.rows().to_vec()));
         let mut stats = ExecStats::default();
-        let err = execute_physical(&stale_db, &physical, &NoTag, &mut stats).unwrap_err();
+        let err = execute(
+            &stale_db,
+            &physical,
+            &NoTag,
+            &ExecOptions::default(),
+            &mut stats,
+        )
+        .unwrap_err();
         assert!(matches!(err, ExecError::Plan(_)), "got {err:?}");
     }
 
@@ -3028,8 +2735,8 @@ mod tests {
             .filter(col("id").lt(lit(3)))
             .cross(LogicalPlan::scan("t").filter(col("id").lt(lit(4))));
         let physical = lower(&db, &plan, EngineProfile::Indexed).unwrap();
-        let (rel, _) = execute_physical(&db, &physical, &NoTag, &mut stats).unwrap();
-        assert_eq!(rel.len(), 12);
+        let done = execute(&db, &physical, &NoTag, &ExecOptions::default(), &mut stats).unwrap();
+        assert_eq!(done.relation.len(), 12);
         assert_eq!(stats.intermediate_rows, u64::MAX);
     }
 
@@ -3039,10 +2746,11 @@ mod tests {
         profile: EngineProfile,
         workers: usize,
     ) -> (Relation, ExecStats) {
-        let mut stats = ExecStats::default();
-        let (rel, _) =
-            execute_logical_parallel(db, plan, profile, &NoTag, workers, &mut stats).unwrap();
-        (rel, stats)
+        let opts = ExecOptions {
+            workers,
+            ..ExecOptions::default()
+        };
+        run_with_opts(db, plan, profile, opts)
     }
 
     #[test]
@@ -3137,18 +2845,6 @@ mod tests {
         let text = physical.display_tree();
         assert!(text.contains("HashAggregate"));
         assert!(text.contains("IndexRangeScan"));
-    }
-
-    /// Execute with explicit options, returning relation + stats.
-    fn run_with_opts(
-        db: &Database,
-        plan: &LogicalPlan,
-        profile: EngineProfile,
-        opts: ExecOptions,
-    ) -> (Relation, ExecStats) {
-        let mut stats = ExecStats::default();
-        let (rel, _) = execute_logical_with(db, plan, profile, &NoTag, opts, &mut stats).unwrap();
-        (rel, stats)
     }
 
     /// Options pinning the scan path statically (no adaptive re-decision).
@@ -3319,25 +3015,6 @@ mod tests {
         assert_eq!(stats.vectorized_scans, 0);
         assert_eq!(stats.vectorized_blocks, 0);
 
-        // Observed feedback overrides the static estimate in both directions.
-        let observed_high = ExecOptions {
-            observed_selectivity: Some(1.0),
-            ..ExecOptions::default()
-        };
-        let (_, stats) = run_with_opts(
-            &db,
-            &narrow_scan,
-            EngineProfile::ColumnarScan,
-            observed_high,
-        );
-        assert_eq!(stats.vectorized_scans, 0);
-        let observed_low = ExecOptions {
-            observed_selectivity: Some(0.01),
-            ..ExecOptions::default()
-        };
-        let (_, stats) = run_with_opts(&db, &full_scan, EngineProfile::ColumnarScan, observed_low);
-        assert_eq!(stats.vectorized_scans, 1);
-
         // The oracle override: vectorized off is never upgraded.
         let oracle = ExecOptions {
             vectorized: false,
@@ -3351,17 +3028,7 @@ mod tests {
     fn adaptive_parallel_scan_matches_sequential_decision() {
         let db = zone_db();
         let full_scan = LogicalPlan::scan("t").filter(col("id").ge(lit(0)));
-        let mut stats = ExecStats::default();
-        let (rel, _) = execute_logical_parallel_with(
-            &db,
-            &full_scan,
-            EngineProfile::ColumnarScan,
-            &NoTag,
-            4,
-            ExecOptions::default(),
-            &mut stats,
-        )
-        .unwrap();
+        let (rel, stats) = run_parallel(&db, &full_scan, EngineProfile::ColumnarScan, 4);
         assert_eq!(rel.len(), 5_000);
         // Workers took the compiled row loop, not the chunk path.
         assert_eq!(stats.vectorized_scans, 0);

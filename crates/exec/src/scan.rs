@@ -6,11 +6,8 @@
 //! derived from a provenance sketch, Sec. 8), the scan can answer it through
 //! an ordered index or skip zone-map blocks instead of reading every row.
 
-use crate::eval::ExecError;
-use crate::profile::EngineProfile;
-use crate::stats::ExecStats;
 use pbds_algebra::{BinOp, Expr};
-use pbds_storage::{Row, Table, Value};
+use pbds_storage::{Table, Value};
 
 /// Inclusive value range used for probing indexes and zone maps.
 pub type InclusiveRange = (Option<Value>, Option<Value>);
@@ -242,35 +239,29 @@ pub fn estimate_scan_selectivity(table: &Table, pred: &Expr) -> Option<f64> {
     Some(fraction.clamp(0.0, 1.0))
 }
 
-/// Scan a base table with an optional pushed-down predicate, using the most
-/// appropriate access path allowed by the engine profile. The full predicate
-/// is always re-checked per row, so the access path only affects performance
-/// and the recorded statistics, never correctness.
-///
-/// This is a convenience wrapper over the physical scan operators: it lowers
-/// the access (see [`crate::physical::lower_scan`]) and drains the resulting
-/// operator, so standalone scans and pipeline scans share one code path.
-pub fn scan_table(
-    table: &Table,
-    predicate: Option<&Expr>,
-    profile: EngineProfile,
-    stats: &mut ExecStats,
-) -> Result<Vec<Row>, ExecError> {
-    use crate::physical::{lower_scan, make_scan_op, ExecOptions, NoTag};
-    let plan = lower_scan(table, predicate.cloned(), profile);
-    let mut op = make_scan_op(table, &plan.op, &NoTag, ExecOptions::default(), stats)?;
-    let mut rows = Vec::new();
-    while let Some(batch) = op.next_batch(stats)? {
-        rows.extend(batch.rows);
-    }
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physical::{execute, lower_scan, ExecOptions, NoTag};
+    use crate::profile::EngineProfile;
+    use crate::stats::ExecStats;
     use pbds_algebra::{col, lit, RangeLookup};
-    use pbds_storage::{DataType, Schema, TableBuilder, ValueRange};
+    use pbds_storage::{DataType, Database, Row, Schema, TableBuilder, ValueRange};
+
+    /// Scan a base table with an optional pushed-down predicate through the
+    /// access path the profile allows, as a one-operator physical plan.
+    fn scan_table(
+        table: &Table,
+        predicate: Option<&Expr>,
+        profile: EngineProfile,
+        stats: &mut ExecStats,
+    ) -> Vec<Row> {
+        let plan = lower_scan(table, predicate.cloned(), profile);
+        let mut db = Database::new();
+        db.add_table(table.clone());
+        let done = execute(&db, &plan, &NoTag, &ExecOptions::default(), stats).unwrap();
+        done.relation.into_rows()
+    }
 
     fn table(indexed: bool) -> Table {
         let schema = Schema::from_pairs(&[("id", DataType::Int), ("grp", DataType::Int)]);
@@ -337,7 +328,7 @@ mod tests {
         let t = table(true);
         let pred = col("id").between(lit(100), lit(199));
         let mut stats = ExecStats::default();
-        let rows = scan_table(&t, Some(&pred), EngineProfile::Indexed, &mut stats).unwrap();
+        let rows = scan_table(&t, Some(&pred), EngineProfile::Indexed, &mut stats);
         assert_eq!(rows.len(), 100);
         assert_eq!(stats.index_scans, 1);
         assert_eq!(stats.rows_scanned, 100);
@@ -348,7 +339,7 @@ mod tests {
         let t = table(false);
         let pred = col("id").between(lit(100), lit(199));
         let mut stats = ExecStats::default();
-        let rows = scan_table(&t, Some(&pred), EngineProfile::Indexed, &mut stats).unwrap();
+        let rows = scan_table(&t, Some(&pred), EngineProfile::Indexed, &mut stats);
         assert_eq!(rows.len(), 100);
         assert!(
             stats.blocks_skipped >= 98,
@@ -363,7 +354,7 @@ mod tests {
         let t = table(true);
         let pred = col("id").between(lit(100), lit(199));
         let mut stats = ExecStats::default();
-        let rows = scan_table(&t, Some(&pred), EngineProfile::ColumnarScan, &mut stats).unwrap();
+        let rows = scan_table(&t, Some(&pred), EngineProfile::ColumnarScan, &mut stats);
         assert_eq!(rows.len(), 100);
         assert_eq!(stats.full_scans, 1);
         assert_eq!(stats.rows_scanned, 10_000);
@@ -373,7 +364,7 @@ mod tests {
     fn scan_without_predicate_returns_everything() {
         let t = table(true);
         let mut stats = ExecStats::default();
-        let rows = scan_table(&t, None, EngineProfile::Indexed, &mut stats).unwrap();
+        let rows = scan_table(&t, None, EngineProfile::Indexed, &mut stats);
         assert_eq!(rows.len(), 10_000);
     }
 
@@ -415,9 +406,9 @@ mod tests {
         let mut s1 = ExecStats::default();
         let mut s2 = ExecStats::default();
         let mut s3 = ExecStats::default();
-        let r1 = scan_table(&t_idx, Some(&pred), EngineProfile::Indexed, &mut s1).unwrap();
-        let r2 = scan_table(&t_zm, Some(&pred), EngineProfile::Indexed, &mut s2).unwrap();
-        let r3 = scan_table(&t_idx, Some(&pred), EngineProfile::ColumnarScan, &mut s3).unwrap();
+        let r1 = scan_table(&t_idx, Some(&pred), EngineProfile::Indexed, &mut s1);
+        let r2 = scan_table(&t_zm, Some(&pred), EngineProfile::Indexed, &mut s2);
+        let r3 = scan_table(&t_idx, Some(&pred), EngineProfile::ColumnarScan, &mut s3);
         assert_eq!(r1, r2);
         assert_eq!(r1, r3);
     }

@@ -113,17 +113,6 @@ impl ExecStats {
         self.agg_pushdown_blocks += other.agg_pushdown_blocks;
     }
 
-    /// The selectivity this execution actually observed at its scans
-    /// (`rows_output / rows_scanned`), used as feedback for adaptive scan
-    /// lowering; `None` when nothing was scanned.
-    pub fn observed_scan_selectivity(&self) -> Option<f64> {
-        if self.rows_scanned == 0 {
-            None
-        } else {
-            Some((self.rows_output as f64 / self.rows_scanned as f64).clamp(0.0, 1.0))
-        }
-    }
-
     /// True if every top-k operator saw at least as many input rows as its
     /// limit — the condition under which the static safety check remains
     /// valid for top-k queries.
@@ -256,24 +245,6 @@ mod tests {
         // survive and re-validation still (correctly) fails.
         assert!(!seq.topk_safety_revalidated());
         assert!(seq.topk_inputs.contains(&(10, 3)));
-    }
-
-    #[test]
-    fn observed_scan_selectivity_is_a_clamped_ratio() {
-        assert_eq!(ExecStats::default().observed_scan_selectivity(), None);
-        let s = ExecStats {
-            rows_scanned: 200,
-            rows_output: 50,
-            ..Default::default()
-        };
-        assert!((s.observed_scan_selectivity().unwrap() - 0.25).abs() < 1e-12);
-        // Joins can output more rows than they scan; the feedback clamps.
-        let blown = ExecStats {
-            rows_scanned: 10,
-            rows_output: 100,
-            ..Default::default()
-        };
-        assert_eq!(blown.observed_scan_selectivity(), Some(1.0));
     }
 
     #[test]

@@ -25,7 +25,9 @@
 use crate::bitset::{Annotation, FragmentBitset, MergeStrategy};
 use crate::sketch::ProvenanceSketch;
 use pbds_algebra::LogicalPlan;
-use pbds_exec::{execute_logical, EngineProfile, ExecError, ExecStats, TagPolicy};
+use pbds_exec::{
+    execute, lower, EngineProfile, ExecError, ExecOptions, ExecStats, Executed, TagPolicy,
+};
 use pbds_storage::{Database, Partition, PartitionRef, Relation, Row, Schema};
 use pbds_telemetry::clock;
 use std::time::Duration;
@@ -246,8 +248,10 @@ pub fn capture_sketches_with_profile(
         .map(|p| FragmentAssigner::new(p.clone(), config.lookup))
         .collect();
     let policy = SketchTagPolicy::new(&assigners, config);
+    let physical = lower(db, plan, profile)?;
     let mut stats = ExecStats::default();
-    let (relation, tags) = execute_logical(db, plan, profile, &policy, &mut stats)?;
+    let Executed { relation, tags, .. } =
+        execute(db, &physical, &policy, &ExecOptions::default(), &mut stats)?;
 
     // Rule r7: final BITOR over the annotations of the result rows.
     let mut final_bits: Vec<Annotation> = vec![Annotation::Empty; partitions.len()];

@@ -12,7 +12,9 @@
 //! Lineage keeps the full witness set of every group.
 
 use pbds_algebra::{AggFunc, LogicalPlan};
-use pbds_exec::{execute_logical, EngineProfile, ExecError, ExecStats, TagPolicy};
+use pbds_exec::{
+    execute, lower, EngineProfile, ExecError, ExecOptions, ExecStats, Executed, TagPolicy,
+};
 use pbds_storage::{Database, Relation, Row, Schema, Value};
 use std::collections::BTreeSet;
 
@@ -65,12 +67,17 @@ impl TagPolicy for LineageTagPolicy {
 
 /// Compute the query result together with Lineage provenance.
 pub fn capture_lineage(db: &Database, plan: &LogicalPlan) -> Result<LineageResult, ExecError> {
+    let physical = lower(db, plan, EngineProfile::default())?;
     let mut stats = ExecStats::default();
-    let (relation, per_row) = execute_logical(
+    let Executed {
+        relation,
+        tags: per_row,
+        ..
+    } = execute(
         db,
-        plan,
-        EngineProfile::default(),
+        &physical,
         &LineageTagPolicy,
+        &ExecOptions::default(),
         &mut stats,
     )?;
     let mut provenance = TupleSet::new();

@@ -117,10 +117,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Adaptive lowering: the engine predicts each filter's selectivity from
-    // table stats (and any observed stats fed back) and only takes the
-    // bitmap path when enough rows get filtered out to pay for the
-    // late-materialization pass. A filter that keeps every row is lowered
-    // back to the compiled row loop automatically.
+    // table stats and only takes the bitmap path when enough rows get
+    // filtered out to pay for the late-materialization pass. A filter that
+    // keeps every row is lowered back to the compiled row loop automatically.
     let pred_all = col("v").ge(lit(0));
     let pred_few = col("v").lt(lit(20));
     for (name, pred) in [("keeps every row", pred_all), ("keeps ~2%", pred_few)] {
@@ -137,10 +136,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // EXPLAIN ANALYZE: execute the plan with per-operator instrumentation.
-    // Each node reports the rows it produced, how many batches it was
-    // drained in and its cumulative wall time; scans add rows actually
-    // scanned, and fused subtrees (scan→aggregate pushdown) are marked.
+    // EXPLAIN ANALYZE: execute the plan and keep the per-operator metrics
+    // every execution records. Each node reports the rows it produced, how
+    // many batches it was drained in and its cumulative wall time; scans add
+    // the rows they scanned, and fused subtrees (scan→aggregate pushdown) are
+    // marked.
     let analyzed = engine.explain_analyze(pbds.db(), &query)?;
     println!(
         "\nEXPLAIN ANALYZE (plain, {} rows out, {:?} total):\n{}",

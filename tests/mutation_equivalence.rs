@@ -24,10 +24,7 @@
 
 use pbds_algebra::{col, lit, param, AggExpr, AggFunc, LogicalPlan, QueryTemplate, SortKey};
 use pbds_core::{Mutation, PbdsServer, ServerConfig};
-use pbds_exec::{
-    execute_logical_parallel_with, execute_logical_with, Engine, EngineProfile, ExecOptions,
-    ExecStats,
-};
+use pbds_exec::{execute, lower, Engine, EngineProfile, ExecOptions, ExecStats};
 use pbds_provenance::{
     capture_lineage, capture_sketches, CaptureConfig, FragmentAssigner, ProvenanceSketch,
     SketchTagPolicy,
@@ -152,8 +149,8 @@ fn assert_paths_identical<P>(
     policy: &P,
     ctx: &str,
 ) where
-    P: pbds_exec::TagPolicy + Sync,
-    P::Tag: Send + PartialEq + std::fmt::Debug,
+    P: pbds_exec::TagPolicy,
+    P::Tag: PartialEq + std::fmt::Debug,
 {
     for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
         let run = |vectorized: bool| {
@@ -162,16 +159,12 @@ fn assert_paths_identical<P>(
             let opts = ExecOptions {
                 vectorized,
                 adaptive: false,
-                ..ExecOptions::default()
+                workers,
             };
+            let physical = lower(db, plan, profile).unwrap();
             let mut stats = ExecStats::default();
-            let out = if workers > 1 {
-                execute_logical_parallel_with(db, plan, profile, policy, workers, opts, &mut stats)
-            } else {
-                execute_logical_with(db, plan, profile, policy, opts, &mut stats)
-            }
-            .unwrap();
-            (out, stats)
+            let done = execute(db, &physical, policy, &opts, &mut stats).unwrap();
+            ((done.relation, done.tags), stats)
         };
         let ((rel_row, tags_row), stats_row) = run(false);
         let ((rel_vec, tags_vec), stats_vec) = run(true);

@@ -15,8 +15,8 @@
 
 use pbds_algebra::{col, lit, AggExpr, AggFunc, LogicalPlan, SortKey};
 use pbds_exec::{
-    eval_expr, eval_predicate, execute_logical_parallel_with, execute_logical_with, Engine,
-    EngineProfile, ExecError, ExecOptions, ExecStats, PARALLEL_SCAN_THRESHOLD,
+    eval_expr, eval_predicate, execute, lower, Engine, EngineProfile, ExecError, ExecOptions,
+    ExecStats, PARALLEL_SCAN_THRESHOLD,
 };
 use pbds_provenance::{
     capture_lineage, capture_sketches_with_profile, CaptureConfig, FragmentAssigner, LookupMethod,
@@ -585,22 +585,17 @@ fn run_pinned<P>(
     policy: &P,
 ) -> ((Relation, Vec<P::Tag>), ExecStats)
 where
-    P: pbds_exec::TagPolicy + Sync,
-    P::Tag: Send,
+    P: pbds_exec::TagPolicy,
 {
     let opts = ExecOptions {
         vectorized,
         adaptive: false,
-        ..ExecOptions::default()
+        workers,
     };
+    let physical = lower(db, plan, profile).unwrap();
     let mut stats = ExecStats::default();
-    let out = if workers > 1 {
-        execute_logical_parallel_with(db, plan, profile, policy, workers, opts, &mut stats)
-    } else {
-        execute_logical_with(db, plan, profile, policy, opts, &mut stats)
-    }
-    .unwrap();
-    (out, stats)
+    let done = execute(db, &physical, policy, &opts, &mut stats).unwrap();
+    ((done.relation, done.tags), stats)
 }
 
 /// Run one plan through both scan paths and assert the result relations are
@@ -613,8 +608,8 @@ fn assert_paths_identical<P>(
     policy: &P,
     context: &str,
 ) where
-    P: pbds_exec::TagPolicy + Sync,
-    P::Tag: Send + PartialEq + std::fmt::Debug,
+    P: pbds_exec::TagPolicy,
+    P::Tag: PartialEq + std::fmt::Debug,
 {
     let run = |vectorized: bool| run_pinned(db, plan, profile, workers, vectorized, policy);
     let ((rel_row, tags_row), stats_row) = run(false);
@@ -777,8 +772,8 @@ fn big_scan_family() -> Vec<(LogicalPlan, bool)> {
 /// not depend on the worker count or on the scan path.
 fn assert_worker_counts_identical<P>(db: &Database, policy: &P, what: &str)
 where
-    P: pbds_exec::TagPolicy + Sync,
-    P::Tag: Send + PartialEq + std::fmt::Debug,
+    P: pbds_exec::TagPolicy,
+    P::Tag: PartialEq + std::fmt::Debug,
 {
     for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
         for (i, (plan, aligned)) in big_scan_family().iter().enumerate() {
