@@ -3,10 +3,9 @@
 //! A workspace invariant linter for PBDS. PRs 4–8 built the system's
 //! correctness story on *conventions* — all file I/O flows through
 //! `pbds-persist::io`'s injectable traits, diagnostics land in
-//! `RobustnessEvents`, health transitions go through `settle_health`,
-//! `Table` mutators route through `invalidate_derived`, and lock guards
-//! never `.unwrap()` the poison flag. This crate turns those conventions
-//! into machine-checked lints:
+//! `RobustnessEvents`, health transitions go through `settle_health`, and
+//! lock guards never `.unwrap()` the poison flag. This crate turns those
+//! conventions into machine-checked lints:
 //!
 //! | Lint | Rule |
 //! |------|------|
@@ -14,7 +13,6 @@
 //! | `L2` | no `println!` / `eprintln!` in library crates |
 //! | `L3` | no `.unwrap()` / `.expect()` on lock-guard results |
 //! | `L4` | no direct mutating ops on the health `AtomicU8` outside `settle_health` / `degrade` |
-//! | `L5` | every `&mut self` fn in `impl Table` calls `invalidate_derived` |
 //! | `L6` | no `Instant::now` / `SystemTime::now` outside `pbds-telemetry` |
 //!
 //! The scanner is a hand-rolled **token-level lexer** (the build
@@ -52,9 +50,6 @@ pub enum Lint {
     /// Direct mutating op on the health `AtomicU8` outside
     /// `settle_health` / `degrade`.
     L4,
-    /// `&mut self` fn in `impl Table` that never calls
-    /// `invalidate_derived`.
-    L5,
     /// `Instant::now` / `SystemTime::now` outside `pbds-telemetry` —
     /// all clock reads must go through the `pbds_telemetry::clock` seam.
     L6,
@@ -69,7 +64,6 @@ impl Lint {
             Lint::L2 => "L2",
             Lint::L3 => "L3",
             Lint::L4 => "L4",
-            Lint::L5 => "L5",
             Lint::L6 => "L6",
         }
     }
@@ -80,7 +74,6 @@ impl Lint {
             "L2" => Some(Lint::L2),
             "L3" => Some(Lint::L3),
             "L4" => Some(Lint::L4),
-            "L5" => Some(Lint::L5),
             "L6" => Some(Lint::L6),
             _ => None,
         }
@@ -714,82 +707,6 @@ fn lint_l4(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
     }
 }
 
-fn lint_l5(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    let tokens = ctx.tokens;
-    let mut i = 0usize;
-    while i + 2 < tokens.len() {
-        // `impl Table {` (the inherent impl; `impl Clone for Table` etc.
-        // have an intervening trait path and don't match).
-        if ctx.live(i).is_some_and(|t| t.is_ident("impl"))
-            && ctx.live(i + 1).is_some_and(|t| t.is_ident("Table"))
-            && ctx.live(i + 2).is_some_and(|t| t.is_punct('{'))
-        {
-            let Some(block_end) = matching(tokens, i + 2, '{', '}') else {
-                break;
-            };
-            let mut j = i + 3;
-            while j < block_end {
-                if !ctx.live(j).is_some_and(|t| t.is_ident("fn")) {
-                    j += 1;
-                    continue;
-                }
-                let Some(name) = ctx.live(j + 1).and_then(Token::ident) else {
-                    j += 1;
-                    continue;
-                };
-                let name = name.to_string();
-                let fn_line = tokens[j].line;
-                // Parameter list.
-                let mut p = j + 2;
-                while p < block_end && !tokens[p].is_punct('(') {
-                    p += 1;
-                }
-                let Some(params_end) = matching(tokens, p, '(', ')') else {
-                    break;
-                };
-                // `&mut self` receiver: first three significant tokens of
-                // the parameter list (lifetimes are dropped by the lexer,
-                // so `&'a mut self` still matches).
-                let takes_mut_self = tokens[p + 1].is_punct('&')
-                    && tokens.get(p + 2).is_some_and(|t| t.is_ident("mut"))
-                    && tokens.get(p + 3).is_some_and(|t| t.is_ident("self"));
-                // Body.
-                let mut b = params_end + 1;
-                while b < block_end && !tokens[b].is_punct('{') && !tokens[b].is_punct(';') {
-                    b += 1;
-                }
-                if b >= block_end || tokens[b].is_punct(';') {
-                    j = b + 1;
-                    continue;
-                }
-                let body_end = matching(tokens, b, '{', '}').unwrap_or(block_end);
-                if takes_mut_self && name != "invalidate_derived" {
-                    let calls_invalidate = (b..=body_end).any(|k| {
-                        ctx.live(k)
-                            .is_some_and(|t| t.is_ident("invalidate_derived"))
-                    });
-                    if !calls_invalidate {
-                        out.push(Violation {
-                            lint: Lint::L5,
-                            path: ctx.rel.to_string(),
-                            line: fn_line,
-                            message: format!(
-                                "`&mut self` fn `{name}` in impl Table never calls \
-                                 `invalidate_derived` — derived caches (zone maps, indexes, \
-                                 sketch epochs) would go stale"
-                            ),
-                        });
-                    }
-                }
-                j = body_end + 1;
-            }
-            i = block_end + 1;
-            continue;
-        }
-        i += 1;
-    }
-}
-
 fn lint_l6(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
     for i in 0..ctx.tokens.len() {
         let Some(t) = ctx.live(i) else { continue };
@@ -831,7 +748,6 @@ fn is_binary_target(rel: &str) -> bool {
 /// * `crates/persist/src/io.rs` is exempt from L1 (it is the I/O seam);
 /// * binary targets (`src/main.rs`, `src/bin/**`) are exempt from L1/L2/L6;
 /// * L4 runs only in `crates/core` (the health atom lives there);
-/// * L5 runs only on `crates/storage/src/table.rs`;
 /// * `crates/telemetry/**` is exempt from L6 (it is the clock seam).
 ///
 /// In-source `audit:allow(Lx)` markers on the same or preceding line
@@ -856,9 +772,6 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Violation> {
     lint_l3(&ctx, &mut out);
     if rel_path.starts_with("crates/core/") {
         lint_l4(&ctx, &mut out);
-    }
-    if rel_path == "crates/storage/src/table.rs" {
-        lint_l5(&ctx, &mut out);
     }
     if !rel_path.starts_with("crates/telemetry/") && !is_bin {
         lint_l6(&ctx, &mut out);
@@ -974,7 +887,6 @@ mod tests {
     const L2_FIXTURE: &str = include_str!("../fixtures/l2_println.rs");
     const L3_FIXTURE: &str = include_str!("../fixtures/l3_lock_unwrap.rs");
     const L4_FIXTURE: &str = include_str!("../fixtures/l4_health_store.rs");
-    const L5_FIXTURE: &str = include_str!("../fixtures/l5_missing_invalidate.rs");
     const L6_FIXTURE: &str = include_str!("../fixtures/l6_instant_now.rs");
     const CLEAN_FIXTURE: &str = include_str!("../fixtures/clean.rs");
 
@@ -1029,14 +941,6 @@ mod tests {
         assert!(scan_source("crates/example/src/bad.rs", L4_FIXTURE)
             .iter()
             .all(|v| v.lint != Lint::L4));
-    }
-
-    #[test]
-    fn l5_fires_on_missing_invalidate() {
-        let vs = scan_source("crates/storage/src/table.rs", L5_FIXTURE);
-        let l5: Vec<_> = vs.iter().filter(|v| v.lint == Lint::L5).collect();
-        assert_eq!(l5.len(), 1, "only the delinquent mutator fires: {vs:?}");
-        assert!(l5[0].message.contains("rename_me_bad_mutator"));
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!   [`SketchCatalog::on_append`] extends stored sketches with the fragments
 //!   that received new rows (safe supersets, Lemma 5) and
 //!   [`SketchCatalog::on_delete`] keeps them as still-safe supersets while
-//!   invalidating everything derived from the old statistics; a lookup only
+//!   invalidating what was derived from the old statistics (a memoized
+//!   safety verdict instead carries the column bounds it was proven under,
+//!   and is kept while the data stays inside them); a lookup only
 //!   ever offers entries whose recorded epochs match the serving database,
 //!   so stale sketches are structurally unreachable;
 //! * **observable** — hit / miss / eviction / memo-hit counters
@@ -39,7 +41,7 @@
 //! [`crate::server::PbdsServer`] sessions can share one self-tuning state.
 
 use crate::reuse::ReuseChecker;
-use crate::safety::{PartitionAttr, SafetyChecker};
+use crate::safety::{BoundKey, ColumnBounds, PartitionAttr, SafetyChecker};
 use pbds_algebra::QueryTemplate;
 use pbds_persist::{PersistedCatalog, PersistedCatalogEntry};
 use pbds_provenance::ProvenanceSketch;
@@ -136,8 +138,8 @@ pub enum CatalogDelta {
     },
     /// Rows deleted from `table`: entries maintained to `prev_epoch` stay
     /// (still-safe supersets) and advance to `new_epoch`; entries with an
-    /// epoch gap are dropped. Cached partitions and statistics-derived
-    /// template metadata for the table are reset.
+    /// epoch gap are dropped. Cached partitions of the table and the
+    /// evidence counters of the templates reading it are reset.
     Delete {
         /// The mutated table.
         table: String,
@@ -158,7 +160,7 @@ enum ResolvedDelta<'a> {
         new_epoch: u64,
         /// `None` when the rows could not be resolved: affected entries are
         /// dropped instead of extended over unknown rows.
-        rows: Option<&'a [Row]>,
+        rows: Option<Vec<&'a Row>>,
     },
     Delete {
         table: &'a str,
@@ -283,11 +285,24 @@ struct Shard {
     version: u64,
 }
 
+/// A memoized safety verdict together with what it was proven under.
+struct SafeAttrs {
+    /// Chosen safe partition attributes (`None` = query is not sketch-safe).
+    attrs: Option<Vec<PartitionAttr>>,
+    /// The column bounds assumed by the proof: the verdict holds on every
+    /// database whose bounds lie inside these.
+    proven_under: ColumnBounds,
+}
+
 /// Per-template self-tuning metadata shared across sessions.
 #[derive(Default)]
 struct TemplateMeta {
-    /// Chosen safe partition attributes (`None` = query is not sketch-safe).
-    safe_attrs: Option<Option<Vec<PartitionAttr>>>,
+    /// The memoized safety verdict, if one has been derived.
+    safe_attrs: Option<SafeAttrs>,
+    /// Bounds that have escaped a memoized verdict's premises so far: the
+    /// next derivation is tried with these widened, so a column that keeps
+    /// moving one way (an ascending id) does not cost a derivation per batch.
+    moved: HashSet<BoundKey>,
     /// Adaptive-strategy evidence counter (missed reuse opportunities).
     evidence: usize,
     /// Base tables the template reads (`None` until first seen). Lets
@@ -606,11 +621,13 @@ impl SketchCatalog {
     /// row has no fragment under an entry's partition (novel composite key /
     /// NULL partitioning value) or the entry missed an earlier mutation
     /// (epoch gap), in which case the entry is dropped and must be
-    /// recaptured. Reuse memos and cached safe-attribute choices of the
-    /// templates reading this table are invalidated (the reuse check and
-    /// safety analysis depend on its statistics, which changed; e.g. a new
-    /// negative value can break a non-negativity assumption) — templates
-    /// over unrelated tables keep their caches.
+    /// recaptured. Reuse memos of the templates reading this table are
+    /// invalidated (the reuse check depends on its statistics, which
+    /// changed) — templates over unrelated tables keep their caches. A
+    /// memoized safe-attribute choice survives for as long as the table's
+    /// bounds stay inside the ones it was proven under (see
+    /// [`SketchCatalog::safe_attrs`]; a new negative value, say, moves a
+    /// minimum out and forces a new derivation).
     pub fn on_append(&self, db: &Database, table: &str, new_rows: &[Row], prev_epoch: u64) {
         let Ok(t) = db.table(table) else { return };
         self.apply_resolved(&[ResolvedDelta::Append {
@@ -618,7 +635,7 @@ impl SketchCatalog {
             schema: t.schema(),
             prev_epoch,
             new_epoch: t.data_epoch(),
-            rows: Some(new_rows),
+            rows: Some(new_rows.iter().collect()),
         }]);
     }
 
@@ -631,11 +648,13 @@ impl SketchCatalog {
     /// included groups are computed correctly, and under the safety rules'
     /// monotonicity assumptions a group that was excluded cannot enter the
     /// result by losing rows — the sketch remains a safe superset. What a
-    /// delete does invalidate is everything derived from the old
-    /// statistics: reuse memos, memoized safe-attribute choices, adaptive
+    /// delete does invalidate is what was derived from the old statistics
+    /// and cannot tell whether it still applies: reuse memos, adaptive
     /// evidence counters, and cached range partitions of the table (their
-    /// equi-depth boundaries came from the old histogram). Entries that
-    /// missed an earlier mutation (epoch gap) are dropped.
+    /// equi-depth boundaries came from the old histogram). A memoized
+    /// safe-attribute choice can tell — a delete only moves bounds inward —
+    /// and stays. Entries that missed an earlier mutation (epoch gap) are
+    /// dropped.
     pub fn on_delete(&self, db: &Database, table: &str, prev_epoch: u64) {
         let Ok(t) = db.table(table) else { return };
         self.apply_resolved(&[ResolvedDelta::Delete {
@@ -672,9 +691,10 @@ impl SketchCatalog {
                     // (a later delete shifted rows and the producer failed to
                     // materialize) resolves to `None`: affected entries are
                     // dropped rather than extended over the wrong rows.
-                    let rows: Option<&[Row]> = match rows {
-                        Some(owned) => Some(owned.as_slice()),
-                        None => t.rows().get(range.clone()),
+                    let rows: Option<Vec<&Row>> = match rows {
+                        Some(owned) => Some(owned.iter().collect()),
+                        None => (range.start <= range.end && range.end <= t.len())
+                            .then(|| t.rows().range(range.clone()).iter().collect()),
                     };
                     Some(ResolvedDelta::Append {
                         table,
@@ -745,11 +765,10 @@ impl SketchCatalog {
                                 ..
                             } => {
                                 let maintainable = e.capture_epochs.get(table) == Some(prev_epoch)
-                                    && rows.is_some_and(|rows| {
-                                        e.sketches
-                                            .iter_mut()
-                                            .filter(|s| s.table() == table)
-                                            .all(|s| s.extend_for_append(schema, rows))
+                                    && rows.as_ref().is_some_and(|rows| {
+                                        e.sketches.iter_mut().filter(|s| s.table() == table).all(
+                                            |s| s.extend_for_append(schema, rows.iter().copied()),
+                                        )
                                     });
                                 if maintainable {
                                     e.capture_epochs.insert(table.to_string(), *new_epoch);
@@ -787,24 +806,22 @@ impl SketchCatalog {
                 .write()
                 .retain(|(t, _), _| !deleted.contains(t.as_str()));
         }
-        for table in affected {
-            self.reset_template_meta(table, deleted.contains(table));
+        for table in deleted {
+            self.reset_evidence(table);
         }
     }
 
-    /// Clear memoized safe-attribute choices (they depend on table
-    /// statistics) and, when `reset_evidence`, the adaptive strategy's
-    /// evidence counters — but only for templates that read `table` (or
-    /// whose table set is not known yet); templates over unrelated tables
-    /// keep their caches.
-    fn reset_template_meta(&self, table: &str, reset_evidence: bool) {
+    /// Reset the adaptive strategy's evidence counters of the templates
+    /// that read `table` (or whose table set is not known yet) after a
+    /// delete. Memoized safe-attribute choices are *not* cleared here: each
+    /// carries the column bounds it was proven under and
+    /// [`SketchCatalog::safe_attrs`] checks them against the database it is
+    /// asked about.
+    fn reset_evidence(&self, table: &str) {
         let mut meta = self.meta.lock();
         for entry in meta.values_mut() {
             if entry.tables.as_ref().is_none_or(|ts| ts.contains(table)) {
-                entry.safe_attrs = None;
-                if reset_evidence {
-                    entry.evidence = 0;
-                }
+                entry.evidence = 0;
             }
         }
     }
@@ -1042,34 +1059,52 @@ impl SketchCatalog {
         snap
     }
 
-    /// Safe partition attributes for a template, computed once and shared
-    /// (`None` = the query admits no safe sketch).
+    /// Safe partition attributes for a template (`None` = the query admits no
+    /// safe sketch), derived once and shared for as long as the proof
+    /// applies. The table statistics enter the safety check only as premises
+    /// (`min <= a <= max` per column), so a verdict proven under some bounds
+    /// holds on every database whose bounds lie inside them: the memoized
+    /// verdict is returned when `db`'s bounds do, and re-derived when one has
+    /// moved out. A re-derivation is tried under bounds widened on every side
+    /// that has moved out before; the widened bounds are recorded only if
+    /// the verdict under them equals the verdict under `db`'s exact bounds.
     pub fn safe_attrs(
         &self,
         db: &Database,
         template: &QueryTemplate,
     ) -> Option<Vec<PartitionAttr>> {
         let key = template_key(template);
-        {
-            let meta = self.meta.lock();
-            if let Some(known) = meta.get(&key).and_then(|m| m.safe_attrs.clone()) {
-                return known;
+        let moved = {
+            let mut meta = self.meta.lock();
+            let entry = meta.entry(key.clone()).or_default();
+            if let Some(known) = &entry.safe_attrs {
+                let escaped = known.proven_under.escaped_by(db);
+                if escaped.is_empty() {
+                    return known.attrs.clone();
+                }
+                entry.moved.extend(escaped);
             }
-        }
+            entry.moved.clone()
+        };
         // Run the (solver-backed) safety analysis *outside* the lock so the
         // first query of one template cannot stall concurrent sessions
-        // serving unrelated templates. A racing duplicate computation is
-        // deterministic, so first-writer-wins is safe.
-        let computed = SafetyChecker::new(db).choose_safe_attributes(template.plan(), &[]);
+        // serving unrelated templates. A racing duplicate derivation just
+        // stores its own verdict with its own bounds.
+        let tables: HashSet<String> = template.plan().tables().into_iter().collect();
+        let exact = ColumnBounds::of(db, &tables);
+        let attrs = SafetyChecker::new(db).choose_safe_attributes(template.plan(), &[]);
+        let wide = exact.widened(&moved);
+        let holds_wide = wide != exact
+            && SafetyChecker::assuming(db, &wide).choose_safe_attributes(template.plan(), &[])
+                == attrs;
         let mut meta = self.meta.lock();
         let entry = meta.entry(key).or_default();
-        if entry.safe_attrs.is_none() {
-            entry.safe_attrs = Some(computed);
-        }
-        entry
-            .tables
-            .get_or_insert_with(|| template.plan().tables().into_iter().collect());
-        entry.safe_attrs.clone().expect("just set")
+        entry.safe_attrs = Some(SafeAttrs {
+            attrs: attrs.clone(),
+            proven_under: if holds_wide { wide } else { exact },
+        });
+        entry.tables.get_or_insert(tables);
+        attrs
     }
 
     /// Bump the adaptive-strategy evidence counter for a template; returns
@@ -1100,7 +1135,7 @@ impl SketchCatalog {
         }
         let table = db.table(&attr.table).ok()?;
         let values = table.column_iter(&attr.column)?;
-        let distinct = table.stats().column(&attr.column)?.distinct;
+        let distinct = table.distinct(&attr.column)?;
         let partition = if distinct <= fragments {
             RangePartition::per_distinct_value_from_iter(&attr.table, &attr.column, values)?
         } else {
@@ -1409,7 +1444,7 @@ mod tests {
         let prev = db2.table("sales").unwrap().data_epoch();
         let old_len = db2.table("sales").unwrap().len();
         db2.append_rows("sales", rows).unwrap();
-        let new_rows = db2.table("sales").unwrap().rows()[old_len..].to_vec();
+        let new_rows = db2.table("sales").unwrap().rows().range(old_len..).to_vec();
         catalog.on_append(&db2, "sales", &new_rows, prev);
         db2
     }
@@ -1498,7 +1533,7 @@ mod tests {
         let old_len = db2.table("sales").unwrap().len();
         db2.append_rows("sales", new_rows.clone()).unwrap();
         let mid_epoch = db2.table("sales").unwrap().data_epoch();
-        let appended = db2.table("sales").unwrap().rows()[old_len..].to_vec();
+        let appended = db2.table("sales").unwrap().rows().range(old_len..).to_vec();
         db2.delete_where("sales", |r| r[1] == Value::Int(500))
             .unwrap();
         let final_epoch = db2.table("sales").unwrap().data_epoch();
@@ -1612,7 +1647,8 @@ mod tests {
         let prev = db2.table("sales").unwrap().data_epoch();
         db2.append_rows("sales", vec![vec![Value::Int(1), Value::Int(7)]])
             .unwrap();
-        let new_rows = vec![db2.table("sales").unwrap().rows().last().unwrap().clone()];
+        let sales = db2.table("sales").unwrap();
+        let new_rows = vec![sales.rows()[sales.len() - 1].clone()];
         catalog.on_append(&db2, "sales", &new_rows, prev);
 
         assert!(catalog
@@ -1622,6 +1658,123 @@ mod tests {
             catalog.stats().memo_hits > memo_before,
             "unrelated template's memo was wiped by the mutation"
         );
+    }
+
+    /// The rule that lets a safety verdict outlive a commit batch, on the
+    /// benchmark's own templates: a verdict proven under widened bounds is
+    /// the verdict a from-scratch derivation reaches on any database inside
+    /// them, so appends that stay inside (and deletes, which only move
+    /// bounds inward) keep the memo, and a bound that moves out replaces it.
+    #[test]
+    fn safety_verdicts_hold_inside_the_bounds_they_were_proven_under() {
+        use pbds_workloads::{crimes, sof, tpch};
+
+        /// Append to every table a copy of its last row with each numeric
+        /// column one past its maximum.
+        fn grow(db: &Database) -> Database {
+            let mut grown = db.clone();
+            for name in db.table_names() {
+                let t = db.table(name).unwrap();
+                let stats = t.stats();
+                let mut row = t.rows()[t.len() - 1].clone();
+                for (v, col) in row.iter_mut().zip(t.schema().columns()) {
+                    match stats.column(&col.name).and_then(|s| s.max.clone()) {
+                        Some(Value::Int(max)) => *v = Value::Int(max + 1),
+                        Some(Value::Float(max)) => *v = Value::Float(max + 1.0),
+                        _ => {}
+                    }
+                }
+                grown.append_rows(name, vec![row]).unwrap();
+            }
+            grown
+        }
+
+        let sof_db = sof::generate(&sof::SofConfig {
+            users: 300,
+            posts: 1_500,
+            comments: 2_000,
+            badges: 600,
+            ..sof::SofConfig::default()
+        });
+        let crimes_db = crimes::generate(&crimes::CrimesConfig {
+            rows: 3_000,
+            ..crimes::CrimesConfig::default()
+        });
+        let tpch_db = tpch::generate(&tpch::TpchConfig {
+            scale: 0.001,
+            ..tpch::TpchConfig::default()
+        });
+        let tpch_templates = tpch::queries().into_iter().map(|q| q.template).collect();
+        let workloads: [(&str, Database, Vec<QueryTemplate>); 3] = [
+            ("sof", sof_db, sof::end_to_end_templates()),
+            ("crimes", crimes_db, crimes::end_to_end_templates()),
+            ("tpch", tpch_db, tpch_templates),
+        ];
+        for (workload, db, templates) in workloads {
+            let mut kept_under_widened_bounds = 0;
+            for t in &templates {
+                let catalog = SketchCatalog::default();
+                let from_scratch =
+                    |db: &Database| SafetyChecker::new(db).choose_safe_attributes(t.plan(), &[]);
+                let proven_under = || {
+                    let meta = catalog.meta.lock();
+                    let known = meta[&template_key(t)].safe_attrs.as_ref().unwrap();
+                    known.proven_under.clone()
+                };
+                let tables: HashSet<String> = t.plan().tables().into_iter().collect();
+
+                // First derivation: nothing has moved yet, so exact bounds.
+                assert_eq!(
+                    catalog.safe_attrs(&db, t),
+                    from_scratch(&db),
+                    "{}",
+                    t.name()
+                );
+                assert_eq!(proven_under(), ColumnBounds::of(&db, &tables));
+
+                // Every numeric maximum moves out: the memo no longer applies
+                // and the new derivation tries those sides widened.
+                let grown = grow(&db);
+                assert!(!proven_under().escaped_by(&grown).is_empty());
+                assert_eq!(catalog.safe_attrs(&grown, t), from_scratch(&grown));
+                let after_growth = proven_under();
+                assert!(after_growth.escaped_by(&grown).is_empty());
+                assert!(after_growth.escaped_by(&db).is_empty(), "bounds only widen");
+
+                // More appends the same way. Where the widened bounds were
+                // recorded they still hold and the memo is what a derivation
+                // from scratch finds; where they were not (the verdict
+                // depended on the side that moved) the memo is replaced.
+                let grown_more = grow(&grown);
+                let kept = after_growth.escaped_by(&grown_more).is_empty();
+                assert_eq!(kept, after_growth != ColumnBounds::of(&grown, &tables));
+                assert_eq!(
+                    catalog.safe_attrs(&grown_more, t),
+                    from_scratch(&grown_more)
+                );
+                assert_eq!(proven_under() == after_growth, kept);
+                kept_under_widened_bounds += usize::from(kept);
+
+                // A delete moves bounds inward, never outward: the memo holds.
+                let mut shrunk = grown_more.clone();
+                for name in &tables {
+                    let len = grown_more.table(name).unwrap().len();
+                    let mut i = 0;
+                    let deleted = shrunk.delete_where(name, |_| {
+                        i += 1;
+                        i == 1 || i == len
+                    });
+                    assert_eq!(deleted.unwrap(), 2);
+                }
+                let before_delete = proven_under();
+                assert!(before_delete.escaped_by(&shrunk).is_empty());
+                assert_eq!(catalog.safe_attrs(&shrunk, t), from_scratch(&shrunk));
+                assert_eq!(proven_under(), before_delete);
+            }
+            // None of these templates' verdicts depends on how far a maximum
+            // reaches, so every one is kept.
+            assert_eq!(kept_under_widened_bounds, templates.len(), "{workload}");
+        }
     }
 
     #[test]

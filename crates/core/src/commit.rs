@@ -91,8 +91,8 @@ pub(super) fn mutate_database(
 
 /// An open run of consecutive appends to one table inside a commit batch,
 /// merged into a single epoch advance (appends to the same table commute
-/// with each other, so `k` queued appends cost one `invalidate_derived`
-/// and produce one [`CatalogDelta::Append`] instead of `k`).
+/// with each other, so `k` queued appends cost one epoch advance and
+/// produce one [`CatalogDelta::Append`] instead of `k`).
 struct AppendRun {
     /// Table length before the first append of the run.
     old_len: usize,
@@ -227,8 +227,8 @@ fn commit_batch(shared: &ServerShared, batch: Vec<WriteRequest>) {
             Ok(epoch) => {
                 let new_len = run.old_len + total;
                 let rows = materialize_rows.then(|| {
-                    db.table(table).expect("appended table exists").rows()[run.old_len..new_len]
-                        .to_vec()
+                    let table = db.table(table).expect("appended table exists");
+                    table.rows().range(run.old_len..new_len).to_vec()
                 });
                 deltas.push(CatalogDelta::Append {
                     table: table.to_string(),

@@ -183,11 +183,7 @@ impl Pbds {
                 column: attr.to_string(),
             })
         })?;
-        let distinct = t
-            .stats()
-            .column(attr)
-            .map(|s| s.distinct)
-            .unwrap_or(usize::MAX);
+        let distinct = t.distinct(attr).unwrap_or(usize::MAX);
         let partition = if distinct <= fragments {
             RangePartition::per_distinct_value_from_iter(table, attr, values)
         } else {

@@ -12,7 +12,8 @@
 use crate::encode::{attr_var, eq_primed, to_formula, to_linexpr, EncodedPred, StringEncoder};
 use pbds_algebra::{AggFunc, Expr, LogicalPlan};
 use pbds_solver::{is_valid, CmpOp, Formula, LinExpr};
-use pbds_storage::{DataType, Database, Schema};
+use pbds_storage::{DataType, Database, Schema, Table, Value};
+use std::collections::{HashMap, HashSet};
 
 /// A partition attribute: `(table, column)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -30,6 +31,118 @@ impl PartitionAttr {
             table: table.into(),
             column: column.into(),
         }
+    }
+}
+
+/// One end of a column's value range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum BoundSide {
+    Min,
+    Max,
+}
+
+/// A bound of a column of a table: `(table, column, side)`.
+pub(crate) type BoundKey = (String, String, BoundSide);
+
+/// How far [`ColumnBounds::widened`] moves a numeric bound out, as a multiple
+/// of the column's current span: each re-derivation doubles the room, so a
+/// column that keeps growing (an ascending id) costs a logarithmic number of
+/// them.
+const WIDEN_SPANS: i64 = 1;
+
+/// Per-column `[min, max]` of the tables a query reads — all the safety
+/// check ever learns about the data. They enter the check only as premises
+/// (`min <= a <= max` for every column `a`), so a verdict proven under some
+/// bounds holds on every database whose bounds lie inside them.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub(crate) struct ColumnBounds {
+    /// `(table, column)` → `(min, max)`; `None` is "no bound" (a premise
+    /// that is absent, so anything lies inside it).
+    columns: HashMap<(String, String), (Option<Value>, Option<Value>)>,
+}
+
+impl ColumnBounds {
+    /// The exact bounds of `tables` in `db`, from the table statistics.
+    pub(crate) fn of<'t>(db: &Database, tables: impl IntoIterator<Item = &'t String>) -> Self {
+        let mut columns = HashMap::new();
+        for table in tables {
+            let Ok(t) = db.table(table) else { continue };
+            let stats = t.stats();
+            for col in t.schema().columns() {
+                if let Some(s) = stats.column(&col.name) {
+                    let key = (table.clone(), col.name.clone());
+                    columns.insert(key, (s.min.clone(), s.max.clone()));
+                }
+            }
+        }
+        ColumnBounds { columns }
+    }
+
+    fn get(&self, table: &str, column: &str) -> (Option<&Value>, Option<&Value>) {
+        let key = (table.to_string(), column.to_string());
+        match self.columns.get(&key) {
+            Some((min, max)) => (min.as_ref(), max.as_ref()),
+            None => (None, None),
+        }
+    }
+
+    /// The bounds of `db` that lie *outside* these — empty exactly when a
+    /// verdict proven under `self` holds on `db`.
+    pub(crate) fn escaped_by(&self, db: &Database) -> HashSet<BoundKey> {
+        let mut escaped = HashSet::new();
+        for ((table, column), (min, max)) in &self.columns {
+            let Ok(t) = db.table(table) else { continue };
+            let stats = t.stats();
+            let Some(now) = stats.column(column) else {
+                continue;
+            };
+            let mut note = |side| {
+                escaped.insert((table.clone(), column.clone(), side));
+            };
+            if matches!((min, &now.min), (Some(proven), Some(now)) if now < proven) {
+                note(BoundSide::Min);
+            }
+            if matches!((max, &now.max), (Some(proven), Some(now)) if now > proven) {
+                note(BoundSide::Max);
+            }
+        }
+        escaped
+    }
+
+    /// These bounds with every numeric bound named in `sides` moved outward
+    /// by [`WIDEN_SPANS`] spans of its column (at least 1). Non-numeric
+    /// bounds stay where they are.
+    pub(crate) fn widened(&self, sides: &HashSet<BoundKey>) -> Self {
+        let mut wide = self.clone();
+        for (table, column, side) in sides {
+            let key = (table.clone(), column.clone());
+            let Some((Some(min), Some(max))) = wide.columns.get(&key).cloned() else {
+                continue;
+            };
+            let moved = match (&min, &max) {
+                (Value::Int(lo), Value::Int(hi)) => {
+                    let room = hi.saturating_sub(*lo).max(1).saturating_mul(WIDEN_SPANS);
+                    match side {
+                        BoundSide::Min => Value::Int(lo.saturating_sub(room)),
+                        BoundSide::Max => Value::Int(hi.saturating_add(room)),
+                    }
+                }
+                (Value::Float(lo), Value::Float(hi)) => {
+                    let room = (hi - lo).max(1.0) * WIDEN_SPANS as f64;
+                    match side {
+                        BoundSide::Min => Value::Float(lo - room),
+                        BoundSide::Max => Value::Float(hi + room),
+                    }
+                }
+                _ => continue,
+            };
+            let entry = wide.columns.get_mut(&key).expect("just read");
+            match side {
+                BoundSide::Min => entry.0 = Some(moved),
+                BoundSide::Max => entry.1 = Some(moved),
+            }
+        }
+        wide
     }
 }
 
@@ -94,13 +207,39 @@ impl NodeInfo {
 #[derive(Debug, Clone)]
 pub struct SafetyChecker<'a> {
     db: &'a Database,
+    /// Column bounds to assume instead of the database's own statistics.
+    bounds: Option<&'a ColumnBounds>,
 }
 
 impl<'a> SafetyChecker<'a> {
     /// Create a checker over a database (used only for its statistics — the
     /// check itself never looks at the data, as required by the paper).
     pub fn new(db: &'a Database) -> Self {
-        SafetyChecker { db }
+        SafetyChecker { db, bounds: None }
+    }
+
+    /// A checker that takes its column bounds from `bounds` (schemas still
+    /// come from `db`): what it proves holds on every database whose bounds
+    /// lie inside them.
+    pub(crate) fn assuming(db: &'a Database, bounds: &'a ColumnBounds) -> Self {
+        SafetyChecker {
+            db,
+            bounds: Some(bounds),
+        }
+    }
+
+    /// The `[min, max]` the check assumes for a column.
+    fn bounds_of(&self, table: &Table, column: &str) -> (Option<Value>, Option<Value>) {
+        match self.bounds {
+            Some(bounds) => {
+                let (min, max) = bounds.get(table.name(), column);
+                (min.cloned(), max.cloned())
+            }
+            None => match table.stats().column(column) {
+                Some(stats) => (stats.min.clone(), stats.max.clone()),
+                None => (None, None),
+            },
+        }
     }
 
     /// Check whether the attribute set `attrs` is safe for `plan`.
@@ -112,11 +251,9 @@ impl<'a> SafetyChecker<'a> {
             if let Ok(t) = self.db.table(&table) {
                 for col in t.schema().columns() {
                     if col.dtype == DataType::Str {
-                        if let Some(stats) = t.stats().column(&col.name) {
-                            if let Some(pbds_storage::Value::Str(s)) = &stats.min {
-                                strings.register(s);
-                            }
-                            if let Some(pbds_storage::Value::Str(s)) = &stats.max {
+                        let (min, max) = self.bounds_of(t, &col.name);
+                        for bound in [min, max] {
+                            if let Some(Value::Str(s)) = &bound {
                                 strings.register(s);
                             }
                         }
@@ -421,26 +558,19 @@ impl<'a> SafetyChecker<'a> {
                 let mut plain = Vec::new();
                 let mut primed = Vec::new();
                 for col in t.schema().columns() {
-                    if let Some(stats) = t.stats().column(&col.name) {
-                        let bounds = [
-                            (CmpOp::Ge, stats.min.as_ref()),
-                            (CmpOp::Le, stats.max.as_ref()),
-                        ];
-                        for (op, v) in bounds {
-                            if let Some(v) = v {
-                                if let Some(c) = strings.encode_value(v) {
-                                    plain.push(Formula::cmp(
-                                        LinExpr::var(attr_var(&col.name, false)),
-                                        op,
-                                        LinExpr::constant(c),
-                                    ));
-                                    primed.push(Formula::cmp(
-                                        LinExpr::var(attr_var(&col.name, true)),
-                                        op,
-                                        LinExpr::constant(c),
-                                    ));
-                                }
-                            }
+                    let (min, max) = self.bounds_of(t, &col.name);
+                    for (op, v) in [(CmpOp::Ge, min), (CmpOp::Le, max)] {
+                        if let Some(c) = v.and_then(|v| strings.encode_value(&v)) {
+                            plain.push(Formula::cmp(
+                                LinExpr::var(attr_var(&col.name, false)),
+                                op,
+                                LinExpr::constant(c),
+                            ));
+                            primed.push(Formula::cmp(
+                                LinExpr::var(attr_var(&col.name, true)),
+                                op,
+                                LinExpr::constant(c),
+                            ));
                         }
                     }
                 }

@@ -98,8 +98,7 @@ pub struct ServerConfig {
     pub ingest_queue_depth: usize,
     /// Maximum mutations the commit thread folds into one group commit
     /// (one WAL fsync + one copy-on-write fork + one snapshot swap). `1`
-    /// degenerates to the per-mutation-fsync write path (the baseline the
-    /// `fig_mutation` bench compares against).
+    /// degenerates to the per-mutation-fsync write path.
     pub commit_batch_limit: usize,
     /// How many times the background janitor thread retries repairing a
     /// degraded durability layer (reopen-and-verify the WAL + checkpoint)

@@ -360,7 +360,7 @@ pub fn estimate_selectivity(db: &Database, plan: &LogicalPlan) -> Option<f64> {
                         let v = cst.as_f64()?;
                         let span = (max - min).max(f64::EPSILON);
                         let frac = match op {
-                            BinOp::Eq => 1.0 / stats.distinct.max(1) as f64,
+                            BinOp::Eq => 1.0 / table.distinct(col).map_or(1, |d| d.max(1)) as f64,
                             BinOp::Lt | BinOp::Le => ((v - min) / span).clamp(0.0, 1.0),
                             BinOp::Gt | BinOp::Ge => ((max - v) / span).clamp(0.0, 1.0),
                             _ => return None,

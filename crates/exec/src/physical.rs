@@ -37,7 +37,7 @@ use crate::vector::{eval_filter_block_counted, sel_without_nulls, SelBitmap};
 use pbds_algebra::{infer_type, AggExpr, AggFunc, Expr, LogicalPlan, SortKey};
 use pbds_storage::{
     Column, ColumnData, ColumnVector, ColumnarChunk, ColumnarChunks, DataType, Database, Relation,
-    Row, Schema, Table, Value,
+    Row, RowCursor, Schema, Table, Value,
 };
 use pbds_telemetry::clock;
 use std::borrow::Borrow;
@@ -1173,6 +1173,8 @@ struct ScanOp<'a, P: TagPolicy> {
     /// ([`ExecOptions::vectorized`]).
     compiled: Option<Arc<CompiledExpr>>,
     source: RidSource,
+    /// Fetches the rows; row ids arrive ascending, so it rarely searches.
+    rows: RowCursor<'a>,
     /// Table epoch the row-id set was resolved at; re-validated before every
     /// batch so a mutation can never make the scan read stale row ids.
     epoch: u64,
@@ -1209,8 +1211,8 @@ struct ScanPlan<'a, P: TagPolicy> {
     /// it can hold large sketch range/key sets). `None` with a filter means
     /// the row interpreter — the oracle path.
     compiled: Option<Arc<CompiledExpr>>,
-    /// The chunk projection, fetched once through the epoch-checked cache,
-    /// when contiguous segments take the bitmap path ([`VectorScanOp`]).
+    /// The chunk projection, fetched once at scan build, when contiguous
+    /// segments take the bitmap path ([`VectorScanOp`]).
     chunks: Option<Arc<ColumnarChunks>>,
     /// Table epoch the scan was resolved at; every operator re-validates it
     /// before each batch.
@@ -1225,7 +1227,7 @@ impl<'a, P: TagPolicy> ScanPlan<'a, P> {
                 table: self.table,
                 policy: self.policy,
                 compiled: compiled.clone(),
-                pieces: chunk_aligned_pieces(&segs, chunks.block_size()).into_iter(),
+                pieces: chunk_aligned_pieces(&segs, chunks).into_iter(),
                 chunks: chunks.clone(),
                 current: None,
                 epoch: self.epoch,
@@ -1236,6 +1238,7 @@ impl<'a, P: TagPolicy> ScanPlan<'a, P> {
                 filter: self.filter,
                 compiled: self.compiled.clone(),
                 source: source.into_rid_source(),
+                rows: self.table.rows().cursor(),
                 epoch: self.epoch,
             }),
         }
@@ -1303,7 +1306,7 @@ impl<P: TagPolicy> BatchOp<P> for ScanOp<'_, P> {
             let Some(rid) = self.source.next_rid() else {
                 break;
             };
-            let row = &self.table.rows()[rid as usize];
+            let row = self.rows.get(rid as usize);
             if let Some(compiled) = &self.compiled {
                 if !compiled.matches(row)? {
                     continue;
@@ -1324,18 +1327,28 @@ impl<P: TagPolicy> BatchOp<P> for ScanOp<'_, P> {
 
 /// Cut contiguous row-id segments at columnar-chunk boundaries, yielding
 /// `[lo, hi)` pieces that each lie within a single chunk (in table order).
-fn chunk_aligned_pieces(segments: &[(usize, usize)], block_size: usize) -> Vec<(usize, usize)> {
+/// Chunks need not be full, so the cuts are the chunks' own ends.
+fn chunk_aligned_pieces(
+    segments: &[(usize, usize)],
+    chunks: &ColumnarChunks,
+) -> Vec<(usize, usize)> {
     let mut pieces = Vec::new();
     for &(start, end) in segments {
         let mut lo = start;
         while lo < end {
-            let hi = ((lo / block_size) + 1) * block_size;
-            let hi = hi.min(end);
+            // Past the last chunk the piece is reported when it is scanned.
+            let hi = chunks.chunk_for(lo).map_or(end, |c| c.end.min(end));
             pieces.push((lo, hi));
             lo = hi;
         }
     }
     pieces
+}
+
+/// The rows `[lo, hi)` of a chunk-aligned piece.
+fn piece_rows(table: &Table, lo: usize, hi: usize) -> &[Row] {
+    let (first, run) = table.rows().slice_at(lo);
+    &run[lo - first..hi - first]
 }
 
 /// Leaf scan that filters chunk-at-a-time: each piece's predicate evaluation
@@ -1348,10 +1361,11 @@ struct VectorScanOp<'a, P: TagPolicy> {
     policy: &'a P,
     compiled: Arc<CompiledExpr>,
     pieces: std::vec::IntoIter<(usize, usize)>,
-    /// Chunk projection snapshot fetched (epoch-checked) at scan build.
+    /// Chunk projection snapshot fetched at scan build.
     chunks: Arc<ColumnarChunks>,
-    /// Currently drained piece: `(piece_lo, selection, next bit index)`.
-    current: Option<(usize, SelBitmap, usize)>,
+    /// Currently drained piece: `(piece_lo, its rows, selection, next bit
+    /// index)`.
+    current: Option<(usize, &'a [Row], SelBitmap, usize)>,
     /// Table epoch `chunks` was fetched at; re-validated per batch.
     epoch: u64,
 }
@@ -1361,10 +1375,9 @@ impl<P: TagPolicy> BatchOp<P> for VectorScanOp<'_, P> {
         check_scan_epoch(self.table, self.epoch)?;
         let schema = self.table.schema();
         let name = self.table.name();
-        let rows = self.table.rows();
         let mut batch = Batch::with_capacity(BATCH_SIZE);
         while batch.len() < BATCH_SIZE {
-            let Some((lo, sel, pos)) = &mut self.current else {
+            let Some((lo, rows, sel, pos)) = &mut self.current else {
                 let Some((lo, hi)) = self.pieces.next() else {
                     break;
                 };
@@ -1372,18 +1385,18 @@ impl<P: TagPolicy> BatchOp<P> for VectorScanOp<'_, P> {
                     .chunks
                     .chunk_for(lo)
                     .ok_or_else(|| ExecError::Plan("row id beyond chunk range".into()))?;
+                let rows = piece_rows(self.table, lo, hi);
                 let sel = eval_filter_block_counted(&self.compiled, chunk, rows, lo, hi, stats)?;
                 stats.vectorized_blocks += 1;
-                self.current = Some((lo, sel, 0));
+                self.current = Some((lo, rows, sel, 0));
                 continue;
             };
             while *pos < sel.len() && batch.len() < BATCH_SIZE {
                 let j = *pos;
                 *pos += 1;
                 if sel.get(j) {
-                    let rid = *lo + j;
-                    let row = &rows[rid];
-                    let tag = self.policy.seed_tag(name, schema, row, rid as u32);
+                    let row = &rows[j];
+                    let tag = self.policy.seed_tag(name, schema, row, (*lo + j) as u32);
                     batch.push(row.clone(), tag);
                 }
             }
@@ -1912,7 +1925,7 @@ fn try_agg_pushdown<'a, P: TagPolicy>(
                 stats.vectorized_scans += 1;
             }
             let chunks = table.columnar_chunks();
-            let pieces = chunk_aligned_pieces(&segs, chunks.block_size());
+            let pieces = chunk_aligned_pieces(&segs, &chunks);
             AggSource::Chunks { pieces, chunks }
         }
         ScanSource::Rids(rids) => AggSource::Rids(rids),
@@ -1970,7 +1983,7 @@ enum AggSource {
     Chunks {
         /// Chunk-aligned `[lo, hi)` row-id pieces, in table order.
         pieces: Vec<(usize, usize)>,
-        /// Chunk projection snapshot fetched (epoch-checked) at build.
+        /// Chunk projection snapshot fetched at build.
         chunks: Arc<ColumnarChunks>,
     },
     /// Explicit row-id list from an index probe, filtered row-at-a-time.
@@ -2067,7 +2080,8 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
             .ok_or_else(|| ExecError::Plan("row id beyond chunk range".into()))?;
         let sel = match &self.filter {
             Some(pred) => {
-                let sel = eval_filter_block_counted(pred, chunk, self.table.rows(), lo, hi, stats)?;
+                let rows = piece_rows(self.table, lo, hi);
+                let sel = eval_filter_block_counted(pred, chunk, rows, lo, hi, stats)?;
                 stats.vectorized_blocks += 1;
                 sel
             }
@@ -2115,7 +2129,6 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
         narrow: bool,
         stats: &mut ExecStats,
     ) -> Result<Groups<P::Tag>, ExecError> {
-        let rows = self.table.rows();
         let (name, schema) = (self.table.name(), self.table.schema());
         let mut fold = GroupFold::new(self.policy, self.aggregates, narrow);
         let mut fold_row = |rid: usize, row: &Row| {
@@ -2126,8 +2139,9 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
             AggSource::Chunks { pieces, chunks } => {
                 for &(lo, hi) in pieces {
                     let (_, sel) = self.select_piece(chunks, lo, hi, stats)?;
+                    let rows = piece_rows(self.table, lo, hi);
                     for j in sel.iter_ones() {
-                        fold_row(lo + j, &rows[lo + j])?;
+                        fold_row(lo + j, &rows[j])?;
                     }
                 }
             }
@@ -2136,8 +2150,9 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
                 // rows are what the generic aggregate would have counted
                 // batch-wise as `intermediate_rows`.
                 let mut selected = 0u64;
+                let mut rows = self.table.rows().cursor();
                 for &rid in rids {
-                    let row = &rows[rid as usize];
+                    let row = rows.get(rid as usize);
                     if let Some(pred) = &self.filter {
                         if !pred.matches(row)? {
                             continue;

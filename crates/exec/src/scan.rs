@@ -224,7 +224,7 @@ pub fn estimate_scan_selectivity(table: &Table, pred: &Expr) -> Option<f64> {
         }
         fraction += if lo_f == hi_f {
             // Point range: one value out of the distinct ones.
-            1.0 / col.distinct.max(1) as f64
+            1.0 / table.distinct(&cr.column).map_or(1, |d| d.max(1)) as f64
         } else if width <= 0.0 {
             // Single-valued domain: the range either covers it or not.
             if lo_f <= min && max <= hi_f {

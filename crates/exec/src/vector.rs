@@ -198,8 +198,9 @@ impl SelBitmap {
 
 /// Evaluate `pred` over the rows `[lo, hi)` of the table (which must lie
 /// inside `chunk`), returning the selection bitmap of qualifying rows (bit
-/// `j` ↔ table row `lo + j`). `rows` is the table's row store, used by the
-/// row-at-a-time fallback for non-vectorizable conjuncts.
+/// `j` ↔ table row `lo + j`). `rows` are those rows themselves (`rows[j]` is
+/// table row `lo + j`), used by the row-at-a-time fallback for
+/// non-vectorizable conjuncts.
 pub fn eval_filter_block(
     pred: &CompiledExpr,
     chunk: &ColumnarChunk,
@@ -223,7 +224,7 @@ pub fn eval_filter_block_counted(
     hi: usize,
     stats: &mut ExecStats,
 ) -> Result<SelBitmap, ExecError> {
-    debug_assert!(chunk.start <= lo && hi <= chunk.end);
+    debug_assert!(chunk.start <= lo && hi <= chunk.end && rows.len() == hi - lo);
     let encoded = chunk.encoded_columns() > 0;
     if encoded {
         stats.encoded_blocks += 1;
@@ -246,7 +247,7 @@ pub fn eval_filter_block_counted(
                 // pairs the interpreter's short-circuit AND evaluates.
                 let mut keep = SelBitmap::zeros(n);
                 for j in sel.iter_ones() {
-                    if conjunct.matches(&rows[lo + j])? {
+                    if conjunct.matches(&rows[j])? {
                         keep.set(j);
                     }
                 }
@@ -809,7 +810,14 @@ mod tests {
     ) {
         let compiled = CompiledExpr::compile(pred, schema);
         for chunk in chunks.chunks() {
-            let sel = eval_filter_block(&compiled, chunk, rows, chunk.start, chunk.end).unwrap();
+            let sel = eval_filter_block(
+                &compiled,
+                chunk,
+                &rows[chunk.start..chunk.end],
+                chunk.start,
+                chunk.end,
+            )
+            .unwrap();
             for (j, rid) in (chunk.start..chunk.end).enumerate() {
                 assert_eq!(
                     sel.get(j),
@@ -924,8 +932,10 @@ mod tests {
         ] {
             let compiled = CompiledExpr::compile(&pred, &schema);
             for (ec, pc) in encoded.chunks().iter().zip(plain.chunks()) {
-                let a = eval_filter_block(&compiled, ec, &rows, ec.start, ec.end).unwrap();
-                let b = eval_filter_block(&compiled, pc, &rows, pc.start, pc.end).unwrap();
+                let a = eval_filter_block(&compiled, ec, &rows[ec.start..ec.end], ec.start, ec.end)
+                    .unwrap();
+                let b = eval_filter_block(&compiled, pc, &rows[pc.start..pc.end], pc.start, pc.end)
+                    .unwrap();
                 assert_eq!(a, b, "{pred}");
             }
         }
@@ -938,16 +948,30 @@ mod tests {
         // Kernel-only predicate: blocks counted, no fallbacks.
         let kernel = CompiledExpr::compile(&col("g").lt(lit(3)), &schema);
         for chunk in chunks.chunks() {
-            eval_filter_block_counted(&kernel, chunk, &rows, chunk.start, chunk.end, &mut stats)
-                .unwrap();
+            eval_filter_block_counted(
+                &kernel,
+                chunk,
+                &rows[chunk.start..chunk.end],
+                chunk.start,
+                chunk.end,
+                &mut stats,
+            )
+            .unwrap();
         }
         assert_eq!(stats.encoded_blocks as usize, chunks.chunks().len());
         assert_eq!(stats.encoded_kernel_fallbacks, 0);
         // Arithmetic conjunct has no kernel: one fallback per encoded block.
         let fallback = CompiledExpr::compile(&col("a").mul(lit(2)).lt(lit(40)), &schema);
         for chunk in chunks.chunks() {
-            eval_filter_block_counted(&fallback, chunk, &rows, chunk.start, chunk.end, &mut stats)
-                .unwrap();
+            eval_filter_block_counted(
+                &fallback,
+                chunk,
+                &rows[chunk.start..chunk.end],
+                chunk.start,
+                chunk.end,
+                &mut stats,
+            )
+            .unwrap();
         }
         assert_eq!(
             stats.encoded_kernel_fallbacks as usize,

@@ -17,8 +17,8 @@ use crate::PersistError;
 use pbds_algebra::{BinOp, Expr, RangeLookup};
 use pbds_provenance::{FragmentBitset, ProvenanceSketch};
 use pbds_storage::{
-    CompositePartition, DataType, Partition, PartitionRef, RangePartition, Row, Schema, TableImage,
-    Value, ValueRange,
+    CompositePartition, DataType, Partition, PartitionRef, RangePartition, Row, Schema, Table,
+    TableImage, Value, ValueRange,
 };
 use std::sync::Arc;
 
@@ -242,20 +242,23 @@ pub fn decode_schema(r: &mut ByteReader<'_>) -> Result<Schema, PersistError> {
     Ok(Schema::new(columns))
 }
 
-/// Encode a table image: name, schema, epochs, physical design and rows.
-pub fn encode_table_image(w: &mut ByteWriter, image: &TableImage) {
-    w.str(&image.name);
-    encode_schema(w, &image.schema);
-    w.u64(image.epoch);
-    w.u64(image.data_epoch);
-    w.u64(image.block_size as u64);
-    w.bool(image.with_zone_map);
-    w.u32(image.index_columns.len() as u32);
-    for c in &image.index_columns {
+/// Encode a table's durable state — name, schema, epochs, physical design
+/// and rows, what [`decode_table_image`] reads back — straight from the
+/// borrowed table: no row is copied on the way to the bytes.
+pub fn encode_table(w: &mut ByteWriter, table: &Table) {
+    w.str(table.name());
+    encode_schema(w, table.schema());
+    w.u64(table.epoch());
+    w.u64(table.data_epoch());
+    w.u64(table.block_size() as u64);
+    w.bool(table.has_zone_map());
+    let index_columns = table.indexed_columns();
+    w.u32(index_columns.len() as u32);
+    for c in index_columns {
         w.str(c);
     }
-    w.u64(image.rows.len() as u64);
-    for row in &image.rows {
+    w.u64(table.len() as u64);
+    for row in table.rows() {
         // Row arity equals the schema arity by `Table` invariant, so rows
         // are written back-to-back without per-row counts.
         for v in row {
@@ -775,9 +778,8 @@ mod tests {
         }
         b.push(vec![Value::Null, Value::Null]);
         let table = b.build();
-        let image = table.image();
         let mut w = ByteWriter::new();
-        encode_table_image(&mut w, &image);
+        encode_table(&mut w, &table);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         let decoded = decode_table_image(&mut r).unwrap();

@@ -16,8 +16,8 @@
 //!   partitions, fragment bitsets, provenance sketches, expressions);
 //! * [`snapshot`] — whole-database snapshots. Derived artifacts (zone maps,
 //!   indexes, columnar chunks, statistics) are *not* serialized; they are
-//!   re-declared and rebuilt lazily through the engine's epoch-stamped cache
-//!   machinery. Per-table `epoch` / `data_epoch` **are** persisted — they
+//!   re-declared and built lazily after a restore, as in a live table.
+//!   Per-table `epoch` / `data_epoch` **are** persisted — they
 //!   are the validity tokens the sketch catalog checks entries against;
 //! * [`wal`] — the mutation write-ahead log: fsynced appends, torn-tail
 //!   tolerant recovery to the longest whole-record prefix, sequence numbers

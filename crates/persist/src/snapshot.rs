@@ -5,9 +5,11 @@
 //! validity tokens the sketch catalog's entries are checked against) and the
 //! *declaration* of its physical design (block size, zone-map flag, indexed
 //! columns). Derived artifacts — zone maps, ordered indexes, columnar
-//! chunks, statistics — are **not** serialized: after a restore they rebuild
-//! lazily through the same epoch-stamped cache machinery that serves them in
-//! a live process, so a snapshot can never hand the engine a stale artifact.
+//! chunks, statistics — are **not** serialized, and neither is how the live
+//! table happened to cut its rows into chunks: a restore chunks the rows
+//! afresh and builds the artifacts lazily, as a live process does, so a
+//! snapshot can never hand the engine a stale artifact. Tables are encoded
+//! from the borrowed database; writing a snapshot copies no row.
 //!
 //! Layout: a [`FileKind::Snapshot`] header frame, a meta frame (the WAL
 //! sequence number the snapshot includes and the table count), then one
@@ -15,7 +17,7 @@
 //! renamed into place, so readers only ever observe a whole snapshot; any
 //! torn frame is therefore reported as corruption, never tolerated.
 
-use crate::codec::{decode_table_image, encode_table_image, ByteReader, ByteWriter};
+use crate::codec::{decode_table_image, encode_table, ByteReader, ByteWriter};
 use crate::frame::{check_header, file_header, read_frame, write_frame, FileKind, FrameRead};
 use crate::io::{Io, RealIo};
 use crate::PersistError;
@@ -81,7 +83,7 @@ pub fn write_snapshot_with(
         for name in db.table_names() {
             let table = db.table(name).expect("listed table exists");
             let mut w = ByteWriter::new();
-            encode_table_image(&mut w, &table.image());
+            encode_table(&mut w, table);
             write_frame(out, &w.into_bytes())?;
         }
         Ok(())
@@ -182,6 +184,41 @@ mod tests {
             assert_eq!(a.has_zone_map(), b.has_zone_map(), "{name}");
             assert_eq!(a.indexed_columns(), b.indexed_columns(), "{name}");
         }
+    }
+
+    /// The file is a function of the tables' durable state alone: a table
+    /// encoded as it lives — forked, appended to, with chunks a delete left
+    /// short — writes the bytes its own image, restored into a freshly
+    /// chunked table, writes.
+    #[test]
+    fn a_live_table_and_its_restored_image_write_the_same_bytes() {
+        let dir = test_dir("snapshot_borrowed_vs_image");
+        let mut db = sample_db();
+        let before = db.clone();
+        db.delete_where("t", |r| matches!(r[0], Value::Int(3 | 40..=60)))
+            .unwrap();
+        db.append_rows("t", vec![vec![Value::Int(100), Value::Float(1.5)]])
+            .unwrap();
+        let live = db.table("t").unwrap();
+        let blocks = live.zone_map().unwrap();
+        assert!(
+            blocks
+                .blocks()
+                .iter()
+                .any(|b| b.end - b.start < 16 && b.end < live.len()),
+            "the delete should have left a short chunk in the middle"
+        );
+        let mut from_images = Database::new();
+        for name in db.table_names() {
+            from_images.add_table(Table::restore(db.table(name).unwrap().image()));
+        }
+        let (a, b) = (dir.join("live.pbds"), dir.join("images.pbds"));
+        write_snapshot(&a, &db, 7).unwrap();
+        write_snapshot(&b, &from_images, 7).unwrap();
+        assert_eq!(fs::read(&a).unwrap(), fs::read(&b).unwrap());
+        // The fork it was made from is untouched and writes something else.
+        write_snapshot(&b, &before, 7).unwrap();
+        assert_ne!(fs::read(&a).unwrap(), fs::read(&b).unwrap());
     }
 
     #[test]

@@ -111,7 +111,11 @@ impl ProvenanceSketch {
     /// be maintained and the caller must force a recapture. Fragments set
     /// before the failing row stay set — the sketch only ever grows, which
     /// is harmless for a sketch about to be discarded.
-    pub fn extend_for_append(&mut self, schema: &Schema, new_rows: &[Row]) -> bool {
+    pub fn extend_for_append<'a>(
+        &mut self,
+        schema: &Schema,
+        new_rows: impl IntoIterator<Item = &'a Row>,
+    ) -> bool {
         let Some(idxs) = self.partition.resolve_attrs(schema) else {
             return false;
         };

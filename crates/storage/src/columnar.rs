@@ -1,9 +1,11 @@
 //! Columnar chunk projections of base tables.
 //!
-//! The row store (`Vec<Row>` of dynamically typed [`Value`]s) stays the
-//! source of truth; a [`ColumnarChunks`] is a derived, cached projection the
+//! The row store (chunks of dynamically typed [`Value`] rows) stays the
+//! source of truth; a [`ColumnarChunks`] is a derived projection the
 //! execution engine uses to evaluate predicates column-at-a-time. Each chunk
-//! covers one zone-map block of rows and holds one typed vector per column:
+//! covers one chunk of the row store — one zone-map block — and is encoded
+//! once, when first asked for, however many forks of the table share it. It
+//! holds one typed vector per column:
 //! `i64` / `f64` / dictionary-encoded strings / booleans, each with a `u64`
 //! null-bitmap, falling back to a plain `Value` vector for columns whose
 //! non-null values mix types (the dynamically typed row store allows that).
@@ -27,10 +29,10 @@
 //!   columns with a small value range: each value is stored as an unsigned
 //!   delta from the chunk minimum in 1/2/4/8/16 bits.
 //!
-//! The choice is a deterministic function of the chunk's rows, so
-//! [`ColumnarChunks::extend`] re-encoding only the tail chunk yields exactly
-//! the layouts a from-scratch build would. Columns that fit no compressed
-//! layout keep the plain vectors, and `Mixed` semantics are untouched.
+//! The choice is a deterministic function of the chunk's rows, so a chunk
+//! encodes the same wherever and whenever it is encoded. Columns that fit no
+//! compressed layout keep the plain vectors, and `Mixed` semantics are
+//! untouched.
 
 use crate::relation::Row;
 use crate::schema::Schema;
@@ -338,10 +340,32 @@ pub struct ColumnarChunk {
     pub start: usize,
     /// One past the last row of the chunk.
     pub end: usize,
-    columns: Vec<ColumnVector>,
+    /// Shared, so the same encoded columns can sit at different positions
+    /// in different forks of a table.
+    columns: Arc<[ColumnVector]>,
 }
 
 impl ColumnarChunk {
+    /// Encode `rows` as the chunk a table has at `start`.
+    pub(crate) fn encode(rows: &[Row], start: usize, encode: bool) -> Self {
+        let arity = rows.first().map_or(0, Vec::len);
+        ColumnarChunk {
+            start,
+            end: start + rows.len(),
+            columns: (0..arity).map(|c| build_column(rows, c, encode)).collect(),
+        }
+    }
+
+    /// The same columns as the chunk of a table that has these rows at
+    /// `start`.
+    pub(crate) fn at(&self, start: usize) -> Self {
+        ColumnarChunk {
+            start,
+            end: start + self.len(),
+            columns: Arc::clone(&self.columns),
+        }
+    }
+
     /// Number of rows in the chunk.
     pub fn len(&self) -> usize {
         self.end - self.start
@@ -373,14 +397,11 @@ impl ColumnarChunk {
 
 /// The columnar projection of a whole table: one chunk per zone-map block.
 ///
-/// Chunks are stored behind `Arc` so that extending the projection after an
-/// append (see [`ColumnarChunks::extend`]) reuses the untouched chunks
-/// instead of re-encoding — only the trailing partial chunk is rebuilt and
-/// new tail chunks are added.
+/// Chunks are stored behind `Arc`: a table hands out the chunks its row
+/// store already encoded, so forks of a table share them.
 #[derive(Debug, Clone)]
 pub struct ColumnarChunks {
     block_size: usize,
-    encode: bool,
     chunks: Vec<Arc<ColumnarChunk>>,
 }
 
@@ -401,48 +422,25 @@ impl ColumnarChunks {
 
     fn build_inner(schema: &Schema, rows: &[Row], block_size: usize, encode: bool) -> Self {
         assert!(block_size > 0, "chunk size must be positive");
-        let mut out = ColumnarChunks {
-            block_size,
-            encode,
-            chunks: Vec::with_capacity(rows.len().div_ceil(block_size)),
-        };
-        out.append_chunks(schema, rows, 0);
-        out
+        debug_assert!(rows.iter().all(|r| r.len() == schema.arity()));
+        let chunks = rows
+            .chunks(block_size)
+            .enumerate()
+            .map(|(i, part)| Arc::new(ColumnarChunk::encode(part, i * block_size, encode)))
+            .collect();
+        ColumnarChunks { block_size, chunks }
     }
 
-    /// Extend the projection after rows were appended at the tail: `covered`
-    /// is the row count it was built over. The (possibly partial) last chunk
-    /// is re-encoded and new tail chunks are added; untouched chunks are
-    /// shared with the previous projection. The result is value-identical to
-    /// a from-scratch [`ColumnarChunks::build`] over all `rows` — including
-    /// the compressed-layout choices, which depend only on chunk contents.
-    pub fn extend(&mut self, schema: &Schema, rows: &[Row], covered: usize) {
-        assert!(covered <= rows.len(), "extend cannot shrink a projection");
-        let rebuilt_from = covered - (covered % self.block_size);
-        self.chunks.retain(|c| c.end <= rebuilt_from);
-        self.append_chunks(schema, rows, rebuilt_from);
+    /// The projection made of already encoded chunks, which must tile the
+    /// table in order; none is longer than `block_size`.
+    pub(crate) fn from_chunks(block_size: usize, chunks: Vec<Arc<ColumnarChunk>>) -> Self {
+        ColumnarChunks { block_size, chunks }
     }
 
-    /// Encode `rows[from..]` into chunks appended at the tail (`from` must
-    /// be a multiple of the block size).
-    fn append_chunks(&mut self, schema: &Schema, rows: &[Row], from: usize) {
-        let arity = schema.arity();
-        let mut start = from;
-        while start < rows.len() {
-            let end = (start + self.block_size).min(rows.len());
-            let columns = (0..arity)
-                .map(|c| build_column(&rows[start..end], c, self.encode))
-                .collect();
-            self.chunks.push(Arc::new(ColumnarChunk {
-                start,
-                end,
-                columns,
-            }));
-            start = end;
-        }
-    }
-
-    /// Rows per chunk (matches the zone-map block size it was built with).
+    /// The most rows a chunk holds (the table's zone-map block size). A
+    /// chunk can hold fewer — the last one, and any that lost rows to a
+    /// delete — so locate rows with [`ColumnarChunks::chunk_for`], not by
+    /// dividing.
     pub fn block_size(&self) -> usize {
         self.block_size
     }
@@ -454,7 +452,8 @@ impl ColumnarChunks {
 
     /// The chunk containing table row `rid`, if in range.
     pub fn chunk_for(&self, rid: usize) -> Option<&ColumnarChunk> {
-        self.chunks.get(rid / self.block_size).map(Arc::as_ref)
+        let i = self.chunks.partition_point(|c| c.end <= rid);
+        self.chunks.get(i).map(Arc::as_ref)
     }
 
     /// Approximate heap footprint of the whole projection in bytes.
@@ -478,8 +477,7 @@ impl ColumnarChunks {
 
 /// Classify and pack one column of a row slice. With `encode` set, integer
 /// and dictionary columns additionally go through the compressed-layout
-/// heuristic; the choice is a pure function of `rows`, which keeps
-/// [`ColumnarChunks::extend`] equivalent to a fresh build.
+/// heuristic; the choice is a pure function of `rows`.
 fn build_column(rows: &[Row], col: usize, encode: bool) -> ColumnVector {
     #[derive(PartialEq, Clone, Copy)]
     enum Kind {
@@ -743,10 +741,16 @@ mod tests {
 
     #[test]
     fn extend_shares_full_chunks_and_matches_fresh_build() {
+        // Extending is the table's business now: an append refills the last
+        // chunk of the row store, and the projection is assembled from the
+        // chunks the store has already encoded.
         let all = rows(250);
-        let mut c = ColumnarChunks::build(&schema(), &all[..130], 100);
-        let first_chunk = Arc::clone(&c.chunks()[0]);
-        c.extend(&schema(), &all, 130);
+        let mut b = crate::table::TableBuilder::new("t", schema());
+        b.block_size(100).extend(all[..130].iter().cloned());
+        let mut t = b.build();
+        let first_chunk = Arc::clone(&t.columnar_chunks().chunks()[0]);
+        t.append_rows(all[130..].to_vec()).unwrap();
+        let c = t.columnar_chunks();
         let fresh = ColumnarChunks::build(&schema(), &all, 100);
         assert_eq!(c.chunks().len(), fresh.chunks().len());
         // The untouched full chunk is shared, not re-encoded.

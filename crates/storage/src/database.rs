@@ -101,10 +101,11 @@ impl Database {
         db
     }
 
-    /// Mutable access to a table for in-place mutation. Shared tables are
-    /// cloned copy-on-write (the clone shares already built derived
-    /// artifacts via `Arc` until the mutation invalidates them), so readers
-    /// holding the old `Arc<Table>` keep a consistent snapshot.
+    /// Mutable access to a table for in-place mutation. A shared table is
+    /// cloned copy-on-write — which copies no row: the clone shares the
+    /// original's row chunks and everything derived from them until the
+    /// mutation replaces a chunk — so readers holding the old `Arc<Table>`
+    /// keep a consistent snapshot.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, StorageError> {
         self.tables
             .get_mut(name)

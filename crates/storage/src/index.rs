@@ -1,62 +1,199 @@
-//! Ordered secondary indexes (B-tree style) over single columns.
+//! Ordered secondary indexes over single columns.
 //!
 //! The "Postgres-like" engine profile uses these indexes to answer the range
 //! predicates that PBDS derives from provenance sketches (Sec. 8), which is
 //! what makes a selective sketch pay off.
+//!
+//! An index is an immutable, `Arc`-shared **base** — the sorted keys with
+//! their row ids laid out back to back — plus a small **delta** holding the
+//! rows appended since the base was written. An append touches only the
+//! delta, so two versions of an index share their base; the delta is merged
+//! into a new base once it holds more than a fixed fraction of the base's
+//! rows, which keeps both the delta (copied when a version is forked) and
+//! the amortised merge cost small. A delete cannot leave the base alone —
+//! every row id behind a removed row shifts down — but it patches the
+//! postings in one linear pass instead of sorting the column again.
 
 use crate::relation::Row;
 use crate::schema::Schema;
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
+
+/// The delta is merged into the base once it holds more than one
+/// `MERGE_DIVISOR`-th of the base's rows.
+const MERGE_DIVISOR: usize = 8;
+
+/// Sorted keys with their row ids back to back: the ids of `keys[k]` are
+/// `rids[offsets[k]..offsets[k + 1]]`, ascending.
+#[derive(Debug)]
+struct Postings {
+    keys: Vec<Value>,
+    offsets: Vec<u32>,
+    rids: Vec<u32>,
+}
+
+impl Default for Postings {
+    fn default() -> Self {
+        Postings::with_capacity(0, 0)
+    }
+}
+
+impl Postings {
+    fn with_capacity(keys: usize, rids: usize) -> Self {
+        let mut offsets = Vec::with_capacity(keys + 1);
+        offsets.push(0);
+        Postings {
+            keys: Vec::with_capacity(keys),
+            offsets,
+            rids: Vec::with_capacity(rids),
+        }
+    }
+
+    /// Add the next key in key order; a key without ids is not stored.
+    fn push(&mut self, key: &Value, rids: impl IntoIterator<Item = u32>) {
+        self.rids.extend(rids);
+        if self.rids.len() > self.offsets[self.keys.len()] as usize {
+            self.keys.push(key.clone());
+            self.offsets.push(self.rids.len() as u32);
+        }
+    }
+
+    fn rids_of(&self, k: usize) -> &[u32] {
+        &self.rids[self.offsets[k] as usize..self.offsets[k + 1] as usize]
+    }
+
+    /// Positions `[from, to)` of the keys inside the inclusive range.
+    fn key_span(&self, lo: Option<&Value>, hi: Option<&Value>) -> (usize, usize) {
+        let from = lo.map_or(0, |lo| self.keys.partition_point(|k| k < lo));
+        let to = hi.map_or(self.keys.len(), |hi| self.keys.partition_point(|k| k <= hi));
+        (from, to.max(from))
+    }
+}
 
 /// An ordered index mapping column values to the row ids holding them.
 #[derive(Debug, Clone, Default)]
 pub struct OrderedIndex {
     column: String,
-    entries: BTreeMap<Value, Vec<u32>>,
+    /// Position of `column` in the schema the index was built under.
+    position: usize,
+    base: Arc<Postings>,
+    /// Rows appended since `base` was written; their ids exceed every id in
+    /// `base`, so a key's ids are its base ids followed by its delta ids.
+    delta: BTreeMap<Value, Vec<u32>>,
+    delta_rows: usize,
     indexed_rows: usize,
 }
 
 impl OrderedIndex {
     /// Build an index on `column` over the given rows. NULLs are not indexed
     /// (consistent with typical B-tree range-scan semantics for our purposes).
-    pub fn build(schema: &Schema, rows: &[Row], column: &str) -> Option<Self> {
-        let idx = schema.index_of(column)?;
-        let mut entries: BTreeMap<Value, Vec<u32>> = BTreeMap::new();
-        for (rid, row) in rows.iter().enumerate() {
-            let v = &row[idx];
-            if v.is_null() {
-                continue;
-            }
-            entries.entry(v.clone()).or_default().push(rid as u32);
-        }
-        Some(OrderedIndex {
+    pub fn build<'a>(
+        schema: &Schema,
+        rows: impl IntoIterator<Item = &'a Row>,
+        column: &str,
+    ) -> Option<Self> {
+        let mut index = OrderedIndex {
             column: column.to_string(),
-            entries,
-            indexed_rows: rows.len(),
-        })
+            position: schema.index_of(column)?,
+            ..OrderedIndex::default()
+        };
+        index.append(rows);
+        Some(index)
     }
 
-    /// Extend the index after rows were appended at the tail: `covered` is
-    /// the row count it was built over; `rows[covered..]`'s ids are inserted.
-    /// Appended row ids exceed every indexed id, so per-key id lists stay
-    /// sorted and the result equals a from-scratch build. Returns false (and
-    /// leaves the index untouched) when the column vanished from the schema.
-    pub fn extend(&mut self, schema: &Schema, rows: &[Row], covered: usize) -> bool {
-        assert!(covered <= rows.len(), "extend cannot shrink an index");
-        let Some(idx) = schema.index_of(&self.column) else {
-            return false;
-        };
-        for (rid, row) in rows.iter().enumerate().skip(covered) {
-            let v = &row[idx];
-            if v.is_null() {
-                continue;
+    /// Index rows appended at the tail of the table: they take the row ids
+    /// from [`OrderedIndex::indexed_rows`] on. The result equals a
+    /// from-scratch build over all rows.
+    pub(crate) fn append<'a>(&mut self, rows: impl IntoIterator<Item = &'a Row>) {
+        for row in rows {
+            let v = &row[self.position];
+            if !v.is_null() {
+                let rid = self.indexed_rows as u32;
+                match self.delta.get_mut(v) {
+                    Some(rids) => rids.push(rid),
+                    None => {
+                        self.delta.insert(v.clone(), vec![rid]);
+                    }
+                }
+                self.delta_rows += 1;
             }
-            self.entries.entry(v.clone()).or_default().push(rid as u32);
+            self.indexed_rows += 1;
         }
-        self.indexed_rows = rows.len();
-        true
+        if self.delta_rows * MERGE_DIVISOR > self.base.rids.len() {
+            self.merge_delta();
+        }
+    }
+
+    /// Drop the given rows (ascending row ids) and shift the ids of the rows
+    /// behind them down, as the table did. The result equals a from-scratch
+    /// build over the remaining rows.
+    pub(crate) fn remove(&mut self, removed: &[u32]) {
+        if removed.is_empty() {
+            return;
+        }
+        self.merge_delta();
+        let mut patched = Postings::with_capacity(self.base.keys.len(), self.base.rids.len());
+        for (k, key) in self.base.keys.iter().enumerate() {
+            let kept = self.base.rids_of(k).iter().filter_map(|&rid| {
+                let before = removed.partition_point(|&r| r < rid);
+                (removed.get(before) != Some(&rid)).then(|| rid - before as u32)
+            });
+            patched.push(key, kept);
+        }
+        self.base = Arc::new(patched);
+        self.indexed_rows -= removed.len();
+    }
+
+    /// Write a new base holding everything the index knows.
+    fn merge_delta(&mut self) {
+        if self.delta.is_empty() {
+            return;
+        }
+        let mut merged = Postings::with_capacity(
+            self.base.keys.len() + self.delta.len(),
+            self.base.rids.len() + self.delta_rows,
+        );
+        self.for_each_key(None, None, |key, base, delta| {
+            merged.push(key, base.iter().chain(delta).copied());
+        });
+        self.base = Arc::new(merged);
+        self.delta.clear();
+        self.delta_rows = 0;
+    }
+
+    /// Visit the keys inside the inclusive range in key order, each with its
+    /// ids in the base and in the delta (either may be empty, not both).
+    fn for_each_key(
+        &self,
+        lo: Option<&Value>,
+        hi: Option<&Value>,
+        mut visit: impl FnMut(&Value, &[u32], &[u32]),
+    ) {
+        let (mut k, to) = self.base.key_span(lo, hi);
+        let bounds = (
+            lo.map_or(Bound::Unbounded, Bound::Included),
+            hi.map_or(Bound::Unbounded, Bound::Included),
+        );
+        // An inverted range selects nothing; `BTreeMap::range` would panic.
+        let inverted = matches!((lo, hi), (Some(lo), Some(hi)) if lo > hi);
+        let delta = (!inverted).then(|| self.delta.range::<Value, _>(bounds));
+        for (key, rids) in delta.into_iter().flatten() {
+            while k < to && self.base.keys[k] < *key {
+                visit(&self.base.keys[k], self.base.rids_of(k), &[]);
+                k += 1;
+            }
+            if k < to && self.base.keys[k] == *key {
+                visit(key, self.base.rids_of(k), rids);
+                k += 1;
+            } else {
+                visit(key, &[], rids);
+            }
+        }
+        for k in k..to {
+            visit(&self.base.keys[k], self.base.rids_of(k), &[]);
+        }
     }
 
     /// The indexed column name.
@@ -66,10 +203,11 @@ impl OrderedIndex {
 
     /// Number of distinct keys.
     pub fn num_keys(&self) -> usize {
-        self.entries.len()
+        let only_in_delta = |key: &&Value| self.base.keys.binary_search(key).is_err();
+        self.base.keys.len() + self.delta.keys().filter(only_in_delta).count()
     }
 
-    /// Number of rows in the table at build time.
+    /// Number of rows in the table the index describes.
     pub fn indexed_rows(&self) -> usize {
         self.indexed_rows
     }
@@ -77,18 +215,11 @@ impl OrderedIndex {
     /// Row ids whose value lies in the inclusive range `[lo, hi]` (`None`
     /// bounds are unbounded). Results are returned in key order.
     pub fn range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<u32> {
-        let lower = match lo {
-            Some(v) => Bound::Included(v.clone()),
-            None => Bound::Unbounded,
-        };
-        let upper = match hi {
-            Some(v) => Bound::Included(v.clone()),
-            None => Bound::Unbounded,
-        };
         let mut out = Vec::new();
-        for (_, rids) in self.entries.range((lower, upper)) {
-            out.extend_from_slice(rids);
-        }
+        self.for_each_key(lo, hi, |_, base, delta| {
+            out.extend_from_slice(base);
+            out.extend_from_slice(delta);
+        });
         out
     }
 
@@ -105,8 +236,8 @@ impl OrderedIndex {
     }
 
     /// Row ids with exactly the given key value.
-    pub fn lookup(&self, key: &Value) -> &[u32] {
-        self.entries.get(key).map(|v| v.as_slice()).unwrap_or(&[])
+    pub fn lookup(&self, key: &Value) -> Vec<u32> {
+        self.range(Some(key), Some(key))
     }
 }
 
@@ -137,6 +268,9 @@ mod tests {
         let idx = OrderedIndex::build(&schema, &rows, "k").unwrap();
         let rids = idx.range(Some(&Value::Int(2)), Some(&Value::Int(4)));
         assert_eq!(rids.len(), 30);
+        assert!(idx
+            .range(Some(&Value::Int(4)), Some(&Value::Int(2)))
+            .is_empty());
     }
 
     #[test]
@@ -166,17 +300,57 @@ mod tests {
         assert_eq!(idx.range(None, None), vec![1]);
     }
 
+    /// Everything a caller can ask of two indexes agrees.
+    fn assert_same_answers(idx: &OrderedIndex, fresh: &OrderedIndex) {
+        assert_eq!(idx.indexed_rows(), fresh.indexed_rows());
+        assert_eq!(idx.num_keys(), fresh.num_keys());
+        assert_eq!(idx.range(None, None), fresh.range(None, None));
+        for k in -1..11 {
+            let key = Value::Int(k);
+            assert_eq!(idx.lookup(&key), fresh.lookup(&key));
+            assert_eq!(idx.range(Some(&key), None), fresh.range(Some(&key), None));
+            assert_eq!(idx.range(None, Some(&key)), fresh.range(None, Some(&key)));
+        }
+    }
+
     #[test]
     fn extend_equals_from_scratch_build() {
         let (schema, rows) = setup();
-        let mut idx = OrderedIndex::build(&schema, &rows[..60], "k").unwrap();
-        assert!(idx.extend(&schema, &rows, 60));
-        let fresh = OrderedIndex::build(&schema, &rows, "k").unwrap();
-        assert_eq!(idx.indexed_rows(), 100);
-        assert_eq!(idx.num_keys(), fresh.num_keys());
-        for k in 0..10 {
-            assert_eq!(idx.lookup(&Value::Int(k)), fresh.lookup(&Value::Int(k)));
+        // Small appends stay in the delta, large ones are merged into a new
+        // base; both must read like a fresh build.
+        for first in [0usize, 60, 97] {
+            let mut idx = OrderedIndex::build(&schema, &rows[..first], "k").unwrap();
+            let base = Arc::clone(&idx.base);
+            idx.append(&rows[first..]);
+            assert_eq!(Arc::ptr_eq(&base, &idx.base), first == 97, "first={first}");
+            assert_same_answers(&idx, &OrderedIndex::build(&schema, &rows, "k").unwrap());
         }
+    }
+
+    #[test]
+    fn remove_patches_row_ids_like_a_rebuild() {
+        let (schema, rows) = setup();
+        for removed in [
+            vec![0u32],
+            vec![99],
+            vec![3, 13, 14, 50],
+            (0..100).collect(),
+        ] {
+            let mut idx = OrderedIndex::build(&schema, &rows[..95], "k").unwrap();
+            idx.append(&rows[95..]); // leave something in the delta
+            idx.remove(&removed);
+            let left: Vec<Row> = rows
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !removed.contains(&(*i as u32)))
+                .map(|(_, r)| r.clone())
+                .collect();
+            assert_same_answers(&idx, &OrderedIndex::build(&schema, &left, "k").unwrap());
+        }
+        // Removing every row of a key removes the key.
+        let mut idx = OrderedIndex::build(&schema, &rows, "k").unwrap();
+        idx.remove(&(0..100).filter(|i| i % 10 == 3).collect::<Vec<u32>>());
+        assert_eq!(idx.num_keys(), 9);
     }
 
     #[test]

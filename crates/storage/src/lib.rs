@@ -17,6 +17,7 @@ pub mod database;
 pub mod index;
 pub mod partition;
 pub mod relation;
+pub mod rowstore;
 pub mod schema;
 pub mod stats;
 pub mod table;
@@ -28,6 +29,7 @@ pub use database::{Database, StorageError};
 pub use index::OrderedIndex;
 pub use partition::{CompositePartition, Partition, PartitionRef, RangePartition, ValueRange};
 pub use relation::{Relation, Row};
+pub use rowstore::{RowCursor, Rows, RowsIter};
 pub use schema::{Column, Schema};
 pub use stats::{ColumnStats, EquiDepthHistogram, TableStats};
 pub use table::{MutationKind, Table, TableBuilder, TableImage};
@@ -35,12 +37,12 @@ pub use value::{DataType, Value};
 pub use zonemap::{BlockZone, ColumnZone, ZoneMap, DEFAULT_BLOCK_SIZE};
 
 // Concurrency audit: the serving middleware shares the database, tables and
-// partitions across session and capture-worker threads behind `Arc`s. Rows
-// and partitions are immutable once shared (mutation goes through
-// copy-on-write `Database::table_mut`); `Table`'s derived-artifact caches use
-// an internal `RwLock` and hand out `Arc` snapshots, so these bounds must
-// hold — a compile error here means a change introduced thread-unsafe state
-// into the storage layer.
+// partitions across session and capture-worker threads behind `Arc`s. Row
+// chunks and partitions are immutable once shared (mutation goes through
+// copy-on-write `Database::table_mut`); derived artifacts are built at most
+// once behind `OnceLock`s and handed out as `Arc` snapshots, so these bounds
+// must hold — a compile error here means a change introduced thread-unsafe
+// state into the storage layer.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Database>();

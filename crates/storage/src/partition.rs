@@ -243,10 +243,10 @@ pub struct CompositePartition {
 impl CompositePartition {
     /// Build a composite partition from the rows of a table, one fragment per
     /// distinct combination of `attrs`.
-    pub fn build(
+    pub fn build<'a>(
         table: impl Into<String>,
         schema: &Schema,
-        rows: &[Row],
+        rows: impl IntoIterator<Item = &'a Row>,
         attrs: &[&str],
     ) -> Option<Self> {
         let idxs: Option<Vec<usize>> = attrs.iter().map(|a| schema.index_of(a)).collect();

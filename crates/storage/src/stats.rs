@@ -3,11 +3,17 @@
 //! The paper uses the DBMS's one-dimensional equi-depth histograms to choose
 //! the ranges of a partition (Sec. 9.3) and uses min/max statistics to bound
 //! attribute values in the safety check's `pred(Q)` construction (Sec. 5.2).
+//!
+//! Everything in [`ColumnStats`] merges: a table's statistics are the fold of
+//! its chunks' summaries. The number of distinct values does not, so it is
+//! not here — ask [`Table::distinct`](crate::table::Table::distinct), which
+//! counts only when somebody asks.
 
 use crate::relation::Row;
 use crate::schema::Schema;
 use crate::value::Value;
-use std::collections::HashMap;
+use crate::zonemap::{summarize, ColumnZone};
+use std::collections::{HashMap, HashSet};
 
 /// Statistics for a single column.
 #[derive(Debug, Clone)]
@@ -16,8 +22,6 @@ pub struct ColumnStats {
     pub min: Option<Value>,
     /// Largest non-null value observed.
     pub max: Option<Value>,
-    /// Number of distinct non-null values.
-    pub distinct: usize,
     /// Number of NULLs.
     pub null_count: usize,
     /// Total number of rows.
@@ -104,6 +108,12 @@ impl EquiDepthHistogram {
     }
 }
 
+/// Number of distinct non-null values among `values`.
+pub fn count_distinct<'a>(values: impl IntoIterator<Item = &'a Value>) -> usize {
+    let distinct: HashSet<&Value> = values.into_iter().filter(|v| !v.is_null()).collect();
+    distinct.len()
+}
+
 /// Statistics for a whole table, keyed by column name.
 #[derive(Debug, Clone, Default)]
 pub struct TableStats {
@@ -114,41 +124,42 @@ pub struct TableStats {
 impl TableStats {
     /// Compute statistics for all columns of a table.
     pub fn compute(schema: &Schema, rows: &[Row]) -> Self {
-        let mut columns = HashMap::new();
-        for (ci, col) in schema.columns().iter().enumerate() {
-            let mut min: Option<Value> = None;
-            let mut max: Option<Value> = None;
-            let mut null_count = 0usize;
-            let mut distinct: std::collections::HashSet<&Value> = std::collections::HashSet::new();
-            for row in rows {
-                let v = &row[ci];
-                if v.is_null() {
-                    null_count += 1;
-                    continue;
+        let (zones, nulls) = summarize(rows, schema.arity());
+        Self::merge(schema, rows.len(), [(&zones[..], &nulls[..])])
+    }
+
+    /// The statistics of `row_count` rows from the per-column zones and NULL
+    /// counts of the runs of rows that make them up.
+    pub(crate) fn merge<'a>(
+        schema: &Schema,
+        row_count: usize,
+        parts: impl IntoIterator<Item = (&'a [ColumnZone], &'a [usize])>,
+    ) -> Self {
+        let mut bounds = vec![ColumnZone::empty(); schema.arity()];
+        let mut null_counts = vec![0; schema.arity()];
+        for (zones, nulls) in parts {
+            for (c, zone) in zones.iter().enumerate() {
+                for bound in [&zone.min, &zone.max].into_iter().flatten() {
+                    bounds[c].observe(bound);
                 }
-                distinct.insert(v);
-                if min.as_ref().is_none_or(|m| v < m) {
-                    min = Some(v.clone());
-                }
-                if max.as_ref().is_none_or(|m| v > m) {
-                    max = Some(v.clone());
-                }
+                null_counts[c] += nulls[c];
             }
-            columns.insert(
-                col.name.clone(),
-                ColumnStats {
-                    min,
-                    max,
-                    distinct: distinct.len(),
+        }
+        let columns = schema
+            .columns()
+            .iter()
+            .zip(bounds.into_iter().zip(null_counts))
+            .map(|(col, (zone, null_count))| {
+                let stats = ColumnStats {
+                    min: zone.min,
+                    max: zone.max,
                     null_count,
-                    row_count: rows.len(),
-                },
-            );
-        }
-        TableStats {
-            columns,
-            row_count: rows.len(),
-        }
+                    row_count,
+                };
+                (col.name.clone(), stats)
+            })
+            .collect();
+        TableStats { columns, row_count }
     }
 
     /// Statistics for a column, if known.
@@ -180,7 +191,7 @@ mod tests {
         let a = stats.column("a").unwrap();
         assert_eq!(a.min, Some(Value::Int(1)));
         assert_eq!(a.max, Some(Value::Int(5)));
-        assert_eq!(a.distinct, 2);
+        assert_eq!(count_distinct(rows.iter().map(|r| &r[0])), 2);
         assert_eq!(a.null_count, 1);
         assert_eq!(stats.row_count(), 4);
     }

@@ -1,25 +1,36 @@
-//! Base tables: a relation plus its physical design artifacts (zone maps,
+//! Base tables: rows plus their physical design artifacts (zone maps,
 //! ordered indexes, columnar chunks, statistics) and a mutation API.
 //!
-//! # Epochs and derived-artifact invalidation
+//! # Versions, forks and derived artifacts
 //!
-//! A table's row store is the single source of truth; everything else — the
-//! zone map, ordered indexes, the columnar chunk projection and the table
-//! statistics — is *derived*. Every mutation ([`Table::append_rows`],
-//! [`Table::delete_where`]) and every physical-design change
-//! ([`Table::build_zone_map`], [`Table::create_index`]) advances the table's
-//! **epoch** through the single `Table::invalidate_derived` helper, so no
-//! mutator can ever forget to invalidate a cache. Epochs are drawn from one
-//! process-wide monotone counter, so two tables (or two copy-on-write forks
-//! of one table) that diverged can never reuse each other's epoch values —
-//! equal epochs always mean identical content. Derived artifacts are rebuilt
-//! lazily: each cached artifact is stamped with the epoch (and row count) it
-//! was built at, and an accessor that observes a newer table epoch refreshes
-//! the artifact before handing it out. For append-only epoch gaps the
-//! refresh is *incremental* — zone maps grow new tail blocks, columnar
-//! projections grow new tail chunks and indexes absorb the new row ids —
-//! while deletes and block-size changes force a full rebuild (row ids
-//! shift).
+//! A table's rows live in a [row store](crate::rowstore) of immutable,
+//! `Arc`-shared chunks, one per zone-map block. Cloning a table — which is
+//! what `Database::table_mut` does when a commit batch forks the database —
+//! copies pointers, not rows; the fork and the original then share every
+//! chunk until one of them rewrites it. An append rewrites only the last
+//! chunk (while it is short), a delete only the chunks that lose a row, so a
+//! version somebody still holds pins only what later versions replaced.
+//!
+//! Everything else — the zone map, the columnar projection, the statistics
+//! and the ordered indexes — is *derived*, and each derived piece hangs off
+//! the thing it describes. A chunk owns its min / max / null-count summary
+//! and its encoded columns: built at most once, lazily, and shared by every
+//! fork that shares the chunk, so no version can ever see a stale one —
+//! there is nothing to invalidate. [`Table::zone_map`],
+//! [`Table::columnar_chunks`] and [`Table::stats`] assemble their result from
+//! the chunks' parts in O(chunks) and keep it for this version of the table.
+//! An ordered index is a shared immutable base plus a small delta: an append
+//! adds to the delta, a delete patches the row ids
+//! (see [`OrderedIndex`]).
+//!
+//! Rows change in exactly one place, `Versioned::mutate`, whose fields no
+//! other code can reach: it applies the change, and if the change did
+//! anything it advances the table's **epoch** and drops what was assembled
+//! for the previous version. Epochs are drawn from one process-wide monotone
+//! counter, so two tables (or two forks of one table) that diverged can never
+//! reuse each other's epoch values — equal epochs always mean identical
+//! content. The execution layer re-validates the epoch before trusting row
+//! ids it resolved earlier.
 //!
 //! Next to the all-encompassing `epoch` the table keeps a **data epoch**
 //! ([`Table::data_epoch`]) that only advances when row *content* changes
@@ -27,74 +38,52 @@
 //! describe data, so the catalog layer stamps and validates them against the
 //! data epoch — building an index must not strand every stored sketch.
 //!
-//! Accessors hand out `Arc` snapshots, so a scan that fetched an artifact
-//! keeps a consistent view even if the table is mutated (behind copy-on-write
-//! cloning) afterwards; the execution layer additionally re-validates the
-//! table epoch before trusting previously fetched row-id lists or chunks.
+//! A row id is a row's position in table order. Chunks need not be full — a
+//! delete leaves the chunk it hit short rather than shifting rows between
+//! chunks — so positions are resolved through the chunks' own `start..end`,
+//! never by dividing by the block size.
 
 use crate::columnar::ColumnarChunks;
 use crate::database::StorageError;
 use crate::index::OrderedIndex;
 use crate::relation::{Relation, Row};
+use crate::rowstore::{RowStore, Rows};
 use crate::schema::Schema;
-use crate::stats::TableStats;
+use crate::stats::{count_distinct, TableStats};
 use crate::value::Value;
-use crate::zonemap::{ZoneMap, DEFAULT_BLOCK_SIZE};
-use std::collections::HashMap;
+use crate::zonemap::{BlockZone, ZoneMap, DEFAULT_BLOCK_SIZE};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use pbds_sync::TrackedRwLock;
-
-/// Process-wide epoch source: every invalidation (and every fresh table)
-/// draws the next value, so epochs are unique across tables and
-/// copy-on-write forks — equal epochs imply identical content.
+/// Process-wide epoch source: every mutation (and every fresh table) draws
+/// the next value, so epochs are unique across tables and copy-on-write
+/// forks — equal epochs imply identical content.
 static EPOCH_SOURCE: AtomicU64 = AtomicU64::new(1);
 
 fn next_epoch() -> u64 {
     EPOCH_SOURCE.fetch_add(1, Ordering::Relaxed)
 }
 
-/// What a mutation did to the table; decides whether derived artifacts can
-/// be extended incrementally or must be rebuilt, and whether the *data*
-/// epoch (which provenance sketches are validated against) advances.
+/// What a mutation did to the table; decides whether the *data* epoch
+/// (which provenance sketches are validated against) advances with the
+/// epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MutationKind {
-    /// Rows were appended at the tail; derived artifacts stamped at the
-    /// previous epoch can be *extended* with the new rows.
+    /// Rows were appended at the tail.
     Append,
-    /// Rows were removed: row ids shifted, derived artifacts must be rebuilt
-    /// from scratch.
+    /// Rows were removed: the row ids behind them shifted.
     Delete,
-    /// The physical design changed (block size, new index request): derived
-    /// artifacts rebuild, but row content — and therefore the data epoch —
-    /// is untouched.
+    /// The physical design changed (block size, new index request): row
+    /// content — and therefore the data epoch — is untouched.
     Design,
-}
-
-/// A derived artifact plus the table state (epoch, row count) it reflects.
-#[derive(Debug, Clone)]
-struct Stamped<T> {
-    epoch: u64,
-    rows: usize,
-    value: T,
-}
-
-/// Lazily maintained derived artifacts, all epoch-stamped.
-#[derive(Debug, Clone, Default)]
-struct DerivedCaches {
-    stats: Option<Stamped<Arc<TableStats>>>,
-    zone_map: Option<Stamped<Arc<ZoneMap>>>,
-    columnar: Option<Stamped<Arc<ColumnarChunks>>>,
-    indexes: HashMap<String, Stamped<Arc<OrderedIndex>>>,
 }
 
 /// An owned, self-contained image of a table's durable state: everything a
 /// snapshot must persist to reconstruct the table ([`Table::restore`]), and
 /// nothing more — derived artifacts (zone maps, indexes, columnar chunks,
 /// statistics) are *not* part of the image; they are re-declared here
-/// (`with_zone_map`, `index_columns`, `block_size`) and rebuilt lazily
-/// through the normal epoch-stamped cache machinery after a restore.
+/// (`with_zone_map`, `index_columns`, `block_size`) and built lazily after a
+/// restore, as in a live table.
 #[derive(Debug, Clone)]
 pub struct TableImage {
     /// Table name.
@@ -115,47 +104,132 @@ pub struct TableImage {
     pub index_columns: Vec<String>,
 }
 
-/// A named base table with epoch-invalidated physical design artifacts.
-#[derive(Debug)]
+/// A maintained ordered index: built on first use, then kept in step with
+/// the rows by every mutation.
+#[derive(Debug, Clone)]
+struct IndexSlot {
+    column: String,
+    index: OnceLock<Arc<OrderedIndex>>,
+}
+
+impl IndexSlot {
+    fn new(column: &str) -> Self {
+        IndexSlot {
+            column: column.to_string(),
+            index: OnceLock::new(),
+        }
+    }
+}
+
+/// What has been assembled from the chunks' parts for one version of a
+/// table.
+#[derive(Debug, Clone)]
+struct Assembled {
+    stats: OnceLock<Arc<TableStats>>,
+    zone_map: OnceLock<Arc<ZoneMap>>,
+    columnar: OnceLock<Arc<ColumnarChunks>>,
+    /// Per column, the number of distinct non-null values — counted only
+    /// when asked for ([`Table::distinct`]); it cannot be merged from parts.
+    distinct: Vec<OnceLock<usize>>,
+}
+
+impl Assembled {
+    fn nothing(arity: usize) -> Self {
+        Assembled {
+            stats: OnceLock::new(),
+            zone_map: OnceLock::new(),
+            columnar: OnceLock::new(),
+            distinct: vec![OnceLock::new(); arity],
+        }
+    }
+}
+
+mod versioned {
+    use super::{next_epoch, Assembled, IndexSlot, MutationKind, RowStore};
+
+    /// A table's rows together with the epochs that name their state and
+    /// everything built from them. The fields are private to this module, so
+    /// the only way to change the rows is [`Versioned::mutate`] — a mutator
+    /// that forgets to advance the epochs cannot be written.
+    #[derive(Debug, Clone)]
+    pub(super) struct Versioned {
+        store: RowStore,
+        epoch: u64,
+        data_epoch: u64,
+        indexes: Vec<IndexSlot>,
+        assembled: Assembled,
+    }
+
+    impl Versioned {
+        pub(super) fn new(
+            store: RowStore,
+            (epoch, data_epoch): (u64, u64),
+            indexes: Vec<IndexSlot>,
+            arity: usize,
+        ) -> Self {
+            Versioned {
+                store,
+                epoch,
+                data_epoch,
+                indexes,
+                assembled: Assembled::nothing(arity),
+            }
+        }
+
+        pub(super) fn store(&self) -> &RowStore {
+            &self.store
+        }
+
+        pub(super) fn epoch(&self) -> u64 {
+            self.epoch
+        }
+
+        pub(super) fn data_epoch(&self) -> u64 {
+            self.data_epoch
+        }
+
+        pub(super) fn indexes(&self) -> &[IndexSlot] {
+            &self.indexes
+        }
+
+        pub(super) fn assembled(&self) -> &Assembled {
+            &self.assembled
+        }
+
+        /// Apply `change` to the rows and the maintained indexes (which it
+        /// must keep in step). It returns whether it changed anything; if it
+        /// did, the epoch advances — and the data epoch with it unless the
+        /// change is [`MutationKind::Design`] — and what was assembled for
+        /// the previous version is dropped. Returns what `change` returned.
+        pub(super) fn mutate(
+            &mut self,
+            kind: MutationKind,
+            change: impl FnOnce(&mut RowStore, &mut Vec<IndexSlot>) -> bool,
+        ) -> bool {
+            let changed = change(&mut self.store, &mut self.indexes);
+            if changed {
+                self.epoch = next_epoch();
+                if kind != MutationKind::Design {
+                    self.data_epoch = self.epoch;
+                }
+                self.assembled = Assembled::nothing(self.assembled.distinct.len());
+            }
+            changed
+        }
+    }
+}
+use versioned::Versioned;
+
+/// A named base table. Cloning one copies no row (see the [module
+/// docs](self)).
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
-    rows: Vec<Row>,
-    /// Version of the table as a whole (data *and* physical design); bumped
-    /// by `invalidate_derived` on every mutation. Drawn from the process-wide
-    /// [`EPOCH_SOURCE`], so values are never reused across forks.
-    epoch: u64,
-    /// Version of the row *content* only: advances on append/delete, not on
-    /// design changes. Provenance sketches are stamped with this.
-    data_epoch: u64,
-    /// Epoch of the last *structural* mutation. Artifacts stamped at an epoch
-    /// `>= rebuild_epoch` saw every row that still exists at its original
-    /// position, so an append-only gap can be closed incrementally.
-    rebuild_epoch: u64,
-    block_size: usize,
     /// Whether a zone map is requested/maintained for this table.
     with_zone_map: bool,
-    /// Columns with a requested/maintained ordered index.
-    index_columns: Vec<String>,
-    derived: TrackedRwLock<DerivedCaches>,
-}
-
-impl Clone for Table {
-    fn clone(&self) -> Self {
-        Table {
-            name: self.name.clone(),
-            schema: self.schema.clone(),
-            rows: self.rows.clone(),
-            epoch: self.epoch,
-            data_epoch: self.data_epoch,
-            rebuild_epoch: self.rebuild_epoch,
-            block_size: self.block_size,
-            with_zone_map: self.with_zone_map,
-            index_columns: self.index_columns.clone(),
-            // Clones share the already built artifacts via `Arc`.
-            derived: TrackedRwLock::new("table.derived", self.derived.read().clone()),
-        }
-    }
+    /// Rows, epochs, maintained indexes and assembled artifacts.
+    state: Versioned,
 }
 
 impl Table {
@@ -163,23 +237,50 @@ impl Table {
     /// indexes are built on demand; request the latter via
     /// [`Table::build_zone_map`] and [`Table::create_index`].
     pub fn new(name: impl Into<String>, schema: Schema, rows: Vec<Row>) -> Self {
-        assert!(
-            rows.iter().all(|r| r.len() == schema.arity()),
-            "Table::new: row arity does not match schema arity {}",
-            schema.arity()
-        );
         let epoch = next_epoch();
-        Table {
-            name: name.into(),
+        Table::from_parts(
+            name.into(),
             schema,
             rows,
-            epoch,
-            data_epoch: epoch,
-            rebuild_epoch: epoch,
-            block_size: DEFAULT_BLOCK_SIZE,
-            with_zone_map: false,
-            index_columns: Vec::new(),
-            derived: TrackedRwLock::new("table.derived", DerivedCaches::default()),
+            (epoch, epoch),
+            DEFAULT_BLOCK_SIZE,
+            false,
+            &[],
+        )
+    }
+
+    fn from_parts(
+        name: String,
+        schema: Schema,
+        rows: Vec<Row>,
+        epochs: (u64, u64),
+        block_size: usize,
+        with_zone_map: bool,
+        index_columns: &[String],
+    ) -> Self {
+        assert!(
+            rows.iter().all(|r| r.len() == schema.arity()),
+            "table {name}: row arity does not match schema arity {}",
+            schema.arity()
+        );
+        let mut indexes: Vec<IndexSlot> = Vec::new();
+        for column in index_columns {
+            let known = schema.index_of(column).is_some();
+            if known && !indexes.iter().any(|s| s.column == *column) {
+                indexes.push(IndexSlot::new(column));
+            }
+        }
+        let state = Versioned::new(
+            RowStore::new(rows, block_size),
+            epochs,
+            indexes,
+            schema.arity(),
+        );
+        Table {
+            name,
+            schema,
+            with_zone_map,
+            state,
         }
     }
 
@@ -193,32 +294,21 @@ impl Table {
     /// every restored epoch, so no *future* mutation (in this process) can
     /// ever mint an epoch a restored table already carries.
     pub fn restore(image: TableImage) -> Self {
-        assert!(
-            image.rows.iter().all(|r| r.len() == image.schema.arity()),
-            "Table::restore: row arity does not match schema arity {}",
-            image.schema.arity()
-        );
-        assert!(image.block_size > 0, "block size must be positive");
         // `epoch >= data_epoch` holds for every live table; tolerate images
         // that violate it (hand-crafted or corrupt) by flooring on both.
         EPOCH_SOURCE.fetch_max(
             image.epoch.max(image.data_epoch).saturating_add(1),
             Ordering::Relaxed,
         );
-        Table {
-            name: image.name,
-            schema: image.schema,
-            rows: image.rows,
-            epoch: image.epoch,
-            data_epoch: image.data_epoch,
-            // Derived caches start empty in a fresh process; everything
-            // rebuilds from scratch on first access.
-            rebuild_epoch: image.epoch,
-            block_size: image.block_size,
-            with_zone_map: image.with_zone_map,
-            index_columns: image.index_columns,
-            derived: TrackedRwLock::new("table.derived", DerivedCaches::default()),
-        }
+        Table::from_parts(
+            image.name,
+            image.schema,
+            image.rows,
+            (image.epoch, image.data_epoch),
+            image.block_size,
+            image.with_zone_map,
+            &image.index_columns,
+        )
     }
 
     /// An owned image of the table's durable state (clones the rows). The
@@ -227,12 +317,16 @@ impl Table {
         TableImage {
             name: self.name.clone(),
             schema: self.schema.clone(),
-            rows: self.rows.clone(),
-            epoch: self.epoch,
-            data_epoch: self.data_epoch,
-            block_size: self.block_size,
+            rows: self.rows().to_vec(),
+            epoch: self.epoch(),
+            data_epoch: self.data_epoch(),
+            block_size: self.block_size(),
             with_zone_map: self.with_zone_map,
-            index_columns: self.index_columns.clone(),
+            index_columns: self
+                .indexed_columns()
+                .into_iter()
+                .map(String::from)
+                .collect(),
         }
     }
 
@@ -252,26 +346,25 @@ impl Table {
         &self.schema
     }
 
-    /// All rows.
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
+    /// All rows, in table order (a row's position is its row id).
+    pub fn rows(&self) -> Rows<'_> {
+        self.state.store().rows()
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.state.store().len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// The table's current epoch (data *and* physical design). Advances on
-    /// every mutation or design change; derived artifacts record the epoch
-    /// they were built at so staleness is checkable.
+    /// every mutation or design change.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.state.epoch()
     }
 
     /// The table's current *data* epoch: advances on append/delete only,
@@ -279,27 +372,7 @@ impl Table {
     /// so the catalog stamps and validates stored sketches against this —
     /// building an index does not invalidate them.
     pub fn data_epoch(&self) -> u64 {
-        self.data_epoch
-    }
-
-    /// The single invalidation point for all derived caches: draws a fresh
-    /// globally unique epoch and, depending on the mutation kind, advances
-    /// the data epoch (append/delete) and the rebuild watermark
-    /// (delete/design). Every mutator — [`Table::append_rows`],
-    /// [`Table::delete_where`], [`Table::build_zone_map`],
-    /// [`Table::create_index`] and any future mutation — must route through
-    /// here, so no cache can be missed. Returns the new epoch.
-    fn invalidate_derived(&mut self, kind: MutationKind) -> u64 {
-        self.epoch = next_epoch();
-        match kind {
-            MutationKind::Append => self.data_epoch = self.epoch,
-            MutationKind::Delete => {
-                self.data_epoch = self.epoch;
-                self.rebuild_epoch = self.epoch;
-            }
-            MutationKind::Design => self.rebuild_epoch = self.epoch,
-        }
-        self.epoch
+        self.state.data_epoch()
     }
 
     /// Append rows at the tail of the table. Every row's arity is validated
@@ -307,238 +380,161 @@ impl Table {
     /// and a [`StorageError::ArityMismatch`] is returned. Returns the new
     /// epoch. Appending an empty batch is a no-op that keeps the epoch.
     pub fn append_rows(&mut self, rows: Vec<Row>) -> Result<u64, StorageError> {
-        let expected = self.schema.arity();
-        for row in &rows {
-            if row.len() != expected {
-                return Err(StorageError::ArityMismatch {
-                    context: format!("append to table {}", self.name),
-                    expected,
-                    got: row.len(),
-                });
-            }
-        }
-        if rows.is_empty() {
-            return Ok(self.epoch);
-        }
-        self.rows.extend(rows);
-        Ok(self.invalidate_derived(MutationKind::Append))
+        self.append_row_batches(vec![rows])
     }
 
     /// Append several row batches at once through a **single** epoch
-    /// advance — the multi-delta `invalidate_derived` path group commit
-    /// relies on. Semantically identical to calling [`Table::append_rows`]
-    /// once per batch (same validation: *every* row of *every* batch is
-    /// arity-checked before anything is appended, so the whole call is
-    /// atomic), but derived caches are invalidated once instead of once per
-    /// batch, and sketch maintenance sees one combined append delta. Returns
-    /// the new epoch; an all-empty set of batches keeps the epoch.
+    /// advance — the path group commit relies on. Semantically identical to
+    /// calling [`Table::append_rows`] once per batch (same validation:
+    /// *every* row of *every* batch is arity-checked before anything is
+    /// appended, so the whole call is atomic), but sketch maintenance sees
+    /// one combined append delta. Returns the new epoch; an all-empty set of
+    /// batches keeps the epoch.
     pub fn append_row_batches(&mut self, batches: Vec<Vec<Row>>) -> Result<u64, StorageError> {
         let expected = self.schema.arity();
-        for row in batches.iter().flatten() {
-            if row.len() != expected {
-                return Err(StorageError::ArityMismatch {
-                    context: format!("append to table {}", self.name),
-                    expected,
-                    got: row.len(),
-                });
+        if let Some(row) = batches.iter().flatten().find(|r| r.len() != expected) {
+            return Err(StorageError::ArityMismatch {
+                context: format!("append to table {}", self.name),
+                expected,
+                got: row.len(),
+            });
+        }
+        self.state.mutate(MutationKind::Append, |store, indexes| {
+            let from = store.len();
+            store.append(batches.into_iter().flatten());
+            for index in indexes.iter_mut().filter_map(|s| s.index.get_mut()) {
+                Arc::make_mut(index).append(store.rows().range(from..));
             }
-        }
-        let total: usize = batches.iter().map(Vec::len).sum();
-        if total == 0 {
-            return Ok(self.epoch);
-        }
-        self.rows.reserve(total);
-        for batch in batches {
-            self.rows.extend(batch);
-        }
-        Ok(self.invalidate_derived(MutationKind::Append))
+            store.len() > from
+        });
+        Ok(self.epoch())
     }
 
     /// Delete every row for which `pred` returns true. `pred` is called once
     /// per row in storage order. Returns the number of rows deleted; when any
-    /// row is deleted the epoch advances structurally (row ids shift, so all
-    /// derived artifacts rebuild on next access).
-    pub fn delete_where(&mut self, mut pred: impl FnMut(&Row) -> bool) -> usize {
-        let before = self.rows.len();
-        self.rows.retain(|r| !pred(r));
-        let deleted = before - self.rows.len();
-        if deleted > 0 {
-            self.invalidate_derived(MutationKind::Delete);
-        }
+    /// row is deleted the epoch advances and the row ids behind the deleted
+    /// rows shift down. Only the chunks that held a deleted row are
+    /// rewritten.
+    pub fn delete_where(&mut self, pred: impl FnMut(&Row) -> bool) -> usize {
+        let mut deleted = 0;
+        self.state.mutate(MutationKind::Delete, |store, indexes| {
+            let removed = store.delete_where(pred);
+            for index in indexes.iter_mut().filter_map(|s| s.index.get_mut()) {
+                Arc::make_mut(index).remove(&removed);
+            }
+            deleted = removed.len();
+            deleted > 0
+        });
         deleted
     }
 
-    /// Precomputed table statistics (recomputed lazily after mutations).
+    /// Table statistics — per-column bounds and NULL counts, merged from the
+    /// chunks' summaries.
     pub fn stats(&self) -> Arc<TableStats> {
-        {
-            let g = self.derived.read();
-            if let Some(s) = g.stats.as_ref().filter(|s| s.epoch == self.epoch) {
-                return s.value.clone();
-            }
-        }
-        let mut g = self.derived.write();
-        if let Some(s) = g.stats.as_ref().filter(|s| s.epoch == self.epoch) {
-            return s.value.clone();
-        }
-        // Statistics always recompute in full: the distinct-value count
-        // cannot be extended without retaining the whole value set.
-        let value = Arc::new(TableStats::compute(&self.schema, &self.rows));
-        g.stats = Some(self.stamp(value.clone()));
-        value
+        let stats = self.state.assembled().stats.get_or_init(|| {
+            let parts = self.state.store().chunks().map(|(_, chunk)| {
+                let summary = chunk.summary();
+                (&summary.zones[..], &summary.null_counts[..])
+            });
+            Arc::new(TableStats::merge(&self.schema, self.len(), parts))
+        });
+        Arc::clone(stats)
     }
 
-    /// The zone map, if this table maintains one. Lazily (re)built: after an
-    /// append-only epoch gap the existing map is extended with tail blocks,
-    /// after a structural change it is rebuilt.
+    /// Number of distinct non-null values in `column` (`None` for an unknown
+    /// column). Exact. Unlike the bounds in [`Table::stats`] it cannot be
+    /// merged from per-chunk parts, so it is counted when first asked for —
+    /// from the column's ordered index where one is maintained, else in one
+    /// pass over the column — and kept for this version of the table.
+    pub fn distinct(&self, column: &str) -> Option<usize> {
+        let position = self.schema.index_of(column)?;
+        let count =
+            self.state.assembled().distinct[position].get_or_init(|| match self.index_on(column) {
+                Some(index) => index.num_keys(),
+                None => count_distinct(self.rows().iter().map(|r| &r[position])),
+            });
+        Some(*count)
+    }
+
+    /// The zone map, if this table maintains one: one block per chunk of
+    /// the row store, each summarised at most once however many versions of
+    /// the table share it.
     pub fn zone_map(&self) -> Option<Arc<ZoneMap>> {
         if !self.with_zone_map {
             return None;
         }
-        {
-            let g = self.derived.read();
-            if let Some(s) = g.zone_map.as_ref().filter(|s| s.epoch == self.epoch) {
-                return Some(s.value.clone());
-            }
-        }
-        let mut g = self.derived.write();
-        match g.zone_map.take() {
-            Some(s) if s.epoch == self.epoch => {
-                let value = s.value.clone();
-                g.zone_map = Some(s);
-                Some(value)
-            }
-            Some(s) if self.append_only_gap(&s) => {
-                let mut arc = s.value;
-                Arc::make_mut(&mut arc).extend(&self.schema, &self.rows, s.rows);
-                g.zone_map = Some(self.stamp(arc.clone()));
-                Some(arc)
-            }
-            _ => {
-                let arc = Arc::new(ZoneMap::build(&self.schema, &self.rows, self.block_size));
-                g.zone_map = Some(self.stamp(arc.clone()));
-                Some(arc)
-            }
-        }
+        let zone_map = self.state.assembled().zone_map.get_or_init(|| {
+            let blocks = self.state.store().chunks().map(|(start, chunk)| BlockZone {
+                start,
+                end: start + chunk.rows().len(),
+                columns: Arc::clone(&chunk.summary().zones),
+            });
+            Arc::new(ZoneMap::from_blocks(self.block_size(), blocks.collect()))
+        });
+        Some(Arc::clone(zone_map))
     }
 
-    /// The block size used for zone maps and columnar chunks.
+    /// The block size used for zone maps and columnar chunks: the most rows
+    /// a block holds.
     pub fn block_size(&self) -> usize {
-        self.block_size
+        self.state.store().block_size()
     }
 
-    /// Request (or re-request with a different block size) a zone map.
-    /// Structural invalidation: the cached columnar projection must stay
-    /// block-aligned, so it rebuilds too.
+    /// Request (or re-request with a different block size) a zone map. A
+    /// different block size re-chunks the table, which copies it.
     pub fn build_zone_map(&mut self, block_size: usize) {
         assert!(block_size > 0, "block size must be positive");
         self.with_zone_map = true;
-        self.block_size = block_size;
-        self.invalidate_derived(MutationKind::Design);
+        self.state.mutate(MutationKind::Design, |store, _| {
+            if store.block_size() != block_size {
+                store.rechunk(block_size);
+            }
+            true
+        });
     }
 
-    /// The columnar chunk projection of the table (one chunk per zone-map
-    /// block), built lazily and cached; extended with tail chunks after
-    /// appends, rebuilt after structural changes.
+    /// The columnar chunk projection of the table: one chunk per chunk of
+    /// the row store (one per zone-map block), each encoded at most once
+    /// however many versions of the table share it.
     pub fn columnar_chunks(&self) -> Arc<ColumnarChunks> {
-        {
-            let g = self.derived.read();
-            if let Some(s) = g.columnar.as_ref().filter(|s| s.epoch == self.epoch) {
-                return s.value.clone();
-            }
-        }
-        let mut g = self.derived.write();
-        match g.columnar.take() {
-            Some(s) if s.epoch == self.epoch => {
-                let value = s.value.clone();
-                g.columnar = Some(s);
-                value
-            }
-            Some(s) if self.append_only_gap(&s) && s.value.block_size() == self.block_size => {
-                let mut arc = s.value;
-                Arc::make_mut(&mut arc).extend(&self.schema, &self.rows, s.rows);
-                g.columnar = Some(self.stamp(arc.clone()));
-                arc
-            }
-            _ => {
-                let arc = Arc::new(ColumnarChunks::build(
-                    &self.schema,
-                    &self.rows,
-                    self.block_size,
-                ));
-                g.columnar = Some(self.stamp(arc.clone()));
-                arc
-            }
-        }
+        let columnar = self.state.assembled().columnar.get_or_init(|| {
+            let chunks = self.state.store().chunks();
+            let chunks = chunks.map(|(start, chunk)| chunk.columnar(start)).collect();
+            Arc::new(ColumnarChunks::from_chunks(self.block_size(), chunks))
+        });
+        Arc::clone(columnar)
     }
 
     /// Request an ordered index on `column`. Returns false if the column does
-    /// not exist. The index is built lazily on first use and maintained
-    /// across mutations like every other derived artifact.
+    /// not exist. The index is built lazily on first use and from then on
+    /// kept in step with the rows by every mutation.
     pub fn create_index(&mut self, column: &str) -> bool {
         if self.schema.index_of(column).is_none() {
             return false;
         }
-        if self.index_columns.iter().any(|c| c == column) {
+        if self.state.indexes().iter().any(|s| s.column == column) {
             return true; // already maintained: a true no-op
         }
-        self.index_columns.push(column.to_string());
-        self.invalidate_derived(MutationKind::Design);
-        true
+        self.state.mutate(MutationKind::Design, |_, indexes| {
+            indexes.push(IndexSlot::new(column));
+            true
+        })
     }
 
-    /// The index on `column`, if one is maintained. Lazily (re)built; after
-    /// an append-only gap the new row ids are inserted incrementally.
+    /// The index on `column`, if one is maintained (built on first use).
     pub fn index_on(&self, column: &str) -> Option<Arc<OrderedIndex>> {
-        if !self.index_columns.iter().any(|c| c == column) {
-            return None;
-        }
-        {
-            let g = self.derived.read();
-            if let Some(s) = g.indexes.get(column).filter(|s| s.epoch == self.epoch) {
-                return Some(s.value.clone());
-            }
-        }
-        let mut g = self.derived.write();
-        match g.indexes.remove(column) {
-            Some(s) if s.epoch == self.epoch => {
-                let value = s.value.clone();
-                g.indexes.insert(column.to_string(), s);
-                Some(value)
-            }
-            Some(s) if self.append_only_gap(&s) => {
-                let mut arc = s.value;
-                Arc::make_mut(&mut arc).extend(&self.schema, &self.rows, s.rows);
-                g.indexes
-                    .insert(column.to_string(), self.stamp(arc.clone()));
-                Some(arc)
-            }
-            _ => {
-                let arc = Arc::new(OrderedIndex::build(&self.schema, &self.rows, column)?);
-                g.indexes
-                    .insert(column.to_string(), self.stamp(arc.clone()));
-                Some(arc)
-            }
-        }
+        let slot = self.state.indexes().iter().find(|s| s.column == column)?;
+        let index = slot.index.get_or_init(|| {
+            let built = OrderedIndex::build(&self.schema, self.rows(), column);
+            Arc::new(built.expect("an indexed column is in the schema"))
+        });
+        Some(Arc::clone(index))
     }
 
     /// Names of indexed columns.
     pub fn indexed_columns(&self) -> Vec<&str> {
-        self.index_columns.iter().map(|s| s.as_str()).collect()
-    }
-
-    /// Stamp an artifact with the current epoch and row count.
-    fn stamp<T>(&self, value: T) -> Stamped<T> {
-        Stamped {
-            epoch: self.epoch,
-            rows: self.rows.len(),
-            value,
-        }
-    }
-
-    /// True when the gap between the artifact's stamp and the current epoch
-    /// consists of appends only, so the artifact can be extended in place.
-    fn append_only_gap<T>(&self, s: &Stamped<T>) -> bool {
-        s.epoch >= self.rebuild_epoch && s.rows <= self.rows.len()
+        let slots = self.state.indexes().iter();
+        slots.map(|s| s.column.as_str()).collect()
     }
 
     /// Values of one column (used to build partitions and histograms).
@@ -546,19 +542,18 @@ impl Table {
     /// Clones every value; prefer [`Table::column_iter`] when a borrowed
     /// walk suffices.
     pub fn column_values(&self, column: &str) -> Option<Vec<Value>> {
-        let idx = self.schema.index_of(column)?;
-        Some(self.rows.iter().map(|r| r[idx].clone()).collect())
+        Some(self.column_iter(column)?.cloned().collect())
     }
 
     /// Borrowing iterator over one column's values (no clones).
     pub fn column_iter(&self, column: &str) -> Option<impl Iterator<Item = &Value> + Clone + '_> {
         let idx = self.schema.index_of(column)?;
-        Some(self.rows.iter().map(move |r| &r[idx]))
+        Some(self.rows().iter().map(move |r| &r[idx]))
     }
 
     /// View the table as a plain relation (clones the rows).
     pub fn to_relation(&self) -> Relation {
-        Relation::new(self.schema.clone(), self.rows.clone())
+        Relation::new(self.schema.clone(), self.rows().to_vec())
     }
 }
 
@@ -637,19 +632,16 @@ impl TableBuilder {
     /// Finish building: registers the requested physical design (statistics,
     /// zone maps and indexes materialize lazily on first use).
     pub fn build(&mut self) -> Table {
-        let mut table = Table::new(
+        let epoch = next_epoch();
+        Table::from_parts(
             std::mem::take(&mut self.name),
             self.schema.clone(),
             std::mem::take(&mut self.rows),
-        );
-        table.block_size = self.block_size;
-        if self.with_zone_map {
-            table.build_zone_map(self.block_size);
-        }
-        for col in &self.index_columns {
-            table.create_index(col);
-        }
-        table
+            (epoch, epoch),
+            self.block_size,
+            self.with_zone_map,
+            &self.index_columns,
+        )
     }
 }
 
@@ -724,7 +716,7 @@ mod tests {
         // from-scratch build.
         let zm1 = t.zone_map().unwrap();
         assert_eq!(zm1.num_blocks(), 5);
-        let fresh = ZoneMap::build(t.schema(), t.rows(), t.block_size());
+        let fresh = ZoneMap::build(t.schema(), &t.rows().to_vec(), t.block_size());
         for (a, b) in zm1.blocks().iter().zip(fresh.blocks()) {
             assert_eq!((a.start, a.end), (b.start, b.end));
             assert_eq!(a.columns, b.columns);
@@ -744,6 +736,13 @@ mod tests {
         assert_eq!(idx0.indexed_rows(), 250);
         assert_eq!(ch0.chunks().len(), 3);
         assert_eq!(st0.column("id").unwrap().max, Some(Value::Int(249)));
+        // Only the refilled last block was summarised and encoded again.
+        for full in 0..2 {
+            assert!(Arc::ptr_eq(&ch0.chunks()[full], &ch1.chunks()[full]));
+            let (before, after) = (&zm0.blocks()[full], &zm1.blocks()[full]);
+            assert!(Arc::ptr_eq(&before.columns, &after.columns));
+        }
+        assert!(!Arc::ptr_eq(&ch0.chunks()[2], &ch1.chunks()[2]));
     }
 
     #[test]
@@ -755,9 +754,11 @@ mod tests {
         assert!(deleted > 0);
         assert!(t.epoch() > e0);
         assert_eq!(t.len(), 300 - deleted);
-        // Row ids shifted: the refreshed index must reflect the new layout.
+        // Row ids shifted: the patched index must reflect the new layout.
         let idx = t.index_on("id").unwrap();
         assert_eq!(idx.indexed_rows(), t.len());
+        let fresh = OrderedIndex::build(t.schema(), t.rows(), "id").unwrap();
+        assert_eq!(idx.range(None, None), fresh.range(None, None));
         let ch = t.columnar_chunks();
         assert_eq!(ch.chunks().last().unwrap().end, t.len());
         let zm = t.zone_map().unwrap();
@@ -813,7 +814,7 @@ mod tests {
         assert!(e1 > e0);
         assert_eq!(b.epoch(), b.data_epoch());
         assert_eq!(seq_epochs.len(), 4);
-        // Derived artifacts rebuilt at the single new epoch cover the tail.
+        // Derived artifacts assembled at the single new epoch cover the tail.
         assert_eq!(b.columnar_chunks().chunks().last().unwrap().end, 200);
     }
 
@@ -845,6 +846,10 @@ mod tests {
         let c = t.clone();
         assert_eq!(c.epoch(), t.epoch());
         assert!(Arc::ptr_eq(&c.columnar_chunks(), &t.columnar_chunks()));
+        assert!(std::ptr::eq(
+            c.rows().slice_at(0).1.as_ptr(),
+            t.rows().slice_at(0).1.as_ptr()
+        ));
         // Mutating the clone does not disturb the original.
         t.append_rows(vec![vec![Value::Int(100), Value::Int(2)]])
             .unwrap();
@@ -906,5 +911,53 @@ mod tests {
             Err(StorageError::ArityMismatch { .. })
         ));
         assert_eq!(b.build().len(), 1);
+    }
+
+    #[test]
+    fn distinct_is_exact_with_and_without_an_index() {
+        let mut t = build_table(300);
+        assert_eq!(t.distinct("id"), Some(300)); // from the index on `id`
+        assert_eq!(t.distinct("grp"), Some(7)); // counted over the column
+        assert_eq!(t.distinct("nope"), None);
+        t.delete_where(|r| matches!(r[1], Value::Int(3)));
+        t.append_rows(vec![vec![Value::Int(-1), Value::Null]])
+            .unwrap();
+        assert_eq!(t.distinct("grp"), Some(6));
+        assert_eq!(t.distinct("id"), Some(t.len()));
+    }
+
+    #[test]
+    fn a_delete_leaves_every_other_chunk_as_it_was() {
+        let mut t = build_table(500);
+        let before = t.clone();
+        let (ch0, zm0) = (before.columnar_chunks(), before.zone_map().unwrap());
+        assert_eq!(t.delete_where(|r| r[0] == Value::Int(250)), 1);
+        let (ch1, zm1) = (t.columnar_chunks(), t.zone_map().unwrap());
+        let ends = |c: &ColumnarChunks| c.chunks().iter().map(|c| c.end).collect::<Vec<_>>();
+        assert_eq!(ends(&ch1), [100, 200, 299, 399, 499]);
+        for block in 0..5 {
+            let same_rows = std::ptr::eq(
+                before.rows().slice_at(block * 100).1.as_ptr(),
+                t.rows().slice_at(block * 100).1.as_ptr(),
+            );
+            // The encoded columns and the zones are the chunk's, wherever a
+            // version of the table has the chunk.
+            let same_columns =
+                std::ptr::eq(ch0.chunks()[block].column(0), ch1.chunks()[block].column(0));
+            let same_zones =
+                Arc::ptr_eq(&zm0.blocks()[block].columns, &zm1.blocks()[block].columns);
+            assert_eq!((same_rows, same_columns, same_zones), {
+                let kept = block != 2;
+                (kept, kept, kept)
+            });
+            // In front of the delete nothing moved, so the handles are the
+            // same too.
+            assert_eq!(
+                Arc::ptr_eq(&ch0.chunks()[block], &ch1.chunks()[block]),
+                block < 2
+            );
+        }
+        assert_eq!(ch1.chunk_for(299).unwrap().start, 299);
+        assert_eq!(t.rows()[299], vec![Value::Int(300), Value::Int(300 % 7)]);
     }
 }

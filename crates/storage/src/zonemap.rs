@@ -4,14 +4,17 @@
 //! The paper's "use" phase (Sec. 8) relies on the host DBMS exploiting zone
 //! maps or indexes to skip data that does not satisfy the range conditions
 //! derived from a provenance sketch. This module provides that physical
-//! design artifact for our engine: tables are divided into fixed-size blocks
-//! and for each block we keep per-column min/max values. A scan with a range
-//! predicate can then skip whole blocks whose zone does not intersect the
-//! predicate's ranges.
+//! design artifact for our engine: tables are divided into blocks of at most
+//! `block_size` rows — the chunks of the row store — and for each block we
+//! keep per-column min/max values. A scan with a range predicate can then
+//! skip whole blocks whose zone does not intersect the predicate's ranges.
+//! Blocks carry their own `start..end`: a delete shortens the block it hits
+//! and leaves every other block as it was, so blocks need not all be full.
 
 use crate::relation::Row;
 use crate::schema::Schema;
 use crate::value::Value;
+use std::sync::Arc;
 
 /// Default number of rows per zone-map block.
 pub const DEFAULT_BLOCK_SIZE: usize = 1024;
@@ -26,14 +29,14 @@ pub struct ColumnZone {
 }
 
 impl ColumnZone {
-    fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         ColumnZone {
             min: None,
             max: None,
         }
     }
 
-    fn observe(&mut self, v: &Value) {
+    pub(crate) fn observe(&mut self, v: &Value) {
         if v.is_null() {
             return;
         }
@@ -69,6 +72,22 @@ impl ColumnZone {
     }
 }
 
+/// Per-column zones and NULL counts of a run of rows of the given arity.
+pub(crate) fn summarize(rows: &[Row], arity: usize) -> (Vec<ColumnZone>, Vec<usize>) {
+    let mut zones = vec![ColumnZone::empty(); arity];
+    let mut nulls = vec![0; arity];
+    for row in rows {
+        for (c, v) in row.iter().enumerate() {
+            if v.is_null() {
+                nulls[c] += 1;
+            } else {
+                zones[c].observe(v);
+            }
+        }
+    }
+    (zones, nulls)
+}
+
 /// Zone map for a contiguous block of rows.
 #[derive(Debug, Clone)]
 pub struct BlockZone {
@@ -76,8 +95,9 @@ pub struct BlockZone {
     pub start: usize,
     /// One-past-the-last row of the block.
     pub end: usize,
-    /// One zone per column (aligned with the table schema).
-    pub columns: Vec<ColumnZone>,
+    /// One zone per column (aligned with the table schema). Shared with the
+    /// row-store chunk the block summarises.
+    pub columns: Arc<[ColumnZone]>,
 }
 
 /// Zone maps for an entire table.
@@ -91,50 +111,27 @@ impl ZoneMap {
     /// Build zone maps over `rows` with the given block size.
     pub fn build(schema: &Schema, rows: &[Row], block_size: usize) -> Self {
         assert!(block_size > 0, "block size must be positive");
-        let mut zm = ZoneMap {
-            block_size,
-            blocks: Vec::with_capacity(rows.len() / block_size + 1),
-        };
-        zm.append_blocks(schema, rows, 0);
-        zm
-    }
-
-    /// Extend the zone map after rows were appended at the tail: `covered`
-    /// is the row count the map was built over. The (possibly partial) last
-    /// block is rebuilt and new tail blocks are appended, so the result is
-    /// identical to a from-scratch [`ZoneMap::build`] over all `rows`.
-    pub fn extend(&mut self, schema: &Schema, rows: &[Row], covered: usize) {
-        assert!(covered <= rows.len(), "extend cannot shrink a zone map");
-        // Re-summarize from the last full-block boundary: the trailing
-        // partial block (if any) absorbs appended rows.
-        let rebuilt_from = covered - (covered % self.block_size);
-        self.blocks.retain(|b| b.end <= rebuilt_from);
-        self.append_blocks(schema, rows, rebuilt_from);
-    }
-
-    /// Summarize `rows[from..]` into blocks appended at the tail (`from`
-    /// must be a multiple of the block size).
-    fn append_blocks(&mut self, schema: &Schema, rows: &[Row], from: usize) {
         let arity = schema.arity();
-        let mut start = from;
-        while start < rows.len() {
-            let end = (start + self.block_size).min(rows.len());
-            let mut columns = vec![ColumnZone::empty(); arity];
-            for row in &rows[start..end] {
-                for (col, zone) in row.iter().zip(columns.iter_mut()) {
-                    zone.observe(col);
-                }
-            }
-            self.blocks.push(BlockZone {
-                start,
-                end,
-                columns,
-            });
-            start = end;
-        }
+        let blocks = rows
+            .chunks(block_size)
+            .enumerate()
+            .map(|(i, part)| BlockZone {
+                start: i * block_size,
+                end: i * block_size + part.len(),
+                columns: summarize(part, arity).0.into(),
+            })
+            .collect();
+        ZoneMap { block_size, blocks }
     }
 
-    /// The block size this zone map was built with.
+    /// The zone map made of already summarised blocks, which must tile the
+    /// table in order; none is longer than `block_size`.
+    pub(crate) fn from_blocks(block_size: usize, blocks: Vec<BlockZone>) -> Self {
+        ZoneMap { block_size, blocks }
+    }
+
+    /// The most rows a block holds (see [`BlockZone::start`] /
+    /// [`BlockZone::end`] for what each one does hold).
     pub fn block_size(&self) -> usize {
         self.block_size
     }
@@ -232,17 +229,26 @@ mod tests {
 
     #[test]
     fn extend_matches_from_scratch_build() {
-        // Extending over a partial last block must equal a fresh build.
+        // A table's zone map after an append — assembled from the row
+        // store's chunks, the last of which the append refilled — must equal
+        // a fresh build over all rows.
         for initial in [0usize, 999, 1000, 1500, 2000] {
             let all = rows(2750);
-            let mut zm = ZoneMap::build(&schema(), &all[..initial], 1000);
-            zm.extend(&schema(), &all, initial);
+            let mut b = crate::table::TableBuilder::new("t", schema());
+            b.block_size(1000).extend(all[..initial].iter().cloned());
+            let mut t = b.build();
+            let before = t.zone_map().unwrap();
+            t.append_rows(all[initial..].to_vec()).unwrap();
+            let zm = t.zone_map().unwrap();
             let fresh = ZoneMap::build(&schema(), &all, 1000);
             assert_eq!(zm.num_blocks(), fresh.num_blocks(), "initial={initial}");
             for (a, b) in zm.blocks().iter().zip(fresh.blocks()) {
                 assert_eq!((a.start, a.end), (b.start, b.end), "initial={initial}");
                 assert_eq!(a.columns, b.columns, "initial={initial}");
             }
+            // The map handed out before the append still describes the rows
+            // it was built over.
+            assert_eq!(before.blocks().last().map_or(0, |b| b.end), initial);
         }
     }
 

@@ -477,8 +477,8 @@ mod tests {
         let a = tiny();
         let b = tiny();
         assert_eq!(
-            a.table("lineitem").unwrap().rows()[..50],
-            b.table("lineitem").unwrap().rows()[..50]
+            a.table("lineitem").unwrap().rows().range(..50),
+            b.table("lineitem").unwrap().rows().range(..50)
         );
     }
 

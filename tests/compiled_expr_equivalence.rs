@@ -10,7 +10,7 @@
 use pbds_algebra::{BinOp, Expr, RangeLookup};
 use pbds_exec::vector::eval_filter_block;
 use pbds_exec::{eval_expr, eval_predicate, CompiledExpr};
-use pbds_storage::{ColumnarChunks, DataType, Row, Schema, Value, ValueRange};
+use pbds_storage::{ColumnarChunks, DataType, Row, Schema, TableBuilder, Value, ValueRange};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -211,8 +211,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// Encoded chunks are lossless: every cell decodes back to the source
-    /// row value, and incrementally extending the tail chunk lands on the
-    /// same encodings (and bytes) as a fresh build over the same rows.
+    /// row value, and a table that grew by an append — which refills its
+    /// last chunk and encodes only what is new — lands on the same encodings
+    /// (and bytes) as a fresh build over the same rows.
     #[test]
     fn encoded_chunks_roundtrip_and_extend_deterministically(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -232,10 +233,14 @@ proptest! {
                 }
             }
         }
-        // Incremental path: build a prefix, extend with the rest.
+        // Incremental path: a table over a prefix, encoded, then appended to.
         let split = rng.gen_range(0..=n);
-        let mut inc = ColumnarChunks::build(&schema, &rows[..split], block);
-        inc.extend(&schema, &rows, split);
+        let mut b = TableBuilder::new("t", schema.clone());
+        b.block_size(block).extend(rows[..split].iter().cloned());
+        let mut table = b.build();
+        let _ = table.columnar_chunks();
+        table.append_rows(rows[split..].to_vec()).unwrap();
+        let inc = table.columnar_chunks();
         prop_assert_eq!(inc.chunks().len(), fresh.chunks().len());
         for c in 0..COLUMNS.len() {
             prop_assert_eq!(
@@ -267,8 +272,8 @@ proptest! {
         let plain = ColumnarChunks::build_plain(&schema, &rows, 64);
         let compiled = CompiledExpr::compile(&pred, &schema);
         for (ec, pc) in enc.chunks().iter().zip(plain.chunks()) {
-            let a = eval_filter_block(&compiled, ec, &rows, ec.start, ec.end);
-            let b = eval_filter_block(&compiled, pc, &rows, pc.start, pc.end);
+            let a = eval_filter_block(&compiled, ec, &rows[ec.start..ec.end], ec.start, ec.end);
+            let b = eval_filter_block(&compiled, pc, &rows[pc.start..pc.end], pc.start, pc.end);
             match (a, b) {
                 (Ok(x), Ok(y)) => prop_assert_eq!(x, y, "pred {}", pred),
                 (Err(_), Err(_)) => {}
@@ -314,7 +319,7 @@ proptest! {
                 .iter()
                 .map(|r| eval_predicate(&pred, &schema, r))
                 .collect();
-            let actual = eval_filter_block(&compiled, chunk, &rows, chunk.start, chunk.end);
+            let actual = eval_filter_block(&compiled, chunk, &rows[chunk.start..chunk.end], chunk.start, chunk.end);
             match expected {
                 Ok(bits) => {
                     let sel = actual.expect("interpreter succeeded, block eval must too");

@@ -82,10 +82,6 @@ type IndexProbes = (String, Vec<Vec<u32>>, usize, usize);
 /// `(min, max, distinct, null_count, row_count)`.
 type ColumnSummary = (Option<Value>, Option<Value>, usize, usize, usize);
 
-fn distinct_of(t: &Table, column: &str) -> usize {
-    t.stats().column(column).unwrap().distinct
-}
-
 fn zone_bounds(zm: &ZoneMap) -> Vec<BlockBounds> {
     zm.blocks()
         .iter()
@@ -164,7 +160,7 @@ fn observe(t: &Table) -> Observed {
                 (
                     s.min.clone(),
                     s.max.clone(),
-                    distinct_of(t, c),
+                    t.distinct(c).unwrap(),
                     s.null_count,
                     s.row_count,
                 )
@@ -365,4 +361,62 @@ proptest! {
             }
         }
     }
+}
+
+/// What only shared chunks can pass: a fork keeps the very allocations —
+/// rows and encoded columns — of every chunk it did not rewrite. An append
+/// rewrites the open last chunk only; a one-row delete rewrites the chunk it
+/// hits only, and the chunks behind it move without being copied.
+#[test]
+fn a_fork_shares_every_chunk_it_does_not_rewrite() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut b = TableBuilder::new("t", schema());
+    b.block_size(32).index("k");
+    b.extend((0..300).map(|k| random_row(&mut rng, k)));
+    let parent = b.build();
+    let chunks = parent.columnar_chunks();
+    assert_eq!(chunks.chunks().len(), 10);
+    let rows_of =
+        |t: &Table, block: usize| t.rows().slice_at(chunks.chunks()[block].start).1.as_ptr();
+
+    let mut fork = parent.clone();
+    fork.append_rows((300..308).map(|k| random_row(&mut rng, k)).collect())
+        .unwrap();
+    let after_append = fork.columnar_chunks();
+    for sealed in 0..9 {
+        assert!(std::ptr::eq(
+            rows_of(&parent, sealed),
+            rows_of(&fork, sealed)
+        ));
+        let (was, is) = (&chunks.chunks()[sealed], &after_append.chunks()[sealed]);
+        assert!(
+            std::sync::Arc::ptr_eq(was, is),
+            "chunk {sealed} was re-encoded"
+        );
+    }
+    assert!(!std::ptr::eq(rows_of(&parent, 9), rows_of(&fork, 9)));
+    assert_eq!(after_append.chunks()[9].end, 308);
+
+    let hit = 6;
+    let doomed = Value::Int(hit as i64 * 32 + 5);
+    let mut fork = parent.clone();
+    assert_eq!(fork.delete_where(|row| row[0] == doomed), 1);
+    let after_delete = fork.columnar_chunks();
+    assert_eq!(after_delete.chunks().len(), 10);
+    for block in 0..10 {
+        let (was, is) = (&chunks.chunks()[block], &after_delete.chunks()[block]);
+        let same_rows = std::ptr::eq(
+            parent.rows().slice_at(was.start).1.as_ptr(),
+            fork.rows().slice_at(is.start).1.as_ptr(),
+        );
+        let same_columns = std::ptr::eq(was.column(0), is.column(0));
+        assert_eq!(same_rows, block != hit, "rows of chunk {block}");
+        assert_eq!(same_columns, block != hit, "columns of chunk {block}");
+        // In front of the delete nothing moved: the very same chunk handle.
+        assert_eq!(std::sync::Arc::ptr_eq(was, is), block < hit);
+        assert_eq!(is.start, was.start - usize::from(block > hit));
+    }
+    // The parent never noticed.
+    assert_eq!(parent.len(), 300);
+    assert!(std::sync::Arc::ptr_eq(&chunks, &parent.columnar_chunks()));
 }

@@ -266,7 +266,7 @@ proptest! {
             apply_op(&mut db, &op, &mut next_k);
             if matches!(op, Op::Append { .. }) {
                 let table = db.table("r").unwrap();
-                let new_rows: Vec<Row> = table.rows()[old_len..].to_vec();
+                let new_rows: Vec<Row> = table.rows().range(old_len..).to_vec();
                 prop_assert!(
                     maintained.extend_for_append(table.schema(), &new_rows),
                     "range partitions cover the domain; extension must succeed"
