@@ -5,14 +5,17 @@
 //! what makes a selective sketch pay off.
 //!
 //! An index is an immutable, `Arc`-shared **base** — the sorted keys with
-//! their row ids laid out back to back — plus a small **delta** holding the
-//! rows appended since the base was written. An append touches only the
-//! delta, so two versions of an index share their base; the delta is merged
-//! into a new base once it holds more than a fixed fraction of the base's
-//! rows, which keeps both the delta (copied when a version is forked) and
-//! the amortised merge cost small. A delete cannot leave the base alone —
-//! every row id behind a removed row shifts down — but it patches the
-//! postings in one linear pass instead of sorting the column again.
+//! their row ids laid out back to back — plus what has happened since the
+//! base was written: a small **delta** holding the rows appended, and the
+//! short list of base rows the table has **dropped**. Two versions of an
+//! index share their base and differ in these two small parts, which is all
+//! an append or a delete touches and all a fork copies. A delete shifts every
+//! row id behind the removed row down; rather than rewriting the base, reads
+//! translate a base id through the dropped list (a row is where it was, less
+//! the dropped rows in front of it). Both parts are folded into a new base —
+//! one linear pass, no sorting — once the delta holds more than a fixed
+//! fraction of the base's rows or the dropped list passes a fixed length,
+//! which bounds what a read pays for them and amortises the pass.
 
 use crate::relation::Row;
 use crate::schema::Schema;
@@ -24,6 +27,11 @@ use std::sync::Arc;
 /// The delta is merged into the base once it holds more than one
 /// `MERGE_DIVISOR`-th of the base's rows.
 const MERGE_DIVISOR: usize = 8;
+
+/// The base is rewritten once the table has dropped more than this many of
+/// its rows: a read searches the dropped list once per base row id it
+/// returns.
+const DROPPED_MAX: usize = 256;
 
 /// Sorted keys with their row ids back to back: the ids of `keys[k]` are
 /// `rids[offsets[k]..offsets[k + 1]]`, ascending.
@@ -78,9 +86,16 @@ pub struct OrderedIndex {
     column: String,
     /// Position of `column` in the schema the index was built under.
     position: usize,
+    /// Postings of the first `base_rows` rows the table had when the base
+    /// was written, under the row ids they had then.
     base: Arc<Postings>,
-    /// Rows appended since `base` was written; their ids exceed every id in
-    /// `base`, so a key's ids are its base ids followed by its delta ids.
+    base_rows: usize,
+    /// The ids (as in `base`, ascending) of base rows the table has dropped
+    /// since.
+    dropped: Vec<u32>,
+    /// Rows appended since `base` was written, under their current ids; these
+    /// exceed every current id of a base row, so a key's ids are its base
+    /// ids followed by its delta ids.
     delta: BTreeMap<Value, Vec<u32>>,
     delta_rows: usize,
     indexed_rows: usize,
@@ -94,13 +109,42 @@ impl OrderedIndex {
         rows: impl IntoIterator<Item = &'a Row>,
         column: &str,
     ) -> Option<Self> {
-        let mut index = OrderedIndex {
+        let position = schema.index_of(column)?;
+        let mut indexed_rows = 0;
+        let mut entries: Vec<(&Value, u32)> = Vec::new();
+        for row in rows {
+            if !row[position].is_null() {
+                entries.push((&row[position], indexed_rows as u32));
+            }
+            indexed_rows += 1;
+        }
+        let mut base = Postings::with_capacity(0, entries.len());
+        // Integer keys — ids, the usual case — are copied out and sorted as
+        // integers: sorting through the references costs a cache miss per
+        // comparison, several times the price.
+        let ints = entries.iter().map(|&(v, rid)| match v {
+            Value::Int(i) => Some((*i, rid)),
+            _ => None,
+        });
+        if let Some(mut ints) = ints.collect::<Option<Vec<(i64, u32)>>>() {
+            ints.sort_unstable();
+            for key in ints.chunk_by(|a, b| a.0 == b.0) {
+                base.push(&Value::Int(key[0].0), key.iter().map(|&(_, rid)| rid));
+            }
+        } else {
+            entries.sort_unstable_by(|a, b| a.0.cmp(b.0).then(a.1.cmp(&b.1)));
+            for key in entries.chunk_by(|a, b| a.0 == b.0) {
+                base.push(key[0].0, key.iter().map(|&(_, rid)| rid));
+            }
+        }
+        Some(OrderedIndex {
             column: column.to_string(),
-            position: schema.index_of(column)?,
+            position,
+            base: Arc::new(base),
+            base_rows: indexed_rows,
+            indexed_rows,
             ..OrderedIndex::default()
-        };
-        index.append(rows);
-        Some(index)
+        })
     }
 
     /// Index rows appended at the tail of the table: they take the row ids
@@ -122,7 +166,7 @@ impl OrderedIndex {
             self.indexed_rows += 1;
         }
         if self.delta_rows * MERGE_DIVISOR > self.base.rids.len() {
-            self.merge_delta();
+            self.rewrite_base();
         }
     }
 
@@ -130,41 +174,74 @@ impl OrderedIndex {
     /// behind them down, as the table did. The result equals a from-scratch
     /// build over the remaining rows.
     pub(crate) fn remove(&mut self, removed: &[u32]) {
-        if removed.is_empty() {
-            return;
-        }
-        self.merge_delta();
-        let mut patched = Postings::with_capacity(self.base.keys.len(), self.base.rids.len());
-        for (k, key) in self.base.keys.iter().enumerate() {
-            let kept = self.base.rids_of(k).iter().filter_map(|&rid| {
-                let before = removed.partition_point(|&r| r < rid);
-                (removed.get(before) != Some(&rid)).then(|| rid - before as u32)
+        // Current ids below this belong to base rows, the rest to the delta.
+        let base_now = (self.base_rows - self.dropped.len()) as u32;
+        let in_base = &removed[..removed.partition_point(|&r| r < base_now)];
+        // A base row's id in `base` is its current id plus the dropped rows
+        // in front of it. `in_base` ascends, so one walk finds them all.
+        let mut passed = 0;
+        let newly_dropped: Vec<u32> = in_base
+            .iter()
+            .map(|&r| {
+                let mut id = r + passed as u32;
+                while self.dropped.get(passed).is_some_and(|&d| d <= id) {
+                    passed += 1;
+                    id += 1;
+                }
+                id
+            })
+            .collect();
+        self.dropped.extend(newly_dropped);
+        self.dropped.sort_unstable();
+        // Delta ids are current ids: patch them here and now.
+        if !self.delta.is_empty() {
+            self.delta.retain(|_, rids| {
+                rids.retain_mut(|rid| {
+                    let before = removed.partition_point(|&r| r < *rid);
+                    let kept = removed.get(before) != Some(rid);
+                    *rid -= before as u32;
+                    kept
+                });
+                !rids.is_empty()
             });
-            patched.push(key, kept);
+            self.delta_rows = self.delta.values().map(Vec::len).sum();
         }
-        self.base = Arc::new(patched);
         self.indexed_rows -= removed.len();
+        if self.dropped.len() > DROPPED_MAX {
+            self.rewrite_base();
+        }
     }
 
-    /// Write a new base holding everything the index knows.
-    fn merge_delta(&mut self) {
-        if self.delta.is_empty() {
-            return;
+    /// Where the row with id `id` in `base` is now, if the table still has
+    /// it.
+    fn current(&self, id: u32) -> Option<u32> {
+        if self.dropped.first().is_none_or(|&d| id < d) {
+            return Some(id); // nothing in front of it was dropped
         }
+        let before = self.dropped.partition_point(|&d| d < id);
+        (self.dropped.get(before) != Some(&id)).then(|| id - before as u32)
+    }
+
+    /// Fold the delta and the dropped list into a new base.
+    fn rewrite_base(&mut self) {
         let mut merged = Postings::with_capacity(
             self.base.keys.len() + self.delta.len(),
             self.base.rids.len() + self.delta_rows,
         );
         self.for_each_key(None, None, |key, base, delta| {
-            merged.push(key, base.iter().chain(delta).copied());
+            let base = base.iter().filter_map(|&id| self.current(id));
+            merged.push(key, base.chain(delta.iter().copied()));
         });
         self.base = Arc::new(merged);
+        self.base_rows = self.indexed_rows;
+        self.dropped.clear();
         self.delta.clear();
         self.delta_rows = 0;
     }
 
     /// Visit the keys inside the inclusive range in key order, each with its
-    /// ids in the base and in the delta (either may be empty, not both).
+    /// ids in the base (as written there: see [`OrderedIndex::current`]) and
+    /// in the delta. Either list may be empty, not both.
     fn for_each_key(
         &self,
         lo: Option<&Value>,
@@ -203,8 +280,12 @@ impl OrderedIndex {
 
     /// Number of distinct keys.
     pub fn num_keys(&self) -> usize {
-        let only_in_delta = |key: &&Value| self.base.keys.binary_search(key).is_err();
-        self.base.keys.len() + self.delta.keys().filter(only_in_delta).count()
+        let mut keys = 0;
+        self.for_each_key(None, None, |_, base, delta| {
+            let live = !delta.is_empty() || base.iter().any(|&id| self.current(id).is_some());
+            keys += usize::from(live);
+        });
+        keys
     }
 
     /// Number of rows in the table the index describes.
@@ -217,7 +298,11 @@ impl OrderedIndex {
     pub fn range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<u32> {
         let mut out = Vec::new();
         self.for_each_key(lo, hi, |_, base, delta| {
-            out.extend_from_slice(base);
+            if self.dropped.is_empty() {
+                out.extend_from_slice(base);
+            } else {
+                out.extend(base.iter().filter_map(|&id| self.current(id)));
+            }
             out.extend_from_slice(delta);
         });
         out
@@ -351,6 +436,40 @@ mod tests {
         let mut idx = OrderedIndex::build(&schema, &rows, "k").unwrap();
         idx.remove(&(0..100).filter(|i| i % 10 == 3).collect::<Vec<u32>>());
         assert_eq!(idx.num_keys(), 9);
+    }
+
+    #[test]
+    fn removes_and_appends_interleave_like_a_rebuild() {
+        let schema = Schema::from_pairs(&[("k", DataType::Int)]);
+        let row = |i: usize| vec![Value::Int((i * 7 % 10) as i64)];
+        let mut model: Vec<Row> = (0..2_000).map(row).collect();
+        let mut idx = OrderedIndex::build(&schema, &model, "k").unwrap();
+        let base = Arc::clone(&idx.base);
+        // Single-row deletes all over the table, a few rows appended between
+        // them: the base is shared until the dropped list is folded in.
+        for step in 0..DROPPED_MAX + 40 {
+            let doomed = [step * 13 % model.len(), model.len() - 1 - step % 3];
+            let mut doomed: Vec<u32> = doomed.iter().map(|&d| d as u32).collect();
+            doomed.sort_unstable();
+            doomed.dedup();
+            for &d in doomed.iter().rev() {
+                model.remove(d as usize);
+            }
+            idx.remove(&doomed);
+            if step % 4 == 0 {
+                let more: Vec<Row> = (0..3).map(|i| row(step + i)).collect();
+                idx.append(&more);
+                model.extend(more);
+            }
+            if step % 16 == 0 {
+                assert_same_answers(&idx, &OrderedIndex::build(&schema, &model, "k").unwrap());
+            }
+            if step == 16 {
+                assert!(Arc::ptr_eq(&base, &idx.base) && !idx.dropped.is_empty());
+            }
+        }
+        assert_same_answers(&idx, &OrderedIndex::build(&schema, &model, "k").unwrap());
+        assert!(!Arc::ptr_eq(&base, &idx.base));
     }
 
     #[test]

@@ -94,15 +94,37 @@ pub(crate) struct RowStore {
 }
 
 impl RowStore {
-    pub(crate) fn new(rows: Vec<Row>, block_size: usize) -> Self {
+    pub(crate) fn new(mut rows: Vec<Row>, block_size: usize) -> Self {
         assert!(block_size > 0, "block size must be positive");
-        let mut store = RowStore {
-            chunks: Vec::with_capacity(rows.len().div_ceil(block_size)),
-            starts: vec![0],
+        // Cut chunks off the back: `split_off` moves a chunk's rows in one
+        // copy, where appending them one by one is what makes loading a
+        // table measurably slower than keeping its vector whole.
+        let mut chunks = Vec::with_capacity(rows.len().div_ceil(block_size));
+        while rows.len() > block_size {
+            let at = (rows.len() - 1) / block_size * block_size;
+            chunks.push(Arc::new(RowChunk::new(rows.split_off(at))));
+        }
+        if !rows.is_empty() {
+            // Not `rows` itself: its buffer is sized for the whole table.
+            let mut first = Vec::with_capacity(rows.len());
+            first.append(&mut rows);
+            chunks.push(Arc::new(RowChunk::new(first)));
+        }
+        chunks.reverse();
+        RowStore::of_chunks(chunks, block_size)
+    }
+
+    fn of_chunks(chunks: Vec<Arc<RowChunk>>, block_size: usize) -> Self {
+        let mut starts = Vec::with_capacity(chunks.len() + 1);
+        starts.push(0);
+        for chunk in &chunks {
+            starts.push(starts[starts.len() - 1] + chunk.rows.len());
+        }
+        RowStore {
+            chunks,
+            starts,
             block_size,
-        };
-        store.append(rows);
-        store
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -141,8 +163,8 @@ impl RowStore {
         if rows.peek().is_none() {
             return;
         }
-        // Room for what is known to come, so neither a bulk load nor a small
-        // append over-allocates its chunks.
+        // Room for what is known to come, so a small append does not
+        // allocate a whole block.
         let block_size = self.block_size;
         let room =
             move |held: usize, coming: usize| Vec::with_capacity((held + coming).min(block_size));
@@ -177,31 +199,23 @@ impl RowStore {
     pub(crate) fn delete_where(&mut self, mut doomed: impl FnMut(&Row) -> bool) -> Vec<u32> {
         let mut removed = Vec::new();
         let mut kept = Vec::with_capacity(self.chunks.len());
+        let mut hits: Vec<usize> = Vec::new();
         for (start, chunk) in self.starts.iter().zip(std::mem::take(&mut self.chunks)) {
-            let before = removed.len();
-            let mask: Vec<bool> = chunk.rows.iter().map(&mut doomed).collect();
-            removed.extend(
-                mask.iter()
-                    .enumerate()
-                    .filter(|(_, &d)| d)
-                    .map(|(i, _)| (start + i) as u32),
-            );
-            match removed.len() - before {
-                0 => kept.push(chunk),
-                n if n == mask.len() => {}
-                _ => {
-                    let survivors = chunk.rows.iter().zip(&mask).filter(|(_, &d)| !d);
-                    let rows = survivors.map(|(row, _)| row.clone()).collect();
-                    kept.push(Arc::new(RowChunk::new(rows)));
-                }
+            hits.clear();
+            let rows = chunk.rows.iter().enumerate();
+            hits.extend(rows.filter(|(_, row)| doomed(row)).map(|(i, _)| i));
+            removed.extend(hits.iter().map(|&i| (start + i) as u32));
+            if hits.is_empty() {
+                kept.push(chunk);
+            } else if hits.len() < chunk.rows.len() {
+                let mut hits = hits.iter().peekable();
+                let rows = chunk.rows.iter().enumerate();
+                let survivors = rows.filter(|(i, _)| hits.next_if_eq(&i).is_none());
+                let rows = survivors.map(|(_, row)| row.clone()).collect();
+                kept.push(Arc::new(RowChunk::new(rows)));
             }
         }
-        self.chunks = kept;
-        self.starts.truncate(1);
-        for chunk in &self.chunks {
-            let next = self.starts[self.starts.len() - 1] + chunk.rows.len();
-            self.starts.push(next);
-        }
+        *self = RowStore::of_chunks(kept, self.block_size);
         removed
     }
 
@@ -290,22 +304,17 @@ impl<'a> Rows<'a> {
     }
 
     /// The view as its contiguous runs, one per chunk it overlaps, in order.
-    pub fn slices(&self) -> impl Iterator<Item = &'a [Row]> + Clone + 'a {
-        let view = *self;
-        let mut next = 0;
-        std::iter::from_fn(move || {
-            (next < view.len()).then(|| {
-                let (_, run) = view.slice_at(next);
-                next += run.len();
-                run
-            })
-        })
+    pub fn slices(&self) -> RowSlices<'a> {
+        RowSlices {
+            rest: *self,
+            chunk: self.store.starts.partition_point(|&s| s <= self.lo) - 1,
+        }
     }
 
     /// Iterate the rows in order.
     pub fn iter(&self) -> RowsIter<'a> {
         RowsIter {
-            rest: *self,
+            runs: self.slices(),
             run: Default::default(),
         }
     }
@@ -362,11 +371,35 @@ impl<'a> RowCursor<'a> {
     }
 }
 
+/// Iterator over the contiguous runs of a [`Rows`] view.
+#[derive(Clone)]
+pub struct RowSlices<'a> {
+    /// The rows not yet handed out; they start in chunk `chunk`.
+    rest: Rows<'a>,
+    chunk: usize,
+}
+
+impl<'a> Iterator for RowSlices<'a> {
+    type Item = &'a [Row];
+
+    fn next(&mut self) -> Option<&'a [Row]> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let store = self.rest.store;
+        let start = store.starts[self.chunk];
+        let end = store.starts[self.chunk + 1].min(self.rest.hi);
+        let run = &store.chunks[self.chunk].rows[self.rest.lo - start..end - start];
+        self.rest.lo = end;
+        self.chunk += 1;
+        Some(run)
+    }
+}
+
 /// Iterator over the rows of a [`Rows`] view.
 #[derive(Clone)]
 pub struct RowsIter<'a> {
-    /// The rows not yet handed to `run`.
-    rest: Rows<'a>,
+    runs: RowSlices<'a>,
     run: std::slice::Iter<'a, Row>,
 }
 
@@ -378,17 +411,12 @@ impl<'a> Iterator for RowsIter<'a> {
             if let Some(row) = self.run.next() {
                 return Some(row);
             }
-            if self.rest.is_empty() {
-                return None;
-            }
-            let (_, run) = self.rest.slice_at(0);
-            self.rest.lo += run.len();
-            self.run = run.iter();
+            self.run = self.runs.next()?.iter();
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.run.len() + self.rest.len();
+        let n = self.run.len() + self.runs.rest.len();
         (n, Some(n))
     }
 }
