@@ -250,14 +250,6 @@ impl<'a> Rows<'a> {
         self.lo == self.hi
     }
 
-    /// The row at position `i` of the view, if in range.
-    pub fn get(&self, i: usize) -> Option<&'a Row> {
-        (i < self.len()).then(|| {
-            let (first, run) = self.slice_at(i);
-            &run[i - first]
-        })
-    }
-
     /// The rows `range` of the view (positions relative to the view).
     /// Panics when the range reaches outside the view, like slicing does.
     pub fn range(&self, range: impl RangeBounds<usize>) -> Rows<'a> {
@@ -432,15 +424,6 @@ impl<'a> IntoIterator for Rows<'a> {
     }
 }
 
-impl<'a> IntoIterator for &Rows<'a> {
-    type Item = &'a Row;
-    type IntoIter = RowsIter<'a>;
-
-    fn into_iter(self) -> RowsIter<'a> {
-        self.iter()
-    }
-}
-
 impl PartialEq for Rows<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().eq(other.iter())
@@ -455,12 +438,6 @@ impl PartialEq<[Row]> for Rows<'_> {
 
 impl PartialEq<&[Row]> for Rows<'_> {
     fn eq(&self, other: &&[Row]) -> bool {
-        *self == **other
-    }
-}
-
-impl PartialEq<Vec<Row>> for Rows<'_> {
-    fn eq(&self, other: &Vec<Row>) -> bool {
         *self == **other
     }
 }
@@ -496,7 +473,7 @@ mod tests {
         assert_eq!(lens(&store), [4, 4, 2]);
         store.append(rows(10..17));
         assert_eq!(lens(&store), [4, 4, 4, 4, 1]);
-        assert_eq!(store.rows(), rows(0..17));
+        assert_eq!(store.rows(), &rows(0..17)[..]);
         store.append(Vec::new());
         assert_eq!(store.len(), 17);
     }
@@ -509,8 +486,8 @@ mod tests {
         assert!(Arc::ptr_eq(&base.chunks[0], &fork.chunks[0]));
         assert!(Arc::ptr_eq(&base.chunks[1], &fork.chunks[1]));
         assert!(!Arc::ptr_eq(&base.chunks[2], &fork.chunks[2]));
-        assert_eq!(base.rows(), rows(0..10));
-        assert_eq!(fork.rows(), rows(0..12));
+        assert_eq!(base.rows(), &rows(0..10)[..]);
+        assert_eq!(fork.rows(), &rows(0..12)[..]);
     }
 
     #[test]
@@ -527,13 +504,13 @@ mod tests {
             .into_iter()
             .filter(|r| !matches!(r[0], Value::Int(5 | 8..=11)))
             .collect();
-        assert_eq!(fork.rows(), expected);
+        assert_eq!(fork.rows(), &expected[..]);
         assert_eq!(fork.rows()[4], vec![Value::Int(4)]);
         assert_eq!(fork.rows()[7], vec![Value::Int(12)]);
         // Only the last chunk is refilled; the short one in the middle stays.
         fork.append(rows(16..18));
         assert_eq!(lens(&fork), [4, 3, 4, 2]);
-        assert_eq!(base.rows(), rows(0..16));
+        assert_eq!(base.rows(), &rows(0..16)[..]);
     }
 
     #[test]
@@ -548,16 +525,15 @@ mod tests {
             [4, 4, 2]
         );
         let mid = all.range(3..9);
-        assert_eq!(mid, rows(3..9));
+        assert_eq!(mid, &rows(3..9)[..]);
         assert_eq!(mid[0], vec![Value::Int(3)]);
-        assert_eq!(mid.get(5), Some(&vec![Value::Int(8)]));
-        assert_eq!(mid.get(6), None);
+        assert_eq!(mid[5], vec![Value::Int(8)]);
         assert_eq!(mid.slice_at(2), (1, &rows(4..8)[..]));
         let mut cursor = mid.cursor();
         for i in [0, 1, 5, 2, 2, 4] {
             assert_eq!(cursor.get(i), &mid[i]);
         }
-        assert_eq!(mid.range(2..), rows(5..9));
+        assert_eq!(mid.range(2..), &rows(5..9)[..]);
         assert!(mid.range(6..).is_empty());
         assert_eq!(format!("{:?}", all.range(..2)), "[[Int(0)], [Int(1)]]");
         assert!(RowStore::new(Vec::new(), 4).rows().is_empty());

@@ -109,7 +109,7 @@ impl EquiDepthHistogram {
 }
 
 /// Number of distinct non-null values among `values`.
-pub fn count_distinct<'a>(values: impl IntoIterator<Item = &'a Value>) -> usize {
+pub(crate) fn count_distinct<'a>(values: impl IntoIterator<Item = &'a Value>) -> usize {
     let distinct: HashSet<&Value> = values.into_iter().filter(|v| !v.is_null()).collect();
     distinct.len()
 }
