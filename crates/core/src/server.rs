@@ -44,7 +44,9 @@
 use crate::catalog::SketchCatalog;
 use crate::instrument::UsePredicateStyle;
 use crate::pbds::PbdsError;
-use crate::tuning::{estimate_selectivity, execute_with_reuse, Action, QueryRecord, Strategy};
+use crate::tuning::{
+    capture_and_store, estimate_selectivity, execute_with_reuse, Action, QueryRecord, Strategy,
+};
 use pbds_algebra::{templatize, Expr, LogicalPlan, QueryTemplate};
 use pbds_exec::{Engine, EngineProfile};
 use pbds_persist::{
@@ -52,23 +54,27 @@ use pbds_persist::{
     MutationWal, PersistError, PersistedCatalog, RealIo, WalOp, CATALOG_FILE, SNAPSHOT_FILE,
     WAL_FILE,
 };
-use pbds_provenance::{capture_sketches_with_profile, CaptureConfig};
-use pbds_storage::{Database, PartitionRef, Relation, Row, Value};
+use pbds_storage::{Database, Relation, Row, Value};
 use pbds_telemetry::{clock, span, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 
 use pbds_sync::{LockHoldStat, TrackedCondvar, TrackedMutex, TrackedRwLock};
 use std::thread::JoinHandle;
 
-// The commit pipeline lives in `commit.rs`, as a child of this module so it
-// keeps reading the server's private shared state.
+// The commit pipeline and the health lattice with its janitor live in
+// `commit.rs` and `health.rs`, as children of this module so they keep
+// reading the server's private shared state.
 #[path = "commit.rs"]
 mod commit;
+#[path = "health.rs"]
+mod health;
 use commit::{commit_loop, mutate_database};
+pub use health::HealthState;
+use health::{janitor_loop, Health, RepairState};
 
 /// Configuration of a [`PbdsServer`].
 #[derive(Debug, Clone, Copy)]
@@ -130,65 +136,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// Fail-safe degradation state of a [`PbdsServer`]. Health only ever
-/// escalates (`fetch_max` on the shared atom) while a failure is being
-/// handled, and is settled back down only after a *successful* repair —
-/// never optimistically. The lattice:
-///
-/// * [`HealthState::Healthy`] — full service.
-/// * [`HealthState::Degraded`] — full service, but a non-critical component
-///   failed (a checkpoint failed and will be retried; background capture was
-///   disabled after repeated panics). Acknowledged writes are still durable
-///   (the WAL holds them); the degradation costs recovery time, not data.
-/// * [`HealthState::ReadOnly`] — a WAL append or fsync failed, so new writes
-///   can no longer be made durable before acknowledgement. Writes are
-///   refused fast with [`PbdsError::ReadOnly`]; reads keep serving from the
-///   consistent in-memory state. The janitor retries repair with backoff.
-/// * [`HealthState::FailStop`] — repair was exhausted from read-only.
-///   Terminal: reads and writes are both refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum HealthState {
-    /// Full service.
-    Healthy,
-    /// Serving fully, but a non-critical durability component is impaired.
-    Degraded,
-    /// Writes refused (durability cannot be guaranteed); reads keep serving.
-    ReadOnly,
-    /// Terminal: repair exhausted, reads and writes both refused.
-    FailStop,
-}
-
-impl HealthState {
-    fn as_u8(self) -> u8 {
-        self as u8
-    }
-
-    fn from_u8(v: u8) -> HealthState {
-        match v {
-            0 => HealthState::Healthy,
-            1 => HealthState::Degraded,
-            2 => HealthState::ReadOnly,
-            _ => HealthState::FailStop,
-        }
-    }
-}
-
-impl std::fmt::Display for HealthState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HealthState::Healthy => write!(f, "healthy"),
-            HealthState::Degraded => write!(f, "degraded"),
-            HealthState::ReadOnly => write!(f, "read-only"),
-            HealthState::FailStop => write!(f, "fail-stop"),
-        }
-    }
-}
-
 /// Snapshot of a server's robustness counters and recent event messages
 /// ([`PbdsServer::robustness_events`]). Counters are cumulative over the
 /// server's lifetime; `messages` holds the most recent human-readable events
-/// (oldest first, bounded), replacing what used to be `eprintln!`
-/// diagnostics.
+/// (oldest first, bounded) — library crates do not print, so this is where
+/// diagnostics go.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RobustnessEvents {
     /// Commit batches that panicked (their mutations were failed, not lost
@@ -239,10 +191,6 @@ const MAX_CAPTURE_PANICS: u64 = 3;
 
 /// Most recent robustness event messages retained.
 const EVENT_LOG_CAP: usize = 32;
-
-/// Janitor backoff between repair attempts is `1ms << (attempt - 2)`,
-/// capped here.
-const MAX_REPAIR_BACKOFF_MS: u64 = 64;
 
 /// One served query: the result relation plus the execution record.
 #[derive(Debug, Clone)]
@@ -297,11 +245,9 @@ struct ServerShared {
     /// ([`CommitStats`], [`RobustnessEvents`]) and the Prometheus-style
     /// exposition ([`PbdsServer::metrics_snapshot`]) read the same atomics.
     metrics: ServerMetrics,
-    /// Current [`HealthState`] as its `u8` discriminant. Escalations use
-    /// `fetch_max` (health never accidentally improves under a race);
-    /// settling back down happens only in [`ServerShared::settle_health`]
-    /// after a successful repair.
-    health: AtomicU8,
+    /// Current [`HealthState`]; it moves only through
+    /// [`ServerShared::degrade`] and [`ServerShared::settle_health`].
+    health: Health,
     /// Set once capture panicked [`MAX_CAPTURE_PANICS`] times; further
     /// capture work is refused at enqueue time.
     capture_disabled: AtomicBool,
@@ -388,13 +334,6 @@ impl ServerMetrics {
     }
 }
 
-/// Janitor thread wake-up state.
-#[derive(Default)]
-struct RepairState {
-    wanted: bool,
-    shutdown: bool,
-}
-
 impl ServerShared {
     /// The current database snapshot.
     fn snapshot(&self) -> Arc<Database> {
@@ -451,68 +390,6 @@ impl ServerShared {
         self.mutation_lock.lock()
     }
 
-    /// Current health state.
-    fn health(&self) -> HealthState {
-        HealthState::from_u8(self.health.load(Ordering::SeqCst))
-    }
-
-    /// Escalate health to at least `to` (never downward — `fetch_max`) and
-    /// log why. Transitions taken on the write path run under the mutation
-    /// lock, so a batch can never commit concurrently with the degradation
-    /// it should have observed.
-    fn degrade(&self, to: HealthState, why: String) {
-        let prev = self.health.fetch_max(to.as_u8(), Ordering::SeqCst);
-        if prev < to.as_u8() {
-            self.note(format!(
-                "health {} -> {to}: {why}",
-                HealthState::from_u8(prev)
-            ));
-            if to == HealthState::FailStop {
-                // Terminal transition: freeze the span-tracer journal as
-                // forensics — the last phases every thread went through
-                // before the server stopped (RecoveryReport-style, but for
-                // the failure instead of the restart).
-                let mut forensics = self.failstop_forensics.lock();
-                if forensics.is_none() {
-                    *forensics = Some(pbds_telemetry::render_journal());
-                }
-            }
-        } else {
-            self.note(why);
-        }
-    }
-
-    /// Settle health back down after a *successful* repair or checkpoint:
-    /// to `Degraded` while capture stays disabled, else `Healthy`.
-    /// `FailStop` is terminal and never settled. Callers hold the mutation
-    /// lock, so the write path observes the restored state consistently.
-    fn settle_health(&self) {
-        loop {
-            let cur = self.health.load(Ordering::SeqCst);
-            let target = if self.capture_disabled.load(Ordering::SeqCst) {
-                HealthState::Degraded
-            } else {
-                HealthState::Healthy
-            }
-            .as_u8();
-            if cur == HealthState::FailStop.as_u8() || cur <= target {
-                return;
-            }
-            if self
-                .health
-                .compare_exchange(cur, target, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                self.note(format!(
-                    "health {} -> {}: repair succeeded",
-                    HealthState::from_u8(cur),
-                    HealthState::from_u8(target)
-                ));
-                return;
-            }
-        }
-    }
-
     /// Record an event message (bounded ring, oldest dropped).
     fn note(&self, msg: String) {
         let mut log = self.event_log.lock();
@@ -520,14 +397,6 @@ impl ServerShared {
             log.pop_front();
         }
         log.push_back(msg);
-    }
-
-    /// Wake the janitor thread to attempt repair (no-op without a janitor —
-    /// in-memory servers and `repair_attempts: 0`).
-    fn request_repair(&self) {
-        let mut state = self.repair.lock();
-        state.wanted = true;
-        self.repair_cv.notify_all();
     }
 
     /// Consume a one-shot injected panic for `site`, panicking if armed.
@@ -758,7 +627,7 @@ impl PbdsServer {
             backlog: TrackedMutex::new("server.backlog", 0),
             backlog_drained: TrackedCondvar::new(),
             metrics: ServerMetrics::new(),
-            health: AtomicU8::new(HealthState::Healthy.as_u8()),
+            health: Health::new(),
             capture_disabled: AtomicBool::new(false),
             event_log: TrackedMutex::new("server.event_log", VecDeque::new()),
             failstop_forensics: TrackedMutex::new("server.failstop_forensics", None),
@@ -1036,10 +905,8 @@ impl PbdsServer {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.shared.metrics.registry.snapshot();
         snap.merge(self.shared.catalog.metrics_snapshot());
-        snap.gauges.insert(
-            "pbds_health_state".to_string(),
-            self.shared.health().as_u8() as i64,
-        );
+        snap.gauges
+            .insert("pbds_health_state".to_string(), self.shared.health() as i64);
         // Lock-hold statistics are process-wide and already aggregated per
         // lock class; inject them as gauges at snapshot time (empty in
         // release builds without the `lock-order` feature).
@@ -1329,11 +1196,7 @@ impl Drop for PbdsServer {
             let _unused = commit.join();
         }
         if let Some(janitor) = self.janitor.take() {
-            {
-                let mut state = self.shared.repair.lock();
-                state.shutdown = true;
-            }
-            self.shared.repair_cv.notify_all();
+            self.shared.stop_janitor();
             let _unused = janitor.join();
         }
         self.capture_tx.take();
@@ -1552,91 +1415,6 @@ fn capture_worker(shared: &ServerShared, rx: &TrackedMutex<Receiver<CaptureTask>
     }
 }
 
-/// Background repair loop: sleep until a failure path requests repair
-/// ([`ServerShared::request_repair`]), then retry the repair sequence —
-/// fresh WAL descriptor, re-verify, checkpoint — with capped exponential
-/// backoff, up to [`ServerConfig::repair_attempts`] times per request.
-/// Success settles health; exhaustion from read-only escalates to
-/// fail-stop.
-fn janitor_loop(shared: &ServerShared) {
-    loop {
-        {
-            let state = shared.repair.lock();
-            let mut state = shared
-                .repair_cv
-                .wait_while(state, |s| !s.wanted && !s.shutdown);
-            if state.shutdown {
-                return;
-            }
-            state.wanted = false;
-        }
-        repair(shared);
-    }
-}
-
-/// One repair campaign. Each attempt runs under the mutation lock (same
-/// order as the commit thread: mutation lock, then persistence lock), so a
-/// successful repair and the batch that next observes it are serialized.
-fn repair(shared: &ServerShared) {
-    let max_attempts = shared.config.repair_attempts;
-    for attempt in 1..=max_attempts {
-        if attempt > 1 {
-            let ms = (1u64 << (attempt as u32 - 2).min(20)).min(MAX_REPAIR_BACKOFF_MS);
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-        shared.metrics.repair_attempts_made.inc();
-        let result = {
-            let _serialized = shared.serialize_mutations();
-            let Some(persist) = &shared.persist else {
-                return; // only spawned for durable servers
-            };
-            let mut p = persist.lock();
-            if !p.wal.is_healthy() {
-                // fsyncgate: never reuse a descriptor whose fsync failed —
-                // re-open fresh and truncate to the verified prefix. Even a
-                // verify *failure* is survivable here, because the
-                // checkpoint below re-establishes durability from the
-                // consistent in-memory state and rebuilds the log.
-                let _ = p.wal.reopen_and_verify();
-            }
-            let result = shared.checkpoint_with(&mut p);
-            if result.is_ok() {
-                // Settle while still holding the mutation lock, so the next
-                // batch the commit thread gates is admitted consistently.
-                shared.settle_health();
-            }
-            result
-        };
-        match result {
-            Ok(()) => {
-                shared.metrics.repairs_succeeded.inc();
-                shared.note(format!(
-                    "repair succeeded on attempt {attempt}/{max_attempts}"
-                ));
-                return;
-            }
-            Err(e) => shared.note(format!(
-                "repair attempt {attempt}/{max_attempts} failed: {e}"
-            )),
-        }
-    }
-    // Exhausted. A read-only server that cannot be repaired will never
-    // accept another write — fail-stop is the honest terminal state. A
-    // merely degraded server keeps full service: its WAL still holds every
-    // acknowledged mutation, the failure only costs recovery time.
-    if shared.health() == HealthState::ReadOnly {
-        shared.degrade(
-            HealthState::FailStop,
-            format!("repair exhausted after {max_attempts} attempts from read-only"),
-        );
-    } else {
-        shared.note(format!(
-            "repair exhausted after {max_attempts} attempts; server stays \
-             degraded (WAL intact, acknowledged mutations recoverable)"
-        ));
-    }
-}
-
 fn run_capture(shared: &ServerShared, task: &CaptureTask) {
     let _capture_span = span!("capture.run");
     shared.take_injected_panic(PanicSite::Capture);
@@ -1654,37 +1432,22 @@ fn run_capture(shared: &ServerShared, task: &CaptureTask) {
     {
         return;
     }
-    let Some(attrs) = shared.catalog.safe_attrs(&db, &task.template) else {
-        return;
-    };
-    let partitions: Vec<PartitionRef> = attrs
-        .iter()
-        .filter_map(|a| {
-            shared
-                .catalog
-                .partition_for(&db, a, shared.config.fragments)
-        })
-        .collect();
-    if partitions.is_empty() {
-        return;
-    }
     let plan = task.template.instantiate(&task.binding);
-    let Ok(capture) = capture_sketches_with_profile(
+    // Nothing is recorded when there is no partition to sketch on, when the
+    // capture fails (that only loses the optimization, never a result) or
+    // when the sketches are rejected as stale because a mutation landed
+    // while capturing.
+    let Ok(Some((_, Some(_)))) = capture_and_store(
         &db,
-        &plan,
-        &partitions,
-        &CaptureConfig::optimized(),
+        &shared.catalog,
         shared.config.profile,
+        shared.config.fragments,
+        &task.template,
+        &task.binding,
+        &plan,
     ) else {
-        return; // capture failure only loses the optimization, never a result
+        return;
     };
-    if shared
-        .catalog
-        .insert(&db, &task.template, &task.binding, capture.sketches)
-        .is_none()
-    {
-        return; // rejected as stale: a mutation landed while capturing
-    }
     shared.metrics.captures_done.inc();
     shared
         .metrics

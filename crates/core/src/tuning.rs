@@ -140,6 +140,37 @@ pub(crate) fn execute_with_reuse(
     Ok(Some((record, out.relation)))
 }
 
+/// Capture sketches for `plan` (= `template(binding)`) over the template's
+/// safe attributes and store them in the catalog. `None` when there is
+/// nothing to partition on; otherwise the capture run's counters and what
+/// [`SketchCatalog::insert`] returned (`None` = rejected as stale). Shared by
+/// [`SelfTuningExecutor::run`] and the server's capture workers, like
+/// [`execute_with_reuse`] on the reuse side.
+pub(crate) fn capture_and_store(
+    db: &Database,
+    catalog: &SketchCatalog,
+    profile: EngineProfile,
+    fragments: usize,
+    template: &QueryTemplate,
+    binding: &[Value],
+    plan: &LogicalPlan,
+) -> Result<Option<(ExecStats, Option<u64>)>, ExecError> {
+    let Some(attrs) = catalog.safe_attrs(db, template) else {
+        return Ok(None);
+    };
+    let partitions: Vec<PartitionRef> = attrs
+        .iter()
+        .filter_map(|a| catalog.partition_for(db, a, fragments))
+        .collect();
+    if partitions.is_empty() {
+        return Ok(None);
+    }
+    let capture =
+        capture_sketches_with_profile(db, plan, &partitions, &CaptureConfig::optimized(), profile)?;
+    let stored = catalog.insert(db, template, binding, capture.sketches);
+    Ok(Some((capture.stats, stored)))
+}
+
 /// What the executor decided to do for one query instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action {
@@ -233,12 +264,11 @@ impl<'a> SelfTuningExecutor<'a> {
             return self.run_plain(template, &plan);
         }
 
-        // Determine (once per template, shared through the catalog) which
-        // attributes are safe to sketch.
-        let attrs = match self.catalog.safe_attrs(self.db, template) {
-            Some(a) => a,
-            None => return self.run_plain(template, &plan),
-        };
+        // Which attributes are safe to sketch is determined once per
+        // template and shared through the catalog; none means no PBDS.
+        if self.catalog.safe_attrs(self.db, template).is_none() {
+            return self.run_plain(template, &plan);
+        }
 
         // Selectivity gate: PBDS is not worthwhile for non-selective queries.
         // Queries whose selectivity cannot be estimated statically (HAVING,
@@ -269,34 +299,25 @@ impl<'a> SelfTuningExecutor<'a> {
 
         // Capture: build (cached) partitions over the safe attributes and run
         // the instrumented capture query; its result is the query answer.
-        let partitions: Vec<PartitionRef> = attrs
-            .iter()
-            .filter_map(|a| self.catalog.partition_for(self.db, a, self.fragments))
-            .collect();
-        if partitions.is_empty() {
-            return self.run_plain(template, &plan);
-        }
-        let capture = capture_sketches_with_profile(
+        let Some((stats, _stored)) = capture_and_store(
             self.db,
-            &plan,
-            &partitions,
-            &CaptureConfig::optimized(),
+            &self.catalog,
             self.engine.profile(),
-        )?;
-        let record = QueryRecord {
+            self.fragments,
+            template,
+            binding,
+            &plan,
+        )?
+        else {
+            return self.run_plain(template, &plan);
+        };
+        Ok(QueryRecord {
             template: template.name().to_string(),
             action: Action::Capture,
-            elapsed: capture.elapsed,
-            stats: ExecStats {
-                rows_output: capture.result.len() as u64,
-                elapsed: capture.elapsed,
-                ..Default::default()
-            },
-            result_rows: capture.result.len(),
-        };
-        self.catalog
-            .insert(self.db, template, binding, capture.sketches);
-        Ok(record)
+            elapsed: stats.elapsed,
+            result_rows: stats.rows_output as usize,
+            stats,
+        })
     }
 
     /// Execute a whole workload (sequence of template instances).
@@ -462,6 +483,14 @@ mod tests {
         let t = having_template();
         let r1 = exec.run(&t, &[Value::Int(52_000)]).unwrap();
         assert_eq!(r1.action, Action::Capture);
+        // The capture query scans the table like the plain query does, and
+        // its record says so.
+        let plain = Engine::new(EngineProfile::Indexed)
+            .execute(&db, &t.instantiate(&[Value::Int(52_000)]))
+            .unwrap();
+        assert_eq!(plain.stats.rows_scanned, 5_000);
+        assert_eq!(r1.stats.rows_scanned, plain.stats.rows_scanned);
+        assert_eq!(r1.result_rows, plain.relation.len());
         // A more selective instance reuses the stored sketch.
         let r2 = exec.run(&t, &[Value::Int(53_000)]).unwrap();
         assert_eq!(r2.action, Action::UseSketch, "{:?}", r2);

@@ -30,7 +30,6 @@ use pbds_exec::{
 };
 use pbds_storage::{Database, Partition, PartitionRef, Relation, Row, Schema};
 use pbds_telemetry::clock;
-use std::time::Duration;
 
 /// How a tuple's fragment is computed when seeding annotations (Fig. 12a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -165,8 +164,9 @@ pub struct CaptureResult {
     pub sketches: Vec<ProvenanceSketch>,
     /// The ordinary query result (capture computes it as a by-product).
     pub result: Relation,
-    /// Wall-clock time of the instrumented execution.
-    pub elapsed: Duration,
+    /// Execution counters of the instrumented execution; `elapsed` is its
+    /// wall-clock time, lowering and the final sketch merge included.
+    pub stats: ExecStats,
 }
 
 /// The pipeline tag policy that turns execution into sketch capture: tags
@@ -268,10 +268,12 @@ pub fn capture_sketches_with_profile(
             ProvenanceSketch::new(p.clone(), bits)
         })
         .collect();
+    stats.rows_output = relation.len() as u64;
+    stats.elapsed = start.elapsed();
     Ok(CaptureResult {
         sketches,
         result: relation,
-        elapsed: start.elapsed(),
+        stats,
     })
 }
 
