@@ -25,6 +25,12 @@
 //! * **Read corruption ([`FaultKind::ReadCorrupt`])** flips one seeded bit
 //!   in the bytes returned by a read, which the frame CRCs must catch.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "this module is the I/O seam: the only library code that calls std::fs"
+)]
+
 use std::fmt;
 use std::fs;
 use std::io::{self, Seek, SeekFrom, Write};

@@ -11,9 +11,9 @@
 //!    poisoned lock instead of returning a `Result`: a panic in one thread
 //!    is contained by the server's panic fences, and honoring the poison
 //!    flag would turn one contained panic into a permanently wedged
-//!    subsystem. This is what makes the workspace lint **L3** ("no
-//!    `.unwrap()` / `.expect()` on lock-guard results") mechanically
-//!    satisfiable — there is no `Result` left to unwrap.
+//!    subsystem. The workspace `clippy.toml` disallows the bare
+//!    `std::sync::{Mutex, RwLock}` types in library crates, so every guard
+//!    comes from here and there is no lock `Result` left to unwrap.
 //!
 //! 2. **Lock-order (would-be-deadlock) detection.** When tracking is on
 //!    (any `debug_assertions` build, or a release build with the
@@ -51,6 +51,10 @@
 //!   makes hold times include waits.
 
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "these are the wrappers every other crate must use instead of the std locks"
+)]
 
 use std::time::Duration;
 

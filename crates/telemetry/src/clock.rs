@@ -1,8 +1,8 @@
 //! The workspace clock seam.
 //!
 //! All wall-clock reads in PBDS library crates go through these functions —
-//! `pbds-audit` lint L6 rejects `Instant::now` / `SystemTime::now` anywhere
-//! else. Centralizing the reads keeps timing observable (span and histogram
+//! the workspace `clippy.toml` disallows `Instant::now` / `SystemTime::now`
+//! anywhere else. Centralizing the reads keeps timing observable (span and histogram
 //! recording share the same time base) and leaves one seam to virtualize if
 //! deterministic replay ever needs a mock clock.
 
@@ -11,12 +11,14 @@ use std::time::{Duration, Instant, SystemTime};
 
 /// Monotonic "now". The only sanctioned `Instant::now` in library code.
 #[inline]
+#[expect(clippy::disallowed_methods, reason = "this is the clock seam")]
 pub fn now() -> Instant {
     Instant::now()
 }
 
 /// Wall-clock "now". The only sanctioned `SystemTime::now` in library code.
 #[inline]
+#[expect(clippy::disallowed_methods, reason = "this is the clock seam")]
 pub fn system_now() -> SystemTime {
     SystemTime::now()
 }

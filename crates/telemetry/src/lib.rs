@@ -6,7 +6,7 @@
 //! Three layers, bottom-up:
 //!
 //! * [`clock`] — the **one** place library code may read wall-clock time.
-//!   The `pbds-audit` lint L6 forbids `Instant::now` / `SystemTime::now`
+//!   The workspace `clippy.toml` disallows `Instant::now` / `SystemTime::now`
 //!   everywhere else, so tests and future deterministic-replay work have a
 //!   single seam to virtualize.
 //! * [`metrics`] / [`hist`] — a registry of named [`Counter`]s, [`Gauge`]s
@@ -14,7 +14,7 @@
 //!   atomics (the registry mutex is touched only at registration);
 //!   [`Registry::snapshot`] produces a deterministic [`MetricsSnapshot`]
 //!   renderable to Prometheus-style text exposition via a `String`-returning
-//!   API (no stdout — library crates stay L2-clean).
+//!   API (library crates do not print).
 //! * [`span`](crate::span()) / [`span!`] — a span tracer recording
 //!   start/duration events into per-thread ring buffers and a bounded global
 //!   event journal. Compiled to zero-cost no-ops unless `debug_assertions`

@@ -6,7 +6,13 @@
 //! contends. [`Registry::snapshot`] freezes everything into a
 //! [`MetricsSnapshot`]: deterministic `BTreeMap`s renderable to
 //! Prometheus-style text exposition with [`MetricsSnapshot::render_text`]
-//! (a `String`-returning API — no stdout, so library crates stay L2-clean).
+//! (a `String`-returning API — library crates do not print).
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "pbds-telemetry sits below pbds-sync, so the registry keeps a std mutex"
+)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;

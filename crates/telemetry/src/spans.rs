@@ -30,6 +30,11 @@ pub struct SpanEvent {
 }
 
 #[cfg(any(debug_assertions, feature = "telemetry"))]
+#[expect(
+    clippy::disallowed_types,
+    reason = "pbds-telemetry sits below pbds-sync, so the journal keeps a std mutex"
+)]
+#[deny(clippy::unwrap_used, clippy::expect_used)]
 mod imp {
     use super::SpanEvent;
     use crate::clock;
