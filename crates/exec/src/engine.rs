@@ -51,9 +51,8 @@ impl Engine {
 
     /// Toggle the vectorized columnar scan path. With `false`, pushed-down
     /// scan filters run through the row-at-a-time expression interpreter —
-    /// the oracle the vectorized path is proven byte-identical against, and
-    /// the baseline of the `fig_scan_micro` benchmark. Results are identical
-    /// either way; only speed changes.
+    /// the oracle the vectorized path is proven byte-identical against.
+    /// Results are identical either way; only speed changes.
     pub fn with_vectorization(mut self, on: bool) -> Self {
         self.opts.vectorized = on;
         self

@@ -55,9 +55,9 @@ pub struct ExecOptions {
     /// projection with vectorized kernels (the fast path). When `false`,
     /// scans use the row-at-a-time expression interpreter — the oracle the
     /// vectorized path is proven byte-identical against
-    /// (`tests/physical_equivalence.rs`) and the baseline of the
-    /// `fig_scan_micro` benchmark. `false` is a hard override: the adaptive
-    /// decision below never upgrades an oracle run to the vectorized path.
+    /// (`tests/physical_equivalence.rs`). `false` is a hard override: the
+    /// adaptive decision below never upgrades an oracle run to the
+    /// vectorized path.
     pub vectorized: bool,
     /// Decide the scan path per scan instead of statically: a scan whose
     /// table-stats selectivity estimate ([`estimate_scan_selectivity`]) says

@@ -362,3 +362,132 @@ fn corrupted_catalog_on_disk_is_quarantined_and_the_server_comes_up_cold() {
     assert!(!report.catalog_quarantined, "{report:?}");
     assert_eq!(server.health(), HealthState::Healthy);
 }
+
+/// A restart must not forfeit the catalog, and neither must a fault cycle on
+/// top of it: on a Zipf SOF stream the reopened server hits from query one,
+/// pays no capture and scans fewer rows over the early stream than the cold
+/// start did; after an fsyncgate WAL failure plus an ENOSPC'd repair
+/// checkpoint the healed server still hits from query one, and so does the
+/// clean reopen after its crash.
+#[test]
+fn a_restart_and_a_fault_cycle_both_keep_the_catalog_warm() {
+    use pbds_core::Action;
+    use pbds_workloads::{sof, sof_pools, zipf_stream, StreamSpec};
+
+    /// Queries over which the early-stream scan volume is compared.
+    const EARLY_WINDOW: usize = 30;
+
+    /// Serve the stream in order, draining after every enqueued capture so
+    /// hit/miss behaviour is deterministic: `(first hit, rows scanned over
+    /// the early window, captures paid)`.
+    fn serve_phase(
+        server: &PbdsServer,
+        stream: &[(QueryTemplate, Vec<Value>)],
+    ) -> (Option<usize>, u64, u64) {
+        let session = server.session();
+        let mut first_hit = None;
+        let mut early_rows = 0;
+        for (i, (template, binding)) in stream.iter().enumerate() {
+            let served = session.serve(template, binding).unwrap();
+            if served.capture_enqueued {
+                server.drain();
+            }
+            if i < EARLY_WINDOW {
+                early_rows += served.record.stats.rows_scanned;
+            }
+            if first_hit.is_none() && served.record.action == Action::UseSketch {
+                first_hit = Some(i);
+            }
+        }
+        (first_hit, early_rows, server.capture_totals().0)
+    }
+
+    // `(postid, owneruserid, favorites, score)`.
+    let post = |postid: i64| {
+        Mutation::Append(vec![vec![
+            Value::Int(postid),
+            Value::Int(1),
+            Value::Int(0),
+            Value::Int(0),
+        ]])
+    };
+
+    let dir = test_dir("warm-through-faults");
+    let config = ServerConfig {
+        capture_workers: 2,
+        ..ServerConfig::default()
+    };
+    let db = Arc::new(sof::generate(&sof::SofConfig {
+        users: 1_500,
+        posts: 9_000,
+        comments: 12_000,
+        badges: 4_500,
+        ..Default::default()
+    }));
+    let stream = zipf_stream(
+        &sof_pools(16, 29),
+        &StreamSpec {
+            queries: 60,
+            skew: 1.1,
+            seed: 13,
+        },
+    );
+
+    // Cold: empty catalog, every new binding pays a capture.
+    let server = PbdsServer::create(&dir, db, config).unwrap();
+    let (_, cold_rows, cold_captures) = serve_phase(&server, &stream);
+    assert!(cold_captures > 0, "the cold run must pay capture");
+    server.shutdown().unwrap();
+
+    // Warm, behind a fault injector with nothing armed yet.
+    let injector = FaultInjector::new(0xD811);
+    let server =
+        PbdsServer::open_with_io(&dir, config, Arc::new(FaultIo::new(Arc::clone(&injector))))
+            .unwrap();
+    let report = server.recovery_report().unwrap();
+    assert_eq!(report.catalog_dropped, 0, "{report:?}");
+    let (warm_first, warm_rows, warm_captures) = serve_phase(&server, &stream);
+    assert_eq!(warm_first, Some(0), "warm start must hit from query one");
+    assert_eq!(warm_captures, 0, "warm start must not pay capture again");
+    assert!(
+        warm_rows < cold_rows,
+        "warm start scanned {warm_rows} rows over the first {EARLY_WINDOW} \
+         queries, cold start {cold_rows}"
+    );
+
+    // The fault cycle: the first write's WAL fsync fails and it is refused;
+    // the janitor's repair checkpoint then eats an ENOSPC before landing.
+    injector.inject(FaultSpec {
+        kind: FaultKind::FsyncFail,
+        class: FileClass::Wal,
+        skip: 0,
+    });
+    injector.inject(FaultSpec {
+        kind: FaultKind::Enospc,
+        class: FileClass::Snapshot,
+        skip: 0,
+    });
+    server
+        .apply_mutation("posts", post(9_000_000))
+        .expect_err("a write whose WAL fsync failed must be refused");
+    assert!(
+        await_health(&server, HealthState::Healthy),
+        "janitor never repaired: {:?}",
+        server.robustness_events()
+    );
+    let events = server.robustness_events();
+    assert_eq!(events.wal_append_failures, 1, "{events:?}");
+    assert!(events.repairs_succeeded >= 1, "{events:?}");
+    assert_eq!(injector.armed_remaining(), 0, "both faults must have fired");
+    server.apply_mutation("posts", post(9_000_001)).unwrap();
+    let (healed_first, _, _) = serve_phase(&server, &stream);
+    assert_eq!(healed_first, Some(0), "the healed server must still hit");
+    drop(server); // crash: the repair checkpoint and the WAL carry the state
+
+    let server = PbdsServer::open(&dir, config).unwrap();
+    let report = server.recovery_report().unwrap();
+    assert_eq!(report.catalog_dropped, 0, "{report:?}");
+    let (reopened_first, _, reopened_captures) = serve_phase(&server, &stream);
+    assert_eq!(reopened_first, Some(0), "a fault cycle cost the warm start");
+    assert_eq!(reopened_captures, 0, "the reopen paid capture again");
+}
