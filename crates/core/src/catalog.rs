@@ -20,17 +20,17 @@
 //!   entry set changes or the underlying data mutates;
 //! * **epoch-checked under mutation** — every stored entry records, per
 //!   sketched table, the table epoch its sketches reflect.
-//!   [`SketchCatalog::on_append`] extends stored sketches with the fragments
-//!   that received new rows (safe supersets, Lemma 5) and
-//!   [`SketchCatalog::on_delete`] keeps them as still-safe supersets while
-//!   invalidating what was derived from the old statistics (a memoized
-//!   safety verdict instead carries the column bounds it was proven under,
-//!   and is kept while the data stays inside them); a lookup only
-//!   ever offers entries whose recorded epochs match the serving database,
-//!   so stale sketches are structurally unreachable;
+//!   [`SketchCatalog::apply_deltas`] extends stored sketches with the
+//!   fragments that received new rows (safe supersets, Lemma 5) and keeps
+//!   them across deletes as still-safe supersets while invalidating what was
+//!   derived from the old statistics (a memoized safety verdict instead
+//!   carries the column bounds it was proven under, and is kept while the
+//!   data stays inside them); a lookup only ever offers entries whose
+//!   recorded epochs match the serving database, so stale sketches are
+//!   structurally unreachable;
 //! * **observable** — hit / miss / eviction / memo-hit counters
-//!   ([`CatalogStats`]) are maintained with atomics so monitoring never takes
-//!   a lock;
+//!   ([`SketchCatalog::metrics_snapshot`]) are maintained with atomics so
+//!   monitoring never takes a lock;
 //! * **bounded** — an optional byte budget triggers least-recently-used
 //!   eviction across shards, so a long-running server cannot grow its sketch
 //!   store without bound.
@@ -81,35 +81,6 @@ impl Default for CatalogConfig {
     }
 }
 
-/// Snapshot of the catalog's counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CatalogStats {
-    /// Reuse lookups answered by a stored sketch.
-    pub hits: u64,
-    /// Reuse lookups no stored sketch could answer.
-    pub misses: u64,
-    /// Entries evicted by the byte-budget LRU policy.
-    pub evictions: u64,
-    /// Lookups answered from the reuse-check memo (subset of hits + misses).
-    pub memo_hits: u64,
-    /// Stored sketches incrementally extended by an append
-    /// ([`SketchCatalog::on_append`]).
-    pub extended: u64,
-    /// Entries invalidated by table mutations (unmaintainable on append,
-    /// epoch gap, or stale at insert time).
-    pub invalidated: u64,
-    /// Coalesced mutation deltas processed by catalog maintenance
-    /// ([`SketchCatalog::apply_deltas`] and the per-mutation hooks). Under
-    /// group commit this grows by the number of *coalesced* deltas per
-    /// batch, not the number of mutations — `mutations ≫ maintenance_deltas`
-    /// is the batching win made visible.
-    pub maintenance_deltas: u64,
-    /// Number of stored sketch entries.
-    pub stored: usize,
-    /// Total approximate bytes of stored sketches.
-    pub bytes: usize,
-}
-
 /// One coalesced table-level mutation delta of a commit batch, for
 /// [`SketchCatalog::apply_deltas`]. The group-commit thread merges a batch's
 /// per-mutation effects into at most a few of these per table (consecutive
@@ -117,10 +88,25 @@ pub struct CatalogStats {
 /// catalog walks its shards once per batch instead of once per mutation.
 #[derive(Debug, Clone)]
 pub enum CatalogDelta {
-    /// Rows appended to `table`: entries maintained to `prev_epoch` are
-    /// extended over the appended rows and advance to `new_epoch`; entries
-    /// with an epoch gap (or whose sketches cannot absorb a new row) are
-    /// dropped.
+    /// Rows appended to `table`.
+    ///
+    /// Per the paper's superset semantics, a stored sketch stays safe across
+    /// an append when every fragment that received new rows joins the
+    /// sketch: untouched groups keep their membership, and any group whose
+    /// aggregate the new rows changed lives entirely inside a now-included
+    /// fragment (the partition attributes are the group-defining safe
+    /// attributes). Entries maintained to `prev_epoch` are therefore
+    /// *extended* in place and advance to `new_epoch` — unless a new row has
+    /// no fragment under an entry's partition (novel composite key / NULL
+    /// partitioning value) or the entry missed an earlier mutation (epoch
+    /// gap), in which case the entry is dropped and must be recaptured.
+    /// Reuse memos of the templates reading this table are invalidated (the
+    /// reuse check depends on its statistics, which changed) — templates
+    /// over unrelated tables keep their caches. A memoized safe-attribute
+    /// choice survives for as long as the table's bounds stay inside the
+    /// ones it was proven under (see [`SketchCatalog::safe_attrs`]; a new
+    /// negative value, say, moves a minimum out and forces a new
+    /// derivation).
     Append {
         /// The mutated table.
         table: String,
@@ -136,10 +122,20 @@ pub enum CatalogDelta {
         /// when `rows` is `None`).
         range: std::ops::Range<usize>,
     },
-    /// Rows deleted from `table`: entries maintained to `prev_epoch` stay
-    /// (still-safe supersets) and advance to `new_epoch`; entries with an
-    /// epoch gap are dropped. Cached partitions of the table and the
-    /// evidence counters of the templates reading it are reset.
+    /// Rows deleted from `table`.
+    ///
+    /// Entries maintained to `prev_epoch` are kept and advance to
+    /// `new_epoch`: a sketch instance still contains *all* remaining rows of
+    /// every included fragment, so aggregates over included groups are
+    /// computed correctly, and under the safety rules' monotonicity
+    /// assumptions a group that was excluded cannot enter the result by
+    /// losing rows — the sketch remains a safe superset. What a delete does
+    /// invalidate is what was derived from the old statistics and cannot
+    /// tell whether it still applies: reuse memos, adaptive evidence
+    /// counters, and cached range partitions of the table (their equi-depth
+    /// boundaries came from the old histogram). A memoized safe-attribute
+    /// choice can tell — a delete only moves bounds inward — and stays.
+    /// Entries that missed an earlier mutation (epoch gap) are dropped.
     Delete {
         /// The mutated table.
         table: String,
@@ -194,11 +190,11 @@ struct CatalogEntry {
     sketches: Vec<ProvenanceSketch>,
     /// Per sketched table, the table epoch the sketches reflect: the epoch
     /// of the database they were captured against, advanced by
-    /// [`SketchCatalog::on_append`] / [`SketchCatalog::on_delete`] as the
-    /// sketches are maintained across mutations. A reuse lookup only offers
-    /// an entry whose recorded epochs match the serving database exactly, so
-    /// a mutation that bypassed the maintenance hooks silently disables —
-    /// never mis-serves — the stored sketches.
+    /// [`SketchCatalog::apply_deltas`] as the sketches are maintained across
+    /// mutations. A reuse lookup only offers an entry whose recorded epochs
+    /// match the serving database exactly, so a mutation that bypassed
+    /// maintenance silently disables — never mis-serves — the stored
+    /// sketches.
     capture_epochs: HashMap<String, u64>,
     bytes: usize,
     /// Logical LRU timestamp (global clock tick of the last hit).
@@ -327,9 +323,7 @@ pub struct SketchCatalog {
     clock: AtomicU64,
     next_id: AtomicU64,
     /// The catalog's metrics registry: every counter below is a cached
-    /// handle into it, so [`SketchCatalog::stats`] and the Prometheus-style
-    /// exposition ([`SketchCatalog::metrics_snapshot`]) read the same
-    /// atomics monitoring dashboards scrape.
+    /// handle into it, read through [`SketchCatalog::metrics_snapshot`].
     registry: Registry,
     bytes: Gauge,
     hits: Counter,
@@ -345,7 +339,7 @@ impl std::fmt::Debug for SketchCatalog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SketchCatalog")
             .field("config", &self.config)
-            .field("stats", &self.stats())
+            .field("metrics", &self.metrics_snapshot())
             .finish()
     }
 }
@@ -608,75 +602,19 @@ impl SketchCatalog {
         Some(id)
     }
 
-    /// Maintain the catalog across an append of `new_rows` to `table`
-    /// (`db` is the **post-mutation** database; `prev_epoch` the table's
-    /// *data* epoch before the append).
-    ///
-    /// Per the paper's superset semantics, a stored sketch stays safe across
-    /// an append when every fragment that received new rows joins the
-    /// sketch: untouched groups keep their membership, and any group whose
-    /// aggregate the new rows changed lives entirely inside a now-included
-    /// fragment (the partition attributes are the group-defining safe
-    /// attributes). Entries are therefore *extended* in place — unless a new
-    /// row has no fragment under an entry's partition (novel composite key /
-    /// NULL partitioning value) or the entry missed an earlier mutation
-    /// (epoch gap), in which case the entry is dropped and must be
-    /// recaptured. Reuse memos of the templates reading this table are
-    /// invalidated (the reuse check depends on its statistics, which
-    /// changed) — templates over unrelated tables keep their caches. A
-    /// memoized safe-attribute choice survives for as long as the table's
-    /// bounds stay inside the ones it was proven under (see
-    /// [`SketchCatalog::safe_attrs`]; a new negative value, say, moves a
-    /// minimum out and forces a new derivation).
-    pub fn on_append(&self, db: &Database, table: &str, new_rows: &[Row], prev_epoch: u64) {
-        let Ok(t) = db.table(table) else { return };
-        self.apply_resolved(&[ResolvedDelta::Append {
-            table,
-            schema: t.schema(),
-            prev_epoch,
-            new_epoch: t.data_epoch(),
-            rows: Some(new_rows.iter().collect()),
-        }]);
-    }
-
-    /// Maintain the catalog across a delete from `table` (`db` is the
-    /// **post-mutation** database; `prev_epoch` the table's *data* epoch
-    /// before the delete).
-    ///
-    /// Stored sketches are kept: a sketch instance still contains *all*
-    /// remaining rows of every included fragment, so aggregates over
-    /// included groups are computed correctly, and under the safety rules'
-    /// monotonicity assumptions a group that was excluded cannot enter the
-    /// result by losing rows — the sketch remains a safe superset. What a
-    /// delete does invalidate is what was derived from the old statistics
-    /// and cannot tell whether it still applies: reuse memos, adaptive
-    /// evidence counters, and cached range partitions of the table (their
-    /// equi-depth boundaries came from the old histogram). A memoized
-    /// safe-attribute choice can tell — a delete only moves bounds inward —
-    /// and stays. Entries that missed an earlier mutation (epoch gap) are
-    /// dropped.
-    pub fn on_delete(&self, db: &Database, table: &str, prev_epoch: u64) {
-        let Ok(t) = db.table(table) else { return };
-        self.apply_resolved(&[ResolvedDelta::Delete {
-            table,
-            prev_epoch,
-            new_epoch: t.data_epoch(),
-        }]);
-    }
-
     /// Maintain the catalog across a whole **commit batch** of coalesced
     /// mutation deltas in one pass: the table-epoch map, reuse memos, every
     /// stored entry, cached partitions and per-template metadata are each
     /// visited **once** for the batch instead of once per mutation, and
     /// every entry is extended/advanced through the deltas *in order* — so a
     /// sketch captured at the pre-batch epoch ends the pass stamped with the
-    /// post-batch epoch exactly as if [`SketchCatalog::on_append`] /
-    /// [`SketchCatalog::on_delete`] had run per mutation. `db` is the
+    /// post-batch epoch exactly as if each delta had been applied on its
+    /// own (see [`CatalogDelta`] for what each kind maintains). `db` is the
     /// **post-batch** database (deltas that reference appended rows by tail
     /// range resolve against it). Deltas for tables `db` does not contain
-    /// are skipped, matching the per-mutation hooks.
+    /// are skipped.
     pub fn apply_deltas(&self, db: &Database, deltas: &[CatalogDelta]) {
-        let resolved: Vec<ResolvedDelta<'_>> = deltas
+        let deltas: Vec<ResolvedDelta<'_>> = deltas
             .iter()
             .filter_map(|d| match d {
                 CatalogDelta::Append {
@@ -718,20 +656,13 @@ impl SketchCatalog {
                 }
             })
             .collect();
-        self.apply_resolved(&resolved);
-    }
-
-    /// Shared implementation of [`SketchCatalog::on_append`],
-    /// [`SketchCatalog::on_delete`] and [`SketchCatalog::apply_deltas`]:
-    /// one pass over the catalog applying each delta in order.
-    fn apply_resolved(&self, deltas: &[ResolvedDelta<'_>]) {
         if deltas.is_empty() {
             return;
         }
         self.maintenance_deltas.add(deltas.len() as u64);
         {
             let mut known = self.table_epochs.write();
-            for d in deltas {
+            for d in &deltas {
                 known.insert(d.table().to_string(), d.new_epoch());
             }
         }
@@ -751,7 +682,7 @@ impl SketchCatalog {
             let mut extended = 0u64;
             for entries in guard.entries.values_mut() {
                 entries.retain_mut(|e| {
-                    for d in deltas {
+                    for d in &deltas {
                         let table = d.table();
                         if !e.capture_epochs.contains_key(table) {
                             continue; // entry does not sketch this table
@@ -1029,27 +960,13 @@ impl SketchCatalog {
             .sum()
     }
 
-    /// Counter snapshot. A typed view over the same registry atomics the
-    /// Prometheus-style exposition ([`SketchCatalog::metrics_snapshot`])
-    /// reads — the two can never disagree.
-    pub fn stats(&self) -> CatalogStats {
-        CatalogStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
-            memo_hits: self.memo_hits.get(),
-            extended: self.extended.get(),
-            invalidated: self.invalidated.get(),
-            maintenance_deltas: self.maintenance_deltas.get(),
-            stored: self.stored_sketches(),
-            bytes: self.bytes.get().max(0) as usize,
-        }
-    }
-
     /// Freeze this catalog's `pbds_catalog_*` metrics into a
-    /// [`MetricsSnapshot`] — counters plus the `pbds_catalog_stored` gauge
-    /// (derived from the shard walk, so it is injected at snapshot time
-    /// rather than maintained as a live atomic).
+    /// [`MetricsSnapshot`]: the `hits`, `misses`, `memo_hits` (a subset of
+    /// hits + misses), `evictions`, `extended`, `invalidated` and
+    /// `maintenance_deltas` counters (coalesced deltas, so `mutations ≫
+    /// maintenance_deltas` is group commit at work), the `bytes` gauge, and
+    /// the `stored` gauge (derived from the shard walk, so it is injected at
+    /// snapshot time rather than maintained as a live atomic).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.registry.snapshot();
         snap.gauges.insert(
@@ -1239,6 +1156,16 @@ mod tests {
         )
     }
 
+    /// A `pbds_catalog_*` counter (panics on a missing name, so a typo fails
+    /// loudly instead of reading zero).
+    fn counter(catalog: &SketchCatalog, name: &str) -> u64 {
+        catalog.metrics_snapshot().counter(name).expect(name)
+    }
+
+    fn gauge(catalog: &SketchCatalog, name: &str) -> i64 {
+        catalog.metrics_snapshot().gauge(name).expect(name)
+    }
+
     /// Capture a real sketch for one binding (via the safety checker and the
     /// capture pipeline) so catalog tests exercise genuine reuse semantics.
     fn capture_for(db: &Database, catalog: &SketchCatalog, bound: i64) -> Vec<ProvenanceSketch> {
@@ -1270,11 +1197,10 @@ mod tests {
         catalog.insert(&db, &t, &loose, sketches);
         // A tighter bound reuses the stored sketch.
         assert!(catalog.find_reusable(&db, &t, &tight).is_some());
-        let stats = catalog.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.stored, 1);
-        assert!(stats.bytes > 0);
+        assert_eq!(counter(&catalog, "pbds_catalog_hits"), 1);
+        assert_eq!(counter(&catalog, "pbds_catalog_misses"), 1);
+        assert_eq!(gauge(&catalog, "pbds_catalog_stored"), 1);
+        assert!(gauge(&catalog, "pbds_catalog_bytes") > 0);
         assert_eq!(catalog.total_uses(), 1);
     }
 
@@ -1287,7 +1213,7 @@ mod tests {
         // Two identical misses: the second one comes from the memo.
         assert!(catalog.find_reusable(&db, &t, &binding).is_none());
         assert!(catalog.find_reusable(&db, &t, &binding).is_none());
-        assert_eq!(catalog.stats().memo_hits, 1);
+        assert_eq!(counter(&catalog, "pbds_catalog_memo_hits"), 1);
         // Inserting a reusable sketch must invalidate the negative memo:
         // the same binding now hits.
         let sketches = capture_for(&db, &catalog, 50_000);
@@ -1298,7 +1224,7 @@ mod tests {
         );
         // And the positive outcome is memoized in turn.
         assert!(catalog.find_reusable(&db, &t, &binding).is_some());
-        assert_eq!(catalog.stats().memo_hits, 2);
+        assert_eq!(counter(&catalog, "pbds_catalog_memo_hits"), 2);
     }
 
     #[test]
@@ -1322,10 +1248,9 @@ mod tests {
             .is_some());
         catalog.insert(&db, &t, &b3, capture_for(&db, &catalog, 30_000));
 
-        let stats = catalog.stats();
-        assert_eq!(stats.evictions, 1, "{stats:?}");
-        assert_eq!(stats.stored, 2);
-        assert!(stats.bytes <= 2 * one + one / 2);
+        assert_eq!(counter(&catalog, "pbds_catalog_evictions"), 1);
+        assert_eq!(gauge(&catalog, "pbds_catalog_stored"), 2);
+        assert!(gauge(&catalog, "pbds_catalog_bytes") <= (2 * one + one / 2) as i64);
         // Entry 1 (recently touched) survived; a binding only entry 1
         // answers still hits.
         assert!(catalog
@@ -1372,10 +1297,10 @@ mod tests {
             &[Value::Int(50_000)],
             capture_for(&db, &catalog, 50_000),
         );
-        let before = catalog.stats();
+        let before = catalog.metrics_snapshot();
         assert!(catalog.is_covered(&db, &t, &[Value::Int(53_000)]));
         assert!(!catalog.is_covered(&db, &t, &[Value::Int(10_000)]));
-        let after = catalog.stats();
+        let after = catalog.metrics_snapshot();
         assert_eq!(before, after, "quiet probe moved the counters");
         assert_eq!(catalog.total_uses(), 0);
     }
@@ -1438,14 +1363,40 @@ mod tests {
     }
 
     /// Append rows to `sales` (copy-on-write) and run the catalog's append
-    /// maintenance, returning the mutated database.
+    /// maintenance as a one-delta batch, returning the mutated database.
     fn append_sales(db: &Database, catalog: &SketchCatalog, rows: Vec<Vec<Value>>) -> Database {
         let mut db2 = db.clone();
-        let prev = db2.table("sales").unwrap().data_epoch();
+        let prev_epoch = db2.table("sales").unwrap().data_epoch();
         let old_len = db2.table("sales").unwrap().len();
         db2.append_rows("sales", rows).unwrap();
-        let new_rows = db2.table("sales").unwrap().rows().range(old_len..).to_vec();
-        catalog.on_append(&db2, "sales", &new_rows, prev);
+        let sales = db2.table("sales").unwrap();
+        let delta = CatalogDelta::Append {
+            table: "sales".into(),
+            prev_epoch,
+            new_epoch: sales.data_epoch(),
+            rows: None,
+            range: old_len..sales.len(),
+        };
+        catalog.apply_deltas(&db2, &[delta]);
+        db2
+    }
+
+    /// Delete the `sales` rows matching `pred` (copy-on-write) and run the
+    /// catalog's delete maintenance as a one-delta batch.
+    fn delete_sales(
+        db: &Database,
+        catalog: &SketchCatalog,
+        pred: impl FnMut(&Row) -> bool,
+    ) -> Database {
+        let mut db2 = db.clone();
+        let prev_epoch = db2.table("sales").unwrap().data_epoch();
+        db2.delete_where("sales", pred).unwrap();
+        let delta = CatalogDelta::Delete {
+            table: "sales".into(),
+            prev_epoch,
+            new_epoch: db2.table("sales").unwrap().data_epoch(),
+        };
+        catalog.apply_deltas(&db2, &[delta]);
         db2
     }
 
@@ -1475,8 +1426,8 @@ mod tests {
             catalog.find_reusable(&db2, &t, &tight).is_some(),
             "maintained sketch must stay reusable after an append"
         );
-        assert!(catalog.stats().extended >= 1);
-        assert_eq!(catalog.stats().invalidated, 0);
+        assert!(counter(&catalog, "pbds_catalog_extended") >= 1);
+        assert_eq!(counter(&catalog, "pbds_catalog_invalidated"), 0);
         // …and is never offered against the pre-mutation snapshot (its
         // epochs no longer match), so a stale-snapshot reader cannot observe
         // fragments that only exist in the future.
@@ -1492,15 +1443,14 @@ mod tests {
     #[test]
     fn batched_deltas_match_sequential_maintenance() {
         // Applying a coalesced batch of deltas in one pass must leave the
-        // catalog exactly as reusable as running the per-mutation hooks —
-        // including an append *followed by* a delete of the same table,
-        // where the append rows must be carried by value because the delete
-        // shifted the tail.
+        // catalog exactly as one call per mutation does — including an
+        // append *followed by* a delete of the same table, where the append
+        // rows must be carried by value because the delete shifted the tail.
         let db = sales_db();
         let t = having_template();
         let tight = vec![Value::Int(53_000)];
 
-        // Sequential reference: append then delete via the hooks.
+        // Sequential reference: append then delete, one call each.
         let seq = SketchCatalog::default();
         seq.insert(
             &db,
@@ -1512,12 +1462,7 @@ mod tests {
             .map(|i| vec![Value::Int(i), Value::Int(500)])
             .collect();
         let db_seq = append_sales(&db, &seq, new_rows.clone());
-        let mut db_seq2 = db_seq.clone();
-        let prev_del = db_seq2.table("sales").unwrap().data_epoch();
-        db_seq2
-            .delete_where("sales", |r| r[1] == Value::Int(500))
-            .unwrap();
-        seq.on_delete(&db_seq2, "sales", prev_del);
+        let db_seq2 = delete_sales(&db_seq, &seq, |r| r[1] == Value::Int(500));
         assert!(seq.find_reusable(&db_seq2, &t, &tight).is_some());
 
         // Batched: same mutations through one apply_deltas call.
@@ -1558,12 +1503,28 @@ mod tests {
             batched.find_reusable(&db2, &t, &tight).is_some(),
             "entry must ride an append+delete batch and stay reusable"
         );
-        assert_eq!(batched.stats().invalidated, 0);
-        assert!(batched.stats().extended >= 1);
-        // The batch counted as two coalesced deltas, the sequential run too
-        // (one per hook call) — the *batching* win shows when many mutations
-        // coalesce into few deltas, which the server tests exercise.
-        assert_eq!(batched.stats().maintenance_deltas, 2);
+        // Same maintenance either way: the same counters (the batch counted
+        // as two coalesced deltas, the sequential run as one per call — the
+        // *batching* win shows when many mutations coalesce into few deltas,
+        // which the server tests exercise) and the same fragments.
+        for name in [
+            "pbds_catalog_extended",
+            "pbds_catalog_invalidated",
+            "pbds_catalog_maintenance_deltas",
+        ] {
+            assert_eq!(counter(&batched, name), counter(&seq, name), "{name}");
+        }
+        assert_eq!(counter(&batched, "pbds_catalog_invalidated"), 0);
+        assert_eq!(counter(&batched, "pbds_catalog_extended"), 1);
+        assert_eq!(counter(&batched, "pbds_catalog_maintenance_deltas"), 2);
+        let fragments = |c: &SketchCatalog| -> Vec<Vec<usize>> {
+            c.export().entries[0]
+                .sketches
+                .iter()
+                .map(|s| s.selected_fragments())
+                .collect()
+        };
+        assert_eq!(fragments(&batched), fragments(&seq));
         // An entry that missed an epoch (gap) is dropped by a batch, too.
         let gap = SketchCatalog::default();
         gap.insert(
@@ -1580,7 +1541,7 @@ mod tests {
                 new_epoch: final_epoch,
             }],
         );
-        assert_eq!(gap.stats().invalidated, 1);
+        assert_eq!(counter(&gap, "pbds_catalog_invalidated"), 1);
         assert!(gap.find_reusable(&db2, &t, &tight).is_none());
     }
 
@@ -1640,22 +1601,16 @@ mod tests {
         assert!(catalog
             .find_reusable(&db_both, &other_t, &[Value::Int(5)])
             .is_none());
-        let memo_before = catalog.stats().memo_hits;
+        let memo_before = counter(&catalog, "pbds_catalog_memo_hits");
 
         // Mutating `sales` must not clear the memo of the `other` template.
-        let mut db2 = db_both.clone();
-        let prev = db2.table("sales").unwrap().data_epoch();
-        db2.append_rows("sales", vec![vec![Value::Int(1), Value::Int(7)]])
-            .unwrap();
-        let sales = db2.table("sales").unwrap();
-        let new_rows = vec![sales.rows()[sales.len() - 1].clone()];
-        catalog.on_append(&db2, "sales", &new_rows, prev);
+        let db2 = append_sales(&db_both, &catalog, vec![vec![Value::Int(1), Value::Int(7)]]);
 
         assert!(catalog
             .find_reusable(&db2, &other_t, &[Value::Int(5)])
             .is_none());
         assert!(
-            catalog.stats().memo_hits > memo_before,
+            counter(&catalog, "pbds_catalog_memo_hits") > memo_before,
             "unrelated template's memo was wiped by the mutation"
         );
     }
@@ -1791,11 +1746,7 @@ mod tests {
             capture_for(&db, &catalog, 50_000),
         );
 
-        let mut db2 = db.clone();
-        let prev = db2.table("sales").unwrap().data_epoch();
-        db2.delete_where("sales", |r| r[1] == Value::Int(38))
-            .unwrap();
-        catalog.on_delete(&db2, "sales", prev);
+        let db2 = delete_sales(&db, &catalog, |r| r[1] == Value::Int(38));
 
         // Entries survive as still-safe supersets and serve the new state.
         assert_eq!(catalog.stored_sketches(), 1);
@@ -1826,7 +1777,7 @@ mod tests {
             "stale sketch set must be rejected"
         );
         assert_eq!(catalog.stored_sketches(), 0);
-        assert!(catalog.stats().invalidated >= 1);
+        assert!(counter(&catalog, "pbds_catalog_invalidated") >= 1);
         // A capture against the current snapshot is accepted.
         let fresh = capture_for(&db2, &catalog, 50_000);
         assert!(catalog
@@ -1859,7 +1810,7 @@ mod tests {
             0,
             "sketch over an outgrown partition must be invalidated"
         );
-        assert!(catalog.stats().invalidated >= 1);
+        assert!(counter(&catalog, "pbds_catalog_invalidated") >= 1);
     }
 
     #[test]
@@ -1888,7 +1839,10 @@ mod tests {
         assert!(recovered
             .find_reusable(&db, &t, &[Value::Int(53_000)])
             .is_some());
-        assert_eq!(recovered.stats().bytes, catalog.stats().bytes);
+        assert_eq!(
+            gauge(&recovered, "pbds_catalog_bytes"),
+            gauge(&catalog, "pbds_catalog_bytes")
+        );
 
         // Against a database whose table was mutated after the export, the
         // entry is epoch-stale and must be dropped — never offered.
@@ -1903,7 +1857,7 @@ mod tests {
         assert!(cold
             .find_reusable(&mutated, &t, &[Value::Int(53_000)])
             .is_none());
-        assert!(cold.stats().invalidated >= 1);
+        assert!(counter(&cold, "pbds_catalog_invalidated") >= 1);
     }
 
     #[test]
@@ -1950,9 +1904,8 @@ mod tests {
                 });
             }
         });
-        let stats = catalog.stats();
-        assert_eq!(stats.hits, 8 * 50);
-        assert!(stats.memo_hits > 0);
+        assert_eq!(counter(&catalog, "pbds_catalog_hits"), 8 * 50);
+        assert!(counter(&catalog, "pbds_catalog_memo_hits") > 0);
         assert_eq!(catalog.total_uses(), 8 * 50);
     }
 }

@@ -63,16 +63,14 @@ pub mod safety;
 pub mod server;
 pub mod tuning;
 
-pub use catalog::{
-    CatalogConfig, CatalogDelta, CatalogImport, CatalogStats, ReusableSketches, SketchCatalog,
-};
+pub use catalog::{CatalogConfig, CatalogDelta, CatalogImport, ReusableSketches, SketchCatalog};
 pub use instrument::{apply_sketches, sketch_predicate, UsePredicateStyle};
 pub use pbds::{Pbds, PbdsError};
 pub use reuse::{ReuseChecker, ReuseResult};
 pub use safety::{PartitionAttr, SafetyChecker, SafetyResult};
 pub use server::{
-    CommitStats, HealthState, Mutation, MutationOutcome, MutationTicket, PanicSite, PbdsServer,
-    PbdsSession, RecoveryReport, RobustnessEvents, ServedQuery, ServerConfig,
+    HealthState, Mutation, MutationOutcome, MutationTicket, PanicSite, PbdsServer, PbdsSession,
+    RecoveryReport, ServedQuery, ServerConfig,
 };
 pub use tuning::{
     cumulative_elapsed, estimate_selectivity, Action, QueryRecord, SelfTuningExecutor, Strategy,
@@ -88,11 +86,9 @@ pub use pbds_solver as solver;
 pub use pbds_storage as storage;
 pub use pbds_sync as sync;
 
-// Hold-time counters surfaced through `RobustnessEvents::lock_holds`.
-pub use pbds_sync::LockHoldStat;
-
 // The unified telemetry layer: `PbdsServer::metrics_snapshot` /
-// `SketchCatalog::metrics_snapshot` return `MetricsSnapshot`s, and span
+// `SketchCatalog::metrics_snapshot` return `MetricsSnapshot`s — the one read
+// path for every counter, including the `pbds_lock_*` hold gauges — and span
 // guards from `pbds_telemetry::span!` cover the query and write paths.
 pub use pbds_telemetry as telemetry;
 pub use pbds_telemetry::{HistogramSnapshot, MetricsSnapshot};

@@ -36,9 +36,11 @@
 //! background capture (an optimization, never an answer). A janitor thread
 //! repairs in the background — fresh WAL descriptor, re-verify, checkpoint
 //! — with capped exponential backoff; success settles health, exhaustion
-//! from read-only fail-stops the server. Every event is counted and logged
-//! in [`RobustnessEvents`]. Fault drills use [`PbdsServer::create_with_io`]
-//! / [`PbdsServer::open_with_io`] (deterministic injected I/O faults) and
+//! from read-only fail-stops the server. Every event is counted in the
+//! `pbds_robustness_*` series of [`PbdsServer::metrics_snapshot`] and
+//! logged in [`PbdsServer::recent_events`]. Fault drills use
+//! [`PbdsServer::create_with_io`] / [`PbdsServer::open_with_io`]
+//! (deterministic injected I/O faults) and
 //! [`PbdsServer::inject_panic`] (one-shot thread panics).
 
 use crate::catalog::SketchCatalog;
@@ -62,7 +64,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 
-use pbds_sync::{LockHoldStat, TrackedCondvar, TrackedMutex, TrackedRwLock};
+use pbds_sync::{TrackedCondvar, TrackedMutex, TrackedRwLock};
 use std::thread::JoinHandle;
 
 // The commit pipeline and the health lattice with its janitor live in
@@ -136,44 +138,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Snapshot of a server's robustness counters and recent event messages
-/// ([`PbdsServer::robustness_events`]). Counters are cumulative over the
-/// server's lifetime; `messages` holds the most recent human-readable events
-/// (oldest first, bounded) — library crates do not print, so this is where
-/// diagnostics go.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RobustnessEvents {
-    /// Commit batches that panicked (their mutations were failed, not lost
-    /// silently).
-    pub commit_panics: u64,
-    /// Background capture tasks that panicked.
-    pub capture_panics: u64,
-    /// Session threads that panicked under [`PbdsServer::serve_stream`].
-    pub session_panics: u64,
-    /// WAL batch appends that failed (each one degrades the server to
-    /// read-only until repaired).
-    pub wal_append_failures: u64,
-    /// Automatic checkpoints that failed (mutations stay recoverable from
-    /// the WAL; the janitor retries).
-    pub checkpoint_failures: u64,
-    /// Repair attempts made by the janitor thread.
-    pub repair_attempts: u64,
-    /// Repairs that succeeded (each one settles health back down).
-    pub repairs_succeeded: u64,
-    /// Corrupt persisted catalogs quarantined at [`PbdsServer::open`].
-    pub catalogs_quarantined: u64,
-    /// True once background capture was disabled after repeated panics.
-    pub capture_disabled: bool,
-    /// Most recent event messages, oldest first.
-    pub messages: Vec<String>,
-    /// Per-lock-class hold statistics (acquisitions, total/max hold time)
-    /// from the `pbds-sync` tracked wrappers. The counters are
-    /// **process-wide** — every server in the process shares its lock
-    /// classes — and empty in release builds without the `lock-order`
-    /// feature, where the wrappers are plain passthroughs.
-    pub lock_holds: Vec<LockHoldStat>,
-}
-
 /// Where [`PbdsServer::inject_panic`] plants a one-shot panic (for fault
 /// drills and the robustness test suite).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,9 +205,8 @@ struct ServerShared {
     backlog: TrackedMutex<usize>,
     backlog_drained: TrackedCondvar,
     /// Registry-backed counters, gauges and latency histograms. Every
-    /// write-path and robustness counter lives here; the typed views
-    /// ([`CommitStats`], [`RobustnessEvents`]) and the Prometheus-style
-    /// exposition ([`PbdsServer::metrics_snapshot`]) read the same atomics.
+    /// write-path and robustness counter lives here and is read through
+    /// [`PbdsServer::metrics_snapshot`].
     metrics: ServerMetrics,
     /// Current [`HealthState`]; it moves only through
     /// [`ServerShared::degrade`] and [`ServerShared::settle_health`].
@@ -251,8 +214,8 @@ struct ServerShared {
     /// Set once capture panicked [`MAX_CAPTURE_PANICS`] times; further
     /// capture work is refused at enqueue time.
     capture_disabled: AtomicBool,
-    /// Bounded ring of recent event messages (see
-    /// [`RobustnessEvents::messages`]).
+    /// Bounded ring of recent event messages
+    /// ([`PbdsServer::recent_events`]).
     event_log: TrackedMutex<VecDeque<String>>,
     /// The span-tracer journal rendered at the moment the server hit
     /// [`HealthState::FailStop`] — `RecoveryReport`-style forensics showing
@@ -277,7 +240,9 @@ struct ServerMetrics {
     /// wall-clock latency distribution (`pbds_capture_seconds`).
     captures_done: Counter,
     capture_seconds: Histogram,
-    /// Write-path counters (see [`CommitStats`]).
+    /// Group commit (`pbds_commit_*`, `pbds_wal_fsyncs`): short-circuited
+    /// no-op mutations are never submitted, and `committed ≫ batches` is
+    /// batching working.
     mutations_submitted: Counter,
     mutations_committed: Counter,
     batched_commits: Counter,
@@ -293,7 +258,8 @@ struct ServerMetrics {
     /// Deterministic execution totals accumulated over every served query.
     exec_rows_scanned: Counter,
     exec_blocks_skipped: Counter,
-    /// Robustness counters (see [`RobustnessEvents`]).
+    /// Robustness counters (`pbds_robustness_*`): contained panics, durability
+    /// failures, janitor repairs and quarantined catalogs.
     commit_panics: Counter,
     capture_panics: Counter,
     session_panics: Counter,
@@ -435,25 +401,6 @@ pub struct MutationOutcome {
     /// carried (all durable under the same fsync). `0` for mutations
     /// short-circuited before the ingest queue.
     pub batch_len: usize,
-}
-
-/// Write-path counters of a [`PbdsServer`] (see
-/// [`PbdsServer::commit_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommitStats {
-    /// Mutations accepted into the ingest queue (short-circuited no-ops are
-    /// not counted).
-    pub mutations_submitted: u64,
-    /// Mutations completed successfully by the commit thread.
-    pub mutations_committed: u64,
-    /// Commit batches that applied at least one mutation — `committed ≫
-    /// batched_commits` is group commit working.
-    pub batched_commits: u64,
-    /// WAL fsyncs issued (one per batch with at least one effective record;
-    /// `0` on in-memory servers).
-    pub fsyncs: u64,
-    /// Largest batch committed so far.
-    pub max_batch: u64,
 }
 
 /// Shared completion slot of one submitted mutation.
@@ -875,23 +822,12 @@ impl PbdsServer {
         self.shared.health()
     }
 
-    /// Snapshot of the robustness counters and recent event messages.
-    pub fn robustness_events(&self) -> RobustnessEvents {
-        let s = &self.shared;
-        let m = &s.metrics;
-        RobustnessEvents {
-            commit_panics: m.commit_panics.get(),
-            capture_panics: m.capture_panics.get(),
-            session_panics: m.session_panics.get(),
-            wal_append_failures: m.wal_append_failures.get(),
-            checkpoint_failures: m.checkpoint_failures.get(),
-            repair_attempts: m.repair_attempts_made.get(),
-            repairs_succeeded: m.repairs_succeeded.get(),
-            catalogs_quarantined: m.catalogs_quarantined.get(),
-            capture_disabled: s.capture_disabled.load(Ordering::Relaxed),
-            messages: s.event_log.lock().iter().cloned().collect(),
-            lock_holds: pbds_sync::hold_stats(),
-        }
+    /// The most recent robustness event messages, oldest first (a bounded
+    /// ring): library crates do not print, so this is where diagnostics go.
+    /// The events are counted in the `pbds_robustness_*` series of
+    /// [`PbdsServer::metrics_snapshot`].
+    pub fn recent_events(&self) -> Vec<String> {
+        self.shared.event_log.lock().iter().cloned().collect()
     }
 
     /// Freeze every metric this server maintains into one deterministic
@@ -899,14 +835,20 @@ impl PbdsServer {
     /// server's own registry (commit, WAL, capture, query-latency and
     /// robustness series), the catalog's `pbds_catalog_*` registry, the
     /// current health state as the `pbds_health_state` gauge (the lattice
-    /// discriminant: 0 healthy … 3 fail-stop), and per-lock-class hold
-    /// gauges from the `pbds-sync` tracked wrappers. Render it with
+    /// discriminant: 0 healthy … 3 fail-stop), the capture fuse as the
+    /// `pbds_capture_disabled` gauge (1 once repeated panics disabled
+    /// background capture), and per-lock-class hold gauges from the
+    /// `pbds-sync` tracked wrappers. Render it with
     /// [`MetricsSnapshot::render_text`] for Prometheus-style exposition.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.shared.metrics.registry.snapshot();
         snap.merge(self.shared.catalog.metrics_snapshot());
         snap.gauges
             .insert("pbds_health_state".to_string(), self.shared.health() as i64);
+        snap.gauges.insert(
+            "pbds_capture_disabled".to_string(),
+            i64::from(self.shared.capture_disabled.load(Ordering::Relaxed)),
+        );
         // Lock-hold statistics are process-wide and already aggregated per
         // lock class; inject them as gauges at snapshot time (empty in
         // release builds without the `lock-order` feature).
@@ -997,12 +939,14 @@ impl PbdsServer {
     ) -> Result<MutationOutcome, PbdsError> {
         let sw = clock::Stopwatch::start();
         let result = self.submit_mutation(table, mutation).wait();
-        // Submit-to-durable latency, including the ingest-queue wait and the
-        // group-commit fsync the mutation rode.
-        self.shared
-            .metrics
-            .mutation_commit_seconds
-            .record_duration(sw.elapsed());
+        // Submit-to-durable latency of acknowledged mutations, including the
+        // ingest-queue wait and the group-commit fsync the mutation rode.
+        if result.is_ok() {
+            self.shared
+                .metrics
+                .mutation_commit_seconds
+                .record_duration(sw.elapsed());
+        }
         result
     }
 
@@ -1087,21 +1031,6 @@ impl PbdsServer {
         ticket
     }
 
-    /// Write-path counters: batches, fsyncs, largest batch. See
-    /// [`CommitStats`]. A typed view over the same registry atomics
-    /// [`PbdsServer::metrics_snapshot`] exposes — the two can never
-    /// disagree.
-    pub fn commit_stats(&self) -> CommitStats {
-        let m = &self.shared.metrics;
-        CommitStats {
-            mutations_submitted: m.mutations_submitted.get(),
-            mutations_committed: m.mutations_committed.get(),
-            batched_commits: m.batched_commits.get(),
-            fsyncs: m.fsyncs.get(),
-            max_batch: m.max_batch.get().max(0) as u64,
-        }
-    }
-
     /// Open a session. Sessions are lightweight and `Send`; open one per
     /// serving thread.
     pub fn session(&self) -> PbdsSession<'_> {
@@ -1172,18 +1101,6 @@ impl PbdsServer {
         let guard = self.shared.in_flight.lock();
         let _unused = self.shared.drained.wait_while(guard, |n| *n > 0);
     }
-
-    /// `(completed background captures, cumulative capture wall-clock)`.
-    /// The duration is the sum of the `pbds_capture_seconds` histogram —
-    /// per-capture latency percentiles are available from
-    /// [`PbdsServer::metrics_snapshot`].
-    pub fn capture_totals(&self) -> (u64, std::time::Duration) {
-        let m = &self.shared.metrics;
-        (
-            m.captures_done.get(),
-            std::time::Duration::from_nanos(m.capture_seconds.snapshot().sum()),
-        )
-    }
 }
 
 impl Drop for PbdsServer {
@@ -1221,9 +1138,9 @@ impl PbdsSession<'_> {
         let _query_span = span!("query.serve");
         let sw = clock::Stopwatch::start();
         let result = self.serve_inner(template, binding);
-        let m = &self.server.shared.metrics;
-        m.query_seconds.record_duration(sw.elapsed());
         if let Ok(served) = &result {
+            let m = &self.server.shared.metrics;
+            m.query_seconds.record_duration(sw.elapsed());
             m.queries_served.inc();
             m.exec_rows_scanned.add(served.record.stats.rows_scanned);
             m.exec_blocks_skipped
@@ -1482,6 +1399,16 @@ mod tests {
         Arc::new(db)
     }
 
+    /// A `pbds_*` counter of the server's snapshot (panics on a missing name,
+    /// so a typo fails loudly instead of reading zero).
+    fn counter(server: &PbdsServer, name: &str) -> u64 {
+        server.metrics_snapshot().counter(name).expect(name)
+    }
+
+    fn gauge(server: &PbdsServer, name: &str) -> i64 {
+        server.metrics_snapshot().gauge(name).expect(name)
+    }
+
     fn having_template() -> QueryTemplate {
         QueryTemplate::new(
             "sales-having",
@@ -1506,8 +1433,7 @@ mod tests {
         assert!(first.capture_enqueued, "miss should enqueue capture");
         server.drain();
         assert_eq!(server.catalog().stored_sketches(), 1);
-        let (captures, _) = server.capture_totals();
-        assert_eq!(captures, 1);
+        assert_eq!(counter(&server, "pbds_captures_done"), 1);
 
         // A tighter instance now reuses the captured sketch.
         let second = session.serve(&t, &[Value::Int(53_000)]).unwrap();
@@ -1618,7 +1544,7 @@ mod tests {
              (action {:?})",
             served.record.action
         );
-        assert!(server.catalog().stats().extended >= 1);
+        assert!(counter(&server, "pbds_catalog_extended") >= 1);
         // The maintained sketch keeps answering without recapture.
         assert_eq!(served.record.action, Action::UseSketch);
     }
@@ -1728,8 +1654,11 @@ mod tests {
             served.record
         );
         assert!(!served.capture_enqueued);
-        let (captures, _) = server.capture_totals();
-        assert_eq!(captures, 0, "warm start must not pay capture again");
+        assert_eq!(
+            counter(&server, "pbds_captures_done"),
+            0,
+            "warm start must not pay capture again"
+        );
     }
 
     #[test]
@@ -1946,15 +1875,20 @@ mod tests {
         // WAL sequences are dense and in submission order.
         let seqs: Vec<u64> = outcomes.iter().map(|o| o.wal_seq.unwrap()).collect();
         assert_eq!(seqs, (1..=32).collect::<Vec<u64>>());
-        let stats = server.commit_stats();
-        assert_eq!(stats.mutations_submitted, 32);
-        assert_eq!(stats.mutations_committed, 32);
+        let snap = server.metrics_snapshot();
+        let c = |name: &str| snap.counter(name).expect(name);
+        assert_eq!(c("pbds_commit_mutations_submitted"), 32);
+        assert_eq!(c("pbds_commit_mutations_committed"), 32);
+        let batches = c("pbds_commit_batches");
         assert!(
-            stats.batched_commits < 32,
-            "32 pipelined mutations must not take 32 batches: {stats:?}"
+            batches < 32,
+            "32 pipelined mutations must not take 32 batches: {batches}"
         );
-        assert_eq!(stats.fsyncs, stats.batched_commits);
-        assert!(stats.max_batch > 1, "{stats:?}");
+        assert_eq!(c("pbds_wal_fsyncs"), batches);
+        let max_batch = snap
+            .gauge("pbds_commit_max_batch")
+            .expect("pbds_commit_max_batch");
+        assert!(max_batch > 1, "max batch {max_batch}");
         assert!(outcomes.iter().any(|o| o.batch_len > 1), "{outcomes:?}");
         // Every record replays: the batched WAL is byte-compatible with the
         // sequential framing.
@@ -1979,7 +1913,7 @@ mod tests {
         let outcomes: Vec<MutationOutcome> =
             tickets.into_iter().map(|t| t.wait().unwrap()).collect();
         let after = server.db().table("sales").unwrap().data_epoch();
-        let batches = server.commit_stats().batched_commits;
+        let batches = counter(&server, "pbds_commit_batches");
         assert!(
             after - before < 8,
             "appends merged into {batches} batch(es) must advance the epoch \
@@ -2021,7 +1955,7 @@ mod tests {
         );
         let (records, _) = pbds_persist::read_records(&dir.join(WAL_FILE)).unwrap();
         assert!(records.is_empty(), "no-op mutations must not be logged");
-        assert_eq!(server.commit_stats().mutations_committed, 0);
+        assert_eq!(counter(&server, "pbds_commit_mutations_committed"), 0);
 
         // And an effective mutation afterwards still gets sequence 1.
         let out = server
@@ -2097,8 +2031,7 @@ mod tests {
             }
         });
         assert_eq!(server.db().table("sales").unwrap().len(), 5_160);
-        let stats = server.commit_stats();
-        assert_eq!(stats.mutations_committed, 160);
+        assert_eq!(counter(&server, "pbds_commit_mutations_committed"), 160);
     }
 
     #[test]
@@ -2141,12 +2074,16 @@ mod tests {
     fn servers_start_healthy_with_clean_robustness_counters() {
         let server = PbdsServer::new(sales_db(), ServerConfig::default());
         assert_eq!(server.health(), HealthState::Healthy);
-        let mut events = server.robustness_events();
-        // Hold stats are process-wide (other tests' servers contribute) and
-        // tracked in every debug build; only the failure counters must be
-        // pristine on a fresh server.
-        events.lock_holds.clear();
-        assert_eq!(events, RobustnessEvents::default());
+        let snap = server.metrics_snapshot();
+        let robustness: Vec<(&String, &u64)> = snap
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("pbds_robustness_"))
+            .collect();
+        assert_eq!(robustness.len(), 8, "{robustness:?}");
+        assert!(robustness.iter().all(|(_, &v)| v == 0), "{robustness:?}");
+        assert_eq!(gauge(&server, "pbds_capture_disabled"), 0);
+        assert!(server.recent_events().is_empty());
     }
 
     #[test]
@@ -2159,7 +2096,7 @@ mod tests {
         server.inject_panic(PanicSite::Session);
         let err = server.serve_stream(&stream, 2).unwrap_err();
         assert_eq!(err, PbdsError::SessionPanicked);
-        assert_eq!(server.robustness_events().session_panics, 1);
+        assert_eq!(counter(&server, "pbds_robustness_session_panics"), 1);
         // The panic was contained: the server keeps serving new streams.
         assert_eq!(server.health(), HealthState::Healthy);
         let served = server.serve_stream(&stream, 2).unwrap();
@@ -2180,9 +2117,8 @@ mod tests {
             matches!(err, PbdsError::Persist(PersistError::Io(_))),
             "{err}"
         );
-        let events = server.robustness_events();
-        assert_eq!(events.commit_panics, 1);
-        assert!(!events.messages.is_empty());
+        assert_eq!(counter(&server, "pbds_robustness_commit_panics"), 1);
+        assert!(!server.recent_events().is_empty());
         // Nothing became visible, and the commit thread survived: the next
         // mutation commits normally.
         assert_eq!(server.db().table("sales").unwrap().len(), 5_000);
@@ -2211,9 +2147,11 @@ mod tests {
             );
             server.drain();
         }
-        let events = server.robustness_events();
-        assert_eq!(events.capture_panics, MAX_CAPTURE_PANICS);
-        assert!(events.capture_disabled);
+        assert_eq!(
+            counter(&server, "pbds_robustness_capture_panics"),
+            MAX_CAPTURE_PANICS
+        );
+        assert_eq!(gauge(&server, "pbds_capture_disabled"), 1);
         assert_eq!(server.health(), HealthState::Degraded);
         // The fuse holds: further misses serve plainly without enqueueing,
         // and reads/writes keep working.

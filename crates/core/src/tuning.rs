@@ -248,11 +248,6 @@ impl<'a> SelfTuningExecutor<'a> {
         &self.catalog
     }
 
-    /// Number of sketches currently stored.
-    pub fn stored_sketches(&self) -> usize {
-        self.catalog.stored_sketches()
-    }
-
     /// Execute one instance of a template.
     pub fn run(
         &mut self,
@@ -497,7 +492,7 @@ mod tests {
         // A less selective instance cannot reuse it and triggers a new capture.
         let r3 = exec.run(&t, &[Value::Int(40_000)]).unwrap();
         assert_eq!(r3.action, Action::Capture);
-        assert_eq!(exec.stored_sketches(), 2);
+        assert_eq!(exec.catalog().stored_sketches(), 2);
     }
 
     #[test]
@@ -531,7 +526,7 @@ mod tests {
                 Action::Plain
             );
         }
-        assert_eq!(exec.stored_sketches(), 0);
+        assert_eq!(exec.catalog().stored_sketches(), 0);
     }
 
     #[test]

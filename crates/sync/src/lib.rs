@@ -28,7 +28,7 @@
 //!
 //! 3. **Hold-time accounting.** Per class, tracking counts acquisitions
 //!    and total/max guard hold times ([`hold_stats`]); `pbds-core` surfaces
-//!    them through its `RobustnessEvents`.
+//!    them as the `pbds_lock_<class>_*` gauges of its metrics snapshot.
 //!
 //! In release builds without the feature, the wrappers are passthroughs
 //! over `std::sync` — no graph, no timestamps, no thread-locals; the only

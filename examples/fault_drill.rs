@@ -79,7 +79,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     while server.health() != HealthState::Healthy && start.elapsed() < Duration::from_secs(5) {
         std::thread::sleep(Duration::from_millis(1));
     }
-    let events = server.robustness_events();
+    let snap = server.metrics_snapshot();
+    let counter = |name: &str| snap.counter(name).expect(name);
     assert_eq!(
         server.health(),
         HealthState::Healthy,
@@ -88,8 +89,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "heal : janitor repaired in {:?} ({} attempt(s), {} succeeded) -> health {:?}",
         start.elapsed(),
-        events.repair_attempts,
-        events.repairs_succeeded,
+        counter("pbds_robustness_repair_attempts"),
+        counter("pbds_robustness_repairs_succeeded"),
         server.health()
     );
     server.apply_mutation("posts", post(900_001))?;

@@ -9,7 +9,20 @@ use pbds_core::storage::{Database, Value};
 use pbds_core::{Action, Mutation, PbdsServer, ServerConfig};
 use pbds_workloads::{sof, sof_pools, zipf_stream, StreamSpec};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// `(completed background captures, their summed wall-clock)`, read from the
+/// `pbds_captures_done` counter and the `pbds_capture_seconds` histogram.
+fn capture_cost(server: &PbdsServer) -> (u64, Duration) {
+    let snap = server.metrics_snapshot();
+    let done = snap
+        .counter("pbds_captures_done")
+        .expect("pbds_captures_done");
+    let seconds = snap
+        .histogram("pbds_capture_seconds")
+        .expect("pbds_capture_seconds");
+    (done, Duration::from_nanos(seconds.sum()))
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/persist_restart_demo");
@@ -44,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .filter(|s| s.record.action == Action::UseSketch)
         .count();
-    let (cold_captures, capture_time) = server.capture_totals();
+    let (cold_captures, capture_time) = capture_cost(&server);
     println!(
         "cold : {} queries in {:>7.1?} | catalog hits {:>2}/{} | captures {} ({:.1?})",
         served.len(),
@@ -89,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .filter(|s| s.record.action == Action::UseSketch)
         .count();
     let first = &served[0];
-    let (warm_captures, _) = server.capture_totals();
+    let (warm_captures, _) = capture_cost(&server);
     println!(
         "warm : {} queries in {:>7.1?} | catalog hits {:>2}/{} | captures {} | first query: {:?}",
         served.len(),

@@ -58,21 +58,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .filter(|s| s.record.action == Action::UseSketch)
             .count();
         let rows: u64 = served.iter().map(|s| s.record.stats.rows_scanned).sum();
-        let (captures, capture_time) = server.capture_totals();
-        let stats = server.catalog().stats();
+        let snap = server.metrics_snapshot();
+        let counter = |name: &str| snap.counter(name).expect(name);
+        let capture_time = std::time::Duration::from_nanos(
+            snap.histogram("pbds_capture_seconds")
+                .expect("pbds_capture_seconds")
+                .sum(),
+        );
         println!(
             "{label} {:>4} queries in {elapsed:>8.1?} ({:>5.0} q/s) | \
              rows scanned {rows:>8} | hits {hits:>3} | \
-             background captures {captures} ({capture_time:.1?}) | {stats:?}",
+             background captures {} ({capture_time:.1?}) | catalog hits {} misses {} evictions {}",
             served.len(),
             served.len() as f64 / elapsed.as_secs_f64(),
+            counter("pbds_captures_done"),
+            counter("pbds_catalog_hits"),
+            counter("pbds_catalog_misses"),
+            counter("pbds_catalog_evictions"),
         );
-        exposition = Some(server.metrics_snapshot());
+        exposition = Some(snap);
     }
 
-    // Every stats struct above is a view over the metrics registry; the
-    // same numbers (plus latency histograms and health) are exported as
-    // Prometheus-style text exposition for scraping.
+    // The numbers above come from the metrics snapshot; the same snapshot
+    // (plus latency histograms and health) renders as Prometheus-style text
+    // exposition for scraping.
     if let Some(snap) = exposition {
         let q = &snap.histograms["pbds_query_seconds"];
         println!(

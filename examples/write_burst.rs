@@ -52,7 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     });
     let concurrent = start.elapsed();
-    let stats = server.commit_stats();
+    let snap = server.metrics_snapshot();
+    let counter = |name: &str| snap.counter(name).expect(name);
     let total = (WRITERS * MUTATIONS_PER_WRITER) as u64;
     println!(
         "burst: {total} mutations from {WRITERS} writers in {concurrent:>7.1?} \
@@ -61,11 +62,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "     : {} commit batches, {} fsyncs (vs {total} unbatched), max batch {}",
-        stats.batched_commits, stats.fsyncs, stats.max_batch
+        counter("pbds_commit_batches"),
+        counter("pbds_wal_fsyncs"),
+        snap.gauge("pbds_commit_max_batch")
+            .expect("pbds_commit_max_batch")
     );
     println!(
         "     : catalog maintenance ran {} coalesced deltas for those {total} mutations",
-        server.catalog().stats().maintenance_deltas
+        counter("pbds_catalog_maintenance_deltas")
     );
 
     // --- Pipelined submission: submit first, wait later --------------------

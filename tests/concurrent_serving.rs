@@ -184,11 +184,18 @@ fn byte_budget_keeps_serving_correct_under_eviction() {
             "query {i} diverged under eviction"
         );
     }
-    let stats = catalog.stats();
+    let snap = catalog.metrics_snapshot();
     assert!(
-        stats.evictions > 0,
-        "over-budget catalog never evicted: {stats:?}"
+        snap.counter("pbds_catalog_evictions")
+            .expect("pbds_catalog_evictions")
+            > 0,
+        "over-budget catalog never evicted: {snap:?}"
     );
     // Keep-newest residency: at most one entry (the latest insert) stays.
-    assert!(stats.bytes <= 256, "budget overshot: {stats:?}");
+    assert!(
+        snap.gauge("pbds_catalog_bytes")
+            .expect("pbds_catalog_bytes")
+            <= 256,
+        "budget overshot: {snap:?}"
+    );
 }

@@ -69,6 +69,11 @@ fn append(k: i64) -> Mutation {
     ]])
 }
 
+/// A `pbds_*` counter of the server's snapshot (panics on a missing name).
+fn counter(server: &PbdsServer, name: &str) -> u64 {
+    server.metrics_snapshot().counter(name).expect(name)
+}
+
 fn await_health(server: &PbdsServer, want: HealthState) -> bool {
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
@@ -110,18 +115,16 @@ fn wal_fsync_failure_refuses_the_write_then_the_janitor_heals() {
             matches!(err, PbdsError::Persist(_)),
             "refused write must carry the I/O cause, got {err}"
         );
-        let events = server.robustness_events();
-        assert_eq!(events.wal_append_failures, 1, "{events:?}");
-        assert!(!events.messages.is_empty(), "{events:?}");
+        assert_eq!(counter(&server, "pbds_robustness_wal_append_failures"), 1);
+        assert!(!server.recent_events().is_empty());
 
         assert!(
             await_health(&server, HealthState::Healthy),
             "janitor never repaired: health {:?}, events {:?}",
             server.health(),
-            server.robustness_events()
+            server.recent_events()
         );
-        let events = server.robustness_events();
-        assert!(events.repairs_succeeded >= 1, "{events:?}");
+        assert!(counter(&server, "pbds_robustness_repairs_succeeded") >= 1);
 
         // Writes resume after repair, on a verified fresh descriptor.
         server.apply_mutation("r", append(2_000)).unwrap();
@@ -235,11 +238,10 @@ fn repair_exhaustion_escalates_read_only_to_fail_stop() {
         await_health(&server, HealthState::FailStop),
         "exhausted repair never escalated: health {:?}, events {:?}",
         server.health(),
-        server.robustness_events()
+        server.recent_events()
     );
-    let events = server.robustness_events();
-    assert!(events.repair_attempts >= 2, "{events:?}");
-    assert_eq!(events.repairs_succeeded, 0, "{events:?}");
+    assert!(counter(&server, "pbds_robustness_repair_attempts") >= 2);
+    assert_eq!(counter(&server, "pbds_robustness_repairs_succeeded"), 0);
 
     let err = session
         .serve(&having_template(), &[Value::Int(0)])
@@ -247,6 +249,14 @@ fn repair_exhaustion_escalates_read_only_to_fail_stop() {
     assert_eq!(err, PbdsError::FailStop, "fail-stop must refuse reads");
     let err = server.apply_mutation("r", append(1_001)).unwrap_err();
     assert_eq!(err, PbdsError::FailStop, "fail-stop must refuse writes");
+
+    // The latency histograms cover completed operations only: the two
+    // refused writes and the refused read add no samples.
+    let snap = server.metrics_snapshot();
+    for histogram in ["pbds_mutation_commit_seconds", "pbds_query_seconds"] {
+        let count = snap.histogram(histogram).expect(histogram).count();
+        assert_eq!(count, 0, "{histogram}");
+    }
 }
 
 /// A snapshot that hits ENOSPC during an automatic checkpoint degrades the
@@ -282,14 +292,11 @@ fn snapshot_enospc_during_auto_checkpoint_degrades_but_keeps_serving() {
 
     // The failure was observed and the old snapshot is still whole.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while server.robustness_events().checkpoint_failures == 0 && Instant::now() < deadline {
+    let failures = || counter(&server, "pbds_robustness_checkpoint_failures");
+    while failures() == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert!(
-        server.robustness_events().checkpoint_failures >= 1,
-        "{:?}",
-        server.robustness_events()
-    );
+    assert!(failures() >= 1, "{:?}", server.recent_events());
     let (old_snap, old_seq) = read_snapshot(&dir.join(SNAPSHOT_FILE)).unwrap();
     assert_eq!(
         old_snap.table("r").unwrap().len(),
@@ -304,7 +311,7 @@ fn snapshot_enospc_during_auto_checkpoint_degrades_but_keeps_serving() {
     assert!(
         await_health(&server, HealthState::Healthy),
         "janitor never recovered the checkpoint: {:?}",
-        server.robustness_events()
+        server.recent_events()
     );
     let (new_snap, new_seq) = read_snapshot(&dir.join(SNAPSHOT_FILE)).unwrap();
     assert!(new_seq >= 2, "repaired snapshot covers the acked mutations");
@@ -342,9 +349,8 @@ fn corrupted_catalog_on_disk_is_quarantined_and_the_server_comes_up_cold() {
     assert!(report.catalog_quarantined, "{report:?}");
     assert_eq!(report.catalog_imported, 0, "{report:?}");
     assert_eq!(server.catalog().stored_sketches(), 0);
-    let events = server.robustness_events();
-    assert_eq!(events.catalogs_quarantined, 1, "{events:?}");
-    assert!(!events.messages.is_empty(), "{events:?}");
+    assert_eq!(counter(&server, "pbds_robustness_catalogs_quarantined"), 1);
+    assert!(!server.recent_events().is_empty());
     assert!(!path.exists(), "the damaged catalog must be renamed aside");
     let quarantined = dir.join("catalog.pbds.quarantined");
     assert_eq!(fs::read(&quarantined).unwrap(), bytes, "preserved verbatim");
@@ -399,7 +405,7 @@ fn a_restart_and_a_fault_cycle_both_keep_the_catalog_warm() {
                 first_hit = Some(i);
             }
         }
-        (first_hit, early_rows, server.capture_totals().0)
+        (first_hit, early_rows, counter(server, "pbds_captures_done"))
     }
 
     // `(postid, owneruserid, favorites, score)`.
@@ -473,11 +479,10 @@ fn a_restart_and_a_fault_cycle_both_keep_the_catalog_warm() {
     assert!(
         await_health(&server, HealthState::Healthy),
         "janitor never repaired: {:?}",
-        server.robustness_events()
+        server.recent_events()
     );
-    let events = server.robustness_events();
-    assert_eq!(events.wal_append_failures, 1, "{events:?}");
-    assert!(events.repairs_succeeded >= 1, "{events:?}");
+    assert_eq!(counter(&server, "pbds_robustness_wal_append_failures"), 1);
+    assert!(counter(&server, "pbds_robustness_repairs_succeeded") >= 1);
     assert_eq!(injector.armed_remaining(), 0, "both faults must have fired");
     server.apply_mutation("posts", post(9_000_001)).unwrap();
     let (healed_first, _, _) = serve_phase(&server, &stream);

@@ -2,7 +2,7 @@
 //! checker: a deliberate ABBA interleaving must be caught deterministically
 //! — with both lock names in the panic — and the lock-ordered re-run of the
 //! same workload must pass. Also checks that hold-time counters surface
-//! through `RobustnessEvents`.
+//! as `pbds_lock_*` gauges in the server's metrics snapshot.
 //!
 //! All assertions are gated on `pbds::sync::tracking_enabled()`: in a
 //! release build without the `lock-order` feature the wrappers are
@@ -92,10 +92,10 @@ fn lock_ordered_rerun_passes() {
     assert_eq!(*b.lock(), 8);
 }
 
-/// Hold-time counters from the migrated server lock sites surface through
-/// `RobustnessEvents::lock_holds`.
+/// Hold-time counters from the migrated server lock sites surface as the
+/// `pbds_lock_<class>_*` gauges of `metrics_snapshot()`.
 #[test]
-fn server_lock_holds_surface_in_robustness_events() {
+fn server_lock_holds_surface_as_snapshot_gauges() {
     use pbds::core::{Mutation, PbdsServer, ServerConfig};
     use pbds::storage::{DataType, Database, Schema, TableBuilder, Value};
 
@@ -118,14 +118,16 @@ fn server_lock_holds_surface_in_robustness_events() {
         .unwrap();
     server.drain();
 
-    let holds = server.robustness_events().lock_holds;
-    assert!(!holds.is_empty(), "tracked builds report hold stats");
-    for expected in ["server.db", "server.mutation", "server.ticket"] {
-        let stat = holds
-            .iter()
-            .find(|h| h.name == expected)
-            .unwrap_or_else(|| panic!("lock class {expected} missing from {holds:?}"));
-        assert!(stat.acquisitions > 0);
-        assert!(stat.total_held >= stat.max_held);
+    let snap = server.metrics_snapshot();
+    let gauge = |name: String| {
+        snap.gauge(&name)
+            .unwrap_or_else(|| panic!("{name} missing from {:?}", snap.gauges.keys()))
+    };
+    for class in ["server_db", "server_mutation", "server_ticket"] {
+        assert!(gauge(format!("pbds_lock_{class}_acquisitions")) > 0);
+        assert!(
+            gauge(format!("pbds_lock_{class}_held_nanos"))
+                >= gauge(format!("pbds_lock_{class}_max_held_nanos"))
+        );
     }
 }

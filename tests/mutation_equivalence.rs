@@ -472,8 +472,11 @@ fn server_with_background_mutator_never_serves_stale_results() {
         .execute(&server.db(), &template.instantiate(&[Value::Int(30_000)]))
         .unwrap();
     assert!(served.relation.bag_eq(&plain.relation));
-    let stats = server.catalog().stats();
-    assert_eq!(stats.stored, server.catalog().stored_sketches());
+    let stored = server.metrics_snapshot().gauge("pbds_catalog_stored");
+    assert_eq!(
+        stored.expect("pbds_catalog_stored"),
+        server.catalog().stored_sketches() as i64
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -589,7 +592,8 @@ proptest! {
 
         // All 32 mutations were acknowledged; the final logged state is the
         // served state.
-        prop_assert_eq!(server.commit_stats().mutations_submitted, 32);
+        let submitted = server.metrics_snapshot().counter("pbds_commit_mutations_submitted");
+        prop_assert_eq!(submitted.expect("pbds_commit_mutations_submitted"), 32);
         let final_state = states.lock().unwrap().last().unwrap().clone();
         prop_assert_eq!(
             final_state.table("r").unwrap().rows(),
@@ -641,17 +645,18 @@ fn batched_maintenance_keeps_sketches_safe_supersets() {
     }
 
     // Append-only burst on one table: exactly one coalesced delta per batch.
-    let cstats = server.catalog().stats();
-    let wstats = server.commit_stats();
+    let snap = server.metrics_snapshot();
+    let c = |name: &str| snap.counter(name).expect(name);
     assert_eq!(
-        cstats.maintenance_deltas, wstats.batched_commits,
-        "append-only batches must coalesce to one delta each: {cstats:?} / {wstats:?}"
+        c("pbds_catalog_maintenance_deltas"),
+        c("pbds_commit_batches"),
+        "append-only batches must coalesce to one delta each: {snap:?}"
     );
     assert!(
-        cstats.extended >= 1,
-        "the stored sketch must be extended, not dropped: {cstats:?}"
+        c("pbds_catalog_extended") >= 1,
+        "the stored sketch must be extended, not dropped: {snap:?}"
     );
-    assert_eq!(server.catalog().stored_sketches(), 1, "{cstats:?}");
+    assert_eq!(server.catalog().stored_sketches(), 1, "{snap:?}");
 
     // Direct superset check: the maintained sketch still covers the accurate
     // provenance of the mutated database for the captured binding.

@@ -133,6 +133,12 @@ fn assert_catalog_epoch_valid(server: &PbdsServer, ctx: &str) {
     }
 }
 
+/// Background captures the server completed (`pbds_captures_done`).
+fn captures_done(server: &PbdsServer) -> u64 {
+    let name = "pbds_captures_done";
+    server.metrics_snapshot().counter(name).expect(name)
+}
+
 /// A mutation step generated by the property test.
 #[derive(Debug, Clone)]
 enum Op {
@@ -309,8 +315,10 @@ fn reopened_server_serves_zipf_stream_with_warm_catalog() {
                 served.record.action
             })
             .collect();
-        let (cold_captures, _) = server.capture_totals();
-        assert!(cold_captures > 0, "cold run must pay capture at least once");
+        assert!(
+            captures_done(&server) > 0,
+            "cold run must pay capture at least once"
+        );
         server.shutdown().unwrap();
     }
 
@@ -333,8 +341,7 @@ fn reopened_server_serves_zipf_stream_with_warm_catalog() {
         assert!(served.relation.bag_eq(&plain.relation));
         warm_actions.push(served.record.action);
     }
-    let (warm_captures, _) = server.capture_totals();
-    assert_eq!(warm_captures, 0, "warm start must not pay capture");
+    assert_eq!(captures_done(&server), 0, "warm start must not pay capture");
 
     use pbds_core::tuning::Action;
     let first_hit = |actions: &[Action]| actions.iter().position(|a| *a == Action::UseSketch);
@@ -571,16 +578,18 @@ fn acknowledged_batches_survive_a_crash_before_any_checkpoint() {
         for t in tickets {
             t.wait().unwrap(); // acknowledged: durable by contract
         }
-        let stats = server.commit_stats();
-        assert_eq!(stats.mutations_committed, 64);
+        let snap = server.metrics_snapshot();
+        let committed = snap.counter("pbds_commit_mutations_committed");
+        assert_eq!(committed.expect("pbds_commit_mutations_committed"), 64);
+        let max_batch = snap
+            .gauge("pbds_commit_max_batch")
+            .expect("pbds_commit_max_batch");
         assert!(
-            stats.max_batch > 1,
-            "a pipelined burst of 64 must group-commit: {stats:?}"
+            max_batch > 1,
+            "a pipelined burst of 64 must group-commit: max batch {max_batch}"
         );
-        assert!(
-            stats.fsyncs < 64,
-            "group commit must amortize fsyncs: {stats:?}"
-        );
+        let fsyncs = snap.counter("pbds_wal_fsyncs").expect("pbds_wal_fsyncs");
+        assert!(fsyncs < 64, "group commit must amortize fsyncs: {fsyncs}");
         expected = server.db().table("r").unwrap().rows().to_vec();
         drop(server); // crash between ack and checkpoint
     }
