@@ -378,6 +378,33 @@ mod tests {
     }
 
     #[test]
+    fn multi_range_is_the_sorted_union_of_its_ranges() {
+        let (schema, rows) = setup();
+        let mut idx = OrderedIndex::build(&schema, &rows[..95], "k").unwrap();
+        idx.append(&rows[95..]);
+        idx.remove(&[3, 13, 40, 41, 97]);
+        assert!(!idx.delta.is_empty() && !idx.dropped.is_empty());
+        let v = |i| Some(Value::Int(i));
+        for ranges in [
+            vec![],
+            vec![(v(2), v(5)), (v(4), v(7))],
+            vec![(None, v(3)), (v(2), None)],
+            vec![(None, None), (v(1), v(1))],
+            vec![(v(6), v(4))],
+            vec![(v(8), v(9)), (v(0), v(0)), (v(3), v(3))],
+            vec![(v(-5), v(-1)), (v(10), None)],
+        ] {
+            let mut union: Vec<u32> = ranges
+                .iter()
+                .flat_map(|(lo, hi)| idx.range(lo.as_ref(), hi.as_ref()))
+                .collect();
+            union.sort_unstable();
+            union.dedup();
+            assert_eq!(idx.multi_range(&ranges), union, "{ranges:?}");
+        }
+    }
+
+    #[test]
     fn nulls_are_not_indexed() {
         let schema = Schema::from_pairs(&[("k", DataType::Int)]);
         let rows = vec![vec![Value::Null], vec![Value::Int(1)]];

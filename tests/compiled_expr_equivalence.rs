@@ -207,8 +207,106 @@ fn runny_rows_actually_encode() {
     assert!(encoded > 0, "generator produced no encoded chunk-columns");
 }
 
+/// Sketch ranges in the form the sketch predicate takes (ordered,
+/// exclusive-lower / inclusive-upper, maybe open at either end). Bounds are
+/// all `Int`, `i64` extremes included, or — with `mixed` — `Int`s with at
+/// least one `Float` among them.
+fn sketch_ranges(rng: &mut StdRng, mixed: bool) -> Vec<ValueRange> {
+    let mut bounds: Vec<Value> = (0..rng.gen_range(1..8))
+        .map(|_| match rng.gen_range(0..10) {
+            0 => Value::Int(i64::MIN),
+            1 => Value::Int(i64::MAX),
+            _ => Value::Int(rng.gen_range(-30..30)),
+        })
+        .collect();
+    if mixed {
+        bounds.push(Value::Float(rng.gen_range(-30..30) as f64 + 0.5));
+    }
+    bounds.sort();
+    bounds.dedup();
+    let mut ranges: Vec<ValueRange> = bounds
+        .chunks(2)
+        .map(|c| ValueRange {
+            lo: Some(c[0].clone()),
+            hi: c.get(1).cloned(),
+        })
+        .collect();
+    if rng.gen_range(0..3) == 0 {
+        ranges[0].lo = None;
+    }
+    ranges
+}
+
+/// One cell of a sketch-ranged column: mostly `Int`, sometimes at the `i64`
+/// extremes, else a `Float` (integral or not), NULL, a string or a bool.
+fn ranged_cell(rng: &mut StdRng) -> Value {
+    match rng.gen_range(0..12) {
+        0 => Value::Null,
+        1 => Value::Float(rng.gen_range(-30..30) as f64),
+        2 => Value::Float(rng.gen_range(-30.0..30.0)),
+        3 => Value::from(STRINGS[rng.gen_range(0..STRINGS.len())]),
+        4 => Value::Bool(rng.gen_range(0..2) == 1),
+        5 => Value::Int([i64::MIN, i64::MAX][rng.gen_range(0..2)]),
+        _ => Value::Int(rng.gen_range(-30..30)),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Sketch range membership with all-`Int` and with mixed `Int` / `Float`
+    /// bounds, over cells of every type: the compiled predicate equals the
+    /// interpreter row by row, and the block filter selects what the
+    /// interpreter selects — over mixed-type chunks and over runny integer
+    /// chunks (run-length, bit-packed and plain layouts).
+    #[test]
+    fn in_ranges_matches_interpreter_for_int_and_mixed_bounds(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let schema = Schema::from_pairs(&[("a", DataType::Int)]);
+        let mixed_rows: Vec<Row> = (0..96).map(|_| vec![ranged_cell(&mut rng)]).collect();
+        let mut run = rng.gen_range(-30..30i64);
+        let runny_rows: Vec<Row> = (0..192)
+            .map(|_| {
+                if rng.gen_range(0..5) == 0 {
+                    run = rng.gen_range(-30..30);
+                }
+                vec![if rng.gen_range(0..25) == 0 { Value::Null } else { Value::Int(run) }]
+            })
+            .collect();
+        for mixed in [false, true] {
+            let ranges = sketch_ranges(&mut rng, mixed);
+            for lookup in [RangeLookup::Linear, RangeLookup::BinarySearch] {
+                let pred = Expr::InRanges { column: "a".into(), ranges: ranges.clone(), lookup };
+                let compiled = CompiledExpr::compile(&pred, &schema);
+                for rows in [&mixed_rows, &runny_rows] {
+                    for row in rows.iter() {
+                        prop_assert_eq!(
+                            compiled.eval(row), eval_expr(&pred, &schema, row),
+                            "{} over {:?}", pred, row
+                        );
+                    }
+                    for chunks in [
+                        ColumnarChunks::build(&schema, rows, 64),
+                        ColumnarChunks::build_plain(&schema, rows, 64),
+                    ] {
+                        for chunk in chunks.chunks() {
+                            let piece = &rows[chunk.start..chunk.end];
+                            let sel = eval_filter_block(
+                                &compiled, chunk, piece, chunk.start, chunk.end,
+                            ).unwrap();
+                            for (j, row) in piece.iter().enumerate() {
+                                prop_assert_eq!(
+                                    sel.get(j),
+                                    eval_predicate(&pred, &schema, row).unwrap(),
+                                    "row {} of {}", chunk.start + j, pred
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     /// Encoded chunks are lossless: every cell decodes back to the source
     /// row value, and a table that grew by an append — which refills its

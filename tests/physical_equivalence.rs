@@ -13,19 +13,20 @@
 //! worked examples — the values the seed's standalone capture interpreter
 //! produced — for every capture configuration and on both profiles.
 
-use pbds_algebra::{col, lit, AggExpr, AggFunc, LogicalPlan, SortKey};
+use pbds_algebra::{col, lit, AggExpr, AggFunc, Expr, LogicalPlan, RangeLookup, SortKey};
 use pbds_exec::{
     eval_expr, eval_predicate, execute, lower, Engine, EngineProfile, ExecError, ExecOptions,
-    ExecStats, PARALLEL_SCAN_THRESHOLD,
+    ExecStats, NoTag, TagPolicy, PARALLEL_SCAN_THRESHOLD,
 };
 use pbds_provenance::{
-    capture_lineage, capture_sketches_with_profile, CaptureConfig, FragmentAssigner, LookupMethod,
-    MergeStrategy, ProvenanceSketch, SketchTagPolicy,
+    capture_lineage, capture_sketches_with_profile, Annotation, CaptureConfig, FragmentAssigner,
+    LineageTagPolicy, LookupMethod, MergeStrategy, ProvenanceSketch, SketchTagPolicy,
 };
 use pbds_storage::{
     DataType, Database, Partition, PartitionRef, RangePartition, Relation, Row, Schema,
-    TableBuilder, Value,
+    TableBuilder, Value, ValueRange,
 };
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -847,6 +848,312 @@ fn capture_result_relation_matches_plain_execution() {
                 plain.bag_eq(&captured.result),
                 "query #{i}, {profile:?}: capture by-product differs from execution"
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Grouping: generated group-by / aggregate shapes under every tag policy and
+// from every source the grouping step is fed by.
+// ---------------------------------------------------------------------------
+
+/// `p(k, g, h, vi, vf, vm, vn)` with `k` indexed. `g` is a numeric key mixing
+/// `Int` and `Float`, so `3` and `3.0` must share a group; `h` mixes strings
+/// with `1` / `1.0`. The aggregate inputs are `vi` (Int), `vf` (Float), `vm`
+/// (mixed Int / Float) and `vn` (all NULL); every column but `k` and `vn`
+/// carries NULLs at a per-table rate. Some rows are then deleted, which
+/// leaves short chunks behind.
+fn grouping_db(rng: &mut StdRng) -> Database {
+    let schema = Schema::from_pairs(&[
+        ("k", DataType::Int),
+        ("g", DataType::Float),
+        ("h", DataType::Str),
+        ("vi", DataType::Int),
+        ("vf", DataType::Float),
+        ("vm", DataType::Float),
+        ("vn", DataType::Int),
+    ]);
+    let n = rng.gen_range(1..500i64);
+    let null_one_in = rng.gen_range(2..12);
+    let mut b = TableBuilder::new("p", schema);
+    b.block_size([16, 64, 100][rng.gen_range(0..3)]).index("k");
+    for k in 0..n {
+        let key = rng.gen_range(0..4i64);
+        let x = rng.gen_range(-40..40i64);
+        let mut row = vec![
+            Value::Int(k),
+            match rng.gen_range(0..3) {
+                0 => Value::Int(key),
+                1 => Value::Float(key as f64),
+                _ => Value::Float(key as f64 + 0.5),
+            },
+            match rng.gen_range(0..4) {
+                0 => Value::from("x"),
+                1 => Value::from("y"),
+                2 => Value::Int(1),
+                _ => Value::Float(1.0),
+            },
+            Value::Int(x),
+            Value::Float(x as f64 / 4.0),
+            if x % 2 == 0 {
+                Value::Int(x)
+            } else {
+                Value::Float(x as f64 / 8.0)
+            },
+            Value::Null,
+        ];
+        for cell in &mut row[1..6] {
+            if rng.gen_range(0..null_one_in) == 0 {
+                *cell = Value::Null;
+            }
+        }
+        b.push(row);
+    }
+    let mut table = b.build();
+    // A run of rows and every m-th row: the chunks holding them shrink.
+    let (from, len) = (rng.gen_range(0..n), rng.gen_range(0..40));
+    let m = rng.gen_range(3..20);
+    table.delete_where(|row| {
+        let Value::Int(k) = row[0] else { return false };
+        (from..from + len).contains(&k) || k % m == 1
+    });
+    let mut db = Database::new();
+    db.add_table(table);
+    db
+}
+
+/// A random aggregation over `p`: zero, one or two group keys, one to three
+/// aggregates of any function over any input column, fed by a fused chunk
+/// scan (no filter or a `k` filter under the columnar profile), a fused index
+/// probe (a `k` filter or sketch ranges under the indexed profile) or a
+/// `HashAggregateOp` over a `Filter` (a projection keeps the filter out of
+/// the scan). One plan in six is duplicate elimination over two key columns
+/// instead.
+fn grouping_plan(rng: &mut StdRng) -> LogicalPlan {
+    let group_by: Vec<&str> =
+        [vec![], vec!["g"], vec!["h"], vec!["g", "h"]][rng.gen_range(0..4)].clone();
+    let funcs = [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Min,
+        AggFunc::Max,
+    ];
+    let aggregates: Vec<AggExpr> = (0..rng.gen_range(1..4))
+        .map(|i| {
+            let input = ["vi", "vf", "vm", "vn"][rng.gen_range(0..4)];
+            AggExpr::new(funcs[rng.gen_range(0..5)], col(input), format!("a{i}"))
+        })
+        .collect();
+    let lo = rng.gen_range(-5..300i64);
+    let hi = lo + rng.gen_range(0..300);
+    let k_range = col("k").between(lit(lo), lit(hi));
+    let scan = LogicalPlan::scan("p");
+    let input = match rng.gen_range(0..5) {
+        0 => scan,
+        1 => scan.filter(k_range),
+        2 => scan.filter(k_range.and(col("vi").gt(lit(rng.gen_range(-40..40i64))))),
+        3 => {
+            // The sketch shape: exclusive-lower / inclusive-upper ranges.
+            let mut bounds: Vec<i64> = (0..rng.gen_range(1..8))
+                .map(|_| rng.gen_range(-5..500))
+                .collect();
+            bounds.sort_unstable();
+            bounds.dedup();
+            let ranges = bounds
+                .chunks(2)
+                .map(|c| ValueRange {
+                    lo: Some(Value::Int(c[0])),
+                    hi: c.get(1).map(|&h| Value::Int(h)),
+                })
+                .collect();
+            scan.filter(Expr::InRanges {
+                column: "k".into(),
+                ranges,
+                lookup: RangeLookup::BinarySearch,
+            })
+        }
+        _ => {
+            let all = ["k", "g", "h", "vi", "vf", "vm", "vn"];
+            scan.project(all.iter().map(|&c| (col(c), c)).collect())
+                .filter(k_range)
+        }
+    };
+    if rng.gen_range(0..6) == 0 {
+        // Duplicate elimination groups on every column.
+        let cols = [["g", "h"], ["g", "vm"]][rng.gen_range(0..2)];
+        return input
+            .project(cols.iter().map(|&c| (col(c), c)).collect())
+            .distinct();
+    }
+    input.aggregate(group_by, aggregates)
+}
+
+/// `plan` under `policy`: the row-interpreter run at one worker is the
+/// oracle, and the vectorized runs (fused scans, index probes, bitmap
+/// kernels) and four-worker runs must reproduce its rows, their order and
+/// their tags exactly — `Debug` renderings are compared, so `Int(3)` and
+/// `Float(3.0)` count as different.
+fn assert_grouping_identical<P>(db: &Database, plan: &LogicalPlan, policy: &P, what: &str)
+where
+    P: TagPolicy,
+    P::Tag: std::fmt::Debug,
+{
+    for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
+        let render = |vectorized: bool, workers: usize| {
+            let ((rel, tags), _) = run_pinned(db, plan, profile, workers, vectorized, policy);
+            format!("{:?}\n{tags:?}", rel.rows())
+        };
+        let oracle = render(false, 1);
+        for (vectorized, workers) in [(true, 1), (true, 4), (false, 4)] {
+            assert_eq!(
+                oracle,
+                render(vectorized, workers),
+                "{what}, {profile:?}, vectorized {vectorized}, workers {workers}\n{}",
+                plan.display_tree()
+            );
+        }
+    }
+}
+
+/// Guard against the property below going vacuous: the generators reach
+/// fused index probes, fused chunk scans, the generic aggregate over a
+/// filter, duplicate elimination, and tables with short chunks.
+#[test]
+fn grouping_generators_reach_every_source() {
+    let (mut probes, mut chunk_scans, mut generic, mut distinct, mut short) = (0, 0, 0, 0, 0);
+    for seed in 0..64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let db = grouping_db(&mut rng);
+        let plan = grouping_plan(&mut rng);
+        let table = db.table("p").unwrap();
+        let chunks = table.columnar_chunks();
+        let inner = &chunks.chunks()[..chunks.chunks().len().saturating_sub(1)];
+        short += inner
+            .iter()
+            .filter(|c| c.len() < table.block_size())
+            .count();
+        let (_, indexed) = run_pinned(&db, &plan, EngineProfile::Indexed, 1, true, &NoTag);
+        let (_, columnar) = run_pinned(&db, &plan, EngineProfile::ColumnarScan, 1, true, &NoTag);
+        match &plan {
+            LogicalPlan::Distinct { .. } => distinct += 1,
+            _ if indexed.agg_pushdown_blocks == 0 => generic += 1,
+            _ => {
+                probes += usize::from(indexed.index_scans > 0);
+                chunk_scans += usize::from(columnar.agg_pushdown_blocks > 0);
+            }
+        }
+    }
+    for (what, n) in [
+        ("fused index probes", probes),
+        ("fused chunk scans", chunk_scans),
+        ("generic aggregates", generic),
+        ("distincts", distinct),
+        ("short chunks", short),
+    ] {
+        assert!(n >= 3, "only {n} {what} in 64 generated cases");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Grouping is byte-identical across scan paths and worker counts for
+    /// every tag policy, and its rows equal the naive interpreter's, in
+    /// first-seen group order.
+    #[test]
+    fn grouping_matches_the_oracle_on_generated_aggregations(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let db = grouping_db(&mut rng);
+        let plan = grouping_plan(&mut rng);
+
+        let expected = oracle(&db, &plan).unwrap();
+        for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
+            let actual = Engine::new(profile).execute(&db, &plan).unwrap().relation;
+            prop_assert_eq!(
+                actual.rows(), expected.rows(),
+                "{:?}\n{}", profile, plan.display_tree()
+            );
+        }
+
+        assert_grouping_identical(&db, &plan, &NoTag, "plain");
+        assert_grouping_identical(&db, &plan, &LineageTagPolicy, "lineage");
+        let part: PartitionRef = Arc::new(Partition::Range(RangePartition::from_uppers(
+            "p",
+            "k",
+            vec![Value::Int(60), Value::Int(150), Value::Int(320)],
+        )));
+        for config in [
+            CaptureConfig::optimized(),
+            CaptureConfig { minmax_narrowing: false, ..CaptureConfig::optimized() },
+            CaptureConfig::naive(),
+        ] {
+            let assigners = vec![FragmentAssigner::new(part.clone(), config.lookup)];
+            let policy = SketchTagPolicy::new(&assigners, &config);
+            assert_grouping_identical(&db, &plan, &policy, &format!("sketch {config:?}"));
+        }
+    }
+}
+
+/// `merge_tags(empty_tag(), t)` returns `t` for plain execution, lineage and
+/// the delaying sketch merges. The copying-OR merges (`Bitor`,
+/// `BytewiseBitor`) materialize a `Single` annotation into `Bits`: the same
+/// fragments, another representation — so an operator that must hand a lone
+/// row's tag on unchanged (duplicate elimination) seeds a new entry with the
+/// row's tag instead of merging it into the empty tag.
+#[test]
+fn empty_tag_is_a_left_identity_of_merge() {
+    fn merged<P: TagPolicy>(policy: &P, t: &P::Tag) -> P::Tag {
+        let mut into = policy.empty_tag();
+        policy.merge_tags(&mut into, t);
+        into
+    }
+    merged(&NoTag, &());
+
+    let lineage_tags = [
+        LineageTagPolicy.empty_tag(),
+        [("p".to_string(), 3u32), ("q".to_string(), 0)]
+            .into_iter()
+            .collect(),
+    ];
+    for t in &lineage_tags {
+        assert_eq!(&merged(&LineageTagPolicy, t), t);
+    }
+
+    let part: PartitionRef = Arc::new(Partition::Range(RangePartition::from_uppers(
+        "p",
+        "k",
+        vec![Value::Int(10), Value::Int(20)],
+    )));
+    for merge in [
+        MergeStrategy::Delay,
+        MergeStrategy::DelayNoCopy,
+        MergeStrategy::Bitor,
+        MergeStrategy::BytewiseBitor,
+    ] {
+        let config = CaptureConfig {
+            merge,
+            ..CaptureConfig::optimized()
+        };
+        let assigners = vec![FragmentAssigner::new(part.clone(), config.lookup)];
+        let policy = SketchTagPolicy::new(&assigners, &config);
+        let row = vec![Value::Int(15)];
+        let schema = Schema::from_pairs(&[("k", DataType::Int)]);
+        let single = policy.seed_tag("p", &schema, &row, 0);
+        assert_eq!(single, vec![Annotation::Single(1)]);
+        let mut bits = single.clone();
+        policy.merge_tags(
+            &mut bits,
+            &policy.seed_tag("p", &schema, &vec![Value::Int(25)], 1),
+        );
+        for t in [policy.empty_tag(), single, bits] {
+            let m = merged(&policy, &t);
+            let copying = matches!(merge, MergeStrategy::Bitor | MergeStrategy::BytewiseBitor);
+            if copying && matches!(t[0], Annotation::Single(_) | Annotation::Empty) {
+                assert_eq!(m[0].to_bitset(3), t[0].to_bitset(3), "{merge:?}");
+            } else {
+                assert_eq!(m, t, "{merge:?}");
+            }
         }
     }
 }
