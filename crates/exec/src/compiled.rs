@@ -53,6 +53,81 @@ impl ColRef {
     }
 }
 
+/// One range: exclusive lower bound, inclusive upper bound, `None` for open.
+type Bounds<B> = (Option<B>, Option<B>);
+
+/// The ranges of a sketch predicate ([`Expr::InRanges`]), compiled once per
+/// query: as given and, when every bound is an `Int`, lowered to `i64`, so an
+/// `Int` cell is tested with integer compares. Every other cell, and every
+/// cell when some bound is not an `Int`, compares as a [`Value`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompiledRanges {
+    values: Vec<Bounds<Value>>,
+    ints: Option<Vec<Bounds<i64>>>,
+    lookup: RangeLookup,
+}
+
+impl CompiledRanges {
+    fn new(ranges: &[ValueRange], lookup: RangeLookup) -> Self {
+        let values: Vec<Bounds<Value>> = ranges
+            .iter()
+            .map(|r| (r.lo.clone(), r.hi.clone()))
+            .collect();
+        let int = |b: &Option<Value>| match b {
+            None => Some(None),
+            Some(Value::Int(i)) => Some(Some(*i)),
+            Some(_) => None,
+        };
+        let ints = values
+            .iter()
+            .map(|(lo, hi)| Some((int(lo)?, int(hi)?)))
+            .collect();
+        CompiledRanges {
+            values,
+            ints,
+            lookup,
+        }
+    }
+
+    /// Membership of a non-NULL cell.
+    pub fn contains(&self, v: &Value) -> bool {
+        match v {
+            Value::Int(i) => self.contains_int(*i),
+            _ => self.contains_by(|b| v > b),
+        }
+    }
+
+    /// Membership of an `Int` cell.
+    pub(crate) fn contains_int(&self, i: i64) -> bool {
+        match &self.ints {
+            Some(ints) => found(ints, self.lookup, |b| i > *b),
+            None => self.contains_by(|b| Value::Int(i) > *b),
+        }
+    }
+
+    /// Membership of a non-NULL cell given `above(bound)`: whether the cell
+    /// is greater than `bound` in `Value`'s order.
+    pub(crate) fn contains_by(&self, above: impl Fn(&Value) -> bool) -> bool {
+        found(&self.values, self.lookup, above)
+    }
+}
+
+/// Range membership of a cell given `above(bound)`, exactly as the
+/// interpreter decides it: a range holds the cell when the cell is above its
+/// lower bound and not above its upper one, and `BinarySearch` tests only the
+/// first range whose upper bound the cell is not above.
+fn found<B>(ranges: &[Bounds<B>], lookup: RangeLookup, above: impl Fn(&B) -> bool) -> bool {
+    let holds =
+        |(lo, hi): &Bounds<B>| lo.as_ref().is_none_or(&above) && !hi.as_ref().is_some_and(&above);
+    match lookup {
+        RangeLookup::Linear => ranges.iter().any(holds),
+        RangeLookup::BinarySearch => {
+            let pos = ranges.partition_point(|(_, hi)| hi.as_ref().is_some_and(&above));
+            ranges.get(pos).is_some_and(holds)
+        }
+    }
+}
+
 /// An [`Expr`] with all column references bound to row positions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompiledExpr {
@@ -90,10 +165,8 @@ pub enum CompiledExpr {
     InRanges {
         /// Bound column.
         column: ColRef,
-        /// Ordered, non-overlapping ranges.
-        ranges: Vec<ValueRange>,
-        /// Lookup strategy.
-        lookup: RangeLookup,
+        /// The ranges with their lookup strategy.
+        ranges: CompiledRanges,
     },
     /// Sorted-list membership on a composite key.
     InList {
@@ -140,8 +213,7 @@ impl CompiledExpr {
                 lookup,
             } => CompiledExpr::InRanges {
                 column: ColRef::bind(schema, column),
-                ranges: ranges.clone(),
-                lookup: *lookup,
+                ranges: CompiledRanges::new(ranges, *lookup),
             },
             Expr::InList { columns, keys } => CompiledExpr::InList {
                 columns: columns.iter().map(|c| ColRef::bind(schema, c)).collect(),
@@ -198,26 +270,9 @@ impl CompiledExpr {
                 }
                 otherwise.eval(row)
             }
-            CompiledExpr::InRanges {
-                column,
-                ranges,
-                lookup,
-            } => {
+            CompiledExpr::InRanges { column, ranges } => {
                 let v = column.get(row)?;
-                if v.is_null() {
-                    return Ok(Value::Bool(false));
-                }
-                let found = match lookup {
-                    RangeLookup::Linear => ranges.iter().any(|r| r.contains(v)),
-                    RangeLookup::BinarySearch => {
-                        let pos = ranges.partition_point(|r| match &r.hi {
-                            Some(hi) => hi < v,
-                            None => false,
-                        });
-                        ranges.get(pos).map(|r| r.contains(v)).unwrap_or(false)
-                    }
-                };
-                Ok(Value::Bool(found))
+                Ok(Value::Bool(!v.is_null() && ranges.contains(v)))
             }
             CompiledExpr::InList { columns, keys } => {
                 let mut key = Vec::with_capacity(columns.len());
@@ -233,7 +288,14 @@ impl CompiledExpr {
     /// unknown to `false` (mirrors [`crate::eval::eval_predicate`]).
     #[inline]
     pub fn matches(&self, row: &Row) -> Result<bool, ExecError> {
-        Ok(self.eval(row)?.as_bool() == Some(true))
+        match self {
+            // The re-check of every index-probed row: no `Value` is built.
+            CompiledExpr::InRanges { column, ranges } => {
+                let v = column.get(row)?;
+                Ok(!v.is_null() && ranges.contains(v))
+            }
+            _ => Ok(self.eval(row)?.as_bool() == Some(true)),
+        }
     }
 }
 
@@ -301,6 +363,49 @@ mod tests {
         let compiled = CompiledExpr::compile(&e, &s);
         assert_eq!(compiled.eval(&r), eval_expr(&e, &s, &r));
         assert_eq!(compiled.eval(&r), Err(ExecError::UnboundParameter(0)));
+    }
+
+    #[test]
+    fn in_ranges_lowers_to_integers_only_when_every_bound_is_an_int() {
+        let s = Schema::from_pairs(&[("a", DataType::Int)]);
+        let ranges_of = |bounds: Vec<Option<Value>>| {
+            let ranges: Vec<ValueRange> = bounds
+                .chunks(2)
+                .map(|b| ValueRange {
+                    lo: b[0].clone(),
+                    hi: b[1].clone(),
+                })
+                .collect();
+            let e = Expr::InRanges {
+                column: "a".into(),
+                ranges,
+                lookup: RangeLookup::BinarySearch,
+            };
+            match CompiledExpr::compile(&e, &s) {
+                CompiledExpr::InRanges { ranges, .. } => ranges,
+                other => panic!("compiled to {other:?}"),
+            }
+        };
+        let ints = ranges_of(vec![None, Some(Value::Int(3)), Some(Value::Int(7)), None]);
+        assert_eq!(ints.ints, Some(vec![(None, Some(3)), (Some(7), None)]));
+        let mixed = ranges_of(vec![
+            None,
+            Some(Value::Int(3)),
+            Some(Value::Float(7.5)),
+            None,
+        ]);
+        assert_eq!(mixed.ints, None);
+        // (-inf, 3] or (7, inf), and (-inf, 3] or (7.5, inf).
+        for (v, in_ints, in_mixed) in [
+            (Value::Int(3), true, true),
+            (Value::Int(7), false, false),
+            (Value::Float(7.25), true, false),
+            (Value::Float(7.75), true, true),
+            (Value::Int(i64::MAX), true, true),
+        ] {
+            assert_eq!(ints.contains(&v), in_ints, "{v:?}");
+            assert_eq!(mixed.contains(&v), in_mixed, "{v:?}");
+        }
     }
 
     #[test]

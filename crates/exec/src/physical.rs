@@ -42,9 +42,10 @@ use pbds_storage::{
 use pbds_telemetry::clock;
 use std::borrow::Borrow;
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -913,7 +914,6 @@ impl<'a, P: TagPolicy> OpBuilder<'a, P> {
                 }
                 Ok(Box::new(HashAggregateOp {
                     group_idx,
-                    group_by_empty: group_by.is_empty(),
                     aggregates,
                     agg_inputs: aggregates
                         .iter()
@@ -944,8 +944,8 @@ impl<'a, P: TagPolicy> OpBuilder<'a, P> {
                     li,
                     ri,
                     policy,
-                    hasher: RandomState::new(),
-                    build: HashMap::new(),
+                    hasher: KeyHasher::seeded(),
+                    build: HashMap::default(),
                     build_rows: Vec::new(),
                 }))
             }
@@ -988,6 +988,7 @@ impl<'a, P: TagPolicy> OpBuilder<'a, P> {
             })),
             PhysOp::Distinct { input } => Ok(Box::new(DistinctOp {
                 policy,
+                columns: (0..input.schema.arity()).collect(),
                 input: Some(self.op(input, id + 1, stats)?),
                 out: Emitter::new(),
             })),
@@ -1589,58 +1590,326 @@ impl<T> Emitter<T> {
     }
 }
 
-/// Accumulated aggregation state before finalization: one (group key,
-/// accumulator) pair per group, in first-seen order.
-type Groups<T> = Vec<(Vec<Value>, GroupAcc<T>)>;
+// -- grouping ---------------------------------------------------------------
 
-/// Per-group accumulator: the running aggregates plus the group's merged tag
-/// (and, under min/max narrowing, the extremal witness row's tag).
-struct GroupAcc<T> {
-    count: i64,
-    sums: Vec<f64>,
-    int_sums: Vec<i64>,
-    all_int: Vec<bool>,
-    mins: Vec<Option<Value>>,
-    maxs: Vec<Option<Value>>,
-    non_null: Vec<i64>,
-    tag: T,
-    witness: Option<(Value, T)>,
+/// The multiplier of the multiply-rotate step (FxHash's).
+const HASH_MUL: u64 = 0x517c_c1b7_2722_0a95;
+
+/// Multiply-rotate hashing of borrowed key values, started from a seed drawn
+/// from [`RandomState`] once per operator. `Value`'s `Hash` feeds it the
+/// value's type tag and payload, so `Int(3)` and `Float(3.0)` hash alike.
+///
+/// A multiplicative step's high bits depend on every input bit and its low
+/// bits only on the input's low bits: [`GroupTable`] takes its slots from
+/// the high bits, and `finish` folds the high half into the low half for
+/// maps that index by the low bits (the hash join's).
+#[derive(Clone, Copy)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn seeded() -> Self {
+        KeyHasher(RandomState::new().build_hasher().finish())
+    }
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(HASH_MUL);
+    }
+
+    /// The hash of a key given as borrowed values.
+    #[inline]
+    fn hash_key<'v>(mut self, values: impl IntoIterator<Item = &'v Value>) -> u64 {
+        for v in values {
+            v.hash(&mut self);
+        }
+        self.finish()
+    }
 }
 
-impl<T> GroupAcc<T> {
-    fn new(n_aggs: usize, tag: T) -> Self {
-        GroupAcc {
-            count: 0,
-            sums: vec![0.0; n_aggs],
-            int_sums: vec![0; n_aggs],
-            all_int: vec![true; n_aggs],
-            mins: vec![None; n_aggs],
-            maxs: vec![None; n_aggs],
-            non_null: vec![0; n_aggs],
-            tag,
-            witness: None,
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.add(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("eight bytes")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        self.add(u64::from_le_bytes(tail));
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_i64(&mut self, i: i64) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// Hashes a `u64` to itself: the hasher of maps keyed by [`KeyHasher`]
+/// hashes, which are mixed already.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("pass-through maps are keyed by u64 hashes")
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Group keys mapped to dense group ids in first-seen order — the one
+/// grouping table of aggregation and duplicate elimination.
+///
+/// The keys are stored back to back, `width` values per group. A slot holds
+/// the top half of the key's [`KeyHasher`] hash above `group id + 1` (0 is
+/// empty); slots are probed linearly from the hash's top bits, and a slot
+/// matches when its hash half and then every key value are equal (`Value`'s
+/// exact `Eq`: distinct 64-bit integers never conflate, and NULL equals
+/// NULL). The table stays at most half full.
+struct GroupTable {
+    hasher: KeyHasher,
+    width: usize,
+    keys: Vec<Value>,
+    groups: usize,
+    slots: Vec<u64>,
+    /// `64 - log2(slots.len())`: a hash's first slot is `hash >> shift`.
+    shift: u32,
+    /// Hash every key to 0, so all keys share one probe chain.
+    #[cfg(test)]
+    collide: bool,
+}
+
+/// The hash half of a [`GroupTable`] slot.
+const HASH_HALF: u64 = !0 << 32;
+
+impl GroupTable {
+    fn new(width: usize) -> Self {
+        GroupTable {
+            hasher: KeyHasher::seeded(),
+            width,
+            keys: Vec::new(),
+            groups: 0,
+            slots: vec![0; 16],
+            shift: 60,
+            #[cfg(test)]
+            collide: false,
         }
     }
-}
 
-struct HashAggregateOp<'a, P: TagPolicy> {
-    group_idx: Vec<usize>,
-    group_by_empty: bool,
-    aggregates: &'a [AggExpr],
-    /// Aggregate input expressions, bound once against the input schema.
-    agg_inputs: Vec<CompiledExpr>,
-    policy: &'a P,
-    input: Option<BoxOp<'a, P>>,
-    out: Emitter<P::Tag>,
-}
-
-/// Hash a borrowed sequence of key values with a shared [`RandomState`].
-fn hash_borrowed_key<'v>(state: &RandomState, values: impl Iterator<Item = &'v Value>) -> u64 {
-    let mut h = state.build_hasher();
-    for v in values {
-        v.hash(&mut h);
+    fn len(&self) -> usize {
+        self.groups
     }
-    h.finish()
+
+    fn key(&self, g: usize) -> &[Value] {
+        &self.keys[g * self.width..(g + 1) * self.width]
+    }
+
+    /// The group of the key `key_idx` selects from `row`, and whether this
+    /// call created it (cloning the key in).
+    #[inline]
+    fn find_or_insert(&mut self, row: &[Value], key_idx: &[usize]) -> (usize, bool) {
+        let h = self.hasher.hash_key(key_idx.iter().map(|&i| &row[i]));
+        #[cfg(test)]
+        let h = if self.collide { 0 } else { h };
+        let mask = self.slots.len() - 1;
+        let mut s = (h >> self.shift) as usize;
+        while self.slots[s] != 0 {
+            let slot = self.slots[s];
+            let g = (slot & !HASH_HALF) as usize - 1;
+            if slot & HASH_HALF == h & HASH_HALF
+                && self.key(g).iter().zip(key_idx).all(|(k, &i)| row[i] == *k)
+            {
+                return (g, false);
+            }
+            s = (s + 1) & mask;
+        }
+        let g = self.groups;
+        let id = u32::try_from(g + 1).expect("fewer than 2^32 groups");
+        self.slots[s] = h & HASH_HALF | u64::from(id);
+        self.groups += 1;
+        self.keys.extend(key_idx.iter().map(|&i| row[i].clone()));
+        if 2 * self.groups > self.slots.len() {
+            self.grow();
+        }
+        (g, true)
+    }
+
+    /// Double the slots and re-place every group by its hash half, which
+    /// holds every bit a first slot is taken from.
+    fn grow(&mut self) {
+        assert!(
+            self.shift > 32,
+            "a group table holds fewer than 2^31 groups"
+        );
+        let doubled = vec![0; 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        self.shift -= 1;
+        let mask = self.slots.len() - 1;
+        for slot in old.into_iter().filter(|&slot| slot != 0) {
+            let mut s = (slot >> self.shift) as usize;
+            while self.slots[s] != 0 {
+                s = (s + 1) & mask;
+            }
+            self.slots[s] = slot;
+        }
+    }
+
+    /// The group keys, in group order, as rows with room for `extra` more
+    /// values each.
+    fn into_rows(self, extra: usize) -> impl Iterator<Item = Row> {
+        let (groups, width) = (self.groups, self.width);
+        let mut keys = self.keys.into_iter();
+        (0..groups).map(move |_| {
+            let mut row = Vec::with_capacity(width + extra);
+            row.extend(keys.by_ref().take(width));
+            row
+        })
+    }
+}
+
+/// One aggregate's running state, one entry per group: only what its
+/// function's result is computed from.
+enum AggAcc {
+    /// `COUNT` is the group's row count ([`GroupFold::counts`]).
+    Count,
+    Sum(Vec<SumAcc>),
+    Avg(Vec<AvgAcc>),
+    Min(Vec<Option<Value>>),
+    Max(Vec<Option<Value>>),
+}
+
+/// A `SUM`: an `Int` while every non-NULL input is one, else a `Float`.
+#[derive(Clone, Copy, Default)]
+struct SumAcc {
+    non_null: i64,
+    ints: i64,
+    /// Every numeric input as `f64`, added in row order.
+    floats: f64,
+    saw_non_int: bool,
+}
+
+/// An `AVG`: the `f64` sum of the numeric inputs over the non-NULL count.
+#[derive(Clone, Copy, Default)]
+struct AvgAcc {
+    non_null: i64,
+    sum: f64,
+}
+
+/// `slot` becomes `v` when empty or when `v` compares `wins` against it.
+#[inline]
+fn replace_if(slot: &mut Option<Value>, v: &Value, wins: Ordering) -> bool {
+    let replace = slot.as_ref().is_none_or(|m| v.cmp(m) == wins);
+    if replace {
+        *slot = Some(v.clone());
+    }
+    replace
+}
+
+impl AggAcc {
+    fn new(func: AggFunc) -> Self {
+        match func {
+            AggFunc::Count => AggAcc::Count,
+            AggFunc::Sum => AggAcc::Sum(Vec::new()),
+            AggFunc::Avg => AggAcc::Avg(Vec::new()),
+            AggFunc::Min => AggAcc::Min(Vec::new()),
+            AggFunc::Max => AggAcc::Max(Vec::new()),
+        }
+    }
+
+    fn push_group(&mut self) {
+        match self {
+            AggAcc::Count => {}
+            AggAcc::Sum(s) => s.push(SumAcc::default()),
+            AggAcc::Avg(a) => a.push(AvgAcc::default()),
+            AggAcc::Min(m) | AggAcc::Max(m) => m.push(None),
+        }
+    }
+
+    /// Fold the non-NULL input `v` into group `g`; true when `v` became the
+    /// group's `MIN` / `MAX`.
+    #[inline]
+    fn update(&mut self, g: usize, v: &Value) -> bool {
+        match self {
+            AggAcc::Count => false,
+            AggAcc::Sum(s) => {
+                let s = &mut s[g];
+                s.non_null += 1;
+                if let Some(f) = v.as_f64() {
+                    s.floats += f;
+                }
+                match (v, s.saw_non_int) {
+                    (Value::Int(i), false) => s.ints += i,
+                    _ => s.saw_non_int = true,
+                }
+                false
+            }
+            AggAcc::Avg(a) => {
+                let a = &mut a[g];
+                a.non_null += 1;
+                if let Some(f) = v.as_f64() {
+                    a.sum += f;
+                }
+                false
+            }
+            AggAcc::Min(m) => replace_if(&mut m[g], v, Ordering::Less),
+            AggAcc::Max(m) => replace_if(&mut m[g], v, Ordering::Greater),
+        }
+    }
+
+    /// Fold `cnt` occurrences of the integer `v` into group `g` at once — the
+    /// run-length shortcut of [`accumulate_column`]. Exact only where every
+    /// input of the aggregate is an integer, so a `SUM`'s `f64` sum is never
+    /// read.
+    fn note_ints(&mut self, g: usize, v: i64, cnt: i64) {
+        match self {
+            AggAcc::Sum(s) => {
+                s[g].non_null += cnt;
+                s[g].ints += v * cnt;
+            }
+            AggAcc::Avg(_) => unreachable!("AVG observes the f64 sum; it folds row by row"),
+            _ => {
+                self.update(g, &Value::Int(v));
+            }
+        }
+    }
+
+    /// Group `g`'s result (taking a `MIN` / `MAX` out).
+    fn finish(&mut self, g: usize, count: i64) -> Value {
+        match self {
+            AggAcc::Count => Value::Int(count),
+            AggAcc::Sum(s) => match s[g] {
+                SumAcc { non_null: 0, .. } => Value::Null,
+                SumAcc {
+                    saw_non_int: false,
+                    ints,
+                    ..
+                } => Value::Int(ints),
+                SumAcc { floats, .. } => Value::Float(floats),
+            },
+            AggAcc::Avg(a) => match a[g] {
+                AvgAcc { non_null: 0, .. } => Value::Null,
+                AvgAcc { non_null, sum } => Value::Float(sum / non_null as f64),
+            },
+            AggAcc::Min(m) | AggAcc::Max(m) => m[g].take().unwrap_or(Value::Null),
+        }
+    }
 }
 
 /// The min/max narrowing of rule r3 applies when the aggregation computes a
@@ -1651,45 +1920,49 @@ fn narrows_to_witness<P: TagPolicy>(policy: &P, aggregates: &[AggExpr]) -> bool 
         && matches!(aggregates[0].func, AggFunc::Min | AggFunc::Max)
 }
 
-/// Hash-grouping state while input rows are folded in, shared by
-/// [`HashAggregateOp`] and the row-at-a-time variants of [`AggScanOp`].
+/// The grouping step of [`HashAggregateOp`] and of both arms of
+/// [`AggScanOp`]: a [`GroupTable`] plus struct-of-arrays accumulators
+/// indexed by group id. The global aggregate (no group keys) is group 0.
 ///
-/// Keys hash as borrowed `Value`s (`Hash` is consistent with the exact,
-/// transitive `Eq`: Int/Float compare at full precision, so distinct 64-bit
-/// integers never conflate even where their `f64` images collide). The map is
-/// keyed by the 64-bit hash with explicit candidate comparison, so the
-/// per-row path neither clones the group key nor allocates a probe
-/// `Vec<Value>` — the key is materialized once per *group*, on the miss path
-/// only.
+/// Per group it keeps the row count, one [`AggAcc`] entry per aggregate and
+/// the group's tag: the merge of every member's tag into the empty tag or,
+/// under min/max narrowing ([`narrows_to_witness`]), the tag of the first
+/// row holding the extremal value — the first member's while every input is
+/// NULL, since any single member reproduces a `(key, NULL)` output.
 struct GroupFold<'a, P: TagPolicy> {
     policy: &'a P,
-    n_aggs: usize,
-    /// See [`narrows_to_witness`].
     narrow: bool,
-    /// Under narrowing: the single aggregate is a max (else a min).
-    want_max: bool,
-    hasher: RandomState,
-    index: HashMap<u64, Vec<usize>>,
-    groups: Groups<P::Tag>,
+    table: GroupTable,
+    counts: Vec<i64>,
+    aggs: Vec<AggAcc>,
+    tags: Vec<P::Tag>,
 }
 
 impl<'a, P: TagPolicy> GroupFold<'a, P> {
-    fn new(policy: &'a P, aggregates: &[AggExpr], narrow: bool) -> Self {
+    fn new(policy: &'a P, aggregates: &[AggExpr], key_width: usize) -> Self {
         GroupFold {
             policy,
-            n_aggs: aggregates.len(),
-            narrow,
-            want_max: matches!(aggregates.first().map(|a| a.func), Some(AggFunc::Max)),
-            hasher: RandomState::new(),
-            index: HashMap::new(),
-            groups: Vec::new(),
+            narrow: narrows_to_witness(policy, aggregates),
+            table: GroupTable::new(key_width),
+            counts: Vec::new(),
+            aggs: aggregates.iter().map(|a| AggAcc::new(a.func)).collect(),
+            tags: Vec::new(),
         }
+    }
+
+    fn push_group(&mut self, tag: P::Tag) {
+        self.counts.push(0);
+        for acc in &mut self.aggs {
+            acc.push_group();
+        }
+        self.tags.push(tag);
     }
 
     /// Fold one input row with its tag into its group. `group_idx` locates
     /// the group key in `row`; `agg_input(ai)` reads the input value of
     /// aggregate `ai` — evaluated from an expression or borrowed from a
-    /// column, the one thing the callers differ in.
+    /// column, the one thing the callers differ in. Every input is read, so
+    /// an input that errors does so whichever function consumes it.
     #[inline]
     fn fold<V: Borrow<Value>>(
         &mut self,
@@ -1698,85 +1971,73 @@ impl<'a, P: TagPolicy> GroupFold<'a, P> {
         group_idx: &[usize],
         mut agg_input: impl FnMut(usize) -> Result<V, ExecError>,
     ) -> Result<(), ExecError> {
-        let groups = &mut self.groups;
-        let h = hash_borrowed_key(&self.hasher, group_idx.iter().map(|&i| &row[i]));
-        let candidates = self.index.entry(h).or_default();
-        let found = candidates.iter().copied().find(|&slot| {
-            group_idx
-                .iter()
-                .zip(&groups[slot].0)
-                .all(|(&i, k)| row[i] == *k)
-        });
-        let slot = match found {
-            Some(slot) => slot,
-            None => {
-                let key: Vec<Value> = group_idx.iter().map(|&i| row[i].clone()).collect();
-                let slot = groups.len();
-                candidates.push(slot);
-                // Under narrowing the accumulator's tag holds the first
-                // member's tag as the all-NULL fallback; see
-                // `finalize_groups`.
-                let seed = if self.narrow {
-                    tag.clone()
-                } else {
-                    self.policy.empty_tag()
-                };
-                groups.push((key, GroupAcc::new(self.n_aggs, seed)));
-                slot
-            }
-        };
-        let acc = &mut groups[slot].1;
-        acc.count += 1;
-        for ai in 0..self.n_aggs {
+        let (g, new) = self.table.find_or_insert(row, group_idx);
+        if new {
+            let seed = if self.narrow {
+                tag.clone()
+            } else {
+                self.policy.empty_tag()
+            };
+            self.push_group(seed);
+        }
+        self.counts[g] += 1;
+        for (ai, acc) in self.aggs.iter_mut().enumerate() {
             let v = agg_input(ai)?;
             let v = v.borrow();
-            if v.is_null() {
-                continue;
-            }
-            acc.non_null[ai] += 1;
-            if let Some(f) = v.as_f64() {
-                acc.sums[ai] += f;
-            }
-            match (v, acc.all_int[ai]) {
-                (Value::Int(i), true) => acc.int_sums[ai] += i,
-                _ => acc.all_int[ai] = false,
-            }
-            if acc.mins[ai].as_ref().is_none_or(|m| v < m) {
-                acc.mins[ai] = Some(v.clone());
-            }
-            if acc.maxs[ai].as_ref().is_none_or(|m| v > m) {
-                acc.maxs[ai] = Some(v.clone());
-            }
-            if self.narrow {
-                // Keep the first strictly-extremal row as the witness whose
-                // tag represents the whole group.
-                let better = match &acc.witness {
-                    None => true,
-                    Some((best, _)) => {
-                        if self.want_max {
-                            v > best
-                        } else {
-                            v < best
-                        }
-                    }
-                };
-                if better {
-                    acc.witness = Some((v.clone(), tag.clone()));
-                }
+            if !v.is_null() && acc.update(g, v) && self.narrow {
+                self.tags[g] = tag.clone();
             }
         }
         if !self.narrow {
-            self.policy.merge_tags(&mut acc.tag, tag);
+            self.policy.merge_tags(&mut self.tags[g], tag);
         }
         Ok(())
     }
+
+    /// The global aggregate's group, for folding whole columns into it.
+    fn global_group(&mut self) -> usize {
+        let (g, new) = self.table.find_or_insert(&[], &[]);
+        if new {
+            self.push_group(self.policy.empty_tag());
+        }
+        g
+    }
+
+    /// The output rows — key values then aggregate results — in group
+    /// order. A global aggregation over no rows still produces one row
+    /// (`COUNT` 0, every other aggregate NULL), as in SQL.
+    fn finish(mut self) -> Vec<(Row, P::Tag)> {
+        if self.table.len() == 0 && self.table.width == 0 {
+            self.global_group();
+        }
+        let mut out = Vec::with_capacity(self.table.len());
+        let rows = self.table.into_rows(self.aggs.len());
+        for ((g, mut row), tag) in rows.enumerate().zip(self.tags) {
+            row.extend(
+                self.aggs
+                    .iter_mut()
+                    .map(|acc| acc.finish(g, self.counts[g])),
+            );
+            out.push((row, tag));
+        }
+        out
+    }
+}
+
+struct HashAggregateOp<'a, P: TagPolicy> {
+    group_idx: Vec<usize>,
+    aggregates: &'a [AggExpr],
+    /// Aggregate input expressions, bound once against the input schema.
+    agg_inputs: Vec<CompiledExpr>,
+    policy: &'a P,
+    input: Option<BoxOp<'a, P>>,
+    out: Emitter<P::Tag>,
 }
 
 impl<P: TagPolicy> HashAggregateOp<'_, P> {
     fn drain_input(&mut self, stats: &mut ExecStats) -> Result<(), ExecError> {
         let mut input = self.input.take().expect("aggregate drained once");
-        let narrow = narrows_to_witness(self.policy, self.aggregates);
-        let mut fold = GroupFold::new(self.policy, self.aggregates, narrow);
+        let mut fold = GroupFold::new(self.policy, self.aggregates, self.group_idx.len());
         while let Some(batch) = input.next_batch(stats)? {
             stats.intermediate_rows += batch.len() as u64;
             for (row, tag) in batch.rows.iter().zip(&batch.tags) {
@@ -1785,81 +2046,9 @@ impl<P: TagPolicy> HashAggregateOp<'_, P> {
                 })?;
             }
         }
-        self.out.fill(finalize_groups(
-            self.policy,
-            self.aggregates,
-            fold.groups,
-            narrow,
-            self.group_by_empty,
-        ));
+        self.out.fill(fold.finish());
         Ok(())
     }
-}
-
-/// Turn accumulated groups into output rows, including the SQL empty-input
-/// synthesis of the global aggregate. Shared by [`HashAggregateOp`] and the
-/// scan→aggregate pushdown ([`AggScanOp`]) so both paths finalize
-/// byte-identically.
-fn finalize_groups<P: TagPolicy>(
-    policy: &P,
-    aggregates: &[AggExpr],
-    groups: Groups<P::Tag>,
-    narrow: bool,
-    group_by_empty: bool,
-) -> Vec<(Row, P::Tag)> {
-    let mut out = Vec::with_capacity(groups.len());
-    for (key, acc) in groups {
-        let mut row = key;
-        for (ai, agg) in aggregates.iter().enumerate() {
-            let v = match agg.func {
-                AggFunc::Count => Value::Int(acc.count),
-                AggFunc::Sum => {
-                    if acc.non_null[ai] == 0 {
-                        Value::Null
-                    } else if acc.all_int[ai] {
-                        Value::Int(acc.int_sums[ai])
-                    } else {
-                        Value::Float(acc.sums[ai])
-                    }
-                }
-                AggFunc::Avg => {
-                    if acc.non_null[ai] == 0 {
-                        Value::Null
-                    } else {
-                        Value::Float(acc.sums[ai] / acc.non_null[ai] as f64)
-                    }
-                }
-                AggFunc::Min => acc.mins[ai].clone().unwrap_or(Value::Null),
-                AggFunc::Max => acc.maxs[ai].clone().unwrap_or(Value::Null),
-            };
-            row.push(v);
-        }
-        let tag = if narrow {
-            // The extremal row's tag represents the group. When every
-            // aggregate input was NULL there is no extremal row, but the
-            // group still produces a `(key, NULL)` output — any single
-            // member suffices to reproduce it, so fall back to the first
-            // member's tag rather than dropping the group's provenance.
-            acc.witness.map(|(_, t)| t).unwrap_or(acc.tag)
-        } else {
-            acc.tag
-        };
-        out.push((row, tag));
-    }
-
-    // Global aggregation over an empty input still produces one row
-    // (count = 0, other aggregates NULL), matching SQL semantics.
-    if out.is_empty() && group_by_empty {
-        let mut row: Row = Vec::new();
-        for agg in aggregates {
-            row.push(match agg.func {
-                AggFunc::Count => Value::Int(0),
-                _ => Value::Null,
-            });
-        }
-        out.push((row, policy.empty_tag()));
-    }
-    out
 }
 
 impl<P: TagPolicy> BatchOp<P> for HashAggregateOp<'_, P> {
@@ -1945,21 +2134,20 @@ fn try_agg_pushdown<'a, P: TagPolicy>(
 
 /// Fused scan + aggregate ([`try_agg_pushdown`]): evaluates the pushed-down
 /// filter straight off the scan source and aggregates the selected rows
-/// without ever building `Batch` rows. Three accumulation strategies, all
-/// byte-identical — rows and capture tags — to scanning then
-/// hash-aggregating:
+/// without ever building `Batch` rows. Everything lands in the
+/// [`GroupFold`] that [`HashAggregateOp`] uses, so the output — rows and
+/// capture tags — is byte-identical to scanning then hash-aggregating. The
+/// selected rows reach it in one of three ways:
 ///
-/// * **column-at-a-time** when the source is chunks, there are no group
-///   keys, tags are trivial and every aggregate input is a numeric column:
-///   each aggregate reads its column directly from the chunk, with run-aware
-///   shortcuts on run-length data (a run selected `k` times contributes
-///   `k·value` to a SUM in O(1));
-/// * **row-at-a-time over the bitmap** for other chunk sources: grouping,
-///   tag merging and min/max narrowing replicate [`HashAggregateOp`]
-///   exactly, but on *borrowed* rows — the per-row `Row` clone of the scan
-///   boundary is still skipped;
+/// * **row-at-a-time over the bitmap** for chunk sources, on *borrowed*
+///   rows — the per-row `Row` clone of the scan boundary is skipped;
 /// * **row-at-a-time in rid order** for index probes, re-checking the
-///   compiled predicate per fetched row exactly like [`ScanOp`].
+///   compiled predicate per fetched row exactly like [`ScanOp`];
+/// * **column-at-a-time** into the global group when the source is chunks,
+///   there are no group keys, tags are trivial and every aggregate input is
+///   a numeric column: each aggregate reads its column directly from the
+///   chunk, with run-aware shortcuts on run-length data (a run selected `k`
+///   times contributes `k·value` to a SUM in O(1)).
 struct AggScanOp<'a, P: TagPolicy> {
     table: &'a Table,
     policy: &'a P,
@@ -1996,8 +2184,8 @@ enum AggSource {
 #[derive(Clone, Copy, PartialEq)]
 enum NumShape {
     /// Every chunk stores the column as integers (plain, run-length or
-    /// bit-packed): `all_int` stays true, so only exact integer sums and the
-    /// row count are observable and run shortcuts are exact.
+    /// bit-packed): a `SUM` stays an `Int`, so only exact integer sums and
+    /// the row count are observable and run shortcuts are exact.
     Ints,
     /// Every chunk stores the column as plain floats: sums accumulate per
     /// row in row order, exactly like the row path.
@@ -2027,17 +2215,16 @@ fn numeric_column_shape(chunks: &ColumnarChunks, c: usize) -> Option<NumShape> {
 impl<P: TagPolicy> AggScanOp<'_, P> {
     fn drain(&mut self, stats: &mut ExecStats) -> Result<(), ExecError> {
         check_scan_epoch(self.table, self.epoch)?;
-        let narrow = narrows_to_witness(self.policy, self.aggregates);
-        // The column-at-a-time path may visit values out of row order (run
-        // shortcuts), so it is only taken where order can never show:
-        // no group keys (one global accumulator), trivial tags (no per-row
-        // seeding or witness), no AVG (its f64 division observes the f64
-        // running sum even over integers), and numeric single-layout columns.
+        let mut fold = GroupFold::new(self.policy, self.aggregates, self.group_idx.len());
+        // Folding a whole column may visit values out of row order (run
+        // shortcuts), so it is only done where order can never show: no
+        // group keys (one global group), trivial tags (no per-row seeding or
+        // witness), no AVG (its f64 division observes the f64 running sum
+        // even over integers), and numeric single-layout columns.
         let columnar = match &self.source {
             AggSource::Rids(_) => false,
             AggSource::Chunks { chunks, .. } => {
                 self.group_idx.is_empty()
-                    && !narrow
                     && self.policy.tags_are_trivial()
                     && !self
                         .aggregates
@@ -2049,18 +2236,12 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
                         .all(|&c| numeric_column_shape(chunks, c).is_some())
             }
         };
-        let groups = if columnar {
-            self.drain_columnar(stats)?
+        if columnar {
+            self.drain_columnar(&mut fold, stats)?;
         } else {
-            self.drain_rowwise(narrow, stats)?
-        };
-        self.out.fill(finalize_groups(
-            self.policy,
-            self.aggregates,
-            groups,
-            narrow,
-            self.group_idx.is_empty(),
-        ));
+            self.drain_rowwise(&mut fold, stats)?;
+        }
+        self.out.fill(fold.finish());
         Ok(())
     }
 
@@ -2092,32 +2273,30 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
         Ok((chunk, sel))
     }
 
-    /// Global aggregation column-at-a-time over the selection bitmaps.
-    fn drain_columnar(&self, stats: &mut ExecStats) -> Result<Groups<P::Tag>, ExecError> {
+    /// Global aggregation column-at-a-time over the selection bitmaps. The
+    /// global group is created by the first selected row, as on the row path.
+    fn drain_columnar(
+        &self,
+        fold: &mut GroupFold<'_, P>,
+        stats: &mut ExecStats,
+    ) -> Result<(), ExecError> {
         let AggSource::Chunks { pieces, chunks } = &self.source else {
             unreachable!("columnar accumulation requires a chunk source");
         };
-        let n_aggs = self.aggregates.len();
-        let mut acc = GroupAcc::new(n_aggs, self.policy.empty_tag());
         for &(lo, hi) in pieces {
             let (chunk, sel) = self.select_piece(chunks, lo, hi, stats)?;
             let selected = sel.count();
             if selected == 0 {
                 continue;
             }
-            acc.count += selected as i64;
+            let g = fold.global_group();
+            fold.counts[g] += selected as i64;
             let base = lo - chunk.start;
-            for (ai, &c) in self.agg_cols.iter().enumerate() {
-                accumulate_column(chunk.column(c), &sel, base, &mut acc, ai);
+            for (acc, &c) in fold.aggs.iter_mut().zip(&self.agg_cols) {
+                accumulate_column(chunk.column(c), &sel, base, acc, g);
             }
         }
-        // The row path creates the global group on its first row; with no
-        // selected row it synthesizes the empty-input output instead.
-        Ok(if acc.count > 0 {
-            vec![(Vec::new(), acc)]
-        } else {
-            Vec::new()
-        })
+        Ok(())
     }
 
     /// Grouped / tagged aggregation row-at-a-time: the [`GroupFold`] of
@@ -2126,11 +2305,10 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
     /// the compiled filter per row like [`ScanOp`].
     fn drain_rowwise(
         &self,
-        narrow: bool,
+        fold: &mut GroupFold<'_, P>,
         stats: &mut ExecStats,
-    ) -> Result<Groups<P::Tag>, ExecError> {
+    ) -> Result<(), ExecError> {
         let (name, schema) = (self.table.name(), self.table.schema());
-        let mut fold = GroupFold::new(self.policy, self.aggregates, narrow);
         let mut fold_row = |rid: usize, row: &Row| {
             let tag = self.policy.seed_tag(name, schema, row, rid as u32);
             fold.fold(row, &tag, &self.group_idx, |ai| Ok(&row[self.agg_cols[ai]]))
@@ -2165,31 +2343,28 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
                 stats.intermediate_rows += selected;
             }
         }
-        Ok(fold.groups)
+        Ok(())
     }
 }
 
-/// Fold one chunk-column's selected values into the global accumulator.
+/// Fold one chunk-column's selected values into aggregate `acc` of the
+/// global group `g`.
 ///
 /// Only reachable for columns [`numeric_column_shape`] accepted, so the
-/// observable state is exactly what the row path would produce: for integer
-/// layouts only `count`/`non_null`/`int_sums`/`mins`/`maxs` matter (`all_int`
-/// stays true, `sums` is never read), which makes the run-length `k·value`
-/// shortcut exact; for float columns `sums` accumulates per selected row in
-/// row order, matching the row path's addition order bit-for-bit.
-fn accumulate_column<T>(
-    col: &ColumnVector,
-    sel: &SelBitmap,
-    base: usize,
-    acc: &mut GroupAcc<T>,
-    ai: usize,
-) {
+/// result is exactly what the row path would produce: an integer column
+/// never reaches a `SUM`'s `f64` sum, which makes the run-length `k·value`
+/// shortcut exact, and a float column folds per selected row in row order,
+/// matching the row path's additions bit for bit.
+fn accumulate_column(col: &ColumnVector, sel: &SelBitmap, base: usize, acc: &mut AggAcc, g: usize) {
+    if let AggAcc::Count = acc {
+        return;
+    }
     match col.data() {
         ColumnData::Int(xs) => {
             for j in sel.iter_ones() {
                 let i = base + j;
                 if !col.is_null(i) {
-                    note_int(acc, ai, xs[i], 1);
+                    acc.note_ints(g, xs[i], 1);
                 }
             }
         }
@@ -2197,7 +2372,7 @@ fn accumulate_column<T>(
             for j in sel.iter_ones() {
                 let i = base + j;
                 if !col.is_null(i) {
-                    note_int(acc, ai, p.get(i), 1);
+                    acc.note_ints(g, p.get(i), 1);
                 }
             }
         }
@@ -2218,44 +2393,19 @@ fn accumulate_column<T>(
                 let w_hi = e.min(base + n) - base;
                 let cnt = eff.count_range(w_lo, w_hi);
                 if cnt > 0 {
-                    note_int(acc, ai, v, cnt as i64);
+                    acc.note_ints(g, v, cnt as i64);
                 }
             }
         }
         ColumnData::Float(xs) => {
             for j in sel.iter_ones() {
                 let i = base + j;
-                if col.is_null(i) {
-                    continue;
-                }
-                acc.non_null[ai] += 1;
-                acc.sums[ai] += xs[i];
-                acc.all_int[ai] = false;
-                let v = Value::Float(xs[i]);
-                if acc.mins[ai].as_ref().is_none_or(|m| &v < m) {
-                    acc.mins[ai] = Some(v.clone());
-                }
-                if acc.maxs[ai].as_ref().is_none_or(|m| &v > m) {
-                    acc.maxs[ai] = Some(v);
+                if !col.is_null(i) {
+                    acc.update(g, &Value::Float(xs[i]));
                 }
             }
         }
         _ => unreachable!("column-at-a-time aggregation only runs on numeric columns"),
-    }
-}
-
-/// Record `cnt` selected occurrences of integer value `v` for aggregate `ai`
-/// — the run-length shortcut: a whole run folds into a SUM as `cnt · v` and
-/// into MIN/MAX as a single compare.
-fn note_int<T>(acc: &mut GroupAcc<T>, ai: usize, v: i64, cnt: i64) {
-    acc.non_null[ai] += cnt;
-    acc.int_sums[ai] += v * cnt;
-    let val = Value::Int(v);
-    if acc.mins[ai].as_ref().is_none_or(|m| &val < m) {
-        acc.mins[ai] = Some(val.clone());
-    }
-    if acc.maxs[ai].as_ref().is_none_or(|m| &val > m) {
-        acc.maxs[ai] = Some(val);
     }
 }
 
@@ -2274,11 +2424,11 @@ struct HashJoinOp<'a, P: TagPolicy> {
     li: usize,
     ri: usize,
     policy: &'a P,
-    hasher: RandomState,
+    hasher: KeyHasher,
     /// Build-side index keyed by the 64-bit key hash; the key itself lives
     /// only inside `build_rows` (no per-row key clone), so both build and
     /// probe compare candidates against the stored row's key column.
-    build: HashMap<u64, Vec<usize>>,
+    build: HashMap<u64, Vec<usize>, BuildHasherDefault<PassThrough>>,
     build_rows: Vec<(Row, P::Tag)>,
 }
 
@@ -2292,7 +2442,7 @@ impl<P: TagPolicy> BatchOp<P> for HashJoinOp<'_, P> {
                     if k.is_null() {
                         continue;
                     }
-                    let h = hash_borrowed_key(&self.hasher, std::iter::once(k));
+                    let h = self.hasher.hash_key([k]);
                     self.build.entry(h).or_default().push(self.build_rows.len());
                     self.build_rows.push((row, tag));
                 }
@@ -2306,7 +2456,7 @@ impl<P: TagPolicy> BatchOp<P> for HashJoinOp<'_, P> {
                 if k.is_null() {
                     continue;
                 }
-                let h = hash_borrowed_key(&self.hasher, std::iter::once(k));
+                let h = self.hasher.hash_key([k]);
                 if let Some(candidates) = self.build.get(&h) {
                     for &bi in candidates {
                         let (rrow, rtag) = &self.build_rows[bi];
@@ -2446,6 +2596,8 @@ impl<P: TagPolicy> BatchOp<P> for SortOp<'_, P> {
 
 struct DistinctOp<'a, P: TagPolicy> {
     policy: &'a P,
+    /// The input's columns, all of them the key.
+    columns: Vec<usize>,
     input: Option<BoxOp<'a, P>>,
     out: Emitter<P::Tag>,
 }
@@ -2453,35 +2605,21 @@ struct DistinctOp<'a, P: TagPolicy> {
 impl<P: TagPolicy> BatchOp<P> for DistinctOp<'_, P> {
     fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch<P::Tag>>, ExecError> {
         if let Some(mut input) = self.input.take() {
-            // Keys are hashed as `Value` rows directly: `Value`'s `Hash` is
-            // consistent with its exact `Eq`, so distinct 64-bit integers never
-            // conflate even where their `f64` images collide. Each surviving
-            // row is stored once (as the map key, with its arrival rank and
-            // merged tag as the entry) — first occurrence wins, duplicates
-            // only fold their tags in.
-            let mut seen: HashMap<Row, (usize, P::Tag)> = HashMap::new();
+            // The first occurrence of a row keeps its tag as it is and later
+            // duplicates merge theirs in. Seeding with the empty tag instead
+            // would not do: the copying-OR sketch merges rewrite a merged
+            // tag's representation.
+            let mut table = GroupTable::new(self.columns.len());
+            let mut tags: Vec<P::Tag> = Vec::new();
             while let Some(batch) = input.next_batch(stats)? {
-                for (row, tag) in batch.rows.into_iter().zip(batch.tags) {
-                    match seen.get_mut(&row) {
-                        Some((_, merged)) => self.policy.merge_tags(merged, &tag),
-                        None => {
-                            let rank = seen.len();
-                            seen.insert(row, (rank, tag));
-                        }
+                for (row, tag) in batch.rows.iter().zip(batch.tags) {
+                    match table.find_or_insert(row, &self.columns) {
+                        (_, true) => tags.push(tag),
+                        (g, false) => self.policy.merge_tags(&mut tags[g], &tag),
                     }
                 }
             }
-            let mut uniques: Vec<(usize, Row, P::Tag)> = seen
-                .into_iter()
-                .map(|(row, (rank, tag))| (rank, row, tag))
-                .collect();
-            uniques.sort_unstable_by_key(|(rank, _, _)| *rank);
-            self.out.fill(
-                uniques
-                    .into_iter()
-                    .map(|(_, row, tag)| (row, tag))
-                    .collect(),
-            );
+            self.out.fill(table.into_rows(0).zip(tags).collect());
         }
         Ok(self.out.emit())
     }
@@ -2631,6 +2769,95 @@ mod tests {
         let (rel, stats) = run(&db, &plan, EngineProfile::Indexed);
         assert_eq!(rel.len(), 5);
         assert_eq!(stats.topk_inputs, vec![(5, 5_000)]);
+    }
+
+    /// `SUM(v)` and `MAX(v)` grouped by column 0 of `rows` (`v` is column
+    /// 1): the output rows and the table's slots.
+    fn fold_rows(rows: &[Row], collide: bool) -> (Vec<Row>, Vec<u64>) {
+        let aggs = [
+            AggExpr::new(AggFunc::Sum, col("v"), "s"),
+            AggExpr::new(AggFunc::Max, col("v"), "m"),
+        ];
+        let mut fold = GroupFold::new(&NoTag, &aggs, 1);
+        fold.table.collide = collide;
+        for row in rows {
+            fold.fold(row, &(), &[0], |_| Ok(&row[1])).unwrap();
+        }
+        let slots = fold.table.slots.clone();
+        let out = fold.finish().into_iter().map(|(row, ())| row).collect();
+        (out, slots)
+    }
+
+    #[test]
+    fn group_table_finds_keys_along_one_probe_chain() {
+        let rows: Vec<Row> = (0..400i64)
+            .map(|i| {
+                let key = match i % 4 {
+                    0 => Value::Int(i % 37),
+                    1 => Value::Float((i % 37) as f64),
+                    2 => Value::from(format!("s{}", i % 11)),
+                    _ => Value::Null,
+                };
+                vec![key, Value::Int(i)]
+            })
+            .collect();
+        let (spread, spread_slots) = fold_rows(&rows, false);
+        let (chained, chained_slots) = fold_rows(&rows, true);
+        // `Debug` renderings, so `Int(3)` and `Float(3.0)` count as different.
+        assert_eq!(format!("{spread:?}"), format!("{chained:?}"));
+        // 37 numbers (3 and 3.0 share a group), 11 strings, one NULL.
+        assert_eq!(chained.len(), 37 + 11 + 1);
+        // One chain: every group sits in the first slots, in group order.
+        let ids: Vec<u64> = chained_slots.iter().map(|s| s & !HASH_HALF).collect();
+        assert_eq!(
+            ids[..chained.len()],
+            (1..=chained.len() as u64).collect::<Vec<_>>()
+        );
+        assert!(spread_slots.iter().any(|&s| s & HASH_HALF != 0));
+        // Keys in first-seen order, sums and maxima over every member.
+        // Key 0: rows 0, 37, 148, 185, 296 and 333; 37, 185 and 333 hold
+        // `Float(0.0)`.
+        assert_eq!(
+            chained[0],
+            vec![Value::Int(0), Value::Int(999), Value::Int(333)]
+        );
+    }
+
+    #[test]
+    fn group_table_grows_past_its_first_slots() {
+        const KEYS: i64 = 100_000;
+        let rows: Vec<Row> = (0..2 * KEYS)
+            .map(|i| vec![Value::Int(i % KEYS), Value::Int(i)])
+            .collect();
+        let (out, slots) = fold_rows(&rows, false);
+        assert_eq!(slots.len(), (2 * KEYS as usize).next_power_of_two());
+        assert_eq!(out.len(), KEYS as usize);
+        for (row, k) in out.iter().zip(0..) {
+            assert_eq!(
+                row,
+                &vec![
+                    Value::Int(k),
+                    Value::Int(2 * k + KEYS),
+                    Value::Int(k + KEYS)
+                ]
+            );
+        }
+    }
+
+    #[test]
+    fn null_keys_form_one_group() {
+        let mut table = GroupTable::new(2);
+        let rows = [
+            vec![Value::Null, Value::Null],
+            vec![Value::Null, Value::Int(1)],
+            vec![Value::Null, Value::Null],
+            vec![Value::Null, Value::Float(1.0)],
+        ];
+        let groups: Vec<(usize, bool)> = rows
+            .iter()
+            .map(|r| table.find_or_insert(r, &[0, 1]))
+            .collect();
+        assert_eq!(groups, [(0, true), (1, true), (0, false), (1, false)]);
     }
 
     #[test]

@@ -33,11 +33,11 @@
 //! conjuncts that had to fall back to row-at-a-time evaluation over such a
 //! block.
 
-use crate::compiled::{ColRef, CompiledExpr};
+use crate::compiled::{ColRef, CompiledExpr, CompiledRanges};
 use crate::eval::ExecError;
 use crate::stats::ExecStats;
-use pbds_algebra::{BinOp, RangeLookup};
-use pbds_storage::{ColumnData, ColumnVector, ColumnarChunk, Row, Value, ValueRange};
+use pbds_algebra::BinOp;
+use pbds_storage::{ColumnData, ColumnVector, ColumnarChunk, Row, Value};
 use std::cmp::Ordering;
 
 /// A fixed-length selection bitmap over `u64` words.
@@ -324,8 +324,7 @@ fn vec_truth(
         CompiledExpr::InRanges {
             column: ColRef::Idx(c),
             ranges,
-            lookup,
-        } => Some(ranges_kernel(chunk, *c, lo, hi, ranges, *lookup)),
+        } => Some(ranges_kernel(chunk, *c, lo, hi, ranges)),
         _ => None,
     }
 }
@@ -631,101 +630,65 @@ fn cmp_kernel(
     (truth, falsity)
 }
 
-/// Range-membership of a cell given a `cell vs. bound` comparator —
-/// identical logic for the per-row and per-run callers: containment is
-/// `v > lo && !(v > hi)`, and `BinarySearch` finds the first range whose
-/// upper bound is `>= v` exactly like the interpreter.
-fn ranges_found(
-    cmp: &impl Fn(&Value) -> Ordering,
-    ranges: &[ValueRange],
-    lookup: RangeLookup,
-) -> bool {
-    let contains = |r: &ValueRange| -> bool {
-        if let Some(rlo) = &r.lo {
-            if cmp(rlo) != Ordering::Greater {
-                return false;
-            }
-        }
-        if let Some(rhi) = &r.hi {
-            if cmp(rhi) == Ordering::Greater {
-                return false;
-            }
-        }
-        true
-    };
-    match lookup {
-        RangeLookup::Linear => ranges.iter().any(contains),
-        RangeLookup::BinarySearch => {
-            let pos = ranges.partition_point(|r| match &r.hi {
-                Some(rhi) => cmp(rhi) == Ordering::Greater,
-                None => false,
-            });
-            ranges.get(pos).map(contains).unwrap_or(false)
-        }
-    }
-}
-
 /// Sketch range membership over `[lo, hi)`; NULL cells are known-false, like
-/// the interpreter's `InRanges`.
+/// the interpreter's `InRanges`. Integer layouts test their cells with
+/// [`CompiledRanges::contains_int`].
 fn ranges_kernel(
     chunk: &ColumnarChunk,
     c: usize,
     lo: usize,
     hi: usize,
-    ranges: &[ValueRange],
-    lookup: RangeLookup,
+    ranges: &CompiledRanges,
 ) -> (SelBitmap, SelBitmap) {
     let n = hi - lo;
-    let mut truth = SelBitmap::zeros(n);
-    let mut falsity = SelBitmap::zeros(n);
     let col = chunk.column(c);
     let base = lo - chunk.start;
-    // Run-length columns: one membership test per run, then mark NULL rows
-    // known-false (they were filled with their run's verdict).
-    let mut fill_runs = |found_runs: &mut dyn Iterator<Item = (usize, usize, bool)>| {
-        for (s, e, found) in found_runs {
-            if s >= base + n {
-                break;
-            }
-            let (rs, re) = (s.max(base), e.min(base + n));
-            if rs >= re {
-                continue;
-            }
-            let dst = if found { &mut truth } else { &mut falsity };
-            dst.set_range(rs - base, re - base);
-        }
-    };
     match col.data() {
-        ColumnData::RleInt(runs) => {
-            fill_runs(&mut runs.iter().map(|(s, e, v)| {
-                (
-                    s,
-                    e,
-                    ranges_found(&|b| Value::Int(v).cmp(b), ranges, lookup),
-                )
-            }));
+        ColumnData::RleInt(runs) => member_runs(
+            col,
+            base,
+            n,
+            runs.iter().map(|(s, e, v)| (s, e, ranges.contains_int(v))),
+        ),
+        ColumnData::RleDict { dict, runs } => member_runs(
+            col,
+            base,
+            n,
+            runs.iter().map(|(s, e, code)| {
+                let cell = &dict[code as usize];
+                (s, e, ranges.contains_by(|b| cmp_str_value(cell, b).is_gt()))
+            }),
+        ),
+        ColumnData::Int(xs) => member_rows(col, base, n, |i| ranges.contains_int(xs[i])),
+        ColumnData::PackedInt(p) => member_rows(col, base, n, |i| ranges.contains_int(p.get(i))),
+        _ => member_rows(col, base, n, |i| {
+            ranges.contains_by(|b| cmp_cell(col, i, b).is_gt())
+        }),
+    }
+}
+
+/// Per-run membership over the chunk-relative window `[base, base + n)`:
+/// each `(start, end, found)` run fills its overlap with the window, then
+/// NULL rows — which the encoder merged into their runs — are marked
+/// known-false.
+fn member_runs(
+    col: &ColumnVector,
+    base: usize,
+    n: usize,
+    found_runs: impl Iterator<Item = (usize, usize, bool)>,
+) -> (SelBitmap, SelBitmap) {
+    let mut truth = SelBitmap::zeros(n);
+    let mut falsity = SelBitmap::zeros(n);
+    for (s, e, found) in found_runs {
+        if s >= base + n {
+            break;
         }
-        ColumnData::RleDict { dict, runs } => {
-            fill_runs(&mut runs.iter().map(|(s, e, code)| {
-                let cmp = |b: &Value| cmp_str_value(&dict[code as usize], b);
-                (s, e, ranges_found(&cmp, ranges, lookup))
-            }));
+        let (rs, re) = (s.max(base), e.min(base + n));
+        if rs >= re {
+            continue;
         }
-        _ => {
-            for j in 0..n {
-                let i = base + j;
-                if col.is_null(i) {
-                    falsity.set(j);
-                    continue;
-                }
-                if ranges_found(&|b| cmp_cell(col, i, b), ranges, lookup) {
-                    truth.set(j);
-                } else {
-                    falsity.set(j);
-                }
-            }
-            return (truth, falsity);
-        }
+        let dst = if found { &mut truth } else { &mut falsity };
+        dst.set_range(rs - base, re - base);
     }
     if let Some(nw) = null_window(col, base, n) {
         for ((t, f), w) in truth
@@ -741,12 +704,32 @@ fn ranges_kernel(
     (truth, falsity)
 }
 
+/// Per-row membership over the chunk-relative window `[base, base + n)`:
+/// `member(i)` decides each non-NULL cell, NULL cells are known-false.
+fn member_rows(
+    col: &ColumnVector,
+    base: usize,
+    n: usize,
+    member: impl Fn(usize) -> bool,
+) -> (SelBitmap, SelBitmap) {
+    let mut truth = SelBitmap::zeros(n);
+    let mut falsity = SelBitmap::zeros(n);
+    for j in 0..n {
+        if !col.is_null(base + j) && member(base + j) {
+            truth.set(j);
+        } else {
+            falsity.set(j);
+        }
+    }
+    (truth, falsity)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::eval_predicate;
     use pbds_algebra::{col, lit, Expr};
-    use pbds_storage::{ColumnarChunks, DataType, Schema};
+    use pbds_storage::{ColumnarChunks, DataType, Schema, ValueRange};
 
     fn fixture() -> (Schema, Vec<Row>, ColumnarChunks) {
         let schema = Schema::from_pairs(&[

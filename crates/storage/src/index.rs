@@ -293,30 +293,49 @@ impl OrderedIndex {
         self.indexed_rows
     }
 
+    /// Visit the current ids of the rows whose value lies in the inclusive
+    /// range `[lo, hi]`, in key order.
+    fn for_each_rid(&self, lo: Option<&Value>, hi: Option<&Value>, mut visit: impl FnMut(u32)) {
+        self.for_each_key(lo, hi, |_, base, delta| {
+            if self.dropped.is_empty() {
+                base.iter().copied().for_each(&mut visit);
+            } else {
+                base.iter()
+                    .filter_map(|&id| self.current(id))
+                    .for_each(&mut visit);
+            }
+            delta.iter().copied().for_each(&mut visit);
+        });
+    }
+
     /// Row ids whose value lies in the inclusive range `[lo, hi]` (`None`
     /// bounds are unbounded). Results are returned in key order.
     pub fn range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<u32> {
         let mut out = Vec::new();
-        self.for_each_key(lo, hi, |_, base, delta| {
-            if self.dropped.is_empty() {
-                out.extend_from_slice(base);
-            } else {
-                out.extend(base.iter().filter_map(|&id| self.current(id)));
-            }
-            out.extend_from_slice(delta);
-        });
+        self.for_each_rid(lo, hi, |rid| out.push(rid));
         out
     }
 
     /// Row ids matching any of the given inclusive ranges; the result is
     /// deduplicated and sorted so the caller can scan rows in storage order.
+    /// The ids are set in a bitmap over the table's rows and read back in
+    /// order, which costs no sort.
     pub fn multi_range(&self, ranges: &[(Option<Value>, Option<Value>)]) -> Vec<u32> {
-        let mut out = Vec::new();
+        let mut words = vec![0u64; self.indexed_rows.div_ceil(64)];
         for (lo, hi) in ranges {
-            out.extend(self.range(lo.as_ref(), hi.as_ref()));
+            self.for_each_rid(lo.as_ref(), hi.as_ref(), |rid| {
+                words[rid as usize / 64] |= 1 << (rid % 64);
+            });
         }
-        out.sort_unstable();
-        out.dedup();
+        let count = words.iter().map(|w| w.count_ones() as usize).sum();
+        let mut out = Vec::with_capacity(count);
+        for (w, &word) in words.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                out.push((w * 64) as u32 + word.trailing_zeros());
+                word &= word - 1;
+            }
+        }
         out
     }
 

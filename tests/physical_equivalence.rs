@@ -857,12 +857,13 @@ fn capture_result_relation_matches_plain_execution() {
 // from every source the grouping step is fed by.
 // ---------------------------------------------------------------------------
 
-/// `p(k, g, h, vi, vf, vm, vn)` with `k` indexed. `g` is a numeric key mixing
-/// `Int` and `Float`, so `3` and `3.0` must share a group; `h` mixes strings
-/// with `1` / `1.0`. The aggregate inputs are `vi` (Int), `vf` (Float), `vm`
-/// (mixed Int / Float) and `vn` (all NULL); every column but `k` and `vn`
-/// carries NULLs at a per-table rate. Some rows are then deleted, which
-/// leaves short chunks behind.
+/// `p(k, g, h, vi, vf, vm, vr, vn)` with `k` indexed. `g` is a numeric key
+/// mixing `Int` and `Float`, so `3` and `3.0` must share a group; `h` mixes
+/// strings with `1` / `1.0`. The aggregate inputs are `vi` (Int), `vf`
+/// (Float), `vm` (mixed Int / Float), `vr` (Int in runs, so chunks encode it
+/// run-length) and `vn` (all NULL); every column but `k` and `vn` carries
+/// NULLs at a per-table rate. Some rows are then deleted, which leaves short
+/// chunks behind.
 fn grouping_db(rng: &mut StdRng) -> Database {
     let schema = Schema::from_pairs(&[
         ("k", DataType::Int),
@@ -871,15 +872,20 @@ fn grouping_db(rng: &mut StdRng) -> Database {
         ("vi", DataType::Int),
         ("vf", DataType::Float),
         ("vm", DataType::Float),
+        ("vr", DataType::Int),
         ("vn", DataType::Int),
     ]);
     let n = rng.gen_range(1..500i64);
+    let mut run = 0;
     let null_one_in = rng.gen_range(2..12);
     let mut b = TableBuilder::new("p", schema);
     b.block_size([16, 64, 100][rng.gen_range(0..3)]).index("k");
     for k in 0..n {
         let key = rng.gen_range(0..4i64);
         let x = rng.gen_range(-40..40i64);
+        if rng.gen_range(0..8) == 0 {
+            run = x;
+        }
         let mut row = vec![
             Value::Int(k),
             match rng.gen_range(0..3) {
@@ -900,9 +906,10 @@ fn grouping_db(rng: &mut StdRng) -> Database {
             } else {
                 Value::Float(x as f64 / 8.0)
             },
+            Value::Int(run),
             Value::Null,
         ];
-        for cell in &mut row[1..6] {
+        for cell in &mut row[1..7] {
             if rng.gen_range(0..null_one_in) == 0 {
                 *cell = Value::Null;
             }
@@ -941,7 +948,7 @@ fn grouping_plan(rng: &mut StdRng) -> LogicalPlan {
     ];
     let aggregates: Vec<AggExpr> = (0..rng.gen_range(1..4))
         .map(|i| {
-            let input = ["vi", "vf", "vm", "vn"][rng.gen_range(0..4)];
+            let input = ["vi", "vf", "vm", "vr", "vn"][rng.gen_range(0..5)];
             AggExpr::new(funcs[rng.gen_range(0..5)], col(input), format!("a{i}"))
         })
         .collect();
@@ -974,7 +981,7 @@ fn grouping_plan(rng: &mut StdRng) -> LogicalPlan {
             })
         }
         _ => {
-            let all = ["k", "g", "h", "vi", "vf", "vm", "vn"];
+            let all = ["k", "g", "h", "vi", "vf", "vm", "vr", "vn"];
             scan.project(all.iter().map(|&c| (col(c), c)).collect())
                 .filter(k_range)
         }
