@@ -15,6 +15,8 @@
 #![warn(missing_docs)]
 
 pub mod formula;
+#[cfg(test)]
+mod reference;
 pub mod solve;
 
 pub use formula::{Atom, CmpOp, Formula, LinExpr};

@@ -25,9 +25,9 @@ pub enum SolverResult {
 }
 
 /// Maximum number of DNF disjuncts / constraints before giving up.
-const MAX_DISJUNCTS: usize = 4096;
-const MAX_CONSTRAINTS: usize = 2048;
-const EPS: f64 = 1e-9;
+pub(crate) const MAX_DISJUNCTS: usize = 4096;
+pub(crate) const MAX_CONSTRAINTS: usize = 2048;
+pub(crate) const EPS: f64 = 1e-9;
 
 /// A normalized linear constraint `expr ≤ 0` (or `< 0` when `strict`).
 #[derive(Debug, Clone)]
@@ -297,6 +297,7 @@ pub fn implies(premise: &Formula, conclusion: &Formula) -> bool {
 mod tests {
     use super::*;
     use crate::formula::{CmpOp, Formula, LinExpr};
+    use crate::reference;
 
     fn v(name: &str) -> LinExpr {
         LinExpr::var(name)
@@ -485,5 +486,171 @@ mod tests {
         ));
         // And validity of its negation must not be claimed.
         assert!(!is_valid(&Formula::not(f)));
+    }
+
+    /// SplitMix64: a seeded generator, so a failing case replays exactly.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len())]
+        }
+    }
+
+    /// Variable names listed in an order other than their byte order
+    /// (`B` < `__param_1` < `a` < `a_p` < `x10` < `x2`).
+    const NAMES: [&str; 6] = ["x2", "a_p", "x10", "B", "a", "__param_1"];
+    const COEFFS: [f64; 5] = [-2.0, -1.0, 1.0, 2.0, 3.0];
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    /// An integer, a quarter or a third (the last rounds in binary).
+    fn gen_const(g: &mut Gen) -> f64 {
+        match g.below(3) {
+            0 => g.below(11) as f64 - 5.0,
+            1 => (g.below(21) as f64 - 10.0) / 4.0,
+            _ => (g.below(19) as f64 - 9.0) / 3.0,
+        }
+    }
+
+    fn gen_expr(g: &mut Gen, vars: &[&str]) -> LinExpr {
+        let mut e = LinExpr::constant(gen_const(g));
+        for _ in 0..g.below(3) {
+            e = e.add(&LinExpr::var(g.pick(vars)).scale(g.pick(&COEFFS)));
+        }
+        e
+    }
+
+    fn gen_atom(g: &mut Gen, vars: &[&str]) -> Formula {
+        Formula::cmp(gen_expr(g, vars), g.pick(&OPS), gen_expr(g, vars))
+    }
+
+    /// A formula of nesting depth at most `depth`, built from the raw
+    /// constructors so that unflattened, empty and one-child `And` / `Or`
+    /// nodes occur as well.
+    fn gen_formula(g: &mut Gen, vars: &[&str], depth: usize) -> Formula {
+        if depth == 0 || g.below(4) == 0 {
+            return match g.below(12) {
+                0 => Formula::True,
+                1 => Formula::False,
+                _ => gen_atom(g, vars),
+            };
+        }
+        let children = |g: &mut Gen| -> Vec<Formula> {
+            (0..g.below(4))
+                .map(|_| gen_formula(g, vars, depth - 1))
+                .collect()
+        };
+        match g.below(6) {
+            0 | 1 => Formula::And(children(g)),
+            2 | 3 => Formula::Or(children(g)),
+            4 => Formula::not(gen_formula(g, vars, depth - 1)),
+            _ => Formula::implies(
+                gen_formula(g, vars, depth - 1),
+                gen_formula(g, vars, depth - 1),
+            ),
+        }
+    }
+
+    /// A conjunction of `n` two-way disjunctions (`2^n` DNF disjuncts), or
+    /// of `n` negated equalities, which split into the same number.
+    fn gen_wide(g: &mut Gen, vars: &[&str], n: usize) -> Formula {
+        Formula::And(
+            (0..n)
+                .map(|_| {
+                    if g.below(2) == 0 {
+                        Formula::Or(vec![gen_atom(g, vars), gen_atom(g, vars)])
+                    } else {
+                        let eq = Formula::cmp(gen_expr(g, vars), CmpOp::Eq, gen_expr(g, vars));
+                        Formula::not(eq)
+                    }
+                })
+                .collect(),
+        )
+    }
+
+    /// `n` lower and `n` upper bounds on one variable: `n²` constraints
+    /// after eliminating it.
+    fn many_bounds(n: usize) -> Formula {
+        Formula::and_all(
+            (0..n)
+                .flat_map(|i| {
+                    let i = i as f64;
+                    [
+                        Formula::cmp(v("x10"), CmpOp::Ge, v("a").add(&c(i))),
+                        Formula::cmp(v("x10"), CmpOp::Le, v("a").scale(2.0).add(&c(-i))),
+                    ]
+                })
+                .collect(),
+        )
+    }
+
+    fn assert_agrees(f: &Formula) -> SolverResult {
+        let got = is_satisfiable(f);
+        assert_eq!(got, reference::is_satisfiable(f), "is_satisfiable({f})");
+        let negated = Formula::not(f.clone());
+        let refuted = reference::is_satisfiable(&negated);
+        assert_eq!(
+            is_satisfiable(&negated),
+            refuted,
+            "is_satisfiable({negated})"
+        );
+        assert_eq!(
+            is_valid(f),
+            refuted == SolverResult::Unsatisfiable,
+            "is_valid({f})"
+        );
+        got
+    }
+
+    #[test]
+    fn verdicts_equal_the_reference_on_generated_formulas() {
+        let mut g = Gen(0x5eed_f0_4d);
+        let mut seen = [0usize; 3];
+        let mut count = |r: SolverResult| {
+            seen[match r {
+                SolverResult::Satisfiable => 0,
+                SolverResult::Unsatisfiable => 1,
+                SolverResult::Unknown => 2,
+            }] += 1
+        };
+        for case in 0..400 {
+            let mut names = NAMES;
+            for i in (1..names.len()).rev() {
+                names.swap(i, g.below(i + 1));
+            }
+            let vars = &names[..1 + g.below(names.len())];
+            let f = match case % 50 {
+                // Around the DNF budget: 2^11, 2^12 (exactly at it), 2^13.
+                0 => gen_wide(&mut g, vars, 11),
+                1 => gen_wide(&mut g, vars, 12),
+                2 => gen_wide(&mut g, vars, 13),
+                // Over the budget, but absorbed by a constant sibling.
+                3 => Formula::And(vec![gen_wide(&mut g, vars, 13), Formula::False]),
+                4 => Formula::Or(vec![Formula::True, gen_wide(&mut g, vars, 13)]),
+                // Over the constraint budget after one elimination.
+                5 => many_bounds(40 + g.below(12)),
+                _ => gen_formula(&mut g, vars, 3),
+            };
+            count(assert_agrees(&f));
+        }
+        // Every verdict, `Unknown` included, must have been compared.
+        assert!(seen.iter().all(|&n| n > 0), "verdicts seen: {seen:?}");
     }
 }

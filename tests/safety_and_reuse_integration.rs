@@ -7,6 +7,7 @@ use pbds_algebra::{col, lit, param, AggExpr, AggFunc, LogicalPlan, QueryTemplate
 use pbds_core::{PartitionAttr, Pbds};
 use pbds_provenance::restrict_database;
 use pbds_storage::{DataType, Database, Schema, TableBuilder, Value};
+use pbds_workloads::{crimes, sof, sof_pools, tpch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -214,6 +215,141 @@ fn reuse_is_rejected_when_the_new_instance_needs_more_data() {
         &[Value::Int(5), Value::Int(10)],
     );
     assert!(!verdict.reusable);
+}
+
+/// Six bindings per end-to-end template, shaped like the benchmark's pools
+/// (SOF thresholds from `sof_pools` itself; Crimes and TPC-H from the same
+/// ranges and strides the benchmark draws from).
+fn verdict_grid() -> Vec<(QueryTemplate, Vec<Vec<Value>>)> {
+    let ints = |rows: &[&[i64]]| -> Vec<Vec<Value>> {
+        rows.iter()
+            .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
+            .collect()
+    };
+    let mut grid: Vec<(QueryTemplate, Vec<Vec<Value>>)> = sof_pools(6, 5)
+        .into_iter()
+        .map(|p| (p.template, p.bindings))
+        .collect();
+    let crimes_bindings = [
+        ints(&[&[150], &[400], &[900], &[1_500], &[2_600], &[4_800]]),
+        ints(&[&[10], &[25], &[40], &[80], &[150], &[230]]),
+        ints(&[
+            &[5, 0, 4],
+            &[12, 3, 9],
+            &[20, 3, 9],
+            &[30, 10, 15],
+            &[45, 3, 7],
+            &[58, 2, 9],
+        ]),
+        ints(&[
+            &[60, 2001],
+            &[120, 2005],
+            &[300, 2010],
+            &[500, 2010],
+            &[800, 2015],
+            &[950, 2020],
+        ]),
+    ];
+    grid.extend(
+        crimes::end_to_end_templates()
+            .into_iter()
+            .zip(crimes_bindings),
+    );
+    let tpch_query = |name: &str| {
+        tpch::queries()
+            .into_iter()
+            .find(|q| q.name == name)
+            .unwrap()
+            .template
+    };
+    let stride = |f: &dyn Fn(i64) -> Vec<i64>| -> Vec<Vec<Value>> {
+        (0..6)
+            .map(|i| f(i).into_iter().map(Value::Int).collect())
+            .collect()
+    };
+    grid.push((tpch_query("Q3"), stride(&|i| vec![i])));
+    grid.push((tpch_query("Q5"), stride(&|i| vec![i * 270, i * 270 + 365])));
+    grid.push((
+        tpch_query("Q10"),
+        stride(&|i| vec![200 + i * 290, 290 + i * 290]),
+    ));
+    grid.push((tpch_query("Q18"), stride(&|i| vec![170 + i * 10])));
+    grid
+}
+
+/// `can_reuse` over every ordered pair of the grid (row-major, captured
+/// binding first), then `check_safety` of the first binding's instance on
+/// each column of each table it scans, per template. Recorded before the
+/// solver's allocation-light rewrite; a verdict that moves is a regression.
+#[rustfmt::skip]
+const GOLDEN_VERDICTS: &[(&str, &str, &str)] = &[
+    ("sof-e2e-posts",     "111111010001011001011111011011000001", "1111"),
+    ("sof-e2e-comments",  "100111110111111111000100000111000101", "111"),
+    ("sof-e2e-badges",    "100010110011111011111111000010100011", "111"),
+    ("crimes-e2e-areas",  "111111011111001111000111000011000001", "111111"),
+    ("crimes-e2e-blocks", "111111011111001111000111000011000001", "111111"),
+    ("crimes-e2e-kinds",  "100000011010001010000100000010000001", "111111"),
+    ("crimes-e2e-years",  "100000010000001100000100000010000001", "111111"),
+    ("tpch-q3",           "100000010000001000000100000010000001", "0000100010000000"),
+    ("tpch-q5",           "100000010000001000000100000010000001", "000000000000010"),
+    ("tpch-q10",          "100000010000001000000100000010000001", "010000000000"),
+    ("tpch-q18",          "100000010000001000000100000010000001", "10000000"),
+];
+
+#[test]
+fn end_to_end_verdicts_match_the_golden_table() {
+    let sof_db = sof::generate(&sof::SofConfig {
+        users: 2_000,
+        posts: 12_000,
+        comments: 15_000,
+        badges: 6_000,
+        ..Default::default()
+    });
+    let crimes_db = crimes::generate(&crimes::CrimesConfig {
+        rows: 6_000,
+        ..Default::default()
+    });
+    let tpch_db = tpch::generate(&tpch::TpchConfig {
+        scale: 0.002,
+        ..Default::default()
+    });
+    let handles = [Pbds::new(sof_db), Pbds::new(crimes_db), Pbds::new(tpch_db)];
+    let mut actual = Vec::new();
+    for (template, bindings) in verdict_grid() {
+        let plan = template.instantiate(&bindings[0]);
+        let pbds = handles
+            .iter()
+            .find(|p| plan.tables().iter().all(|t| p.db().table(t).is_ok()))
+            .unwrap();
+        let mut reuse = String::new();
+        for captured in &bindings {
+            for new_binding in &bindings {
+                let verdict = pbds.check_reuse(&template, captured, new_binding);
+                reuse.push(if verdict.reusable { '1' } else { '0' });
+            }
+        }
+        let mut safety = String::new();
+        for table in plan.tables() {
+            let schema = pbds.db().table(&table).unwrap().schema().clone();
+            for column in schema.names() {
+                let attr = PartitionAttr::new(table.as_str(), column);
+                safety.push(if pbds.check_safety(&plan, &[attr]).safe {
+                    '1'
+                } else {
+                    '0'
+                });
+            }
+        }
+        actual.push((template.name().to_string(), reuse, safety));
+    }
+    let expected: Vec<(String, String, String)> = GOLDEN_VERDICTS
+        .iter()
+        .map(|(n, r, s)| (n.to_string(), r.to_string(), s.to_string()))
+        .collect();
+    assert_eq!(
+        actual, expected,
+        "verdicts moved; the table as computed now:\n{actual:#?}"
+    );
 }
 
 #[test]
