@@ -1,17 +1,40 @@
 //! Deciding satisfiability and validity of linear-arithmetic formulas.
 //!
 //! The pipeline mirrors what the paper delegates to an SMT solver (Sec. 5):
-//! to prove a universally quantified formula valid we negate it, convert the
-//! negation to negation normal form and then disjunctive normal form, and
-//! show every disjunct infeasible with Fourier–Motzkin elimination over the
-//! rationals.
+//! to prove a universally quantified formula valid we refute its negation —
+//! bring it into disjunctive normal form and show every disjunct infeasible
+//! with Fourier–Motzkin elimination over the rationals. The kernel does this
+//! without building a single intermediate [`Formula`] or [`LinExpr`]:
+//!
+//! 1. **Interning.** The variables of the call are collected once and sorted
+//!    by their bytes, so variable ids follow the key order of `LinExpr`'s
+//!    `BTreeMap`. Every atom becomes one dense `f64` row `lhs − rhs`, its
+//!    constant last.
+//! 2. **DNF over borrowed atoms.** A polarity flag stands in for the negation
+//!    and for a negation-normal-form copy. Constants fold exactly as
+//!    [`Formula::and_all`] / [`Formula::or_all`] fold them, `≠` splits into
+//!    `<` / `>`, and [`MAX_DISJUNCTS`] bounds every product and union. A
+//!    disjunct is a run of (atom, operator) literals in one shared buffer.
+//! 3. **Fourier–Motzkin over dense rows.** Each step eliminates the smallest
+//!    variable id of the first row that still has one, splits the rows into
+//!    lower and upper bounds on it, and appends every lower − upper
+//!    combination, within [`MAX_CONSTRAINTS`] rows. Coefficients of magnitude
+//!    at most `1e-12` are dropped after every operation.
+//!
+//! The textbook procedure — negate, rewrite to NNF, multiply out the DNF,
+//! eliminate over string-keyed expressions — survives as the test oracle,
+//! and the kernel returns the same [`SolverResult`] on every formula: its
+//! disjuncts hold the same literals in the same order, and each elimination
+//! performs the same floating-point operations in the same order with the
+//! same cut-offs, so every value agrees up to the sign of a zero, which no
+//! comparison sees.
 //!
 //! The procedure is *sound* but deliberately bounded: if normalization would
 //! blow up past a size budget it answers [`SolverResult::Unknown`], which the
 //! safety and reuse checks treat as "cannot prove safe" — exactly the
 //! conservative behaviour the paper's sound-but-incomplete algorithm needs.
 
-use crate::formula::{Atom, CmpOp, Formula, LinExpr};
+use crate::formula::{Atom, CmpOp, Formula};
 
 /// Result of a satisfiability query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,252 +52,371 @@ pub(crate) const MAX_DISJUNCTS: usize = 4096;
 pub(crate) const MAX_CONSTRAINTS: usize = 2048;
 pub(crate) const EPS: f64 = 1e-9;
 
-/// A normalized linear constraint `expr ≤ 0` (or `< 0` when `strict`).
-#[derive(Debug, Clone)]
-struct Constraint {
-    expr: LinExpr,
-    strict: bool,
-}
-
-/// Negation normal form with negations pushed into atoms.
-fn to_nnf(f: &Formula, negated: bool) -> Formula {
-    match f {
-        Formula::True => {
-            if negated {
-                Formula::False
-            } else {
-                Formula::True
-            }
-        }
-        Formula::False => {
-            if negated {
-                Formula::True
-            } else {
-                Formula::False
-            }
-        }
-        Formula::Atom(a) => {
-            if negated {
-                Formula::Atom(Atom {
-                    lhs: a.lhs.clone(),
-                    op: a.op.negate(),
-                    rhs: a.rhs.clone(),
-                })
-            } else {
-                Formula::Atom(a.clone())
-            }
-        }
-        Formula::And(fs) => {
-            let parts: Vec<Formula> = fs.iter().map(|x| to_nnf(x, negated)).collect();
-            if negated {
-                Formula::or_all(parts)
-            } else {
-                Formula::and_all(parts)
-            }
-        }
-        Formula::Or(fs) => {
-            let parts: Vec<Formula> = fs.iter().map(|x| to_nnf(x, negated)).collect();
-            if negated {
-                Formula::and_all(parts)
-            } else {
-                Formula::or_all(parts)
-            }
-        }
-        Formula::Not(x) => to_nnf(x, !negated),
-        Formula::Implies(a, b) => {
-            // a -> b  ==  ¬a ∨ b
-            let rewritten = Formula::or_all(vec![Formula::not((**a).clone()), (**b).clone()]);
-            to_nnf(&rewritten, negated)
-        }
+/// `LinExpr`'s normalization: coefficients of magnitude at most `1e-12`
+/// (and NaN) are dropped.
+fn cut(c: f64) -> f64 {
+    if c.abs() > 1e-12 {
+        c
+    } else {
+        0.0
     }
 }
 
-/// Convert an NNF formula to DNF: a list of conjunctions of atoms.
-/// Returns `None` when the size budget is exceeded.
-fn to_dnf(f: &Formula) -> Option<Vec<Vec<Atom>>> {
-    match f {
-        Formula::True => Some(vec![vec![]]),
-        Formula::False => Some(vec![]),
-        Formula::Atom(a) => {
-            // Split ≠ into two strict disjuncts so downstream reasoning only
-            // sees convex constraints.
-            if a.op == CmpOp::Ne {
-                Some(vec![
-                    vec![Atom {
-                        lhs: a.lhs.clone(),
-                        op: CmpOp::Lt,
-                        rhs: a.rhs.clone(),
-                    }],
-                    vec![Atom {
-                        lhs: a.lhs.clone(),
-                        op: CmpOp::Gt,
-                        rhs: a.rhs.clone(),
-                    }],
-                ])
-            } else {
-                Some(vec![vec![a.clone()]])
-            }
+/// One literal of a disjunct: an atom's row under the operator it must
+/// satisfy there (never `Ne`, which splits into two disjuncts).
+#[derive(Debug, Clone, Copy)]
+struct Lit {
+    atom: u32,
+    op: CmpOp,
+}
+
+/// What a subformula contributes to the DNF. `True` / `False` are the
+/// constants `and_all` / `or_all` fold it into; `Disjuncts` means its
+/// disjuncts are the tail of [`Kernel::spans`] from where it started;
+/// `Blown` means it passed [`MAX_DISJUNCTS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dnf {
+    True,
+    False,
+    Disjuncts,
+    Blown,
+}
+
+/// Constraint rows `Σ coeff·var + constant (< | ≤) 0` in one flat buffer.
+#[derive(Debug, Default)]
+struct Rows {
+    vals: Vec<f64>,
+    strict: Vec<bool>,
+}
+
+impl Rows {
+    fn len(&self) -> usize {
+        self.strict.len()
+    }
+
+    fn clear(&mut self) {
+        self.vals.clear();
+        self.strict.clear();
+    }
+
+    fn push(&mut self, row: impl IntoIterator<Item = f64>, strict: bool) {
+        self.vals.extend(row);
+        self.strict.push(strict);
+    }
+
+    fn iter(&self, width: usize) -> impl Iterator<Item = (&[f64], bool)> {
+        self.vals
+            .chunks_exact(width)
+            .zip(self.strict.iter().copied())
+    }
+}
+
+/// Scratch space of one solver call.
+struct Kernel<'f> {
+    /// Interned variables, sorted by bytes.
+    vars: Vec<&'f str>,
+    /// `vars.len()` coefficients plus the constant.
+    width: usize,
+    /// `lhs − rhs` of every atom met, `width` floats each.
+    atom_rows: Vec<f64>,
+    lits: Vec<Lit>,
+    /// Disjuncts as `lits` ranges.
+    spans: Vec<(u32, u32)>,
+    cur: Rows,
+    next: Rows,
+    lowers: Rows,
+    uppers: Rows,
+}
+
+impl<'f> Kernel<'f> {
+    fn new(roots: &[(&'f Formula, bool)]) -> Self {
+        let mut vars = Vec::new();
+        for (f, _) in roots {
+            collect_vars(f, &mut vars);
         }
-        Formula::Or(fs) => {
-            let mut out = Vec::new();
-            for x in fs {
-                out.extend(to_dnf(x)?);
-                if out.len() > MAX_DISJUNCTS {
-                    return None;
-                }
-            }
-            Some(out)
+        vars.sort_unstable();
+        vars.dedup();
+        Kernel {
+            width: vars.len() + 1,
+            vars,
+            atom_rows: Vec::new(),
+            lits: Vec::new(),
+            spans: Vec::new(),
+            cur: Rows::default(),
+            next: Rows::default(),
+            lowers: Rows::default(),
+            uppers: Rows::default(),
         }
-        Formula::And(fs) => {
-            let mut acc: Vec<Vec<Atom>> = vec![vec![]];
-            for x in fs {
-                let d = to_dnf(x)?;
-                let mut next = Vec::with_capacity(acc.len() * d.len().max(1));
-                for a in &acc {
-                    for b in &d {
-                        let mut merged = a.clone();
-                        merged.extend(b.iter().cloned());
-                        next.push(merged);
-                        if next.len() > MAX_DISJUNCTS {
-                            return None;
-                        }
+    }
+
+    /// Satisfiability of the conjunction of `roots`, each negated when its
+    /// flag is set.
+    fn decide(roots: &[(&'f Formula, bool)]) -> SolverResult {
+        let mut k = Kernel::new(roots);
+        match k.conjunction(roots.iter().copied()) {
+            Dnf::True => SolverResult::Satisfiable,
+            Dnf::False => SolverResult::Unsatisfiable,
+            Dnf::Blown => SolverResult::Unknown,
+            Dnf::Disjuncts => {
+                let mut unknown = false;
+                for d in 0..k.spans.len() {
+                    match k.feasible(d) {
+                        Some(true) => return SolverResult::Satisfiable,
+                        Some(false) => {}
+                        None => unknown = true,
                     }
                 }
-                acc = next;
-                if acc.is_empty() {
-                    // One conjunct was `False`.
-                    return Some(vec![]);
-                }
-            }
-            Some(acc)
-        }
-        // NNF should have removed these.
-        Formula::Not(_) | Formula::Implies(_, _) => None,
-    }
-}
-
-/// Turn an atom into one or two normalized `expr (< | ≤) 0` constraints.
-fn atom_constraints(a: &Atom) -> Vec<Constraint> {
-    let diff = a.lhs.sub(&a.rhs);
-    match a.op {
-        CmpOp::Le => vec![Constraint {
-            expr: diff,
-            strict: false,
-        }],
-        CmpOp::Lt => vec![Constraint {
-            expr: diff,
-            strict: true,
-        }],
-        CmpOp::Ge => vec![Constraint {
-            expr: diff.scale(-1.0),
-            strict: false,
-        }],
-        CmpOp::Gt => vec![Constraint {
-            expr: diff.scale(-1.0),
-            strict: true,
-        }],
-        CmpOp::Eq => vec![
-            Constraint {
-                expr: diff.clone(),
-                strict: false,
-            },
-            Constraint {
-                expr: diff.scale(-1.0),
-                strict: false,
-            },
-        ],
-        // Ne is split during DNF conversion.
-        CmpOp::Ne => vec![],
-    }
-}
-
-/// Fourier–Motzkin feasibility test for a conjunction of constraints over the
-/// reals. Returns true when the conjunction is satisfiable.
-fn conjunction_feasible(atoms: &[Atom]) -> Option<bool> {
-    let mut constraints: Vec<Constraint> = atoms.iter().flat_map(atom_constraints).collect();
-
-    loop {
-        if constraints.len() > MAX_CONSTRAINTS {
-            return None;
-        }
-        // Find a variable to eliminate.
-        let var = constraints
-            .iter()
-            .flat_map(|c| c.expr.variables())
-            .next()
-            .map(|s| s.to_string());
-        let var = match var {
-            Some(v) => v,
-            None => break,
-        };
-
-        let mut uppers: Vec<(LinExpr, bool)> = Vec::new(); // x ≤ expr (coeff>0)
-        let mut lowers: Vec<(LinExpr, bool)> = Vec::new(); // expr ≤ x (coeff<0)
-        let mut rest: Vec<Constraint> = Vec::new();
-        for c in constraints.into_iter() {
-            let coeff = c.expr.coeff(&var);
-            if coeff.abs() < 1e-12 {
-                rest.push(c);
-            } else {
-                // c: coeff·x + r (< | ≤) 0  ⇒  x (< | ≤) -r/coeff (coeff>0)
-                //                             or -r/coeff (< | ≤) x (coeff<0)
-                let mut r = c.expr.clone();
-                // Remove the variable term.
-                r = r.sub(&LinExpr::var(&var).scale(coeff));
-                let bound = r.scale(-1.0 / coeff);
-                if coeff > 0.0 {
-                    uppers.push((bound, c.strict));
+                if unknown {
+                    SolverResult::Unknown
                 } else {
-                    lowers.push((bound, c.strict));
+                    SolverResult::Unsatisfiable
                 }
             }
         }
-        // Combine lower and upper bounds: lower (< | ≤) upper.
-        for (lo, lo_strict) in &lowers {
-            for (hi, hi_strict) in &uppers {
-                rest.push(Constraint {
-                    expr: lo.sub(hi),
-                    strict: *lo_strict || *hi_strict,
-                });
-                if rest.len() > MAX_CONSTRAINTS {
-                    return None;
-                }
-            }
-        }
-        constraints = rest;
     }
 
-    // Only constant constraints remain.
-    for c in &constraints {
-        let v = c.expr.constant_part();
-        let ok = if c.strict { v < -EPS } else { v <= EPS };
-        if !ok {
-            return Some(false);
+    /// The DNF of `f`, or of `¬f` when `negated`.
+    fn dnf(&mut self, f: &'f Formula, negated: bool) -> Dnf {
+        match f {
+            Formula::True if negated => Dnf::False,
+            Formula::True => Dnf::True,
+            Formula::False if negated => Dnf::True,
+            Formula::False => Dnf::False,
+            Formula::Atom(a) => {
+                let atom = self.intern(a);
+                let op = if negated { a.op.negate() } else { a.op };
+                let ops: &[CmpOp] = if op == CmpOp::Ne {
+                    &[CmpOp::Lt, CmpOp::Gt]
+                } else {
+                    &[op]
+                };
+                for &op in ops {
+                    let at = self.lits.len() as u32;
+                    self.lits.push(Lit { atom, op });
+                    self.spans.push((at, at + 1));
+                }
+                Dnf::Disjuncts
+            }
+            Formula::Not(x) => self.dnf(x, !negated),
+            Formula::And(fs) if negated => self.disjunction(fs.iter().map(|x| (x, true))),
+            Formula::And(fs) => self.conjunction(fs.iter().map(|x| (x, false))),
+            Formula::Or(fs) if negated => self.conjunction(fs.iter().map(|x| (x, true))),
+            Formula::Or(fs) => self.disjunction(fs.iter().map(|x| (x, false))),
+            // a → b  ==  ¬a ∨ b
+            Formula::Implies(a, b) if negated => {
+                self.conjunction([(&**a, false), (&**b, true)].into_iter())
+            }
+            Formula::Implies(a, b) => self.disjunction([(&**a, true), (&**b, false)].into_iter()),
         }
     }
-    Some(true)
+
+    /// Union of the parts' disjuncts. A `True` part absorbs the rest, even
+    /// a part past the budget, as `or_all` folds it before any expansion.
+    fn disjunction(&mut self, parts: impl Iterator<Item = (&'f Formula, bool)>) -> Dnf {
+        let base = self.spans.len();
+        let (mut any, mut blown) = (false, false);
+        for (f, negated) in parts {
+            match self.dnf(f, negated) {
+                Dnf::True => {
+                    self.spans.truncate(base);
+                    return Dnf::True;
+                }
+                Dnf::False => {}
+                Dnf::Blown => blown = true,
+                Dnf::Disjuncts => any = true,
+            }
+            // Each part's disjuncts land right after the previous part's.
+            if blown || self.spans.len() - base > MAX_DISJUNCTS {
+                blown = true;
+                self.spans.truncate(base);
+            }
+        }
+        match (blown, any) {
+            (true, _) => Dnf::Blown,
+            (false, true) => Dnf::Disjuncts,
+            (false, false) => Dnf::False,
+        }
+    }
+
+    /// Product of the parts' disjuncts, each one's literals after the
+    /// previous parts'. A `False` part absorbs the rest.
+    fn conjunction(&mut self, parts: impl Iterator<Item = (&'f Formula, bool)>) -> Dnf {
+        let base = self.spans.len();
+        let (mut any, mut blown) = (false, false);
+        for (f, negated) in parts {
+            let mid = self.spans.len();
+            match self.dnf(f, negated) {
+                Dnf::False => {
+                    self.spans.truncate(base);
+                    return Dnf::False;
+                }
+                Dnf::True => {}
+                Dnf::Blown => blown = true,
+                Dnf::Disjuncts if blown => {}
+                Dnf::Disjuncts if !any => any = true,
+                Dnf::Disjuncts => {
+                    let end = self.spans.len();
+                    if (mid - base) * (end - mid) > MAX_DISJUNCTS {
+                        blown = true;
+                    } else {
+                        for a in base..mid {
+                            for b in mid..end {
+                                let at = self.lits.len() as u32;
+                                for (lo, hi) in [self.spans[a], self.spans[b]] {
+                                    self.lits.extend_from_within(lo as usize..hi as usize);
+                                }
+                                self.spans.push((at, self.lits.len() as u32));
+                            }
+                        }
+                        self.spans.copy_within(end.., base);
+                        self.spans.truncate(base + (mid - base) * (end - mid));
+                    }
+                }
+            }
+            if blown {
+                self.spans.truncate(base);
+            }
+        }
+        match (blown, any) {
+            (true, _) => Dnf::Blown,
+            (false, true) => Dnf::Disjuncts,
+            (false, false) => Dnf::True,
+        }
+    }
+
+    /// Store `lhs − rhs` of `a` as a dense row; returns its index.
+    fn intern(&mut self, a: &Atom) -> u32 {
+        let at = self.atom_rows.len();
+        self.atom_rows.resize(at + self.width, 0.0);
+        let row = &mut self.atom_rows[at..];
+        let id = |v: &String| self.vars.binary_search(&v.as_str()).expect("interned");
+        for (v, c) in a.lhs.terms() {
+            row[id(v)] = *c;
+        }
+        for (v, c) in a.rhs.terms() {
+            row[id(v)] -= c;
+        }
+        let (coeffs, constant) = row.split_at_mut(self.width - 1);
+        coeffs.iter_mut().for_each(|c| *c = cut(*c));
+        constant[0] = a.lhs.constant_part() - a.rhs.constant_part();
+        (at / self.width) as u32
+    }
+
+    /// Fourier–Motzkin feasibility of disjunct `d` over the reals; `None`
+    /// when it passes [`MAX_CONSTRAINTS`].
+    fn feasible(&mut self, d: usize) -> Option<bool> {
+        let (w, n) = (self.width, self.width - 1);
+        let (lo, hi) = self.spans[d];
+        self.cur.clear();
+        for lit in &self.lits[lo as usize..hi as usize] {
+            let row = &self.atom_rows[lit.atom as usize * w..][..w];
+            let neg = row.iter().map(|x| -x);
+            match lit.op {
+                CmpOp::Le => self.cur.push(row.iter().copied(), false),
+                CmpOp::Lt => self.cur.push(row.iter().copied(), true),
+                CmpOp::Ge => self.cur.push(neg, false),
+                CmpOp::Gt => self.cur.push(neg, true),
+                CmpOp::Eq => {
+                    self.cur.push(row.iter().copied(), false);
+                    self.cur.push(neg, false);
+                }
+                CmpOp::Ne => unreachable!("≠ splits into two disjuncts"),
+            }
+        }
+        loop {
+            if self.cur.len() > MAX_CONSTRAINTS {
+                return None;
+            }
+            let Some(var) = self
+                .cur
+                .iter(w)
+                .find_map(|(row, _)| row[..n].iter().position(|&c| c != 0.0))
+            else {
+                break;
+            };
+            let Kernel {
+                cur,
+                next,
+                lowers,
+                uppers,
+                ..
+            } = self;
+            next.clear();
+            lowers.clear();
+            uppers.clear();
+            for (row, strict) in cur.iter(w) {
+                let coeff = row[var];
+                if coeff == 0.0 {
+                    next.push(row.iter().copied(), strict);
+                    continue;
+                }
+                // coeff·x + r (< | ≤) 0  ⇒  x (< | ≤) −r/coeff when coeff > 0,
+                // or −r/coeff (< | ≤) x when coeff < 0.
+                let k = -1.0 / coeff;
+                let bound = row.iter().enumerate().map(|(i, &c)| match i {
+                    i if i == var => 0.0,
+                    i if i == n => c * k,
+                    _ => cut(c * k),
+                });
+                if coeff > 0.0 {
+                    uppers.push(bound, strict);
+                } else {
+                    lowers.push(bound, strict);
+                }
+            }
+            // lower (< | ≤) upper, for every pair.
+            for (l, l_strict) in lowers.iter(w) {
+                for (u, u_strict) in uppers.iter(w) {
+                    let diff =
+                        l.iter().zip(u).enumerate().map(
+                            |(i, (a, b))| {
+                                if i == n {
+                                    a - b
+                                } else {
+                                    cut(a - b)
+                                }
+                            },
+                        );
+                    next.push(diff, l_strict || u_strict);
+                    if next.len() > MAX_CONSTRAINTS {
+                        return None;
+                    }
+                }
+            }
+            std::mem::swap(cur, next);
+        }
+        // Only constant constraints remain.
+        let ok = self.cur.iter(w).all(|(row, strict)| {
+            let v = row[n];
+            if strict {
+                v < -EPS
+            } else {
+                v <= EPS
+            }
+        });
+        Some(ok)
+    }
+}
+
+fn collect_vars<'f>(f: &'f Formula, out: &mut Vec<&'f str>) {
+    match f {
+        Formula::True | Formula::False => {}
+        Formula::Atom(a) => {
+            out.extend(a.lhs.terms().keys().map(String::as_str));
+            out.extend(a.rhs.terms().keys().map(String::as_str));
+        }
+        Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|x| collect_vars(x, out)),
+        Formula::Not(x) => collect_vars(x, out),
+        Formula::Implies(a, b) => {
+            collect_vars(a, out);
+            collect_vars(b, out);
+        }
+    }
 }
 
 /// Is the formula satisfiable (free variables existentially quantified)?
 pub fn is_satisfiable(f: &Formula) -> SolverResult {
-    let nnf = to_nnf(f, false);
-    let dnf = match to_dnf(&nnf) {
-        Some(d) => d,
-        None => return SolverResult::Unknown,
-    };
-    let mut unknown = false;
-    for conj in &dnf {
-        match conjunction_feasible(conj) {
-            Some(true) => return SolverResult::Satisfiable,
-            Some(false) => {}
-            None => unknown = true,
-        }
-    }
-    if unknown {
-        SolverResult::Unknown
-    } else {
-        SolverResult::Unsatisfiable
-    }
+    Kernel::decide(&[(f, false)])
 }
 
 /// Is the formula valid (free variables universally quantified)?
@@ -282,15 +424,12 @@ pub fn is_satisfiable(f: &Formula) -> SolverResult {
 /// Returns `true` only when validity is *proven*; `Unknown` results map to
 /// `false`, keeping every downstream use sound.
 pub fn is_valid(f: &Formula) -> bool {
-    matches!(
-        is_satisfiable(&Formula::not(f.clone())),
-        SolverResult::Unsatisfiable
-    )
+    Kernel::decide(&[(f, true)]) == SolverResult::Unsatisfiable
 }
 
 /// Does `premise` imply `conclusion` for all variable assignments?
 pub fn implies(premise: &Formula, conclusion: &Formula) -> bool {
-    is_valid(&Formula::implies(premise.clone(), conclusion.clone()))
+    Kernel::decide(&[(premise, false), (conclusion, true)]) == SolverResult::Unsatisfiable
 }
 
 #[cfg(test)]
@@ -568,14 +707,20 @@ mod tests {
         }
     }
 
-    /// A conjunction of `n` two-way disjunctions (`2^n` DNF disjuncts), or
-    /// of `n` negated equalities, which split into the same number.
+    /// A conjunction of `n` two-way disjunctions (exactly `2^n` DNF
+    /// disjuncts), or of `n` negated equalities, which split into the same
+    /// number.
     fn gen_wide(g: &mut Gen, vars: &[&str], n: usize) -> Formula {
+        // `≠` would split into two disjuncts of its own.
+        let convex = |g: &mut Gen| {
+            let op = g.pick(&[CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge]);
+            Formula::cmp(gen_expr(g, vars), op, gen_expr(g, vars))
+        };
         Formula::And(
             (0..n)
                 .map(|_| {
                     if g.below(2) == 0 {
-                        Formula::Or(vec![gen_atom(g, vars), gen_atom(g, vars)])
+                        Formula::Or(vec![convex(g), convex(g)])
                     } else {
                         let eq = Formula::cmp(gen_expr(g, vars), CmpOp::Eq, gen_expr(g, vars));
                         Formula::not(eq)
@@ -595,6 +740,23 @@ mod tests {
                     [
                         Formula::cmp(v("x10"), CmpOp::Ge, v("a").add(&c(i))),
                         Formula::cmp(v("x10"), CmpOp::Le, v("a").scale(2.0).add(&c(-i))),
+                    ]
+                })
+                .collect(),
+        )
+    }
+
+    /// `n` bounds `B ≥ x2 + i` and `n` bounds `B ≤ 100 − i`. Eliminating `B`
+    /// first (byte order) passes the constraint budget once `n² > 2048`;
+    /// eliminating `x2` first (first-seen order) would leave a few rows.
+    fn skewed_bounds(n: usize) -> Formula {
+        Formula::and_all(
+            (0..n)
+                .flat_map(|i| {
+                    let i = i as f64;
+                    [
+                        Formula::cmp(v("x2").add(&c(i)), CmpOp::Le, v("B")),
+                        Formula::cmp(v("B"), CmpOp::Le, c(100.0 - i)),
                     ]
                 })
                 .collect(),
@@ -621,7 +783,7 @@ mod tests {
 
     #[test]
     fn verdicts_equal_the_reference_on_generated_formulas() {
-        let mut g = Gen(0x5eed_f0_4d);
+        let mut g = Gen(0x5eed_f04d);
         let mut seen = [0usize; 3];
         let mut count = |r: SolverResult| {
             seen[match r {
@@ -643,12 +805,33 @@ mod tests {
                 2 => gen_wide(&mut g, vars, 13),
                 // Over the budget, but absorbed by a constant sibling.
                 3 => Formula::And(vec![gen_wide(&mut g, vars, 13), Formula::False]),
-                4 => Formula::Or(vec![Formula::True, gen_wide(&mut g, vars, 13)]),
-                // Over the constraint budget after one elimination.
-                5 => many_bounds(40 + g.below(12)),
+                4 => Formula::Or(vec![gen_wide(&mut g, vars, 13), Formula::True]),
+                // A union exactly at the DNF budget, and one past it.
+                5 => Formula::Or(vec![gen_wide(&mut g, vars, 11), gen_wide(&mut g, vars, 11)]),
+                6 => Formula::Or(vec![
+                    gen_wide(&mut g, vars, 11),
+                    gen_wide(&mut g, vars, 11),
+                    gen_atom(&mut g, vars),
+                ]),
+                // Over the constraint budget after one elimination, and
+                // over it only in byte order.
+                7 => many_bounds(40 + g.below(12)),
+                8 => skewed_bounds(40 + g.below(12)),
                 _ => gen_formula(&mut g, vars, 3),
             };
             count(assert_agrees(&f));
+            // `implies` refutes premise ∧ ¬conclusion without building the
+            // implication; it must agree with the reference on it.
+            let conclusion = gen_formula(&mut g, vars, 2);
+            let refuted = reference::is_satisfiable(&Formula::not(Formula::implies(
+                f.clone(),
+                conclusion.clone(),
+            )));
+            assert_eq!(
+                implies(&f, &conclusion),
+                refuted == SolverResult::Unsatisfiable,
+                "implies({f}, {conclusion})"
+            );
         }
         // Every verdict, `Unknown` included, must have been compared.
         assert!(seen.iter().all(|&n| n > 0), "verdicts seen: {seen:?}");
