@@ -226,7 +226,12 @@ fn conjunction_feasible(atoms: &[Atom]) -> Option<bool> {
     // Only constant constraints remain.
     for c in &constraints {
         let v = c.expr.constant_part();
-        let ok = if c.strict { v < -EPS } else { v <= EPS };
+        // Strict: below zero, or inside the rounding band but not exactly 0.
+        let ok = if c.strict {
+            v <= EPS && v != 0.0
+        } else {
+            v <= EPS
+        };
         if !ok {
             return Some(false);
         }

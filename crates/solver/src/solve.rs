@@ -386,16 +386,17 @@ impl<'f> Kernel<'f> {
             std::mem::swap(cur, next);
         }
         // Only constant constraints remain.
-        let ok = self.cur.iter(w).all(|(row, strict)| {
-            let v = row[n];
-            if strict {
-                v < -EPS
-            } else {
-                v <= EPS
-            }
-        });
-        Some(ok)
+        Some(self.cur.iter(w).all(|(row, strict)| holds(row[n], strict)))
     }
+}
+
+/// Does the constant constraint `v ≤ 0` (`v < 0` when `strict`) hold?
+/// Rounding may leave a true zero a hair off it, so inside `±EPS` the
+/// answer leans to "holds", which proves nothing. Only an exact zero fails
+/// a strict constraint there: `x ≥ 10 ∧ x < 10` must stay refutable, while
+/// `x > 0 ∧ x ≤ 1e-10`, whose leftover is `−1e-10 < 0`, must not be refuted.
+fn holds(v: f64, strict: bool) -> bool {
+    v <= EPS && !(strict && v == 0.0)
 }
 
 fn collect_vars<'f>(f: &'f Formula, out: &mut Vec<&'f str>) {
@@ -477,6 +478,29 @@ mod tests {
             Formula::cmp(v("x"), CmpOp::Le, c(10.0)),
         ]);
         assert_eq!(is_satisfiable(&g), SolverResult::Satisfiable);
+    }
+
+    #[test]
+    fn strict_bounds_a_hair_apart_are_not_refuted() {
+        // x > 0 ∧ x ≤ 1e-10 holds at x = 1e-10: elimination leaves the
+        // strict 0 − 1e-10 < 0, which lies inside ±EPS but is not zero.
+        let f = Formula::and_all(vec![
+            Formula::var_cmp_const("x", CmpOp::Gt, 0.0),
+            Formula::var_cmp_const("x", CmpOp::Le, 1e-10),
+        ]);
+        assert_eq!(is_satisfiable(&f), SolverResult::Satisfiable);
+        assert_eq!(reference::is_satisfiable(&f), SolverResult::Satisfiable);
+        assert!(!is_valid(&Formula::implies(
+            Formula::var_cmp_const("x", CmpOp::Gt, 0.0),
+            Formula::var_cmp_const("x", CmpOp::Gt, 1e-10),
+        )));
+        // An exact zero is still infeasible for a strict constraint.
+        let g = Formula::and_all(vec![
+            Formula::var_cmp_const("x", CmpOp::Ge, 1e-10),
+            Formula::var_cmp_const("x", CmpOp::Lt, 1e-10),
+        ]);
+        assert_eq!(is_satisfiable(&g), SolverResult::Unsatisfiable);
+        assert_eq!(reference::is_satisfiable(&g), SolverResult::Unsatisfiable);
     }
 
     #[test]

@@ -203,6 +203,64 @@ fn reusable_verdicts_hold_on_random_databases() {
     );
 }
 
+/// Float bindings a hair apart: a sketch captured for `v > 5.00000000005`
+/// misses the row `5.00000000001` that `v > 5.0` returns, so reuse in that
+/// direction must not be proven, however small the gap.
+#[test]
+fn reusable_verdicts_hold_for_float_bindings_a_hair_apart() {
+    let schema = Schema::from_pairs(&[("id", DataType::Int), ("v", DataType::Float)]);
+    let mut b = TableBuilder::new("reading", schema);
+    for (i, v) in [1.0, 4.0, 5.0, 5.00000000001, 5.0000000001, 6.0, 9.0]
+        .into_iter()
+        .enumerate()
+    {
+        b.push(vec![Value::Int(i as i64), Value::Float(v)]);
+    }
+    let mut db = Database::new();
+    db.add_table(b.build());
+    let pbds = Pbds::new(db);
+    let template = QueryTemplate::new(
+        "reading-above",
+        LogicalPlan::scan("reading").filter(col("v").gt(param(0))),
+    );
+    // One fragment per distinct value.
+    let partition = pbds.range_partition("reading", "v", 64).unwrap();
+    let bindings = [5.0, 5.00000000005, 6.0].map(|v| vec![Value::Float(v)]);
+    let mut reusable_checked = 0;
+    for captured_binding in &bindings {
+        for new_binding in &bindings {
+            if captured_binding == new_binding
+                || !pbds
+                    .check_reuse(&template, captured_binding, new_binding)
+                    .reusable
+            {
+                continue;
+            }
+            reusable_checked += 1;
+            let captured = pbds
+                .capture(
+                    &template.instantiate(captured_binding),
+                    std::slice::from_ref(&partition),
+                )
+                .unwrap();
+            let new_plan = template.instantiate(new_binding);
+            let truth = pbds.execute(&new_plan).unwrap().relation;
+            let from_sketch = pbds
+                .execute_with_sketches(&new_plan, &captured.sketches)
+                .unwrap()
+                .relation;
+            assert!(
+                truth.bag_eq(&from_sketch),
+                "reuse verdict for {captured_binding:?} -> {new_binding:?} is wrong"
+            );
+        }
+    }
+    assert!(
+        reusable_checked >= 2,
+        "too few reusable verdicts exercised: {reusable_checked}"
+    );
+}
+
 #[test]
 fn reuse_is_rejected_when_the_new_instance_needs_more_data() {
     let template = having_template();
