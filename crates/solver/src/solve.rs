@@ -4,7 +4,7 @@
 //! to prove a universally quantified formula valid we refute its negation —
 //! bring it into disjunctive normal form and show every disjunct infeasible
 //! with Fourier–Motzkin elimination over the rationals. The kernel does this
-//! without building a single intermediate [`Formula`] or [`LinExpr`]:
+//! without building a single intermediate [`Formula`] or [`LinExpr`](crate::LinExpr):
 //!
 //! 1. **Interning.** The variables of the call are collected once and sorted
 //!    by their bytes, so variable ids follow the key order of `LinExpr`'s
@@ -13,12 +13,12 @@
 //! 2. **DNF over borrowed atoms.** A polarity flag stands in for the negation
 //!    and for a negation-normal-form copy. Constants fold exactly as
 //!    [`Formula::and_all`] / [`Formula::or_all`] fold them, `≠` splits into
-//!    `<` / `>`, and [`MAX_DISJUNCTS`] bounds every product and union. A
+//!    `<` / `>`, and `MAX_DISJUNCTS` bounds every product and union. A
 //!    disjunct is a run of (atom, operator) literals in one shared buffer.
 //! 3. **Fourier–Motzkin over dense rows.** Each step eliminates the smallest
 //!    variable id of the first row that still has one, splits the rows into
 //!    lower and upper bounds on it, and appends every lower − upper
-//!    combination, within [`MAX_CONSTRAINTS`] rows. Coefficients of magnitude
+//!    combination, within `MAX_CONSTRAINTS` rows. Coefficients of magnitude
 //!    at most `1e-12` are dropped after every operation.
 //!
 //! The textbook procedure — negate, rewrite to NNF, multiply out the DNF,
@@ -102,6 +102,14 @@ impl Rows {
     fn push(&mut self, row: impl IntoIterator<Item = f64>, strict: bool) {
         self.vals.extend(row);
         self.strict.push(strict);
+    }
+
+    /// [`Rows::push`], then drop the row's negligible coefficients (its
+    /// first `n` values) as `LinExpr` arithmetic does.
+    fn push_cut(&mut self, row: impl IntoIterator<Item = f64>, strict: bool, n: usize) {
+        let at = self.vals.len();
+        self.push(row, strict);
+        self.vals[at..at + n].iter_mut().for_each(|c| *c = cut(*c));
     }
 
     fn iter(&self, width: usize) -> impl Iterator<Item = (&[f64], bool)> {
@@ -353,31 +361,22 @@ impl<'f> Kernel<'f> {
                 // coeff·x + r (< | ≤) 0  ⇒  x (< | ≤) −r/coeff when coeff > 0,
                 // or −r/coeff (< | ≤) x when coeff < 0.
                 let k = -1.0 / coeff;
-                let bound = row.iter().enumerate().map(|(i, &c)| match i {
-                    i if i == var => 0.0,
-                    i if i == n => c * k,
-                    _ => cut(c * k),
-                });
-                if coeff > 0.0 {
-                    uppers.push(bound, strict);
+                let bound = row
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &c)| if i == var { 0.0 } else { c * k });
+                let side = if coeff > 0.0 {
+                    &mut *uppers
                 } else {
-                    lowers.push(bound, strict);
-                }
+                    &mut *lowers
+                };
+                side.push_cut(bound, strict, n);
             }
             // lower (< | ≤) upper, for every pair.
             for (l, l_strict) in lowers.iter(w) {
                 for (u, u_strict) in uppers.iter(w) {
-                    let diff =
-                        l.iter().zip(u).enumerate().map(
-                            |(i, (a, b))| {
-                                if i == n {
-                                    a - b
-                                } else {
-                                    cut(a - b)
-                                }
-                            },
-                        );
-                    next.push(diff, l_strict || u_strict);
+                    let diff = l.iter().zip(u).map(|(a, b)| a - b);
+                    next.push_cut(diff, l_strict || u_strict, n);
                     if next.len() > MAX_CONSTRAINTS {
                         return None;
                     }
