@@ -33,28 +33,130 @@ fn sof_workload(n: usize, mean: f64, sdv: f64, seed: u64) -> Vec<(QueryTemplate,
         .collect()
 }
 
+fn crimes_db() -> pbds_storage::Database {
+    crimes::generate(&crimes::CrimesConfig {
+        rows: 12_000,
+        ..Default::default()
+    })
+}
+
+/// Thirty instances of the Crimes end-to-end templates: a clustered first
+/// parameter and a small second one.
+fn crimes_workload() -> Vec<(QueryTemplate, Vec<Value>)> {
+    let templates = crimes::end_to_end_templates();
+    let mut rng = StdRng::seed_from_u64(3);
+    (0..30)
+        .map(|_| {
+            let t = templates[rng.gen_range(0..templates.len())].clone();
+            let binding: Vec<Value> = (0..t.num_params())
+                .map(|i| {
+                    if i == 0 {
+                        Value::Int(normal(&mut rng, 150.0, 40.0).max(1.0) as i64)
+                    } else {
+                        Value::Int(rng.gen_range(0..20))
+                    }
+                })
+                .collect();
+            (t, binding)
+        })
+        .collect()
+}
+
+/// The three strategies of Fig. 13, as the golden table names them.
+const STRATEGIES: [(&str, Strategy); 3] = [
+    ("no-ps", Strategy::NoPbds),
+    (
+        "eager",
+        Strategy::Eager {
+            selectivity_threshold: 0.75,
+        },
+    ),
+    (
+        "adaptive",
+        Strategy::Adaptive {
+            selectivity_threshold: 0.75,
+            evidence_threshold: 2,
+        },
+    ),
+];
+
+/// The per-query decisions, as pinned by [`DECISIONS`]: `stream profile
+/// strategy`, one action letter per query (`P`lain, `C`apture, `U`se
+/// sketch, revalidation `F`allback), the result rows per query, the rows
+/// scanned over the whole stream and the sketches stored at its end.
+const DECISIONS: &str = "\
+sof indexed no-ps PPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPP rows=38,18,42,41,44,18,42,38,39,36,18,44,41,45,38,36,20,40,20,38,38,41,42,18,38,15,14,20,52,38,18,38,42,39,14,38,19,38,45,38,19,38,40,33,38,18,44,18,36,20,15,33,38,36,38,39,36,33,21,41 scanned=550000 stored=0
+sof indexed eager CCCUCUUUUUUUUCUUCCUUUUUUUUUCCUUUUUUUUUUUUUUUUUUUUUUUUUUUUUCU rows=38,18,42,41,44,18,42,38,39,36,18,44,41,45,38,36,20,40,20,38,38,41,42,18,38,15,14,20,52,38,18,38,42,39,14,38,19,38,45,38,19,38,40,33,38,18,44,18,36,20,15,33,38,36,38,39,36,33,21,41 scanned=360115 stored=10
+sof indexed adaptive PPPCPCCUUCPPUCUUCPUUUUUUCUUPPPUUUCUUUUUUUUPUUUUUUCUUUUUUUUPU rows=38,18,42,41,44,18,42,38,39,36,18,44,41,45,38,36,20,40,20,38,38,41,42,18,38,15,14,20,52,38,18,38,42,39,14,38,19,38,45,38,19,38,40,33,38,18,44,18,36,20,15,33,38,36,38,39,36,33,21,41 scanned=400841 stored=9
+sof columnar no-ps PPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPPP rows=38,18,42,41,44,18,42,38,39,36,18,44,41,45,38,36,20,40,20,38,38,41,42,18,38,15,14,20,52,38,18,38,42,39,14,38,19,38,45,38,19,38,40,33,38,18,44,18,36,20,15,33,38,36,38,39,36,33,21,41 scanned=550000 stored=0
+sof columnar eager CCCUCUUUUUUUUCUUCCUUUUUUUUUCCUUUUUUUUUUUUUUUUUUUUUUUUUUUUUCU rows=38,18,42,41,44,18,42,38,39,36,18,44,41,45,38,36,20,40,20,38,38,41,42,18,38,15,14,20,52,38,18,38,42,39,14,38,19,38,45,38,19,38,40,33,38,18,44,18,36,20,15,33,38,36,38,39,36,33,21,41 scanned=550000 stored=10
+sof columnar adaptive PPPCPCCUUCPPUCUUCPUUUUUUCUUPPPUUUCUUUUUUUUPUUUUUUCUUUUUUUUPU rows=38,18,42,41,44,18,42,38,39,36,18,44,41,45,38,36,20,40,20,38,38,41,42,18,38,15,14,20,52,38,18,38,42,39,14,38,19,38,45,38,19,38,40,33,38,18,44,18,36,20,15,33,38,36,38,39,36,33,21,41 scanned=550000 stored=9
+crimes indexed no-ps PPPPPPPPPPPPPPPPPPPPPPPPPPPPPP rows=0,0,6,0,14,0,6,0,0,0,0,0,0,0,16,0,1,8,7,0,0,0,0,0,0,0,9,15,0,5 scanned=360000 stored=0
+crimes indexed eager CCPUCCPUUUCUUUCUCPPUUCUUUUPUUP rows=0,0,6,0,14,0,6,0,0,0,0,0,0,0,16,0,1,8,7,0,0,0,0,0,0,0,9,15,0,5 scanned=357106 stored=8
+crimes indexed adaptive PPPCPPPCUCPCUUCUPPPCPCUUPUPUUP rows=0,0,6,0,14,0,6,0,0,0,0,0,0,0,16,0,1,8,7,0,0,0,0,0,0,0,9,15,0,5 scanned=357106 stored=7
+crimes columnar no-ps PPPPPPPPPPPPPPPPPPPPPPPPPPPPPP rows=0,0,6,0,14,0,6,0,0,0,0,0,0,0,16,0,1,8,7,0,0,0,0,0,0,0,9,15,0,5 scanned=360000 stored=0
+crimes columnar eager CCPUCCPUUUCUUUCUCPPUUCUUUUPUUP rows=0,0,6,0,14,0,6,0,0,0,0,0,0,0,16,0,1,8,7,0,0,0,0,0,0,0,9,15,0,5 scanned=360000 stored=8
+crimes columnar adaptive PPPCPPPCUCPCUUCUPPPCPCUUPUPUUP rows=0,0,6,0,14,0,6,0,0,0,0,0,0,0,16,0,1,8,7,0,0,0,0,0,0,0,9,15,0,5 scanned=360000 stored=7
+";
+
+fn action_letter(action: &Action) -> char {
+    match action {
+        Action::Plain => 'P',
+        Action::Capture => 'C',
+        Action::UseSketch => 'U',
+        Action::RevalidationFallback => 'F',
+    }
+}
+
+/// Run `workload` under one strategy and render its row of the decision
+/// table.
+fn decision_row(
+    label: &str,
+    db: &pbds_storage::Database,
+    workload: &[(QueryTemplate, Vec<Value>)],
+    profile: EngineProfile,
+    strategy: Strategy,
+    fragments: usize,
+) -> String {
+    let mut exec = SelfTuningExecutor::new(db, profile, strategy, fragments);
+    let records = exec.run_workload(workload).unwrap();
+    let actions: String = records.iter().map(|r| action_letter(&r.action)).collect();
+    let rows: Vec<String> = records.iter().map(|r| r.result_rows.to_string()).collect();
+    let scanned: u64 = records.iter().map(|r| r.stats.rows_scanned).sum();
+    let stored = exec.catalog().stored_sketches();
+    format!(
+        "{label} {actions} rows={} scanned={scanned} stored={stored}\n",
+        rows.join(",")
+    )
+}
+
+#[test]
+fn decisions_match_the_golden_table() {
+    let streams = [
+        ("sof", sof_db(), sof_workload(60, 35.0, 3.0, 5), 200),
+        ("crimes", crimes_db(), crimes_workload(), 64),
+    ];
+    let mut table = String::new();
+    for (stream, db, workload, fragments) in &streams {
+        for (profile_name, profile) in [
+            ("indexed", EngineProfile::Indexed),
+            ("columnar", EngineProfile::ColumnarScan),
+        ] {
+            for (name, strategy) in STRATEGIES {
+                let label = format!("{stream} {profile_name} {name}");
+                table += &decision_row(&label, db, workload, profile, strategy, *fragments);
+            }
+        }
+    }
+    assert_eq!(table, DECISIONS, "the decision table drifted:\n{table}");
+}
+
 #[test]
 fn all_strategies_return_identical_results_for_every_query() {
     let db = sof_db();
     let workload = sof_workload(40, 30.0, 4.0, 11);
-    let strategies = [
-        ("no-ps", Strategy::NoPbds),
-        (
-            "eager",
-            Strategy::Eager {
-                selectivity_threshold: 0.75,
-            },
-        ),
-        (
-            "adaptive",
-            Strategy::Adaptive {
-                selectivity_threshold: 0.75,
-                evidence_threshold: 2,
-            },
-        ),
-    ];
     let mut results: Vec<Vec<usize>> = Vec::new();
-    for (_, strategy) in strategies {
+    for (_, strategy) in STRATEGIES {
         let mut exec = SelfTuningExecutor::new(&db, EngineProfile::Indexed, strategy, 200);
         let records = exec.run_workload(&workload).unwrap();
         results.push(records.iter().map(|r| r.result_rows).collect());
@@ -143,27 +245,8 @@ fn adaptive_strategy_captures_fewer_sketches_than_eager_on_spread_parameters() {
 
 #[test]
 fn crimes_mixed_template_workload_is_correct_under_eager() {
-    let db = crimes::generate(&crimes::CrimesConfig {
-        rows: 12_000,
-        ..Default::default()
-    });
-    let templates = crimes::end_to_end_templates();
-    let mut rng = StdRng::seed_from_u64(3);
-    let workload: Vec<(QueryTemplate, Vec<Value>)> = (0..30)
-        .map(|_| {
-            let t = templates[rng.gen_range(0..templates.len())].clone();
-            let binding: Vec<Value> = (0..t.num_params())
-                .map(|i| {
-                    if i == 0 {
-                        Value::Int(normal(&mut rng, 150.0, 40.0).max(1.0) as i64)
-                    } else {
-                        Value::Int(rng.gen_range(0..20))
-                    }
-                })
-                .collect();
-            (t, binding)
-        })
-        .collect();
+    let db = crimes_db();
+    let workload = crimes_workload();
 
     let mut plain = SelfTuningExecutor::new(&db, EngineProfile::Indexed, Strategy::NoPbds, 64);
     let baseline = plain.run_workload(&workload).unwrap();
