@@ -4,11 +4,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pbds_algebra::QueryTemplate;
 use pbds_bench::datasets;
-use pbds_core::{EngineProfile, SelfTuningExecutor, Strategy};
+use pbds_core::{PbdsServer, ServerConfig, Strategy};
 use pbds_storage::Value;
 use pbds_workloads::{normal, sof};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn workload(n: usize) -> Vec<(QueryTemplate, Vec<Value>)> {
@@ -26,7 +27,7 @@ fn workload(n: usize) -> Vec<(QueryTemplate, Vec<Value>)> {
 }
 
 fn bench_end_to_end(c: &mut Criterion) {
-    let db = datasets::sof_small_db();
+    let db = Arc::new(datasets::sof_small_db());
     let wl = workload(25);
     let mut group = c.benchmark_group("fig13_end_to_end_sof");
     group
@@ -51,8 +52,18 @@ fn bench_end_to_end(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::new(label, wl.len()), &wl, |b, wl| {
             b.iter(|| {
-                let mut exec = SelfTuningExecutor::new(&db, EngineProfile::Indexed, strategy, 500);
-                exec.run_workload(wl).unwrap().len()
+                // A cold catalog per iteration; no capture workers, so the
+                // first instance pays for its capture.
+                let server = PbdsServer::new(
+                    Arc::clone(&db),
+                    ServerConfig {
+                        strategy,
+                        fragments: 500,
+                        capture_workers: 0,
+                        ..ServerConfig::default()
+                    },
+                );
+                server.serve_stream(wl, 1).unwrap().len()
             })
         });
     }

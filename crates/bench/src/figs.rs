@@ -7,8 +7,8 @@ use crate::harness::{
     build_partition, capture_sketch_for, fmt_ms, fmt_pct, measure_query, median_time, TablePrinter,
 };
 use pbds_core::{
-    cumulative_elapsed, Action, EngineProfile, Pbds, ReuseChecker, SafetyChecker, Strategy,
-    UsePredicateStyle,
+    cumulative_elapsed, Action, EngineProfile, Pbds, ReuseChecker, SafetyChecker, ServerConfig,
+    Strategy, UsePredicateStyle,
 };
 use pbds_provenance::{capture_sketches, Annotation, CaptureConfig, LookupMethod, MergeStrategy};
 use pbds_storage::{Partition, PartitionRef, RangePartition, Value};
@@ -443,9 +443,20 @@ fn run_end_to_end(
     let mut series = Vec::new();
     let mut captured = Vec::new();
     for (label, strategy) in strategies {
-        let mut exec =
-            pbds_core::SelfTuningExecutor::new(db, EngineProfile::Indexed, *strategy, fragments);
-        let records = exec.run_workload(&workload).expect("workload run");
+        // A fresh handle per strategy, so each starts from a cold catalog;
+        // no capture workers, so the first instance pays for its capture.
+        let server = Pbds::new(db.clone()).serve(ServerConfig {
+            strategy: *strategy,
+            fragments,
+            capture_workers: 0,
+            ..ServerConfig::default()
+        });
+        let records: Vec<_> = server
+            .serve_stream(&workload, 1)
+            .expect("workload run")
+            .into_iter()
+            .map(|q| q.record)
+            .collect();
         series.push((label.to_string(), cumulative_elapsed(&records)));
         captured.push((
             label.to_string(),

@@ -37,8 +37,8 @@
 //!
 //! The catalog also centralizes the per-template metadata the self-tuning
 //! loop needs — chosen safe attributes, adaptive-strategy evidence counters
-//! and built partitions — so any number of [`crate::SelfTuningExecutor`]s and
-//! [`crate::server::PbdsServer`] sessions can share one self-tuning state.
+//! and built partitions — so any number of [`crate::server::PbdsServer`]
+//! sessions, and servers sharing one catalog, share one self-tuning state.
 
 use crate::reuse::ReuseChecker;
 use crate::safety::{BoundKey, ColumnBounds, PartitionAttr, SafetyChecker};

@@ -20,8 +20,9 @@
 //! * [`tuning`] — the self-tuning eager/adaptive strategies of Sec. 9.5;
 //! * [`catalog`] — the shared, thread-safe sketch catalog (template-keyed,
 //!   memoized reuse checks, byte-budget LRU eviction);
-//! * [`server`] — the concurrent serving middleware: sessions consult the
-//!   catalog and enqueue capture-on-miss to a background worker pool;
+//! * [`server`] — the serving middleware and the one place that decides how
+//!   a query is served: sessions consult the catalog and, on a miss, capture
+//!   inline or enqueue the capture to a background worker pool;
 //! * [`Pbds`] — a facade tying everything together (see its example).
 //!
 //! Sketch *capture* (Sec. 7) lives in the `pbds-provenance` crate and is
@@ -55,7 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod catalog;
-pub mod encode;
+mod encode;
 pub mod instrument;
 pub mod pbds;
 pub mod reuse;
@@ -72,9 +73,7 @@ pub use server::{
     HealthState, Mutation, MutationOutcome, MutationTicket, PanicSite, PbdsServer, PbdsSession,
     RecoveryReport, ServedQuery, ServerConfig,
 };
-pub use tuning::{
-    cumulative_elapsed, estimate_selectivity, Action, QueryRecord, SelfTuningExecutor, Strategy,
-};
+pub use tuning::{cumulative_elapsed, estimate_selectivity, Action, QueryRecord, Strategy};
 
 // Re-export the most commonly used items from the substrate crates so that
 // downstream users (examples, benches) can depend on `pbds-core` alone.

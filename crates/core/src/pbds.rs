@@ -1,12 +1,11 @@
 //! The PBDS facade: a convenient entry point tying together partitioning,
-//! safety checking, sketch capture, sketch use and self-tuning.
+//! safety checking, sketch capture, sketch use and serving.
 
 use crate::catalog::SketchCatalog;
 use crate::instrument::{apply_sketches, UsePredicateStyle};
 use crate::reuse::{ReuseChecker, ReuseResult};
 use crate::safety::{PartitionAttr, SafetyChecker, SafetyResult};
 use crate::server::{PbdsServer, ServerConfig};
-use crate::tuning::{SelfTuningExecutor, Strategy};
 use pbds_algebra::{LogicalPlan, QueryTemplate};
 use pbds_exec::{Engine, EngineProfile, ExecError, QueryOutput};
 use pbds_provenance::{
@@ -151,8 +150,7 @@ impl Pbds {
         &self.db
     }
 
-    /// The shared sketch catalog backing this handle's self-tuning executors
-    /// and servers.
+    /// The shared sketch catalog backing this handle's servers.
     pub fn catalog(&self) -> &Arc<SketchCatalog> {
         &self.catalog
     }
@@ -309,16 +307,12 @@ impl Pbds {
         Ok(self.engine.execute(&self.db, &instrumented)?)
     }
 
-    /// Create a self-tuning executor over this database (Sec. 9.5). All
-    /// executors created from one `Pbds` handle share its [`SketchCatalog`],
-    /// so sketches captured by one are reused by the others.
-    pub fn self_tuning(&self, strategy: Strategy, fragments: usize) -> SelfTuningExecutor<'_> {
-        SelfTuningExecutor::new(&self.db, self.engine.profile(), strategy, fragments)
-            .with_catalog(Arc::clone(&self.catalog))
-    }
-
-    /// Start a concurrent serving middleware over this database, sharing this
-    /// handle's database and sketch catalog (see [`crate::server`]).
+    /// Start a serving middleware over this database, sharing this handle's
+    /// database and sketch catalog (see [`crate::server`]). This is the
+    /// self-tuning entry point (Sec. 9.5): every server started from one
+    /// handle shares its catalog, so sketches captured for one are reused by
+    /// the others. With [`ServerConfig::capture_workers`] = 0 the server
+    /// captures inline, as the paper's self-tuning loop does.
     ///
     /// The server always runs with **this handle's engine profile** — the
     /// `profile` field of `config` is ignored, because sketches captured

@@ -10,7 +10,7 @@
 //! "could not prove safe".
 
 use crate::encode::{attr_var, eq_primed, to_formula, to_linexpr, EncodedPred, StringEncoder};
-use pbds_algebra::{AggFunc, Expr, LogicalPlan};
+use pbds_algebra::{AggFunc, LogicalPlan};
 use pbds_solver::{is_valid, CmpOp, Formula, LinExpr};
 use pbds_storage::{DataType, Database, Schema, Table, Value};
 use std::collections::{HashMap, HashSet};
@@ -752,26 +752,6 @@ fn collect_group_by(plan: &LogicalPlan, f: &mut impl FnMut(&str)) {
     for c in plan.children() {
         collect_group_by(c, f);
     }
-}
-
-/// Convenience: the attribute expression `e` used by the safety rules when
-/// checking sign conditions of aggregation arguments (re-exported for tests).
-pub fn agg_argument_sign_known(db: &Database, plan: &LogicalPlan, agg_input: &Expr) -> bool {
-    let checker = SafetyChecker::new(db);
-    let strings = StringEncoder::from_plans(&[plan]);
-    let mut details = Vec::new();
-    let info = checker.analyze(plan, &[], &strings, &mut details);
-    to_linexpr(agg_input, false, &strings)
-        .map(|lin| {
-            is_valid(&Formula::implies(
-                info.conds_plain(),
-                Formula::cmp(lin.clone(), CmpOp::Ge, LinExpr::constant(0.0)),
-            )) || is_valid(&Formula::implies(
-                info.conds_plain(),
-                Formula::cmp(lin, CmpOp::Le, LinExpr::constant(0.0)),
-            ))
-        })
-        .unwrap_or(false)
 }
 
 #[cfg(test)]

@@ -12,11 +12,13 @@
 //!    captured so far,
 //! 3. on a hit, **instruments** the query with the stored sketch and
 //!    executes the narrowed plan,
-//! 4. on a miss, executes the plain query and — when the self-tuning
-//!    [`Strategy`] says so — **enqueues capture work** for a background
-//!    worker pool, so capture cost never sits on the query's critical path
-//!    (the paper's middleware amortizes capture across the stream; a
-//!    synchronous capture would make the *first* user pay it).
+//! 4. on a miss, when the self-tuning [`Strategy`] says so, **captures**:
+//!    with background workers ([`ServerConfig::capture_workers`] ≥ 1) it
+//!    *enqueues* the capture and answers plainly, so capture cost never sits
+//!    on the query's critical path (the paper's middleware amortizes capture
+//!    across the stream); with none it *captures inline* on the session's
+//!    thread and answers with the capture run, so the first instance pays
+//!    for its capture, as in the paper's self-tuning loop (Fig. 13).
 //!
 //! Results always contain exactly the rows plain execution would produce
 //! (bag equality; row *order* of unsorted results may differ with the chosen
@@ -33,7 +35,7 @@
 //! acknowledgement it cannot back with durability would be a silent-loss
 //! bug; a failed checkpoint merely degrades (the WAL still holds every
 //! acknowledged record); repeated capture panics blow a fuse that disables
-//! background capture (an optimization, never an answer). A janitor thread
+//! capture (an optimization, never an answer). A janitor thread
 //! repairs in the background — fresh WAL descriptor, re-verify, checkpoint
 //! — with capped exponential backoff; success settles health, exhaustion
 //! from read-only fail-stops the server. Every event is counted in the
@@ -50,7 +52,7 @@ use crate::tuning::{
     capture_and_store, estimate_selectivity, execute_with_reuse, Action, QueryRecord, Strategy,
 };
 use pbds_algebra::{templatize, Expr, LogicalPlan, QueryTemplate};
-use pbds_exec::{Engine, EngineProfile};
+use pbds_exec::{Engine, EngineProfile, ExecStats};
 use pbds_persist::{
     read_catalog_with, read_snapshot_with, write_catalog_with, write_snapshot_with, Io,
     MutationWal, PersistError, PersistedCatalog, RealIo, WalOp, CATALOG_FILE, SNAPSHOT_FILE,
@@ -83,13 +85,16 @@ use health::{janitor_loop, Health, RepairState};
 pub struct ServerConfig {
     /// Engine profile used by sessions and capture workers.
     pub profile: EngineProfile,
-    /// Self-tuning strategy deciding when to enqueue capture work.
+    /// Self-tuning strategy deciding when a miss triggers capture.
     pub strategy: Strategy,
     /// Predicate style used when instrumenting with a sketch.
     pub style: UsePredicateStyle,
     /// Number of fragments for captured range partitions.
     pub fragments: usize,
-    /// Background capture worker threads.
+    /// Background capture worker threads. `0` means none: a session then
+    /// captures on its own thread and answers the query with the capture
+    /// run (the self-tuning loop of Fig. 13, where the first instance pays
+    /// for its capture).
     pub capture_workers: usize,
     /// Morsel-parallel scan workers per query execution (1 = sequential).
     pub scan_parallelism: usize,
@@ -144,13 +149,13 @@ impl Default for ServerConfig {
 pub enum PanicSite {
     /// The next commit batch panics mid-commit.
     Commit = 0,
-    /// The next background capture task panics.
+    /// The next capture (background or inline) panics.
     Capture = 1,
     /// The next served query panics its session thread.
     Session = 2,
 }
 
-/// Background capture is disabled after this many capture panics.
+/// Capture is disabled after this many capture panics.
 const MAX_CAPTURE_PANICS: u64 = 3;
 
 /// Most recent robustness event messages retained.
@@ -163,7 +168,8 @@ pub struct ServedQuery {
     pub relation: Relation,
     /// What the session did and what it cost.
     pub record: QueryRecord,
-    /// True when this miss enqueued background capture work.
+    /// True when this miss enqueued background capture work (an inline
+    /// capture instead shows as [`Action::Capture`]).
     pub capture_enqueued: bool,
     /// The database snapshot this query was served against. A session takes
     /// exactly one snapshot per query, so `relation` must equal plain
@@ -212,7 +218,7 @@ struct ServerShared {
     /// [`ServerShared::degrade`] and [`ServerShared::settle_health`].
     health: Health,
     /// Set once capture panicked [`MAX_CAPTURE_PANICS`] times; further
-    /// capture work is refused at enqueue time.
+    /// capture work is refused before it starts.
     capture_disabled: AtomicBool,
     /// Bounded ring of recent event messages
     /// ([`PbdsServer::recent_events`]).
@@ -596,7 +602,7 @@ impl PbdsServer {
         }
         let (tx, rx) = channel::<CaptureTask>();
         let rx = Arc::new(TrackedMutex::new("server.capture_rx", rx));
-        let workers = (0..config.capture_workers.max(1))
+        let workers = (0..config.capture_workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 let rx = Arc::clone(&rx);
@@ -1194,8 +1200,7 @@ impl PbdsSession<'_> {
             }
         }
 
-        // Catalog hit (including the revalidation fallback): same code path
-        // as the self-tuning executor, so the bookkeeping cannot drift.
+        // Catalog hit, including the revalidation fallback.
         let reused = {
             let _s = span!("query.reuse_check");
             execute_with_reuse(
@@ -1217,17 +1222,44 @@ impl PbdsSession<'_> {
             });
         }
 
-        // Miss: maybe enqueue background capture, then answer plainly. The
-        // session never waits for the capture.
-        let enqueued = {
+        // Miss: capture when the strategy says so. Without capture workers
+        // the session captures on its own thread and answers with the
+        // capture run; otherwise it enqueues the capture and answers
+        // plainly, never waiting for it.
+        let capture = {
             let _s = span!("query.capture_enqueue");
             shared
                 .config
                 .strategy
                 .capture_on_miss(&shared.catalog, template)
-                && self.enqueue_capture(template, binding)
+                // The capture fuse is blown after repeated panics.
+                && !shared.capture_disabled.load(Ordering::Relaxed)
+                // The pending mark: no identical capture is in flight.
+                && shared.catalog.begin_capture(template, binding)
         };
-        self.plain(&db, template, &plan, enqueued)
+        if !capture {
+            return self.plain(&db, template, &plan, false);
+        }
+        if shared.config.capture_workers > 0 {
+            let enqueued = self.enqueue_capture(template, binding);
+            return self.plain(&db, template, &plan, enqueued);
+        }
+        let captured = shared.contain_capture(template, binding, || {
+            let _capture_span = span!("capture.run");
+            shared.take_injected_panic(PanicSite::Capture);
+            shared.capture(&db, template, binding, &plan, clock::Stopwatch::start())
+        });
+        // Already covered, nothing to partition on, or the capture failed
+        // or panicked.
+        let Some(Some((relation, stats))) = captured else {
+            return self.plain(&db, template, &plan, false);
+        };
+        Ok(ServedQuery {
+            record: QueryRecord::of(template, Action::Capture, relation.len(), stats),
+            relation,
+            capture_enqueued: false,
+            snapshot: db,
+        })
     }
 
     /// Templatize a raw query instance (extracting its literal parameters)
@@ -1240,29 +1272,21 @@ impl PbdsSession<'_> {
         self.serve(&template, &binding)
     }
 
+    /// Hand a capture whose pending mark is taken to the workers; `false`
+    /// (mark cleared) when they are gone.
     fn enqueue_capture(&self, template: &QueryTemplate, binding: &[Value]) -> bool {
         let shared = &self.server.shared;
-        if shared.capture_disabled.load(Ordering::Relaxed) {
-            return false; // capture fuse blown after repeated panics
-        }
-        if !shared.catalog.begin_capture(template, binding) {
-            return false; // an identical capture is already in flight
-        }
-        let Some(tx) = self.server.capture_tx.as_ref() else {
-            shared.catalog.finish_capture(template, binding);
-            return false;
-        };
         *shared.in_flight.lock() += 1;
         let task = CaptureTask {
             template: template.clone(),
             binding: binding.to_vec(),
         };
-        if tx.send(task).is_err() {
+        let sent = (self.server.capture_tx.as_ref()).is_some_and(|tx| tx.send(task).is_ok());
+        if !sent {
             shared.catalog.finish_capture(template, binding);
             shared.capture_finished();
-            return false;
         }
-        true
+        sent
     }
 
     fn plain(
@@ -1278,13 +1302,7 @@ impl PbdsSession<'_> {
             shared.engine.execute(db, plan)?
         };
         Ok(ServedQuery {
-            record: QueryRecord {
-                template: template.name().to_string(),
-                action: Action::Plain,
-                elapsed: out.stats.elapsed,
-                result_rows: out.relation.len(),
-                stats: out.stats,
-            },
+            record: QueryRecord::of(template, Action::Plain, out.relation.len(), out.stats),
             relation: out.relation,
             capture_enqueued,
             snapshot: Arc::clone(db),
@@ -1304,31 +1322,9 @@ fn capture_worker(shared: &ServerShared, rx: &TrackedMutex<Receiver<CaptureTask>
         let Ok(task) = task else {
             return; // channel closed: server is shutting down
         };
-        // Contain panics: a failed capture only loses an optimization, but a
-        // leaked `in_flight` count would deadlock every future `drain()` and
-        // a leaked pending mark would block the binding's capture forever.
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_capture(shared, &task)));
-        shared.catalog.finish_capture(&task.template, &task.binding);
+        shared.contain_capture(&task.template, &task.binding, || run_capture(shared, &task));
+        // A leaked `in_flight` count would deadlock every future `drain()`.
         shared.capture_finished();
-        if result.is_err() {
-            let total = shared.metrics.capture_panics.inc_and_get();
-            shared.note(format!(
-                "background capture for template {:?} panicked ({total} so \
-                 far); the query stream is unaffected",
-                task.template.name()
-            ));
-            // Repeated panics mean a systematic bug, not bad luck: blow the
-            // capture fuse so the serving path stops feeding it. Queries
-            // keep being answered plainly — capture is an optimization.
-            if total >= MAX_CAPTURE_PANICS && !shared.capture_disabled.swap(true, Ordering::SeqCst)
-            {
-                shared.degrade(
-                    HealthState::Degraded,
-                    format!("background capture disabled after {total} panics"),
-                );
-            }
-        }
     }
 }
 
@@ -1340,36 +1336,83 @@ fn run_capture(shared: &ServerShared, task: &CaptureTask) {
     // mid-capture, the catalog's epoch-checked insert rejects the (now
     // stale) sketch set rather than storing pre-mutation provenance.
     let db = shared.snapshot();
-    // A concurrent capture may have landed a sketch that already covers this
-    // binding; re-check before paying the capture cost. The quiet probe
-    // keeps hit/miss counters and LRU stamps reflecting serving traffic.
-    if shared
-        .catalog
-        .is_covered(&db, &task.template, &task.binding)
-    {
-        return;
-    }
     let plan = task.template.instantiate(&task.binding);
-    // Nothing is recorded when there is no partition to sketch on, when the
-    // capture fails (that only loses the optimization, never a result) or
-    // when the sketches are rejected as stale because a mutation landed
-    // while capturing.
-    let Ok(Some((_, Some(_)))) = capture_and_store(
-        &db,
-        &shared.catalog,
-        shared.config.profile,
-        shared.config.fragments,
-        &task.template,
-        &task.binding,
-        &plan,
-    ) else {
-        return;
-    };
-    shared.metrics.captures_done.inc();
-    shared
-        .metrics
-        .capture_seconds
-        .record_duration(started.elapsed());
+    // A failed capture only loses the optimization, never a result.
+    let _unused = shared.capture(&db, &task.template, &task.binding, &plan, started);
+}
+
+impl ServerShared {
+    /// Run a capture whose pending mark the session took, then clear the
+    /// mark. A panic is contained — a failed capture only loses an
+    /// optimization, but a leaked mark would block the binding's capture
+    /// forever — counted, and `None`; enough panics blow the capture fuse.
+    fn contain_capture<R>(
+        &self,
+        template: &QueryTemplate,
+        binding: &[Value],
+        capture: impl FnOnce() -> R,
+    ) -> Option<R> {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(capture));
+        self.catalog.finish_capture(template, binding);
+        if result.is_err() {
+            let total = self.metrics.capture_panics.inc_and_get();
+            self.note(format!(
+                "capture for template {:?} panicked ({total} so far); the \
+                 query stream is unaffected",
+                template.name()
+            ));
+            // Repeated panics mean a systematic bug, not bad luck: blow the
+            // capture fuse so the serving path stops feeding it. Queries
+            // keep being answered plainly — capture is an optimization.
+            if total >= MAX_CAPTURE_PANICS && !self.capture_disabled.swap(true, Ordering::SeqCst) {
+                self.degrade(
+                    HealthState::Degraded,
+                    format!("capture disabled after {total} panics"),
+                );
+            }
+        }
+        result.ok()
+    }
+
+    /// [`capture_and_store`] against `db`: the query's answer and the
+    /// capture run's counters. `None` when a stored sketch already covers
+    /// the binding, there is nothing to partition on, or the capture failed.
+    /// A stored capture counts in `pbds_captures_done` and
+    /// `pbds_capture_seconds` (timed from `started`); sketches rejected as
+    /// stale do not, but the answer stands.
+    fn capture(
+        &self,
+        db: &Database,
+        template: &QueryTemplate,
+        binding: &[Value],
+        plan: &LogicalPlan,
+        started: clock::Stopwatch,
+    ) -> Option<(Relation, ExecStats)> {
+        // A concurrent capture may have stored a covering sketch since the
+        // caller's miss; the pending mark it held is cleared only after its
+        // insert, so this re-check sees it. The quiet probe keeps hit/miss
+        // counters and LRU stamps reflecting serving traffic.
+        if self.catalog.is_covered(db, template, binding) {
+            return None;
+        }
+        let (relation, stats, stored) = capture_and_store(
+            db,
+            &self.catalog,
+            self.config.profile,
+            self.config.fragments,
+            template,
+            binding,
+            plan,
+        )
+        .ok()??;
+        if stored.is_some() {
+            self.metrics.captures_done.inc();
+            self.metrics
+                .capture_seconds
+                .record_duration(started.elapsed());
+        }
+        Some((relation, stats))
+    }
 }
 
 // Concurrency audit: the server and its catalog are shared across session
@@ -1445,6 +1488,42 @@ mod tests {
         );
         // And scans less than the plain execution did.
         assert!(second.record.stats.rows_scanned < first.record.stats.rows_scanned);
+    }
+
+    #[test]
+    fn inline_capture_answers_with_the_capture_run_and_contains_panics() {
+        let db = sales_db();
+        let config = ServerConfig {
+            capture_workers: 0,
+            ..ServerConfig::default()
+        };
+        let server = PbdsServer::new(Arc::clone(&db), config);
+        let session = server.session();
+        let t = having_template();
+        let binding = [Value::Int(50_000)];
+        let plain = Engine::new(EngineProfile::Indexed)
+            .execute(&db, &t.instantiate(&binding))
+            .unwrap();
+
+        // A panicked capture is counted and the query answered plainly; the
+        // pending mark is cleared, so the next miss captures again.
+        server.inject_panic(PanicSite::Capture);
+        let panicked = session.serve(&t, &binding).unwrap();
+        assert_eq!(panicked.record.action, Action::Plain);
+        assert!(panicked.relation.bag_eq(&plain.relation));
+        assert_eq!(counter(&server, "pbds_robustness_capture_panics"), 1);
+        assert_eq!(server.catalog().stored_sketches(), 0);
+
+        // The capture runs on the session's thread and answers the query.
+        let captured = session.serve(&t, &binding).unwrap();
+        assert_eq!(captured.record.action, Action::Capture);
+        assert!(!captured.capture_enqueued);
+        assert!(captured.relation.bag_eq(&plain.relation));
+        assert_eq!(captured.record.result_rows, plain.relation.len());
+        assert_eq!(server.catalog().stored_sketches(), 1);
+        assert_eq!(counter(&server, "pbds_captures_done"), 1);
+        let reused = session.serve(&t, &[Value::Int(53_000)]).unwrap();
+        assert_eq!(reused.record.action, Action::UseSketch);
     }
 
     #[test]

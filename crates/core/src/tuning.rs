@@ -11,27 +11,18 @@
 //!
 //! # Strategies and the shared catalog
 //!
-//! The executor itself is a *thin client*: every piece of cross-query state —
-//! stored sketches, memoized reuse checks, chosen safe attributes, built
-//! partitions, and the adaptive strategy's evidence counters — lives in a
-//! shared, thread-safe [`SketchCatalog`]. Several executors (or the
-//! concurrent sessions of a [`crate::server::PbdsServer`]) pointed at the
-//! same catalog therefore *cooperate*:
+//! Strategies hold no state: stored sketches, memoized reuse checks, safe
+//! attributes, partitions and the adaptive evidence counters all live in the
+//! shared [`SketchCatalog`], so every session of a
+//! [`crate::server::PbdsServer`] over one catalog cooperates — a sketch
+//! captured for one is reusable by all, and [`Strategy::Adaptive`] counts
+//! evidence across the whole query stream, as in the paper's middleware.
 //!
-//! * a sketch captured by any client is immediately reusable by every other
-//!   client of the catalog — [`Strategy::Eager`] clients effectively warm the
-//!   catalog for everyone;
-//! * [`Strategy::Adaptive`]'s evidence threshold counts missed reuse
-//!   opportunities *across all clients*, matching the paper's middleware
-//!   model where the query stream, not an individual connection, provides
-//!   the evidence;
-//! * [`Strategy::NoPbds`] clients bypass the catalog entirely and are
-//!   unaffected by (and invisible to) the others.
-//!
-//! By default each executor created through [`SelfTuningExecutor::new`] gets
-//! a private catalog, preserving the single-session behaviour of the paper's
-//! experiments; pass a shared one with [`SelfTuningExecutor::with_catalog`]
-//! to opt into the middleware behaviour.
+//! The server is the one place that decides how a query is served (see
+//! [`crate::server`]); this module holds the strategies and the helpers that
+//! decision uses: [`estimate_selectivity`] (the selectivity gate),
+//! `execute_with_reuse` (a catalog hit), `capture_and_store` (a capture) and
+//! [`cumulative_elapsed`] (the Fig. 13 series).
 
 use crate::catalog::SketchCatalog;
 use crate::instrument::{apply_sketches, UsePredicateStyle};
@@ -39,7 +30,6 @@ use pbds_algebra::{BinOp, Expr, LogicalPlan, QueryTemplate};
 use pbds_exec::{Engine, EngineProfile, ExecError, ExecStats};
 use pbds_provenance::{capture_sketches_with_profile, CaptureConfig};
 use pbds_storage::{Database, PartitionRef, Relation, Value};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Self-tuning strategy.
@@ -97,9 +87,7 @@ impl Strategy {
 /// Answer `plan` from the catalog if a stored sketch covers it: on a hit the
 /// sketch-instrumented query is executed, falling back to plain execution —
 /// and denying the `(binding, entry)` pair — when the runtime top-k
-/// re-validation fails. Returns `None` on a catalog miss. Shared by
-/// [`SelfTuningExecutor::run`] and the server sessions so the
-/// hit/fallback/record bookkeeping cannot drift between them.
+/// re-validation fails. Returns `None` on a catalog miss.
 pub(crate) fn execute_with_reuse(
     db: &Database,
     engine: &Engine,
@@ -121,31 +109,23 @@ pub(crate) fn execute_with_reuse(
         catalog.note_revalidation_failure(template, binding, reusable.entry_id);
         let plain = engine.execute(db, plan)?;
         let elapsed = out.stats.elapsed + plain.stats.elapsed;
-        let record = QueryRecord {
-            template: template.name().to_string(),
-            action: Action::RevalidationFallback,
-            elapsed,
-            result_rows: plain.relation.len(),
-            stats: plain.stats,
-        };
-        return Ok(Some((record, plain.relation)));
+        let record = QueryRecord::of(
+            template,
+            Action::RevalidationFallback,
+            plain.relation.len(),
+            plain.stats,
+        );
+        return Ok(Some((QueryRecord { elapsed, ..record }, plain.relation)));
     }
-    let record = QueryRecord {
-        template: template.name().to_string(),
-        action: Action::UseSketch,
-        elapsed: out.stats.elapsed,
-        result_rows: out.relation.len(),
-        stats: out.stats,
-    };
+    let record = QueryRecord::of(template, Action::UseSketch, out.relation.len(), out.stats);
     Ok(Some((record, out.relation)))
 }
 
 /// Capture sketches for `plan` (= `template(binding)`) over the template's
 /// safe attributes and store them in the catalog. `None` when there is
-/// nothing to partition on; otherwise the capture run's counters and what
-/// [`SketchCatalog::insert`] returned (`None` = rejected as stale). Shared by
-/// [`SelfTuningExecutor::run`] and the server's capture workers, like
-/// [`execute_with_reuse`] on the reuse side.
+/// nothing to partition on; otherwise the query's answer (capture computes
+/// it as a by-product), the capture run's counters and what
+/// [`SketchCatalog::insert`] returned (`None` = rejected as stale).
 pub(crate) fn capture_and_store(
     db: &Database,
     catalog: &SketchCatalog,
@@ -154,7 +134,7 @@ pub(crate) fn capture_and_store(
     template: &QueryTemplate,
     binding: &[Value],
     plan: &LogicalPlan,
-) -> Result<Option<(ExecStats, Option<u64>)>, ExecError> {
+) -> Result<Option<(Relation, ExecStats, Option<u64>)>, ExecError> {
     let Some(attrs) = catalog.safe_attrs(db, template) else {
         return Ok(None);
     };
@@ -168,10 +148,10 @@ pub(crate) fn capture_and_store(
     let capture =
         capture_sketches_with_profile(db, plan, &partitions, &CaptureConfig::optimized(), profile)?;
     let stored = catalog.insert(db, template, binding, capture.sketches);
-    Ok(Some((capture.stats, stored)))
+    Ok(Some((capture.result, capture.stats, stored)))
 }
 
-/// What the executor decided to do for one query instance.
+/// What the server decided to do for one query instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action {
     /// Executed without PBDS.
@@ -200,142 +180,22 @@ pub struct QueryRecord {
     pub result_rows: usize,
 }
 
-/// The self-tuning executor: a thin client of a (possibly shared)
-/// [`SketchCatalog`] that decides per query whether to capture, reuse or
-/// execute plainly. See the [module docs](self) for how several clients of
-/// one catalog interact.
-pub struct SelfTuningExecutor<'a> {
-    db: &'a Database,
-    engine: Engine,
-    strategy: Strategy,
-    style: UsePredicateStyle,
-    fragments: usize,
-    catalog: Arc<SketchCatalog>,
-}
-
-impl<'a> SelfTuningExecutor<'a> {
-    /// Create an executor over a database with a private catalog.
-    pub fn new(
-        db: &'a Database,
-        profile: EngineProfile,
-        strategy: Strategy,
-        fragments: usize,
+impl QueryRecord {
+    /// The record of one execution of `template`, taking its elapsed time
+    /// from `stats`.
+    pub(crate) fn of(
+        template: &QueryTemplate,
+        action: Action,
+        result_rows: usize,
+        stats: ExecStats,
     ) -> Self {
-        SelfTuningExecutor {
-            db,
-            engine: Engine::new(profile),
-            strategy,
-            style: UsePredicateStyle::BinarySearch,
-            fragments,
-            catalog: Arc::new(SketchCatalog::default()),
-        }
-    }
-
-    /// Override the predicate style used when applying sketches.
-    pub fn with_style(mut self, style: UsePredicateStyle) -> Self {
-        self.style = style;
-        self
-    }
-
-    /// Share a catalog with other executors / server sessions.
-    pub fn with_catalog(mut self, catalog: Arc<SketchCatalog>) -> Self {
-        self.catalog = catalog;
-        self
-    }
-
-    /// The catalog backing this executor.
-    pub fn catalog(&self) -> &Arc<SketchCatalog> {
-        &self.catalog
-    }
-
-    /// Execute one instance of a template.
-    pub fn run(
-        &mut self,
-        template: &QueryTemplate,
-        binding: &[Value],
-    ) -> Result<QueryRecord, ExecError> {
-        let plan = template.instantiate(binding);
-        if self.strategy == Strategy::NoPbds {
-            return self.run_plain(template, &plan);
-        }
-
-        // Which attributes are safe to sketch is determined once per
-        // template and shared through the catalog; none means no PBDS.
-        if self.catalog.safe_attrs(self.db, template).is_none() {
-            return self.run_plain(template, &plan);
-        }
-
-        // Selectivity gate: PBDS is not worthwhile for non-selective queries.
-        // Queries whose selectivity cannot be estimated statically (HAVING,
-        // top-k — the very queries PBDS targets) pass the gate.
-        if let Some(est) = estimate_selectivity(self.db, &plan) {
-            if est > self.strategy.selectivity_threshold() {
-                return self.run_plain(template, &plan);
-            }
-        }
-
-        // Try to reuse a stored sketch (memoized reuse check).
-        if let Some((record, _relation)) = execute_with_reuse(
-            self.db,
-            &self.engine,
-            &self.catalog,
-            self.style,
-            template,
-            binding,
-            &plan,
-        )? {
-            return Ok(record);
-        }
-
-        // No reusable sketch: decide whether to capture now.
-        if !self.strategy.capture_on_miss(&self.catalog, template) {
-            return self.run_plain(template, &plan);
-        }
-
-        // Capture: build (cached) partitions over the safe attributes and run
-        // the instrumented capture query; its result is the query answer.
-        let Some((stats, _stored)) = capture_and_store(
-            self.db,
-            &self.catalog,
-            self.engine.profile(),
-            self.fragments,
-            template,
-            binding,
-            &plan,
-        )?
-        else {
-            return self.run_plain(template, &plan);
-        };
-        Ok(QueryRecord {
+        QueryRecord {
             template: template.name().to_string(),
-            action: Action::Capture,
+            action,
             elapsed: stats.elapsed,
-            result_rows: stats.rows_output as usize,
             stats,
-        })
-    }
-
-    /// Execute a whole workload (sequence of template instances).
-    pub fn run_workload(
-        &mut self,
-        workload: &[(QueryTemplate, Vec<Value>)],
-    ) -> Result<Vec<QueryRecord>, ExecError> {
-        workload.iter().map(|(t, b)| self.run(t, b)).collect()
-    }
-
-    fn run_plain(
-        &self,
-        template: &QueryTemplate,
-        plan: &LogicalPlan,
-    ) -> Result<QueryRecord, ExecError> {
-        let out = self.engine.execute(self.db, plan)?;
-        Ok(QueryRecord {
-            template: template.name().to_string(),
-            action: Action::Plain,
-            elapsed: out.stats.elapsed,
-            result_rows: out.relation.len(),
-            stats: out.stats,
-        })
+            result_rows,
+        }
     }
 }
 
@@ -427,8 +287,10 @@ pub fn estimate_selectivity(db: &Database, plan: &LogicalPlan) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{PbdsServer, ServerConfig};
     use pbds_algebra::{col, lit, param, AggExpr, AggFunc};
     use pbds_storage::{DataType, Schema, TableBuilder};
+    use std::sync::Arc;
 
     /// A synthetic sales table: 5 000 rows, 50 groups, skewed amounts.
     fn sales_db() -> Database {
@@ -464,19 +326,34 @@ mod tests {
         )
     }
 
+    /// An in-memory server over `db` that captures inline, as the paper's
+    /// self-tuning loop does.
+    fn inline_server(db: &Database, strategy: Strategy) -> PbdsServer {
+        PbdsServer::new(
+            Arc::new(db.clone()),
+            ServerConfig {
+                strategy,
+                fragments: 16,
+                capture_workers: 0,
+                ..ServerConfig::default()
+            },
+        )
+    }
+
+    fn run(server: &PbdsServer, t: &QueryTemplate, binding: &[Value]) -> QueryRecord {
+        server.session().serve(t, binding).unwrap().record
+    }
+
+    const EAGER: Strategy = Strategy::Eager {
+        selectivity_threshold: 0.75,
+    };
+
     #[test]
     fn eager_strategy_captures_then_reuses() {
         let db = sales_db();
-        let mut exec = SelfTuningExecutor::new(
-            &db,
-            EngineProfile::Indexed,
-            Strategy::Eager {
-                selectivity_threshold: 0.75,
-            },
-            16,
-        );
+        let server = inline_server(&db, EAGER);
         let t = having_template();
-        let r1 = exec.run(&t, &[Value::Int(52_000)]).unwrap();
+        let r1 = run(&server, &t, &[Value::Int(52_000)]);
         assert_eq!(r1.action, Action::Capture);
         // The capture query scans the table like the plain query does, and
         // its record says so.
@@ -487,46 +364,44 @@ mod tests {
         assert_eq!(r1.stats.rows_scanned, plain.stats.rows_scanned);
         assert_eq!(r1.result_rows, plain.relation.len());
         // A more selective instance reuses the stored sketch.
-        let r2 = exec.run(&t, &[Value::Int(53_000)]).unwrap();
+        let r2 = run(&server, &t, &[Value::Int(53_000)]);
         assert_eq!(r2.action, Action::UseSketch, "{:?}", r2);
         // A less selective instance cannot reuse it and triggers a new capture.
-        let r3 = exec.run(&t, &[Value::Int(40_000)]).unwrap();
+        let r3 = run(&server, &t, &[Value::Int(40_000)]);
         assert_eq!(r3.action, Action::Capture);
-        assert_eq!(exec.catalog().stored_sketches(), 2);
+        assert_eq!(server.catalog().stored_sketches(), 2);
     }
 
     #[test]
     fn adaptive_strategy_waits_for_evidence() {
         let db = sales_db();
-        let mut exec = SelfTuningExecutor::new(
+        let server = inline_server(
             &db,
-            EngineProfile::Indexed,
             Strategy::Adaptive {
                 selectivity_threshold: 0.75,
                 evidence_threshold: 3,
             },
-            16,
         );
         let t = having_template();
         let b = vec![Value::Int(52_000)];
-        assert_eq!(exec.run(&t, &b).unwrap().action, Action::Plain);
-        assert_eq!(exec.run(&t, &b).unwrap().action, Action::Plain);
-        assert_eq!(exec.run(&t, &b).unwrap().action, Action::Capture);
-        assert_eq!(exec.run(&t, &b).unwrap().action, Action::UseSketch);
+        assert_eq!(run(&server, &t, &b).action, Action::Plain);
+        assert_eq!(run(&server, &t, &b).action, Action::Plain);
+        assert_eq!(run(&server, &t, &b).action, Action::Capture);
+        assert_eq!(run(&server, &t, &b).action, Action::UseSketch);
     }
 
     #[test]
     fn no_pbds_strategy_always_runs_plain() {
         let db = sales_db();
-        let mut exec = SelfTuningExecutor::new(&db, EngineProfile::Indexed, Strategy::NoPbds, 16);
+        let server = inline_server(&db, Strategy::NoPbds);
         let t = having_template();
         for _ in 0..3 {
             assert_eq!(
-                exec.run(&t, &[Value::Int(52_000)]).unwrap().action,
+                run(&server, &t, &[Value::Int(52_000)]).action,
                 Action::Plain
             );
         }
-        assert_eq!(exec.catalog().stored_sketches(), 0);
+        assert_eq!(server.catalog().stored_sketches(), 0);
     }
 
     #[test]
@@ -534,19 +409,12 @@ mod tests {
         let db = sales_db();
         let engine = Engine::new(EngineProfile::Indexed);
         let t = having_template();
-        let mut exec = SelfTuningExecutor::new(
-            &db,
-            EngineProfile::Indexed,
-            Strategy::Eager {
-                selectivity_threshold: 0.75,
-            },
-            16,
-        );
+        let server = inline_server(&db, EAGER);
         // Capture with a loose bound, then reuse for a tighter one and check
         // the result equals the plain execution.
-        exec.run(&t, &[Value::Int(50_000)]).unwrap();
+        run(&server, &t, &[Value::Int(50_000)]);
         let tight = vec![Value::Int(53_000)];
-        let reused = exec.run(&t, &tight).unwrap();
+        let reused = run(&server, &t, &tight);
         assert_eq!(reused.action, Action::UseSketch);
         let plain = engine
             .execute(&db, &t.instantiate(&tight))
@@ -562,16 +430,9 @@ mod tests {
             "non-selective",
             LogicalPlan::scan("sales").filter(col("amount").gt(param(0))),
         );
-        let mut exec = SelfTuningExecutor::new(
-            &db,
-            EngineProfile::Indexed,
-            Strategy::Eager {
-                selectivity_threshold: 0.75,
-            },
-            16,
-        );
+        let server = inline_server(&db, EAGER);
         // amount > 1 keeps ~100% of the rows: the selectivity gate skips PBDS.
-        let r = exec.run(&t, &[Value::Int(1)]).unwrap();
+        let r = run(&server, &t, &[Value::Int(1)]);
         assert_eq!(r.action, Action::Plain);
     }
 
@@ -593,18 +454,16 @@ mod tests {
     fn cumulative_elapsed_is_monotone() {
         let db = sales_db();
         let t = having_template();
-        let mut exec = SelfTuningExecutor::new(
-            &db,
-            EngineProfile::Indexed,
-            Strategy::Eager {
-                selectivity_threshold: 0.75,
-            },
-            16,
-        );
+        let server = inline_server(&db, EAGER);
         let workload: Vec<(QueryTemplate, Vec<Value>)> = (0..5)
             .map(|i| (t.clone(), vec![Value::Int(52_000 + i * 100)]))
             .collect();
-        let records = exec.run_workload(&workload).unwrap();
+        let records: Vec<QueryRecord> = server
+            .serve_stream(&workload, 1)
+            .unwrap()
+            .into_iter()
+            .map(|q| q.record)
+            .collect();
         let cum = cumulative_elapsed(&records);
         assert_eq!(cum.len(), 5);
         assert!(cum.windows(2).all(|w| w[0] <= w[1]));

@@ -61,7 +61,7 @@ impl TemplatePool {
 /// template's pool with Zipf-distributed rank, so popular bindings recur —
 /// the reuse opportunity PBDS middleware exploits. The output is a
 /// `(template, binding)` sequence ready for
-/// `SelfTuningExecutor::run_workload` or `PbdsServer::serve_stream`.
+/// `PbdsServer::serve_stream`.
 pub fn zipf_stream(pools: &[TemplatePool], spec: &StreamSpec) -> Vec<(QueryTemplate, Vec<Value>)> {
     assert!(!pools.is_empty(), "zipf_stream needs at least one template");
     let mut rng = StdRng::seed_from_u64(spec.seed);

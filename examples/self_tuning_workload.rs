@@ -5,7 +5,7 @@
 //! Run with: `cargo run -p pbds-core --release --example self_tuning_workload`
 
 use pbds_algebra::QueryTemplate;
-use pbds_core::{cumulative_elapsed, Action, EngineProfile, SelfTuningExecutor, Strategy};
+use pbds_core::{cumulative_elapsed, Action, Pbds, QueryRecord, ServerConfig, Strategy};
 use pbds_storage::Value;
 use pbds_workloads::{normal, sof};
 use rand::rngs::StdRng;
@@ -48,8 +48,21 @@ fn main() {
             },
         ),
     ] {
-        let mut exec = SelfTuningExecutor::new(&db, EngineProfile::Indexed, strategy, 500);
-        let records = exec.run_workload(&workload).expect("workload");
+        // A fresh handle (and so a cold catalog) per strategy. With no
+        // capture workers the server captures inline: the first instance
+        // of a binding pays for its capture, as in Fig. 13.
+        let server = Pbds::new(db.clone()).serve(ServerConfig {
+            strategy,
+            fragments: 500,
+            capture_workers: 0,
+            ..ServerConfig::default()
+        });
+        let records: Vec<QueryRecord> = server
+            .serve_stream(&workload, 1)
+            .expect("workload")
+            .into_iter()
+            .map(|q| q.record)
+            .collect();
         let cumulative = cumulative_elapsed(&records);
         let captures = records
             .iter()

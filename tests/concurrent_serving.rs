@@ -47,30 +47,60 @@ fn concurrent_sessions_match_sequential_and_plain_results() {
         .map(|(t, b)| engine.execute(&db, &t.instantiate(b)).unwrap().relation)
         .collect();
 
-    // Sequential serving (1 thread) with an active catalog.
-    let sequential = PbdsServer::new(Arc::clone(&db), ServerConfig::default());
-    let seq_results = sequential.serve_stream(&stream, 1).unwrap();
+    // One background capture worker (the default), and none: sessions then
+    // capture inline and answer with the capture run.
+    for capture_workers in [1, 0] {
+        let config = ServerConfig {
+            capture_workers,
+            ..ServerConfig::default()
+        };
+        // Sequential serving (1 thread) with an active catalog.
+        let sequential = PbdsServer::new(Arc::clone(&db), config);
+        let seq_results = sequential.serve_stream(&stream, 1).unwrap();
 
-    for threads in [2, 4, 8] {
-        let server = PbdsServer::new(Arc::clone(&db), ServerConfig::default());
-        let results = server.serve_stream(&stream, threads).unwrap();
-        assert_eq!(results.len(), stream.len());
-        for (i, served) in results.iter().enumerate() {
-            // Identical contents to the sequential serve AND to plain
-            // execution (bag comparison: middleware makes no row-order
-            // promise across actions, but contents must match exactly).
-            assert!(
-                served.relation.bag_eq(&truth[i]),
-                "query {i} at {threads} threads diverged from plain execution \
-                 (action {:?})",
-                served.record.action
-            );
-            assert!(
-                served.relation.bag_eq(&seq_results[i].relation),
-                "query {i} at {threads} threads diverged from sequential serving"
-            );
+        for threads in [2, 4, 8] {
+            let server = PbdsServer::new(Arc::clone(&db), config);
+            let results = server.serve_stream(&stream, threads).unwrap();
+            assert_eq!(results.len(), stream.len());
+            for (i, served) in results.iter().enumerate() {
+                // Identical contents to the sequential serve AND to plain
+                // execution (bag comparison: middleware makes no row-order
+                // promise across actions, but contents must match exactly).
+                assert!(
+                    served.relation.bag_eq(&truth[i]),
+                    "query {i} at {threads} threads, {capture_workers} capture \
+                     workers diverged from plain execution (action {:?})",
+                    served.record.action
+                );
+                assert!(
+                    served.relation.bag_eq(&seq_results[i].relation),
+                    "query {i} at {threads} threads, {capture_workers} capture \
+                     workers diverged from sequential serving"
+                );
+            }
+            server.drain();
+            if capture_workers == 0 {
+                // The pending mark lets one session capture a binding while
+                // the others answer plainly: every inline capture stored a
+                // distinct `(template, binding)`.
+                let mut captured: Vec<_> = results
+                    .iter()
+                    .zip(&stream)
+                    .filter(|(served, _)| served.record.action == Action::Capture)
+                    .map(|(_, (t, b))| (t.name().to_string(), format!("{b:?}")))
+                    .collect();
+                let captures = captured.len();
+                captured.sort();
+                captured.dedup();
+                assert_eq!(
+                    captured.len(),
+                    captures,
+                    "{threads} threads captured a binding twice"
+                );
+                assert!(captures > 0, "{threads} threads never captured inline");
+                assert_eq!(server.catalog().stored_sketches(), captures);
+            }
         }
-        server.drain();
     }
 }
 

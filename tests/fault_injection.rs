@@ -260,9 +260,10 @@ fn repair_exhaustion_escalates_read_only_to_fail_stop() {
 }
 
 /// A snapshot that hits ENOSPC during an automatic checkpoint degrades the
-/// server without failing the acked batch: the previous snapshot survives
-/// intact (atomic replacement), writes keep flowing, and the janitor's
-/// retried checkpoint eventually covers the new mutations.
+/// server without failing the acked batch: atomic replacement never leaves
+/// a damaged snapshot (the file is the previous one or a complete repaired
+/// one), writes keep flowing, and the janitor's retried checkpoint
+/// eventually covers the new mutations.
 #[test]
 fn snapshot_enospc_during_auto_checkpoint_degrades_but_keeps_serving() {
     let dir = test_dir("enospc-degrade");
@@ -290,20 +291,22 @@ fn snapshot_enospc_during_auto_checkpoint_degrades_but_keeps_serving() {
     server.apply_mutation("r", append(1_000)).unwrap();
     server.apply_mutation("r", append(1_001)).unwrap();
 
-    // The failure was observed and the old snapshot is still whole.
+    // The failure was observed and the snapshot file is still whole. By now
+    // the janitor may already have replaced it with a repaired one, so the
+    // file reads back either as the old snapshot or as a complete repaired
+    // one covering both mutations — never as a damaged one.
     let deadline = Instant::now() + Duration::from_secs(5);
     let failures = || counter(&server, "pbds_robustness_checkpoint_failures");
     while failures() == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert!(failures() >= 1, "{:?}", server.recent_events());
-    let (old_snap, old_seq) = read_snapshot(&dir.join(SNAPSHOT_FILE)).unwrap();
-    assert_eq!(
-        old_snap.table("r").unwrap().len(),
-        64,
-        "old snapshot damaged"
+    let (snap, seq) = read_snapshot(&dir.join(SNAPSHOT_FILE)).unwrap();
+    let rows = snap.table("r").unwrap().len();
+    assert!(
+        (rows == 64 && seq == 0) || (rows >= 66 && seq >= 2),
+        "snapshot damaged: {rows} rows at seq {seq}"
     );
-    assert_eq!(old_seq, 0);
 
     // Writes keep flowing while degraded, and the janitor's retry lands a
     // snapshot that finally covers the mutations.

@@ -1,15 +1,20 @@
 //! End-to-end tests of the self-tuning framework (Sec. 9.5): correctness of
 //! every strategy on mixed-template workloads, sketch reuse accumulation, and
-//! the work-saving effect of PBDS measured through engine counters.
+//! the work-saving effect of PBDS measured through engine counters. Every
+//! stream is served by an in-memory server that captures inline, as the
+//! paper's self-tuning loop does.
 
 use pbds_algebra::QueryTemplate;
-use pbds_core::{Action, EngineProfile, SelfTuningExecutor, Strategy};
-use pbds_storage::Value;
+use pbds_core::{
+    Action, Engine, EngineProfile, PbdsServer, QueryRecord, ServedQuery, ServerConfig, Strategy,
+};
+use pbds_storage::{Database, Value};
 use pbds_workloads::{crimes, normal, sof};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
-fn sof_db() -> pbds_storage::Database {
+fn sof_db() -> Database {
     sof::generate(&sof::SofConfig {
         users: 1_500,
         posts: 10_000,
@@ -33,7 +38,7 @@ fn sof_workload(n: usize, mean: f64, sdv: f64, seed: u64) -> Vec<(QueryTemplate,
         .collect()
 }
 
-fn crimes_db() -> pbds_storage::Database {
+fn crimes_db() -> Database {
     crimes::generate(&crimes::CrimesConfig {
         rows: 12_000,
         ..Default::default()
@@ -62,15 +67,50 @@ fn crimes_workload() -> Vec<(QueryTemplate, Vec<Value>)> {
         .collect()
 }
 
+/// An in-memory server over `db` with no capture workers: a miss the
+/// strategy approves is captured on the session's thread.
+fn inline_server(
+    db: &Database,
+    profile: EngineProfile,
+    strategy: Strategy,
+    fragments: usize,
+) -> PbdsServer {
+    PbdsServer::new(
+        Arc::new(db.clone()),
+        ServerConfig {
+            profile,
+            strategy,
+            fragments,
+            capture_workers: 0,
+            ..ServerConfig::default()
+        },
+    )
+}
+
+/// Serve `workload` in order on one session and return each query's record.
+fn serve_records(
+    db: &Database,
+    profile: EngineProfile,
+    strategy: Strategy,
+    fragments: usize,
+    workload: &[(QueryTemplate, Vec<Value>)],
+) -> Vec<QueryRecord> {
+    inline_server(db, profile, strategy, fragments)
+        .serve_stream(workload, 1)
+        .unwrap()
+        .into_iter()
+        .map(|q| q.record)
+        .collect()
+}
+
+const EAGER: Strategy = Strategy::Eager {
+    selectivity_threshold: 0.75,
+};
+
 /// The three strategies of Fig. 13, as the golden table names them.
 const STRATEGIES: [(&str, Strategy); 3] = [
     ("no-ps", Strategy::NoPbds),
-    (
-        "eager",
-        Strategy::Eager {
-            selectivity_threshold: 0.75,
-        },
-    ),
+    ("eager", EAGER),
     (
         "adaptive",
         Strategy::Adaptive {
@@ -112,18 +152,37 @@ fn action_letter(action: &Action) -> char {
 /// table.
 fn decision_row(
     label: &str,
-    db: &pbds_storage::Database,
+    db: &Database,
     workload: &[(QueryTemplate, Vec<Value>)],
     profile: EngineProfile,
     strategy: Strategy,
     fragments: usize,
 ) -> String {
-    let mut exec = SelfTuningExecutor::new(db, profile, strategy, fragments);
-    let records = exec.run_workload(workload).unwrap();
-    let actions: String = records.iter().map(|r| action_letter(&r.action)).collect();
-    let rows: Vec<String> = records.iter().map(|r| r.result_rows.to_string()).collect();
-    let scanned: u64 = records.iter().map(|r| r.stats.rows_scanned).sum();
-    let stored = exec.catalog().stored_sketches();
+    let server = inline_server(db, profile, strategy, fragments);
+    let served: Vec<ServedQuery> = server.serve_stream(workload, 1).unwrap();
+    let engine = Engine::new(profile);
+    for (q, (template, binding)) in served.iter().zip(workload) {
+        let plain = engine
+            .execute(&q.snapshot, &template.instantiate(binding))
+            .unwrap();
+        assert!(
+            q.relation.bag_eq(&plain.relation),
+            "{label}: {} {binding:?} ({:?}) differs from plain execution",
+            template.name(),
+            q.record.action
+        );
+        assert_eq!(q.record.result_rows, q.relation.len());
+    }
+    let actions: String = served
+        .iter()
+        .map(|q| action_letter(&q.record.action))
+        .collect();
+    let rows: Vec<String> = served
+        .iter()
+        .map(|q| q.record.result_rows.to_string())
+        .collect();
+    let scanned: u64 = served.iter().map(|q| q.record.stats.rows_scanned).sum();
+    let stored = server.catalog().stored_sketches();
     format!(
         "{label} {actions} rows={} scanned={scanned} stored={stored}\n",
         rows.join(",")
@@ -157,8 +216,7 @@ fn all_strategies_return_identical_results_for_every_query() {
     let workload = sof_workload(40, 30.0, 4.0, 11);
     let mut results: Vec<Vec<usize>> = Vec::new();
     for (_, strategy) in STRATEGIES {
-        let mut exec = SelfTuningExecutor::new(&db, EngineProfile::Indexed, strategy, 200);
-        let records = exec.run_workload(&workload).unwrap();
+        let records = serve_records(&db, EngineProfile::Indexed, strategy, 200, &workload);
         results.push(records.iter().map(|r| r.result_rows).collect());
     }
     assert_eq!(results[0], results[1], "eager changed some query result");
@@ -171,18 +229,14 @@ fn eager_strategy_accumulates_reuse_and_saves_scanned_rows() {
     // Clustered parameters: most instances can share a handful of sketches.
     let workload = sof_workload(60, 35.0, 3.0, 5);
 
-    let mut no_ps = SelfTuningExecutor::new(&db, EngineProfile::Indexed, Strategy::NoPbds, 200);
-    let baseline = no_ps.run_workload(&workload).unwrap();
-
-    let mut eager = SelfTuningExecutor::new(
+    let baseline = serve_records(
         &db,
         EngineProfile::Indexed,
-        Strategy::Eager {
-            selectivity_threshold: 0.75,
-        },
+        Strategy::NoPbds,
         200,
+        &workload,
     );
-    let records = eager.run_workload(&workload).unwrap();
+    let records = serve_records(&db, EngineProfile::Indexed, EAGER, 200, &workload);
     let reused = records
         .iter()
         .filter(|r| r.action == Action::UseSketch)
@@ -223,16 +277,12 @@ fn adaptive_strategy_captures_fewer_sketches_than_eager_on_spread_parameters() {
     // for evidence and captures fewer.
     let workload = sof_workload(50, 30.0, 20.0, 17);
     let run = |strategy| {
-        let mut exec = SelfTuningExecutor::new(&db, EngineProfile::Indexed, strategy, 200);
-        let records = exec.run_workload(&workload).unwrap();
-        records
+        serve_records(&db, EngineProfile::Indexed, strategy, 200, &workload)
             .iter()
             .filter(|r| r.action == Action::Capture)
             .count()
     };
-    let eager_caps = run(Strategy::Eager {
-        selectivity_threshold: 0.75,
-    });
+    let eager_caps = run(EAGER);
     let adaptive_caps = run(Strategy::Adaptive {
         selectivity_threshold: 0.75,
         evidence_threshold: 4,
@@ -248,17 +298,8 @@ fn crimes_mixed_template_workload_is_correct_under_eager() {
     let db = crimes_db();
     let workload = crimes_workload();
 
-    let mut plain = SelfTuningExecutor::new(&db, EngineProfile::Indexed, Strategy::NoPbds, 64);
-    let baseline = plain.run_workload(&workload).unwrap();
-    let mut eager = SelfTuningExecutor::new(
-        &db,
-        EngineProfile::Indexed,
-        Strategy::Eager {
-            selectivity_threshold: 0.75,
-        },
-        64,
-    );
-    let records = eager.run_workload(&workload).unwrap();
+    let baseline = serve_records(&db, EngineProfile::Indexed, Strategy::NoPbds, 64, &workload);
+    let records = serve_records(&db, EngineProfile::Indexed, EAGER, 64, &workload);
     for (b, e) in baseline.iter().zip(&records) {
         assert_eq!(
             b.result_rows, e.result_rows,
@@ -272,18 +313,14 @@ fn crimes_mixed_template_workload_is_correct_under_eager() {
 fn columnar_profile_self_tuning_is_also_correct() {
     let db = sof_db();
     let workload = sof_workload(20, 30.0, 4.0, 29);
-    let mut plain =
-        SelfTuningExecutor::new(&db, EngineProfile::ColumnarScan, Strategy::NoPbds, 200);
-    let baseline = plain.run_workload(&workload).unwrap();
-    let mut eager = SelfTuningExecutor::new(
+    let baseline = serve_records(
         &db,
         EngineProfile::ColumnarScan,
-        Strategy::Eager {
-            selectivity_threshold: 0.75,
-        },
+        Strategy::NoPbds,
         200,
+        &workload,
     );
-    let records = eager.run_workload(&workload).unwrap();
+    let records = serve_records(&db, EngineProfile::ColumnarScan, EAGER, 200, &workload);
     for (b, e) in baseline.iter().zip(&records) {
         assert_eq!(b.result_rows, e.result_rows);
     }
