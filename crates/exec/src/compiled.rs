@@ -15,6 +15,7 @@
 //! testing.
 
 use crate::eval::{eval_binary, ExecError};
+use crate::vector::SelBitmap;
 use pbds_algebra::{BinOp, Expr, RangeLookup};
 use pbds_storage::{Row, Schema, Value, ValueRange};
 
@@ -57,14 +58,84 @@ impl ColRef {
 type Bounds<B> = (Option<B>, Option<B>);
 
 /// The ranges of a sketch predicate ([`Expr::InRanges`]), compiled once per
-/// query: as given and, when every bound is an `Int`, lowered to `i64`, so an
-/// `Int` cell is tested with integer compares. Every other cell, and every
-/// cell when some bound is not an `Int`, compares as a [`Value`].
+/// query. Three ways to test a cell, cheapest first:
+///
+/// * an `Int` cell, when the ranges are all-`Int`, sorted and disjoint and
+///   their finite bounds span at most [`IntRangeBits::MAX_SPAN`] values: one
+///   clamped bit lookup ([`IntRangeBits`]);
+/// * an `Int` cell, when every bound is an `Int`: integer compares along the
+///   lookup strategy (the fallback for wide spans and for unsorted or
+///   overlapping ranges, whose answer depends on the strategy);
+/// * every other cell, and every cell when some bound is not an `Int`:
+///   [`Value`] compares.
+///
+/// All three answer exactly as the interpreter does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledRanges {
     values: Vec<Bounds<Value>>,
     ints: Option<Vec<Bounds<i64>>>,
+    bits: Option<IntRangeBits>,
     lookup: RangeLookup,
+}
+
+/// Range membership of every `i64` as a bitmap over the span of the
+/// ranges' finite bounds, `low ..= low + width`.
+///
+/// Every value at or below `low` compares alike against every bound, and so
+/// does every value above `low + width`: bit 0 answers the first class, bit
+/// `width + 1` the second, and bit `v - low` each value between. A cell's
+/// bit is its offset from `low`, clamped to that interval.
+#[derive(Debug, Clone, PartialEq)]
+struct IntRangeBits {
+    low: i64,
+    width: u64,
+    bits: SelBitmap,
+}
+
+impl IntRangeBits {
+    /// The widest span of finite bounds a bitmap is built for (32 KiB).
+    const MAX_SPAN: u64 = 1 << 18;
+
+    /// The bitmap of `ranges` when they are sorted and disjoint — each
+    /// range non-empty (`lo < hi`), each upper bound at most the next lower
+    /// one, open ends only at the outside — and their finite bounds span
+    /// at most [`Self::MAX_SPAN`] values. Over such ranges the linear and
+    /// the binary-search lookups agree, with each other and with the union
+    /// this bitmap holds.
+    fn new(ranges: &[Bounds<i64>]) -> Option<Self> {
+        let non_empty = ranges
+            .iter()
+            .all(|r| !matches!(r, (Some(lo), Some(hi)) if lo >= hi));
+        let ordered = ranges
+            .windows(2)
+            .all(|w| matches!((w[0].1, w[1].0), (Some(hi), Some(lo)) if hi <= lo));
+        if !(non_empty && ordered) {
+            return None;
+        }
+        let finite = ranges.iter().flat_map(|(lo, hi)| [lo, hi]).flatten();
+        let low = *finite.clone().min()?;
+        let width = finite.max()?.wrapping_sub(low) as u64;
+        if width >= Self::MAX_SPAN {
+            return None;
+        }
+        let offset = |b: i64| b.wrapping_sub(low) as u64;
+        let mut bits = SelBitmap::zeros(width as usize + 2);
+        for &(lo, hi) in ranges {
+            // The values above `lo` and not above `hi`, as bit positions.
+            let first = lo.map_or(0, |b| offset(b) + 1);
+            let last = hi.map_or(width + 1, offset);
+            if first <= last {
+                bits.set_range(first as usize, last as usize + 1);
+            }
+        }
+        Some(IntRangeBits { low, width, bits })
+    }
+
+    #[inline]
+    fn contains(&self, i: i64) -> bool {
+        let offset = i.max(self.low).wrapping_sub(self.low) as u64;
+        self.bits.get(offset.min(self.width + 1) as usize)
+    }
 }
 
 impl CompiledRanges {
@@ -78,11 +149,12 @@ impl CompiledRanges {
             Some(Value::Int(i)) => Some(Some(*i)),
             Some(_) => None,
         };
-        let ints = values
+        let ints: Option<Vec<_>> = values
             .iter()
             .map(|(lo, hi)| Some((int(lo)?, int(hi)?)))
             .collect();
         CompiledRanges {
+            bits: ints.as_deref().and_then(IntRangeBits::new),
             values,
             ints,
             lookup,
@@ -98,10 +170,12 @@ impl CompiledRanges {
     }
 
     /// Membership of an `Int` cell.
+    #[inline]
     pub(crate) fn contains_int(&self, i: i64) -> bool {
-        match &self.ints {
-            Some(ints) => found(ints, self.lookup, |b| i > *b),
-            None => self.contains_by(|b| Value::Int(i) > *b),
+        match (&self.bits, &self.ints) {
+            (Some(bits), _) => bits.contains(i),
+            (None, Some(ints)) => found(ints, self.lookup, |b| i > *b),
+            (None, None) => self.contains_by(|b| Value::Int(i) > *b),
         }
     }
 
@@ -405,6 +479,63 @@ mod tests {
         ] {
             assert_eq!(ints.contains(&v), in_ints, "{v:?}");
             assert_eq!(mixed.contains(&v), in_mixed, "{v:?}");
+        }
+    }
+
+    #[test]
+    fn sorted_disjoint_int_ranges_answer_from_a_bitmap() {
+        let compiled = |ranges: &[Bounds<i64>]| {
+            let values = ranges
+                .iter()
+                .map(|&(lo, hi)| ValueRange {
+                    lo: lo.map(Value::Int),
+                    hi: hi.map(Value::Int),
+                })
+                .collect::<Vec<_>>();
+            CompiledRanges::new(&values, RangeLookup::BinarySearch)
+        };
+        // (-inf, 3], (3, 5] sharing a bound, and (10, 12].
+        let adjacent = compiled(&[(None, Some(3)), (Some(3), Some(5)), (Some(10), Some(12))]);
+        assert!(adjacent.bits.is_some());
+        for (i, member) in [
+            (i64::MIN, true),
+            (5, true),
+            (6, false),
+            (10, false),
+            (11, true),
+            (12, true),
+            (13, false),
+            (i64::MAX, false),
+        ] {
+            assert_eq!(adjacent.contains_int(i), member, "{i}");
+        }
+        // A lower bound of i64::MAX is an empty range at the top guard bit.
+        let top = compiled(&[
+            (Some(i64::MAX - 5), Some(i64::MAX - 2)),
+            (Some(i64::MAX), None),
+        ]);
+        assert!(top.bits.is_some());
+        for (i, member) in [
+            (i64::MAX, false),
+            (i64::MAX - 2, true),
+            (i64::MAX - 5, false),
+        ] {
+            assert_eq!(top.contains_int(i), member, "{i}");
+        }
+        let open_above = compiled(&[(Some(i64::MIN), Some(0)), (Some(7), None)]);
+        assert!(open_above.bits.is_none(), "span too wide");
+        let narrow_open_above = compiled(&[(Some(-2), Some(0)), (Some(7), None)]);
+        assert!(narrow_open_above.bits.is_some());
+        assert!(narrow_open_above.contains_int(i64::MAX));
+        assert!(!narrow_open_above.contains_int(-2));
+        // Unsorted, overlapping or empty ranges keep the lookup strategy.
+        for ranges in [
+            vec![(Some(5), Some(9)), (Some(0), Some(3))],
+            vec![(Some(0), Some(6)), (Some(5), Some(9))],
+            vec![(Some(4), Some(4)), (Some(5), Some(9))],
+            vec![(Some(0), None), (Some(5), Some(9))],
+        ] {
+            assert!(compiled(&ranges).bits.is_none(), "{ranges:?}");
         }
     }
 

@@ -1002,11 +1002,17 @@ impl<'a, P: TagPolicy> OpBuilder<'a, P> {
 
 // -- scans ------------------------------------------------------------------
 
-/// Row-id source of a scan: contiguous segments (seq / zone-map scans) or an
-/// explicit id list (index scans).
+/// Row-id source of a scan: contiguous segments (seq / zone-map scans) or the
+/// set bits of an index probe's bitmap.
 enum RidSource {
     Segments(std::vec::IntoIter<(usize, usize)>, Option<(usize, usize)>),
-    List(std::vec::IntoIter<u32>),
+    /// The row id of bit 0 of `word`, the word's bits not yet visited, and
+    /// the words after it.
+    Probe {
+        base: usize,
+        word: u64,
+        rest: std::vec::IntoIter<u64>,
+    },
 }
 
 impl RidSource {
@@ -1025,39 +1031,58 @@ impl RidSource {
                     None => return None,
                 }
             },
-            RidSource::List(rids) => rids.next(),
+            RidSource::Probe { base, word, rest } => loop {
+                if *word != 0 {
+                    let rid = *base + word.trailing_zeros() as usize;
+                    *word &= *word - 1;
+                    return Some(rid as u32);
+                }
+                *word = rest.next()?;
+                *base += 64;
+            },
         }
     }
 }
 
 /// Resolved row-id set of a scan, before it is turned into an iterator
-/// (sequential path) or split into morsels (parallel path).
+/// (sequential path), split into morsels (parallel path) or cut into chunk
+/// masks (fused aggregate).
 enum ScanSource {
     /// Contiguous `[start, end)` row-id segments (seq / zone-map scans).
     Segments(Vec<(usize, usize)>),
-    /// Explicit row-id list (index scans).
-    Rids(Vec<u32>),
+    /// The rows an index probe matched: bit `r % 64` of word `r / 64` is row
+    /// `r`.
+    Probe(Vec<u64>),
 }
 
 impl ScanSource {
     fn row_count(&self) -> usize {
         match self {
             ScanSource::Segments(segs) => segs.iter().map(|(s, e)| e - s).sum(),
-            ScanSource::Rids(rids) => rids.len(),
+            ScanSource::Probe(words) => words.iter().map(|w| w.count_ones() as usize).sum(),
         }
     }
 
     fn into_rid_source(self) -> RidSource {
         match self {
             ScanSource::Segments(segs) => RidSource::Segments(segs.into_iter(), None),
-            ScanSource::Rids(rids) => RidSource::List(rids.into_iter()),
+            ScanSource::Probe(words) => {
+                let mut rest = words.into_iter();
+                let word = rest.next().unwrap_or(0);
+                RidSource::Probe {
+                    base: 0,
+                    word,
+                    rest,
+                }
+            }
         }
     }
 
     /// Split into at most `parts` sources of roughly equal row counts,
     /// preserving row order across the concatenation of the parts (so a
     /// parallel scan that concatenates per-part outputs in order reproduces
-    /// the sequential scan exactly). Segments are cut mid-way when needed.
+    /// the sequential scan exactly). Segments are cut mid-way when needed; a
+    /// probe's parts are copies of its bitmap, each keeping its own rows.
     fn split(self, parts: usize) -> Vec<ScanSource> {
         let total = self.row_count();
         if parts <= 1 || total == 0 {
@@ -1065,10 +1090,34 @@ impl ScanSource {
         }
         let target = total.div_ceil(parts);
         match self {
-            ScanSource::Rids(rids) => rids
-                .chunks(target)
-                .map(|c| ScanSource::Rids(c.to_vec()))
-                .collect(),
+            ScanSource::Probe(words) => {
+                let mut out = Vec::new();
+                let mut part = vec![0; words.len()];
+                let mut filled = 0;
+                for (w, mut word) in words.iter().copied().enumerate() {
+                    while word != 0 {
+                        // The lowest set bits of `word` that fit the part.
+                        let mut take = word;
+                        while take.count_ones() as usize > target - filled {
+                            take &= !(1 << (63 - take.leading_zeros()));
+                        }
+                        part[w] = take;
+                        word &= !take;
+                        filled += take.count_ones() as usize;
+                        if filled == target {
+                            out.push(ScanSource::Probe(std::mem::replace(
+                                &mut part,
+                                vec![0; words.len()],
+                            )));
+                            filled = 0;
+                        }
+                    }
+                }
+                if filled > 0 {
+                    out.push(ScanSource::Probe(part));
+                }
+                out
+            }
             ScanSource::Segments(segs) => {
                 let mut out: Vec<Vec<(usize, usize)>> = vec![Vec::new()];
                 let mut filled = 0usize;
@@ -1133,9 +1182,8 @@ fn resolve_scan<'a>(
             let index = table
                 .index_on(column)
                 .ok_or_else(|| stale("IndexRangeScan", column))?;
-            let rids = index.multi_range(ranges);
             stats.index_scans += 1;
-            (filter, ScanSource::Rids(rids))
+            (filter, ScanSource::Probe(index.multi_range(ranges)))
         }
         PhysOp::ZoneMapScan {
             column,
@@ -1251,7 +1299,7 @@ impl<'a, P: TagPolicy> ScanPlan<'a, P> {
 /// Under [`ExecOptions::vectorized`], scans over contiguous row segments
 /// (sequential and zone-map scans) with a pushed-down filter evaluate the
 /// predicate per columnar chunk into a selection bitmap and late-materialize
-/// the surviving rows ([`VectorScanOp`]); rid-list scans (index probes) keep
+/// the surviving rows ([`VectorScanOp`]); index probes keep
 /// the row-at-a-time loop but with a pre-bound [`CompiledExpr`]. Under
 /// [`ExecOptions::adaptive`], a segment scan whose predicted selectivity says
 /// nearly every row survives is lowered to that row loop as well — the bitmap
@@ -1387,7 +1435,9 @@ impl<P: TagPolicy> BatchOp<P> for VectorScanOp<'_, P> {
                     .chunk_for(lo)
                     .ok_or_else(|| ExecError::Plan("row id beyond chunk range".into()))?;
                 let rows = piece_rows(self.table, lo, hi);
-                let sel = eval_filter_block_counted(&self.compiled, chunk, rows, lo, hi, stats)?;
+                let all = SelBitmap::ones(hi - lo);
+                let sel =
+                    eval_filter_block_counted(&self.compiled, chunk, rows, lo, hi, all, stats)?;
                 stats.vectorized_blocks += 1;
                 self.current = Some((lo, rows, sel, 0));
                 continue;
@@ -1599,10 +1649,13 @@ const HASH_MUL: u64 = 0x517c_c1b7_2722_0a95;
 /// from [`RandomState`] once per operator. `Value`'s `Hash` feeds it the
 /// value's type tag and payload, so `Int(3)` and `Float(3.0)` hash alike.
 ///
-/// A multiplicative step's high bits depend on every input bit and its low
-/// bits only on the input's low bits: [`GroupTable`] takes its slots from
-/// the high bits, and `finish` folds the high half into the low half for
-/// maps that index by the low bits (the hash join's).
+/// A multiplicative step alone mixes poorly: its low bits depend only on the
+/// input's low bits, and its high bits repeat for small keys that differ by
+/// a multiple of 22 (the multiplier is close to 7/22 of 2^64), so runs of
+/// integer keys would fill runs of slots. `finish` ends with murmur3's
+/// `fmix64` avalanche, which makes every output bit depend on every state
+/// bit: [`GroupTable`] can take its slots from the high bits and the hash
+/// join's map from the low bits.
 #[derive(Clone, Copy)]
 struct KeyHasher(u64);
 
@@ -1651,7 +1704,12 @@ impl Hasher for KeyHasher {
     }
 
     fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
     }
 }
 
@@ -1749,6 +1807,16 @@ impl GroupTable {
             self.grow();
         }
         (g, true)
+    }
+
+    /// A new group for `key` that is stored but not hashed into the slots:
+    /// for keys whose caller maps them to groups itself and never looks
+    /// them up here (the direct-mapped keys of [`ColumnFold`]).
+    fn push_unhashed(&mut self, key: Value) -> usize {
+        debug_assert_eq!(self.width, 1);
+        self.keys.push(key);
+        self.groups += 1;
+        self.groups - 1
     }
 
     /// Double the slots and re-place every group by its hash half, which
@@ -1994,13 +2062,22 @@ impl<'a, P: TagPolicy> GroupFold<'a, P> {
         Ok(())
     }
 
-    /// The global aggregate's group, for folding whole columns into it.
-    fn global_group(&mut self) -> usize {
-        let (g, new) = self.table.find_or_insert(&[], &[]);
+    /// The group of the key `key_idx` selects from `row`, created with the
+    /// empty tag on first sight: the grouping step of the column-at-a-time
+    /// fold, which only runs where tags are trivial.
+    fn group(&mut self, row: &[Value], key_idx: &[usize]) -> usize {
+        let (g, new) = self.table.find_or_insert(row, key_idx);
         if new {
             self.push_group(self.policy.empty_tag());
         }
         g
+    }
+
+    /// A new group, with the empty tag, for a one-value key the caller maps
+    /// to its group itself ([`GroupTable::push_unhashed`]).
+    fn push_mapped_group(&mut self, key: Value) -> usize {
+        self.push_group(self.policy.empty_tag());
+        self.table.push_unhashed(key)
     }
 
     /// The output rows — key values then aggregate results — in group
@@ -2008,7 +2085,7 @@ impl<'a, P: TagPolicy> GroupFold<'a, P> {
     /// (`COUNT` 0, every other aggregate NULL), as in SQL.
     fn finish(mut self) -> Vec<(Row, P::Tag)> {
         if self.table.len() == 0 && self.table.width == 0 {
-            self.global_group();
+            self.group(&[], &[]);
         }
         let mut out = Vec::with_capacity(self.table.len());
         let rows = self.table.into_rows(self.aggs.len());
@@ -2063,11 +2140,11 @@ impl<P: TagPolicy> BatchOp<P> for HashAggregateOp<'_, P> {
 // -- scan→aggregate pushdown ------------------------------------------------
 
 /// Try to collapse a `HashAggregate` sitting directly above a base-table
-/// scan into the fused [`AggScanOp`], which aggregates straight off the scan
-/// source and never materializes `Batch` rows. Chunk-aligned scans
-/// (sequential and zone-map) aggregate over per-chunk selection bitmaps;
-/// rid-list index probes aggregate row-at-a-time in rid order, exactly as
-/// [`ScanOp`] would have fetched them.
+/// scan into the fused [`AggScanOp`], which aggregates straight off the
+/// table's columnar chunks and never materializes `Batch` rows. Every scan
+/// source reaches it the same way, as chunk-aligned pieces each with the
+/// rows it selects before the filter: all rows of a sequential or zone-map
+/// segment, the probed rows of an index probe ([`masked_pieces`]).
 ///
 /// Returns `Ok(None)` — keeping the generic scan + aggregate operator pair —
 /// whenever any semantic detail could make the pushdown observable beyond
@@ -2075,6 +2152,12 @@ impl<P: TagPolicy> BatchOp<P> for HashAggregateOp<'_, P> {
 /// base-table column (expression inputs keep the generic operator's
 /// evaluation and error behavior). All declining checks run *before*
 /// [`resolve_scan`] so a declined attempt records no stats.
+///
+/// Counters: `agg_pushdown_blocks` counts pieces and `vectorized_blocks`
+/// the pieces a filter was evaluated over, for every source; an index probe
+/// counts in both `index_scans` and `vectorized_scans`. `rows_scanned` is
+/// what [`resolve_scan`] counts, and `intermediate_rows` the selected rows —
+/// what the generic aggregate would have counted batch-wise.
 fn try_agg_pushdown<'a, P: TagPolicy>(
     db: &'a Database,
     input: &'a PhysicalPlan,
@@ -2106,19 +2189,10 @@ fn try_agg_pushdown<'a, P: TagPolicy>(
     }
     // Committed: resolve the scan, with the accounting every scan gets.
     let (filter, source) = resolve_scan(table, &input.op, stats)?;
-    let source = match source {
-        ScanSource::Segments(segs) => {
-            // A segment scan with a filter is a vectorized bitmap scan;
-            // rid-list probes stay row-wise, exactly like `make_scan_op`.
-            if filter.is_some() {
-                stats.vectorized_scans += 1;
-            }
-            let chunks = table.columnar_chunks();
-            let pieces = chunk_aligned_pieces(&segs, &chunks);
-            AggSource::Chunks { pieces, chunks }
-        }
-        ScanSource::Rids(rids) => AggSource::Rids(rids),
-    };
+    if filter.is_some() || matches!(source, ScanSource::Probe(_)) {
+        stats.vectorized_scans += 1;
+    }
+    let chunks = table.columnar_chunks();
     Ok(Some(Box::new(AggScanOp {
         table,
         policy,
@@ -2126,28 +2200,49 @@ fn try_agg_pushdown<'a, P: TagPolicy>(
         group_idx: group_idx.to_vec(),
         agg_cols,
         filter: filter.map(|pred| CompiledExpr::compile(pred, table.schema())),
-        source,
+        pieces: masked_pieces(source, &chunks),
+        chunks,
         epoch: table.epoch(),
         out: Emitter::new(),
     })))
 }
 
-/// Fused scan + aggregate ([`try_agg_pushdown`]): evaluates the pushed-down
-/// filter straight off the scan source and aggregates the selected rows
+/// A resolved scan source as chunk-aligned `[lo, hi)` pieces in table
+/// order, each with the rows it selects before the filter: every row of a
+/// segment piece, and for an index probe the probed rows of each chunk that
+/// holds one, the piece spanning the first to the last of them.
+fn masked_pieces(source: ScanSource, chunks: &ColumnarChunks) -> Vec<(usize, usize, SelBitmap)> {
+    match source {
+        ScanSource::Segments(segs) => chunk_aligned_pieces(&segs, chunks)
+            .into_iter()
+            .map(|(lo, hi)| (lo, hi, SelBitmap::ones(hi - lo)))
+            .collect(),
+        ScanSource::Probe(words) => chunks
+            .chunks()
+            .iter()
+            .filter_map(|chunk| {
+                let (first, last) = SelBitmap::window(&words, chunk.start, chunk.len()).bounds()?;
+                let (lo, hi) = (chunk.start + first, chunk.start + last + 1);
+                Some((lo, hi, SelBitmap::window(&words, lo, hi - lo)))
+            })
+            .collect(),
+    }
+}
+
+/// Fused scan + aggregate ([`try_agg_pushdown`]). Each piece's pushed-down
+/// filter is evaluated by the chunk kernels into a selection bitmap, ANDed
+/// with the rows the source selects, and the selected rows are aggregated
 /// without ever building `Batch` rows. Everything lands in the
-/// [`GroupFold`] that [`HashAggregateOp`] uses, so the output — rows and
-/// capture tags — is byte-identical to scanning then hash-aggregating. The
-/// selected rows reach it in one of three ways:
+/// [`GroupFold`] that [`HashAggregateOp`] uses, so the output — rows, group
+/// order and capture tags — is byte-identical to scanning then
+/// hash-aggregating. The selected rows are folded one of two ways:
 ///
-/// * **row-at-a-time over the bitmap** for chunk sources, on *borrowed*
-///   rows — the per-row `Row` clone of the scan boundary is skipped;
-/// * **row-at-a-time in rid order** for index probes, re-checking the
-///   compiled predicate per fetched row exactly like [`ScanOp`];
-/// * **column-at-a-time** into the global group when the source is chunks,
-///   there are no group keys, tags are trivial and every aggregate input is
-///   a numeric column: each aggregate reads its column directly from the
-///   chunk, with run-aware shortcuts on run-length data (a run selected `k`
-///   times contributes `k·value` to a SUM in O(1)).
+/// * **column-at-a-time** ([`ColumnFold`]) when tags are trivial and every
+///   group key and every aggregate input read has a numeric layout in every
+///   chunk: each piece's key and input columns are decoded once, each
+///   selected row gets a group id, and the inputs fold in row order;
+/// * **row-at-a-time** on *borrowed* rows otherwise — string or mixed-type
+///   columns, and capture, whose tags are seeded per row.
 struct AggScanOp<'a, P: TagPolicy> {
     table: &'a Table,
     policy: &'a P,
@@ -2157,225 +2252,358 @@ struct AggScanOp<'a, P: TagPolicy> {
     /// Table-schema index of each aggregate's input column.
     agg_cols: Vec<usize>,
     filter: Option<CompiledExpr>,
-    /// Where the candidate rows come from.
-    source: AggSource,
+    /// The candidate rows ([`masked_pieces`]).
+    pieces: Vec<(usize, usize, SelBitmap)>,
+    /// Chunk projection snapshot fetched at build.
+    chunks: Arc<ColumnarChunks>,
     /// Table epoch the source was resolved at; re-validated at drain.
     epoch: u64,
     out: Emitter<P::Tag>,
 }
 
-/// Candidate-row source of a fused scan + aggregate.
-enum AggSource {
-    /// Chunk-aligned pieces of a sequential or zone-map scan, filtered per
-    /// chunk into selection bitmaps (exactly like [`VectorScanOp`]).
-    Chunks {
-        /// Chunk-aligned `[lo, hi)` row-id pieces, in table order.
-        pieces: Vec<(usize, usize)>,
-        /// Chunk projection snapshot fetched at build.
-        chunks: Arc<ColumnarChunks>,
-    },
-    /// Explicit row-id list from an index probe, filtered row-at-a-time.
-    Rids(Vec<u32>),
-}
-
-/// Chunk-level layout class of an aggregate input column, decided over the
-/// *whole* table so the accumulator knows up front whether `f64` running
-/// sums can ever be observed (see [`AggScanOp::drain_columnar`]).
+/// Layout class of a column over every chunk of the table.
 #[derive(Clone, Copy, PartialEq)]
 enum NumShape {
     /// Every chunk stores the column as integers (plain, run-length or
-    /// bit-packed): a `SUM` stays an `Int`, so only exact integer sums and
-    /// the row count are observable and run shortcuts are exact.
+    /// bit-packed).
     Ints,
-    /// Every chunk stores the column as plain floats: sums accumulate per
-    /// row in row order, exactly like the row path.
-    Floats,
+    /// Every chunk stores the column as integers or plain floats, at least
+    /// one as floats.
+    Numbers,
 }
 
-/// The column's [`NumShape`], or `None` when chunks disagree or any chunk
-/// holds a non-numeric layout — those columns take the row-at-a-time path.
+/// The column's [`NumShape`], or `None` when some chunk holds it in a
+/// non-numeric layout (strings, booleans, mixed types, all NULL) — those
+/// columns take the row-at-a-time fold.
 fn numeric_column_shape(chunks: &ColumnarChunks, c: usize) -> Option<NumShape> {
-    let mut shape = None;
+    let mut shape = NumShape::Ints;
     for chunk in chunks.chunks() {
-        let s = match chunk.column(c).data() {
-            ColumnData::Int(_) | ColumnData::RleInt(_) | ColumnData::PackedInt(_) => NumShape::Ints,
-            ColumnData::Float(_) => NumShape::Floats,
-            _ => return None,
-        };
-        match shape {
-            None => shape = Some(s),
-            Some(prev) if prev == s => {}
+        match chunk.column(c).data() {
+            ColumnData::Int(_) | ColumnData::RleInt(_) | ColumnData::PackedInt(_) => {}
+            ColumnData::Float(_) => shape = NumShape::Numbers,
             _ => return None,
         }
     }
-    // An empty table has no chunks; any shape works (nothing accumulates).
-    shape.or(Some(NumShape::Ints))
+    Some(shape)
 }
 
 impl<P: TagPolicy> AggScanOp<'_, P> {
     fn drain(&mut self, stats: &mut ExecStats) -> Result<(), ExecError> {
         check_scan_epoch(self.table, self.epoch)?;
         let mut fold = GroupFold::new(self.policy, self.aggregates, self.group_idx.len());
-        // Folding a whole column may visit values out of row order (run
-        // shortcuts), so it is only done where order can never show: no
-        // group keys (one global group), trivial tags (no per-row seeding or
-        // witness), no AVG (its f64 division observes the f64 running sum
-        // even over integers), and numeric single-layout columns.
-        let columnar = match &self.source {
-            AggSource::Rids(_) => false,
-            AggSource::Chunks { chunks, .. } => {
-                self.group_idx.is_empty()
-                    && self.policy.tags_are_trivial()
-                    && !self
-                        .aggregates
-                        .iter()
-                        .any(|a| matches!(a.func, AggFunc::Avg))
-                    && self
-                        .agg_cols
-                        .iter()
-                        .all(|&c| numeric_column_shape(chunks, c).is_some())
+        let mut columns = self.column_fold();
+        let (name, schema) = (self.table.name(), self.table.schema());
+        for (lo, hi, within) in std::mem::take(&mut self.pieces) {
+            let (chunk, sel) = self.select_piece(lo, hi, within, stats)?;
+            match &mut columns {
+                Some(columns) => columns.fold_piece(&mut fold, chunk, &sel, lo - chunk.start),
+                None => {
+                    let rows = piece_rows(self.table, lo, hi);
+                    for j in sel.iter_ones() {
+                        let row = &rows[j];
+                        let tag = self.policy.seed_tag(name, schema, row, (lo + j) as u32);
+                        fold.fold(row, &tag, &self.group_idx, |ai| Ok(&row[self.agg_cols[ai]]))?;
+                    }
+                }
             }
-        };
-        if columnar {
-            self.drain_columnar(&mut fold, stats)?;
-        } else {
-            self.drain_rowwise(&mut fold, stats)?;
         }
         self.out.fill(fold.finish());
         Ok(())
     }
 
-    /// Filter one piece into its selection bitmap and record the pushdown's
-    /// stats: the same `vectorized_blocks` a [`VectorScanOp`] would count,
-    /// `agg_pushdown_blocks`, and the selected rows as `intermediate_rows`
-    /// (the rows the generic aggregate would have counted batch-wise).
-    fn select_piece<'c>(
+    /// Filter one piece, within the rows its source selects, into its
+    /// selection bitmap and record the pushdown's stats.
+    fn select_piece(
         &self,
-        chunks: &'c ColumnarChunks,
         lo: usize,
         hi: usize,
+        within: SelBitmap,
         stats: &mut ExecStats,
-    ) -> Result<(&'c ColumnarChunk, SelBitmap), ExecError> {
-        let chunk = chunks
+    ) -> Result<(&ColumnarChunk, SelBitmap), ExecError> {
+        let chunk = self
+            .chunks
             .chunk_for(lo)
             .ok_or_else(|| ExecError::Plan("row id beyond chunk range".into()))?;
         let sel = match &self.filter {
             Some(pred) => {
                 let rows = piece_rows(self.table, lo, hi);
-                let sel = eval_filter_block_counted(pred, chunk, rows, lo, hi, stats)?;
+                let sel = eval_filter_block_counted(pred, chunk, rows, lo, hi, within, stats)?;
                 stats.vectorized_blocks += 1;
                 sel
             }
-            None => SelBitmap::ones(hi - lo),
+            None => within,
         };
         stats.agg_pushdown_blocks += 1;
         stats.intermediate_rows += sel.count() as u64;
         Ok((chunk, sel))
     }
 
-    /// Global aggregation column-at-a-time over the selection bitmaps. The
-    /// global group is created by the first selected row, as on the row path.
-    fn drain_columnar(
-        &self,
-        fold: &mut GroupFold<'_, P>,
-        stats: &mut ExecStats,
-    ) -> Result<(), ExecError> {
-        let AggSource::Chunks { pieces, chunks } = &self.source else {
-            unreachable!("columnar accumulation requires a chunk source");
-        };
-        for &(lo, hi) in pieces {
-            let (chunk, sel) = self.select_piece(chunks, lo, hi, stats)?;
-            let selected = sel.count();
-            if selected == 0 {
-                continue;
-            }
-            let g = fold.global_group();
-            fold.counts[g] += selected as i64;
-            let base = lo - chunk.start;
-            for (acc, &c) in fold.aggs.iter_mut().zip(&self.agg_cols) {
-                accumulate_column(chunk.column(c), &sel, base, acc, g);
-            }
+    /// The column-at-a-time fold of this scan, when it applies: trivial
+    /// tags, and a numeric layout in every chunk for every group key and
+    /// every aggregate input that is read (`COUNT` reads none).
+    fn column_fold(&self) -> Option<ColumnFold> {
+        if !self.policy.tags_are_trivial() {
+            return None;
         }
-        Ok(())
+        let shape = |c: usize| numeric_column_shape(&self.chunks, c);
+        let mut inputs = Vec::with_capacity(self.aggregates.len());
+        for (a, &c) in self.aggregates.iter().zip(&self.agg_cols) {
+            inputs.push(match a.func {
+                AggFunc::Count => Input::Count,
+                // A run of one integer folds as `k·value` into the global
+                // group exactly: an integer-only SUM never reads its f64
+                // sum, and MIN / MAX see the value once. AVG divides the
+                // f64 sum, so it folds per row like a float input.
+                AggFunc::Sum | AggFunc::Min | AggFunc::Max
+                    if self.group_idx.is_empty() && shape(c)? == NumShape::Ints =>
+                {
+                    Input::Runs(c)
+                }
+                _ => {
+                    shape(c)?;
+                    Input::Cells(c)
+                }
+            });
+        }
+        let keys = match self.group_idx[..] {
+            [] => GroupKeys::Global,
+            [c] if shape(c)? == NumShape::Ints => self
+                .direct_keys(c)
+                .unwrap_or(GroupKeys::Hashed { cols: vec![c] }),
+            ref cols => {
+                for &c in cols {
+                    shape(c)?;
+                }
+                GroupKeys::Hashed {
+                    cols: cols.to_vec(),
+                }
+            }
+        };
+        Some(ColumnFold {
+            keys,
+            inputs,
+            gids: Vec::new(),
+            cells: Vec::new(),
+        })
     }
 
-    /// Grouped / tagged aggregation row-at-a-time: the [`GroupFold`] of
-    /// [`HashAggregateOp`] on borrowed rows. Chunk sources walk the per-piece
-    /// selection bitmaps; rid sources walk the rid list in order, re-checking
-    /// the compiled filter per row like [`ScanOp`].
-    fn drain_rowwise(
-        &self,
-        fold: &mut GroupFold<'_, P>,
-        stats: &mut ExecStats,
-    ) -> Result<(), ExecError> {
-        let (name, schema) = (self.table.name(), self.table.schema());
-        let mut fold_row = |rid: usize, row: &Row| {
-            let tag = self.policy.seed_tag(name, schema, row, rid as u32);
-            fold.fold(row, &tag, &self.group_idx, |ai| Ok(&row[self.agg_cols[ai]]))
+    /// Direct-mapped grouping on integer column `c`, when the table's
+    /// statistics bound its values to a span of at most [`DIRECT_MAP_ROWS`]
+    /// times the rows the scan's source selects: the slots are allocated
+    /// and zeroed per scan, which a selective probe of a wide key would not
+    /// repay.
+    fn direct_keys(&self, c: usize) -> Option<GroupKeys> {
+        let stats = self.table.stats();
+        let column = stats.column(&self.table.schema().columns()[c].name)?;
+        let (Some(Value::Int(low)), Some(Value::Int(high))) = (&column.min, &column.max) else {
+            return None;
         };
-        match &self.source {
-            AggSource::Chunks { pieces, chunks } => {
-                for &(lo, hi) in pieces {
-                    let (_, sel) = self.select_piece(chunks, lo, hi, stats)?;
-                    let rows = piece_rows(self.table, lo, hi);
-                    for j in sel.iter_ones() {
-                        fold_row(lo + j, &rows[j])?;
-                    }
-                }
+        let width = high.wrapping_sub(*low) as u64;
+        let candidates: usize = self
+            .pieces
+            .iter()
+            .map(|(_, _, within)| within.count())
+            .sum();
+        if width >= (DIRECT_MAP_ROWS * candidates) as u64 {
+            return None;
+        }
+        Some(GroupKeys::Direct {
+            col: c,
+            low: *low,
+            slots: vec![0; width as usize + 1],
+            null: None,
+        })
+    }
+}
+
+/// A single integer group key is direct-mapped when its values span at most
+/// this many times the scan's candidate rows (a `u32` slot per value).
+const DIRECT_MAP_ROWS: usize = 2;
+
+/// How an aggregate of a [`ColumnFold`] reads its input column.
+enum Input {
+    /// `COUNT` is the group's row count: nothing to read.
+    Count,
+    /// No group keys and an integer column: whole runs at a time
+    /// ([`accumulate_column`]).
+    Runs(usize),
+    /// Every selected cell, in row order, into its row's group.
+    Cells(usize),
+}
+
+/// How a [`ColumnFold`] finds each selected row's group.
+enum GroupKeys {
+    /// No group keys: every row belongs to the global group.
+    Global,
+    /// One integer key whose values the table statistics bound to
+    /// `low ..= low + slots.len() - 1`: slot `v - low` holds the group id
+    /// plus one (0 until the value is first seen), and the group table only
+    /// stores these keys, unhashed. The NULL key is hashed into the group
+    /// table instead, and so would be a value outside the span, should the
+    /// statistics ever miss one: neither can equal a value inside it.
+    Direct {
+        col: usize,
+        low: i64,
+        slots: Vec<u32>,
+        null: Option<usize>,
+    },
+    /// Any other numeric keys: each row's key values are decoded and looked
+    /// up in the group table.
+    Hashed { cols: Vec<usize> },
+}
+
+/// The column-at-a-time fold of an [`AggScanOp`]. Group ids come from the
+/// [`GroupFold`]'s own table in first-seen order (a direct-mapped key only
+/// caches them), and every input folds in row order through
+/// [`AggAcc::update`], so rows, group order and results equal the
+/// row-at-a-time fold's.
+struct ColumnFold {
+    keys: GroupKeys,
+    /// One per aggregate.
+    inputs: Vec<Input>,
+    /// The group id of each selected row of the current piece.
+    gids: Vec<u32>,
+    /// The current piece's decoded key cells, one column after another.
+    cells: Vec<Value>,
+}
+
+impl ColumnFold {
+    /// Fold the rows `sel` selects from the window of `chunk` that starts
+    /// at chunk row `base`.
+    fn fold_piece<P: TagPolicy>(
+        &mut self,
+        fold: &mut GroupFold<'_, P>,
+        chunk: &ColumnarChunk,
+        sel: &SelBitmap,
+        base: usize,
+    ) {
+        let selected = sel.count();
+        if selected == 0 {
+            return;
+        }
+        let gids = &mut self.gids;
+        gids.clear();
+        // Only inputs read cell by cell need each row's group.
+        let per_row = self.inputs.iter().any(|i| matches!(i, Input::Cells(_)));
+        match &mut self.keys {
+            GroupKeys::Global => {
+                let g = fold.group(&[], &[]);
+                fold.counts[g] += selected as i64;
+                gids.resize(selected, g as u32);
             }
-            AggSource::Rids(rids) => {
-                // The whole rid probe is one pushdown unit; the surviving
-                // rows are what the generic aggregate would have counted
-                // batch-wise as `intermediate_rows`.
-                let mut selected = 0u64;
-                let mut rows = self.table.rows().cursor();
-                for &rid in rids {
-                    let row = rows.get(rid as usize);
-                    if let Some(pred) = &self.filter {
-                        if !pred.matches(row)? {
-                            continue;
+            GroupKeys::Direct {
+                col,
+                low,
+                slots,
+                null,
+            } => for_each_cell(chunk.column(*col), sel, base, |v| {
+                let g = match v {
+                    Value::Int(i) => {
+                        let at = i.wrapping_sub(*low) as usize;
+                        match slots.get(at) {
+                            Some(0) => {
+                                let g = fold.push_mapped_group(v);
+                                slots[at] = u32::try_from(g + 1).expect("fewer than 2^32 groups");
+                                g
+                            }
+                            Some(&slot) => slot as usize - 1,
+                            None => fold.group(&[v], &[0]),
                         }
                     }
-                    selected += 1;
-                    fold_row(rid as usize, row)?;
+                    _ => *null.get_or_insert_with(|| fold.group(&[Value::Null], &[0])),
+                };
+                fold.counts[g] += 1;
+                if per_row {
+                    gids.push(g as u32);
                 }
-                stats.agg_pushdown_blocks += 1;
-                stats.intermediate_rows += selected;
+            }),
+            GroupKeys::Hashed { cols } => {
+                let cells = &mut self.cells;
+                cells.clear();
+                for &c in cols.iter() {
+                    for_each_cell(chunk.column(c), sel, base, |v| cells.push(v));
+                }
+                // Row k's key is cell k of each column.
+                let mut key: Vec<usize> = (0..cols.len()).map(|w| w * selected).collect();
+                for _ in 0..selected {
+                    let g = fold.group(cells, &key);
+                    fold.counts[g] += 1;
+                    if per_row {
+                        gids.push(g as u32);
+                    }
+                    key.iter_mut().for_each(|i| *i += 1);
+                }
             }
         }
-        Ok(())
+        for (acc, input) in fold.aggs.iter_mut().zip(&self.inputs) {
+            match *input {
+                Input::Count => {}
+                // Runs only come without group keys: every row's group is
+                // the global one.
+                Input::Runs(c) => {
+                    accumulate_column(chunk.column(c), sel, base, acc, gids[0] as usize)
+                }
+                Input::Cells(c) => {
+                    let mut groups = gids.iter();
+                    for_each_cell(chunk.column(c), sel, base, |v| {
+                        let g = *groups.next().expect("one group per selected row") as usize;
+                        if !v.is_null() {
+                            acc.update(g, &v);
+                        }
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// Visit the cells `sel` selects from numeric chunk column `col`, over the
+/// window starting at chunk row `base`, in row order — NULL cells as
+/// [`Value::Null`].
+#[inline]
+fn for_each_cell(col: &ColumnVector, sel: &SelBitmap, base: usize, mut f: impl FnMut(Value)) {
+    #[inline(always)]
+    fn visit(
+        col: &ColumnVector,
+        sel: &SelBitmap,
+        base: usize,
+        mut cell: impl FnMut(usize) -> Value,
+        f: &mut impl FnMut(Value),
+    ) {
+        sel.for_each_one(|j| {
+            let i = base + j;
+            f(if col.is_null(i) { Value::Null } else { cell(i) });
+        });
+    }
+    match col.data() {
+        ColumnData::Int(xs) => visit(col, sel, base, |i| Value::Int(xs[i]), &mut f),
+        ColumnData::PackedInt(p) => visit(col, sel, base, |i| Value::Int(p.get(i)), &mut f),
+        ColumnData::Float(xs) => visit(col, sel, base, |i| Value::Float(xs[i]), &mut f),
+        ColumnData::RleInt(runs) => {
+            // Rows arrive ascending: walk the runs alongside.
+            let mut runs = runs.iter();
+            let mut run = (0, 0, 0);
+            let value = |i| {
+                while run.1 <= i {
+                    run = runs.next().expect("runs cover the chunk");
+                }
+                Value::Int(run.2)
+            };
+            visit(col, sel, base, value, &mut f)
+        }
+        _ => unreachable!("the column-at-a-time fold reads numeric columns only"),
     }
 }
 
 /// Fold one chunk-column's selected values into aggregate `acc` of the
-/// global group `g`.
+/// global group `g` a run at a time ([`Input::Runs`]); a plain or
+/// bit-packed column is a run per row.
 ///
-/// Only reachable for columns [`numeric_column_shape`] accepted, so the
-/// result is exactly what the row path would produce: an integer column
-/// never reaches a `SUM`'s `f64` sum, which makes the run-length `k·value`
-/// shortcut exact, and a float column folds per selected row in row order,
-/// matching the row path's additions bit for bit.
+/// Only reachable for integer columns, so the result is exactly what the
+/// row path would produce: an integer column never reaches a `SUM`'s `f64`
+/// sum, which makes the run-length `k·value` shortcut exact.
 fn accumulate_column(col: &ColumnVector, sel: &SelBitmap, base: usize, acc: &mut AggAcc, g: usize) {
-    if let AggAcc::Count = acc {
-        return;
-    }
     match col.data() {
-        ColumnData::Int(xs) => {
-            for j in sel.iter_ones() {
-                let i = base + j;
-                if !col.is_null(i) {
-                    acc.note_ints(g, xs[i], 1);
-                }
-            }
-        }
-        ColumnData::PackedInt(p) => {
-            for j in sel.iter_ones() {
-                let i = base + j;
-                if !col.is_null(i) {
-                    acc.note_ints(g, p.get(i), 1);
-                }
-            }
-        }
         ColumnData::RleInt(runs) => {
             // The encoder merges NULL rows into runs; clear them from the
             // selection once so run counts only see real values.
@@ -2397,15 +2625,11 @@ fn accumulate_column(col: &ColumnVector, sel: &SelBitmap, base: usize, acc: &mut
                 }
             }
         }
-        ColumnData::Float(xs) => {
-            for j in sel.iter_ones() {
-                let i = base + j;
-                if !col.is_null(i) {
-                    acc.update(g, &Value::Float(xs[i]));
-                }
+        _ => for_each_cell(col, sel, base, |v| {
+            if let Value::Int(i) = v {
+                acc.note_ints(g, i, 1);
             }
-        }
-        _ => unreachable!("column-at-a-time aggregation only runs on numeric columns"),
+        }),
     }
 }
 
@@ -2844,6 +3068,82 @@ mod tests {
         }
     }
 
+    /// Probes per lookup of a key already in `table`, averaged over its
+    /// groups: one plus each group's distance from its first slot.
+    fn mean_probe_len(table: &GroupTable) -> f64 {
+        let mask = table.slots.len() - 1;
+        let probes: usize = (0..table.slots.len())
+            .filter(|&s| table.slots[s] != 0)
+            .map(|s| 1 + (s.wrapping_sub((table.slots[s] >> table.shift) as usize) & mask))
+            .sum();
+        probes as f64 / table.len() as f64
+    }
+
+    #[test]
+    fn group_table_probes_stay_short_on_consecutive_int_keys() {
+        // Consecutive keys, and keys 22 apart — where a bare FxHash multiply
+        // (its constant is close to 7/22 of 2^64) puts the first slots of
+        // keys next to one another.
+        for step in [1, 22] {
+            let mut table = GroupTable::new(1);
+            for k in 0..6_000i64 {
+                table.find_or_insert(&[Value::Int(k * step)], &[0]);
+            }
+            assert_eq!(table.len(), 6_000);
+            // Linear probing at this load (6 000 of 16 384 slots) expects
+            // about 1.3 probes per successful lookup.
+            let mean = mean_probe_len(&table);
+            assert!(mean < 2.0, "step {step}: {mean:.2} probes per lookup");
+        }
+    }
+
+    #[test]
+    fn direct_mapped_keys_share_the_group_table_with_hashed_ones() {
+        // Slots for keys 5 to 7 only: 3 and 9 fall outside, as does NULL.
+        let keys = [6, 3, 5, 9, 6, 0, 3, 7, 5, 0, 9, 7];
+        let rows: Vec<Row> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| {
+                let key = if k == 0 { Value::Null } else { Value::Int(k) };
+                vec![key, Value::Int(i as i64)]
+            })
+            .collect();
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]);
+        let chunks = ColumnarChunks::build(&schema, &rows, 64);
+        let aggs = [
+            AggExpr::new(AggFunc::Sum, col("v"), "s"),
+            AggExpr::new(AggFunc::Max, col("v"), "m"),
+        ];
+        let mut by_rows = GroupFold::new(&NoTag, &aggs, 1);
+        for row in &rows {
+            by_rows.fold(row, &(), &[0], |_| Ok(&row[1])).unwrap();
+        }
+        let mut by_columns = GroupFold::new(&NoTag, &aggs, 1);
+        let mut columns = ColumnFold {
+            keys: GroupKeys::Direct {
+                col: 0,
+                low: 5,
+                slots: vec![0; 3],
+                null: None,
+            },
+            inputs: vec![Input::Cells(1), Input::Cells(1)],
+            gids: Vec::new(),
+            cells: Vec::new(),
+        };
+        let chunk = &chunks.chunks()[0];
+        // Two pieces, so groups are found again in the second.
+        let (mut first, mut second) = (SelBitmap::zeros(12), SelBitmap::zeros(12));
+        (0..6).for_each(|j| first.set(j));
+        (6..12).for_each(|j| second.set(j));
+        for sel in [&first, &second] {
+            columns.fold_piece(&mut by_columns, chunk, sel, 0);
+        }
+        let expected = by_rows.finish();
+        assert_eq!(expected.len(), 6);
+        assert_eq!(by_columns.finish(), expected);
+    }
+
     #[test]
     fn null_keys_form_one_group() {
         let mut table = GroupTable::new(2);
@@ -3055,23 +3355,27 @@ mod tests {
 
     #[test]
     fn scan_source_split_preserves_order_and_counts() {
-        let src = ScanSource::Segments(vec![(0, 10), (20, 25), (30, 47)]);
-        let total = src.row_count();
-        let parts = src.split(4);
-        assert!(parts.len() <= 4);
-        let mut rids = Vec::new();
-        let mut per_part = Vec::new();
-        for p in parts {
-            per_part.push(p.row_count());
-            let mut it = p.into_rid_source();
-            while let Some(r) = it.next_rid() {
-                rids.push(r);
-            }
+        let rids = |src: ScanSource| {
+            let mut it = src.into_rid_source();
+            std::iter::from_fn(move || it.next_rid()).collect::<Vec<u32>>()
+        };
+        let segments = || ScanSource::Segments(vec![(0, 10), (20, 25), (30, 47)]);
+        // Rows 3, 5 to 68, 130 and 192 to 319.
+        let probe = || ScanSource::Probe(vec![!0 << 5 | 1 << 3, 31, 1 << 2, !0, !0]);
+        let sources: [(&dyn Fn() -> ScanSource, usize); 4] =
+            [(&segments, 4), (&probe, 4), (&probe, 3), (&probe, 200)];
+        for (source, parts) in sources {
+            let total = source().row_count();
+            let all = rids(source());
+            assert_eq!(all.len(), total);
+            assert!(all.windows(2).all(|w| w[0] < w[1]));
+            let split = source().split(parts);
+            assert!(split.len() <= parts);
+            // Roughly balanced: every part within the ceiling.
+            assert!(split.iter().all(|p| p.row_count() <= total.div_ceil(parts)));
+            let joined: Vec<u32> = split.into_iter().flat_map(rids).collect();
+            assert_eq!(joined, all);
         }
-        assert_eq!(rids.len(), total);
-        assert!(rids.windows(2).all(|w| w[0] < w[1]));
-        // Roughly balanced: every part within the ceiling.
-        assert!(per_part.iter().all(|&n| n <= total.div_ceil(4)));
     }
 
     #[test]
@@ -3131,8 +3435,8 @@ mod tests {
     fn agg_pushdown_handles_index_rid_probes() {
         let db = indexed_db();
         // Under the Indexed profile the filter lowers to an IndexRangeScan:
-        // the pushdown aggregates the rid list row-at-a-time, in rid order,
-        // re-checking the predicate per row exactly like the generic ScanOp.
+        // the pushdown cuts the probe into per-chunk masks and ANDs each
+        // with the chunk-evaluated predicate.
         let global = LogicalPlan::scan("t")
             .filter(col("id").between(lit(500), lit(4_200)))
             .aggregate(
@@ -3149,10 +3453,11 @@ mod tests {
         assert_eq!(fast.value(0, "n"), Some(&Value::Int(3_701)));
         assert_eq!(fast_stats.index_scans, 1);
         assert_eq!(fast_stats.rows_scanned, oracle_stats.rows_scanned);
-        // The whole rid probe counts as one pushdown unit; no bitmap work.
-        assert_eq!(fast_stats.agg_pushdown_blocks, 1);
-        assert_eq!(fast_stats.vectorized_scans, 0);
-        assert_eq!(fast_stats.vectorized_blocks, 0);
+        // Rows 500..=4200 of 100-row chunks: chunks 5 to 42 each fold as
+        // one piece, through the filter kernels.
+        assert_eq!(fast_stats.agg_pushdown_blocks, 38);
+        assert_eq!(fast_stats.vectorized_scans, 1);
+        assert_eq!(fast_stats.vectorized_blocks, 38);
         assert_eq!(fast_stats.intermediate_rows, oracle_stats.intermediate_rows);
 
         // Grouping over a rid probe exercises the shared fold-row path.

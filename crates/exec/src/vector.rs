@@ -66,6 +66,36 @@ impl SelBitmap {
         b
     }
 
+    /// The `n` bits of `words` from bit `base` on (bit `j` is bit `base + j`
+    /// of the words, little-endian; bits past the words read as zero).
+    /// Stitches adjacent words when `base % 64 != 0`.
+    pub(crate) fn window(words: &[u64], base: usize, n: usize) -> Self {
+        let mut out = SelBitmap::zeros(n);
+        let shift = base % 64;
+        let w0 = base / 64;
+        for (wi, o) in out.words.iter_mut().enumerate() {
+            let lo_part = words.get(w0 + wi).copied().unwrap_or(0) >> shift;
+            let hi_part = if shift == 0 {
+                0
+            } else {
+                words.get(w0 + wi + 1).copied().unwrap_or(0) << (64 - shift)
+            };
+            *o = lo_part | hi_part;
+        }
+        out.mask_tail();
+        out
+    }
+
+    /// Positions of the first and the last set bit, if any is set.
+    pub(crate) fn bounds(&self) -> Option<(usize, usize)> {
+        let first = self.words.iter().position(|&w| w != 0)?;
+        let last = self.words.iter().rposition(|&w| w != 0)?;
+        Some((
+            first * 64 + self.words[first].trailing_zeros() as usize,
+            last * 64 + 63 - self.words[last].leading_zeros() as usize,
+        ))
+    }
+
     /// Number of bits.
     pub fn len(&self) -> usize {
         self.len
@@ -168,6 +198,20 @@ impl SelBitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Call `f` with each set bit position, in ascending order: the loop
+    /// of [`SelBitmap::iter_ones`] without an iterator's state between
+    /// calls, for the aggregation hot loops.
+    #[inline]
+    pub(crate) fn for_each_one(&self, mut f: impl FnMut(usize)) {
+        for (wi, &w) in self.words.iter().enumerate() {
+            let mut word = w;
+            while word != 0 {
+                f(wi * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        }
+    }
+
     /// Iterate the set bit positions in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, w)| {
@@ -209,28 +253,33 @@ pub fn eval_filter_block(
     hi: usize,
 ) -> Result<SelBitmap, ExecError> {
     let mut stats = ExecStats::default();
-    eval_filter_block_counted(pred, chunk, rows, lo, hi, &mut stats)
+    let all = SelBitmap::ones(hi - lo);
+    eval_filter_block_counted(pred, chunk, rows, lo, hi, all, &mut stats)
 }
 
-/// [`eval_filter_block`] with `ExecStats` attribution: bumps
+/// [`eval_filter_block`] over the rows `within` selects (an index probe's
+/// rows, or all of them), with `ExecStats` attribution: bumps
 /// `encoded_blocks` when the chunk carries at least one compressed column
 /// and `encoded_kernel_fallbacks` for every conjunct that takes the
-/// row-at-a-time fallback over such a chunk.
+/// row-at-a-time fallback over such a chunk. A row outside `within` is never
+/// selected, and no fallback conjunct is evaluated on it.
 pub fn eval_filter_block_counted(
     pred: &CompiledExpr,
     chunk: &ColumnarChunk,
     rows: &[Row],
     lo: usize,
     hi: usize,
+    within: SelBitmap,
     stats: &mut ExecStats,
 ) -> Result<SelBitmap, ExecError> {
     debug_assert!(chunk.start <= lo && hi <= chunk.end && rows.len() == hi - lo);
+    debug_assert_eq!(within.len(), hi - lo);
     let encoded = chunk.encoded_columns() > 0;
     if encoded {
         stats.encoded_blocks += 1;
     }
     let n = hi - lo;
-    let mut sel = SelBitmap::ones(n);
+    let mut sel = within;
     let conjuncts: &[CompiledExpr] = match pred {
         CompiledExpr::And(es) => es,
         other => std::slice::from_ref(other),
@@ -381,23 +430,9 @@ fn cmp_cell(col: &ColumnVector, i: usize, v: &Value) -> Ordering {
 
 /// The null bits of `col` over the chunk-relative window `[base, base + n)`
 /// as a bitmap (bit `j` ↔ row `base + j` is NULL), or `None` when the column
-/// has no NULLs in the chunk. Stitches adjacent words when `base % 64 != 0`.
+/// has no NULLs in the chunk.
 fn null_window(col: &ColumnVector, base: usize, n: usize) -> Option<SelBitmap> {
-    let words = col.null_words()?;
-    let mut out = SelBitmap::zeros(n);
-    let shift = base % 64;
-    let w0 = base / 64;
-    for wi in 0..out.words.len() {
-        let lo_part = words.get(w0 + wi).copied().unwrap_or(0) >> shift;
-        let hi_part = if shift == 0 {
-            0
-        } else {
-            words.get(w0 + wi + 1).copied().unwrap_or(0) << (64 - shift)
-        };
-        out.words[wi] = lo_part | hi_part;
-    }
-    out.mask_tail();
-    Some(out)
+    Some(SelBitmap::window(col.null_words()?, base, n))
 }
 
 /// Clear NULL-row bits from both truth bitmaps (a NULL comparison is neither
@@ -705,7 +740,9 @@ fn member_runs(
 }
 
 /// Per-row membership over the chunk-relative window `[base, base + n)`:
-/// `member(i)` decides each non-NULL cell, NULL cells are known-false.
+/// `member(i)` decides each cell, NULL cells are known-false. The truth
+/// bits are built a word at a time, 64 cells ORed in without a branch; a
+/// NULL cell's placeholder is asked too, and its bit cleared afterwards.
 fn member_rows(
     col: &ColumnVector,
     base: usize,
@@ -713,14 +750,17 @@ fn member_rows(
     member: impl Fn(usize) -> bool,
 ) -> (SelBitmap, SelBitmap) {
     let mut truth = SelBitmap::zeros(n);
-    let mut falsity = SelBitmap::zeros(n);
-    for j in 0..n {
-        if !col.is_null(base + j) && member(base + j) {
-            truth.set(j);
-        } else {
-            falsity.set(j);
+    for (w, word) in truth.words.iter_mut().enumerate() {
+        let lo = base + 64 * w;
+        let hi = (lo + 64).min(base + n);
+        *word = (lo..hi).fold(0u64, |acc, i| acc | u64::from(member(i)) << (i - lo));
+    }
+    if let Some(nw) = null_window(col, base, n) {
+        for (t, w) in truth.words.iter_mut().zip(&nw.words) {
+            *t &= !w;
         }
     }
+    let falsity = truth.negated();
     (truth, falsity)
 }
 
@@ -937,6 +977,7 @@ mod tests {
                 &rows[chunk.start..chunk.end],
                 chunk.start,
                 chunk.end,
+                SelBitmap::ones(chunk.len()),
                 &mut stats,
             )
             .unwrap();
@@ -952,6 +993,7 @@ mod tests {
                 &rows[chunk.start..chunk.end],
                 chunk.start,
                 chunk.end,
+                SelBitmap::ones(chunk.len()),
                 &mut stats,
             )
             .unwrap();

@@ -132,12 +132,12 @@ impl PackedInts {
     pub fn pack(vals: impl ExactSizeIterator<Item = i64>, base: i64, width: u32) -> Self {
         debug_assert!(matches!(width, 1 | 2 | 4 | 8 | 16));
         let len = vals.len();
-        let per = (64 / width) as usize;
-        let mut words = vec![0u64; len.div_ceil(per)];
+        let mut words = vec![0u64; (len * width as usize).div_ceil(64)];
         for (i, v) in vals.enumerate() {
             let delta = (v - base) as u64;
             debug_assert!(delta < (1u64 << width));
-            words[i / per] |= delta << ((i % per) as u32 * width);
+            let bit = i * width as usize;
+            words[bit / 64] |= delta << (bit % 64);
         }
         PackedInts {
             base,
@@ -172,13 +172,14 @@ impl PackedInts {
         &self.words
     }
 
-    /// The value at row `i` (chunk-relative).
+    /// The value at row `i` (chunk-relative). A lane starts at bit
+    /// `i * width` and never crosses a word, so the word is that bit over 64
+    /// and the shift that bit mod 64: a shift and a mask, no division.
     #[inline]
     pub fn get(&self, i: usize) -> i64 {
-        let per = (64 / self.width) as usize;
-        let lane = (i % per) as u32;
+        let bit = i * self.width as usize;
         let mask = (1u64 << self.width) - 1;
-        self.base + ((self.words[i / per] >> (lane * self.width)) & mask) as i64
+        self.base + ((self.words[bit >> 6] >> (bit & 63)) & mask) as i64
     }
 
     /// Approximate heap footprint in bytes.
@@ -861,6 +862,34 @@ mod tests {
         // 4 bits per value: 64 values fit 4 words instead of 64.
         assert_eq!(p.words().len(), 4);
         assert!(col.approx_bytes() < 64 * 8);
+    }
+
+    #[test]
+    fn packed_ints_round_trip_every_width() {
+        for width in [1u32, 2, 4, 8, 16] {
+            let lanes = 64 / width as usize;
+            let top = (1i64 << width) - 1;
+            // Two full words, then a partial last word.
+            for len in [1, lanes - 1, lanes, 2 * lanes, 2 * lanes + 3] {
+                let base = -7;
+                let mut vals: Vec<i64> = (0..len as i64)
+                    .map(|i| base + (i * 5 + 3) % (top + 1))
+                    .collect();
+                // Every word's last lane holds the widest delta.
+                for w in (lanes - 1..len).step_by(lanes) {
+                    vals[w] = base + top;
+                }
+                vals[len - 1] = base + top;
+                let p = PackedInts::pack(vals.iter().copied(), base, width);
+                assert_eq!(
+                    p.words().len(),
+                    len.div_ceil(lanes),
+                    "width {width}, len {len}"
+                );
+                let back: Vec<i64> = (0..len).map(|i| p.get(i)).collect();
+                assert_eq!(back, vals, "width {width}, len {len}");
+            }
+        }
     }
 
     #[test]

@@ -207,47 +207,79 @@ fn runny_rows_actually_encode() {
     assert!(encoded > 0, "generator produced no encoded chunk-columns");
 }
 
-/// Sketch ranges in the form the sketch predicate takes (ordered,
-/// exclusive-lower / inclusive-upper, maybe open at either end). Bounds are
-/// all `Int`, `i64` extremes included, or — with `mixed` — `Int`s with at
-/// least one `Float` among them.
-fn sketch_ranges(rng: &mut StdRng, mixed: bool) -> Vec<ValueRange> {
+/// How [`sketch_ranges`] lays its sorted bounds out into ranges.
+#[derive(Clone, Copy, Debug)]
+enum RangeShape {
+    /// `(b0, b1], (b2, b3], …`: sorted and disjoint, the sketch shape.
+    Disjoint,
+    /// `(b0, b1], (b1, b2], …`: sorted, each range sharing a bound with the
+    /// next.
+    Adjacent,
+    /// Disjoint ranges in reverse order, or with a range added over two of
+    /// them: the lookup strategies answer differently, and the compiled
+    /// ranges must follow the one they were given.
+    Unordered,
+}
+
+/// Sketch ranges (exclusive lower / inclusive upper, maybe open at either
+/// end) around `origin`: bounds within 30 of it, sometimes an `i64` extreme.
+/// All bounds are `Int`s or — with `mixed` — at least one is a `Float`.
+fn sketch_ranges(rng: &mut StdRng, origin: i64, shape: RangeShape, mixed: bool) -> Vec<ValueRange> {
     let mut bounds: Vec<Value> = (0..rng.gen_range(1..8))
         .map(|_| match rng.gen_range(0..10) {
             0 => Value::Int(i64::MIN),
             1 => Value::Int(i64::MAX),
-            _ => Value::Int(rng.gen_range(-30..30)),
+            _ => Value::Int(origin.saturating_add(rng.gen_range(-30..30))),
         })
         .collect();
     if mixed {
-        bounds.push(Value::Float(rng.gen_range(-30..30) as f64 + 0.5));
+        bounds.push(Value::Float(
+            origin as f64 + rng.gen_range(-30..30) as f64 + 0.5,
+        ));
     }
     bounds.sort();
     bounds.dedup();
-    let mut ranges: Vec<ValueRange> = bounds
-        .chunks(2)
-        .map(|c| ValueRange {
-            lo: Some(c[0].clone()),
-            hi: c.get(1).cloned(),
-        })
-        .collect();
+    let range = |c: &[Value]| ValueRange {
+        lo: Some(c[0].clone()),
+        hi: c.get(1).cloned(),
+    };
+    let mut ranges: Vec<ValueRange> = match shape {
+        RangeShape::Adjacent => bounds.windows(2).map(range).collect(),
+        RangeShape::Disjoint | RangeShape::Unordered => bounds.chunks(2).map(range).collect(),
+    };
+    if ranges.is_empty() {
+        ranges.push(range(&bounds));
+    }
     if rng.gen_range(0..3) == 0 {
         ranges[0].lo = None;
+    }
+    if let RangeShape::Unordered = shape {
+        if ranges.len() > 2 && rng.gen_range(0..2) == 0 {
+            let over = ValueRange {
+                lo: ranges[0].lo.clone(),
+                hi: ranges[1].hi.clone(),
+            };
+            ranges.insert(1, over);
+        } else {
+            ranges.reverse();
+        }
     }
     ranges
 }
 
-/// One cell of a sketch-ranged column: mostly `Int`, sometimes at the `i64`
-/// extremes, else a `Float` (integral or not), NULL, a string or a bool.
-fn ranged_cell(rng: &mut StdRng) -> Value {
+/// One cell of a sketch-ranged column: mostly an `Int` within 30 of
+/// `origin`, sometimes at the `i64` extremes, else a `Float` (integral or
+/// not), NULL, a string or a bool.
+fn ranged_cell(rng: &mut StdRng, origin: i64) -> Value {
+    let near = |rng: &mut StdRng| origin.saturating_add(rng.gen_range(-30..30));
     match rng.gen_range(0..12) {
         0 => Value::Null,
-        1 => Value::Float(rng.gen_range(-30..30) as f64),
-        2 => Value::Float(rng.gen_range(-30.0..30.0)),
+        1 => Value::Float(near(rng) as f64),
+        2 => Value::Float(near(rng) as f64 + rng.gen_range(-1.0..1.0)),
         3 => Value::from(STRINGS[rng.gen_range(0..STRINGS.len())]),
         4 => Value::Bool(rng.gen_range(0..2) == 1),
         5 => Value::Int([i64::MIN, i64::MAX][rng.gen_range(0..2)]),
-        _ => Value::Int(rng.gen_range(-30..30)),
+        _ => Value::Int(near(rng)),
     }
 }
 
@@ -258,23 +290,30 @@ proptest! {
     /// bounds, over cells of every type: the compiled predicate equals the
     /// interpreter row by row, and the block filter selects what the
     /// interpreter selects — over mixed-type chunks and over runny integer
-    /// chunks (run-length, bit-packed and plain layouts).
+    /// chunks (run-length, bit-packed and plain layouts). Ranges are sorted
+    /// and disjoint, share bounds, or come unsorted and overlapping, around
+    /// 0 and next to either `i64` extreme: the bitmap of narrow integer
+    /// ranges and both lookup strategies are all reached.
     #[test]
     fn in_ranges_matches_interpreter_for_int_and_mixed_bounds(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
         let schema = Schema::from_pairs(&[("a", DataType::Int)]);
-        let mixed_rows: Vec<Row> = (0..96).map(|_| vec![ranged_cell(&mut rng)]).collect();
+        let origin = [0, i64::MIN, i64::MAX][rng.gen_range(0..3)];
+        let mixed_rows: Vec<Row> = (0..96).map(|_| vec![ranged_cell(&mut rng, origin)]).collect();
         let mut run = rng.gen_range(-30..30i64);
         let runny_rows: Vec<Row> = (0..192)
             .map(|_| {
                 if rng.gen_range(0..5) == 0 {
                     run = rng.gen_range(-30..30);
                 }
-                vec![if rng.gen_range(0..25) == 0 { Value::Null } else { Value::Int(run) }]
+                let cell = Value::Int(origin.saturating_add(run));
+                vec![if rng.gen_range(0..25) == 0 { Value::Null } else { cell }]
             })
             .collect();
+        let shape = [RangeShape::Disjoint, RangeShape::Adjacent, RangeShape::Unordered]
+            [rng.gen_range(0..3)];
         for mixed in [false, true] {
-            let ranges = sketch_ranges(&mut rng, mixed);
+            let ranges = sketch_ranges(&mut rng, origin, shape, mixed);
             for lookup in [RangeLookup::Linear, RangeLookup::BinarySearch] {
                 let pred = Expr::InRanges { column: "a".into(), ranges: ranges.clone(), lookup };
                 let compiled = CompiledExpr::compile(&pred, &schema);
@@ -282,7 +321,7 @@ proptest! {
                     for row in rows.iter() {
                         prop_assert_eq!(
                             compiled.eval(row), eval_expr(&pred, &schema, row),
-                            "{} over {:?}", pred, row
+                            "{:?}: {} over {:?}", shape, pred, row
                         );
                     }
                     for chunks in [
@@ -298,7 +337,7 @@ proptest! {
                                 prop_assert_eq!(
                                     sel.get(j),
                                     eval_predicate(&pred, &schema, row).unwrap(),
-                                    "row {} of {}", chunk.start + j, pred
+                                    "{:?}: row {} of {}", shape, chunk.start + j, pred
                                 );
                             }
                         }

@@ -129,14 +129,18 @@ fn observe(t: &Table) -> Observed {
                 "k" => (Value::Int(40), Value::Int(140)),
                 _ => (Value::Int(2), Value::Int(4)),
             };
+            let probe = idx.multi_range(&[
+                (None, Some(lo.clone())),
+                (Some(lo.clone()), Some(hi.clone())),
+            ]);
             let answers = vec![
                 idx.range(None, None),
                 idx.range(Some(&lo), Some(&hi)),
                 idx.range(Some(&hi), None),
-                idx.multi_range(&[
-                    (None, Some(lo.clone())),
-                    (Some(lo.clone()), Some(hi.clone())),
-                ]),
+                (0..probe.len() * 64)
+                    .filter(|&r| probe[r / 64] >> (r % 64) & 1 == 1)
+                    .map(|r| r as u32)
+                    .collect(),
                 idx.lookup(&lo).to_vec(),
                 idx.lookup(&Value::Int(-1)).to_vec(),
             ];

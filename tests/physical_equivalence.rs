@@ -23,7 +23,7 @@ use pbds_provenance::{
     LineageTagPolicy, LookupMethod, MergeStrategy, ProvenanceSketch, SketchTagPolicy,
 };
 use pbds_storage::{
-    DataType, Database, Partition, PartitionRef, RangePartition, Relation, Row, Schema,
+    ColumnData, DataType, Database, Partition, PartitionRef, RangePartition, Relation, Row, Schema,
     TableBuilder, Value, ValueRange,
 };
 use proptest::prelude::*;
@@ -857,13 +857,16 @@ fn capture_result_relation_matches_plain_execution() {
 // from every source the grouping step is fed by.
 // ---------------------------------------------------------------------------
 
-/// `p(k, g, h, vi, vf, vm, vr, vn)` with `k` indexed. `g` is a numeric key
-/// mixing `Int` and `Float`, so `3` and `3.0` must share a group; `h` mixes
-/// strings with `1` / `1.0`. The aggregate inputs are `vi` (Int), `vf`
-/// (Float), `vm` (mixed Int / Float), `vr` (Int in runs, so chunks encode it
-/// run-length) and `vn` (all NULL); every column but `k` and `vn` carries
-/// NULLs at a per-table rate. Some rows are then deleted, which leaves short
-/// chunks behind.
+/// `p(k, g, h, vi, vf, vm, vr, vn, ki, kr, kw)` with `k` indexed. `g` is a
+/// numeric key mixing `Int` and `Float`, so `3` and `3.0` must share a
+/// group; `h` mixes strings with `1` / `1.0`. `ki`, `kr` and `kw` are integer
+/// keys: `ki` spans 7 values (bit-packed chunks, and direct-mapped grouping
+/// once the table has a few rows), `kr` comes in runs (run-length chunks)
+/// and `kw` spans billions (plain chunks, hashed grouping). The aggregate
+/// inputs are `vi` (Int), `vf` (Float), `vm` (mixed Int / Float), `vr` (Int
+/// in runs, so chunks encode it run-length) and `vn` (all NULL); every column
+/// but `k` and `vn` carries NULLs at a per-table rate. Some rows are then
+/// deleted, which leaves short chunks behind.
 fn grouping_db(rng: &mut StdRng) -> Database {
     let schema = Schema::from_pairs(&[
         ("k", DataType::Int),
@@ -874,9 +877,12 @@ fn grouping_db(rng: &mut StdRng) -> Database {
         ("vm", DataType::Float),
         ("vr", DataType::Int),
         ("vn", DataType::Int),
+        ("ki", DataType::Int),
+        ("kr", DataType::Int),
+        ("kw", DataType::Int),
     ]);
     let n = rng.gen_range(1..500i64);
-    let mut run = 0;
+    let (mut run, mut key_run) = (0, 0);
     let null_one_in = rng.gen_range(2..12);
     let mut b = TableBuilder::new("p", schema);
     b.block_size([16, 64, 100][rng.gen_range(0..3)]).index("k");
@@ -885,6 +891,9 @@ fn grouping_db(rng: &mut StdRng) -> Database {
         let x = rng.gen_range(-40..40i64);
         if rng.gen_range(0..8) == 0 {
             run = x;
+        }
+        if rng.gen_range(0..6) == 0 {
+            key_run = rng.gen_range(0..50i64);
         }
         let mut row = vec![
             Value::Int(k),
@@ -908,9 +917,12 @@ fn grouping_db(rng: &mut StdRng) -> Database {
             },
             Value::Int(run),
             Value::Null,
+            Value::Int(rng.gen_range(-3..4)),
+            Value::Int(key_run),
+            Value::Int(rng.gen_range(-3..3i64) * 1_000_000_007),
         ];
-        for cell in &mut row[1..7] {
-            if rng.gen_range(0..null_one_in) == 0 {
+        for (c, cell) in row.iter_mut().enumerate() {
+            if !matches!(c, 0 | 7) && rng.gen_range(0..null_one_in) == 0 {
                 *cell = Value::Null;
             }
         }
@@ -932,13 +944,24 @@ fn grouping_db(rng: &mut StdRng) -> Database {
 /// A random aggregation over `p`: zero, one or two group keys, one to three
 /// aggregates of any function over any input column, fed by a fused chunk
 /// scan (no filter or a `k` filter under the columnar profile), a fused index
-/// probe (a `k` filter or sketch ranges under the indexed profile) or a
+/// probe (a `k` filter or sketch ranges under the indexed profile), a fused
+/// zone-map scan (a `kr` filter under the indexed profile) or a
 /// `HashAggregateOp` over a `Filter` (a projection keeps the filter out of
 /// the scan). One plan in six is duplicate elimination over two key columns
 /// instead.
 fn grouping_plan(rng: &mut StdRng) -> LogicalPlan {
-    let group_by: Vec<&str> =
-        [vec![], vec!["g"], vec!["h"], vec!["g", "h"]][rng.gen_range(0..4)].clone();
+    let group_by: Vec<&str> = [
+        vec![],
+        vec!["g"],
+        vec!["h"],
+        vec!["g", "h"],
+        vec!["ki"],
+        vec!["kr"],
+        vec!["kw"],
+        vec!["ki", "kw"],
+        vec!["kr", "g"],
+    ][rng.gen_range(0..9)]
+    .clone();
     let funcs = [
         AggFunc::Count,
         AggFunc::Sum,
@@ -946,9 +969,13 @@ fn grouping_plan(rng: &mut StdRng) -> LogicalPlan {
         AggFunc::Min,
         AggFunc::Max,
     ];
+    // Half the plans read only the numeric inputs, which the fused
+    // aggregate can fold column-at-a-time.
+    let inputs = ["vi", "vf", "vr", "vm", "vn"];
+    let inputs = &inputs[..[3, 5][rng.gen_range(0..2)]];
     let aggregates: Vec<AggExpr> = (0..rng.gen_range(1..4))
         .map(|i| {
-            let input = ["vi", "vf", "vm", "vr", "vn"][rng.gen_range(0..5)];
+            let input = inputs[rng.gen_range(0..inputs.len())];
             AggExpr::new(funcs[rng.gen_range(0..5)], col(input), format!("a{i}"))
         })
         .collect();
@@ -956,7 +983,7 @@ fn grouping_plan(rng: &mut StdRng) -> LogicalPlan {
     let hi = lo + rng.gen_range(0..300);
     let k_range = col("k").between(lit(lo), lit(hi));
     let scan = LogicalPlan::scan("p");
-    let input = match rng.gen_range(0..5) {
+    let input = match rng.gen_range(0..6) {
         0 => scan,
         1 => scan.filter(k_range),
         2 => scan.filter(k_range.and(col("vi").gt(lit(rng.gen_range(-40..40i64))))),
@@ -980,15 +1007,21 @@ fn grouping_plan(rng: &mut StdRng) -> LogicalPlan {
                 lookup: RangeLookup::BinarySearch,
             })
         }
+        4 => {
+            let lo = rng.gen_range(-2..50i64);
+            scan.filter(col("kr").between(lit(lo), lit(lo + rng.gen_range(0..30))))
+        }
         _ => {
-            let all = ["k", "g", "h", "vi", "vf", "vm", "vr", "vn"];
+            let all = [
+                "k", "g", "h", "vi", "vf", "vm", "vr", "vn", "ki", "kr", "kw",
+            ];
             scan.project(all.iter().map(|&c| (col(c), c)).collect())
                 .filter(k_range)
         }
     };
     if rng.gen_range(0..6) == 0 {
         // Duplicate elimination groups on every column.
-        let cols = [["g", "h"], ["g", "vm"]][rng.gen_range(0..2)];
+        let cols = [["g", "h"], ["g", "vm"], ["ki", "kw"]][rng.gen_range(0..3)];
         return input
             .project(cols.iter().map(|&c| (col(c), c)).collect())
             .distinct();
@@ -1023,13 +1056,50 @@ where
     }
 }
 
+/// Whether the fused aggregate folds `plan` column-at-a-time under trivial
+/// tags: every group key, and every input a non-`COUNT` aggregate reads, is
+/// stored as integers or floats in every chunk of `p`.
+fn folds_columns(db: &Database, plan: &LogicalPlan) -> bool {
+    let LogicalPlan::Aggregate {
+        group_by,
+        aggregates,
+        ..
+    } = plan
+    else {
+        return false;
+    };
+    let table = db.table("p").unwrap();
+    let chunks = table.columnar_chunks();
+    let numeric = |name: &str| {
+        let c = table.schema().index_of(name).unwrap();
+        chunks.chunks().iter().all(|chunk| {
+            matches!(
+                chunk.column(c).data(),
+                ColumnData::Int(_)
+                    | ColumnData::RleInt(_)
+                    | ColumnData::PackedInt(_)
+                    | ColumnData::Float(_)
+            )
+        })
+    };
+    group_by.iter().all(|k| numeric(k))
+        && aggregates.iter().all(|a| match (&a.func, &a.input) {
+            (AggFunc::Count, _) => true,
+            (_, Expr::Column(c)) => numeric(c),
+            _ => false,
+        })
+}
+
 /// Guard against the property below going vacuous: the generators reach
-/// fused index probes, fused chunk scans, the generic aggregate over a
-/// filter, duplicate elimination, and tables with short chunks.
+/// fused index probes, zone-map scans and chunk scans, column-at-a-time
+/// folds on one integer key (direct-mapped when its span is narrow) and on
+/// hashed keys, the generic aggregate over a filter, duplicate elimination,
+/// and tables with short chunks.
 #[test]
 fn grouping_generators_reach_every_source() {
-    let (mut probes, mut chunk_scans, mut generic, mut distinct, mut short) = (0, 0, 0, 0, 0);
-    for seed in 0..64 {
+    let (mut probes, mut zones, mut chunk_scans, mut generic) = (0, 0, 0, 0);
+    let (mut int_key_folds, mut hashed_folds, mut distinct, mut short) = (0, 0, 0, 0);
+    for seed in 0..128 {
         let mut rng = StdRng::seed_from_u64(seed);
         let db = grouping_db(&mut rng);
         let plan = grouping_plan(&mut rng);
@@ -1045,20 +1115,32 @@ fn grouping_generators_reach_every_source() {
         match &plan {
             LogicalPlan::Distinct { .. } => distinct += 1,
             _ if indexed.agg_pushdown_blocks == 0 => generic += 1,
-            _ => {
+            LogicalPlan::Aggregate { group_by, .. } => {
                 probes += usize::from(indexed.index_scans > 0);
+                zones += usize::from(indexed.blocks_total > 0);
                 chunk_scans += usize::from(columnar.agg_pushdown_blocks > 0);
+                if folds_columns(&db, &plan) {
+                    match &group_by[..] {
+                        [k] if k != "kw" && k != "g" => int_key_folds += 1,
+                        [] => {}
+                        _ => hashed_folds += 1,
+                    }
+                }
             }
+            _ => unreachable!("grouping plans aggregate or eliminate duplicates"),
         }
     }
     for (what, n) in [
         ("fused index probes", probes),
+        ("fused zone-map scans", zones),
         ("fused chunk scans", chunk_scans),
+        ("column folds on one integer key", int_key_folds),
+        ("column folds on hashed keys", hashed_folds),
         ("generic aggregates", generic),
         ("distincts", distinct),
         ("short chunks", short),
     ] {
-        assert!(n >= 3, "only {n} {what} in 64 generated cases");
+        assert!(n >= 3, "only {n} {what} in 128 generated cases");
     }
 }
 
