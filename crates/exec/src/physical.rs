@@ -1809,16 +1809,6 @@ impl GroupTable {
         (g, true)
     }
 
-    /// A new group for `key` that is stored but not hashed into the slots:
-    /// for keys whose caller maps them to groups itself and never looks
-    /// them up here (the direct-mapped keys of [`ColumnFold`]).
-    fn push_unhashed(&mut self, key: Value) -> usize {
-        debug_assert_eq!(self.width, 1);
-        self.keys.push(key);
-        self.groups += 1;
-        self.groups - 1
-    }
-
     /// Double the slots and re-place every group by its hash half, which
     /// holds every bit a first slot is taken from.
     fn grow(&mut self) {
@@ -2071,13 +2061,6 @@ impl<'a, P: TagPolicy> GroupFold<'a, P> {
             self.push_group(self.policy.empty_tag());
         }
         g
-    }
-
-    /// A new group, with the empty tag, for a one-value key the caller maps
-    /// to its group itself ([`GroupTable::push_unhashed`]).
-    fn push_mapped_group(&mut self, key: Value) -> usize {
-        self.push_group(self.policy.empty_tag());
-        self.table.push_unhashed(key)
     }
 
     /// The output rows — key values then aggregate results — in group
@@ -2411,7 +2394,6 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
             col: c,
             low: *low,
             slots: vec![0; width as usize + 1],
-            null: None,
         })
     }
 }
@@ -2436,16 +2418,15 @@ enum GroupKeys {
     /// No group keys: every row belongs to the global group.
     Global,
     /// One integer key whose values the table statistics bound to
-    /// `low ..= low + slots.len() - 1`: slot `v - low` holds the group id
-    /// plus one (0 until the value is first seen), and the group table only
-    /// stores these keys, unhashed. The NULL key is hashed into the group
-    /// table instead, and so would be a value outside the span, should the
-    /// statistics ever miss one: neither can equal a value inside it.
+    /// `low ..= low + slots.len() - 1`: slot `v - low` caches the group id
+    /// plus one (0 until the value is first seen), so only a value's first
+    /// row is looked up in the group table. The NULL key, and a value
+    /// outside the span should the statistics ever miss one, are looked up
+    /// on every row.
     Direct {
         col: usize,
         low: i64,
         slots: Vec<u32>,
-        null: Option<usize>,
     },
     /// Any other numeric keys: each row's key values are decoded and looked
     /// up in the group table.
@@ -2491,32 +2472,27 @@ impl ColumnFold {
                 fold.counts[g] += selected as i64;
                 gids.resize(selected, g as u32);
             }
-            GroupKeys::Direct {
-                col,
-                low,
-                slots,
-                null,
-            } => for_each_cell(chunk.column(*col), sel, base, |v| {
-                let g = match v {
-                    Value::Int(i) => {
-                        let at = i.wrapping_sub(*low) as usize;
-                        match slots.get(at) {
-                            Some(0) => {
-                                let g = fold.push_mapped_group(v);
-                                slots[at] = u32::try_from(g + 1).expect("fewer than 2^32 groups");
-                                g
-                            }
-                            Some(&slot) => slot as usize - 1,
-                            None => fold.group(&[v], &[0]),
+            GroupKeys::Direct { col, low, slots } => {
+                for_each_cell(chunk.column(*col), sel, base, |v| {
+                    let slot = match v {
+                        Value::Int(i) => slots.get_mut(i.wrapping_sub(*low) as usize),
+                        _ => None,
+                    };
+                    let g = match slot {
+                        Some(&mut id) if id != 0 => id as usize - 1,
+                        Some(id) => {
+                            let g = fold.group(&[v], &[0]);
+                            *id = u32::try_from(g + 1).expect("fewer than 2^32 groups");
+                            g
                         }
+                        None => fold.group(&[v], &[0]),
+                    };
+                    fold.counts[g] += 1;
+                    if per_row {
+                        gids.push(g as u32);
                     }
-                    _ => *null.get_or_insert_with(|| fold.group(&[Value::Null], &[0])),
-                };
-                fold.counts[g] += 1;
-                if per_row {
-                    gids.push(g as u32);
-                }
-            }),
+                })
+            }
             GroupKeys::Hashed { cols } => {
                 let cells = &mut self.cells;
                 cells.clear();
@@ -2570,10 +2546,10 @@ fn for_each_cell(col: &ColumnVector, sel: &SelBitmap, base: usize, mut f: impl F
         mut cell: impl FnMut(usize) -> Value,
         f: &mut impl FnMut(Value),
     ) {
-        sel.for_each_one(|j| {
+        for j in sel.iter_ones() {
             let i = base + j;
             f(if col.is_null(i) { Value::Null } else { cell(i) });
-        });
+        }
     }
     match col.data() {
         ColumnData::Int(xs) => visit(col, sel, base, |i| Value::Int(xs[i]), &mut f),
@@ -3125,7 +3101,6 @@ mod tests {
                 col: 0,
                 low: 5,
                 slots: vec![0; 3],
-                null: None,
             },
             inputs: vec![Input::Cells(1), Input::Cells(1)],
             gids: Vec::new(),

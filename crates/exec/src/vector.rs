@@ -198,20 +198,6 @@ impl SelBitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Call `f` with each set bit position, in ascending order: the loop
-    /// of [`SelBitmap::iter_ones`] without an iterator's state between
-    /// calls, for the aggregation hot loops.
-    #[inline]
-    pub(crate) fn for_each_one(&self, mut f: impl FnMut(usize)) {
-        for (wi, &w) in self.words.iter().enumerate() {
-            let mut word = w;
-            while word != 0 {
-                f(wi * 64 + word.trailing_zeros() as usize);
-                word &= word - 1;
-            }
-        }
-    }
-
     /// Iterate the set bit positions in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, w)| {
