@@ -29,7 +29,7 @@ pub struct QueryOutput {
 #[derive(Debug, Clone, Copy)]
 pub struct Engine {
     profile: EngineProfile,
-    /// Execution switches (vectorized, adaptive, sequential by default).
+    /// Execution switches (vectorized and sequential by default).
     opts: ExecOptions,
 }
 
@@ -49,10 +49,11 @@ impl Engine {
         }
     }
 
-    /// Toggle the vectorized columnar scan path. With `false`, pushed-down
-    /// scan filters run through the row-at-a-time expression interpreter —
-    /// the oracle the vectorized path is proven byte-identical against.
-    /// Results are identical either way; only speed changes.
+    /// Toggle the vectorized chunk kernels. With `false`, every scan walks
+    /// the same chunk pieces but runs its pushed-down filter through the
+    /// row-at-a-time expression interpreter — the oracle the vectorized path
+    /// is proven byte-identical against. Results are identical either way;
+    /// only speed changes.
     pub fn with_vectorization(mut self, on: bool) -> Self {
         self.opts.vectorized = on;
         self

@@ -8,9 +8,12 @@
 //! execution and `EXPLAIN ANALYZE` reach it through [`Engine`] (tags
 //! disabled via [`NoTag`]), provenance capture through [`lower`] + [`execute`]
 //! (`pbds-provenance` plugs in [`TagPolicy`] implementations whose per-row
-//! tags are sketch annotations or lineage tuple sets). What varies between
-//! runs — scan path, worker count — is an [`ExecOptions`] field, not another
-//! function.
+//! tags are sketch annotations or lineage tuple sets). Every base-table
+//! scan — sequential, zone-map or index probe — is one operator over
+//! chunk-aligned pieces of its table, filtered by the vectorized chunk
+//! kernels or, as the test oracle, by the row interpreter. What varies
+//! between runs — that filter, the worker count — is one of the two
+//! [`ExecOptions`] fields, not another function.
 //!
 //! Two [`EngineProfile`]s substitute for the paper's two evaluation hosts:
 //! `Indexed` mirrors a disk-based system with B-tree indexes and BRIN zone
@@ -32,13 +35,10 @@ pub use compiled::{ColRef, CompiledExpr};
 pub use engine::{AnalyzedQuery, Engine, QueryOutput};
 pub use eval::{eval_expr, eval_predicate, ExecError};
 pub use physical::{
-    execute, lower, lower_scan, Batch, ExecOptions, Executed, NoTag, OpMetrics, PhysOp,
-    PhysicalPlan, PlanMetrics, TagPolicy, BATCH_SIZE, PARALLEL_SCAN_THRESHOLD,
+    execute, lower, Batch, ExecOptions, Executed, NoTag, OpMetrics, PhysOp, PhysicalPlan,
+    PlanMetrics, TagPolicy, BATCH_SIZE, PARALLEL_SCAN_THRESHOLD,
 };
 pub use profile::EngineProfile;
-pub use scan::{
-    estimate_scan_selectivity, extract_skip_ranges, scan_prefers_vectorized, ColumnRanges,
-    VECTORIZED_SELECTIVITY_CUTOFF,
-};
+pub use scan::{extract_skip_ranges, ColumnRanges};
 pub use stats::ExecStats;
 pub use vector::{eval_filter_block, eval_filter_block_counted, SelBitmap};

@@ -29,15 +29,13 @@
 use crate::compiled::CompiledExpr;
 use crate::eval::{eval_predicate, ExecError};
 use crate::profile::EngineProfile;
-use crate::scan::{
-    estimate_scan_selectivity, extract_skip_ranges, scan_prefers_vectorized, InclusiveRange,
-};
+use crate::scan::{extract_skip_ranges, InclusiveRange};
 use crate::stats::ExecStats;
 use crate::vector::{eval_filter_block_counted, sel_without_nulls, SelBitmap};
 use pbds_algebra::{infer_type, AggExpr, AggFunc, Expr, LogicalPlan, SortKey};
 use pbds_storage::{
     Column, ColumnData, ColumnVector, ColumnarChunk, ColumnarChunks, DataType, Database, Relation,
-    Row, RowCursor, Schema, Table, Value,
+    Row, Schema, Table, Value,
 };
 use pbds_telemetry::clock;
 use std::borrow::Borrow;
@@ -52,25 +50,18 @@ use std::time::Duration;
 /// Execution-time switches for the physical pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecOptions {
-    /// Evaluate pushed-down scan filters over the table's columnar chunk
-    /// projection with vectorized kernels (the fast path). When `false`,
-    /// scans use the row-at-a-time expression interpreter — the oracle the
+    /// Evaluate pushed-down scan filters with the vectorized chunk kernels
+    /// over the table's columnar projection, and fuse an aggregate directly
+    /// above a scan into it (the fast path). When `false`, every scan walks
+    /// the same chunk pieces but filters each selected row with the row
+    /// interpreter, and aggregates run as their own operator: the oracle the
     /// vectorized path is proven byte-identical against
-    /// (`tests/physical_equivalence.rs`). `false` is a hard override: the
-    /// adaptive decision below never upgrades an oracle run to the
-    /// vectorized path.
+    /// (`tests/physical_equivalence.rs`).
     pub vectorized: bool,
-    /// Decide the scan path per scan instead of statically: a scan whose
-    /// table-stats selectivity estimate ([`estimate_scan_selectivity`]) says
-    /// nearly every row survives is lowered to the row loop with a pre-bound
-    /// filter, because the bitmap pass would materialize everything anyway.
-    /// Only consulted when `vectorized` is `true`; the scan→aggregate
-    /// pushdown, which never materializes rows, bypasses it.
-    pub adaptive: bool,
     /// Number of scan workers; `0` and `1` both mean sequential. With more,
     /// leaf scans that still visit at least [`PARALLEL_SCAN_THRESHOLD`] rows
-    /// after index / zone-map skipping are split into that many contiguous
-    /// morsels scanned by scoped threads (see [`execute`]).
+    /// after index / zone-map skipping are split into up to that many morsels
+    /// of whole chunk pieces, scanned by scoped threads (see [`execute`]).
     pub workers: usize,
 }
 
@@ -78,7 +69,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             vectorized: true,
-            adaptive: true,
             workers: 1,
         }
     }
@@ -708,7 +698,11 @@ pub fn lower(
 }
 
 /// Lower one base-table access with an optional pushed-down predicate.
-pub fn lower_scan(table: &Table, predicate: Option<Expr>, profile: EngineProfile) -> PhysicalPlan {
+pub(crate) fn lower_scan(
+    table: &Table,
+    predicate: Option<Expr>,
+    profile: EngineProfile,
+) -> PhysicalPlan {
     let schema = table.schema().clone();
     let name = table.name().to_string();
     let op = match predicate {
@@ -775,13 +769,13 @@ pub struct Executed<T> {
 ///
 /// With [`ExecOptions::workers`] above 1, leaf `SeqScan` / `ZoneMapScan` /
 /// `IndexRangeScan` operators that visit at least [`PARALLEL_SCAN_THRESHOLD`]
-/// rows split their row-id sets into that many contiguous morsels, scanned by
-/// scoped `std::thread` workers. Each worker records its own [`ExecStats`],
-/// folded with [`ExecStats::merge_parallel`] (counters sum, `elapsed` is max
-/// across branches). Morsels are concatenated in table order, so the produced
-/// rows — and therefore every operator above the scan — are **identical** to
-/// the sequential execution. Everything above the scans runs on the calling
-/// thread.
+/// rows split their chunk pieces into up to that many morsels of whole
+/// pieces, scanned by scoped `std::thread` workers. Each worker records its
+/// own [`ExecStats`], folded with [`ExecStats::merge_parallel`] (counters
+/// sum, `elapsed` is max across branches). Morsels are concatenated in table
+/// order, so the produced rows — and therefore every operator above the
+/// scan — are **identical** to the sequential execution. Everything above
+/// the scans runs on the calling thread.
 pub fn execute<P: TagPolicy>(
     db: &Database,
     plan: &PhysicalPlan,
@@ -1002,51 +996,8 @@ impl<'a, P: TagPolicy> OpBuilder<'a, P> {
 
 // -- scans ------------------------------------------------------------------
 
-/// Row-id source of a scan: contiguous segments (seq / zone-map scans) or the
-/// set bits of an index probe's bitmap.
-enum RidSource {
-    Segments(std::vec::IntoIter<(usize, usize)>, Option<(usize, usize)>),
-    /// The row id of bit 0 of `word`, the word's bits not yet visited, and
-    /// the words after it.
-    Probe {
-        base: usize,
-        word: u64,
-        rest: std::vec::IntoIter<u64>,
-    },
-}
-
-impl RidSource {
-    fn next_rid(&mut self) -> Option<u32> {
-        match self {
-            RidSource::Segments(segs, cur) => loop {
-                if let Some((start, end)) = cur {
-                    if start < end {
-                        let rid = *start as u32;
-                        *start += 1;
-                        return Some(rid);
-                    }
-                }
-                match segs.next() {
-                    Some(seg) => *cur = Some(seg),
-                    None => return None,
-                }
-            },
-            RidSource::Probe { base, word, rest } => loop {
-                if *word != 0 {
-                    let rid = *base + word.trailing_zeros() as usize;
-                    *word &= *word - 1;
-                    return Some(rid as u32);
-                }
-                *word = rest.next()?;
-                *base += 64;
-            },
-        }
-    }
-}
-
-/// Resolved row-id set of a scan, before it is turned into an iterator
-/// (sequential path), split into morsels (parallel path) or cut into chunk
-/// masks (fused aggregate).
+/// Resolved row-id set of a scan, before [`masked_pieces`] cuts it at chunk
+/// boundaries.
 enum ScanSource {
     /// Contiguous `[start, end)` row-id segments (seq / zone-map scans).
     Segments(Vec<(usize, usize)>),
@@ -1055,102 +1006,130 @@ enum ScanSource {
     Probe(Vec<u64>),
 }
 
-impl ScanSource {
-    fn row_count(&self) -> usize {
-        match self {
-            ScanSource::Segments(segs) => segs.iter().map(|(s, e)| e - s).sum(),
-            ScanSource::Probe(words) => words.iter().map(|w| w.count_ones() as usize).sum(),
-        }
-    }
+/// Rows `lo .. lo + within.len()` of one columnar chunk, and which of them
+/// the scan's source selects before the filter (bit `j` is row `lo + j`).
+struct Piece {
+    lo: usize,
+    within: SelBitmap,
+}
 
-    fn into_rid_source(self) -> RidSource {
-        match self {
-            ScanSource::Segments(segs) => RidSource::Segments(segs.into_iter(), None),
-            ScanSource::Probe(words) => {
-                let mut rest = words.into_iter();
-                let word = rest.next().unwrap_or(0);
-                RidSource::Probe {
-                    base: 0,
-                    word,
-                    rest,
-                }
-            }
-        }
-    }
-
-    /// Split into at most `parts` sources of roughly equal row counts,
-    /// preserving row order across the concatenation of the parts (so a
-    /// parallel scan that concatenates per-part outputs in order reproduces
-    /// the sequential scan exactly). Segments are cut mid-way when needed; a
-    /// probe's parts are copies of its bitmap, each keeping its own rows.
-    fn split(self, parts: usize) -> Vec<ScanSource> {
-        let total = self.row_count();
-        if parts <= 1 || total == 0 {
-            return vec![self];
-        }
-        let target = total.div_ceil(parts);
-        match self {
-            ScanSource::Probe(words) => {
-                let mut out = Vec::new();
-                let mut part = vec![0; words.len()];
-                let mut filled = 0;
-                for (w, mut word) in words.iter().copied().enumerate() {
-                    while word != 0 {
-                        // The lowest set bits of `word` that fit the part.
-                        let mut take = word;
-                        while take.count_ones() as usize > target - filled {
-                            take &= !(1 << (63 - take.leading_zeros()));
-                        }
-                        part[w] = take;
-                        word &= !take;
-                        filled += take.count_ones() as usize;
-                        if filled == target {
-                            out.push(ScanSource::Probe(std::mem::replace(
-                                &mut part,
-                                vec![0; words.len()],
-                            )));
-                            filled = 0;
-                        }
-                    }
-                }
-                if filled > 0 {
-                    out.push(ScanSource::Probe(part));
-                }
-                out
-            }
-            ScanSource::Segments(segs) => {
-                let mut out: Vec<Vec<(usize, usize)>> = vec![Vec::new()];
-                let mut filled = 0usize;
-                for (mut start, end) in segs {
-                    while start < end {
-                        let room = target - filled;
-                        let take = room.min(end - start);
-                        out.last_mut()
-                            .expect("non-empty")
-                            .push((start, start + take));
-                        start += take;
-                        filled += take;
-                        if filled == target {
-                            out.push(Vec::new());
-                            filled = 0;
-                        }
-                    }
-                }
-                if out.last().is_some_and(|p| p.is_empty()) {
-                    out.pop();
-                }
-                out.into_iter().map(ScanSource::Segments).collect()
-            }
-        }
+impl Piece {
+    fn hi(&self) -> usize {
+        self.lo + self.within.len()
     }
 }
 
-/// Resolve a scan operator's row-id set against the current table, recording
-/// the access-path statistics up front: `full_scans` / `index_scans` / the
-/// zone-map block counters, and `rows_scanned` — every row of the resolved set
-/// counts as scanned when the scan is built, whichever operator then visits
-/// it (sequential, morsel-parallel or fused into an aggregate), so the three
-/// agree by construction.
+/// A resolved scan source as chunk-aligned pieces in table order: every row
+/// of a segment, cut at the chunks' own ends (chunks need not be full), and
+/// for an index probe the probed rows of each chunk that holds one, the
+/// piece spanning the first to the last of them.
+fn masked_pieces(source: ScanSource, chunks: &ColumnarChunks) -> Vec<Piece> {
+    match source {
+        ScanSource::Segments(segs) => {
+            let mut pieces = Vec::new();
+            for (start, end) in segs {
+                let mut lo = start;
+                while lo < end {
+                    // Past the last chunk the piece is reported when it is
+                    // filtered.
+                    let hi = chunks.chunk_for(lo).map_or(end, |c| c.end.min(end));
+                    let within = SelBitmap::ones(hi - lo);
+                    pieces.push(Piece { lo, within });
+                    lo = hi;
+                }
+            }
+            pieces
+        }
+        ScanSource::Probe(words) => chunks
+            .chunks()
+            .iter()
+            .filter_map(|chunk| {
+                let (first, last) = SelBitmap::window(&words, chunk.start, chunk.len()).bounds()?;
+                let lo = chunk.start + first;
+                let within = SelBitmap::window(&words, lo, last + 1 - first);
+                Some(Piece { lo, within })
+            })
+            .collect(),
+    }
+}
+
+/// A base-table scan resolved against the current table: everything its
+/// operator needs besides the pieces it reads. The plain scan ([`ScanOp`],
+/// one per morsel under [`ParallelScanOp`]) and the fused aggregate
+/// ([`AggScanOp`]) both filter their pieces through [`PieceScan::select`].
+#[derive(Clone)]
+struct PieceScan<'a> {
+    table: &'a Table,
+    /// Chunk projection snapshot fetched at resolve.
+    chunks: Arc<ColumnarChunks>,
+    filter: Option<PieceFilter<'a>>,
+    /// Table epoch the source was resolved at; every operator re-validates
+    /// it before it reads.
+    epoch: u64,
+}
+
+/// How a scan evaluates its pushed-down filter within a piece.
+#[derive(Clone)]
+enum PieceFilter<'a> {
+    /// The chunk kernels ([`ExecOptions::vectorized`]), over the filter bound
+    /// to the table schema once (it can hold large sketch range / key sets).
+    Kernels(Arc<CompiledExpr>),
+    /// The row interpreter, one selected row at a time: the oracle the
+    /// kernels are proven byte-identical against.
+    Rows(&'a Expr),
+}
+
+impl PieceScan<'_> {
+    /// Filter one piece, within the rows its source selects, into its
+    /// selection bitmap: the one filter step of every base-table scan.
+    fn select(
+        &self,
+        piece: Piece,
+        stats: &mut ExecStats,
+    ) -> Result<(&ColumnarChunk, SelBitmap), ExecError> {
+        let (lo, hi) = (piece.lo, piece.hi());
+        let chunk = self
+            .chunks
+            .chunk_for(lo)
+            .ok_or_else(|| ExecError::Plan("row id beyond chunk range".into()))?;
+        let rows = || piece_rows(self.table, lo, hi);
+        let sel = match &self.filter {
+            None => piece.within,
+            Some(PieceFilter::Kernels(pred)) => {
+                let sel =
+                    eval_filter_block_counted(pred, chunk, rows(), lo, hi, piece.within, stats)?;
+                stats.vectorized_blocks += 1;
+                sel
+            }
+            Some(PieceFilter::Rows(pred)) => {
+                let rows = rows();
+                let mut sel = SelBitmap::zeros(hi - lo);
+                for j in piece.within.iter_ones() {
+                    if eval_predicate(pred, self.table.schema(), &rows[j])? {
+                        sel.set(j);
+                    }
+                }
+                sel
+            }
+        };
+        Ok((chunk, sel))
+    }
+}
+
+/// The rows `[lo, hi)` of a chunk-aligned piece.
+fn piece_rows(table: &Table, lo: usize, hi: usize) -> &[Row] {
+    let (first, run) = table.rows().slice_at(lo);
+    &run[lo - first..hi - first]
+}
+
+/// Resolve a scan operator against the current table into its
+/// [`PieceScan`] and pieces, recording the access-path statistics up front:
+/// `full_scans` / `index_scans` / the zone-map block counters,
+/// `vectorized_scans` (a kernel-filtered scan or an index probe), and
+/// `rows_scanned` — every row the source selects counts as scanned when the
+/// scan is built, whichever operator then visits it (sequential,
+/// morsel-parallel or fused into an aggregate), so the three agree by
+/// construction.
 ///
 /// Lowering only emits index / zone-map scans when the physical-design
 /// artifact exists, but the database may have been mutated between `lower`
@@ -1159,8 +1138,9 @@ impl ScanSource {
 fn resolve_scan<'a>(
     table: &'a Table,
     op: &'a PhysOp,
+    vectorized: bool,
     stats: &mut ExecStats,
-) -> Result<(Option<&'a Expr>, ScanSource), ExecError> {
+) -> Result<(PieceScan<'a>, Vec<Piece>), ExecError> {
     let stale = |what: &str, column: &str| {
         ExecError::Plan(format!(
             "{what} on {}.{column}, but the table no longer has it \
@@ -1210,27 +1190,35 @@ fn resolve_scan<'a>(
             )))
         }
     };
-    stats.rows_scanned += source.row_count() as u64;
-    Ok((filter.as_ref(), source))
+    if vectorized && (filter.is_some() || matches!(source, ScanSource::Probe(_))) {
+        stats.vectorized_scans += 1;
+    }
+    let chunks = table.columnar_chunks();
+    let pieces = masked_pieces(source, &chunks);
+    stats.rows_scanned += selected_rows(&pieces) as u64;
+    let filter = filter.as_ref().map(|pred| {
+        if vectorized {
+            PieceFilter::Kernels(Arc::new(CompiledExpr::compile(pred, table.schema())))
+        } else {
+            PieceFilter::Rows(pred)
+        }
+    });
+    let scan = PieceScan {
+        table,
+        chunks,
+        filter,
+        epoch: table.epoch(),
+    };
+    Ok((scan, pieces))
 }
 
-struct ScanOp<'a, P: TagPolicy> {
-    table: &'a Table,
-    policy: &'a P,
-    filter: Option<&'a Expr>,
-    /// Pre-bound filter; used instead of the interpreter when present
-    /// ([`ExecOptions::vectorized`]).
-    compiled: Option<Arc<CompiledExpr>>,
-    source: RidSource,
-    /// Fetches the rows; row ids arrive ascending, so it rarely searches.
-    rows: RowCursor<'a>,
-    /// Table epoch the row-id set was resolved at; re-validated before every
-    /// batch so a mutation can never make the scan read stale row ids.
-    epoch: u64,
+/// The rows `pieces` select before the filter.
+fn selected_rows(pieces: &[Piece]) -> usize {
+    pieces.iter().map(|p| p.within.count()).sum()
 }
 
-/// Validate that the table still is at the epoch a scan's row-id set (or
-/// chunk projection) was resolved at. Rust's borrow rules make an in-scan
+/// Validate that the table still is at the epoch a scan's pieces (and chunk
+/// projection) were resolved at. Rust's borrow rules make an in-scan
 /// mutation impossible for `&Table` scans, but the check turns any future
 /// interior-mutability bug — or a plan executed across a mutation — into a
 /// reported error instead of silently wrong rows.
@@ -1247,69 +1235,10 @@ fn check_scan_epoch(table: &Table, resolved_at: u64) -> Result<(), ExecError> {
     Ok(())
 }
 
-/// A base-table scan whose filter binding and scan path are decided:
-/// everything a scan operator needs except which rows to visit. The
-/// sequential path builds one operator over the whole resolved
-/// [`ScanSource`]; a morsel-parallel scan builds one per morsel, on that
-/// morsel's worker ([`ParallelScanOp`]).
-struct ScanPlan<'a, P: TagPolicy> {
-    table: &'a Table,
-    policy: &'a P,
-    filter: Option<&'a Expr>,
-    /// The filter bound to the table schema once ([`ExecOptions::vectorized`];
-    /// it can hold large sketch range/key sets). `None` with a filter means
-    /// the row interpreter — the oracle path.
-    compiled: Option<Arc<CompiledExpr>>,
-    /// The chunk projection, fetched once at scan build, when contiguous
-    /// segments take the bitmap path ([`VectorScanOp`]).
-    chunks: Option<Arc<ColumnarChunks>>,
-    /// Table epoch the scan was resolved at; every operator re-validates it
-    /// before each batch.
-    epoch: u64,
-}
-
-impl<'a, P: TagPolicy> ScanPlan<'a, P> {
-    /// The operator scanning `source` — all of the scan, or one morsel.
-    fn op(&self, source: ScanSource) -> BoxOp<'a, P> {
-        match (&self.chunks, &self.compiled, source) {
-            (Some(chunks), Some(compiled), ScanSource::Segments(segs)) => Box::new(VectorScanOp {
-                table: self.table,
-                policy: self.policy,
-                compiled: compiled.clone(),
-                pieces: chunk_aligned_pieces(&segs, chunks).into_iter(),
-                chunks: chunks.clone(),
-                current: None,
-                epoch: self.epoch,
-            }),
-            (_, _, source) => Box::new(ScanOp {
-                table: self.table,
-                policy: self.policy,
-                filter: self.filter,
-                compiled: self.compiled.clone(),
-                source: source.into_rid_source(),
-                rows: self.table.rows().cursor(),
-                epoch: self.epoch,
-            }),
-        }
-    }
-}
-
-/// Build the executor for a scan operator over an already-resolved table.
-///
-/// Under [`ExecOptions::vectorized`], scans over contiguous row segments
-/// (sequential and zone-map scans) with a pushed-down filter evaluate the
-/// predicate per columnar chunk into a selection bitmap and late-materialize
-/// the surviving rows ([`VectorScanOp`]); index probes keep
-/// the row-at-a-time loop but with a pre-bound [`CompiledExpr`]. Under
-/// [`ExecOptions::adaptive`], a segment scan whose predicted selectivity says
-/// nearly every row survives is lowered to that row loop as well — the bitmap
-/// pass buys nothing when everything is materialized anyway. With
-/// `vectorized` off, everything runs through the row interpreter — the
-/// oracle path.
-///
-/// With [`ExecOptions::workers`] above 1, a scan that still visits at least
-/// [`PARALLEL_SCAN_THRESHOLD`] rows after index / zone-map skipping runs
-/// those same operators over morsels ([`ParallelScanOp`]).
+/// Build the executor for a scan operator over an already-resolved table:
+/// one [`ScanOp`] over the scan's pieces or, with [`ExecOptions::workers`]
+/// above 1 and at least [`PARALLEL_SCAN_THRESHOLD`] rows left after index /
+/// zone-map skipping, one per morsel ([`ParallelScanOp`]).
 fn make_scan_op<'a, P: TagPolicy>(
     table: &'a Table,
     op: &'a PhysOp,
@@ -1317,142 +1246,73 @@ fn make_scan_op<'a, P: TagPolicy>(
     opts: ExecOptions,
     stats: &mut ExecStats,
 ) -> Result<BoxOp<'a, P>, ExecError> {
-    let (filter, source) = resolve_scan(table, op, stats)?;
-    let mut scan = ScanPlan {
-        table,
-        policy,
-        filter,
-        compiled: None,
-        chunks: None,
-        epoch: table.epoch(),
-    };
-    if let (true, Some(pred)) = (opts.vectorized, filter) {
-        scan.compiled = Some(Arc::new(CompiledExpr::compile(pred, table.schema())));
-        let bitmaps =
-            !opts.adaptive || scan_prefers_vectorized(estimate_scan_selectivity(table, pred));
-        if bitmaps && matches!(source, ScanSource::Segments(_)) {
-            stats.vectorized_scans += 1;
-            scan.chunks = Some(table.columnar_chunks());
-        }
-    }
-    if opts.workers > 1 && source.row_count() >= PARALLEL_SCAN_THRESHOLD {
+    let (scan, pieces) = resolve_scan(table, op, opts.vectorized, stats)?;
+    if opts.workers > 1 && selected_rows(&pieces) >= PARALLEL_SCAN_THRESHOLD {
         return Ok(Box::new(ParallelScanOp {
+            morsels: split_pieces(pieces, opts.workers),
             scan,
-            morsels: source.split(opts.workers),
+            policy,
             out: Emitter::new(),
         }));
     }
-    Ok(scan.op(source))
+    Ok(Box::new(ScanOp::new(scan, policy, pieces)))
+}
+
+/// The leaf scan of every base table — sequential, zone-map or index probe,
+/// filtered by the chunk kernels or by the row interpreter. Each piece of
+/// its source ([`masked_pieces`]) is filtered by [`PieceScan::select`], and
+/// only the rows it selects are materialised from the row store into
+/// batches, in table order: every operator above the scan sees the same
+/// rows and tags whichever way the filter ran.
+struct ScanOp<'a, P: TagPolicy> {
+    scan: PieceScan<'a>,
+    policy: &'a P,
+    pieces: std::vec::IntoIter<Piece>,
+    /// The piece being emitted: its first row id, its rows, its selection
+    /// and the position to resume from.
+    current: Option<(usize, &'a [Row], SelBitmap, usize)>,
+}
+
+impl<'a, P: TagPolicy> ScanOp<'a, P> {
+    fn new(scan: PieceScan<'a>, policy: &'a P, pieces: Vec<Piece>) -> Self {
+        ScanOp {
+            scan,
+            policy,
+            pieces: pieces.into_iter(),
+            current: None,
+        }
+    }
 }
 
 impl<P: TagPolicy> BatchOp<P> for ScanOp<'_, P> {
-    fn next_batch(&mut self, _stats: &mut ExecStats) -> Result<Option<Batch<P::Tag>>, ExecError> {
-        check_scan_epoch(self.table, self.epoch)?;
-        let schema = self.table.schema();
-        let name = self.table.name();
-        let mut batch = Batch::with_capacity(BATCH_SIZE);
-        while batch.len() < BATCH_SIZE {
-            let Some(rid) = self.source.next_rid() else {
-                break;
-            };
-            let row = self.rows.get(rid as usize);
-            if let Some(compiled) = &self.compiled {
-                if !compiled.matches(row)? {
-                    continue;
-                }
-            } else if let Some(pred) = self.filter {
-                if !eval_predicate(pred, schema, row)? {
-                    continue;
-                }
-            }
-            let tag = self.policy.seed_tag(name, schema, row, rid);
-            batch.push(row.clone(), tag);
-        }
-        Ok((!batch.is_empty()).then_some(batch))
-    }
-}
-
-// -- vectorized scans -------------------------------------------------------
-
-/// Cut contiguous row-id segments at columnar-chunk boundaries, yielding
-/// `[lo, hi)` pieces that each lie within a single chunk (in table order).
-/// Chunks need not be full, so the cuts are the chunks' own ends.
-fn chunk_aligned_pieces(
-    segments: &[(usize, usize)],
-    chunks: &ColumnarChunks,
-) -> Vec<(usize, usize)> {
-    let mut pieces = Vec::new();
-    for &(start, end) in segments {
-        let mut lo = start;
-        while lo < end {
-            // Past the last chunk the piece is reported when it is scanned.
-            let hi = chunks.chunk_for(lo).map_or(end, |c| c.end.min(end));
-            pieces.push((lo, hi));
-            lo = hi;
-        }
-    }
-    pieces
-}
-
-/// The rows `[lo, hi)` of a chunk-aligned piece.
-fn piece_rows(table: &Table, lo: usize, hi: usize) -> &[Row] {
-    let (first, run) = table.rows().slice_at(lo);
-    &run[lo - first..hi - first]
-}
-
-/// Leaf scan that filters chunk-at-a-time: each piece's predicate evaluation
-/// produces a selection bitmap ([`eval_filter_block`]), and only the
-/// surviving rows are materialized from the row store into batches — every
-/// operator above the scan sees byte-identical input to the row-interpreter
-/// path.
-struct VectorScanOp<'a, P: TagPolicy> {
-    table: &'a Table,
-    policy: &'a P,
-    compiled: Arc<CompiledExpr>,
-    pieces: std::vec::IntoIter<(usize, usize)>,
-    /// Chunk projection snapshot fetched at scan build.
-    chunks: Arc<ColumnarChunks>,
-    /// Currently drained piece: `(piece_lo, its rows, selection, next bit
-    /// index)`.
-    current: Option<(usize, &'a [Row], SelBitmap, usize)>,
-    /// Table epoch `chunks` was fetched at; re-validated per batch.
-    epoch: u64,
-}
-
-impl<P: TagPolicy> BatchOp<P> for VectorScanOp<'_, P> {
     fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch<P::Tag>>, ExecError> {
-        check_scan_epoch(self.table, self.epoch)?;
-        let schema = self.table.schema();
-        let name = self.table.name();
+        let table = self.scan.table;
+        check_scan_epoch(table, self.scan.epoch)?;
+        let (name, schema) = (table.name(), table.schema());
         let mut batch = Batch::with_capacity(BATCH_SIZE);
         while batch.len() < BATCH_SIZE {
-            let Some((lo, rows, sel, pos)) = &mut self.current else {
-                let Some((lo, hi)) = self.pieces.next() else {
+            let Some((lo, rows, sel, from)) = &mut self.current else {
+                let Some(piece) = self.pieces.next() else {
                     break;
                 };
-                let chunk = self
-                    .chunks
-                    .chunk_for(lo)
-                    .ok_or_else(|| ExecError::Plan("row id beyond chunk range".into()))?;
-                let rows = piece_rows(self.table, lo, hi);
-                let all = SelBitmap::ones(hi - lo);
-                let sel =
-                    eval_filter_block_counted(&self.compiled, chunk, rows, lo, hi, all, stats)?;
-                stats.vectorized_blocks += 1;
-                self.current = Some((lo, rows, sel, 0));
+                let (lo, hi) = (piece.lo, piece.hi());
+                let (_, sel) = self.scan.select(piece, stats)?;
+                self.current = Some((lo, piece_rows(table, lo, hi), sel, 0));
                 continue;
             };
-            while *pos < sel.len() && batch.len() < BATCH_SIZE {
-                let j = *pos;
-                *pos += 1;
-                if sel.get(j) {
-                    let row = &rows[j];
-                    let tag = self.policy.seed_tag(name, schema, row, (*lo + j) as u32);
-                    batch.push(row.clone(), tag);
+            let mut rest = None;
+            for j in sel.ones_from(*from) {
+                if batch.len() == BATCH_SIZE {
+                    rest = Some(j);
+                    break;
                 }
+                let row = &rows[j];
+                let tag = self.policy.seed_tag(name, schema, row, (*lo + j) as u32);
+                batch.push(row.clone(), tag);
             }
-            if *pos >= sel.len() {
-                self.current = None;
+            match rest {
+                Some(j) => *from = j,
+                None => self.current = None,
             }
         }
         Ok((!batch.is_empty()).then_some(batch))
@@ -1465,26 +1325,45 @@ impl<P: TagPolicy> BatchOp<P> for VectorScanOp<'_, P> {
 /// workers were requested — the thread fan-out costs more than it saves.
 pub const PARALLEL_SCAN_THRESHOLD: usize = 4 * BATCH_SIZE;
 
+/// Cut `pieces` into at most `parts` morsels of whole pieces in table order,
+/// balanced by the rows the pieces select: a morsel closes once it holds its
+/// share. Every piece is filtered exactly once, on one worker.
+fn split_pieces(pieces: Vec<Piece>, parts: usize) -> Vec<Vec<Piece>> {
+    let share = selected_rows(&pieces).div_ceil(parts.max(1));
+    let mut morsels = vec![Vec::new()];
+    let mut filled = 0;
+    for piece in pieces {
+        filled += piece.within.count();
+        morsels.last_mut().expect("non-empty").push(piece);
+        if filled >= share {
+            morsels.push(Vec::new());
+            filled = 0;
+        }
+    }
+    morsels.retain(|m| !m.is_empty());
+    morsels
+}
+
 /// What a scan-morsel worker hands back: its rows plus its local stats.
 type MorselResult<T> = Result<(Vec<(Row, T)>, ExecStats), ExecError>;
 
 /// Leaf scan that fans out over scoped threads. On its first `next_batch`
-/// every morsel — a contiguous piece of the resolved row-id set — is scanned
-/// on its own worker by the operator the sequential path would have built
-/// over it ([`ScanPlan::op`]), drained into worker-local rows and a
+/// every morsel ([`split_pieces`]) is scanned on its own worker by a
+/// [`ScanOp`] over its pieces, drained into worker-local rows and a
 /// worker-local [`ExecStats`]. The per-worker stats are folded in with
 /// [`ExecStats::merge_parallel`] and the morsels concatenated in table order,
 /// so the output is byte-identical to the sequential scan.
 struct ParallelScanOp<'a, P: TagPolicy> {
-    scan: ScanPlan<'a, P>,
-    morsels: Vec<ScanSource>,
+    scan: PieceScan<'a>,
+    policy: &'a P,
+    morsels: Vec<Vec<Piece>>,
     out: Emitter<P::Tag>,
 }
 
 impl<P: TagPolicy> BatchOp<P> for ParallelScanOp<'_, P> {
     fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch<P::Tag>>, ExecError> {
         if !self.out.filled {
-            let scan = &self.scan;
+            let (scan, policy) = (&self.scan, self.policy);
             let results: Vec<MorselResult<P::Tag>> = std::thread::scope(|s| {
                 let handles: Vec<_> = std::mem::take(&mut self.morsels)
                     .into_iter()
@@ -1492,7 +1371,7 @@ impl<P: TagPolicy> BatchOp<P> for ParallelScanOp<'_, P> {
                         s.spawn(move || {
                             let mut local = ExecStats::default();
                             let mut rows = Vec::new();
-                            let mut op = scan.op(morsel);
+                            let mut op = ScanOp::new(scan.clone(), policy, morsel);
                             while let Some(batch) = op.next_batch(&mut local)? {
                                 rows.extend(batch.rows.into_iter().zip(batch.tags));
                             }
@@ -2171,45 +2050,16 @@ fn try_agg_pushdown<'a, P: TagPolicy>(
         }
     }
     // Committed: resolve the scan, with the accounting every scan gets.
-    let (filter, source) = resolve_scan(table, &input.op, stats)?;
-    if filter.is_some() || matches!(source, ScanSource::Probe(_)) {
-        stats.vectorized_scans += 1;
-    }
-    let chunks = table.columnar_chunks();
+    let (scan, pieces) = resolve_scan(table, &input.op, true, stats)?;
     Ok(Some(Box::new(AggScanOp {
-        table,
+        scan,
         policy,
         aggregates,
         group_idx: group_idx.to_vec(),
         agg_cols,
-        filter: filter.map(|pred| CompiledExpr::compile(pred, table.schema())),
-        pieces: masked_pieces(source, &chunks),
-        chunks,
-        epoch: table.epoch(),
+        pieces,
         out: Emitter::new(),
     })))
-}
-
-/// A resolved scan source as chunk-aligned `[lo, hi)` pieces in table
-/// order, each with the rows it selects before the filter: every row of a
-/// segment piece, and for an index probe the probed rows of each chunk that
-/// holds one, the piece spanning the first to the last of them.
-fn masked_pieces(source: ScanSource, chunks: &ColumnarChunks) -> Vec<(usize, usize, SelBitmap)> {
-    match source {
-        ScanSource::Segments(segs) => chunk_aligned_pieces(&segs, chunks)
-            .into_iter()
-            .map(|(lo, hi)| (lo, hi, SelBitmap::ones(hi - lo)))
-            .collect(),
-        ScanSource::Probe(words) => chunks
-            .chunks()
-            .iter()
-            .filter_map(|chunk| {
-                let (first, last) = SelBitmap::window(&words, chunk.start, chunk.len()).bounds()?;
-                let (lo, hi) = (chunk.start + first, chunk.start + last + 1);
-                Some((lo, hi, SelBitmap::window(&words, lo, hi - lo)))
-            })
-            .collect(),
-    }
 }
 
 /// Fused scan + aggregate ([`try_agg_pushdown`]). Each piece's pushed-down
@@ -2227,20 +2077,15 @@ fn masked_pieces(source: ScanSource, chunks: &ColumnarChunks) -> Vec<(usize, usi
 /// * **row-at-a-time** on *borrowed* rows otherwise — string or mixed-type
 ///   columns, and capture, whose tags are seeded per row.
 struct AggScanOp<'a, P: TagPolicy> {
-    table: &'a Table,
+    scan: PieceScan<'a>,
     policy: &'a P,
     aggregates: &'a [AggExpr],
     /// Table-schema indexes of the group-by keys.
     group_idx: Vec<usize>,
     /// Table-schema index of each aggregate's input column.
     agg_cols: Vec<usize>,
-    filter: Option<CompiledExpr>,
     /// The candidate rows ([`masked_pieces`]).
-    pieces: Vec<(usize, usize, SelBitmap)>,
-    /// Chunk projection snapshot fetched at build.
-    chunks: Arc<ColumnarChunks>,
-    /// Table epoch the source was resolved at; re-validated at drain.
-    epoch: u64,
+    pieces: Vec<Piece>,
     out: Emitter<P::Tag>,
 }
 
@@ -2272,16 +2117,20 @@ fn numeric_column_shape(chunks: &ColumnarChunks, c: usize) -> Option<NumShape> {
 
 impl<P: TagPolicy> AggScanOp<'_, P> {
     fn drain(&mut self, stats: &mut ExecStats) -> Result<(), ExecError> {
-        check_scan_epoch(self.table, self.epoch)?;
+        let table = self.scan.table;
+        check_scan_epoch(table, self.scan.epoch)?;
         let mut fold = GroupFold::new(self.policy, self.aggregates, self.group_idx.len());
         let mut columns = self.column_fold();
-        let (name, schema) = (self.table.name(), self.table.schema());
-        for (lo, hi, within) in std::mem::take(&mut self.pieces) {
-            let (chunk, sel) = self.select_piece(lo, hi, within, stats)?;
+        let (name, schema) = (table.name(), table.schema());
+        for piece in std::mem::take(&mut self.pieces) {
+            let (lo, hi) = (piece.lo, piece.hi());
+            let (chunk, sel) = self.scan.select(piece, stats)?;
+            stats.agg_pushdown_blocks += 1;
+            stats.intermediate_rows += sel.count() as u64;
             match &mut columns {
                 Some(columns) => columns.fold_piece(&mut fold, chunk, &sel, lo - chunk.start),
                 None => {
-                    let rows = piece_rows(self.table, lo, hi);
+                    let rows = piece_rows(table, lo, hi);
                     for j in sel.iter_ones() {
                         let row = &rows[j];
                         let tag = self.policy.seed_tag(name, schema, row, (lo + j) as u32);
@@ -2294,33 +2143,6 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
         Ok(())
     }
 
-    /// Filter one piece, within the rows its source selects, into its
-    /// selection bitmap and record the pushdown's stats.
-    fn select_piece(
-        &self,
-        lo: usize,
-        hi: usize,
-        within: SelBitmap,
-        stats: &mut ExecStats,
-    ) -> Result<(&ColumnarChunk, SelBitmap), ExecError> {
-        let chunk = self
-            .chunks
-            .chunk_for(lo)
-            .ok_or_else(|| ExecError::Plan("row id beyond chunk range".into()))?;
-        let sel = match &self.filter {
-            Some(pred) => {
-                let rows = piece_rows(self.table, lo, hi);
-                let sel = eval_filter_block_counted(pred, chunk, rows, lo, hi, within, stats)?;
-                stats.vectorized_blocks += 1;
-                sel
-            }
-            None => within,
-        };
-        stats.agg_pushdown_blocks += 1;
-        stats.intermediate_rows += sel.count() as u64;
-        Ok((chunk, sel))
-    }
-
     /// The column-at-a-time fold of this scan, when it applies: trivial
     /// tags, and a numeric layout in every chunk for every group key and
     /// every aggregate input that is read (`COUNT` reads none).
@@ -2328,7 +2150,7 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
         if !self.policy.tags_are_trivial() {
             return None;
         }
-        let shape = |c: usize| numeric_column_shape(&self.chunks, c);
+        let shape = |c: usize| numeric_column_shape(&self.scan.chunks, c);
         let mut inputs = Vec::with_capacity(self.aggregates.len());
         for (a, &c) in self.aggregates.iter().zip(&self.agg_cols) {
             inputs.push(match a.func {
@@ -2376,17 +2198,14 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
     /// and zeroed per scan, which a selective probe of a wide key would not
     /// repay.
     fn direct_keys(&self, c: usize) -> Option<GroupKeys> {
-        let stats = self.table.stats();
-        let column = stats.column(&self.table.schema().columns()[c].name)?;
+        let table = self.scan.table;
+        let stats = table.stats();
+        let column = stats.column(&table.schema().columns()[c].name)?;
         let (Some(Value::Int(low)), Some(Value::Int(high))) = (&column.min, &column.max) else {
             return None;
         };
         let width = high.wrapping_sub(*low) as u64;
-        let candidates: usize = self
-            .pieces
-            .iter()
-            .map(|(_, _, within)| within.count())
-            .sum();
+        let candidates = selected_rows(&self.pieces);
         if width >= (DIRECT_MAP_ROWS * candidates) as u64 {
             return None;
         }
@@ -3329,27 +3148,56 @@ mod tests {
     }
 
     #[test]
-    fn scan_source_split_preserves_order_and_counts() {
-        let rids = |src: ScanSource| {
-            let mut it = src.into_rid_source();
-            std::iter::from_fn(move || it.next_rid()).collect::<Vec<u32>>()
+    fn split_pieces_keeps_order_balance_and_whole_pieces() {
+        let schema = Schema::from_pairs(&[("v", DataType::Int)]);
+        let rows: Vec<Row> = (0..320i64).map(|i| vec![Value::Int(i)]).collect();
+        // Chunks of 50 rows, the last one 20.
+        let chunks = ColumnarChunks::build(&schema, &rows, 50);
+        let rows_of = |pieces: &[Piece]| -> Vec<usize> {
+            let at = |p: &Piece| p.within.iter_ones().map(|j| p.lo + j).collect::<Vec<_>>();
+            pieces.iter().flat_map(at).collect()
         };
-        let segments = || ScanSource::Segments(vec![(0, 10), (20, 25), (30, 47)]);
+        let segments = || ScanSource::Segments(vec![(0, 10), (20, 25), (30, 147), (300, 320)]);
         // Rows 3, 5 to 68, 130 and 192 to 319.
         let probe = || ScanSource::Probe(vec![!0 << 5 | 1 << 3, 31, 1 << 2, !0, !0]);
-        let sources: [(&dyn Fn() -> ScanSource, usize); 4] =
-            [(&segments, 4), (&probe, 4), (&probe, 3), (&probe, 200)];
-        for (source, parts) in sources {
-            let total = source().row_count();
-            let all = rids(source());
+        let sources: [(&dyn Fn() -> ScanSource, usize, usize); 5] = [
+            (&segments, 152, 4),
+            (&segments, 152, 1),
+            (&probe, 194, 4),
+            (&probe, 194, 3),
+            (&probe, 194, 200),
+        ];
+        for (source, total, parts) in sources {
+            let pieces = masked_pieces(source(), &chunks);
+            let all = rows_of(&pieces);
             assert_eq!(all.len(), total);
             assert!(all.windows(2).all(|w| w[0] < w[1]));
-            let split = source().split(parts);
-            assert!(split.len() <= parts);
-            // Roughly balanced: every part within the ceiling.
-            assert!(split.iter().all(|p| p.row_count() <= total.div_ceil(parts)));
-            let joined: Vec<u32> = split.into_iter().flat_map(rids).collect();
-            assert_eq!(joined, all);
+            for p in &pieces {
+                assert!(
+                    p.hi() <= chunks.chunk_for(p.lo).unwrap().end,
+                    "piece crosses a chunk"
+                );
+            }
+            let bounds: Vec<(usize, usize)> = pieces.iter().map(|p| (p.lo, p.hi())).collect();
+            let biggest = pieces.iter().map(|p| p.within.count()).max().unwrap();
+            let share = total.div_ceil(parts);
+            let morsels = split_pieces(pieces, parts);
+            assert!(morsels.len() <= parts);
+            // Balanced: each morsel closes at its share, so it overshoots by
+            // less than its last piece; only the last may fall short.
+            for (i, m) in morsels.iter().enumerate() {
+                let n = selected_rows(m);
+                assert!(n < share + biggest, "morsel {i} of {parts}: {n} rows");
+                assert!(i + 1 == morsels.len() || n >= share);
+            }
+            // No piece is cut: the morsels hold the pieces, in order.
+            let joined: Vec<(usize, usize)> =
+                morsels.iter().flatten().map(|p| (p.lo, p.hi())).collect();
+            assert_eq!(joined, bounds);
+            assert_eq!(
+                morsels.iter().flat_map(|m| rows_of(m)).collect::<Vec<_>>(),
+                all
+            );
         }
     }
 
@@ -3368,11 +3216,11 @@ mod tests {
         assert!(text.contains("IndexRangeScan"));
     }
 
-    /// Options pinning the scan path statically (no adaptive re-decision).
+    /// Options with the scan filter on the chunk kernels (`vectorized`) or
+    /// the row interpreter.
     fn pinned(vectorized: bool) -> ExecOptions {
         ExecOptions {
             vectorized,
-            adaptive: false,
             ..ExecOptions::default()
         }
     }
@@ -3518,43 +3366,39 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_lowering_follows_predicted_selectivity() {
-        let db = zone_db();
-        let opts = ExecOptions::default(); // vectorized + adaptive
-        assert!(opts.adaptive);
+    fn plain_index_probe_filters_probed_rows_through_the_chunk_kernels() {
+        let db = indexed_db();
+        // Rows 150..=420 (chunks 1 to 4 of 100 rows) and 2 050..=2 060
+        // (chunk 20), less every seventh.
+        let pred = col("id")
+            .between(lit(150), lit(420))
+            .or(col("id").between(lit(2_050), lit(2_060)))
+            .and(col("grp").ne(lit(3)));
+        let plan = LogicalPlan::scan("t").filter(pred.clone());
+        let physical = lower(&db, &plan, EngineProfile::Indexed).unwrap();
+        assert!(matches!(physical.op, PhysOp::IndexRangeScan { .. }));
+        let table = db.table("t").unwrap();
+        let oracle: Vec<Row> = table
+            .rows()
+            .iter()
+            .filter(|row| eval_predicate(&pred, table.schema(), row).unwrap())
+            .cloned()
+            .collect();
+        assert_eq!(oracle.len(), 271 - 39 + 11 - 1);
 
-        // ~2% selectivity: the bitmap path wins and is chosen.
-        let narrow_scan = LogicalPlan::scan("t").filter(col("id").lt(lit(100)));
-        let (rel, stats) = run_with_opts(&db, &narrow_scan, EngineProfile::ColumnarScan, opts);
-        assert_eq!(rel.len(), 100);
+        let (rel, stats) = run_with_opts(&db, &plan, EngineProfile::Indexed, pinned(true));
+        assert_eq!(rel.rows(), &oracle[..]);
+        assert_eq!(stats.index_scans, 1);
+        assert_eq!(stats.rows_scanned, 271 + 11);
         assert_eq!(stats.vectorized_scans, 1);
+        assert_eq!(stats.vectorized_blocks, 5);
 
-        // ~100% selectivity: everything materializes anyway; the scan is
-        // adaptively lowered to the row loop (same rows, no bitmap pass).
-        let full_scan = LogicalPlan::scan("t").filter(col("id").ge(lit(0)));
-        let (rel, stats) = run_with_opts(&db, &full_scan, EngineProfile::ColumnarScan, opts);
-        assert_eq!(rel.len(), 5_000);
+        // The oracle override: vectorized off walks the same rows through
+        // the row interpreter and counts no vectorized scan.
+        let (rel, stats) = run_with_opts(&db, &plan, EngineProfile::Indexed, pinned(false));
+        assert_eq!(rel.rows(), &oracle[..]);
+        assert_eq!(stats.rows_scanned, 271 + 11);
         assert_eq!(stats.vectorized_scans, 0);
         assert_eq!(stats.vectorized_blocks, 0);
-
-        // The oracle override: vectorized off is never upgraded.
-        let oracle = ExecOptions {
-            vectorized: false,
-            ..ExecOptions::default()
-        };
-        let (_, stats) = run_with_opts(&db, &narrow_scan, EngineProfile::ColumnarScan, oracle);
-        assert_eq!(stats.vectorized_scans, 0);
-    }
-
-    #[test]
-    fn adaptive_parallel_scan_matches_sequential_decision() {
-        let db = zone_db();
-        let full_scan = LogicalPlan::scan("t").filter(col("id").ge(lit(0)));
-        let (rel, stats) = run_parallel(&db, &full_scan, EngineProfile::ColumnarScan, 4);
-        assert_eq!(rel.len(), 5_000);
-        // Workers took the compiled row loop, not the chunk path.
-        assert_eq!(stats.vectorized_scans, 0);
-        assert_eq!(stats.vectorized_blocks, 0);
-        assert_eq!(stats.rows_scanned, 5_000);
     }
 }

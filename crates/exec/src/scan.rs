@@ -7,7 +7,7 @@
 //! an ordered index or skip zone-map blocks instead of reading every row.
 
 use pbds_algebra::{BinOp, Expr};
-use pbds_storage::{Table, Value};
+use pbds_storage::Value;
 
 /// Inclusive value range used for probing indexes and zone maps.
 pub type InclusiveRange = (Option<Value>, Option<Value>);
@@ -177,68 +177,6 @@ pub fn extract_skip_ranges(pred: &Expr) -> Option<ColumnRanges> {
     per_column.into_iter().next()
 }
 
-/// Selectivity above which the adaptive lowering prefers the row loop over
-/// the vectorized bitmap path: when (almost) every row survives the filter,
-/// the bitmap pass is pure overhead — everything gets materialized anyway.
-pub const VECTORIZED_SELECTIVITY_CUTOFF: f64 = 0.95;
-
-/// The adaptive scan-lowering decision: take the vectorized chunk path
-/// unless the predicted selectivity says nearly every row survives
-/// ([`VECTORIZED_SELECTIVITY_CUTOFF`]). An unknown selectivity (`None`)
-/// keeps the vectorized default.
-pub fn scan_prefers_vectorized(predicted_selectivity: Option<f64>) -> bool {
-    predicted_selectivity.is_none_or(|s| s < VECTORIZED_SELECTIVITY_CUTOFF)
-}
-
-/// Cheap static selectivity estimate for a pushed-down scan predicate, used
-/// by the adaptive lowering when no observed feedback is available.
-///
-/// Takes the column-range constraint the scan would skip with
-/// ([`extract_skip_ranges`]) and sizes it against the column's statistics:
-/// point ranges estimate `1 / distinct`, bounded ranges the overlapped
-/// fraction of the `[min, max]` domain (assuming a uniform distribution —
-/// this feeds a binary path decision, not a cost model). `None` when the
-/// predicate yields no range constraint or the column's stats are unusable
-/// (non-numeric bounds, empty column).
-pub fn estimate_scan_selectivity(table: &Table, pred: &Expr) -> Option<f64> {
-    let cr = extract_skip_ranges(pred)?;
-    let stats = table.stats();
-    let col = stats.column(&cr.column)?;
-    let (min, max) = match (&col.min, &col.max) {
-        (Some(min), Some(max)) => (min.as_f64()?, max.as_f64()?),
-        _ => return None,
-    };
-    let width = max - min;
-    let mut fraction = 0.0;
-    for (lo, hi) in &cr.ranges {
-        let lo_f = match lo {
-            Some(v) => v.as_f64()?,
-            None => min,
-        };
-        let hi_f = match hi {
-            Some(v) => v.as_f64()?,
-            None => max,
-        };
-        if hi_f < lo_f {
-            continue;
-        }
-        fraction += if lo_f == hi_f {
-            // Point range: one value out of the distinct ones.
-            1.0 / table.distinct(&cr.column).map_or(1, |d| d.max(1)) as f64
-        } else if width <= 0.0 {
-            // Single-valued domain: the range either covers it or not.
-            if lo_f <= min && max <= hi_f {
-                1.0
-            } else {
-                0.0
-            }
-        } else {
-            (hi_f.min(max) - lo_f.max(min)).max(0.0) / width
-        };
-    }
-    Some(fraction.clamp(0.0, 1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,7 +184,7 @@ mod tests {
     use crate::profile::EngineProfile;
     use crate::stats::ExecStats;
     use pbds_algebra::{col, lit, RangeLookup};
-    use pbds_storage::{DataType, Database, Row, Schema, TableBuilder, ValueRange};
+    use pbds_storage::{DataType, Database, Row, Schema, Table, TableBuilder, ValueRange};
 
     /// Scan a base table with an optional pushed-down predicate through the
     /// access path the profile allows, as a one-operator physical plan.
@@ -366,34 +304,6 @@ mod tests {
         let mut stats = ExecStats::default();
         let rows = scan_table(&t, None, EngineProfile::Indexed, &mut stats);
         assert_eq!(rows.len(), 10_000);
-    }
-
-    #[test]
-    fn selectivity_estimate_tracks_range_width() {
-        let t = table(true); // id: 0..10_000 sequential
-        let half = estimate_scan_selectivity(&t, &col("id").lt(lit(5_000))).unwrap();
-        assert!((half - 0.5).abs() < 0.01, "got {half}");
-        assert!(scan_prefers_vectorized(Some(half)));
-
-        let all = estimate_scan_selectivity(&t, &col("id").le(lit(9_999))).unwrap();
-        assert!(all > VECTORIZED_SELECTIVITY_CUTOFF, "got {all}");
-        assert!(!scan_prefers_vectorized(Some(all)));
-
-        // Point predicates fall back to 1/distinct.
-        let point = estimate_scan_selectivity(&t, &col("id").eq(lit(5))).unwrap();
-        assert!((point - 1.0 / 10_000.0).abs() < 1e-9, "got {point}");
-
-        // Out-of-domain ranges estimate (near) zero but stay clamped.
-        let none = estimate_scan_selectivity(&t, &col("id").gt(lit(1_000_000))).unwrap();
-        assert!(none < 0.01, "got {none}");
-    }
-
-    #[test]
-    fn selectivity_estimate_unavailable_keeps_vectorized() {
-        let t = table(true);
-        // No single-column range structure: nothing to estimate from.
-        assert!(estimate_scan_selectivity(&t, &col("id").gt(col("grp"))).is_none());
-        assert!(scan_prefers_vectorized(None));
     }
 
     #[test]

@@ -26,9 +26,11 @@ pub struct ExecStats {
     pub intermediate_rows: u64,
     /// Batches emitted by the root of the physical operator pipeline.
     pub batches: u64,
-    /// Scans whose pushed-down filter ran on the vectorized columnar path.
+    /// Scans on the vectorized chunk kernels: every scan with a pushed-down
+    /// filter, and every index probe, when `ExecOptions::vectorized` is on.
     pub vectorized_scans: u64,
-    /// Columnar blocks evaluated into selection bitmaps by vectorized scans.
+    /// Chunk pieces whose filter the kernels evaluated into selection
+    /// bitmaps.
     pub vectorized_blocks: u64,
     /// Vectorized blocks whose chunk carried at least one compressed
     /// (run-length or bit-packed) column.

@@ -200,8 +200,20 @@ impl SelBitmap {
 
     /// Iterate the set bit positions in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, w)| {
-            let mut word = *w;
+        self.ones_from(0)
+    }
+
+    /// Iterate the set bit positions from `start` on, in ascending order.
+    pub(crate) fn ones_from(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
+        let first = start / 64;
+        let words = self.words.get(first..).unwrap_or_default();
+        words.iter().enumerate().flat_map(move |(i, w)| {
+            let wi = first + i;
+            let mut word = if i == 0 {
+                *w & (!0 << (start % 64))
+            } else {
+                *w
+            };
             std::iter::from_fn(move || {
                 if word == 0 {
                     return None;
@@ -1051,6 +1063,11 @@ mod tests {
         b.set(129);
         assert_eq!(b.count(), 3);
         assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![0, 64, 129]);
+        // Resuming mid-word, on a set bit, and past the last word.
+        assert_eq!(b.ones_from(1).collect::<Vec<_>>(), vec![64, 129]);
+        assert_eq!(b.ones_from(64).collect::<Vec<_>>(), vec![64, 129]);
+        assert_eq!(b.ones_from(65).collect::<Vec<_>>(), vec![129]);
+        assert_eq!(b.ones_from(200).count(), 0);
         assert!(b.get(64));
         b.clear(64);
         assert!(!b.get(64));

@@ -29,7 +29,7 @@ pub use database::{Database, StorageError};
 pub use index::OrderedIndex;
 pub use partition::{CompositePartition, Partition, PartitionRef, RangePartition, ValueRange};
 pub use relation::{Relation, Row};
-pub use rowstore::{RowCursor, RowSlices, Rows, RowsIter};
+pub use rowstore::{RowSlices, Rows, RowsIter};
 pub use schema::{Column, Schema};
 pub use stats::{ColumnStats, EquiDepthHistogram, TableStats};
 pub use table::{MutationKind, Table, TableBuilder, TableImage};

@@ -311,16 +311,6 @@ impl<'a> Rows<'a> {
         }
     }
 
-    /// A reader for loops that fetch rows by position, mostly moving forward
-    /// (a sorted row-id list, a segment walk): see [`RowCursor`].
-    pub fn cursor(&self) -> RowCursor<'a> {
-        RowCursor {
-            rows: *self,
-            first: 0,
-            run: &[],
-        }
-    }
-
     /// Copy the rows into a vector.
     pub fn to_vec(&self) -> Vec<Row> {
         let mut out = Vec::with_capacity(self.len());
@@ -337,29 +327,6 @@ impl Index<usize> for Rows<'_> {
     fn index(&self, i: usize) -> &Row {
         let (first, run) = self.slice_at(i);
         &run[i - first]
-    }
-}
-
-/// Fetches rows of a [`Rows`] view by position, remembering the contiguous
-/// run the last fetch fell in: a fetch inside that run costs a bounds check,
-/// only a fetch outside it searches for the chunk again.
-#[derive(Clone)]
-pub struct RowCursor<'a> {
-    rows: Rows<'a>,
-    /// Position of `run[0]`.
-    first: usize,
-    run: &'a [Row],
-}
-
-impl<'a> RowCursor<'a> {
-    /// The row at position `i`. Panics when `i` is out of range.
-    pub fn get(&mut self, i: usize) -> &'a Row {
-        // `i < first` wraps to a huge offset and misses the run too.
-        if let Some(row) = self.run.get(i.wrapping_sub(self.first)) {
-            return row;
-        }
-        (self.first, self.run) = self.rows.slice_at(i);
-        &self.run[i - self.first]
     }
 }
 
@@ -529,10 +496,6 @@ mod tests {
         assert_eq!(mid[0], vec![Value::Int(3)]);
         assert_eq!(mid[5], vec![Value::Int(8)]);
         assert_eq!(mid.slice_at(2), (1, &rows(4..8)[..]));
-        let mut cursor = mid.cursor();
-        for i in [0, 1, 5, 2, 2, 4] {
-            assert_eq!(cursor.get(i), &mid[i]);
-        }
         assert_eq!(mid.range(2..), &rows(5..9)[..]);
         assert!(mid.range(6..).is_empty());
         assert_eq!(format!("{:?}", all.range(..2)), "[[Int(0)], [Int(1)]]");

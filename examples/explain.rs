@@ -8,7 +8,6 @@
 //! Run with: `cargo run --release --example explain`
 
 use pbds_core::algebra::{col, lit, AggExpr, AggFunc, LogicalPlan, SortKey};
-use pbds_core::exec::estimate_scan_selectivity;
 use pbds_core::storage::{DataType, Database, Schema, TableBuilder, Value};
 use pbds_core::{Engine, EngineProfile, Pbds};
 
@@ -116,25 +115,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pushed.stats.agg_pushdown_blocks
     );
 
-    // Adaptive lowering: the engine predicts each filter's selectivity from
-    // table stats and only takes the bitmap path when enough rows get
-    // filtered out to pay for the late-materialization pass. A filter that
-    // keeps every row is lowered back to the compiled row loop automatically.
-    let pred_all = col("v").ge(lit(0));
-    let pred_few = col("v").lt(lit(20));
-    for (name, pred) in [("keeps every row", pred_all), ("keeps ~2%", pred_few)] {
-        let est = estimate_scan_selectivity(table, &pred);
-        let out = columnar.execute(pbds.db(), &LogicalPlan::scan("t").filter(pred))?;
-        println!(
-            "adaptive lowering ({name}): estimated selectivity {:?} -> {}",
-            est,
-            if out.stats.vectorized_scans > 0 {
-                "vectorized bitmap scan"
-            } else {
-                "compiled row loop"
-            }
-        );
-    }
+    // A plain (non-aggregate) index probe takes the same chunk path: the
+    // probe's rows are cut into per-chunk masks, and the filter runs through
+    // the kernels only within the rows each chunk's mask selects.
+    let probe = LogicalPlan::scan("t").filter(
+        col("grp")
+            .between(lit(3), lit(5))
+            .and(col("v").lt(lit(500))),
+    );
+    let probed = engine.execute(pbds.db(), &probe)?;
+    println!(
+        "plain index probe: {} index scan(s), {} vectorized, {} chunk(s) filtered, \
+         {} rows probed -> {} rows out",
+        probed.stats.index_scans,
+        probed.stats.vectorized_scans,
+        probed.stats.vectorized_blocks,
+        probed.stats.rows_scanned,
+        probed.relation.len()
+    );
 
     // EXPLAIN ANALYZE: execute the plan and keep the per-operator metrics
     // every execution records. Each node reports the rows it produced, how

@@ -154,11 +154,8 @@ fn assert_paths_identical<P>(
 {
     for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
         let run = |vectorized: bool| {
-            // Pin the scan path (adaptive lowering off) so the vectorized arm
-            // exercises the bitmap kernels on every mutated-table shape.
             let opts = ExecOptions {
                 vectorized,
-                adaptive: false,
                 workers,
             };
             let physical = lower(db, plan, profile).unwrap();

@@ -324,29 +324,65 @@ fn query_family() -> Vec<LogicalPlan> {
             .filter(col("k").ge(lit(10)))
             .filter(col("k").le(lit(120)))
             .top_k(vec![SortKey::asc("v"), SortKey::desc("k")], 7),
+        // Plain index probes: a sketch predicate on the indexed `k` selects
+        // rows from several chunks, and the conjunct on NULL-bearing `v` is
+        // checked within them. The second sketch lies outside `k`'s domain,
+        // so its probe selects no piece at all.
+        LogicalPlan::scan("r")
+            .filter(sketch_on_k(&[(10, 45), (90, 100), (150, 230)]).and(col("v").gt(lit(-10))))
+            .project(vec![
+                (col("k"), "k"),
+                (col("v"), "v"),
+                (col("name"), "name"),
+            ]),
+        LogicalPlan::scan("r")
+            .filter(sketch_on_k(&[(-50, -10), (1_000, 2_000)]).and(col("v").lt(lit(0))))
+            .project(vec![(col("k"), "k"), (col("v"), "v")]),
     ]
 }
 
+/// A sketch predicate on `k`: the ranges `(lo, hi]`, as sketch
+/// instrumentation writes them.
+fn sketch_on_k(ranges: &[(i64, i64)]) -> Expr {
+    Expr::InRanges {
+        column: "k".into(),
+        ranges: ranges
+            .iter()
+            .map(|&(lo, hi)| ValueRange {
+                lo: Some(Value::Int(lo)),
+                hi: Some(Value::Int(hi)),
+            })
+            .collect(),
+        lookup: RangeLookup::BinarySearch,
+    }
+}
+
+/// Both scan filters — the chunk kernels and the row interpreter, which walk
+/// the same chunk pieces — against the oracle, which shares no piece code.
 #[test]
 fn pipeline_matches_direct_evaluation_on_every_query_and_profile() {
     for seed in 0..4u64 {
         let db = random_db(seed, 300);
         for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-            let engine = Engine::new(profile);
-            for (i, plan) in query_family().iter().enumerate() {
-                let expected = oracle(&db, plan).unwrap();
-                let actual = engine.execute(&db, plan).unwrap().relation;
-                assert_eq!(
-                    actual.len(),
-                    expected.len(),
-                    "seed {seed}, query #{i}, {profile:?}: row counts differ\n{}",
-                    plan.display_tree()
-                );
-                assert!(
-                    actual.bag_eq(&expected),
-                    "seed {seed}, query #{i}, {profile:?}: relations differ\n{}",
-                    plan.display_tree()
-                );
+            for vectorized in [true, false] {
+                let engine = Engine::new(profile).with_vectorization(vectorized);
+                for (i, plan) in query_family().iter().enumerate() {
+                    let ctx =
+                        format!("seed {seed}, query #{i}, {profile:?}, vectorized {vectorized}");
+                    let expected = oracle(&db, plan).unwrap();
+                    let actual = engine.execute(&db, plan).unwrap().relation;
+                    assert_eq!(
+                        actual.len(),
+                        expected.len(),
+                        "{ctx}: row counts differ\n{}",
+                        plan.display_tree()
+                    );
+                    assert!(
+                        actual.bag_eq(&expected),
+                        "{ctx}: relations differ\n{}",
+                        plan.display_tree()
+                    );
+                }
             }
         }
     }
@@ -569,14 +605,9 @@ fn minmax_narrowing_still_selects_only_the_witness_fragment() {
 // Vectorized vs row-interpreter scan path: byte-identical rows *and* tags.
 // ---------------------------------------------------------------------------
 
-/// Execute `plan` with the scan path pinned to `vectorized` and `workers`
-/// scan workers, returning the relation, the per-row tags and the stats.
-///
-/// Adaptive lowering is off: an A/B must pin each arm to its path so the
-/// vectorized arm really exercises the bitmap kernels and the scan→aggregate
-/// pushdown rather than adaptively re-picking the row loop (both arms of the
-/// adaptive decision are row/tag-identical by construction — these tests are
-/// what proves it for each pinned path).
+/// Execute `plan` with the scan filter on the chunk kernels (`vectorized`)
+/// or the row interpreter and `workers` scan workers, returning the
+/// relation, the per-row tags and the stats.
 fn run_pinned<P>(
     db: &Database,
     plan: &LogicalPlan,
@@ -590,7 +621,6 @@ where
 {
     let opts = ExecOptions {
         vectorized,
-        adaptive: false,
         workers,
     };
     let physical = lower(db, plan, profile).unwrap();
@@ -688,8 +718,8 @@ fn vectorized_path_is_byte_identical_for_sketch_capture_tags() {
 /// `r(k, z, grp, v)` with `4 × PARALLEL_SCAN_THRESHOLD` rows: `k` is indexed,
 /// `z` carries the same clustered values without an index (so range
 /// predicates on it lower to zone-map scans that really skip), `grp` is runny
-/// and `v` has occasional NULLs. With 64-row blocks every even morsel cut of
-/// the whole table falls on a chunk boundary.
+/// and `v` has occasional NULLs. Blocks are 64 rows, so every scan spans
+/// many chunk pieces.
 fn big_db() -> Database {
     let mut rng = StdRng::seed_from_u64(23);
     let schema = Schema::from_pairs(&[
@@ -718,54 +748,33 @@ fn big_db() -> Database {
 }
 
 /// Scan shapes over [`big_db`]: seq / zone-map / index access paths, with and
-/// without a pushed-down filter, plus blocking operators above the scan. The
-/// flag says whether every morsel cut for workers ∈ {2, 4} falls on a chunk
-/// boundary; a cut inside a chunk evaluates that chunk once per side, so only
-/// aligned shapes have worker-independent `vectorized_blocks`.
-fn big_scan_family() -> Vec<(LogicalPlan, bool)> {
+/// without a pushed-down filter, plus blocking operators above the scan.
+/// Morsels are runs of whole chunk pieces, so every shape evaluates each
+/// chunk once whatever the worker count.
+fn big_scan_family() -> Vec<LogicalPlan> {
     let sum_v = || vec![AggExpr::new(AggFunc::Sum, col("v"), "total")];
     vec![
-        (LogicalPlan::scan("r"), true),
-        (
-            LogicalPlan::scan("r").filter(col("grp").le(lit(4)).and(col("v").gt(lit(0)))),
-            true,
-        ),
+        LogicalPlan::scan("r"),
+        LogicalPlan::scan("r").filter(col("grp").le(lit(4)).and(col("v").gt(lit(0)))),
         // 128 candidate blocks = 8 192 rows: still fanned out after skipping.
-        (
-            LogicalPlan::scan("r").filter(col("z").between(lit(1_024), lit(9_215))),
-            true,
-        ),
-        // 193 candidate blocks: the morsel cuts fall inside chunks.
-        (
-            LogicalPlan::scan("r").filter(col("z").between(lit(1_000), lit(13_287))),
-            false,
-        ),
-        (
-            LogicalPlan::scan("r").filter(
-                col("k")
-                    .between(lit(100), lit(12_387))
-                    .and(col("v").gt(lit(0))),
-            ),
-            true,
+        LogicalPlan::scan("r").filter(col("z").between(lit(1_024), lit(9_215))),
+        // 193 candidate blocks: an even cut of the rows would fall inside a
+        // chunk.
+        LogicalPlan::scan("r").filter(col("z").between(lit(1_000), lit(13_287))),
+        LogicalPlan::scan("r").filter(
+            col("k")
+                .between(lit(100), lit(12_387))
+                .and(col("v").gt(lit(0))),
         ),
         // The access path narrows the scan below the threshold: one morsel.
-        (
-            LogicalPlan::scan("r").filter(col("k").between(lit(10), lit(500))),
-            true,
-        ),
-        (
-            LogicalPlan::scan("r")
-                .filter(col("z").between(lit(1_024), lit(9_215)))
-                .aggregate(vec!["grp"], sum_v()),
-            true,
-        ),
-        (LogicalPlan::scan("r").aggregate(vec![], sum_v()), true),
-        (
-            LogicalPlan::scan("r")
-                .filter(col("k").ge(lit(20)))
-                .top_k(vec![SortKey::desc("v"), SortKey::asc("k")], 9),
-            true,
-        ),
+        LogicalPlan::scan("r").filter(col("k").between(lit(10), lit(500))),
+        LogicalPlan::scan("r")
+            .filter(col("z").between(lit(1_024), lit(9_215)))
+            .aggregate(vec!["grp"], sum_v()),
+        LogicalPlan::scan("r").aggregate(vec![], sum_v()),
+        LogicalPlan::scan("r")
+            .filter(col("k").ge(lit(20)))
+            .top_k(vec![SortKey::desc("v"), SortKey::asc("k")], 9),
     ]
 }
 
@@ -777,7 +786,7 @@ where
     P::Tag: PartialEq + std::fmt::Debug,
 {
     for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-        for (i, (plan, aligned)) in big_scan_family().iter().enumerate() {
+        for (i, plan) in big_scan_family().iter().enumerate() {
             let ((rel, tags), base) = run_pinned(db, plan, profile, 1, false, policy);
             for vectorized in [false, true] {
                 let (_, seq) = run_pinned(db, plan, profile, 1, vectorized, policy);
@@ -796,9 +805,7 @@ where
                     assert_eq!(base.index_scans, stats.index_scans, "{ctx}");
                     assert_eq!(base.blocks_skipped, stats.blocks_skipped, "{ctx}");
                     assert_eq!(seq.vectorized_scans, stats.vectorized_scans, "{ctx}");
-                    if *aligned {
-                        assert_eq!(seq.vectorized_blocks, stats.vectorized_blocks, "{ctx}");
-                    }
+                    assert_eq!(seq.vectorized_blocks, stats.vectorized_blocks, "{ctx}");
                 }
             }
         }
