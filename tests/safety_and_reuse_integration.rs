@@ -31,12 +31,214 @@ fn random_db(seed: u64, rows: usize) -> Database {
     }
     let mut db = Database::new();
     db.add_table(b.build());
+    db.add_table(dim_table());
     db
 }
 
-/// Query shapes paired with the attribute sets to test.
-fn safety_cases() -> Vec<(&'static str, LogicalPlan, &'static str)> {
+/// `dim(gid, region, label)`: one row per `fact.grp` value, five regions and
+/// an ordered string label (`g00` … `g24`).
+fn dim_table() -> pbds_storage::Table {
+    let schema = Schema::from_pairs(&[
+        ("gid", DataType::Int),
+        ("region", DataType::Int),
+        ("label", DataType::Str),
+    ]);
+    let mut b = TableBuilder::new("dim", schema);
+    for gid in 0..25i64 {
+        b.push(vec![
+            Value::Int(gid),
+            Value::Int(gid % 5),
+            Value::from(format!("g{gid:02}").as_str()),
+        ]);
+    }
+    b.build()
+}
+
+/// Templates over `fact` + `dim` that reach the operator arms and encodings
+/// the end-to-end templates do not: union, cross product, distinct,
+/// arithmetic projections and aggregate arguments, MAX, a non-linear
+/// conjunct and a string parameter. Each comes with six bindings and the
+/// `fact` column its sketches are captured on in the reuse oracle.
+fn fact_dim_templates() -> Vec<(QueryTemplate, &'static str, Vec<Vec<Value>>)> {
+    let ints = |rows: &[&[i64]]| -> Vec<Vec<Value>> {
+        rows.iter()
+            .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
+            .collect()
+    };
+    let having = |filter: pbds_algebra::Expr, threshold: usize| {
+        LogicalPlan::scan("fact")
+            .filter(filter)
+            .aggregate(
+                vec!["grp"],
+                vec![AggExpr::new(AggFunc::Count, col("id"), "cnt")],
+            )
+            .filter(col("cnt").gt(param(threshold)))
+    };
     vec![
+        (
+            QueryTemplate::new(
+                "fact-union-having",
+                having(col("amount").gt(param(0)), 1).union(having(col("flag").eq(lit(1)), 2)),
+            ),
+            "grp",
+            ints(&[
+                &[10, 20, 20],
+                &[10, 30, 20],
+                &[30, 20, 25],
+                &[50, 10, 30],
+                &[10, 20, 35],
+                &[70, 5, 20],
+            ]),
+        ),
+        (
+            QueryTemplate::new(
+                "fact-distinct-projection",
+                LogicalPlan::scan("fact")
+                    .filter(col("amount").gt(param(0)))
+                    .project(vec![(col("grp"), "grp"), (col("flag"), "flag")])
+                    .distinct(),
+            ),
+            "grp",
+            ints(&[&[5], &[20], &[40], &[60], &[80], &[95]]),
+        ),
+        (
+            QueryTemplate::new(
+                "fact-distinct-having",
+                having(col("amount").gt(param(0)), 1).distinct(),
+            ),
+            "grp",
+            ints(&[
+                &[10, 20],
+                &[10, 30],
+                &[30, 20],
+                &[50, 10],
+                &[10, 10],
+                &[70, 5],
+            ]),
+        ),
+        (
+            QueryTemplate::new(
+                "fact-dim-cross-having",
+                LogicalPlan::scan("fact")
+                    .cross(LogicalPlan::scan("dim"))
+                    .filter(col("grp").eq(col("gid")))
+                    .filter(col("amount").gt(param(0)))
+                    .aggregate(
+                        vec!["region"],
+                        vec![AggExpr::new(AggFunc::Count, col("id"), "cnt")],
+                    )
+                    .filter(col("cnt").gt(param(1))),
+            ),
+            "grp",
+            ints(&[
+                &[10, 100],
+                &[10, 150],
+                &[30, 100],
+                &[50, 50],
+                &[10, 50],
+                &[70, 20],
+            ]),
+        ),
+        (
+            QueryTemplate::new(
+                "fact-arith-sum-having",
+                LogicalPlan::scan("fact")
+                    .filter(col("amount").gt(param(0)))
+                    .project(vec![
+                        (col("grp"), "grp"),
+                        (lit(2).mul(col("amount")).add(lit(1)), "w"),
+                    ])
+                    .aggregate(
+                        vec!["grp"],
+                        vec![AggExpr::new(AggFunc::Sum, col("w"), "total")],
+                    )
+                    .filter(col("total").gt(param(1))),
+            ),
+            "grp",
+            ints(&[
+                &[10, 2_000],
+                &[10, 3_000],
+                &[30, 2_000],
+                &[50, 1_000],
+                &[10, 1_000],
+                &[0, 4_000],
+            ]),
+        ),
+        (
+            QueryTemplate::new(
+                "fact-max-having",
+                LogicalPlan::scan("fact")
+                    .filter(col("amount").lt(param(0)))
+                    .aggregate(
+                        vec!["grp"],
+                        vec![AggExpr::new(AggFunc::Max, col("amount"), "m")],
+                    )
+                    .filter(col("m").gt(param(1))),
+            ),
+            "grp",
+            ints(&[
+                &[90, 80],
+                &[90, 85],
+                &[60, 50],
+                &[99, 95],
+                &[90, 50],
+                &[40, 30],
+            ]),
+        ),
+        (
+            QueryTemplate::new(
+                "fact-nonlinear-selection",
+                LogicalPlan::scan("fact").filter(
+                    col("amount")
+                        .mul(col("flag"))
+                        .gt(param(0))
+                        .and(col("grp").lt(param(1))),
+                ),
+            ),
+            "grp",
+            ints(&[
+                &[50, 10],
+                &[50, 20],
+                &[20, 10],
+                &[80, 5],
+                &[50, 5],
+                &[10, 24],
+            ]),
+        ),
+        (
+            QueryTemplate::new(
+                "fact-dim-string-join",
+                LogicalPlan::scan("fact")
+                    .join(
+                        LogicalPlan::scan("dim").filter(col("label").ge(param(0))),
+                        "grp",
+                        "gid",
+                    )
+                    .aggregate(
+                        vec!["region"],
+                        vec![AggExpr::new(AggFunc::Count, col("id"), "cnt")],
+                    )
+                    .filter(col("cnt").gt(param(1))),
+            ),
+            "grp",
+            [
+                ("g05", 50),
+                ("g05", 80),
+                ("g12", 50),
+                ("g20", 20),
+                ("g05", 20),
+                ("g00", 100),
+            ]
+            .iter()
+            .map(|&(label, cnt)| vec![Value::from(label), Value::Int(cnt)])
+            .collect(),
+        ),
+    ]
+}
+
+/// Query shapes paired with the attribute sets to test.
+fn safety_cases() -> Vec<(String, LogicalPlan, &'static str)> {
+    let mut cases: Vec<(String, LogicalPlan, &'static str)> = [
         (
             "top-1 sum per group",
             LogicalPlan::scan("fact")
@@ -87,6 +289,17 @@ fn safety_cases() -> Vec<(&'static str, LogicalPlan, &'static str)> {
             "amount",
         ),
     ]
+    .into_iter()
+    .map(|(name, plan, attr)| (name.to_string(), plan, attr))
+    .collect();
+    // Every fact-dim shape, at its first binding, on every fact column.
+    for (template, _, bindings) in fact_dim_templates() {
+        let plan = template.instantiate(&bindings[0]);
+        for attr in ["id", "grp", "amount", "flag"] {
+            cases.push((template.name().to_string(), plan.clone(), attr));
+        }
+    }
+    cases
 }
 
 #[test]
@@ -157,6 +370,33 @@ fn having_template() -> QueryTemplate {
     )
 }
 
+/// Capture a sketch on `fact.attr` for `template(captured)`, answer
+/// `template(new_binding)` from it and compare with the plain answer.
+fn assert_reuse_holds(
+    pbds: &Pbds,
+    template: &QueryTemplate,
+    attr: &str,
+    captured: &[Value],
+    new_binding: &[Value],
+) {
+    let partition = pbds.range_partition("fact", attr, 8).unwrap();
+    let sketches = pbds
+        .capture(&template.instantiate(captured), &[partition])
+        .unwrap()
+        .sketches;
+    let new_plan = template.instantiate(new_binding);
+    let truth = pbds.execute(&new_plan).unwrap().relation;
+    let from_sketch = pbds
+        .execute_with_sketches(&new_plan, &sketches)
+        .unwrap()
+        .relation;
+    assert!(
+        truth.bag_eq(&from_sketch),
+        "{}: reuse verdict for {captured:?} -> {new_binding:?} is wrong",
+        template.name()
+    );
+}
+
 #[test]
 fn reusable_verdicts_hold_on_random_databases() {
     let template = having_template();
@@ -179,26 +419,46 @@ fn reusable_verdicts_hold_on_random_databases() {
                 continue;
             }
             reusable_checked += 1;
-            // Capture for the captured binding, then answer the new instance
-            // from the sketch and compare against the plain answer.
-            let partition = pbds.range_partition("fact", "grp", 8).unwrap();
-            let captured = pbds
-                .capture(&template.instantiate(&captured_binding), &[partition])
-                .unwrap();
-            let new_plan = template.instantiate(&new_binding);
-            let truth = pbds.execute(&new_plan).unwrap().relation;
-            let from_sketch = pbds
-                .execute_with_sketches(&new_plan, &captured.sketches)
-                .unwrap()
-                .relation;
-            assert!(
-                truth.bag_eq(&from_sketch),
-                "seed {seed}: reuse verdict for {captured_binding:?} -> {new_binding:?} is wrong"
-            );
+            assert_reuse_holds(&pbds, &template, "grp", &captured_binding, &new_binding);
         }
     }
     assert!(
         reusable_checked >= 4,
+        "too few reusable verdicts exercised: {reusable_checked}"
+    );
+}
+
+/// The same oracle over every ordered pair of distinct bindings of the
+/// fact-dim templates. Theorem 3 carries a *safe* sketch over, so a pair
+/// counts only when the captured instance is safe on the sketch attribute.
+#[test]
+fn reusable_verdicts_hold_for_fact_dim_templates() {
+    let mut reusable_checked = 0;
+    for seed in 0..4u64 {
+        let pbds = Pbds::new(random_db(seed, 1_500));
+        for (template, attr, bindings) in fact_dim_templates() {
+            for captured in &bindings {
+                let safe = pbds
+                    .check_safety(
+                        &template.instantiate(captured),
+                        &[PartitionAttr::new("fact", attr)],
+                    )
+                    .safe;
+                for new_binding in &bindings {
+                    if !safe
+                        || captured == new_binding
+                        || !pbds.check_reuse(&template, captured, new_binding).reusable
+                    {
+                        continue;
+                    }
+                    reusable_checked += 1;
+                    assert_reuse_holds(&pbds, &template, attr, captured, new_binding);
+                }
+            }
+        }
+    }
+    assert!(
+        reusable_checked >= 100,
         "too few reusable verdicts exercised: {reusable_checked}"
     );
 }
@@ -332,13 +592,20 @@ fn verdict_grid() -> Vec<(QueryTemplate, Vec<Vec<Value>>)> {
         stride(&|i| vec![200 + i * 290, 290 + i * 290]),
     ));
     grid.push((tpch_query("Q18"), stride(&|i| vec![170 + i * 10])));
+    grid.extend(
+        fact_dim_templates()
+            .into_iter()
+            .map(|(template, _, bindings)| (template, bindings)),
+    );
     grid
 }
 
 /// `can_reuse` over every ordered pair of the grid (row-major, captured
 /// binding first), then `check_safety` of the first binding's instance on
-/// each column of each table it scans, per template. Recorded before the
-/// solver's allocation-light rewrite; a verdict that moves is a regression.
+/// each column of each table it scans, per template. The end-to-end rows
+/// were recorded before the solver's allocation-light rewrite, the fact-dim
+/// rows (over a fixed `fact` + `dim` database) before safety and reuse shared
+/// one plan walk; a verdict that moves is a regression.
 #[rustfmt::skip]
 const GOLDEN_VERDICTS: &[(&str, &str, &str)] = &[
     ("sof-e2e-posts",     "111111010001011001011111011011000001", "1111"),
@@ -352,6 +619,14 @@ const GOLDEN_VERDICTS: &[(&str, &str, &str)] = &[
     ("tpch-q5",           "100000010000001000000100000010000001", "000000000000010"),
     ("tpch-q10",          "100000010000001000000100000010000001", "010000000000"),
     ("tpch-q18",          "100000010000001000000100000010000001", "10000000"),
+    ("fact-union-having",        "110010010000001000000100000010000001", "1111"),
+    ("fact-distinct-projection", "111111011111001111000111000011000001", "1111"),
+    ("fact-distinct-having",     "110000010000001000000100110010000001", "0100"),
+    ("fact-dim-cross-having",    "111000010000001000000100111110000001", "1111111"),
+    ("fact-arith-sum-having",    "111000010000001000000100111110000001", "1111"),
+    ("fact-max-having",          "110000010000001000000100110010000001", "1111"),
+    ("fact-nonlinear-selection", "100000010000001000000100000010000001", "0000"),
+    ("fact-dim-string-join",     "111000010000001000000100111110000001", "1111111"),
 ];
 
 #[test]
@@ -371,7 +646,12 @@ fn end_to_end_verdicts_match_the_golden_table() {
         scale: 0.002,
         ..Default::default()
     });
-    let handles = [Pbds::new(sof_db), Pbds::new(crimes_db), Pbds::new(tpch_db)];
+    let handles = [
+        Pbds::new(sof_db),
+        Pbds::new(crimes_db),
+        Pbds::new(tpch_db),
+        Pbds::new(random_db(0, 600)),
+    ];
     let mut actual = Vec::new();
     for (template, bindings) in verdict_grid() {
         let plan = template.instantiate(&bindings[0]);
