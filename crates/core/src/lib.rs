@@ -15,7 +15,9 @@
 //! The crate provides:
 //!
 //! * [`safety`] — the static safety check of Sec. 5 (`gc(Q, X)` inference);
-//! * [`reuse`] — the parameterized-query reuse check of Sec. 6;
+//! * [`reuse`] — the parameterized-query reuse check of Sec. 6. Both are rule
+//!   sets over one private plan walk, which encodes `pred`, `expr` and Ψ of
+//!   every operator over an unprimed and a primed copy of each attribute;
 //! * [`instrument`] — query instrumentation with sketch filters (Sec. 8);
 //! * [`tuning`] — the self-tuning eager/adaptive strategies of Sec. 9.5;
 //! * [`catalog`] — the shared, thread-safe sketch catalog (template-keyed,

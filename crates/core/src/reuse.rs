@@ -7,13 +7,19 @@
 //! the condition `uconds(Q', Q)`, both discharged through the
 //! linear-arithmetic solver; when both hold, `P(Q', D) ⊆ P(Q, D)` on every
 //! database, so the (safe) sketch of `Q` is safe for `Q'` (Theorem 3).
+//!
+//! The plan walk is the one in the private `encode` module, with the
+//! unprimed copy the captured instance `Q` and the primed copy the new
+//! instance `Q'`. This module is Fig. 4's rule set over it: every operator
+//! counts as sketched, a top-k passes through (`topk_inputs_agree` has
+//! already required its input to be bound identically), Fig. 4b's aggregate
+//! Ψ, and the final `uconds` check.
 
-use crate::encode::{
-    attr_var, eq_primed, to_formula, to_linexpr, EncodedPred, StringEncoder, PRIME_SUFFIX,
-};
-use pbds_algebra::{AggFunc, LogicalPlan, QueryTemplate};
-use pbds_solver::{is_valid, CmpOp, Formula, LinExpr};
+use crate::encode::{relate_outputs, verdict, Encoder, Node, Rules, Side, PRIME_SUFFIX};
+use pbds_algebra::{AggExpr, AggFunc, LogicalPlan, QueryTemplate};
+use pbds_solver::{implies, CmpOp, Formula, LinExpr};
 use pbds_storage::{Database, Value};
+use std::cell::OnceCell;
 
 /// Outcome of a reuse check.
 #[derive(Debug, Clone)]
@@ -22,46 +28,6 @@ pub struct ReuseResult {
     pub reusable: bool,
     /// Human-readable trace of the obligations checked.
     pub details: Vec<String>,
-}
-
-/// Per-node state for the reuse analysis. Unprimed variables refer to the
-/// captured instance `Q`, primed variables to the new instance `Q'`.
-struct NodeInfo {
-    schema_names: Vec<String>,
-    /// Conjuncts of `pred(Q)` (unprimed).
-    pred_q: Vec<Formula>,
-    /// Conjuncts of `pred(Q')` (primed).
-    pred_qp: Vec<Formula>,
-    /// Whether every conjunct of `pred(Q)` could be encoded.
-    pred_q_complete: bool,
-    expr_q: EncodedPred,
-    expr_qp: EncodedPred,
-    psi: Formula,
-    ge: bool,
-}
-
-impl NodeInfo {
-    fn conds_q(&self) -> Formula {
-        Formula::and_all(
-            self.pred_q
-                .iter()
-                .cloned()
-                .chain(std::iter::once(self.expr_q.formula.clone()))
-                .collect(),
-        )
-    }
-    fn conds_qp(&self) -> Formula {
-        Formula::and_all(
-            self.pred_qp
-                .iter()
-                .cloned()
-                .chain(std::iter::once(self.expr_qp.formula.clone()))
-                .collect(),
-        )
-    }
-    fn premise(&self) -> Formula {
-        Formula::and_all(vec![self.psi.clone(), self.conds_q(), self.conds_qp()])
-    }
 }
 
 /// The sketch-reuse checker.
@@ -78,6 +44,10 @@ impl<'a> ReuseChecker<'a> {
 
     /// Can a sketch captured for `template(captured)` be used to answer
     /// `template(new_binding)`?
+    ///
+    /// # Panics
+    /// Panics if either binding has fewer values than `template` has
+    /// parameters (unless the two are identical).
     pub fn can_reuse(
         &self,
         template: &QueryTemplate,
@@ -100,342 +70,118 @@ impl<'a> ReuseChecker<'a> {
                 ],
             };
         }
-        let q = template.instantiate(captured);
-        let qp = template.instantiate(new_binding);
-        let strings = StringEncoder::from_plans(&[&q, &qp]);
+        // Every parameter is bound on both copies, so no `__param_i`
+        // variable reaches a formula.
+        for binding in [captured, new_binding] {
+            assert!(
+                binding.len() >= template.num_params(),
+                "template {} expects {} parameters, got {}",
+                template.name(),
+                template.num_params(),
+                binding.len()
+            );
+        }
+        let enc = Encoder::new(template.plan(), [captured, new_binding]);
         let mut details = Vec::new();
-        let info = self.analyze(
-            template.plan(),
-            captured,
-            new_binding,
-            &strings,
-            &mut details,
-        );
-
-        if !info.ge {
-            return ReuseResult {
-                reusable: false,
-                details,
-            };
-        }
-        // uconds(Q', Q): Ψ ∧ pred(Q') ∧ expr(Q') ∧ expr(Q) → pred(Q)
-        if !info.pred_q_complete {
-            details.push("pred(Q) contains unencodable atoms; cannot prove containment".into());
-            return ReuseResult {
-                reusable: false,
-                details,
-            };
-        }
-        let premise = Formula::and_all(vec![
-            info.psi.clone(),
-            Formula::and_all(info.pred_qp.clone()),
-            info.expr_qp.formula.clone(),
-            info.expr_q.formula.clone(),
-        ]);
-        let conclusion = Formula::and_all(info.pred_q.clone());
-        let ok = is_valid(&Formula::implies(premise, conclusion));
-        details.push(format!(
-            "uconds(Q', Q): {}",
-            if ok { "holds" } else { "FAILS" }
-        ));
-        ReuseResult {
-            reusable: ok,
-            details,
-        }
+        let node = enc.walk(self.db, template.plan(), &Fig4, &mut details);
+        let reusable = node.ok && uconds(node, &mut details);
+        ReuseResult { reusable, details }
     }
+}
 
-    fn analyze(
+/// `uconds(Q', Q)`: Ψ ∧ pred(Q') ∧ expr(Q') ∧ expr(Q) → pred(Q). A
+/// conclusion that lost an atom proves nothing, so it is refused.
+fn uconds(node: Node, details: &mut Vec<String>) -> bool {
+    let [q, qp] = node.sides;
+    if !q.complete {
+        details.push("pred(Q) contains unencodable atoms; cannot prove containment".into());
+        return false;
+    }
+    let premise = Formula::and_all(vec![node.psi, Formula::and_all(qp.pred), qp.expr, q.expr]);
+    let holds = implies(&premise, &Formula::and_all(q.pred));
+    details.push(format!("uconds(Q', Q): {}", verdict(holds)));
+    holds
+}
+
+/// Fig. 4's rules; the [`Rules`] defaults are its scan, selection and top-k.
+struct Fig4;
+
+impl Rules for Fig4 {
+    /// Fig. 4b.
+    fn aggregate_psi(
         &self,
-        plan: &LogicalPlan,
-        captured: &[Value],
-        new_binding: &[Value],
-        strings: &StringEncoder,
-        details: &mut Vec<String>,
-    ) -> NodeInfo {
-        match plan {
-            LogicalPlan::TableScan { table } => {
-                let names = self
-                    .db
-                    .table(table)
-                    .map(|t| {
-                        t.schema()
-                            .names()
-                            .iter()
-                            .map(|s| s.to_string())
-                            .collect::<Vec<_>>()
+        enc: &Encoder,
+        node: &Node,
+        _input: &LogicalPlan,
+        group_by: &[String],
+        aggregates: &[AggExpr],
+        trace: &mut Vec<String>,
+    ) -> Formula {
+        // non-grp-pred(Q): drop the conjuncts that only restrict group-by
+        // attributes (Sec. 6).
+        let non_grp = |side: &Side| {
+            let keep = |f: &&Formula| {
+                let vars = f.variables();
+                vars.is_empty()
+                    || !vars.iter().all(|v| {
+                        let base = v.strip_suffix(PRIME_SUFFIX).unwrap_or(v);
+                        group_by.iter().any(|g| g == base)
                     })
-                    .unwrap_or_default();
-                let psi = Formula::and_all(names.iter().map(|n| eq_primed(n)).collect());
-                NodeInfo {
-                    schema_names: names,
-                    pred_q: Vec::new(),
-                    pred_qp: Vec::new(),
-                    pred_q_complete: true,
-                    expr_q: EncodedPred::truth(),
-                    expr_qp: EncodedPred::truth(),
-                    psi,
-                    ge: true,
+            };
+            Formula::and_all(side.pred.iter().filter(keep).cloned().collect())
+        };
+        let [q, qp] = &node.sides;
+        let (ngp_q, ngp_qp) = (non_grp(q), non_grp(qp));
+        // ① Q's groups are Q''s; ② Q''s groups are subsets of Q's.
+        let cond1 = implies(
+            &Formula::and_all(vec![
+                node.psi.clone(),
+                ngp_q.clone(),
+                q.expr.clone(),
+                qp.expr.clone(),
+            ]),
+            &ngp_qp,
+        );
+        let cond2 = implies(
+            &Formula::and_all(vec![
+                node.psi.clone(),
+                ngp_qp,
+                qp.expr.clone(),
+                q.expr.clone(),
+            ]),
+            &ngp_q,
+        );
+        trace.push(format!(
+            "aggregate non-group predicates: ① {} ② {}",
+            verdict(cond1),
+            verdict(cond2)
+        ));
+        let conds = OnceCell::new();
+        let sign = |agg: &AggExpr, op| {
+            let zero = LinExpr::constant(0.0);
+            enc.lin(&agg.input, false).is_some_and(|lin| {
+                implies(
+                    conds.get_or_init(|| q.conds()),
+                    &Formula::cmp(lin, op, zero),
+                )
+            })
+        };
+        relate_outputs(node, aggregates, trace, |agg| {
+            if cond1 && cond2 {
+                Some(CmpOp::Eq)
+            } else if cond2 {
+                // The new query's groups contain subsets of the captured
+                // query's groups.
+                match agg.func {
+                    AggFunc::Count => Some(CmpOp::Ge),
+                    AggFunc::Sum | AggFunc::Max if sign(agg, CmpOp::Gt) => Some(CmpOp::Ge),
+                    AggFunc::Sum | AggFunc::Min if sign(agg, CmpOp::Lt) => Some(CmpOp::Le),
+                    _ => None,
                 }
+            } else {
+                None
             }
-            LogicalPlan::Selection { predicate, input } => {
-                let mut child = self.analyze(input, captured, new_binding, strings, details);
-                let theta_q = to_formula(&predicate.bind_params(captured), false, strings);
-                let theta_qp = to_formula(&predicate.bind_params(new_binding), true, strings);
-                child.pred_q_complete &= theta_q.complete;
-                child.pred_q.push(theta_q.formula);
-                child.pred_qp.push(theta_qp.formula);
-                child
-            }
-            LogicalPlan::Projection { exprs, input } => {
-                let mut child = self.analyze(input, captured, new_binding, strings, details);
-                let mut q_parts = vec![child.expr_q.formula.clone()];
-                let mut qp_parts = vec![child.expr_qp.formula.clone()];
-                for (e, name) in exprs {
-                    if let Some(lin) = to_linexpr(&e.bind_params(captured), false, strings) {
-                        q_parts.push(Formula::cmp(
-                            lin,
-                            CmpOp::Eq,
-                            LinExpr::var(attr_var(name, false)),
-                        ));
-                    }
-                    if let Some(lin) = to_linexpr(&e.bind_params(new_binding), true, strings) {
-                        qp_parts.push(Formula::cmp(
-                            lin,
-                            CmpOp::Eq,
-                            LinExpr::var(attr_var(name, true)),
-                        ));
-                    }
-                }
-                child.expr_q = EncodedPred {
-                    formula: Formula::and_all(q_parts),
-                    complete: child.expr_q.complete,
-                };
-                child.expr_qp = EncodedPred {
-                    formula: Formula::and_all(qp_parts),
-                    complete: child.expr_qp.complete,
-                };
-                child.schema_names = exprs.iter().map(|(_, n)| n.clone()).collect();
-                child
-            }
-            LogicalPlan::Aggregate {
-                group_by,
-                aggregates,
-                input,
-            } => {
-                let child = self.analyze(input, captured, new_binding, strings, details);
-                // ge obligation: group-by attributes agree.
-                let mut ge = child.ge;
-                if ge {
-                    for g in group_by {
-                        let ob = Formula::implies(child.premise(), eq_primed(g));
-                        let valid = is_valid(&ob);
-                        details.push(format!(
-                            "reuse aggregate group-by [{g}]: equality {}",
-                            if valid { "holds" } else { "FAILS" }
-                        ));
-                        if !valid {
-                            ge = false;
-                            break;
-                        }
-                    }
-                }
-                // Ψ for aggregate outputs (Fig. 4b).
-                // non-grp-pred(Q): drop the conjuncts that only restrict
-                // group-by attributes (Sec. 6).
-                let non_grp = |conjuncts: &[Formula]| -> Formula {
-                    Formula::and_all(
-                        conjuncts
-                            .iter()
-                            .filter(|f| {
-                                !f.variables().iter().all(|v| {
-                                    let base = v.strip_suffix(PRIME_SUFFIX).unwrap_or(v);
-                                    group_by.iter().any(|g| g == base) || v.starts_with("__param_")
-                                }) || f.variables().is_empty()
-                            })
-                            .cloned()
-                            .collect(),
-                    )
-                };
-                let ngp_q = non_grp(&child.pred_q);
-                let ngp_qp = non_grp(&child.pred_qp);
-                let cond1 = is_valid(&Formula::implies(
-                    Formula::and_all(vec![
-                        child.psi.clone(),
-                        ngp_q.clone(),
-                        child.expr_q.formula.clone(),
-                        child.expr_qp.formula.clone(),
-                    ]),
-                    ngp_qp.clone(),
-                ));
-                let cond2 = is_valid(&Formula::implies(
-                    Formula::and_all(vec![
-                        child.psi.clone(),
-                        ngp_qp.clone(),
-                        child.expr_qp.formula.clone(),
-                        child.expr_q.formula.clone(),
-                    ]),
-                    ngp_q.clone(),
-                ));
-                let mut psi_parts = vec![child.psi.clone()];
-                for agg in aggregates {
-                    let b = &agg.alias;
-                    let relation = if cond1 && cond2 {
-                        Some(CmpOp::Eq)
-                    } else if cond2 {
-                        // The new query's groups contain subsets of the
-                        // captured query's groups.
-                        let arg = to_linexpr(&agg.input.bind_params(captured), false, strings);
-                        let sign = |op: CmpOp| {
-                            arg.clone()
-                                .map(|lin| {
-                                    is_valid(&Formula::implies(
-                                        child.conds_q(),
-                                        Formula::cmp(lin, op, LinExpr::constant(0.0)),
-                                    ))
-                                })
-                                .unwrap_or(false)
-                        };
-                        match agg.func {
-                            AggFunc::Count => Some(CmpOp::Ge),
-                            AggFunc::Sum | AggFunc::Max if sign(CmpOp::Gt) => Some(CmpOp::Ge),
-                            AggFunc::Sum | AggFunc::Min if sign(CmpOp::Lt) => Some(CmpOp::Le),
-                            _ => None,
-                        }
-                    } else {
-                        None
-                    };
-                    if let Some(op) = relation {
-                        psi_parts.push(Formula::var_cmp_var(
-                            &attr_var(b, false),
-                            op,
-                            &attr_var(b, true),
-                        ));
-                    }
-                    details.push(format!(
-                        "reuse aggregate {}({}) AS {b}: ① {} ② {}",
-                        agg.func,
-                        agg.input,
-                        if cond1 { "holds" } else { "fails" },
-                        if cond2 { "holds" } else { "fails" },
-                    ));
-                }
-                let mut names = group_by.clone();
-                names.extend(aggregates.iter().map(|a| a.alias.clone()));
-                NodeInfo {
-                    schema_names: names,
-                    pred_q: child.pred_q,
-                    pred_qp: child.pred_qp,
-                    pred_q_complete: child.pred_q_complete,
-                    expr_q: child.expr_q,
-                    expr_qp: child.expr_qp,
-                    psi: Formula::and_all(psi_parts),
-                    ge,
-                }
-            }
-            LogicalPlan::Distinct { input } => {
-                let child = self.analyze(input, captured, new_binding, strings, details);
-                let mut ge = child.ge;
-                if ge {
-                    for col in &child.schema_names {
-                        if !is_valid(&Formula::implies(child.premise(), eq_primed(col))) {
-                            details.push(format!("reuse distinct: column {col} may differ"));
-                            ge = false;
-                            break;
-                        }
-                    }
-                }
-                NodeInfo { ge, ..child }
-            }
-            // `can_reuse` has checked that the input is bound identically.
-            LogicalPlan::TopK { input, .. } => {
-                self.analyze(input, captured, new_binding, strings, details)
-            }
-            LogicalPlan::Join {
-                left,
-                right,
-                left_col,
-                right_col,
-            } => {
-                let l = self.analyze(left, captured, new_binding, strings, details);
-                let r = self.analyze(right, captured, new_binding, strings, details);
-                let mut ge = l.ge && r.ge;
-                if ge {
-                    let ob_l = Formula::implies(l.premise(), eq_primed(left_col));
-                    let ob_r = Formula::implies(r.premise(), eq_primed(right_col));
-                    ge = is_valid(&ob_l) && is_valid(&ob_r);
-                    if !ge {
-                        details.push(format!(
-                            "reuse join [{left_col} = {right_col}]: key equality FAILS"
-                        ));
-                    }
-                }
-                let mut schema_names = l.schema_names.clone();
-                schema_names.extend(r.schema_names.clone());
-                NodeInfo {
-                    schema_names,
-                    pred_q: l.pred_q.into_iter().chain(r.pred_q).collect(),
-                    pred_qp: l.pred_qp.into_iter().chain(r.pred_qp).collect(),
-                    pred_q_complete: l.pred_q_complete && r.pred_q_complete,
-                    expr_q: l.expr_q.and(r.expr_q),
-                    expr_qp: l.expr_qp.and(r.expr_qp),
-                    psi: Formula::and_all(vec![l.psi, r.psi]),
-                    ge,
-                }
-            }
-            LogicalPlan::CrossProduct { left, right } => {
-                let l = self.analyze(left, captured, new_binding, strings, details);
-                let r = self.analyze(right, captured, new_binding, strings, details);
-                let mut schema_names = l.schema_names.clone();
-                schema_names.extend(r.schema_names.clone());
-                NodeInfo {
-                    schema_names,
-                    pred_q: l.pred_q.into_iter().chain(r.pred_q).collect(),
-                    pred_qp: l.pred_qp.into_iter().chain(r.pred_qp).collect(),
-                    pred_q_complete: l.pred_q_complete && r.pred_q_complete,
-                    expr_q: l.expr_q.and(r.expr_q),
-                    expr_qp: l.expr_qp.and(r.expr_qp),
-                    psi: Formula::and_all(vec![l.psi, r.psi]),
-                    ge: l.ge && r.ge,
-                }
-            }
-            LogicalPlan::Union { left, right } => {
-                let l = self.analyze(left, captured, new_binding, strings, details);
-                let r = self.analyze(right, captured, new_binding, strings, details);
-                let psi = if l.psi == r.psi {
-                    l.psi.clone()
-                } else {
-                    Formula::True
-                };
-                NodeInfo {
-                    schema_names: l.schema_names.clone(),
-                    pred_q: vec![Formula::or_all(vec![
-                        Formula::and_all(l.pred_q.clone()),
-                        Formula::and_all(r.pred_q.clone()),
-                    ])],
-                    pred_qp: vec![Formula::or_all(vec![
-                        Formula::and_all(l.pred_qp.clone()),
-                        Formula::and_all(r.pred_qp.clone()),
-                    ])],
-                    pred_q_complete: l.pred_q_complete && r.pred_q_complete,
-                    expr_q: EncodedPred {
-                        formula: Formula::or_all(vec![
-                            l.expr_q.formula.clone(),
-                            r.expr_q.formula.clone(),
-                        ]),
-                        complete: l.expr_q.complete && r.expr_q.complete,
-                    },
-                    expr_qp: EncodedPred {
-                        formula: Formula::or_all(vec![
-                            l.expr_qp.formula.clone(),
-                            r.expr_qp.formula.clone(),
-                        ]),
-                        complete: l.expr_qp.complete && r.expr_qp.complete,
-                    },
-                    psi,
-                    ge: l.ge && r.ge,
-                }
-            }
-        }
+        })
     }
 }
 
@@ -583,7 +329,7 @@ mod tests {
         assert!(
             diff.details
                 .iter()
-                .all(|d| !d.starts_with("reuse aggregate") && !d.starts_with("reuse join")),
+                .all(|d| !d.starts_with("aggregate") && !d.starts_with("join")),
             "{:?}",
             diff.details
         );

@@ -8,11 +8,20 @@
 //! The check is sound but not complete (Theorem 1 shows completeness is
 //! impossible without looking at the data), so a negative answer only means
 //! "could not prove safe".
+//!
+//! The plan walk is the one in the private `encode` module, with the
+//! unprimed copy the query over the sketch instance and the primed copy the
+//! query over the full database. This module is Fig. 3's rule set over it:
+//! column-bound premises at scans, the selection obligation θ → θ', top-k
+//! order-by equalities, and Fig. 3b's aggregate Ψ with its X = ∅ shortcut.
 
-use crate::encode::{attr_var, eq_primed, to_formula, to_linexpr, EncodedPred, StringEncoder};
-use pbds_algebra::{AggFunc, LogicalPlan};
-use pbds_solver::{is_valid, CmpOp, Formula, LinExpr};
-use pbds_storage::{DataType, Database, Schema, Table, Value};
+use crate::encode::{
+    attr_var, eq_primed, relate_outputs, verdict, EncodedPred, Encoder, Node, Rules, Side, SYMBOLIC,
+};
+use pbds_algebra::{AggExpr, AggFunc, Expr, LogicalPlan, SortKey};
+use pbds_solver::{implies, CmpOp, Formula, LinExpr};
+use pbds_storage::{DataType, Database, Table, Value};
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
 /// A partition attribute: `(table, column)`.
@@ -159,50 +168,6 @@ pub struct SafetyResult {
     pub details: Vec<String>,
 }
 
-/// Per-node analysis state built bottom-up (mirrors `pred`, `expr`, Ψ and
-/// `gc` of Fig. 3).
-struct NodeInfo {
-    schema: Schema,
-    /// `pred(Q)` over unprimed attributes.
-    pred_plain: EncodedPred,
-    /// `pred(Q)` over primed attributes.
-    pred_primed: EncodedPred,
-    /// `expr(Q)` over unprimed / primed attributes.
-    expr_plain: EncodedPred,
-    expr_primed: EncodedPred,
-    /// Ψ_{Q,X}
-    psi: Formula,
-    /// Whether `gc(Q, X)` holds so far.
-    gc: bool,
-    /// Attributes of `X` contained in relations accessed by this subquery.
-    x_here: Vec<String>,
-}
-
-impl NodeInfo {
-    /// `conds(Q) = pred(Q) ∧ expr(Q)` (unprimed).
-    fn conds_plain(&self) -> Formula {
-        Formula::and_all(vec![
-            self.pred_plain.formula.clone(),
-            self.expr_plain.formula.clone(),
-        ])
-    }
-    /// `conds(Q') = pred(Q') ∧ expr(Q')` (primed).
-    fn conds_primed(&self) -> Formula {
-        Formula::and_all(vec![
-            self.pred_primed.formula.clone(),
-            self.expr_primed.formula.clone(),
-        ])
-    }
-    /// The standard premise `Ψ ∧ conds(Q') ∧ conds(Q)` used by the rules.
-    fn premise(&self) -> Formula {
-        Formula::and_all(vec![
-            self.psi.clone(),
-            self.conds_primed(),
-            self.conds_plain(),
-        ])
-    }
-}
-
 /// The safety checker.
 #[derive(Debug, Clone)]
 pub struct SafetyChecker<'a> {
@@ -244,7 +209,7 @@ impl<'a> SafetyChecker<'a> {
 
     /// Check whether the attribute set `attrs` is safe for `plan`.
     pub fn check(&self, plan: &LogicalPlan, attrs: &[PartitionAttr]) -> SafetyResult {
-        let mut strings = StringEncoder::from_plans(&[plan]);
+        let mut enc = Encoder::new(plan, SYMBOLIC);
         // Register string min/max statistics so bound constraints stay
         // order-consistent with the literals of the query.
         for table in plan.tables() {
@@ -254,7 +219,7 @@ impl<'a> SafetyChecker<'a> {
                         let (min, max) = self.bounds_of(t, &col.name);
                         for bound in [min, max] {
                             if let Some(Value::Str(s)) = &bound {
-                                strings.register(s);
+                                enc.register(s);
                             }
                         }
                     }
@@ -262,9 +227,13 @@ impl<'a> SafetyChecker<'a> {
             }
         }
         let mut details = Vec::new();
-        let info = self.analyze(plan, attrs, &strings, &mut details);
+        let rules = Fig3 {
+            checker: self,
+            attrs,
+        };
+        let node = enc.walk(self.db, plan, &rules, &mut details);
         SafetyResult {
-            safe: info.gc,
+            safe: node.ok,
             requires_topk_revalidation: plan.contains_top_k(),
             details,
         }
@@ -310,436 +279,116 @@ impl<'a> SafetyChecker<'a> {
         }
         None
     }
+}
 
-    fn analyze(
-        &self,
-        plan: &LogicalPlan,
-        attrs: &[PartitionAttr],
-        strings: &StringEncoder,
-        details: &mut Vec<String>,
-    ) -> NodeInfo {
-        match plan {
-            LogicalPlan::TableScan { table } => self.analyze_scan(table, attrs, strings),
-            LogicalPlan::Selection { predicate, input } => {
-                let child = self.analyze(input, attrs, strings, details);
-                let theta = to_formula(predicate, false, strings);
-                let theta_primed = to_formula(predicate, true, strings);
-                // gc: Ψ ∧ conds(Q') ∧ conds(Q) ∧ θ → θ'
-                let mut ok = child.gc;
-                if ok && !child.x_here.is_empty() {
-                    if !theta_primed.complete {
-                        ok = false;
-                        details.push(format!(
-                            "selection [{predicate}]: predicate not encodable, assuming unsafe"
-                        ));
-                    } else {
-                        let obligation = Formula::implies(
-                            Formula::and_all(vec![child.premise(), theta.formula.clone()]),
-                            theta_primed.formula.clone(),
-                        );
-                        let valid = is_valid(&obligation);
-                        details.push(format!(
-                            "selection [{predicate}]: implication {}",
-                            if valid { "holds" } else { "FAILS" }
-                        ));
-                        ok = valid;
+/// Fig. 3's rules for one check of `attrs`.
+struct Fig3<'c, 'a> {
+    checker: &'c SafetyChecker<'a>,
+    attrs: &'c [PartitionAttr],
+}
+
+impl Rules for Fig3<'_, '_> {
+    const JOIN_KEYS_IN_PRED: bool = true;
+
+    /// `min <= a <= max` on both copies for every column `a` of the table.
+    fn scan(&self, enc: &Encoder, table: &str, sides: &mut [Side; 2]) -> bool {
+        if let Ok(t) = self.checker.db.table(table) {
+            for col in t.schema().columns() {
+                let (min, max) = self.checker.bounds_of(t, &col.name);
+                for (op, v) in [(CmpOp::Ge, min), (CmpOp::Le, max)] {
+                    let Some(c) = v.and_then(|v| enc.constant(&v)) else {
+                        continue;
+                    };
+                    for (primed, side) in [false, true].into_iter().zip(sides.iter_mut()) {
+                        side.pred
+                            .push(Formula::var_cmp_const(&attr_var(&col.name, primed), op, c));
                     }
-                }
-                NodeInfo {
-                    schema: child.schema.clone(),
-                    pred_plain: child.pred_plain.clone().and(theta),
-                    pred_primed: child.pred_primed.clone().and(theta_primed),
-                    expr_plain: child.expr_plain.clone(),
-                    expr_primed: child.expr_primed.clone(),
-                    psi: child.psi.clone(),
-                    gc: ok,
-                    x_here: child.x_here,
-                }
-            }
-            LogicalPlan::Projection { exprs, input } => {
-                let child = self.analyze(input, attrs, strings, details);
-                // expr(Q): e_i = b_i for every encodable projection expression.
-                let mut plain_parts = vec![child.expr_plain.formula.clone()];
-                let mut primed_parts = vec![child.expr_primed.formula.clone()];
-                for (e, name) in exprs {
-                    if let Some(lin) = to_linexpr(e, false, strings) {
-                        plain_parts.push(Formula::cmp(
-                            lin,
-                            CmpOp::Eq,
-                            LinExpr::var(attr_var(name, false)),
-                        ));
-                    }
-                    if let Some(lin) = to_linexpr(e, true, strings) {
-                        primed_parts.push(Formula::cmp(
-                            lin,
-                            CmpOp::Eq,
-                            LinExpr::var(attr_var(name, true)),
-                        ));
-                    }
-                }
-                NodeInfo {
-                    schema: plan
-                        .schema(self.db)
-                        .unwrap_or_else(|_| child.schema.clone()),
-                    pred_plain: child.pred_plain,
-                    pred_primed: child.pred_primed,
-                    expr_plain: EncodedPred {
-                        formula: Formula::and_all(plain_parts),
-                        complete: child.expr_plain.complete,
-                    },
-                    expr_primed: EncodedPred {
-                        formula: Formula::and_all(primed_parts),
-                        complete: child.expr_primed.complete,
-                    },
-                    psi: child.psi,
-                    gc: child.gc,
-                    x_here: child.x_here,
-                }
-            }
-            LogicalPlan::Aggregate {
-                group_by,
-                aggregates,
-                input,
-            } => self.analyze_aggregate(plan, group_by, aggregates, input, attrs, strings, details),
-            LogicalPlan::Distinct { input } => {
-                let child = self.analyze(input, attrs, strings, details);
-                let mut ok = child.gc;
-                if ok && !child.x_here.is_empty() {
-                    for col in child.schema.names() {
-                        let obligation = Formula::implies(child.premise(), eq_primed(col));
-                        if !is_valid(&obligation) {
-                            details.push(format!("distinct: column {col} may differ, unsafe"));
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                NodeInfo { gc: ok, ..child }
-            }
-            LogicalPlan::TopK {
-                order_by, input, ..
-            } => {
-                let child = self.analyze(input, attrs, strings, details);
-                let mut ok = child.gc;
-                if ok && !child.x_here.is_empty() {
-                    for key in order_by {
-                        let obligation = Formula::implies(child.premise(), eq_primed(&key.column));
-                        let valid = is_valid(&obligation);
-                        details.push(format!(
-                            "top-k order-by [{}]: equality {}",
-                            key.column,
-                            if valid { "holds" } else { "FAILS" }
-                        ));
-                        if !valid {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                NodeInfo { gc: ok, ..child }
-            }
-            LogicalPlan::Join {
-                left,
-                right,
-                left_col,
-                right_col,
-            } => {
-                let l = self.analyze(left, attrs, strings, details);
-                let r = self.analyze(right, attrs, strings, details);
-                let mut ok = l.gc && r.gc;
-                let x_here: Vec<String> = l.x_here.iter().chain(r.x_here.iter()).cloned().collect();
-                if ok && !x_here.is_empty() {
-                    let left_ob = Formula::implies(l.premise(), eq_primed(left_col));
-                    let right_ob = Formula::implies(r.premise(), eq_primed(right_col));
-                    let valid = is_valid(&left_ob) && is_valid(&right_ob);
-                    details.push(format!(
-                        "join [{left_col} = {right_col}]: key equality {}",
-                        if valid { "holds" } else { "FAILS" }
-                    ));
-                    ok = valid;
-                }
-                NodeInfo {
-                    schema: l.schema.concat(&r.schema),
-                    pred_plain: l.pred_plain.and(r.pred_plain).and(EncodedPred {
-                        formula: Formula::var_cmp_var(
-                            &attr_var(left_col, false),
-                            CmpOp::Eq,
-                            &attr_var(right_col, false),
-                        ),
-                        complete: true,
-                    }),
-                    pred_primed: l.pred_primed.and(r.pred_primed).and(EncodedPred {
-                        formula: Formula::var_cmp_var(
-                            &attr_var(left_col, true),
-                            CmpOp::Eq,
-                            &attr_var(right_col, true),
-                        ),
-                        complete: true,
-                    }),
-                    expr_plain: l.expr_plain.and(r.expr_plain),
-                    expr_primed: l.expr_primed.and(r.expr_primed),
-                    psi: Formula::and_all(vec![l.psi, r.psi]),
-                    gc: ok,
-                    x_here,
-                }
-            }
-            LogicalPlan::CrossProduct { left, right } => {
-                let l = self.analyze(left, attrs, strings, details);
-                let r = self.analyze(right, attrs, strings, details);
-                let x_here: Vec<String> = l.x_here.iter().chain(r.x_here.iter()).cloned().collect();
-                NodeInfo {
-                    schema: l.schema.concat(&r.schema),
-                    pred_plain: l.pred_plain.and(r.pred_plain),
-                    pred_primed: l.pred_primed.and(r.pred_primed),
-                    expr_plain: l.expr_plain.and(r.expr_plain),
-                    expr_primed: l.expr_primed.and(r.expr_primed),
-                    psi: Formula::and_all(vec![l.psi, r.psi]),
-                    gc: l.gc && r.gc,
-                    x_here,
-                }
-            }
-            LogicalPlan::Union { left, right } => {
-                let l = self.analyze(left, attrs, strings, details);
-                let r = self.analyze(right, attrs, strings, details);
-                let x_here: Vec<String> = l.x_here.iter().chain(r.x_here.iter()).cloned().collect();
-                // Ψ for union: keep only constraints common to both inputs
-                // (conservatively, the weaker of the two when they differ).
-                let psi = if l.psi == r.psi {
-                    l.psi.clone()
-                } else {
-                    Formula::True
-                };
-                NodeInfo {
-                    schema: l.schema.clone(),
-                    pred_plain: EncodedPred {
-                        formula: Formula::or_all(vec![
-                            l.pred_plain.formula.clone(),
-                            r.pred_plain.formula.clone(),
-                        ]),
-                        complete: l.pred_plain.complete && r.pred_plain.complete,
-                    },
-                    pred_primed: EncodedPred {
-                        formula: Formula::or_all(vec![
-                            l.pred_primed.formula.clone(),
-                            r.pred_primed.formula.clone(),
-                        ]),
-                        complete: l.pred_primed.complete && r.pred_primed.complete,
-                    },
-                    expr_plain: EncodedPred {
-                        formula: Formula::or_all(vec![
-                            l.expr_plain.formula.clone(),
-                            r.expr_plain.formula.clone(),
-                        ]),
-                        complete: l.expr_plain.complete && r.expr_plain.complete,
-                    },
-                    expr_primed: EncodedPred {
-                        formula: Formula::or_all(vec![
-                            l.expr_primed.formula.clone(),
-                            r.expr_primed.formula.clone(),
-                        ]),
-                        complete: l.expr_primed.complete && r.expr_primed.complete,
-                    },
-                    psi,
-                    gc: l.gc && r.gc,
-                    x_here,
                 }
             }
         }
+        self.attrs.iter().any(|a| a.table == table)
     }
 
-    fn analyze_scan(
+    /// Ψ ∧ conds(Q') ∧ conds(Q) ∧ θ → θ'.
+    fn selection(
         &self,
-        table: &str,
-        attrs: &[PartitionAttr],
-        strings: &StringEncoder,
-    ) -> NodeInfo {
-        let (schema, pred_plain, pred_primed) = match self.db.table(table) {
-            Ok(t) => {
-                let mut plain = Vec::new();
-                let mut primed = Vec::new();
-                for col in t.schema().columns() {
-                    let (min, max) = self.bounds_of(t, &col.name);
-                    for (op, v) in [(CmpOp::Ge, min), (CmpOp::Le, max)] {
-                        if let Some(c) = v.and_then(|v| strings.encode_value(&v)) {
-                            plain.push(Formula::cmp(
-                                LinExpr::var(attr_var(&col.name, false)),
-                                op,
-                                LinExpr::constant(c),
-                            ));
-                            primed.push(Formula::cmp(
-                                LinExpr::var(attr_var(&col.name, true)),
-                                op,
-                                LinExpr::constant(c),
-                            ));
-                        }
-                    }
-                }
-                (
-                    t.schema().clone(),
-                    EncodedPred {
-                        formula: Formula::and_all(plain),
-                        complete: true,
-                    },
-                    EncodedPred {
-                        formula: Formula::and_all(primed),
-                        complete: true,
-                    },
-                )
-            }
-            Err(_) => (
-                Schema::default(),
-                EncodedPred::truth(),
-                EncodedPred::truth(),
-            ),
-        };
-        // Ψ_R: equality on all attributes of R (D_PS ⊆ D).
-        let psi = Formula::and_all(schema.names().iter().map(|n| eq_primed(n)).collect());
-        let x_here: Vec<String> = attrs
-            .iter()
-            .filter(|a| a.table == table)
-            .map(|a| a.column.clone())
-            .collect();
-        NodeInfo {
-            schema,
-            pred_plain,
-            pred_primed,
-            expr_plain: EncodedPred::truth(),
-            expr_primed: EncodedPred::truth(),
-            psi,
-            gc: true,
-            x_here,
+        node: &Node,
+        predicate: &Expr,
+        theta: &[EncodedPred; 2],
+        trace: &mut Vec<String>,
+    ) -> bool {
+        if !theta[1].complete {
+            trace.push(format!(
+                "selection [{predicate}]: predicate not encodable, assuming unsafe"
+            ));
+            return false;
         }
+        let premise = Formula::and_all(vec![node.premise(), theta[0].formula.clone()]);
+        let holds = implies(&premise, &theta[1].formula);
+        trace.push(format!(
+            "selection [{predicate}]: implication {}",
+            verdict(holds)
+        ));
+        holds
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn analyze_aggregate(
+    fn top_k(&self, node: &Node, order_by: &[SortKey], trace: &mut Vec<String>) -> bool {
+        let keys = order_by.iter().map(|k| k.column.as_str());
+        node.agree("top-k order-by", keys, trace)
+    }
+
+    /// Fig. 3b.
+    fn aggregate_psi(
         &self,
-        plan: &LogicalPlan,
-        group_by: &[String],
-        aggregates: &[pbds_algebra::AggExpr],
+        enc: &Encoder,
+        node: &Node,
         input: &LogicalPlan,
-        attrs: &[PartitionAttr],
-        strings: &StringEncoder,
-        details: &mut Vec<String>,
-    ) -> NodeInfo {
-        let child = self.analyze(input, attrs, strings, details);
-        let out_schema = plan
-            .schema(self.db)
-            .unwrap_or_else(|_| child.schema.clone());
-
-        if child.x_here.is_empty() {
+        group_by: &[String],
+        aggregates: &[AggExpr],
+        trace: &mut Vec<String>,
+    ) -> Formula {
+        if !node.sketched {
             // X = ∅: the subquery sees only un-sketched relations, results are
             // identical and all output attributes (incl. aggregates) equal.
-            let psi = Formula::and_all(out_schema.names().iter().map(|n| eq_primed(n)).collect());
-            return NodeInfo {
-                schema: out_schema,
-                psi,
-                ..child
-            };
+            return Formula::and_all(node.names.iter().map(|n| eq_primed(n)).collect());
         }
-
-        // gc obligation: every group-by attribute must agree between the
-        // sketch-instance run and the full run.
-        let mut ok = child.gc;
-        if ok {
-            for g in group_by {
-                let obligation = Formula::implies(child.premise(), eq_primed(g));
-                let valid = is_valid(&obligation);
-                details.push(format!(
-                    "aggregate group-by [{g}]: equality {}",
-                    if valid { "holds" } else { "FAILS" }
-                ));
-                if !valid {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-
-        // Ψ for the aggregate outputs (Fig. 3b).
+        let tables = input.tables();
+        let x_here: Vec<&str> = self
+            .attrs
+            .iter()
+            .filter(|a| tables.contains(&a.table))
+            .map(|a| a.column.as_str())
+            .collect();
+        let conds = OnceCell::new();
+        let implied = |f: Formula| implies(conds.get_or_init(|| node.sides[0].conds()), &f);
         // CASE 1: every partition attribute below is (provably equal to) a
         // group-by attribute — whole groups are kept or dropped together, so
         // aggregate values are equal.
-        let case1 = child.x_here.iter().all(|x| {
-            group_by.iter().any(|g| {
-                g == x
-                    || is_valid(&Formula::implies(
-                        child.conds_plain(),
-                        Formula::var_cmp_var(&attr_var(x, false), CmpOp::Eq, &attr_var(g, false)),
-                    ))
-            })
+        let case1 = x_here.iter().all(|x| {
+            group_by
+                .iter()
+                .any(|g| g == x || implied(Formula::var_cmp_var(x, CmpOp::Eq, g)))
         });
-        let exists_non_group_x = child
-            .x_here
-            .iter()
-            .any(|x| !group_by.iter().any(|g| g == x));
-
-        let mut psi_parts = vec![child.psi.clone()];
-        for agg in aggregates {
-            let b = &agg.alias;
-            let relation = if case1 {
+        let exists_non_group_x = x_here.iter().any(|x| !group_by.iter().any(|g| g == x));
+        let sign = |agg: &AggExpr, op| {
+            let zero = LinExpr::constant(0.0);
+            enc.lin(&agg.input, false)
+                .is_some_and(|lin| implied(Formula::cmp(lin, op, zero)))
+        };
+        relate_outputs(node, aggregates, trace, |agg| {
+            if case1 {
                 Some(CmpOp::Eq)
             } else if exists_non_group_x {
-                let arg_nonneg = || {
-                    to_linexpr(&agg.input, false, strings).map(|lin| {
-                        is_valid(&Formula::implies(
-                            child.conds_plain(),
-                            Formula::cmp(lin, CmpOp::Ge, LinExpr::constant(0.0)),
-                        ))
-                    }) == Some(true)
-                };
-                let arg_nonpos = || {
-                    to_linexpr(&agg.input, false, strings).map(|lin| {
-                        is_valid(&Formula::implies(
-                            child.conds_plain(),
-                            Formula::cmp(lin, CmpOp::Le, LinExpr::constant(0.0)),
-                        ))
-                    }) == Some(true)
-                };
                 match agg.func {
                     AggFunc::Count => Some(CmpOp::Le),
-                    AggFunc::Sum | AggFunc::Max if arg_nonneg() => Some(CmpOp::Le),
-                    AggFunc::Sum | AggFunc::Min if arg_nonpos() => Some(CmpOp::Ge),
+                    AggFunc::Sum | AggFunc::Max if sign(agg, CmpOp::Ge) => Some(CmpOp::Le),
+                    AggFunc::Sum | AggFunc::Min if sign(agg, CmpOp::Le) => Some(CmpOp::Ge),
                     _ => None,
                 }
             } else {
                 None
-            };
-            if let Some(op) = relation {
-                psi_parts.push(Formula::var_cmp_var(
-                    &attr_var(b, false),
-                    op,
-                    &attr_var(b, true),
-                ));
-                details.push(format!(
-                    "aggregate {}({}) AS {b}: Ψ gets {b} {} {b}'",
-                    agg.func,
-                    agg.input,
-                    match op {
-                        CmpOp::Eq => "=",
-                        CmpOp::Le => "<=",
-                        CmpOp::Ge => ">=",
-                        _ => "?",
-                    }
-                ));
-            } else {
-                details.push(format!(
-                    "aggregate {}({}) AS {b}: relationship between {b} and {b}' unknown",
-                    agg.func, agg.input
-                ));
             }
-        }
-
-        NodeInfo {
-            schema: out_schema,
-            pred_plain: child.pred_plain,
-            pred_primed: child.pred_primed,
-            expr_plain: child.expr_plain,
-            expr_primed: child.expr_primed,
-            psi: Formula::and_all(psi_parts),
-            gc: ok,
-            x_here: child.x_here,
-        }
+        })
     }
 }
 
@@ -758,7 +407,7 @@ fn collect_group_by(plan: &LogicalPlan, f: &mut impl FnMut(&str)) {
 mod tests {
     use super::*;
     use pbds_algebra::{col, lit, param, AggExpr, SortKey};
-    use pbds_storage::{TableBuilder, Value};
+    use pbds_storage::{Schema, TableBuilder, Value};
 
     fn cities_db() -> Database {
         let schema = Schema::from_pairs(&[

@@ -105,5 +105,8 @@ fn main() {
             "  captured ($1=100, $2=10), new ({}): reusable = {}",
             label, result.reusable
         );
+        for d in &result.details {
+            println!("      {d}");
+        }
     }
 }
