@@ -37,7 +37,7 @@ pub(crate) const SYMBOLIC: [&[Value]; 2] = [&[], &[]];
 
 /// Encodes the expressions of one plan on both copies: string constants as
 /// order-preserving codes, parameters from each copy's binding.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Encoder<'a> {
     /// Every string the formulas may contain, sorted; a code is a position.
     strings: Vec<String>,
@@ -70,7 +70,7 @@ impl<'a> Encoder<'a> {
     /// Order-preserving code of a string (strings between two registered
     /// constants get interleaved codes, which is sound for the comparisons
     /// the formulas contain because only registered constants appear in them).
-    pub(crate) fn encode(&self, s: &str) -> f64 {
+    fn encode(&self, s: &str) -> f64 {
         match self.strings.binary_search_by(|x| x.as_str().cmp(s)) {
             Ok(pos) => pos as f64 * 10.0,
             Err(pos) => pos as f64 * 10.0 - 5.0,
@@ -389,7 +389,7 @@ pub(crate) fn verdict(holds: bool) -> &'static str {
 /// *conclusion* of an implication must refuse to proceed when `complete` is
 /// false (dropping conclusion atoms would be unsound); premises may always be
 /// weakened.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct EncodedPred {
     /// The (possibly weakened) formula.
     pub(crate) formula: Formula,
@@ -416,7 +416,7 @@ impl EncodedPred {
 }
 
 /// One copy of a subquery's encoding.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Side {
     /// `pred(Q)` as its conjuncts: one per selection predicate θ, plus what
     /// a rule set adds (column bounds, join keys).
@@ -444,7 +444,7 @@ impl Side {
 }
 
 /// The encoding of one subquery (`pred`, `expr` and Ψ of Fig. 3 / Fig. 4).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Node {
     /// Output attribute names.
     pub(crate) names: Vec<String>,
