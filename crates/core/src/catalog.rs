@@ -55,31 +55,13 @@ use std::sync::Arc;
 
 use pbds_sync::{TrackedMutex, TrackedRwLock};
 
-/// Configuration of a [`SketchCatalog`].
-#[derive(Debug, Clone)]
-pub struct CatalogConfig {
-    /// Number of lock shards (templates are hashed across them).
-    pub shards: usize,
-    /// Soft upper bound on the total bytes of stored sketches; `None` means
-    /// unbounded. When an insertion pushes the total above the budget, the
-    /// least-recently-used entries (other than the one just inserted) are
-    /// evicted until the total fits again.
-    pub byte_budget: Option<usize>,
-    /// Upper bound on memoized reuse-check outcomes per shard; when reached,
-    /// the shard's memo is cleared (the memo is a cache — clearing only costs
-    /// re-derivation).
-    pub memo_capacity: usize,
-}
+/// Number of lock shards (templates are hashed across them).
+const SHARDS: usize = 8;
 
-impl Default for CatalogConfig {
-    fn default() -> Self {
-        CatalogConfig {
-            shards: 8,
-            byte_budget: None,
-            memo_capacity: 4096,
-        }
-    }
-}
+/// Upper bound on memoized reuse-check outcomes per shard; when reached, the
+/// shard's memo is cleared (the memo is a cache — clearing only costs
+/// re-derivation).
+const MEMO_CAPACITY: usize = 4096;
 
 /// One coalesced table-level mutation delta of a commit batch, for
 /// [`SketchCatalog::apply_deltas`]. The group-commit thread merges a batch's
@@ -310,7 +292,11 @@ struct TemplateMeta {
 /// A thread-safe, shared store of provenance sketches keyed by query
 /// template. See the [module docs](self) for the design.
 pub struct SketchCatalog {
-    config: CatalogConfig,
+    /// Soft upper bound on the total bytes of stored sketches; `None` means
+    /// unbounded. When an insertion pushes the total above the budget, the
+    /// least-recently-used entries (other than the one just inserted) are
+    /// evicted until the total fits again.
+    byte_budget: Option<usize>,
     shards: Vec<TrackedRwLock<Shard>>,
     meta: TrackedMutex<HashMap<String, TemplateMeta>>,
     partitions: TrackedRwLock<HashMap<(String, String), PartitionRef>>,
@@ -338,7 +324,7 @@ pub struct SketchCatalog {
 impl std::fmt::Debug for SketchCatalog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SketchCatalog")
-            .field("config", &self.config)
+            .field("byte_budget", &self.byte_budget)
             .field("metrics", &self.metrics_snapshot())
             .finish()
     }
@@ -346,19 +332,19 @@ impl std::fmt::Debug for SketchCatalog {
 
 impl Default for SketchCatalog {
     fn default() -> Self {
-        SketchCatalog::new(CatalogConfig::default())
+        SketchCatalog::build(None)
     }
 }
 
 impl SketchCatalog {
-    /// Create a catalog with the given configuration.
-    pub fn new(config: CatalogConfig) -> Self {
-        let shards = (0..config.shards.max(1))
+    /// An empty catalog holding at most `byte_budget` bytes of sketches.
+    fn build(byte_budget: Option<usize>) -> Self {
+        let shards = (0..SHARDS)
             .map(|_| TrackedRwLock::new("catalog.shard", Shard::default()))
             .collect();
         let registry = Registry::new();
         SketchCatalog {
-            config,
+            byte_budget,
             shards,
             meta: TrackedMutex::new("catalog.meta", HashMap::new()),
             partitions: TrackedRwLock::new("catalog.partitions", HashMap::new()),
@@ -378,12 +364,10 @@ impl SketchCatalog {
         }
     }
 
-    /// Create a catalog with a byte budget and default sharding.
+    /// Create a catalog with a byte budget; [`SketchCatalog::default`] is
+    /// unbounded.
     pub fn with_byte_budget(budget: usize) -> Self {
-        SketchCatalog::new(CatalogConfig {
-            byte_budget: Some(budget),
-            ..CatalogConfig::default()
-        })
+        SketchCatalog::build(Some(budget))
     }
 
     fn shard_for(&self, template: &str) -> &TrackedRwLock<Shard> {
@@ -480,7 +464,7 @@ impl SketchCatalog {
                 .get(&name)
                 .is_none_or(|es| es.iter().all(|e| e.fresh(db)));
             if guard.version == version && all_fresh {
-                if guard.memo.len() >= self.config.memo_capacity {
+                if guard.memo.len() >= MEMO_CAPACITY {
                     guard.memo.clear();
                 }
                 guard.memo.insert(key, outcome.as_ref().map(|(id, _)| *id));
@@ -525,7 +509,7 @@ impl SketchCatalog {
         // Bound the denial set by evicting single pairs, never wholesale: a
         // resurrected pair costs a double execution, so forgetting should be
         // as rare and as local as possible.
-        if guard.denied.len() >= self.config.memo_capacity {
+        if guard.denied.len() >= MEMO_CAPACITY {
             if let Some(victim) = guard.denied.iter().next().cloned() {
                 guard.denied.remove(&victim);
             }
@@ -596,7 +580,7 @@ impl SketchCatalog {
             guard.entries.entry(name).or_default().push(entry);
         }
         self.bytes.add(bytes as i64);
-        if let Some(budget) = self.config.byte_budget {
+        if let Some(budget) = self.byte_budget {
             self.evict_to_budget(budget, id);
         }
         Some(id)
@@ -946,7 +930,7 @@ impl SketchCatalog {
             report.imported += 1;
         }
         self.invalidated.add(report.dropped as u64);
-        if let Some(budget) = self.config.byte_budget {
+        if let Some(budget) = self.byte_budget {
             self.evict_to_budget(budget, u64::MAX);
         }
         report

@@ -117,13 +117,16 @@ struct PendingWrite {
     wal_bytes: Option<Vec<u8>>,
 }
 
+/// Maximum mutations the commit thread folds into one group commit (one WAL
+/// fsync, one copy-on-write fork, one snapshot swap).
+const COMMIT_BATCH_LIMIT: usize = 128;
+
 /// Commit-thread main loop: block for the next write, then greedily drain
-/// the queue (up to [`ServerConfig::commit_batch_limit`]) so every mutation
-/// that arrived while the previous batch was fsyncing rides the next batch
-/// — classic group commit. Exits when the ingest channel closes, after
-/// committing everything still queued.
+/// the queue (up to [`COMMIT_BATCH_LIMIT`]) so every mutation that arrived
+/// while the previous batch was fsyncing rides the next batch — classic
+/// group commit. Exits when the ingest channel closes, after committing
+/// everything still queued.
 pub(super) fn commit_loop(shared: &ServerShared, rx: &Receiver<WriteRequest>) {
-    let limit = shared.config.commit_batch_limit.max(1);
     loop {
         // The blocking recv is the ingest wait: how long the commit thread
         // sat idle before the next write arrived.
@@ -135,7 +138,7 @@ pub(super) fn commit_loop(shared: &ServerShared, rx: &Receiver<WriteRequest>) {
             return;
         };
         let mut batch = vec![first];
-        while batch.len() < limit {
+        while batch.len() < COMMIT_BATCH_LIMIT {
             match rx.try_recv() {
                 Ok(req) => batch.push(req),
                 Err(_) => break,

@@ -66,7 +66,7 @@ pub mod safety;
 pub mod server;
 pub mod tuning;
 
-pub use catalog::{CatalogConfig, CatalogDelta, CatalogImport, ReusableSketches, SketchCatalog};
+pub use catalog::{CatalogDelta, CatalogImport, ReusableSketches, SketchCatalog};
 pub use instrument::{apply_sketches, sketch_predicate, UsePredicateStyle};
 pub use pbds::{Pbds, PbdsError};
 pub use reuse::{ReuseChecker, ReuseResult};

@@ -81,6 +81,9 @@ pub use health::HealthState;
 use health::{janitor_loop, Health, RepairState};
 
 /// Configuration of a [`PbdsServer`].
+///
+/// A query executes on one thread, its session's or a capture worker's:
+/// the server's concurrency comes from serving many sessions at once.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Engine profile used by sessions and capture workers.
@@ -96,8 +99,6 @@ pub struct ServerConfig {
     /// run (the self-tuning loop of Fig. 13, where the first instance pays
     /// for its capture).
     pub capture_workers: usize,
-    /// Morsel-parallel scan workers per query execution (1 = sequential).
-    pub scan_parallelism: usize,
     /// Automatic checkpoint policy for durable servers: after this many
     /// WAL-logged mutations the server checkpoints (snapshot + catalog
     /// export + WAL truncation) on the commit thread, bounding both WAL
@@ -105,14 +106,6 @@ pub struct ServerConfig {
     /// happen only via [`PbdsServer::checkpoint`] /
     /// [`PbdsServer::shutdown`]). Ignored for in-memory servers.
     pub checkpoint_every: Option<usize>,
-    /// Capacity of the bounded mutation ingest queue
-    /// ([`PbdsServer::submit_mutation`]). When the queue is full, submitters
-    /// block — backpressure instead of unbounded memory growth.
-    pub ingest_queue_depth: usize,
-    /// Maximum mutations the commit thread folds into one group commit
-    /// (one WAL fsync + one copy-on-write fork + one snapshot swap). `1`
-    /// degenerates to the per-mutation-fsync write path.
-    pub commit_batch_limit: usize,
     /// How many times the background janitor thread retries repairing a
     /// degraded durability layer (reopen-and-verify the WAL + checkpoint)
     /// before giving up, with capped exponential backoff between attempts.
@@ -134,10 +127,7 @@ impl Default for ServerConfig {
             style: UsePredicateStyle::BinarySearch,
             fragments: 256,
             capture_workers: 1,
-            scan_parallelism: 1,
             checkpoint_every: Some(256),
-            ingest_queue_depth: 1024,
-            commit_batch_limit: 128,
             repair_attempts: 8,
         }
     }
@@ -160,6 +150,11 @@ const MAX_CAPTURE_PANICS: u64 = 3;
 
 /// Most recent robustness event messages retained.
 const EVENT_LOG_CAP: usize = 32;
+
+/// Capacity of the bounded mutation ingest queue
+/// ([`PbdsServer::submit_mutation`]). When the queue is full, submitters
+/// block: backpressure instead of unbounded memory growth.
+const INGEST_QUEUE_DEPTH: usize = 1024;
 
 /// One served query: the result relation plus the execution record.
 #[derive(Debug, Clone)]
@@ -572,7 +567,7 @@ impl PbdsServer {
             db: TrackedRwLock::new("server.db", db),
             mutation_lock: TrackedMutex::new("server.mutation", ()),
             catalog,
-            engine: Engine::new(config.profile).with_parallelism(config.scan_parallelism),
+            engine: Engine::new(config.profile),
             config,
             persist: persist.map(|p| TrackedMutex::new("server.persist", p)),
             in_flight: TrackedMutex::new("server.in_flight", 0),
@@ -609,7 +604,7 @@ impl PbdsServer {
                 std::thread::spawn(move || capture_worker(&shared, &rx))
             })
             .collect();
-        let (ingest_tx, ingest_rx) = sync_channel::<WriteRequest>(config.ingest_queue_depth.max(1));
+        let (ingest_tx, ingest_rx) = sync_channel::<WriteRequest>(INGEST_QUEUE_DEPTH);
         let commit_thread = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || commit_loop(&shared, &ingest_rx))
@@ -958,8 +953,7 @@ impl PbdsServer {
 
     /// Submit a mutation to the bounded ingest queue and return immediately
     /// with a [`MutationTicket`]. The dedicated commit thread drains the
-    /// queue into batches (up to [`ServerConfig::commit_batch_limit`] per
-    /// batch), applies each batch through one copy-on-write fork, appends
+    /// queue into batches (up to 128 mutations per batch), applies each batch through one copy-on-write fork, appends
     /// all of its WAL records under **one** fsync, advances the catalog with
     /// the batch's coalesced deltas, swaps the new database in atomically,
     /// and only then completes the tickets — so durability cost is
@@ -971,8 +965,8 @@ impl PbdsServer {
     /// delete matching no rows) write no WAL record and bump no epoch.
     /// Empty appends short-circuit here without entering the queue.
     ///
-    /// Blocks only when the ingest queue is full (backpressure, see
-    /// [`ServerConfig::ingest_queue_depth`]).
+    /// Blocks only when the ingest queue, which holds 1024 mutations, is
+    /// full: backpressure instead of unbounded memory growth.
     pub fn submit_mutation(&self, table: &str, mutation: Mutation) -> MutationTicket {
         let state = TicketState::new();
         let ticket = MutationTicket {

@@ -61,8 +61,8 @@ type Bounds<B> = (Option<B>, Option<B>);
 /// query. Three ways to test a cell, cheapest first:
 ///
 /// * an `Int` cell, when the ranges are all-`Int`, sorted and disjoint and
-///   their finite bounds span at most [`IntRangeBits::MAX_SPAN`] values: one
-///   clamped bit lookup ([`IntRangeBits`]);
+///   their finite bounds span at most `IntRangeBits::MAX_SPAN` values: one
+///   clamped bit lookup (`IntRangeBits`);
 /// * an `Int` cell, when every bound is an `Int`: integer compares along the
 ///   lookup strategy (the fallback for wide spans and for unsorted or
 ///   overlapping ranges, whose answer depends on the strategy);

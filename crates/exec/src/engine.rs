@@ -29,7 +29,7 @@ pub struct QueryOutput {
 #[derive(Debug, Clone, Copy)]
 pub struct Engine {
     profile: EngineProfile,
-    /// Execution switches (vectorized and sequential by default).
+    /// Execution switches (vectorized by default).
     opts: ExecOptions,
 }
 
@@ -40,8 +40,7 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Create an engine with the given profile (sequential scans,
-    /// vectorized scan filters).
+    /// Create an engine with the given profile (vectorized scan filters).
     pub fn new(profile: EngineProfile) -> Self {
         Engine {
             profile,
@@ -56,14 +55,6 @@ impl Engine {
     /// only speed changes.
     pub fn with_vectorization(mut self, on: bool) -> Self {
         self.opts.vectorized = on;
-        self
-    }
-
-    /// Use morsel-parallel base-table scans with (up to) `workers` threads
-    /// ([`ExecOptions::workers`]) — results are identical to sequential
-    /// execution; only wall-clock time and the `elapsed` statistic change.
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.opts.workers = workers.max(1);
         self
     }
 
@@ -387,35 +378,6 @@ mod tests {
         let mut db = Database::new();
         db.add_table(b.build());
         db
-    }
-
-    #[test]
-    fn explain_analyze_honours_parallelism() {
-        use crate::physical::PARALLEL_SCAN_THRESHOLD;
-        let db = explain_db(2 * PARALLEL_SCAN_THRESHOLD as i64);
-        // Limit > Sort > SeqScan: the scan leaf is pre-order id 2.
-        let plan = LogicalPlan::scan("t")
-            .filter(col("v").lt(lit(500)))
-            .top_k(vec![SortKey::desc("v"), SortKey::asc("grp")], 5);
-        let sequential = Engine::new(EngineProfile::ColumnarScan);
-        let expected = sequential.execute(&db, &plan).unwrap();
-        let analyzed = sequential
-            .with_parallelism(4)
-            .explain_analyze(&db, &plan)
-            .unwrap();
-        assert_eq!(analyzed.output.relation, expected.relation);
-        assert_eq!(
-            analyzed.output.stats.rows_scanned,
-            db.table("t").unwrap().len() as u64
-        );
-        let (root, leaf) = (&analyzed.metrics.ops[0], &analyzed.metrics.ops[2]);
-        assert!(leaf.ran);
-        assert_eq!(leaf.rows_scanned, analyzed.output.stats.rows_scanned);
-        // The workers' stats are merged inside the leaf's `next_batch`, so its
-        // wrapper attributes their encoded-block evaluations to the leaf.
-        assert!(leaf.encoded_blocks > 0);
-        assert_eq!(leaf.encoded_blocks, expected.stats.encoded_blocks);
-        assert!(root.elapsed >= leaf.elapsed);
     }
 
     #[test]

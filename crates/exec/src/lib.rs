@@ -11,9 +11,9 @@
 //! tags are sketch annotations or lineage tuple sets). Every base-table
 //! scan — sequential, zone-map or index probe — is one operator over
 //! chunk-aligned pieces of its table, filtered by the vectorized chunk
-//! kernels or, as the test oracle, by the row interpreter. What varies
-//! between runs — that filter, the worker count — is one of the two
-//! [`ExecOptions`] fields, not another function.
+//! kernels or, as the test oracle, by the row interpreter. Which of the two
+//! runs is [`ExecOptions`]' one field, not another function. An execution
+//! runs on its calling thread.
 //!
 //! Two [`EngineProfile`]s substitute for the paper's two evaluation hosts:
 //! `Indexed` mirrors a disk-based system with B-tree indexes and BRIN zone
@@ -36,7 +36,7 @@ pub use engine::{AnalyzedQuery, Engine, QueryOutput};
 pub use eval::{eval_expr, eval_predicate, ExecError};
 pub use physical::{
     execute, lower, Batch, ExecOptions, Executed, NoTag, OpMetrics, PhysOp, PhysicalPlan,
-    PlanMetrics, TagPolicy, BATCH_SIZE, PARALLEL_SCAN_THRESHOLD,
+    PlanMetrics, TagPolicy, BATCH_SIZE,
 };
 pub use profile::EngineProfile;
 pub use scan::{extract_skip_ranges, ColumnRanges};

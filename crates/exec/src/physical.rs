@@ -47,7 +47,9 @@ use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Execution-time switches for the physical pipeline.
+/// Execution-time switch for the physical pipeline: which filter path every
+/// scan takes. Nothing else about an execution is configurable; it always
+/// runs on the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecOptions {
     /// Evaluate pushed-down scan filters with the vectorized chunk kernels
@@ -58,19 +60,11 @@ pub struct ExecOptions {
     /// vectorized path is proven byte-identical against
     /// (`tests/physical_equivalence.rs`).
     pub vectorized: bool,
-    /// Number of scan workers; `0` and `1` both mean sequential. With more,
-    /// leaf scans that still visit at least [`PARALLEL_SCAN_THRESHOLD`] rows
-    /// after index / zone-map skipping are split into up to that many morsels
-    /// of whole chunk pieces, scanned by scoped threads (see [`execute`]).
-    pub workers: usize,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions {
-            vectorized: true,
-            workers: 1,
-        }
+        ExecOptions { vectorized: true }
     }
 }
 
@@ -115,12 +109,11 @@ impl<T> Batch<T> {
 /// How per-row tags are created and combined while the pipeline runs.
 ///
 /// Plain execution uses [`NoTag`]; provenance capture supplies policies whose
-/// tags are sketch annotations or lineage tuple sets. Policies are shared by
-/// reference with the scan workers of a morsel-parallel scan, which hand
-/// their tagged rows back to the calling thread — hence `Sync` and `Send`.
-pub trait TagPolicy: Sync {
+/// tags are sketch annotations or lineage tuple sets. One execution runs on
+/// its calling thread, so neither the policy nor its tags cross threads.
+pub trait TagPolicy {
     /// The per-row tag type.
-    type Tag: Clone + Send;
+    type Tag: Clone;
 
     /// Tag for a base-table row entering the pipeline (capture rule r0).
     fn seed_tag(&self, table: &str, schema: &Schema, row: &Row, row_id: u32) -> Self::Tag;
@@ -464,9 +457,8 @@ pub struct PlanMetrics {
 }
 
 /// Shared mutable cell the analyze wrappers record into. Plain `RefCell` is
-/// sound here because an operator tree is single-threaded by construction
-/// (`BoxOp` is not `Send`); the workers of a morsel-parallel scan build their
-/// own unwrapped scan operators and report through the leaf that spawned them.
+/// sound here because an execution runs on its calling thread and an operator
+/// tree is single-threaded by construction (`BoxOp` is not `Send`).
 type AnalyzeShared = RefCell<Vec<OpMetrics>>;
 
 /// Instrumentation wrapper around one operator: times every `next_batch`
@@ -767,15 +759,8 @@ pub struct Executed<T> {
 /// clock reads per batch of up to [`BATCH_SIZE`] rows, cheap enough to be
 /// always on.
 ///
-/// With [`ExecOptions::workers`] above 1, leaf `SeqScan` / `ZoneMapScan` /
-/// `IndexRangeScan` operators that visit at least [`PARALLEL_SCAN_THRESHOLD`]
-/// rows split their chunk pieces into up to that many morsels of whole
-/// pieces, scanned by scoped `std::thread` workers. Each worker records its
-/// own [`ExecStats`], folded with [`ExecStats::merge_parallel`] (counters
-/// sum, `elapsed` is max across branches). Morsels are concatenated in table
-/// order, so the produced rows — and therefore every operator above the
-/// scan — are **identical** to the sequential execution. Everything above
-/// the scans runs on the calling thread.
+/// The whole execution runs on the calling thread: concurrency lives in the
+/// server's sessions, one query each, not inside one query.
 pub fn execute<P: TagPolicy>(
     db: &Database,
     plan: &PhysicalPlan,
@@ -888,23 +873,19 @@ impl<'a, P: TagPolicy> OpBuilder<'a, P> {
                     .collect::<Result<_, _>>()?;
                 // An aggregate directly above a chunk-aligned scan can
                 // aggregate over the selection bitmaps without materializing
-                // row batches. Parallel scans keep priority: when a worker
-                // pool was asked for, the generic operator pair consumes the
-                // scan's rows.
-                if self.opts.workers <= 1 {
-                    if let Some(op) = try_agg_pushdown(
-                        self.db, input, &group_idx, aggregates, policy, self.opts, stats,
-                    )? {
-                        // The input subtree was fused into this aggregate:
-                        // its operators never run on their own, so mark their
-                        // pre-order slots — the ANALYZE rendering shows them
-                        // as fused and attributes all work to this node.
-                        let mut all = self.metrics.borrow_mut();
-                        for slot in &mut all[id + 1..id + 1 + input.node_count()] {
-                            slot.fused = true;
-                        }
-                        return Ok(op);
+                // row batches.
+                if let Some(op) = try_agg_pushdown(
+                    self.db, input, &group_idx, aggregates, policy, self.opts, stats,
+                )? {
+                    // The input subtree was fused into this aggregate: its
+                    // operators never run on their own, so mark their
+                    // pre-order slots — the ANALYZE rendering shows them as
+                    // fused and attributes all work to this node.
+                    let mut all = self.metrics.borrow_mut();
+                    for slot in &mut all[id + 1..id + 1 + input.node_count()] {
+                        slot.fused = true;
                     }
+                    return Ok(op);
                 }
                 Ok(Box::new(HashAggregateOp {
                     group_idx,
@@ -1054,10 +1035,9 @@ fn masked_pieces(source: ScanSource, chunks: &ColumnarChunks) -> Vec<Piece> {
 }
 
 /// A base-table scan resolved against the current table: everything its
-/// operator needs besides the pieces it reads. The plain scan ([`ScanOp`],
-/// one per morsel under [`ParallelScanOp`]) and the fused aggregate
+/// operator needs besides the pieces it reads. The plain scan ([`ScanOp`])
+/// and the fused aggregate
 /// ([`AggScanOp`]) both filter their pieces through [`PieceScan::select`].
-#[derive(Clone)]
 struct PieceScan<'a> {
     table: &'a Table,
     /// Chunk projection snapshot fetched at resolve.
@@ -1069,11 +1049,10 @@ struct PieceScan<'a> {
 }
 
 /// How a scan evaluates its pushed-down filter within a piece.
-#[derive(Clone)]
 enum PieceFilter<'a> {
     /// The chunk kernels ([`ExecOptions::vectorized`]), over the filter bound
     /// to the table schema once (it can hold large sketch range / key sets).
-    Kernels(Arc<CompiledExpr>),
+    Kernels(CompiledExpr),
     /// The row interpreter, one selected row at a time: the oracle the
     /// kernels are proven byte-identical against.
     Rows(&'a Expr),
@@ -1127,9 +1106,8 @@ fn piece_rows(table: &Table, lo: usize, hi: usize) -> &[Row] {
 /// `full_scans` / `index_scans` / the zone-map block counters,
 /// `vectorized_scans` (a kernel-filtered scan or an index probe), and
 /// `rows_scanned` — every row the source selects counts as scanned when the
-/// scan is built, whichever operator then visits it (sequential,
-/// morsel-parallel or fused into an aggregate), so the three agree by
-/// construction.
+/// scan is built, whichever operator then visits it (the plain scan or the
+/// fused aggregate), so the two agree by construction.
 ///
 /// Lowering only emits index / zone-map scans when the physical-design
 /// artifact exists, but the database may have been mutated between `lower`
@@ -1198,7 +1176,7 @@ fn resolve_scan<'a>(
     stats.rows_scanned += selected_rows(&pieces) as u64;
     let filter = filter.as_ref().map(|pred| {
         if vectorized {
-            PieceFilter::Kernels(Arc::new(CompiledExpr::compile(pred, table.schema())))
+            PieceFilter::Kernels(CompiledExpr::compile(pred, table.schema()))
         } else {
             PieceFilter::Rows(pred)
         }
@@ -1236,9 +1214,7 @@ fn check_scan_epoch(table: &Table, resolved_at: u64) -> Result<(), ExecError> {
 }
 
 /// Build the executor for a scan operator over an already-resolved table:
-/// one [`ScanOp`] over the scan's pieces or, with [`ExecOptions::workers`]
-/// above 1 and at least [`PARALLEL_SCAN_THRESHOLD`] rows left after index /
-/// zone-map skipping, one per morsel ([`ParallelScanOp`]).
+/// one [`ScanOp`] over the scan's pieces.
 fn make_scan_op<'a, P: TagPolicy>(
     table: &'a Table,
     op: &'a PhysOp,
@@ -1247,14 +1223,6 @@ fn make_scan_op<'a, P: TagPolicy>(
     stats: &mut ExecStats,
 ) -> Result<BoxOp<'a, P>, ExecError> {
     let (scan, pieces) = resolve_scan(table, op, opts.vectorized, stats)?;
-    if opts.workers > 1 && selected_rows(&pieces) >= PARALLEL_SCAN_THRESHOLD {
-        return Ok(Box::new(ParallelScanOp {
-            morsels: split_pieces(pieces, opts.workers),
-            scan,
-            policy,
-            out: Emitter::new(),
-        }));
-    }
     Ok(Box::new(ScanOp::new(scan, policy, pieces)))
 }
 
@@ -1316,83 +1284,6 @@ impl<P: TagPolicy> BatchOp<P> for ScanOp<'_, P> {
             }
         }
         Ok((!batch.is_empty()).then_some(batch))
-    }
-}
-
-// -- morsel-parallel scans --------------------------------------------------
-
-/// Scans visiting fewer rows than this run sequentially even when scan
-/// workers were requested — the thread fan-out costs more than it saves.
-pub const PARALLEL_SCAN_THRESHOLD: usize = 4 * BATCH_SIZE;
-
-/// Cut `pieces` into at most `parts` morsels of whole pieces in table order,
-/// balanced by the rows the pieces select: a morsel closes once it holds its
-/// share. Every piece is filtered exactly once, on one worker.
-fn split_pieces(pieces: Vec<Piece>, parts: usize) -> Vec<Vec<Piece>> {
-    let share = selected_rows(&pieces).div_ceil(parts.max(1));
-    let mut morsels = vec![Vec::new()];
-    let mut filled = 0;
-    for piece in pieces {
-        filled += piece.within.count();
-        morsels.last_mut().expect("non-empty").push(piece);
-        if filled >= share {
-            morsels.push(Vec::new());
-            filled = 0;
-        }
-    }
-    morsels.retain(|m| !m.is_empty());
-    morsels
-}
-
-/// What a scan-morsel worker hands back: its rows plus its local stats.
-type MorselResult<T> = Result<(Vec<(Row, T)>, ExecStats), ExecError>;
-
-/// Leaf scan that fans out over scoped threads. On its first `next_batch`
-/// every morsel ([`split_pieces`]) is scanned on its own worker by a
-/// [`ScanOp`] over its pieces, drained into worker-local rows and a
-/// worker-local [`ExecStats`]. The per-worker stats are folded in with
-/// [`ExecStats::merge_parallel`] and the morsels concatenated in table order,
-/// so the output is byte-identical to the sequential scan.
-struct ParallelScanOp<'a, P: TagPolicy> {
-    scan: PieceScan<'a>,
-    policy: &'a P,
-    morsels: Vec<Vec<Piece>>,
-    out: Emitter<P::Tag>,
-}
-
-impl<P: TagPolicy> BatchOp<P> for ParallelScanOp<'_, P> {
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch<P::Tag>>, ExecError> {
-        if !self.out.filled {
-            let (scan, policy) = (&self.scan, self.policy);
-            let results: Vec<MorselResult<P::Tag>> = std::thread::scope(|s| {
-                let handles: Vec<_> = std::mem::take(&mut self.morsels)
-                    .into_iter()
-                    .map(|morsel| {
-                        s.spawn(move || {
-                            let mut local = ExecStats::default();
-                            let mut rows = Vec::new();
-                            let mut op = ScanOp::new(scan.clone(), policy, morsel);
-                            while let Some(batch) = op.next_batch(&mut local)? {
-                                rows.extend(batch.rows.into_iter().zip(batch.tags));
-                            }
-                            Ok((rows, local))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scan worker panicked"))
-                    .collect()
-            });
-            let mut rows = Vec::new();
-            for result in results {
-                let (morsel_rows, local) = result?;
-                stats.merge_parallel(&local);
-                rows.extend(morsel_rows);
-            }
-            self.out.fill(rows);
-        }
-        Ok(self.out.emit())
     }
 }
 
@@ -3076,79 +2967,8 @@ mod tests {
         assert_eq!(stats.intermediate_rows, u64::MAX);
     }
 
-    fn run_parallel(
-        db: &Database,
-        plan: &LogicalPlan,
-        profile: EngineProfile,
-        workers: usize,
-    ) -> (Relation, ExecStats) {
-        let opts = ExecOptions {
-            workers,
-            ..ExecOptions::default()
-        };
-        run_with_opts(db, plan, profile, opts)
-    }
-
     #[test]
-    fn parallel_scan_matches_sequential_results_and_counters() {
-        let db = zone_db(); // 5 000 rows > PARALLEL_SCAN_THRESHOLD
-        let plans = [
-            LogicalPlan::scan("t").filter(col("grp").eq(lit(3))),
-            LogicalPlan::scan("t")
-                .filter(col("id").between(lit(500), lit(4_200)))
-                .aggregate(
-                    vec!["grp"],
-                    vec![AggExpr::new(AggFunc::Count, col("id"), "cnt")],
-                )
-                .top_k(vec![SortKey::desc("cnt")], 3),
-            LogicalPlan::scan("t").top_k(vec![SortKey::asc("id")], 7),
-        ];
-        for plan in &plans {
-            let (seq_rel, seq_stats) = run(&db, plan, EngineProfile::ColumnarScan);
-            for workers in [2, 4, 8] {
-                let (par_rel, par_stats) =
-                    run_parallel(&db, plan, EngineProfile::ColumnarScan, workers);
-                // Row-for-row identical, not just bag-equal: morsels are
-                // concatenated in table order.
-                assert_eq!(seq_rel, par_rel, "workers={workers}");
-                assert_eq!(seq_stats.rows_scanned, par_stats.rows_scanned);
-                assert_eq!(seq_stats.full_scans, par_stats.full_scans);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_zone_map_scan_keeps_skipping_stats() {
-        let db = zone_db();
-        let plan = LogicalPlan::scan("t").filter(col("id").between(lit(100), lit(4_900)));
-        let (seq_rel, seq_stats) = run(&db, &plan, EngineProfile::Indexed);
-        let (par_rel, par_stats) = run_parallel(&db, &plan, EngineProfile::Indexed, 4);
-        assert_eq!(seq_rel, par_rel);
-        assert_eq!(seq_stats.blocks_total, par_stats.blocks_total);
-        assert_eq!(seq_stats.blocks_skipped, par_stats.blocks_skipped);
-        assert_eq!(seq_stats.rows_scanned, par_stats.rows_scanned);
-    }
-
-    #[test]
-    fn parallel_scan_declines_small_tables() {
-        // A table below the threshold takes the sequential path (same
-        // counters as a plain run — notably a single full scan).
-        let schema = Schema::from_pairs(&[("v", DataType::Int)]);
-        let mut b = TableBuilder::new("small", schema);
-        for i in 0..100i64 {
-            b.push(vec![Value::Int(i)]);
-        }
-        let mut db = Database::new();
-        db.add_table(b.build());
-        let plan = LogicalPlan::scan("small").filter(col("v").lt(lit(50)));
-        let (rel, stats) = run_parallel(&db, &plan, EngineProfile::ColumnarScan, 8);
-        assert_eq!(rel.len(), 50);
-        assert_eq!(stats.full_scans, 1);
-        assert_eq!(stats.rows_scanned, 100);
-    }
-
-    #[test]
-    fn split_pieces_keeps_order_balance_and_whole_pieces() {
+    fn masked_pieces_keep_order_and_stay_within_chunks() {
         let schema = Schema::from_pairs(&[("v", DataType::Int)]);
         let rows: Vec<Row> = (0..320i64).map(|i| vec![Value::Int(i)]).collect();
         // Chunks of 50 rows, the last one 20.
@@ -3157,20 +2977,14 @@ mod tests {
             let at = |p: &Piece| p.within.iter_ones().map(|j| p.lo + j).collect::<Vec<_>>();
             pieces.iter().flat_map(at).collect()
         };
-        let segments = || ScanSource::Segments(vec![(0, 10), (20, 25), (30, 147), (300, 320)]);
+        let segments = ScanSource::Segments(vec![(0, 10), (20, 25), (30, 147), (300, 320)]);
         // Rows 3, 5 to 68, 130 and 192 to 319.
-        let probe = || ScanSource::Probe(vec![!0 << 5 | 1 << 3, 31, 1 << 2, !0, !0]);
-        let sources: [(&dyn Fn() -> ScanSource, usize, usize); 5] = [
-            (&segments, 152, 4),
-            (&segments, 152, 1),
-            (&probe, 194, 4),
-            (&probe, 194, 3),
-            (&probe, 194, 200),
-        ];
-        for (source, total, parts) in sources {
-            let pieces = masked_pieces(source(), &chunks);
+        let probe = ScanSource::Probe(vec![!0 << 5 | 1 << 3, 31, 1 << 2, !0, !0]);
+        for (source, total) in [(segments, 152), (probe, 194)] {
+            let pieces = masked_pieces(source, &chunks);
             let all = rows_of(&pieces);
             assert_eq!(all.len(), total);
+            assert_eq!(selected_rows(&pieces), total);
             assert!(all.windows(2).all(|w| w[0] < w[1]));
             for p in &pieces {
                 assert!(
@@ -3178,26 +2992,6 @@ mod tests {
                     "piece crosses a chunk"
                 );
             }
-            let bounds: Vec<(usize, usize)> = pieces.iter().map(|p| (p.lo, p.hi())).collect();
-            let biggest = pieces.iter().map(|p| p.within.count()).max().unwrap();
-            let share = total.div_ceil(parts);
-            let morsels = split_pieces(pieces, parts);
-            assert!(morsels.len() <= parts);
-            // Balanced: each morsel closes at its share, so it overshoots by
-            // less than its last piece; only the last may fall short.
-            for (i, m) in morsels.iter().enumerate() {
-                let n = selected_rows(m);
-                assert!(n < share + biggest, "morsel {i} of {parts}: {n} rows");
-                assert!(i + 1 == morsels.len() || n >= share);
-            }
-            // No piece is cut: the morsels hold the pieces, in order.
-            let joined: Vec<(usize, usize)> =
-                morsels.iter().flatten().map(|p| (p.lo, p.hi())).collect();
-            assert_eq!(joined, bounds);
-            assert_eq!(
-                morsels.iter().flat_map(|m| rows_of(m)).collect::<Vec<_>>(),
-                all
-            );
         }
     }
 
@@ -3219,10 +3013,7 @@ mod tests {
     /// Options with the scan filter on the chunk kernels (`vectorized`) or
     /// the row interpreter.
     fn pinned(vectorized: bool) -> ExecOptions {
-        ExecOptions {
-            vectorized,
-            ..ExecOptions::default()
-        }
+        ExecOptions { vectorized }
     }
 
     #[test]

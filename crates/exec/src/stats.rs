@@ -49,55 +49,14 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Upper bound on the `topk_inputs` vector after a parallel merge; see
-    /// [`ExecStats::merge_parallel`].
+    /// Upper bound on the `topk_inputs` vector after a merge; see
+    /// [`ExecStats::merge`].
     pub const TOPK_INPUTS_CAP: usize = 32;
 
     /// Merge another stats record into this one (used when the self-tuning
-    /// framework accumulates per-workload totals).
-    ///
-    /// This is the *sequential* merge: the two executions happened one after
-    /// the other, so wall-clock times add up. For stats produced by workers
-    /// that ran *concurrently* (morsel-parallel scans), use
-    /// [`ExecStats::merge_parallel`] instead — summing `elapsed` across
-    /// parallel branches would overstate wall-clock time by the worker count.
+    /// framework accumulates per-workload totals). The two executions
+    /// happened one after the other, so counters and wall-clock times add up.
     pub fn merge(&mut self, other: &ExecStats) {
-        self.merge_counters(other);
-        self.merge_topk_bounded(other);
-        self.elapsed += other.elapsed;
-    }
-
-    /// Merge stats of a *concurrent* execution branch into this one.
-    ///
-    /// The only difference from the sequential [`ExecStats::merge`]:
-    /// `elapsed` is the **max** across branches, not the sum — branches
-    /// overlapped in time, so the slowest one bounds the wall clock.
-    pub fn merge_parallel(&mut self, other: &ExecStats) {
-        self.merge_counters(other);
-        self.merge_topk_bounded(other);
-        self.elapsed = self.elapsed.max(other.elapsed);
-    }
-
-    /// Accumulate `topk_inputs`, bounded at [`ExecStats::TOPK_INPUTS_CAP`]
-    /// entries. When the cap is exceeded, the entries with the smallest
-    /// `input / limit` slack are kept: those are the only ones that can make
-    /// [`ExecStats::topk_safety_revalidated`] fail, so dropping the
-    /// comfortable ones never turns a failing re-validation into a passing
-    /// one. Both merge flavours share this helper — an earlier asymmetry
-    /// (only the parallel merge bounded the vector) let long sequential
-    /// accumulation loops grow it without limit.
-    fn merge_topk_bounded(&mut self, other: &ExecStats) {
-        self.topk_inputs.extend(other.topk_inputs.iter().cloned());
-        if self.topk_inputs.len() > Self::TOPK_INPUTS_CAP {
-            let slack = |&(limit, input): &(usize, u64)| input as f64 / (limit.max(1) as f64);
-            self.topk_inputs
-                .sort_by(|a, b| slack(a).total_cmp(&slack(b)));
-            self.topk_inputs.truncate(Self::TOPK_INPUTS_CAP);
-        }
-    }
-
-    /// Accumulate the deterministic counters shared by both merge flavours.
-    fn merge_counters(&mut self, other: &ExecStats) {
         self.rows_scanned += other.rows_scanned;
         self.rows_output += other.rows_output;
         self.blocks_skipped += other.blocks_skipped;
@@ -113,6 +72,24 @@ impl ExecStats {
         self.encoded_blocks += other.encoded_blocks;
         self.encoded_kernel_fallbacks += other.encoded_kernel_fallbacks;
         self.agg_pushdown_blocks += other.agg_pushdown_blocks;
+        self.merge_topk_bounded(other);
+        self.elapsed += other.elapsed;
+    }
+
+    /// Accumulate `topk_inputs`, bounded at [`ExecStats::TOPK_INPUTS_CAP`]
+    /// entries. When the cap is exceeded, the entries with the smallest
+    /// `input / limit` slack are kept: those are the only ones that can make
+    /// [`ExecStats::topk_safety_revalidated`] fail, so dropping the
+    /// comfortable ones never turns a failing re-validation into a passing
+    /// one, and long accumulation loops cannot grow the vector without limit.
+    fn merge_topk_bounded(&mut self, other: &ExecStats) {
+        self.topk_inputs.extend(other.topk_inputs.iter().cloned());
+        if self.topk_inputs.len() > Self::TOPK_INPUTS_CAP {
+            let slack = |&(limit, input): &(usize, u64)| input as f64 / (limit.max(1) as f64);
+            self.topk_inputs
+                .sort_by(|a, b| slack(a).total_cmp(&slack(b)));
+            self.topk_inputs.truncate(Self::TOPK_INPUTS_CAP);
+        }
     }
 
     /// True if every top-k operator saw at least as many input rows as its
@@ -162,18 +139,7 @@ mod tests {
     }
 
     #[test]
-    fn skip_ratio_handles_zero_blocks() {
-        assert_eq!(ExecStats::default().skip_ratio(), 0.0);
-        let s = ExecStats {
-            blocks_skipped: 3,
-            blocks_total: 4,
-            ..Default::default()
-        };
-        assert!((s.skip_ratio() - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_parallel_takes_max_elapsed_not_sum() {
+    fn merge_sums_block_counters_and_elapsed() {
         let mut a = ExecStats {
             rows_scanned: 10,
             encoded_blocks: 2,
@@ -190,45 +156,30 @@ mod tests {
             elapsed: Duration::from_millis(50),
             ..Default::default()
         };
-        a.merge_parallel(&b);
+        a.merge(&b);
         assert_eq!(a.rows_scanned, 15);
-        // Deterministic counters sum across parallel branches; only the
-        // wall clock takes the max.
         assert_eq!(a.encoded_blocks, 6);
         assert_eq!(a.encoded_kernel_fallbacks, 3);
         assert_eq!(a.agg_pushdown_blocks, 8);
-        assert_eq!(a.elapsed, Duration::from_millis(50));
-        // The sequential merge, in contrast, sums.
-        let mut c = ExecStats {
-            elapsed: Duration::from_millis(30),
-            ..Default::default()
-        };
-        c.merge(&b);
-        assert_eq!(c.elapsed, Duration::from_millis(80));
+        assert_eq!(a.elapsed, Duration::from_millis(80));
     }
 
     #[test]
-    fn merge_parallel_bounds_topk_inputs_keeping_failing_entries() {
-        let mut a = ExecStats::default();
-        // One failing entry (input < limit) among many comfortable ones.
-        let mut other = ExecStats::default();
-        other.topk_inputs.push((10, 3)); // fails re-validation
-        for _ in 0..ExecStats::TOPK_INPUTS_CAP * 2 {
-            other.topk_inputs.push((5, 1_000)); // passes comfortably
-        }
-        a.merge_parallel(&other);
-        assert!(a.topk_inputs.len() <= ExecStats::TOPK_INPUTS_CAP);
-        // The failing entry must survive the truncation.
-        assert!(!a.topk_safety_revalidated());
-        assert!(a.topk_inputs.contains(&(10, 3)));
+    fn skip_ratio_handles_zero_blocks() {
+        assert_eq!(ExecStats::default().skip_ratio(), 0.0);
+        let s = ExecStats {
+            blocks_skipped: 3,
+            blocks_total: 4,
+            ..Default::default()
+        };
+        assert!((s.skip_ratio() - 0.75).abs() < 1e-9);
     }
 
     #[test]
     fn sequential_merge_bounds_topk_inputs_like_parallel_merge() {
         // Regression: plain merge used to extend `topk_inputs` unbounded, so
         // a self-tuning loop accumulating per-workload totals over thousands
-        // of top-k queries grew the vector without limit. Both flavours now
-        // share the bounded helper.
+        // of top-k queries grew the vector without limit.
         let mut seq = ExecStats::default();
         for _ in 0..10 {
             let mut one = ExecStats::default();

@@ -7,8 +7,8 @@
 //!
 //! 1. **Scan-path equivalence under mutation** — after any generated
 //!    sequence of appends and deletes, row-at-a-time and vectorized
-//!    execution return *byte-identical* results (rows **and** capture tags),
-//!    serially and morsel-parallel, on both engine profiles. A stale zone
+//!    execution return *byte-identical* results (rows **and** capture tags)
+//!    on both engine profiles. A stale zone
 //!    map, rid list or chunk projection would break this immediately.
 //! 2. **Sketch maintenance stays a safe superset** — a sketch captured
 //!    before the mutations and maintained through them (fragment-bitset
@@ -142,22 +142,14 @@ fn decode_op((kind, seed, x): (u8, u64, i64)) -> Op {
 
 /// Execute `plan` over `db` with both scan paths and assert byte-identical
 /// rows, tags and machine-independent counters.
-fn assert_paths_identical<P>(
-    db: &Database,
-    plan: &LogicalPlan,
-    workers: usize,
-    policy: &P,
-    ctx: &str,
-) where
+fn assert_paths_identical<P>(db: &Database, plan: &LogicalPlan, policy: &P, ctx: &str)
+where
     P: pbds_exec::TagPolicy,
     P::Tag: PartialEq + std::fmt::Debug,
 {
     for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
         let run = |vectorized: bool| {
-            let opts = ExecOptions {
-                vectorized,
-                workers,
-            };
+            let opts = ExecOptions { vectorized };
             let physical = lower(db, plan, profile).unwrap();
             let mut stats = ExecStats::default();
             let done = execute(db, &physical, policy, &opts, &mut stats).unwrap();
@@ -168,13 +160,13 @@ fn assert_paths_identical<P>(
         assert_eq!(
             rel_row,
             rel_vec,
-            "{ctx}, {profile:?}, workers {workers}: rows differ between scan paths\n{}",
+            "{ctx}, {profile:?}: rows differ between scan paths\n{}",
             plan.display_tree()
         );
         assert_eq!(
             tags_row,
             tags_vec,
-            "{ctx}, {profile:?}, workers {workers}: tags differ between scan paths\n{}",
+            "{ctx}, {profile:?}: tags differ between scan paths\n{}",
             plan.display_tree()
         );
         assert_eq!(stats_row.rows_scanned, stats_vec.rows_scanned, "{ctx}");
@@ -189,7 +181,7 @@ proptest! {
     /// After every mutation in a generated interleaving, the vectorized
     /// scan path (over epoch-maintained chunks / zone maps / indexes) stays
     /// byte-identical to the row interpreter — for plain execution *and*
-    /// for sketch-capture tags, serial and morsel-parallel.
+    /// for sketch-capture tags.
     #[test]
     fn scan_paths_agree_after_any_mutation_sequence(
         seed in 0u64..1_000_000,
@@ -210,11 +202,9 @@ proptest! {
             let op = decode_op(raw);
             apply_op(&mut db, &op, &mut next_k);
             for (qi, plan) in query_family().iter().enumerate() {
-                for workers in [1usize, 4] {
-                    let ctx = format!("seed {seed}, step {step} ({op:?}), query #{qi}");
-                    assert_paths_identical(&db, plan, workers, &pbds_exec::NoTag, &ctx);
-                    assert_paths_identical(&db, plan, workers, &policy, &ctx);
-                }
+                let ctx = format!("seed {seed}, step {step} ({op:?}), query #{qi}");
+                assert_paths_identical(&db, plan, &pbds_exec::NoTag, &ctx);
+                assert_paths_identical(&db, plan, &policy, &ctx);
             }
         }
     }

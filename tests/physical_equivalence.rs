@@ -16,7 +16,7 @@
 use pbds_algebra::{col, lit, AggExpr, AggFunc, Expr, LogicalPlan, RangeLookup, SortKey};
 use pbds_exec::{
     eval_expr, eval_predicate, execute, lower, Engine, EngineProfile, ExecError, ExecOptions,
-    ExecStats, NoTag, TagPolicy, PARALLEL_SCAN_THRESHOLD,
+    ExecStats, NoTag, TagPolicy,
 };
 use pbds_provenance::{
     capture_lineage, capture_sketches_with_profile, Annotation, CaptureConfig, FragmentAssigner,
@@ -606,23 +606,19 @@ fn minmax_narrowing_still_selects_only_the_witness_fragment() {
 // ---------------------------------------------------------------------------
 
 /// Execute `plan` with the scan filter on the chunk kernels (`vectorized`)
-/// or the row interpreter and `workers` scan workers, returning the
-/// relation, the per-row tags and the stats.
+/// or the row interpreter, returning the relation, the per-row tags and the
+/// stats.
 fn run_pinned<P>(
     db: &Database,
     plan: &LogicalPlan,
     profile: EngineProfile,
-    workers: usize,
     vectorized: bool,
     policy: &P,
 ) -> ((Relation, Vec<P::Tag>), ExecStats)
 where
     P: pbds_exec::TagPolicy,
 {
-    let opts = ExecOptions {
-        vectorized,
-        workers,
-    };
+    let opts = ExecOptions { vectorized };
     let physical = lower(db, plan, profile).unwrap();
     let mut stats = ExecStats::default();
     let done = execute(db, &physical, policy, &opts, &mut stats).unwrap();
@@ -635,14 +631,13 @@ fn assert_paths_identical<P>(
     db: &Database,
     plan: &LogicalPlan,
     profile: EngineProfile,
-    workers: usize,
     policy: &P,
     context: &str,
 ) where
     P: pbds_exec::TagPolicy,
     P::Tag: PartialEq + std::fmt::Debug,
 {
-    let run = |vectorized: bool| run_pinned(db, plan, profile, workers, vectorized, policy);
+    let run = |vectorized: bool| run_pinned(db, plan, profile, vectorized, policy);
     let ((rel_row, tags_row), stats_row) = run(false);
     let ((rel_vec, tags_vec), stats_vec) = run(true);
     assert_eq!(
@@ -665,6 +660,12 @@ fn assert_paths_identical<P>(
         stats_row.blocks_skipped, stats_vec.blocks_skipped,
         "{context}"
     );
+    // The interpreter path never touches the chunk kernels.
+    assert_eq!(
+        (stats_row.vectorized_scans, stats_row.vectorized_blocks),
+        (0, 0),
+        "{context}"
+    );
 }
 
 #[test]
@@ -672,17 +673,14 @@ fn vectorized_path_is_byte_identical_for_plain_execution() {
     for seed in 0..3u64 {
         let db = random_db(seed, 300);
         for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-            for workers in [1usize, 4] {
-                for (i, plan) in query_family().iter().enumerate() {
-                    assert_paths_identical(
-                        &db,
-                        plan,
-                        profile,
-                        workers,
-                        &pbds_exec::NoTag,
-                        &format!("seed {seed}, query #{i}, {profile:?}, workers {workers}"),
-                    );
-                }
+            for (i, plan) in query_family().iter().enumerate() {
+                assert_paths_identical(
+                    &db,
+                    plan,
+                    profile,
+                    &pbds_exec::NoTag,
+                    &format!("seed {seed}, query #{i}, {profile:?}"),
+                );
             }
         }
     }
@@ -700,22 +698,19 @@ fn vectorized_path_is_byte_identical_for_sketch_capture_tags() {
     let assigners = vec![FragmentAssigner::new(part, config.lookup)];
     let policy = SketchTagPolicy::new(&assigners, &config);
     for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-        for workers in [1usize, 4] {
-            for (i, plan) in query_family().iter().enumerate() {
-                assert_paths_identical(
-                    &db,
-                    plan,
-                    profile,
-                    workers,
-                    &policy,
-                    &format!("capture query #{i}, {profile:?}, workers {workers}"),
-                );
-            }
+        for (i, plan) in query_family().iter().enumerate() {
+            assert_paths_identical(
+                &db,
+                plan,
+                profile,
+                &policy,
+                &format!("capture query #{i}, {profile:?}"),
+            );
         }
     }
 }
 
-/// `r(k, z, grp, v)` with `4 × PARALLEL_SCAN_THRESHOLD` rows: `k` is indexed,
+/// `r(k, z, grp, v)` with 16 384 rows: `k` is indexed,
 /// `z` carries the same clustered values without an index (so range
 /// predicates on it lower to zone-map scans that really skip), `grp` is runny
 /// and `v` has occasional NULLs. Blocks are 64 rows, so every scan spans
@@ -731,7 +726,7 @@ fn big_db() -> Database {
     let mut b = TableBuilder::new("r", schema);
     b.block_size(64).index("k");
     let mut grp = 0i64;
-    for i in 0..(4 * PARALLEL_SCAN_THRESHOLD) as i64 {
+    for i in 0..16_384i64 {
         if rng.gen_range(0..5) == 0 {
             grp = rng.gen_range(0..10);
         }
@@ -749,24 +744,21 @@ fn big_db() -> Database {
 
 /// Scan shapes over [`big_db`]: seq / zone-map / index access paths, with and
 /// without a pushed-down filter, plus blocking operators above the scan.
-/// Morsels are runs of whole chunk pieces, so every shape evaluates each
-/// chunk once whatever the worker count.
 fn big_scan_family() -> Vec<LogicalPlan> {
     let sum_v = || vec![AggExpr::new(AggFunc::Sum, col("v"), "total")];
     vec![
         LogicalPlan::scan("r"),
         LogicalPlan::scan("r").filter(col("grp").le(lit(4)).and(col("v").gt(lit(0)))),
-        // 128 candidate blocks = 8 192 rows: still fanned out after skipping.
+        // 128 candidate blocks = 8 192 rows.
         LogicalPlan::scan("r").filter(col("z").between(lit(1_024), lit(9_215))),
-        // 193 candidate blocks: an even cut of the rows would fall inside a
-        // chunk.
+        // 193 candidate blocks.
         LogicalPlan::scan("r").filter(col("z").between(lit(1_000), lit(13_287))),
         LogicalPlan::scan("r").filter(
             col("k")
                 .between(lit(100), lit(12_387))
                 .and(col("v").gt(lit(0))),
         ),
-        // The access path narrows the scan below the threshold: one morsel.
+        // The access path narrows the scan to a few blocks.
         LogicalPlan::scan("r").filter(col("k").between(lit(10), lit(500))),
         LogicalPlan::scan("r")
             .filter(col("z").between(lit(1_024), lit(9_215)))
@@ -778,48 +770,12 @@ fn big_scan_family() -> Vec<LogicalPlan> {
     ]
 }
 
-/// Every scan of [`big_scan_family`] — rows, tags and scan accounting — must
-/// not depend on the worker count or on the scan path.
-fn assert_worker_counts_identical<P>(db: &Database, policy: &P, what: &str)
-where
-    P: pbds_exec::TagPolicy,
-    P::Tag: PartialEq + std::fmt::Debug,
-{
-    for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-        for (i, plan) in big_scan_family().iter().enumerate() {
-            let ((rel, tags), base) = run_pinned(db, plan, profile, 1, false, policy);
-            for vectorized in [false, true] {
-                let (_, seq) = run_pinned(db, plan, profile, 1, vectorized, policy);
-                for workers in [1usize, 2, 4] {
-                    let ctx = format!(
-                        "{what} query #{i}, {profile:?}, workers {workers}, \
-                         vectorized {vectorized}\n{}",
-                        plan.display_tree()
-                    );
-                    let ((r, t), stats) =
-                        run_pinned(db, plan, profile, workers, vectorized, policy);
-                    assert_eq!(rel, r, "{ctx}");
-                    assert_eq!(tags, t, "{ctx}");
-                    assert_eq!(base.rows_scanned, stats.rows_scanned, "{ctx}");
-                    assert_eq!(base.full_scans, stats.full_scans, "{ctx}");
-                    assert_eq!(base.index_scans, stats.index_scans, "{ctx}");
-                    assert_eq!(base.blocks_skipped, stats.blocks_skipped, "{ctx}");
-                    assert_eq!(seq.vectorized_scans, stats.vectorized_scans, "{ctx}");
-                    assert_eq!(seq.vectorized_blocks, stats.vectorized_blocks, "{ctx}");
-                }
-            }
-        }
-    }
-}
-
+/// Every scan of [`big_scan_family`] — many chunk pieces, zone maps that
+/// really skip — must give the same rows, tags and scan accounting on the
+/// chunk kernels as on the row interpreter, plain and under capture tags.
 #[test]
-fn morsel_parallel_scans_are_byte_identical_above_the_threshold() {
+fn many_piece_scans_are_byte_identical_across_scan_paths() {
     let db = big_db();
-    // Must actually fan out: below the threshold every `workers` arm silently
-    // declines to the sequential operator.
-    assert!(db.table("r").unwrap().len() >= 2 * PARALLEL_SCAN_THRESHOLD);
-    assert_worker_counts_identical(&db, &pbds_exec::NoTag, "plain");
-
     let part: PartitionRef = Arc::new(Partition::Range(RangePartition::from_uppers(
         "r",
         "grp",
@@ -828,7 +784,13 @@ fn morsel_parallel_scans_are_byte_identical_above_the_threshold() {
     let config = CaptureConfig::optimized();
     let assigners = vec![FragmentAssigner::new(part, config.lookup)];
     let policy = SketchTagPolicy::new(&assigners, &config);
-    assert_worker_counts_identical(&db, &policy, "capture");
+    for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
+        for (i, plan) in big_scan_family().iter().enumerate() {
+            let ctx = format!("query #{i}, {profile:?}");
+            assert_paths_identical(&db, plan, profile, &NoTag, &format!("plain {ctx}"));
+            assert_paths_identical(&db, plan, profile, &policy, &format!("capture {ctx}"));
+        }
+    }
 }
 
 #[test]
@@ -1036,10 +998,9 @@ fn grouping_plan(rng: &mut StdRng) -> LogicalPlan {
     input.aggregate(group_by, aggregates)
 }
 
-/// `plan` under `policy`: the row-interpreter run at one worker is the
-/// oracle, and the vectorized runs (fused scans, index probes, bitmap
-/// kernels) and four-worker runs must reproduce its rows, their order and
-/// their tags exactly — `Debug` renderings are compared, so `Int(3)` and
+/// `plan` under `policy`: the row-interpreter run is the oracle, and the
+/// vectorized run (fused scans, index probes, bitmap kernels) must reproduce
+/// its rows, their order and their tags exactly — `Debug` renderings are compared, so `Int(3)` and
 /// `Float(3.0)` count as different.
 fn assert_grouping_identical<P>(db: &Database, plan: &LogicalPlan, policy: &P, what: &str)
 where
@@ -1047,19 +1008,16 @@ where
     P::Tag: std::fmt::Debug,
 {
     for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-        let render = |vectorized: bool, workers: usize| {
-            let ((rel, tags), _) = run_pinned(db, plan, profile, workers, vectorized, policy);
+        let render = |vectorized: bool| {
+            let ((rel, tags), _) = run_pinned(db, plan, profile, vectorized, policy);
             format!("{:?}\n{tags:?}", rel.rows())
         };
-        let oracle = render(false, 1);
-        for (vectorized, workers) in [(true, 1), (true, 4), (false, 4)] {
-            assert_eq!(
-                oracle,
-                render(vectorized, workers),
-                "{what}, {profile:?}, vectorized {vectorized}, workers {workers}\n{}",
-                plan.display_tree()
-            );
-        }
+        assert_eq!(
+            render(false),
+            render(true),
+            "{what}, {profile:?}\n{}",
+            plan.display_tree()
+        );
     }
 }
 
@@ -1117,8 +1075,8 @@ fn grouping_generators_reach_every_source() {
             .iter()
             .filter(|c| c.len() < table.block_size())
             .count();
-        let (_, indexed) = run_pinned(&db, &plan, EngineProfile::Indexed, 1, true, &NoTag);
-        let (_, columnar) = run_pinned(&db, &plan, EngineProfile::ColumnarScan, 1, true, &NoTag);
+        let (_, indexed) = run_pinned(&db, &plan, EngineProfile::Indexed, true, &NoTag);
+        let (_, columnar) = run_pinned(&db, &plan, EngineProfile::ColumnarScan, true, &NoTag);
         match &plan {
             LogicalPlan::Distinct { .. } => distinct += 1,
             _ if indexed.agg_pushdown_blocks == 0 => generic += 1,
