@@ -844,7 +844,14 @@ impl<'a, P: TagPolicy> OpBuilder<'a, P> {
             PhysOp::SeqScan { table, .. }
             | PhysOp::IndexRangeScan { table, .. }
             | PhysOp::ZoneMapScan { table, .. } => {
-                make_scan_op(self.db.table(table)?, &plan.op, policy, self.opts, stats)
+                let table = self.db.table(table)?;
+                let (scan, pieces) = resolve_scan(table, &plan.op, self.opts.vectorized, stats)?;
+                Ok(Box::new(ScanOp {
+                    scan,
+                    policy,
+                    pieces: pieces.into_iter(),
+                    current: None,
+                }))
             }
             PhysOp::Filter { predicate, input } => Ok(Box::new(FilterOp {
                 predicate: CompiledExpr::compile(predicate, &input.schema),
@@ -1036,8 +1043,8 @@ fn masked_pieces(source: ScanSource, chunks: &ColumnarChunks) -> Vec<Piece> {
 
 /// A base-table scan resolved against the current table: everything its
 /// operator needs besides the pieces it reads. The plain scan ([`ScanOp`])
-/// and the fused aggregate
-/// ([`AggScanOp`]) both filter their pieces through [`PieceScan::select`].
+/// and the fused aggregate ([`AggScanOp`]) both filter their pieces through
+/// [`PieceScan::select`].
 struct PieceScan<'a> {
     table: &'a Table,
     /// Chunk projection snapshot fetched at resolve.
@@ -1213,19 +1220,6 @@ fn check_scan_epoch(table: &Table, resolved_at: u64) -> Result<(), ExecError> {
     Ok(())
 }
 
-/// Build the executor for a scan operator over an already-resolved table:
-/// one [`ScanOp`] over the scan's pieces.
-fn make_scan_op<'a, P: TagPolicy>(
-    table: &'a Table,
-    op: &'a PhysOp,
-    policy: &'a P,
-    opts: ExecOptions,
-    stats: &mut ExecStats,
-) -> Result<BoxOp<'a, P>, ExecError> {
-    let (scan, pieces) = resolve_scan(table, op, opts.vectorized, stats)?;
-    Ok(Box::new(ScanOp::new(scan, policy, pieces)))
-}
-
 /// The leaf scan of every base table — sequential, zone-map or index probe,
 /// filtered by the chunk kernels or by the row interpreter. Each piece of
 /// its source ([`masked_pieces`]) is filtered by [`PieceScan::select`], and
@@ -1239,17 +1233,6 @@ struct ScanOp<'a, P: TagPolicy> {
     /// The piece being emitted: its first row id, its rows, its selection
     /// and the position to resume from.
     current: Option<(usize, &'a [Row], SelBitmap, usize)>,
-}
-
-impl<'a, P: TagPolicy> ScanOp<'a, P> {
-    fn new(scan: PieceScan<'a>, policy: &'a P, pieces: Vec<Piece>) -> Self {
-        ScanOp {
-            scan,
-            policy,
-            pieces: pieces.into_iter(),
-            current: None,
-        }
-    }
 }
 
 impl<P: TagPolicy> BatchOp<P> for ScanOp<'_, P> {
