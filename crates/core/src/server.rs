@@ -259,6 +259,7 @@ struct ServerMetrics {
     /// Deterministic execution totals accumulated over every served query.
     exec_rows_scanned: Counter,
     exec_blocks_skipped: Counter,
+    exec_join_key_filters: Counter,
     /// Robustness counters (`pbds_robustness_*`): contained panics, durability
     /// failures, janitor repairs and quarantined catalogs.
     commit_panics: Counter,
@@ -288,6 +289,7 @@ impl ServerMetrics {
             queries_served: registry.counter("pbds_queries_served"),
             exec_rows_scanned: registry.counter("pbds_exec_rows_scanned"),
             exec_blocks_skipped: registry.counter("pbds_exec_blocks_skipped"),
+            exec_join_key_filters: registry.counter("pbds_exec_join_key_filters"),
             commit_panics: registry.counter("pbds_robustness_commit_panics"),
             capture_panics: registry.counter("pbds_robustness_capture_panics"),
             session_panics: registry.counter("pbds_robustness_session_panics"),
@@ -1145,6 +1147,8 @@ impl PbdsSession<'_> {
             m.exec_rows_scanned.add(served.record.stats.rows_scanned);
             m.exec_blocks_skipped
                 .add(served.record.stats.blocks_skipped);
+            m.exec_join_key_filters
+                .add(served.record.stats.join_key_filters);
         }
         result
     }

@@ -219,7 +219,9 @@ pub enum PhysOp {
         /// Input operator.
         input: Box<PhysicalPlan>,
     },
-    /// Hash equi-join (⋈); the right input is the build side.
+    /// Hash equi-join (⋈); the right input is the build side. When the
+    /// build side is a base-table scan, the join runs its probe side first
+    /// and narrows the scan to the probe's keys ([`HashJoinOp`]).
     HashJoin {
         /// Probe side.
         left: Box<PhysicalPlan>,
@@ -229,6 +231,9 @@ pub enum PhysOp {
         left_col: String,
         /// Join column from the right input.
         right_col: String,
+        /// The profile the plan was lowered with, which a build scan
+        /// narrowed at run time is lowered with again.
+        profile: EngineProfile,
     },
     /// Nested-loop cross product (×); the right input is materialized.
     NestedLoopCross {
@@ -266,6 +271,19 @@ pub enum PhysOp {
         /// Second input.
         right: Box<PhysicalPlan>,
     },
+}
+
+impl PhysOp {
+    /// The table and pushed-down filter of a base-table scan; `None` for
+    /// any other operator.
+    fn scan(&self) -> Option<(&str, Option<&Expr>)> {
+        match self {
+            PhysOp::SeqScan { table, filter }
+            | PhysOp::IndexRangeScan { table, filter, .. }
+            | PhysOp::ZoneMapScan { table, filter, .. } => Some((table, filter.as_ref())),
+            _ => None,
+        }
+    }
 }
 
 impl PhysicalPlan {
@@ -396,7 +414,7 @@ impl PhysicalPlan {
         let m = metrics.ops.get(*id).cloned().unwrap_or_default();
         *id += 1;
         out.push_str(&"  ".repeat(indent));
-        out.push_str(&self.op_label());
+        out.push_str(&m.resolved.clone().unwrap_or_else(|| self.op_label()));
         if m.fused {
             out.push_str("  (fused into parent by scan→aggregate pushdown)");
         } else if !m.ran {
@@ -446,6 +464,10 @@ pub struct OpMetrics {
     pub fused: bool,
     /// At least one `next_batch` call reached this operator.
     pub ran: bool,
+    /// The `EXPLAIN` label of the access path a scan resolved at run time
+    /// took, when it is not the plan's: a hash join's build scan narrowed to
+    /// the probe side's keys.
+    pub resolved: Option<String>,
 }
 
 /// Per-operator metrics for a whole plan, indexed by pre-order position
@@ -624,6 +646,7 @@ pub fn lower(
                     right: Box::new(right),
                     left_col: left_col.clone(),
                     right_col: right_col.clone(),
+                    profile,
                 },
             })
         }
@@ -690,6 +713,13 @@ pub fn lower(
 }
 
 /// Lower one base-table access with an optional pushed-down predicate.
+///
+/// Lowering calls it for every scan, and a hash join calls it once more at
+/// run time for a build scan it narrows to its probe side's keys
+/// ([`HashJoinOp`]): the key list is one more conjunct, a single-column
+/// [`Expr::InList`], which [`extract_skip_ranges`] reads as point ranges, so
+/// it takes the index-probe / zone-map / kernel path a sketch predicate
+/// takes.
 pub(crate) fn lower_scan(
     table: &Table,
     predicate: Option<Expr>,
@@ -810,10 +840,20 @@ struct OpBuilder<'a, P: TagPolicy> {
     metrics: &'a AnalyzeShared,
 }
 
+impl<P: TagPolicy> Clone for OpBuilder<'_, P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P: TagPolicy> Copy for OpBuilder<'_, P> {}
+
 impl<'a, P: TagPolicy> OpBuilder<'a, P> {
     /// Build the operator for `plan`, whose pre-order id is `id`, inside its
-    /// [`AnalyzeOp`]. Scans account for their rows when they are built, so
-    /// the rows counted while building this subtree are attributed here.
+    /// [`AnalyzeOp`]. Scans account for their rows when they are resolved,
+    /// which is when they are built except for a hash join's build scan
+    /// ([`BuildScan::resolve`]), so the rows counted while building this
+    /// subtree are attributed here.
     fn op(
         &self,
         plan: &'a PhysicalPlan,
@@ -846,12 +886,7 @@ impl<'a, P: TagPolicy> OpBuilder<'a, P> {
             | PhysOp::ZoneMapScan { table, .. } => {
                 let table = self.db.table(table)?;
                 let (scan, pieces) = resolve_scan(table, &plan.op, self.opts.vectorized, stats)?;
-                Ok(Box::new(ScanOp {
-                    scan,
-                    policy,
-                    pieces: pieces.into_iter(),
-                    current: None,
-                }))
+                Ok(self.scan_op(scan, pieces))
             }
             PhysOp::Filter { predicate, input } => Ok(Box::new(FilterOp {
                 predicate: CompiledExpr::compile(predicate, &input.schema),
@@ -911,6 +946,7 @@ impl<'a, P: TagPolicy> OpBuilder<'a, P> {
                 right,
                 left_col,
                 right_col,
+                profile,
             } => {
                 let li = left
                     .schema
@@ -920,9 +956,21 @@ impl<'a, P: TagPolicy> OpBuilder<'a, P> {
                     .schema
                     .index_of(right_col)
                     .ok_or_else(|| ExecError::UnknownColumn(right_col.clone()))?;
+                let right = if right.op.scan().is_some() {
+                    BuildInput::Scan(BuildScan {
+                        builder: *self,
+                        plan: right,
+                        id: right_id(left),
+                        column: right_col,
+                        profile: *profile,
+                    })
+                } else {
+                    BuildInput::Op(self.op(right, right_id(left), stats)?)
+                };
                 Ok(Box::new(HashJoinOp {
-                    left: self.op(left, id + 1, stats)?,
-                    right: Some(self.op(right, right_id(left), stats)?),
+                    left: Some(self.op(left, id + 1, stats)?),
+                    right: Some(right),
+                    probed: Vec::new().into_iter(),
                     li,
                     ri,
                     policy,
@@ -979,6 +1027,16 @@ impl<'a, P: TagPolicy> OpBuilder<'a, P> {
                 right: Some(self.op(right, right_id(left), stats)?),
             })),
         }
+    }
+
+    /// The plain scan over a resolved scan's pieces.
+    fn scan_op(&self, scan: PieceScan<'a>, pieces: Vec<Piece>) -> BoxOp<'a, P> {
+        Box::new(ScanOp {
+            scan,
+            policy: self.policy,
+            pieces: pieces.into_iter(),
+            current: None,
+        })
     }
 }
 
@@ -1049,20 +1107,20 @@ struct PieceScan<'a> {
     table: &'a Table,
     /// Chunk projection snapshot fetched at resolve.
     chunks: Arc<ColumnarChunks>,
-    filter: Option<PieceFilter<'a>>,
+    filter: Option<PieceFilter>,
     /// Table epoch the source was resolved at; every operator re-validates
     /// it before it reads.
     epoch: u64,
 }
 
 /// How a scan evaluates its pushed-down filter within a piece.
-enum PieceFilter<'a> {
+enum PieceFilter {
     /// The chunk kernels ([`ExecOptions::vectorized`]), over the filter bound
     /// to the table schema once (it can hold large sketch range / key sets).
     Kernels(CompiledExpr),
     /// The row interpreter, one selected row at a time: the oracle the
     /// kernels are proven byte-identical against.
-    Rows(&'a Expr),
+    Rows(Expr),
 }
 
 impl PieceScan<'_> {
@@ -1110,11 +1168,11 @@ fn piece_rows(table: &Table, lo: usize, hi: usize) -> &[Row] {
 
 /// Resolve a scan operator against the current table into its
 /// [`PieceScan`] and pieces, recording the access-path statistics up front:
-/// `full_scans` / `index_scans` / the zone-map block counters,
-/// `vectorized_scans` (a kernel-filtered scan or an index probe), and
-/// `rows_scanned` — every row the source selects counts as scanned when the
-/// scan is built, whichever operator then visits it (the plain scan or the
-/// fused aggregate), so the two agree by construction.
+/// exactly one of `full_scans` / `index_scans` / `zone_map_scans`, the
+/// zone-map block counters, `vectorized_scans` (a kernel-filtered scan or an
+/// index probe), and `rows_scanned` — every row the source selects counts as
+/// scanned when the scan is resolved, whichever operator then visits it (the
+/// plain scan or the fused aggregate), so the two agree by construction.
 ///
 /// Lowering only emits index / zone-map scans when the physical-design
 /// artifact exists, but the database may have been mutated between `lower`
@@ -1122,7 +1180,7 @@ fn piece_rows(table: &Table, lo: usize, hi: usize) -> &[Row] {
 /// reports [`ExecError::Plan`] instead of panicking.
 fn resolve_scan<'a>(
     table: &'a Table,
-    op: &'a PhysOp,
+    op: &PhysOp,
     vectorized: bool,
     stats: &mut ExecStats,
 ) -> Result<(PieceScan<'a>, Vec<Piece>), ExecError> {
@@ -1164,6 +1222,7 @@ fn resolve_scan<'a>(
                 .index_of(column)
                 .ok_or_else(|| ExecError::UnknownColumn(column.clone()))?;
             let blocks = zm.candidate_blocks(col_idx, ranges);
+            stats.zone_map_scans += 1;
             stats.blocks_total += zm.num_blocks() as u64;
             stats.blocks_skipped += (zm.num_blocks() - blocks.len()) as u64;
             let segs = blocks.into_iter().map(|b| (b.start, b.end)).collect();
@@ -1185,7 +1244,7 @@ fn resolve_scan<'a>(
         if vectorized {
             PieceFilter::Kernels(CompiledExpr::compile(pred, table.schema()))
         } else {
-            PieceFilter::Rows(pred)
+            PieceFilter::Rows(pred.clone())
         }
     });
     let scan = PieceScan {
@@ -1906,11 +1965,8 @@ fn try_agg_pushdown<'a, P: TagPolicy>(
     if !opts.vectorized {
         return Ok(None);
     }
-    let table_name = match &input.op {
-        PhysOp::SeqScan { table, .. }
-        | PhysOp::ZoneMapScan { table, .. }
-        | PhysOp::IndexRangeScan { table, .. } => table,
-        _ => return Ok(None),
+    let Some((table_name, _)) = input.op.scan() else {
+        return Ok(None);
     };
     let table = db.table(table_name)?;
     let mut agg_cols = Vec::with_capacity(aggregates.len());
@@ -2311,9 +2367,39 @@ impl<P: TagPolicy> BatchOp<P> for AggScanOp<'_, P> {
     }
 }
 
+/// Hash equi-join: a table over the build (right) rows, probed by the left
+/// rows in their order; every output row is a probe row followed by one
+/// matching build row, in build order, and its tag merges both.
+///
+/// When the build input is a base-table scan, the join runs its probe side
+/// first and narrows the scan to what can match — semi-join reduction at run
+/// time, through the access paths sketches use. It buffers the probe
+/// batches and collects their distinct non-NULL keys, then resolves the
+/// build scan with one more conjunct, `right_col IN (keys)`, re-lowered by
+/// [`lower_scan`] with the plan's profile. Two rules decide, each on what
+/// the join observes:
+///
+/// * a probe side without a non-NULL key resolves no build scan at all;
+/// * keys are pushed only while the probe side has fewer rows than the build
+///   scan's source selects. Past that point the join stops buffering and
+///   builds from the scan as planned, so the buffered rows stay fewer than
+///   the build side's own.
+///
+/// The key list is exact membership under `Value`'s total order, which is
+/// the join's equality, and every key is still compared when probing. Build
+/// rows keep their table order and probe batches theirs, so the output rows,
+/// their order and their tags are the same either way: a build row the list
+/// removes matches no probe row.
+///
+/// Any other build input is built before the probe side runs.
 struct HashJoinOp<'a, P: TagPolicy> {
-    left: BoxOp<'a, P>,
-    right: Option<BoxOp<'a, P>>,
+    /// The probe input, until it runs dry.
+    left: Option<BoxOp<'a, P>>,
+    /// The build input, until the table is built.
+    right: Option<BuildInput<'a, P>>,
+    /// Probe batches drained before the build scan was resolved, probed
+    /// before the rest of the probe input.
+    probed: std::vec::IntoIter<Batch<P::Tag>>,
     li: usize,
     ri: usize,
     policy: &'a P,
@@ -2325,23 +2411,192 @@ struct HashJoinOp<'a, P: TagPolicy> {
     build_rows: Vec<(Row, P::Tag)>,
 }
 
+/// The build input of a [`HashJoinOp`].
+enum BuildInput<'a, P: TagPolicy> {
+    /// A base-table scan, resolved once the probe side has run.
+    Scan(BuildScan<'a, P>),
+    /// Any other operator.
+    Op(BoxOp<'a, P>),
+}
+
+/// A hash join's build scan before it is resolved.
+struct BuildScan<'a, P: TagPolicy> {
+    builder: OpBuilder<'a, P>,
+    plan: &'a PhysicalPlan,
+    /// The scan's pre-order id: its rows, time and rows scanned are
+    /// recorded in its own slot.
+    id: usize,
+    /// The build side's join column.
+    column: &'a str,
+    profile: EngineProfile,
+}
+
+impl<'a, P: TagPolicy> BuildScan<'a, P> {
+    /// Drain `probe` into `probed` while it has fewer rows than the scan's
+    /// source selects, then resolve the scan: narrowed to the probe side's
+    /// keys (its column `key`) when the probe side ran dry first, as planned
+    /// otherwise. Returns the scan's operator — `None` when no probe key can
+    /// match — and whether the probe side ran dry.
+    fn resolve(
+        self,
+        probe: &mut BoxOp<'a, P>,
+        key: usize,
+        probed: &mut Vec<Batch<P::Tag>>,
+        stats: &mut ExecStats,
+    ) -> Result<(Option<BoxOp<'a, P>>, bool), ExecError> {
+        let (table, filter) = self.plan.op.scan().expect("a build scan is a scan");
+        let table = self.builder.db.table(table)?;
+        let sw = clock::Stopwatch::start();
+        let mut planned_stats = ExecStats::default();
+        let (scan, pieces) = resolve_scan(
+            table,
+            &self.plan.op,
+            self.builder.opts.vectorized,
+            &mut planned_stats,
+        )?;
+        let elapsed = sw.elapsed();
+        // A filter naming an unknown column or an unbound parameter fails
+        // on the rows it is evaluated on: it runs as planned, so the join
+        // fails as it did before it narrowed anything.
+        let binds = filter.is_none_or(|f| {
+            f.params().is_empty()
+                && f.columns()
+                    .iter()
+                    .all(|c| table.schema().index_of(c).is_some())
+        });
+        let source_rows = if binds { selected_rows(&pieces) } else { 0 };
+        let (mut rows, mut keys) = (0, Vec::new());
+        while rows < source_rows {
+            let Some(batch) = probe.next_batch(stats)? else {
+                return Ok((self.narrowed(table, keys, elapsed, stats)?, true));
+            };
+            rows += batch.len();
+            let batch_keys = batch.rows.iter().map(|row| &row[key]);
+            keys.extend(batch_keys.filter(|k| !k.is_null()).cloned());
+            probed.push(batch);
+        }
+        stats.merge(&planned_stats);
+        let op = self.builder.scan_op(scan, pieces);
+        let op = self.record(op, planned_stats.rows_scanned, elapsed, None);
+        Ok((Some(op), false))
+    }
+
+    /// The build scan narrowed to the distinct `keys`, or `None` when there
+    /// is no key. `elapsed` is the time already spent resolving it.
+    fn narrowed(
+        &self,
+        table: &'a Table,
+        mut keys: Vec<Value>,
+        elapsed: Duration,
+        stats: &mut ExecStats,
+    ) -> Result<Option<BoxOp<'a, P>>, ExecError> {
+        keys.sort_unstable();
+        keys.dedup();
+        if keys.is_empty() {
+            return Ok(None);
+        }
+        let sw = clock::Stopwatch::start();
+        let count = keys.len();
+        // The key list comes first: on a tie with a sketch range it is the
+        // one that drives the access path.
+        let in_list = Expr::InList {
+            columns: vec![self.column.to_string()],
+            keys: keys.into_iter().map(|k| vec![k]).collect(),
+        };
+        let predicate = match self.plan.op.scan() {
+            Some((_, Some(filter))) => {
+                let rest = filter.conjuncts().into_iter().cloned();
+                Expr::And(std::iter::once(in_list).chain(rest).collect())
+            }
+            _ => in_list,
+        };
+        let narrowed = lower_scan(table, Some(predicate), self.profile);
+        let scanned_before = stats.rows_scanned;
+        let vectorized = self.builder.opts.vectorized;
+        let (scan, pieces) = resolve_scan(table, &narrowed.op, vectorized, stats)?;
+        stats.join_key_filters += 1;
+        let op = self.builder.scan_op(scan, pieces);
+        let label = narrowed.op_label();
+        let label = format!("{}, {count} join key(s)]", &label[..label.len() - 1]);
+        Ok(Some(self.record(
+            op,
+            stats.rows_scanned - scanned_before,
+            elapsed + sw.elapsed(),
+            Some(label),
+        )))
+    }
+
+    /// Wrap the resolved scan in the [`AnalyzeOp`] of its own slot, charging
+    /// that slot with the resolve's time and rows scanned.
+    fn record(
+        &self,
+        inner: BoxOp<'a, P>,
+        rows_scanned: u64,
+        elapsed: Duration,
+        resolved: Option<String>,
+    ) -> BoxOp<'a, P> {
+        let metrics = self.builder.metrics;
+        let m = &mut metrics.borrow_mut()[self.id];
+        m.rows_scanned += rows_scanned;
+        m.elapsed += elapsed;
+        m.resolved = resolved;
+        Box::new(AnalyzeOp {
+            inner,
+            metrics,
+            id: self.id,
+        })
+    }
+}
+
+impl<'a, P: TagPolicy> HashJoinOp<'a, P> {
+    /// The next probe batch: the buffered ones first, then the probe input's.
+    fn next_probe(&mut self, stats: &mut ExecStats) -> Result<Option<Batch<P::Tag>>, ExecError> {
+        if let Some(batch) = self.probed.next() {
+            return Ok(Some(batch));
+        }
+        let Some(left) = &mut self.left else {
+            return Ok(None);
+        };
+        let batch = left.next_batch(stats)?;
+        if batch.is_none() {
+            self.left = None;
+        }
+        Ok(batch)
+    }
+}
+
 impl<P: TagPolicy> BatchOp<P> for HashJoinOp<'_, P> {
     fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch<P::Tag>>, ExecError> {
-        if let Some(mut right) = self.right.take() {
-            while let Some(batch) = right.next_batch(stats)? {
-                stats.intermediate_rows += batch.len() as u64;
-                for (row, tag) in batch.rows.into_iter().zip(batch.tags) {
-                    let k = &row[self.ri];
-                    if k.is_null() {
-                        continue;
+        if let Some(input) = self.right.take() {
+            let right = match input {
+                BuildInput::Op(op) => Some(op),
+                BuildInput::Scan(scan) => {
+                    let left = self.left.as_mut().expect("probed after the build");
+                    let mut probed = Vec::new();
+                    let (op, dry) = scan.resolve(left, self.li, &mut probed, stats)?;
+                    if dry {
+                        self.left = None;
                     }
-                    let h = self.hasher.hash_key([k]);
-                    self.build.entry(h).or_default().push(self.build_rows.len());
-                    self.build_rows.push((row, tag));
+                    self.probed = probed.into_iter();
+                    op
+                }
+            };
+            if let Some(mut right) = right {
+                while let Some(batch) = right.next_batch(stats)? {
+                    stats.intermediate_rows += batch.len() as u64;
+                    for (row, tag) in batch.rows.into_iter().zip(batch.tags) {
+                        let k = &row[self.ri];
+                        if k.is_null() {
+                            continue;
+                        }
+                        let h = self.hasher.hash_key([k]);
+                        self.build.entry(h).or_default().push(self.build_rows.len());
+                        self.build_rows.push((row, tag));
+                    }
                 }
             }
         }
-        while let Some(batch) = self.left.next_batch(stats)? {
+        while let Some(batch) = self.next_probe(stats)? {
             stats.intermediate_rows += batch.len() as u64;
             let mut out = Batch::with_capacity(batch.len());
             for (lrow, ltag) in batch.rows.into_iter().zip(batch.tags) {
@@ -3174,5 +3429,171 @@ mod tests {
         assert_eq!(stats.rows_scanned, 271 + 11);
         assert_eq!(stats.vectorized_scans, 0);
         assert_eq!(stats.vectorized_blocks, 0);
+    }
+
+    /// `t(id, grp)` indexed on `id` and `z(zid, zgrp)` with a zone map
+    /// only, 5 000 rows each in blocks of 100.
+    fn two_table_db() -> Database {
+        let mut db = indexed_db();
+        let schema = Schema::from_pairs(&[("zid", DataType::Int), ("zgrp", DataType::Int)]);
+        let mut b = TableBuilder::new("z", schema);
+        b.block_size(100);
+        for i in 0..5_000i64 {
+            b.push(vec![Value::Int(i), Value::Int(i % 7)]);
+        }
+        db.add_table(b.build());
+        db
+    }
+
+    /// Lower and execute `plan`, returning its physical plan, what the
+    /// execution returned and the stats.
+    fn analyze(
+        db: &Database,
+        plan: &LogicalPlan,
+        profile: EngineProfile,
+        opts: ExecOptions,
+    ) -> (PhysicalPlan, Executed<()>, ExecStats) {
+        let physical = lower(db, plan, profile).unwrap();
+        let mut stats = ExecStats::default();
+        let done = execute(db, &physical, &NoTag, &opts, &mut stats).unwrap();
+        (physical, done, stats)
+    }
+
+    #[test]
+    fn every_resolved_scan_counts_in_exactly_one_access_path() {
+        let db = two_table_db();
+        let t = || LogicalPlan::scan("t");
+        let z = || LogicalPlan::scan("z");
+        let count = || vec![AggExpr::new(AggFunc::Count, col("grp"), "n")];
+        let cases = [
+            (t(), 1),
+            (t().filter(col("id").between(lit(10), lit(20))), 1),
+            (z().filter(col("zid").between(lit(10), lit(20))), 1),
+            (
+                t().filter(col("grp").eq(lit(3))).aggregate(vec![], count()),
+                1,
+            ),
+            (
+                z().filter(col("zid").lt(lit(300)))
+                    .aggregate(vec!["zgrp"], vec![]),
+                1,
+            ),
+            // Narrowed build scan, the build as planned, and no build scan.
+            (z().filter(col("zid").lt(lit(5))).join(t(), "zid", "id"), 2),
+            (t().join(z().filter(col("zid").lt(lit(10))), "id", "zid"), 2),
+            (z().filter(col("zid").lt(lit(0))).join(t(), "zid", "id"), 1),
+            (t().filter(col("id").lt(lit(3))).cross(z()), 2),
+        ];
+        for (plan, scans) in cases {
+            for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
+                for vectorized in [true, false] {
+                    let (_, _, stats) = analyze(&db, &plan, profile, pinned(vectorized));
+                    assert_eq!(
+                        stats.full_scans + stats.index_scans + stats.zone_map_scans,
+                        scans,
+                        "{profile:?}, vectorized {vectorized}\n{}",
+                        plan.display_tree()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hash_join_narrows_its_build_scan_to_the_probe_keys() {
+        let db = two_table_db();
+        let plan = LogicalPlan::scan("z").filter(col("zid").lt(lit(5))).join(
+            LogicalPlan::scan("t"),
+            "zid",
+            "id",
+        );
+        let (physical, done, stats) =
+            analyze(&db, &plan, EngineProfile::Indexed, ExecOptions::default());
+        assert!(matches!(physical.children()[1].op, PhysOp::SeqScan { .. }));
+        assert_eq!(done.relation.len(), 5);
+        assert_eq!(stats.join_key_filters, 1);
+        assert_eq!((stats.zone_map_scans, stats.index_scans), (1, 1));
+        // One block of `z`, and the five probed rows of `t`.
+        assert_eq!(stats.rows_scanned, 100 + 5);
+        let build = &done.metrics.ops[2];
+        assert_eq!((build.rows_out, build.rows_scanned), (5, 5));
+        let rendered = physical.render_analyze(&done.metrics);
+        assert!(
+            rendered.contains("IndexRangeScan[t.id, 5 range(s), 5 join key(s)]  (rows=5,"),
+            "{rendered}"
+        );
+
+        // The scan-only profile narrows through the kernels: every row is
+        // scanned, only the matching ones are built.
+        let (_, done, stats) = analyze(
+            &db,
+            &plan,
+            EngineProfile::ColumnarScan,
+            ExecOptions::default(),
+        );
+        assert_eq!(done.relation.len(), 5);
+        assert_eq!(stats.join_key_filters, 1);
+        assert_eq!(stats.rows_scanned, 10_000);
+        assert_eq!(done.metrics.ops[2].rows_out, 5);
+    }
+
+    #[test]
+    fn hash_join_builds_as_planned_once_the_probe_side_outgrows_the_source() {
+        let db = two_table_db();
+        // The build source selects 10 rows; the probe side has 5 000.
+        let plan = LogicalPlan::scan("t").join(
+            LogicalPlan::scan("z").filter(col("zid").lt(lit(10))),
+            "id",
+            "zid",
+        );
+        let (physical, done, stats) =
+            analyze(&db, &plan, EngineProfile::Indexed, ExecOptions::default());
+        assert_eq!(done.relation.len(), 10);
+        assert_eq!(stats.join_key_filters, 0);
+        assert_eq!(stats.rows_scanned, 5_000 + 100);
+        let rendered = physical.render_analyze(&done.metrics);
+        assert!(
+            rendered.contains("ZoneMapScan[z.zid, 1 range(s)]  (rows=10,"),
+            "{rendered}"
+        );
+    }
+
+    #[test]
+    fn hash_join_with_no_probe_key_resolves_no_build_scan() {
+        let db = two_table_db();
+        for probe in [col("zid").lt(lit(0)), Expr::IsNull(Box::new(col("zid")))] {
+            let plan =
+                LogicalPlan::scan("z")
+                    .filter(probe)
+                    .join(LogicalPlan::scan("t"), "zid", "id");
+            let (physical, done, stats) =
+                analyze(&db, &plan, EngineProfile::Indexed, ExecOptions::default());
+            assert!(done.relation.is_empty());
+            // Only the probe side was scanned.
+            let scans = stats.full_scans + stats.index_scans + stats.zone_map_scans;
+            assert_eq!((scans, stats.join_key_filters), (1, 0));
+            assert!(!done.metrics.ops[2].ran);
+            let rendered = physical.render_analyze(&done.metrics);
+            assert!(
+                rendered.contains("SeqScan[t]  (never executed)"),
+                "{rendered}"
+            );
+        }
+    }
+
+    #[test]
+    fn hash_join_keeps_a_build_filter_that_does_not_bind() {
+        let db = two_table_db();
+        // No probe key matches, but the build filter names an unknown
+        // column: the scan runs as planned and reports it.
+        let plan = LogicalPlan::scan("z").filter(col("zid").lt(lit(0))).join(
+            LogicalPlan::scan("t").filter(col("nope").gt(lit(1))),
+            "zid",
+            "id",
+        );
+        let physical = lower(&db, &plan, EngineProfile::Indexed).unwrap();
+        let mut stats = ExecStats::default();
+        let err = execute(&db, &physical, &NoTag, &ExecOptions::default(), &mut stats);
+        assert!(matches!(err, Err(ExecError::UnknownColumn(_))), "{err:?}");
     }
 }

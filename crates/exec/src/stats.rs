@@ -22,6 +22,11 @@ pub struct ExecStats {
     pub index_scans: u64,
     /// Number of full table scans.
     pub full_scans: u64,
+    /// Number of zone-map skip scans. Every resolved scan counts in exactly
+    /// one of `full_scans`, `index_scans` and `zone_map_scans`.
+    pub zone_map_scans: u64,
+    /// Hash-join build scans narrowed to the keys of their probe side.
+    pub join_key_filters: u64,
     /// Intermediate rows processed by joins/aggregates (a coarse work proxy).
     pub intermediate_rows: u64,
     /// Batches emitted by the root of the physical operator pipeline.
@@ -63,6 +68,8 @@ impl ExecStats {
         self.blocks_total += other.blocks_total;
         self.index_scans += other.index_scans;
         self.full_scans += other.full_scans;
+        self.zone_map_scans += other.zone_map_scans;
+        self.join_key_filters += other.join_key_filters;
         self.intermediate_rows = self
             .intermediate_rows
             .saturating_add(other.intermediate_rows);
@@ -142,6 +149,8 @@ mod tests {
     fn merge_sums_block_counters_and_elapsed() {
         let mut a = ExecStats {
             rows_scanned: 10,
+            zone_map_scans: 1,
+            join_key_filters: 2,
             encoded_blocks: 2,
             encoded_kernel_fallbacks: 1,
             agg_pushdown_blocks: 3,
@@ -150,6 +159,8 @@ mod tests {
         };
         let b = ExecStats {
             rows_scanned: 5,
+            zone_map_scans: 3,
+            join_key_filters: 1,
             encoded_blocks: 4,
             encoded_kernel_fallbacks: 2,
             agg_pushdown_blocks: 5,
@@ -158,6 +169,7 @@ mod tests {
         };
         a.merge(&b);
         assert_eq!(a.rows_scanned, 15);
+        assert_eq!((a.zone_map_scans, a.join_key_filters), (4, 3));
         assert_eq!(a.encoded_blocks, 6);
         assert_eq!(a.encoded_kernel_fallbacks, 3);
         assert_eq!(a.agg_pushdown_blocks, 8);

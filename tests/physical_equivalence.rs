@@ -1396,17 +1396,21 @@ fn hash_joins_match_the_oracle_on_the_join_family() {
     let config = CaptureConfig::optimized();
     let assigners = vec![FragmentAssigner::new(part, config.lookup)];
     let sketch = SketchTagPolicy::new(&assigners, &config);
+    // Joins whose build scan was narrowed, and joins that ran as planned.
+    let (mut narrowed, mut planned) = (0, 0);
     for seed in 0..4u64 {
         let db = join_db(seed);
         for (what, plan) in join_family() {
             let expected = oracle(&db, &plan).unwrap();
             for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
                 for vectorized in [true, false] {
-                    let actual = Engine::new(profile)
+                    let out = Engine::new(profile)
                         .with_vectorization(vectorized)
                         .execute(&db, &plan)
-                        .unwrap()
-                        .relation;
+                        .unwrap();
+                    narrowed += out.stats.join_key_filters;
+                    planned += u64::from(out.stats.join_key_filters == 0);
+                    let actual = out.relation;
                     assert_eq!(
                         actual.rows(),
                         expected.rows(),
@@ -1420,6 +1424,10 @@ fn hash_joins_match_the_oracle_on_the_join_family() {
             }
         }
     }
+    assert!(
+        narrowed > 0 && planned > 0,
+        "{narrowed} narrowed, {planned} planned"
+    );
 }
 
 proptest! {
@@ -1540,7 +1548,7 @@ fn tpch_join_digests_are_pinned() {
             let capture = capture_sketches_with_profile(
                 &db,
                 &plan,
-                &[part.clone()],
+                std::slice::from_ref(&part),
                 &CaptureConfig::optimized(),
                 profile,
             )

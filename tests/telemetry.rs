@@ -214,6 +214,7 @@ fn metrics_snapshot_reports_a_served_stream_and_write_burst() {
         "pbds_query_seconds_bucket",
         "pbds_query_seconds_count 48",
         "pbds_exec_rows_scanned",
+        "pbds_exec_join_key_filters",
     ] {
         assert!(
             text.contains(family),
