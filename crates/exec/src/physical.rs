@@ -221,7 +221,7 @@ pub enum PhysOp {
     },
     /// Hash equi-join (⋈); the right input is the build side. When the
     /// build side is a base-table scan, the join runs its probe side first
-    /// and narrows the scan to the probe's keys ([`HashJoinOp`]).
+    /// and narrows the scan to the probe's keys.
     HashJoin {
         /// Probe side.
         left: Box<PhysicalPlan>,
@@ -2516,8 +2516,10 @@ impl<'a, P: TagPolicy> BuildScan<'a, P> {
         let (scan, pieces) = resolve_scan(table, &narrowed.op, vectorized, stats)?;
         stats.join_key_filters += 1;
         let op = self.builder.scan_op(scan, pieces);
+        // Every scan label ends in `]`; the key count goes inside it.
         let label = narrowed.op_label();
-        let label = format!("{}, {count} join key(s)]", &label[..label.len() - 1]);
+        let head = label.strip_suffix(']').unwrap_or(&label);
+        let label = format!("{head}, {count} join key(s)]");
         Ok(Some(self.record(
             op,
             stats.rows_scanned - scanned_before,

@@ -1474,8 +1474,8 @@ fn digest(value: &impl std::fmt::Debug) -> u64 {
 /// Digests of the TPC-H analogues at the benchmark's tiny scale (seed 1):
 /// `(query, rows of plain execution in output order, rows of the
 /// sketch-instrumented plan, capture result rows and sketch, lineage)`.
-/// Taken before hash joins learned to narrow their build scans, which must
-/// leave every one of them unchanged.
+/// Rows, their order and their tags do not depend on the access paths the
+/// executor picks, so every one of them stays as pinned.
 const TPCH_DIGESTS: [(&str, [u64; 4]); 5] = [
     (
         "Q3",
