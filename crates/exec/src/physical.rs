@@ -2434,16 +2434,16 @@ struct BuildScan<'a, P: TagPolicy> {
 impl<'a, P: TagPolicy> BuildScan<'a, P> {
     /// Drain `probe` into `probed` while it has fewer rows than the scan's
     /// source selects, then resolve the scan: narrowed to the probe side's
-    /// keys (its column `key`) when the probe side ran dry first, as planned
-    /// otherwise. Returns the scan's operator — `None` when no probe key can
-    /// match — and whether the probe side ran dry.
+    /// keys (its column `key`) when the probe side ran dry first (`probe`
+    /// is then `None`), as planned otherwise. `None` when no probe key can
+    /// match.
     fn resolve(
         self,
-        probe: &mut BoxOp<'a, P>,
+        probe: &mut Option<BoxOp<'a, P>>,
         key: usize,
         probed: &mut Vec<Batch<P::Tag>>,
         stats: &mut ExecStats,
-    ) -> Result<(Option<BoxOp<'a, P>>, bool), ExecError> {
+    ) -> Result<Option<BoxOp<'a, P>>, ExecError> {
         let (table, filter) = self.plan.op.scan().expect("a build scan is a scan");
         let table = self.builder.db.table(table)?;
         let sw = clock::Stopwatch::start();
@@ -2467,8 +2467,10 @@ impl<'a, P: TagPolicy> BuildScan<'a, P> {
         let source_rows = if binds { selected_rows(&pieces) } else { 0 };
         let (mut rows, mut keys) = (0, Vec::new());
         while rows < source_rows {
-            let Some(batch) = probe.next_batch(stats)? else {
-                return Ok((self.narrowed(table, keys, elapsed, stats)?, true));
+            let input = probe.as_mut().expect("the probe side has not run dry");
+            let Some(batch) = input.next_batch(stats)? else {
+                *probe = None;
+                return self.narrowed(table, keys, elapsed, stats);
             };
             rows += batch.len();
             let batch_keys = batch.rows.iter().map(|row| &row[key]);
@@ -2477,8 +2479,12 @@ impl<'a, P: TagPolicy> BuildScan<'a, P> {
         }
         stats.merge(&planned_stats);
         let op = self.builder.scan_op(scan, pieces);
-        let op = self.record(op, planned_stats.rows_scanned, elapsed, None);
-        Ok((Some(op), false))
+        Ok(Some(self.record(
+            op,
+            planned_stats.rows_scanned,
+            elapsed,
+            None,
+        )))
     }
 
     /// The build scan narrowed to the distinct `keys`, or `None` when there
@@ -2573,12 +2579,8 @@ impl<P: TagPolicy> BatchOp<P> for HashJoinOp<'_, P> {
             let right = match input {
                 BuildInput::Op(op) => Some(op),
                 BuildInput::Scan(scan) => {
-                    let left = self.left.as_mut().expect("probed after the build");
                     let mut probed = Vec::new();
-                    let (op, dry) = scan.resolve(left, self.li, &mut probed, stats)?;
-                    if dry {
-                        self.left = None;
-                    }
+                    let op = scan.resolve(&mut self.left, self.li, &mut probed, stats)?;
                     self.probed = probed.into_iter();
                     op
                 }
