@@ -63,20 +63,6 @@ impl fmt::Display for BinOp {
     }
 }
 
-/// How an [`Expr::InRanges`] membership test is evaluated at runtime.
-///
-/// The paper compares translating a sketch into an explicit `OR` of range
-/// conditions against a binary-search membership test (Sec. 8.1, Fig. 11c);
-/// both strategies are available here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RangeLookup {
-    /// Test ranges one by one (models the `OR` of `BETWEEN` conditions).
-    Linear,
-    /// Binary search over the ordered ranges (the paper's `BS` method).
-    #[default]
-    BinarySearch,
-}
-
 /// A scalar / boolean expression tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -116,8 +102,6 @@ pub enum Expr {
         column: String,
         /// Ordered, non-overlapping ranges.
         ranges: Vec<ValueRange>,
-        /// Evaluation strategy.
-        lookup: RangeLookup,
     },
     /// Membership of a composite key in a list of keys; generated when a
     /// composite (PSMIX) sketch is applied.
@@ -375,16 +359,8 @@ impl fmt::Display for Expr {
                 }
                 write!(f, " ELSE {otherwise} END")
             }
-            Expr::InRanges {
-                column,
-                ranges,
-                lookup,
-            } => {
-                let method = match lookup {
-                    RangeLookup::Linear => "OR",
-                    RangeLookup::BinarySearch => "BS",
-                };
-                write!(f, "{column} IN_RANGES[{method}](")?;
+            Expr::InRanges { column, ranges } => {
+                write!(f, "{column} IN_RANGES(")?;
                 for (i, r) in ranges.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
@@ -483,7 +459,6 @@ mod tests {
                 lo: None,
                 hi: Some(Value::from("DE")),
             }],
-            lookup: RangeLookup::BinarySearch,
         };
         assert_eq!(e.columns(), vec!["state".to_string()]);
         assert!(e.to_string().contains("IN_RANGES"));

@@ -11,6 +11,6 @@ pub mod expr;
 pub mod plan;
 pub mod template;
 
-pub use expr::{col, lit, param, BinOp, Expr, RangeLookup};
+pub use expr::{col, lit, param, BinOp, Expr};
 pub use plan::{infer_type, AggExpr, AggFunc, LogicalPlan, SortKey};
 pub use template::{templatize, QueryTemplate};

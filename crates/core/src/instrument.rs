@@ -7,7 +7,7 @@
 //! answers through ordered indexes or zone maps; for composite (PSMIX)
 //! sketches it is a membership test on the composite key.
 
-use pbds_algebra::{col, lit, Expr, LogicalPlan, RangeLookup};
+use pbds_algebra::{col, lit, Expr, LogicalPlan};
 use pbds_provenance::ProvenanceSketch;
 use pbds_storage::ValueRange;
 
@@ -39,7 +39,6 @@ pub fn sketch_predicate(sketch: &ProvenanceSketch, style: UsePredicateStyle) -> 
             UsePredicateStyle::BinarySearch => Expr::InRanges {
                 column: attr,
                 ranges,
-                lookup: RangeLookup::BinarySearch,
             },
             UsePredicateStyle::OrConditions => {
                 let parts: Vec<Expr> = ranges.iter().map(|r| range_condition(&attr, r)).collect();

@@ -16,7 +16,7 @@
 
 use crate::eval::{eval_binary, ExecError};
 use crate::vector::SelBitmap;
-use pbds_algebra::{BinOp, Expr, RangeLookup};
+use pbds_algebra::{BinOp, Expr};
 use pbds_storage::{Row, Schema, Value, ValueRange};
 
 /// A column reference resolved against a schema — or recorded as unknown, to
@@ -64,8 +64,8 @@ type Bounds<B> = (Option<B>, Option<B>);
 ///   their finite bounds span at most `IntRangeBits::MAX_SPAN` values: one
 ///   clamped bit lookup (`IntRangeBits`);
 /// * an `Int` cell, when every bound is an `Int`: integer compares along the
-///   lookup strategy (the fallback for wide spans and for unsorted or
-///   overlapping ranges, whose answer depends on the strategy);
+///   binary search (the fallback for wide spans, and for unsorted or
+///   overlapping ranges, where the search and the union differ);
 /// * every other cell, and every cell when some bound is not an `Int`:
 ///   [`Value`] compares.
 ///
@@ -75,7 +75,6 @@ pub struct CompiledRanges {
     values: Vec<Bounds<Value>>,
     ints: Option<Vec<Bounds<i64>>>,
     bits: Option<IntRangeBits>,
-    lookup: RangeLookup,
 }
 
 /// Range membership of every `i64` as a bitmap over the span of the
@@ -99,9 +98,8 @@ impl IntRangeBits {
     /// The bitmap of `ranges` when they are sorted and disjoint — each
     /// range non-empty (`lo < hi`), each upper bound at most the next lower
     /// one, open ends only at the outside — and their finite bounds span
-    /// at most [`Self::MAX_SPAN`] values. Over such ranges the linear and
-    /// the binary-search lookups agree, with each other and with the union
-    /// this bitmap holds.
+    /// at most [`Self::MAX_SPAN`] values. Over such ranges the binary-search
+    /// lookup agrees with the union this bitmap holds.
     fn new(ranges: &[Bounds<i64>]) -> Option<Self> {
         let non_empty = ranges
             .iter()
@@ -139,7 +137,7 @@ impl IntRangeBits {
 }
 
 impl CompiledRanges {
-    fn new(ranges: &[ValueRange], lookup: RangeLookup) -> Self {
+    fn new(ranges: &[ValueRange]) -> Self {
         let values: Vec<Bounds<Value>> = ranges
             .iter()
             .map(|r| (r.lo.clone(), r.hi.clone()))
@@ -157,7 +155,6 @@ impl CompiledRanges {
             bits: ints.as_deref().and_then(IntRangeBits::new),
             values,
             ints,
-            lookup,
         }
     }
 
@@ -174,7 +171,7 @@ impl CompiledRanges {
     pub(crate) fn contains_int(&self, i: i64) -> bool {
         match (&self.bits, &self.ints) {
             (Some(bits), _) => bits.contains(i),
-            (None, Some(ints)) => found(ints, self.lookup, |b| i > *b),
+            (None, Some(ints)) => found(ints, |b| i > *b),
             (None, None) => self.contains_by(|b| Value::Int(i) > *b),
         }
     }
@@ -182,24 +179,19 @@ impl CompiledRanges {
     /// Membership of a non-NULL cell given `above(bound)`: whether the cell
     /// is greater than `bound` in `Value`'s order.
     pub(crate) fn contains_by(&self, above: impl Fn(&Value) -> bool) -> bool {
-        found(&self.values, self.lookup, above)
+        found(&self.values, above)
     }
 }
 
 /// Range membership of a cell given `above(bound)`, exactly as the
-/// interpreter decides it: a range holds the cell when the cell is above its
-/// lower bound and not above its upper one, and `BinarySearch` tests only the
-/// first range whose upper bound the cell is not above.
-fn found<B>(ranges: &[Bounds<B>], lookup: RangeLookup, above: impl Fn(&B) -> bool) -> bool {
-    let holds =
-        |(lo, hi): &Bounds<B>| lo.as_ref().is_none_or(&above) && !hi.as_ref().is_some_and(&above);
-    match lookup {
-        RangeLookup::Linear => ranges.iter().any(holds),
-        RangeLookup::BinarySearch => {
-            let pos = ranges.partition_point(|(_, hi)| hi.as_ref().is_some_and(&above));
-            ranges.get(pos).is_some_and(holds)
-        }
-    }
+/// interpreter decides it: a binary search finds the first range whose upper
+/// bound the cell is not above, and that range holds the cell when the cell
+/// is above its lower bound and not above its upper one.
+fn found<B>(ranges: &[Bounds<B>], above: impl Fn(&B) -> bool) -> bool {
+    let pos = ranges.partition_point(|(_, hi)| hi.as_ref().is_some_and(&above));
+    ranges
+        .get(pos)
+        .is_some_and(|(lo, hi)| lo.as_ref().is_none_or(&above) && !hi.as_ref().is_some_and(&above))
 }
 
 /// An [`Expr`] with all column references bound to row positions.
@@ -239,7 +231,7 @@ pub enum CompiledExpr {
     InRanges {
         /// Bound column.
         column: ColRef,
-        /// The ranges with their lookup strategy.
+        /// The compiled ranges.
         ranges: CompiledRanges,
     },
     /// Sorted-list membership on a composite key.
@@ -281,13 +273,9 @@ impl CompiledExpr {
                     .collect(),
                 otherwise: Box::new(Self::compile(otherwise, schema)),
             },
-            Expr::InRanges {
-                column,
-                ranges,
-                lookup,
-            } => CompiledExpr::InRanges {
+            Expr::InRanges { column, ranges } => CompiledExpr::InRanges {
                 column: ColRef::bind(schema, column),
-                ranges: CompiledRanges::new(ranges, *lookup),
+                ranges: CompiledRanges::new(ranges),
             },
             Expr::InList { columns, keys } => CompiledExpr::InList {
                 columns: columns.iter().map(|c| ColRef::bind(schema, c)).collect(),
@@ -453,7 +441,6 @@ mod tests {
             let e = Expr::InRanges {
                 column: "a".into(),
                 ranges,
-                lookup: RangeLookup::BinarySearch,
             };
             match CompiledExpr::compile(&e, &s) {
                 CompiledExpr::InRanges { ranges, .. } => ranges,
@@ -492,7 +479,7 @@ mod tests {
                     hi: hi.map(Value::Int),
                 })
                 .collect::<Vec<_>>();
-            CompiledRanges::new(&values, RangeLookup::BinarySearch)
+            CompiledRanges::new(&values)
         };
         // (-inf, 3], (3, 5] sharing a bound, and (10, 12].
         let adjacent = compiled(&[(None, Some(3)), (Some(3), Some(5)), (Some(10), Some(12))]);
@@ -528,7 +515,7 @@ mod tests {
         assert!(narrow_open_above.bits.is_some());
         assert!(narrow_open_above.contains_int(i64::MAX));
         assert!(!narrow_open_above.contains_int(-2));
-        // Unsorted, overlapping or empty ranges keep the lookup strategy.
+        // Unsorted, overlapping or empty ranges keep the binary search.
         for ranges in [
             vec![(Some(5), Some(9)), (Some(0), Some(3))],
             vec![(Some(0), Some(6)), (Some(5), Some(9))],

@@ -31,7 +31,7 @@ use crate::eval::{eval_predicate, ExecError};
 use crate::profile::EngineProfile;
 use crate::scan::{extract_skip_ranges, InclusiveRange};
 use crate::stats::ExecStats;
-use crate::vector::{eval_filter_block_counted, sel_without_nulls, SelBitmap};
+use crate::vector::{eval_filter_block_counted, SelBitmap};
 use pbds_algebra::{infer_type, AggExpr, AggFunc, Expr, LogicalPlan, SortKey};
 use pbds_storage::{
     Column, ColumnData, ColumnVector, ColumnarChunk, ColumnarChunks, DataType, Database, Relation,
@@ -1743,23 +1743,6 @@ impl AggAcc {
         }
     }
 
-    /// Fold `cnt` occurrences of the integer `v` into group `g` at once — the
-    /// run-length shortcut of [`accumulate_column`]. Exact only where every
-    /// input of the aggregate is an integer, so a `SUM`'s `f64` sum is never
-    /// read.
-    fn note_ints(&mut self, g: usize, v: i64, cnt: i64) {
-        match self {
-            AggAcc::Sum(s) => {
-                s[g].non_null += cnt;
-                s[g].ints += v * cnt;
-            }
-            AggAcc::Avg(_) => unreachable!("AVG observes the f64 sum; it folds row by row"),
-            _ => {
-                self.update(g, &Value::Int(v));
-            }
-        }
-    }
-
     /// Group `g`'s result (taking a `MIN` / `MAX` out).
     fn finish(&mut self, g: usize, count: i64) -> Value {
         match self {
@@ -2022,8 +2005,7 @@ struct AggScanOp<'a, P: TagPolicy> {
 /// Layout class of a column over every chunk of the table.
 #[derive(Clone, Copy, PartialEq)]
 enum NumShape {
-    /// Every chunk stores the column as integers (plain, run-length or
-    /// bit-packed).
+    /// Every chunk stores the column as integers (plain or bit-packed).
     Ints,
     /// Every chunk stores the column as integers or plain floats, at least
     /// one as floats.
@@ -2037,7 +2019,7 @@ fn numeric_column_shape(chunks: &ColumnarChunks, c: usize) -> Option<NumShape> {
     let mut shape = NumShape::Ints;
     for chunk in chunks.chunks() {
         match chunk.column(c).data() {
-            ColumnData::Int(_) | ColumnData::RleInt(_) | ColumnData::PackedInt(_) => {}
+            ColumnData::Int(_) | ColumnData::PackedInt(_) => {}
             ColumnData::Float(_) => shape = NumShape::Numbers,
             _ => return None,
         }
@@ -2085,15 +2067,6 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
         for (a, &c) in self.aggregates.iter().zip(&self.agg_cols) {
             inputs.push(match a.func {
                 AggFunc::Count => Input::Count,
-                // A run of one integer folds as `k·value` into the global
-                // group exactly: an integer-only SUM never reads its f64
-                // sum, and MIN / MAX see the value once. AVG divides the
-                // f64 sum, so it folds per row like a float input.
-                AggFunc::Sum | AggFunc::Min | AggFunc::Max
-                    if self.group_idx.is_empty() && shape(c)? == NumShape::Ints =>
-                {
-                    Input::Runs(c)
-                }
                 _ => {
                     shape(c)?;
                     Input::Cells(c)
@@ -2155,9 +2128,6 @@ const DIRECT_MAP_ROWS: usize = 2;
 enum Input {
     /// `COUNT` is the group's row count: nothing to read.
     Count,
-    /// No group keys and an integer column: whole runs at a time
-    /// ([`accumulate_column`]).
-    Runs(usize),
     /// Every selected cell, in row order, into its row's group.
     Cells(usize),
 }
@@ -2263,11 +2233,6 @@ impl ColumnFold {
         for (acc, input) in fold.aggs.iter_mut().zip(&self.inputs) {
             match *input {
                 Input::Count => {}
-                // Runs only come without group keys: every row's group is
-                // the global one.
-                Input::Runs(c) => {
-                    accumulate_column(chunk.column(c), sel, base, acc, gids[0] as usize)
-                }
                 Input::Cells(c) => {
                     let mut groups = gids.iter();
                     for_each_cell(chunk.column(c), sel, base, |v| {
@@ -2304,57 +2269,7 @@ fn for_each_cell(col: &ColumnVector, sel: &SelBitmap, base: usize, mut f: impl F
         ColumnData::Int(xs) => visit(col, sel, base, |i| Value::Int(xs[i]), &mut f),
         ColumnData::PackedInt(p) => visit(col, sel, base, |i| Value::Int(p.get(i)), &mut f),
         ColumnData::Float(xs) => visit(col, sel, base, |i| Value::Float(xs[i]), &mut f),
-        ColumnData::RleInt(runs) => {
-            // Rows arrive ascending: walk the runs alongside.
-            let mut runs = runs.iter();
-            let mut run = (0, 0, 0);
-            let value = |i| {
-                while run.1 <= i {
-                    run = runs.next().expect("runs cover the chunk");
-                }
-                Value::Int(run.2)
-            };
-            visit(col, sel, base, value, &mut f)
-        }
         _ => unreachable!("the column-at-a-time fold reads numeric columns only"),
-    }
-}
-
-/// Fold one chunk-column's selected values into aggregate `acc` of the
-/// global group `g` a run at a time ([`Input::Runs`]); a plain or
-/// bit-packed column is a run per row.
-///
-/// Only reachable for integer columns, so the result is exactly what the
-/// row path would produce: an integer column never reaches a `SUM`'s `f64`
-/// sum, which makes the run-length `k·value` shortcut exact.
-fn accumulate_column(col: &ColumnVector, sel: &SelBitmap, base: usize, acc: &mut AggAcc, g: usize) {
-    match col.data() {
-        ColumnData::RleInt(runs) => {
-            // The encoder merges NULL rows into runs; clear them from the
-            // selection once so run counts only see real values.
-            let no_nulls = sel_without_nulls(sel, col, base);
-            let eff = no_nulls.as_ref().unwrap_or(sel);
-            let n = sel.len();
-            for (s, e, v) in runs.iter() {
-                if e <= base {
-                    continue;
-                }
-                if s >= base + n {
-                    break;
-                }
-                let w_lo = s.max(base) - base;
-                let w_hi = e.min(base + n) - base;
-                let cnt = eff.count_range(w_lo, w_hi);
-                if cnt > 0 {
-                    acc.note_ints(g, v, cnt as i64);
-                }
-            }
-        }
-        _ => for_each_cell(col, sel, base, |v| {
-            if let Value::Int(i) = v {
-                acc.note_ints(g, i, 1);
-            }
-        }),
     }
 }
 

@@ -183,7 +183,7 @@ mod tests {
     use crate::physical::{execute, lower_scan, ExecOptions, NoTag};
     use crate::profile::EngineProfile;
     use crate::stats::ExecStats;
-    use pbds_algebra::{col, lit, RangeLookup};
+    use pbds_algebra::{col, lit};
     use pbds_storage::{DataType, Database, Row, Schema, Table, TableBuilder, ValueRange};
 
     /// Scan a base table with an optional pushed-down predicate through the
@@ -238,7 +238,6 @@ mod tests {
                 lo: None,
                 hi: Some(Value::Int(3)),
             }],
-            lookup: RangeLookup::BinarySearch,
         };
         let pred = col("id").gt(lit(0)).and(sketch);
         let cr = extract_skip_ranges(&pred).unwrap();

@@ -38,7 +38,7 @@ pub struct ExecStats {
     /// bitmaps.
     pub vectorized_blocks: u64,
     /// Vectorized blocks whose chunk carried at least one compressed
-    /// (run-length or bit-packed) column.
+    /// (bit-packed) column.
     pub encoded_blocks: u64,
     /// Conjuncts that fell back to row-at-a-time evaluation over a block
     /// with compressed columns (no encoded kernel applied).

@@ -15,21 +15,16 @@
 //! comparison that evaluated to `false` (negates to `true`) from one that
 //! evaluated to `NULL` (negates to `false`), exactly like the interpreter.
 //!
-//! ## Kernels on encoded data
+//! ## Kernels on packed data
 //!
-//! Compressed column layouts are evaluated **without decoding**:
-//!
-//! * run-length columns ([`ColumnData::RleInt`], [`ColumnData::RleDict`])
-//!   compare once per *run* and fill the covered bit range word-wise — NULL
-//!   rows, which the encoder merged into their surrounding run, are cleared
-//!   afterwards with one masked pass over the null-bitmap window;
-//! * frame-of-reference packed columns ([`ColumnData::PackedInt`]) compare
-//!   the unpacked lane against the literal in a tight loop, with a
-//!   whole-window constant fill when the literal's type rank already decides
-//!   the ordering (e.g. any `Int` vs. a `Str` literal).
+//! Frame-of-reference packed columns ([`ColumnData::PackedInt`]) compare the
+//! unpacked lane against an `Int` literal in a tight loop. When the frame
+//! `[base, base + 2^width - 1]` lies wholly on one side of the literal, one
+//! ordering decides every row: the window is filled at once and its NULL
+//! rows cleared with one masked pass over the null bitmap.
 //!
 //! [`eval_filter_block_counted`] is the same evaluation with `ExecStats`
-//! attribution: it counts blocks that carried at least one encoded column and
+//! attribution: it counts blocks that carried at least one packed column and
 //! conjuncts that had to fall back to row-at-a-time evaluation over such a
 //! block.
 
@@ -126,8 +121,7 @@ impl SelBitmap {
         self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
 
-    /// Set every bit in `[lo, hi)` word-wise — the fill primitive of the
-    /// run-length kernels.
+    /// Set every bit in `[lo, hi)` word-wise.
     pub fn set_range(&mut self, lo: usize, hi: usize) {
         debug_assert!(lo <= hi && hi <= self.len);
         if lo >= hi {
@@ -145,26 +139,6 @@ impl SelBitmap {
             }
             self.words[wh] |= hmask;
         }
-    }
-
-    /// Number of set bits in `[lo, hi)` — word-wise popcount, used by the
-    /// run-aware aggregation shortcuts.
-    pub fn count_range(&self, lo: usize, hi: usize) -> usize {
-        debug_assert!(lo <= hi && hi <= self.len);
-        if lo >= hi {
-            return 0;
-        }
-        let (wl, wh) = (lo / 64, (hi - 1) / 64);
-        let lmask = !0u64 << (lo % 64);
-        let hmask = !0u64 >> (63 - (hi - 1) % 64);
-        if wl == wh {
-            return (self.words[wl] & lmask & hmask).count_ones() as usize;
-        }
-        let mut c = (self.words[wl] & lmask).count_ones() as usize;
-        for w in &self.words[wl + 1..wh] {
-            c += w.count_ones() as usize;
-        }
-        c + (self.words[wh] & hmask).count_ones() as usize
     }
 
     /// Word-wise intersection.
@@ -420,9 +394,7 @@ fn cmp_cell(col: &ColumnVector, i: usize, v: &Value) -> Ordering {
         ColumnData::Bool(xs) => Value::Bool(xs[i]).cmp(v),
         ColumnData::Dict { dict, codes } => cmp_str_value(&dict[codes[i] as usize], v),
         ColumnData::Mixed(xs) => xs[i].cmp(v),
-        ColumnData::RleInt(runs) => Value::Int(runs.value_at(i)).cmp(v),
         ColumnData::PackedInt(p) => Value::Int(p.get(i)).cmp(v),
-        ColumnData::RleDict { dict, runs } => cmp_str_value(&dict[runs.value_at(i) as usize], v),
     }
 }
 
@@ -434,9 +406,8 @@ fn null_window(col: &ColumnVector, base: usize, n: usize) -> Option<SelBitmap> {
 }
 
 /// Clear NULL-row bits from both truth bitmaps (a NULL comparison is neither
-/// true nor false). The run-length kernels fill whole runs first — which
-/// includes the NULLs the encoder merged into them — and fix up here with one
-/// word-wise pass.
+/// true nor false). The frame shortcut fills the whole window first — NULL
+/// rows included — and fixes up here with one word-wise pass.
 fn clear_null_bits(
     col: &ColumnVector,
     base: usize,
@@ -454,52 +425,6 @@ fn clear_null_bits(
             *t &= !w;
             *f &= !w;
         }
-    }
-}
-
-/// `sel` with the NULL rows of `col` cleared (the selection covers the
-/// chunk-relative window starting at `base`), or `None` when the column has
-/// no NULLs in the chunk and `sel` can be used as-is. Used by the
-/// scan→aggregate pushdown, whose run-length shortcuts must not count the
-/// NULLs the encoder merged into runs.
-pub(crate) fn sel_without_nulls(
-    sel: &SelBitmap,
-    col: &ColumnVector,
-    base: usize,
-) -> Option<SelBitmap> {
-    let nw = null_window(col, base, sel.len())?;
-    let mut out = sel.clone();
-    for (o, w) in out.words.iter_mut().zip(&nw.words) {
-        *o &= !w;
-    }
-    Some(out)
-}
-
-/// Fill `truth`/`falsity` for comparison `op` from per-run orderings: one
-/// `cmp_holds` per run, then a word-wise range fill of the run's overlap
-/// with the window `[base, base + n)` (run bounds are chunk-relative).
-fn cmp_fill_runs(
-    runs: impl Iterator<Item = (usize, usize, Ordering)>,
-    op: BinOp,
-    base: usize,
-    n: usize,
-    truth: &mut SelBitmap,
-    falsity: &mut SelBitmap,
-) {
-    for (s, e, ord) in runs {
-        if s >= base + n {
-            break;
-        }
-        let (rs, re) = (s.max(base), e.min(base + n));
-        if rs >= re {
-            continue;
-        }
-        let dst = if cmp_holds(op, ord) {
-            &mut *truth
-        } else {
-            &mut *falsity
-        };
-        dst.set_range(rs - base, re - base);
     }
 }
 
@@ -534,32 +459,6 @@ fn cmp_kernel(
                 }
             }
         }
-        // Run-length integers: one `Value` comparison per run — this is the
-        // O(runs)-not-O(rows) path — then a null fix-up pass.
-        (ColumnData::RleInt(runs), _) => {
-            cmp_fill_runs(
-                runs.iter().map(|(s, e, v)| (s, e, Value::Int(v).cmp(lit))),
-                op,
-                base,
-                n,
-                &mut truth,
-                &mut falsity,
-            );
-            clear_null_bits(col, base, n, &mut truth, &mut falsity);
-        }
-        // Run-length dictionary codes: one string comparison per run.
-        (ColumnData::RleDict { dict, runs }, _) => {
-            cmp_fill_runs(
-                runs.iter()
-                    .map(|(s, e, code)| (s, e, cmp_str_value(&dict[code as usize], lit))),
-                op,
-                base,
-                n,
-                &mut truth,
-                &mut falsity,
-            );
-            clear_null_bits(col, base, n, &mut truth, &mut falsity);
-        }
         // Packed integers against an `Int` literal. The frame-of-reference
         // header bounds every stored value to `[base, base + 2^width - 1]`,
         // so a literal outside that window decides the whole chunk with one
@@ -576,14 +475,12 @@ fn cmp_kernel(
                 None
             };
             if let Some(ord) = decided {
-                cmp_fill_runs(
-                    std::iter::once((0, chunk.len(), ord)),
-                    op,
-                    base,
-                    n,
-                    &mut truth,
-                    &mut falsity,
-                );
+                let dst = if cmp_holds(op, ord) {
+                    &mut truth
+                } else {
+                    &mut falsity
+                };
+                dst.set_range(0, n);
                 clear_null_bits(col, base, n, &mut truth, &mut falsity);
                 return (truth, falsity);
             }
@@ -596,31 +493,6 @@ fn cmp_kernel(
                     }
                 }
             }
-        }
-        // Cross-type literal against a packed-int column: the type-rank
-        // order decides every row identically (Int < Str, Int > Bool), so
-        // fill the whole window at once.
-        (ColumnData::PackedInt(_), Value::Str(_)) => {
-            cmp_fill_runs(
-                std::iter::once((0, chunk.len(), Ordering::Less)),
-                op,
-                base,
-                n,
-                &mut truth,
-                &mut falsity,
-            );
-            clear_null_bits(col, base, n, &mut truth, &mut falsity);
-        }
-        (ColumnData::PackedInt(_), Value::Bool(_)) => {
-            cmp_fill_runs(
-                std::iter::once((0, chunk.len(), Ordering::Greater)),
-                op,
-                base,
-                n,
-                &mut truth,
-                &mut falsity,
-            );
-            clear_null_bits(col, base, n, &mut truth, &mut falsity);
         }
         // Dictionary columns against a string literal: one binary search in
         // the sorted dict, then pure `u32` code comparisons.
@@ -677,64 +549,12 @@ fn ranges_kernel(
     let col = chunk.column(c);
     let base = lo - chunk.start;
     match col.data() {
-        ColumnData::RleInt(runs) => member_runs(
-            col,
-            base,
-            n,
-            runs.iter().map(|(s, e, v)| (s, e, ranges.contains_int(v))),
-        ),
-        ColumnData::RleDict { dict, runs } => member_runs(
-            col,
-            base,
-            n,
-            runs.iter().map(|(s, e, code)| {
-                let cell = &dict[code as usize];
-                (s, e, ranges.contains_by(|b| cmp_str_value(cell, b).is_gt()))
-            }),
-        ),
         ColumnData::Int(xs) => member_rows(col, base, n, |i| ranges.contains_int(xs[i])),
         ColumnData::PackedInt(p) => member_rows(col, base, n, |i| ranges.contains_int(p.get(i))),
         _ => member_rows(col, base, n, |i| {
             ranges.contains_by(|b| cmp_cell(col, i, b).is_gt())
         }),
     }
-}
-
-/// Per-run membership over the chunk-relative window `[base, base + n)`:
-/// each `(start, end, found)` run fills its overlap with the window, then
-/// NULL rows — which the encoder merged into their runs — are marked
-/// known-false.
-fn member_runs(
-    col: &ColumnVector,
-    base: usize,
-    n: usize,
-    found_runs: impl Iterator<Item = (usize, usize, bool)>,
-) -> (SelBitmap, SelBitmap) {
-    let mut truth = SelBitmap::zeros(n);
-    let mut falsity = SelBitmap::zeros(n);
-    for (s, e, found) in found_runs {
-        if s >= base + n {
-            break;
-        }
-        let (rs, re) = (s.max(base), e.min(base + n));
-        if rs >= re {
-            continue;
-        }
-        let dst = if found { &mut truth } else { &mut falsity };
-        dst.set_range(rs - base, re - base);
-    }
-    if let Some(nw) = null_window(col, base, n) {
-        for ((t, f), w) in truth
-            .words
-            .iter_mut()
-            .zip(falsity.words.iter_mut())
-            .zip(&nw.words)
-        {
-            *t &= !w;
-            *f |= w;
-        }
-    }
-    (truth, falsity)
 }
 
 /// Per-row membership over the chunk-relative window `[base, base + n)`:
@@ -792,10 +612,10 @@ mod tests {
         (schema, rows, chunks)
     }
 
-    /// Runny data so the encoder picks `RleInt` / `RleDict`: long runs with
-    /// NULLs sprinkled inside them (merged into runs by the encoder). 192
-    /// rows = three full 64-row chunks, so every chunk clears the encoder's
-    /// minimum-length bar.
+    /// Runny data with NULLs sprinkled inside the runs: `g` and `a` pack
+    /// frame-of-reference, `s` is a two-string dictionary. 192 rows = three
+    /// full 64-row chunks, so every chunk clears the encoder's minimum-length
+    /// bar.
     fn runny_fixture() -> (Schema, Vec<Row>, ColumnarChunks) {
         let schema = Schema::from_pairs(&[
             ("g", DataType::Int),
@@ -872,19 +692,6 @@ mod tests {
     #[test]
     fn encoded_kernels_match_interpreter() {
         let (schema, rows, chunks) = runny_fixture();
-        // The fixture must actually exercise the encoded layouts.
-        assert!(chunks
-            .chunks()
-            .iter()
-            .all(|c| c.column(0).data().encoding_name() == "rle-int"));
-        assert!(chunks
-            .chunks()
-            .iter()
-            .all(|c| c.column(1).data().encoding_name() == "rle-dict"));
-        assert!(chunks
-            .chunks()
-            .iter()
-            .all(|c| c.column(2).data().encoding_name() == "packed-int"));
         for pred in [
             col("g").lt(lit(4)),
             col("g").eq(lit(2)),
@@ -911,34 +718,30 @@ mod tests {
 
     #[test]
     fn encoded_in_ranges_matches_interpreter() {
-        use pbds_algebra::RangeLookup;
         let (schema, rows, chunks) = runny_fixture();
-        for lookup in [RangeLookup::Linear, RangeLookup::BinarySearch] {
-            for column in ["g", "s", "a"] {
-                let ranges = if column == "s" {
-                    vec![ValueRange {
-                        lo: Some(Value::Str("AA".into())),
-                        hi: Some(Value::Str("AZ".into())),
-                    }]
-                } else {
-                    vec![
-                        ValueRange {
-                            lo: None,
-                            hi: Some(Value::Int(2)),
-                        },
-                        ValueRange {
-                            lo: Some(Value::Int(4)),
-                            hi: Some(Value::Int(6)),
-                        },
-                    ]
-                };
-                let pred = Expr::InRanges {
-                    column: column.into(),
-                    ranges,
-                    lookup,
-                };
-                assert_block_matches_rows_on(&schema, &rows, &chunks, &pred);
-            }
+        for column in ["g", "s", "a"] {
+            let ranges = if column == "s" {
+                vec![ValueRange {
+                    lo: Some(Value::Str("AA".into())),
+                    hi: Some(Value::Str("AZ".into())),
+                }]
+            } else {
+                vec![
+                    ValueRange {
+                        lo: None,
+                        hi: Some(Value::Int(2)),
+                    },
+                    ValueRange {
+                        lo: Some(Value::Int(4)),
+                        hi: Some(Value::Int(6)),
+                    },
+                ]
+            };
+            let pred = Expr::InRanges {
+                column: column.into(),
+                ranges,
+            };
+            assert_block_matches_rows_on(&schema, &rows, &chunks, &pred);
         }
     }
 
@@ -1031,28 +834,24 @@ mod tests {
 
     #[test]
     fn in_ranges_kernel_matches_interpreter() {
-        use pbds_algebra::RangeLookup;
-        for lookup in [RangeLookup::Linear, RangeLookup::BinarySearch] {
-            let pred = Expr::InRanges {
-                column: "a".into(),
-                ranges: vec![
-                    ValueRange {
-                        lo: None,
-                        hi: Some(Value::Int(20)),
-                    },
-                    ValueRange {
-                        lo: Some(Value::Int(50)),
-                        hi: Some(Value::Int(60)),
-                    },
-                    ValueRange {
-                        lo: Some(Value::Int(150)),
-                        hi: None,
-                    },
-                ],
-                lookup,
-            };
-            assert_block_matches_rows(&pred);
-        }
+        let pred = Expr::InRanges {
+            column: "a".into(),
+            ranges: vec![
+                ValueRange {
+                    lo: None,
+                    hi: Some(Value::Int(20)),
+                },
+                ValueRange {
+                    lo: Some(Value::Int(50)),
+                    hi: Some(Value::Int(60)),
+                },
+                ValueRange {
+                    lo: Some(Value::Int(150)),
+                    hi: None,
+                },
+            ],
+        };
+        assert_block_matches_rows(&pred);
     }
 
     #[test]
@@ -1087,13 +886,6 @@ mod tests {
         for i in 0..200 {
             assert_eq!(b.get(i), (5..9).contains(&i) || (60..135).contains(&i));
         }
-        assert_eq!(b.count_range(0, 200), b.count());
-        assert_eq!(b.count_range(5, 9), 4);
-        assert_eq!(b.count_range(6, 8), 2);
-        assert_eq!(b.count_range(0, 5), 0);
-        assert_eq!(b.count_range(64, 128), 64);
-        assert_eq!(b.count_range(130, 140), 5);
-        assert_eq!(b.count_range(140, 140), 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! surfaces as [`PersistError::Corrupt`].
 
 use crate::PersistError;
-use pbds_algebra::{BinOp, Expr, RangeLookup};
+use pbds_algebra::{BinOp, Expr};
 use pbds_provenance::{FragmentBitset, ProvenanceSketch};
 use pbds_storage::{
     CompositePartition, DataType, Partition, PartitionRef, RangePartition, Row, Schema, Table,
@@ -561,21 +561,15 @@ pub fn encode_expr(w: &mut ByteWriter, e: &Expr) {
             }
             encode_expr(w, otherwise);
         }
-        Expr::InRanges {
-            column,
-            ranges,
-            lookup,
-        } => {
+        Expr::InRanges { column, ranges } => {
             w.u8(8);
             w.str(column);
             w.u32(ranges.len() as u32);
             for range in ranges {
                 encode_value_range(w, range);
             }
-            w.u8(match lookup {
-                RangeLookup::Linear => 0,
-                RangeLookup::BinarySearch => 1,
-            });
+            // The lookup byte: binary search, the only strategy.
+            w.u8(1);
         }
         Expr::InList { columns, keys } => {
             w.u8(9);
@@ -662,19 +656,13 @@ fn decode_expr_at(r: &mut ByteReader<'_>, depth: usize) -> Result<Expr, PersistE
             for _ in 0..n {
                 ranges.push(decode_value_range(r)?);
             }
-            let lookup = match r.u8()? {
-                0 => RangeLookup::Linear,
-                1 => RangeLookup::BinarySearch,
+            match r.u8()? {
+                1 => Expr::InRanges { column, ranges },
                 other => {
                     return Err(PersistError::corrupt(format!(
                         "unknown range lookup {other}"
                     )))
                 }
-            };
-            Expr::InRanges {
-                column,
-                ranges,
-                lookup,
             }
         }
         9 => {
@@ -753,7 +741,6 @@ mod tests {
                         hi: None,
                     },
                 ],
-                lookup: RangeLookup::BinarySearch,
             },
             Expr::InList {
                 columns: vec!["a".into(), "b".into()],
@@ -765,6 +752,29 @@ mod tests {
         ];
         for e in exprs {
             assert_eq!(round_trip_expr(&e), e);
+        }
+    }
+
+    #[test]
+    fn in_ranges_lookup_byte_other_than_binary_search_is_corrupt() {
+        let e = Expr::InRanges {
+            column: "k".into(),
+            ranges: vec![ValueRange {
+                lo: None,
+                hi: Some(Value::Int(5)),
+            }],
+        };
+        let mut w = ByteWriter::new();
+        encode_expr(&mut w, &e);
+        let mut bytes = w.into_bytes();
+        assert_eq!(bytes.last(), Some(&1), "the lookup byte closes the image");
+        for byte in [0, 2] {
+            *bytes.last_mut().unwrap() = byte;
+            let decoded = decode_expr(&mut ByteReader::new(&bytes));
+            assert!(
+                matches!(decoded, Err(PersistError::Corrupt(_))),
+                "byte {byte}"
+            );
         }
     }
 

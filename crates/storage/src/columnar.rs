@@ -14,25 +14,14 @@
 //! order-preserving within the chunk: a range or comparison predicate against
 //! a string literal translates to a comparison on `u32` codes.
 //!
-//! ## Compressed layouts
+//! ## Frame-of-reference packing
 //!
-//! On top of the plain typed vectors, the encoder picks a compressed layout
-//! per chunk-column with a cheap statistics pass at build time:
-//!
-//! * [`ColumnData::RleInt`] — run-length encoding for integer columns whose
-//!   values repeat in runs (sorted or near-constant data). NULL rows merge
-//!   into the surrounding run (the null bitmap still marks them), so
-//!   interspersed NULLs do not break runs.
-//! * [`ColumnData::RleDict`] — the same run-length layout over the sorted
-//!   dictionary codes of a low-cardinality string column.
-//! * [`ColumnData::PackedInt`] — frame-of-reference bit-packing for integer
-//!   columns with a small value range: each value is stored as an unsigned
-//!   delta from the chunk minimum in 1/2/4/8/16 bits.
-//!
-//! The choice is a deterministic function of the chunk's rows, so a chunk
-//! encodes the same wherever and whenever it is encoded. Columns that fit no
-//! compressed layout keep the plain vectors, and `Mixed` semantics are
-//! untouched.
+//! An integer chunk-column whose values span 16 bits or fewer is stored as
+//! [`ColumnData::PackedInt`]: each value an unsigned delta from the chunk
+//! minimum in 1/2/4/8/16 bits. Any other integer chunk-column keeps the plain
+//! `i64` vector. The choice is a deterministic function of the chunk's rows,
+//! so a chunk encodes the same wherever and whenever it is encoded, and
+//! `Mixed` semantics are untouched.
 
 use crate::relation::Row;
 use crate::schema::Schema;
@@ -42,79 +31,6 @@ use std::sync::Arc;
 
 /// Chunks shorter than this are never worth encoding; the plain vectors win.
 const MIN_ENCODE_ROWS: usize = 16;
-
-/// A run-length encoded sequence: run `k` holds `values[k]` and covers the
-/// row range `[ends[k-1], ends[k])` (with an implicit `ends[-1] == 0`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Runs<T> {
-    values: Vec<T>,
-    ends: Vec<u32>,
-}
-
-impl<T: Copy + PartialEq> Runs<T> {
-    /// Build runs from a dense slice of per-row values.
-    pub fn from_values(vals: &[T]) -> Self {
-        debug_assert!(vals.len() <= u32::MAX as usize);
-        let mut values = Vec::new();
-        let mut ends = Vec::new();
-        for (i, v) in vals.iter().enumerate() {
-            if values.last() != Some(v) {
-                if !values.is_empty() {
-                    ends.push(i as u32);
-                }
-                values.push(*v);
-            }
-        }
-        if !values.is_empty() {
-            ends.push(vals.len() as u32);
-        }
-        Runs { values, ends }
-    }
-
-    /// Number of rows covered by all runs.
-    pub fn len(&self) -> usize {
-        self.ends.last().map_or(0, |&e| e as usize)
-    }
-
-    /// True when no rows are covered.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Number of runs.
-    pub fn run_count(&self) -> usize {
-        self.values.len()
-    }
-
-    /// The value covering row `i` (chunk-relative).
-    #[inline]
-    pub fn value_at(&self, i: usize) -> T {
-        let k = self.ends.partition_point(|&e| e as usize <= i);
-        self.values[k]
-    }
-
-    /// Iterate the runs as `(start, end, value)` triples in row order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, T)> + '_ {
-        self.values
-            .iter()
-            .zip(self.ends.iter())
-            .scan(0usize, |start, (&v, &e)| {
-                let s = *start;
-                *start = e as usize;
-                Some((s, e as usize, v))
-            })
-    }
-
-    /// The distinct run values in row order.
-    pub fn values(&self) -> &[T] {
-        &self.values
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn approx_bytes(&self) -> usize {
-        self.values.len() * std::mem::size_of::<T>() + self.ends.len() * 4
-    }
-}
 
 /// Frame-of-reference bit-packed integers: each value is stored as an
 /// unsigned delta from `base` in `width` bits (1, 2, 4, 8 or 16 — widths
@@ -208,22 +124,9 @@ pub enum ColumnData {
     /// Mixed-type column (e.g. `Int` and `Float` rows in one column): kept as
     /// plain values so the engine falls back to `Value` comparison semantics.
     Mixed(Vec<Value>),
-    /// Run-length encoded integer column. NULL rows merge into the
-    /// surrounding run (check the null bitmap); a leading NULL carries the
-    /// first non-null value.
-    RleInt(Runs<i64>),
     /// Frame-of-reference bit-packed integer column (NULL rows pack as the
     /// base; check the null bitmap).
     PackedInt(PackedInts),
-    /// Run-length encoding over the sorted dictionary codes of a
-    /// low-cardinality string column. NULL rows merge into the surrounding
-    /// run (check the null bitmap).
-    RleDict {
-        /// Sorted distinct strings of the chunk.
-        dict: Vec<String>,
-        /// Run-length encoded codes indexing into `dict`.
-        runs: Runs<u32>,
-    },
 }
 
 impl ColumnData {
@@ -235,28 +138,24 @@ impl ColumnData {
             ColumnData::Dict { .. } => "dict",
             ColumnData::Bool(_) => "bool",
             ColumnData::Mixed(_) => "mixed",
-            ColumnData::RleInt(_) => "rle-int",
             ColumnData::PackedInt(_) => "packed-int",
-            ColumnData::RleDict { .. } => "rle-dict",
         }
     }
 
-    /// True for the compressed layouts (RLE / bit-packed).
+    /// True for the compressed layout (bit-packed).
     pub fn is_encoded(&self) -> bool {
-        matches!(
-            self,
-            ColumnData::RleInt(_) | ColumnData::PackedInt(_) | ColumnData::RleDict { .. }
-        )
+        matches!(self, ColumnData::PackedInt(_))
     }
 
     /// Approximate heap footprint in bytes (dictionary strings included).
     pub fn approx_bytes(&self) -> usize {
-        let dict_bytes = |dict: &[String]| dict.iter().map(|s| s.len() + 24).sum::<usize>();
         match self {
             ColumnData::Int(v) => v.len() * 8,
             ColumnData::Float(v) => v.len() * 8,
             ColumnData::Bool(v) => v.len(),
-            ColumnData::Dict { dict, codes } => dict_bytes(dict) + codes.len() * 4,
+            ColumnData::Dict { dict, codes } => {
+                dict.iter().map(|s| s.len() + 24).sum::<usize>() + codes.len() * 4
+            }
             ColumnData::Mixed(v) => {
                 v.len() * std::mem::size_of::<Value>()
                     + v.iter()
@@ -266,9 +165,7 @@ impl ColumnData {
                         })
                         .sum::<usize>()
             }
-            ColumnData::RleInt(runs) => runs.approx_bytes(),
             ColumnData::PackedInt(p) => p.approx_bytes(),
-            ColumnData::RleDict { dict, runs } => dict_bytes(dict) + runs.approx_bytes(),
         }
     }
 }
@@ -320,11 +217,7 @@ impl ColumnVector {
             ColumnData::Bool(v) => Value::Bool(v[i]),
             ColumnData::Dict { dict, codes } => Value::Str(dict[codes[i] as usize].clone()),
             ColumnData::Mixed(v) => v[i].clone(),
-            ColumnData::RleInt(runs) => Value::Int(runs.value_at(i)),
             ColumnData::PackedInt(p) => Value::Int(p.get(i)),
-            ColumnData::RleDict { dict, runs } => {
-                Value::Str(dict[runs.value_at(i) as usize].clone())
-            }
         }
     }
 
@@ -408,15 +301,14 @@ pub struct ColumnarChunks {
 
 impl ColumnarChunks {
     /// Build the projection over `rows` with `block_size` rows per chunk
-    /// (aligned with the table's zone-map blocks), picking a compressed
-    /// layout per chunk-column where the stats heuristic pays off.
+    /// (aligned with the table's zone-map blocks), bit-packing each integer
+    /// chunk-column whose values span 16 bits or fewer.
     pub fn build(schema: &Schema, rows: &[Row], block_size: usize) -> Self {
         Self::build_inner(schema, rows, block_size, true)
     }
 
-    /// Build the projection with compressed layouts disabled: every column
-    /// keeps the plain typed vectors. Used as the decode oracle in
-    /// equivalence tests and benchmarks.
+    /// Build the projection with packing disabled: every column keeps the
+    /// plain typed vectors. Used as the decode oracle in equivalence tests.
     pub fn build_plain(schema: &Schema, rows: &[Row], block_size: usize) -> Self {
         Self::build_inner(schema, rows, block_size, false)
     }
@@ -463,8 +355,8 @@ impl ColumnarChunks {
     }
 
     /// Per-encoding chunk counts for schema column `col` — e.g.
-    /// `{"rle-int": 3, "packed-int": 9}`. Used by `EXPLAIN` output and the
-    /// scan microbenchmark to report the layouts actually chosen.
+    /// `{"int": 3, "packed-int": 9}`. Used by `examples/explain.rs` to report
+    /// the layouts actually chosen.
     pub fn column_encoding_counts(&self, col: usize) -> BTreeMap<&'static str, usize> {
         let mut counts = BTreeMap::new();
         for chunk in &self.chunks {
@@ -477,8 +369,8 @@ impl ColumnarChunks {
 }
 
 /// Classify and pack one column of a row slice. With `encode` set, integer
-/// and dictionary columns additionally go through the compressed-layout
-/// heuristic; the choice is a pure function of `rows`.
+/// columns are bit-packed where their range allows; the choice is a pure
+/// function of `rows`.
 fn build_column(rows: &[Row], col: usize, encode: bool) -> ColumnVector {
     #[derive(PartialEq, Clone, Copy)]
     enum Kind {
@@ -559,7 +451,7 @@ fn build_column(rows: &[Row], col: usize, encode: bool) -> ColumnVector {
                     _ => 0,
                 })
                 .collect();
-            encode_dict_column(rows, col, dict, codes, encode)
+            ColumnData::Dict { dict, codes }
         }
         // All-NULL columns pack as Mixed so every accessor stays trivial.
         Kind::Unknown | Kind::Mixed => {
@@ -570,35 +462,16 @@ fn build_column(rows: &[Row], col: usize, encode: bool) -> ColumnVector {
     ColumnVector { nulls, data }
 }
 
-/// The compressed-layout heuristic for an all-Int (modulo NULLs) column:
-/// RLE when runs cover ≥4 rows on average, else frame-of-reference packing
-/// when the value range fits 16 bits or fewer, else the plain `i64` vector.
+/// An all-Int (modulo NULLs) column: frame-of-reference packing when the
+/// value range fits 16 bits or fewer, else the plain `i64` vector.
 fn encode_int_column(rows: &[Row], col: usize, encode: bool) -> ColumnData {
-    if encode && rows.len() >= MIN_ENCODE_ROWS && rows.len() <= u32::MAX as usize {
-        // Fill NULL rows forward so they merge into the surrounding run (a
-        // leading NULL takes the first non-null value); the null bitmap keeps
-        // them distinguishable.
-        let first = rows
+    if encode && rows.len() >= MIN_ENCODE_ROWS {
+        let (min, max) = rows
             .iter()
-            .find_map(|r| match &r[col] {
-                Value::Int(i) => Some(*i),
-                _ => None,
-            })
-            .expect("int column has a non-null value");
-        let mut filled = Vec::with_capacity(rows.len());
-        let (mut last, mut min, mut max) = (first, first, first);
-        for row in rows {
-            if let Value::Int(i) = &row[col] {
-                last = *i;
-                min = min.min(*i);
-                max = max.max(*i);
-            }
-            filled.push(last);
-        }
-        let runs = Runs::from_values(&filled);
-        if runs.run_count() * 4 <= rows.len() {
-            return ColumnData::RleInt(runs);
-        }
+            .fold((i64::MAX, i64::MIN), |(lo, hi), r| match &r[col] {
+                Value::Int(i) => (lo.min(*i), hi.max(*i)),
+                _ => (lo, hi),
+            });
         let range = max as i128 - min as i128;
         for width in [1u32, 2, 4, 8, 16] {
             if range < (1i128 << width) {
@@ -618,37 +491,6 @@ fn encode_int_column(rows: &[Row], col: usize, encode: bool) -> ColumnData {
             })
             .collect(),
     )
-}
-
-/// The compressed-layout heuristic for a dictionary column: RLE over the
-/// order-preserving codes when runs cover ≥4 rows on average.
-fn encode_dict_column(
-    rows: &[Row],
-    col: usize,
-    dict: Vec<String>,
-    codes: Vec<u32>,
-    encode: bool,
-) -> ColumnData {
-    if encode && rows.len() >= MIN_ENCODE_ROWS && rows.len() <= u32::MAX as usize {
-        // Fill NULL rows forward over codes, mirroring the integer path.
-        let first = rows
-            .iter()
-            .position(|r| matches!(&r[col], Value::Str(_)))
-            .expect("str column has a non-null value");
-        let mut filled = Vec::with_capacity(rows.len());
-        let mut last = codes[first];
-        for (i, row) in rows.iter().enumerate() {
-            if !row[col].is_null() {
-                last = codes[i];
-            }
-            filled.push(last);
-        }
-        let runs = Runs::from_values(&filled);
-        if runs.run_count() * 4 <= rows.len() {
-            return ColumnData::RleDict { dict, runs };
-        }
-    }
-    ColumnData::Dict { dict, codes }
 }
 
 #[cfg(test)]
@@ -770,7 +612,6 @@ mod tests {
                     (ColumnData::Float(x), ColumnData::Float(y)) => assert_eq!(x, y),
                     (ColumnData::Bool(x), ColumnData::Bool(y)) => assert_eq!(x, y),
                     (ColumnData::Mixed(x), ColumnData::Mixed(y)) => assert_eq!(x, y),
-                    (ColumnData::RleInt(x), ColumnData::RleInt(y)) => assert_eq!(x, y),
                     (ColumnData::PackedInt(x), ColumnData::PackedInt(y)) => assert_eq!(x, y),
                     (
                         ColumnData::Dict {
@@ -784,13 +625,6 @@ mod tests {
                     ) => {
                         assert_eq!(d1, d2);
                         assert_eq!(c1, c2);
-                    }
-                    (
-                        ColumnData::RleDict { dict: d1, runs: r1 },
-                        ColumnData::RleDict { dict: d2, runs: r2 },
-                    ) => {
-                        assert_eq!(d1, d2);
-                        assert_eq!(r1, r2);
                     }
                     (x, y) => panic!("chunk column kind diverged: {x:?} vs {y:?}"),
                 }
@@ -810,35 +644,6 @@ mod tests {
                 assert!(col.is_null(i));
             }
         }
-    }
-
-    #[test]
-    fn runny_ints_pick_rle_and_nulls_merge_into_runs() {
-        let schema = Schema::from_pairs(&[("a", DataType::Int)]);
-        // Three long runs with NULLs sprinkled inside the middle one.
-        let rows: Vec<Row> = (0..90)
-            .map(|i| {
-                if i % 13 == 7 && (30..60).contains(&i) {
-                    vec![Value::Null]
-                } else {
-                    vec![Value::Int((i / 30) as i64 * 10)]
-                }
-            })
-            .collect();
-        let c = ColumnarChunks::build(&schema, &rows, 90);
-        let col = c.chunks()[0].column(0);
-        let ColumnData::RleInt(runs) = col.data() else {
-            panic!("expected RLE, got {}", col.data().encoding_name());
-        };
-        assert_eq!(runs.run_count(), 3);
-        assert_eq!(runs.len(), 90);
-        // Decoding is NULL-aware and placeholder-free.
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(col.value(i), row[0]);
-        }
-        assert_eq!(runs.value_at(0), 0);
-        assert_eq!(runs.value_at(45), 10);
-        assert_eq!(runs.value_at(89), 20);
     }
 
     #[test]
@@ -895,41 +700,16 @@ mod tests {
     #[test]
     fn short_and_wide_columns_stay_plain() {
         let schema = Schema::from_pairs(&[("a", DataType::Int)]);
-        // Below MIN_ENCODE_ROWS: plain even though perfectly runny.
+        // Below MIN_ENCODE_ROWS: plain even though constant.
         let short: Vec<Row> = (0..8).map(|_| vec![Value::Int(1)]).collect();
         let c = ColumnarChunks::build(&schema, &short, 8);
         assert!(matches!(c.chunks()[0].column(0).data(), ColumnData::Int(_)));
-        // Wide range, no runs: plain.
+        // Wide range: plain.
         let wide: Vec<Row> = (0..64)
             .map(|i| vec![Value::Int(i as i64 * 1_000_000)])
             .collect();
         let c = ColumnarChunks::build(&schema, &wide, 64);
         assert!(matches!(c.chunks()[0].column(0).data(), ColumnData::Int(_)));
-    }
-
-    #[test]
-    fn low_cardinality_strings_pick_rle_dict() {
-        let schema = Schema::from_pairs(&[("s", DataType::Str)]);
-        let rows: Vec<Row> = (0..80)
-            .map(|i| {
-                if i == 40 {
-                    vec![Value::Null]
-                } else {
-                    vec![Value::Str(if i < 40 { "aa" } else { "bb" }.to_string())]
-                }
-            })
-            .collect();
-        let c = ColumnarChunks::build(&schema, &rows, 80);
-        let col = c.chunks()[0].column(0);
-        let ColumnData::RleDict { dict, runs } = col.data() else {
-            panic!("expected rle-dict, got {}", col.data().encoding_name());
-        };
-        assert_eq!(dict, &["aa".to_string(), "bb".to_string()]);
-        // The NULL at row 40 merges into the preceding "aa" run.
-        assert_eq!(runs.run_count(), 2);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(col.value(i), row[0]);
-        }
     }
 
     #[test]
@@ -943,23 +723,5 @@ mod tests {
         assert!(counts.contains_key("packed-int"), "counts: {counts:?}");
         assert!(enc.approx_bytes() < plain.approx_bytes());
         assert_eq!(plain.column_encoding_counts(0)["int"], 4);
-    }
-
-    #[test]
-    fn runs_accessors_are_consistent() {
-        let runs = Runs::from_values(&[5i64, 5, 5, 7, 7, 2]);
-        assert_eq!(runs.run_count(), 3);
-        assert_eq!(runs.len(), 6);
-        assert!(!runs.is_empty());
-        assert_eq!(
-            runs.iter().collect::<Vec<_>>(),
-            vec![(0, 3, 5), (3, 5, 7), (5, 6, 2)]
-        );
-        for i in 0..6 {
-            assert_eq!(runs.value_at(i), [5, 5, 5, 7, 7, 2][i]);
-        }
-        let empty: Runs<i64> = Runs::from_values(&[]);
-        assert!(empty.is_empty());
-        assert_eq!(empty.len(), 0);
     }
 }

@@ -24,7 +24,7 @@ pub mod table;
 pub mod value;
 pub mod zonemap;
 
-pub use columnar::{ColumnData, ColumnVector, ColumnarChunk, ColumnarChunks, PackedInts, Runs};
+pub use columnar::{ColumnData, ColumnVector, ColumnarChunk, ColumnarChunks, PackedInts};
 pub use database::{Database, StorageError};
 pub use index::OrderedIndex;
 pub use partition::{CompositePartition, Partition, PartitionRef, RangePartition, ValueRange};

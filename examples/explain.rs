@@ -98,11 +98,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         row_path.stats.vectorized_scans
     );
 
-    // What do those columnar chunks actually hold? The build picks an
-    // encoding per chunk-column from cheap stats: run-length for runny ints
-    // (`grp` repeats each value 40 ways but in i%40 order — no runs, so it
-    // bit-packs), frame-of-reference packing for small-domain ints, plain
-    // vectors otherwise. The kernels above evaluated directly on these.
+    // What do those columnar chunks actually hold? The build packs each
+    // integer chunk-column whose values span 16 bits or fewer
+    // frame-of-reference (`grp`'s 40 values do) and keeps plain vectors
+    // otherwise. The kernels above evaluated directly on these.
     let table = pbds.db().table("t")?;
     let chunks = table.columnar_chunks();
     println!("\nper-column chunk encodings:");

@@ -7,10 +7,12 @@
 //! * `eval_filter_block` produces exactly the selection the per-row
 //!   interpreter would, chunk by chunk, and errors whenever it would.
 
-use pbds_algebra::{BinOp, Expr, RangeLookup};
+use pbds_algebra::{BinOp, Expr};
 use pbds_exec::vector::eval_filter_block;
 use pbds_exec::{eval_expr, eval_predicate, CompiledExpr};
-use pbds_storage::{ColumnarChunks, DataType, Row, Schema, TableBuilder, Value, ValueRange};
+use pbds_storage::{
+    ColumnData, ColumnarChunks, DataType, Row, Schema, TableBuilder, Value, ValueRange,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,11 +95,6 @@ fn random_expr(rng: &mut StdRng, depth: usize) -> Expr {
             _ => Expr::InRanges {
                 column: random_column(rng),
                 ranges: random_ranges(rng),
-                lookup: if rng.gen_range(0..2) == 0 {
-                    RangeLookup::Linear
-                } else {
-                    RangeLookup::BinarySearch
-                },
             },
         };
     }
@@ -154,19 +151,25 @@ fn random_expr(rng: &mut StdRng, depth: usize) -> Expr {
     }
 }
 
-/// Rows shaped so the per-chunk-column encoding heuristic actually fires:
-/// long runs of identical small ints (RLE / frame-of-reference), runny
-/// low-cardinality strings (RLE over dict codes), occasional NULLs (merged
-/// into the surrounding run), and — rarely — a type-mixed cell that forces
-/// the plain `Mixed` fallback for that chunk-column.
+/// Rows shaped so every chunk layout occurs: `a` holds small ints in short
+/// runs (frame-of-reference packed), with stretches scaled past 16 bits that
+/// leave their chunks plain; `b` plain floats; `s` low-cardinality strings
+/// (a sorted dictionary); `t` strings — or, for one call in three, booleans —
+/// where a rare type-mixed cell forces the plain `Mixed` fallback for its
+/// chunk. Occasional NULLs throughout.
 fn runny_rows(rng: &mut StdRng, n: usize) -> Vec<Row> {
     let mut a = rng.gen_range(0..8i64);
+    let mut wide = false;
     let mut s = STRINGS[rng.gen_range(0..3)];
     let mut t = STRINGS[rng.gen_range(0..STRINGS.len())];
+    let bools = rng.gen_range(0..3) == 0;
     (0..n)
         .map(|_| {
-            if rng.gen_range(0..6) == 0 {
+            if rng.gen_range(0..3) == 0 {
                 a = rng.gen_range(0..8);
+            }
+            if rng.gen_range(0..50) == 0 {
+                wide = !wide;
             }
             if rng.gen_range(0..8) == 0 {
                 s = STRINGS[rng.gen_range(0..3)];
@@ -177,6 +180,8 @@ fn runny_rows(rng: &mut StdRng, n: usize) -> Vec<Row> {
             vec![
                 if rng.gen_range(0..40) == 0 {
                     Value::Null
+                } else if wide {
+                    Value::Int(a * 1_000_003)
                 } else {
                     Value::Int(a)
                 },
@@ -188,6 +193,8 @@ fn runny_rows(rng: &mut StdRng, n: usize) -> Vec<Row> {
                 },
                 if rng.gen_range(0..60) == 0 {
                     random_value(rng) // type-mix: plain fallback territory
+                } else if bools {
+                    Value::Bool(t < "NY")
                 } else {
                     Value::from(t)
                 },
@@ -196,15 +203,40 @@ fn runny_rows(rng: &mut StdRng, n: usize) -> Vec<Row> {
         .collect()
 }
 
-/// Guard against the property tests below going vacuous: the runny generator
-/// must actually produce encoded chunk-columns.
+/// Guard against the property tests below going vacuous: over a few calls,
+/// the runny generator produces every chunk layout the kernels branch on —
+/// plain and packed integers, floats, a dictionary, booleans and mixed
+/// types — and packed chunks whose frame of reference decides, for the
+/// whole chunk, a comparison with a literal the expression generator draws.
 #[test]
 fn runny_rows_actually_encode() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let rows = runny_rows(&mut rng, 192);
-    let enc = ColumnarChunks::build(&schema(), &rows, 64);
-    let encoded: usize = enc.chunks().iter().map(|c| c.encoded_columns()).sum();
-    assert!(encoded > 0, "generator produced no encoded chunk-columns");
+    let mut layouts = Vec::new();
+    let mut frame_decides = false;
+    for seed in 0..8 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = runny_rows(&mut rng, 192);
+        let enc = ColumnarChunks::build(&schema(), &rows, 64);
+        for chunk in enc.chunks() {
+            for c in 0..COLUMNS.len() {
+                let data = chunk.column(c).data();
+                layouts.push(data.encoding_name());
+                if let ColumnData::PackedInt(p) = data {
+                    // Literals are drawn from -30..30: one below the frame.
+                    frame_decides |= -30 < p.base();
+                }
+            }
+        }
+    }
+    for layout in ["int", "packed-int", "float", "dict", "bool", "mixed"] {
+        assert!(
+            layouts.contains(&layout),
+            "no {layout} chunk from the generator"
+        );
+    }
+    assert!(
+        frame_decides,
+        "no packed chunk whose frame decides a literal"
+    );
 }
 
 /// How [`sketch_ranges`] lays its sorted bounds out into ranges.
@@ -216,8 +248,9 @@ enum RangeShape {
     /// next.
     Adjacent,
     /// Disjoint ranges in reverse order, or with a range added over two of
-    /// them: the lookup strategies answer differently, and the compiled
-    /// ranges must follow the one they were given.
+    /// them: the binary search and the union of the ranges answer
+    /// differently, and the compiled ranges must follow the search the
+    /// interpreter does.
     Unordered,
 }
 
@@ -290,10 +323,11 @@ proptest! {
     /// bounds, over cells of every type: the compiled predicate equals the
     /// interpreter row by row, and the block filter selects what the
     /// interpreter selects — over mixed-type chunks and over runny integer
-    /// chunks (run-length, bit-packed and plain layouts). Ranges are sorted
-    /// and disjoint, share bounds, or come unsorted and overlapping, around
-    /// 0 and next to either `i64` extreme: the bitmap of narrow integer
-    /// ranges and both lookup strategies are all reached.
+    /// chunks (bit-packed and plain layouts). Ranges are sorted and
+    /// disjoint, share bounds, or come unsorted and overlapping, around 0 and
+    /// next to either `i64` extreme: the bitmap of narrow integer ranges and
+    /// the binary search over integer and over `Value` bounds are all
+    /// reached.
     #[test]
     fn in_ranges_matches_interpreter_for_int_and_mixed_bounds(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -314,32 +348,30 @@ proptest! {
             [rng.gen_range(0..3)];
         for mixed in [false, true] {
             let ranges = sketch_ranges(&mut rng, origin, shape, mixed);
-            for lookup in [RangeLookup::Linear, RangeLookup::BinarySearch] {
-                let pred = Expr::InRanges { column: "a".into(), ranges: ranges.clone(), lookup };
-                let compiled = CompiledExpr::compile(&pred, &schema);
-                for rows in [&mixed_rows, &runny_rows] {
-                    for row in rows.iter() {
-                        prop_assert_eq!(
-                            compiled.eval(row), eval_expr(&pred, &schema, row),
-                            "{:?}: {} over {:?}", shape, pred, row
-                        );
-                    }
-                    for chunks in [
-                        ColumnarChunks::build(&schema, rows, 64),
-                        ColumnarChunks::build_plain(&schema, rows, 64),
-                    ] {
-                        for chunk in chunks.chunks() {
-                            let piece = &rows[chunk.start..chunk.end];
-                            let sel = eval_filter_block(
-                                &compiled, chunk, piece, chunk.start, chunk.end,
-                            ).unwrap();
-                            for (j, row) in piece.iter().enumerate() {
-                                prop_assert_eq!(
-                                    sel.get(j),
-                                    eval_predicate(&pred, &schema, row).unwrap(),
-                                    "{:?}: row {} of {}", shape, chunk.start + j, pred
-                                );
-                            }
+            let pred = Expr::InRanges { column: "a".into(), ranges };
+            let compiled = CompiledExpr::compile(&pred, &schema);
+            for rows in [&mixed_rows, &runny_rows] {
+                for row in rows.iter() {
+                    prop_assert_eq!(
+                        compiled.eval(row), eval_expr(&pred, &schema, row),
+                        "{:?}: {} over {:?}", shape, pred, row
+                    );
+                }
+                for chunks in [
+                    ColumnarChunks::build(&schema, rows, 64),
+                    ColumnarChunks::build_plain(&schema, rows, 64),
+                ] {
+                    for chunk in chunks.chunks() {
+                        let piece = &rows[chunk.start..chunk.end];
+                        let sel = eval_filter_block(
+                            &compiled, chunk, piece, chunk.start, chunk.end,
+                        ).unwrap();
+                        for (j, row) in piece.iter().enumerate() {
+                            prop_assert_eq!(
+                                sel.get(j),
+                                eval_predicate(&pred, &schema, row).unwrap(),
+                                "{:?}: row {} of {}", shape, chunk.start + j, pred
+                            );
                         }
                     }
                 }

@@ -13,7 +13,7 @@
 //! worked examples — the values the seed's standalone capture interpreter
 //! produced — for every capture configuration and on both profiles.
 
-use pbds_algebra::{col, lit, AggExpr, AggFunc, Expr, LogicalPlan, RangeLookup, SortKey};
+use pbds_algebra::{col, lit, AggExpr, AggFunc, Expr, LogicalPlan, SortKey};
 use pbds_exec::{
     eval_expr, eval_predicate, execute, lower, Engine, EngineProfile, ExecError, ExecOptions,
     ExecStats, NoTag, TagPolicy,
@@ -216,32 +216,43 @@ fn random_db(seed: u64, rows: usize) -> Database {
         ("grp", DataType::Int),
         ("v", DataType::Int),
         ("name", DataType::Str),
+        ("f", DataType::Float),
+        ("flag", DataType::Bool),
     ]);
     let mut b = TableBuilder::new("r", schema);
     b.block_size(32).index("k");
-    // Runny, small-domain columns so the columnar build picks real encodings
-    // (RLE runs over `grp`, frame-of-reference packing over `k`/`v`, RLE over
-    // dict codes for `name`) and the oracle comparison below also covers the
-    // encoded kernels and the aggregation pushdown over them. Occasional
-    // NULLs exercise the null fix-up passes.
+    // Small-domain columns so the columnar build picks every layout the
+    // kernels and the aggregation pushdown branch on: frame-of-reference
+    // packing over `k` / `grp` / `v`, plain `i64` wherever a rare outlier
+    // widens `v` past 16 bits, a sorted dictionary over `name`, plain floats
+    // over `f`, booleans over `flag` and `Mixed` wherever a stray `Int` lands
+    // among them. Occasional NULLs exercise the null fix-up passes.
     let mut grp = rng.gen_range(0..10i64);
     let mut name = rng.gen_range(0..5u32);
     for i in 0..rows {
         if rng.gen_range(0..5) == 0 {
             grp = rng.gen_range(0..10);
         }
-        if rng.gen_range(0..7) == 0 {
+        if rng.gen_range(0..2) == 0 {
             name = rng.gen_range(0..5);
         }
+        let v = match rng.gen_range(0..100) {
+            0..=2 => Value::Null,
+            3 => Value::Int(rng.gen_range(-50..50) * 1_000_003),
+            _ => Value::Int(rng.gen_range(-50..50)),
+        };
+        let flag = match rng.gen_range(0..100) {
+            0 => Value::Int(1),
+            1..=4 => Value::Null,
+            _ => Value::Bool(rng.gen_range(0..3) == 0),
+        };
         b.push(vec![
             Value::Int(i as i64),
             Value::Int(grp),
-            if rng.gen_range(0..30) == 0 {
-                Value::Null
-            } else {
-                Value::Int(rng.gen_range(-50..50))
-            },
+            v,
             Value::from(format!("n{name}")),
+            Value::Float(rng.gen_range(-8.0..8.0)),
+            flag,
         ]);
     }
     let schema_s = Schema::from_pairs(&[("grp_id", DataType::Int), ("weight", DataType::Int)]);
@@ -338,6 +349,25 @@ fn query_family() -> Vec<LogicalPlan> {
         LogicalPlan::scan("r")
             .filter(sketch_on_k(&[(-50, -10), (1_000, 2_000)]).and(col("v").lt(lit(0))))
             .project(vec![(col("k"), "k"), (col("v"), "v")]),
+        // The float, boolean and type-mixed chunks: a filter on `flag` above
+        // a column fold of `f`, and `flag` as a group key, which the
+        // pushdown folds row by row.
+        LogicalPlan::scan("r")
+            .filter(col("flag").eq(lit(true)))
+            .aggregate(
+                vec!["grp"],
+                vec![
+                    AggExpr::new(AggFunc::Sum, col("f"), "sum_f"),
+                    AggExpr::new(AggFunc::Min, col("f"), "min_f"),
+                ],
+            ),
+        LogicalPlan::scan("r").aggregate(
+            vec!["flag"],
+            vec![
+                AggExpr::new(AggFunc::Max, col("v"), "max_v"),
+                AggExpr::new(AggFunc::Avg, col("f"), "avg_f"),
+            ],
+        ),
     ]
 }
 
@@ -378,14 +408,49 @@ fn pipeline_matches_direct_evaluation_on_every_query_and_profile() {
     }
 }
 
-/// The random fixture must actually hit the encoded kernels, or the oracle
-/// comparisons above prove nothing about them.
+/// The chunk layouts the scan kernels and the column fold branch on.
+const LAYOUTS: [&str; 6] = ["int", "packed-int", "float", "dict", "bool", "mixed"];
+
+/// The layout names of every chunk-column of `table`, and whether some
+/// packed chunk of column `col` has a frame of reference that decides the
+/// comparison with `literal` for the whole chunk (the literal lies outside
+/// `[base, base + 2^width - 1]`).
+fn layout_census(db: &Database, table: &str, col: &str, literal: i64) -> (Vec<&'static str>, bool) {
+    let table = db.table(table).unwrap();
+    let c = table.schema().index_of(col).unwrap();
+    let chunks = table.columnar_chunks();
+    let mut names: Vec<&str> = chunks
+        .chunks()
+        .iter()
+        .flat_map(|chunk| (0..table.schema().arity()).map(|i| chunk.column(i).data()))
+        .map(ColumnData::encoding_name)
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    let decides = chunks
+        .chunks()
+        .iter()
+        .any(|chunk| match chunk.column(c).data() {
+            ColumnData::PackedInt(p) => {
+                literal < p.base() || literal > p.base() + (1i64 << p.width()) - 1
+            }
+            _ => false,
+        });
+    (names, decides)
+}
+
+/// The random fixture must reach every chunk layout, or the oracle
+/// comparisons above prove nothing about the kernels on it: plain and
+/// packed integers (one packed `k` chunk whose frame decides the query
+/// family's `k >= 10` without a lane compare), floats, a dictionary,
+/// booleans and mixed types.
 #[test]
 fn random_db_produces_encoded_chunks() {
-    let db = random_db(0, 300);
-    let chunks = db.table("r").unwrap().columnar_chunks();
-    let encoded: usize = chunks.chunks().iter().map(|c| c.encoded_columns()).sum();
-    assert!(encoded > 0, "fixture produced no encoded chunk-columns");
+    let (names, decides) = layout_census(&random_db(0, 300), "r", "k", 10);
+    for layout in LAYOUTS {
+        assert!(names.contains(&layout), "no {layout} chunk among {names:?}");
+    }
+    assert!(decides, "no packed `k` chunk whose frame decides `k >= 10`");
 }
 
 #[test]
@@ -816,14 +881,15 @@ fn capture_result_relation_matches_plain_execution() {
 // from every source the grouping step is fed by.
 // ---------------------------------------------------------------------------
 
-/// `p(k, g, h, vi, vf, vm, vr, vn, ki, kr, kw)` with `k` indexed. `g` is a
-/// numeric key mixing `Int` and `Float`, so `3` and `3.0` must share a
+/// `p(k, g, h, vi, vf, vm, vr, vn, ki, kr, kw, s, b)` with `k` indexed. `g`
+/// is a numeric key mixing `Int` and `Float`, so `3` and `3.0` must share a
 /// group; `h` mixes strings with `1` / `1.0`. `ki`, `kr` and `kw` are integer
 /// keys: `ki` spans 7 values (bit-packed chunks, and direct-mapped grouping
-/// once the table has a few rows), `kr` comes in runs (run-length chunks)
-/// and `kw` spans billions (plain chunks, hashed grouping). The aggregate
-/// inputs are `vi` (Int), `vf` (Float), `vm` (mixed Int / Float), `vr` (Int
-/// in runs, so chunks encode it run-length) and `vn` (all NULL); every column
+/// once the table has a few rows), `kr` comes in runs (bit-packed chunks)
+/// and `kw` spans billions (plain chunks, hashed grouping). `s` (strings, a
+/// dictionary per chunk) and `b` (booleans) are keys the fused aggregate
+/// folds row by row. The aggregate inputs are `vi` (Int), `vf` (Float), `vm`
+/// (mixed Int / Float), `vr` (Int in runs) and `vn` (all NULL); every column
 /// but `k` and `vn` carries NULLs at a per-table rate. Some rows are then
 /// deleted, which leaves short chunks behind.
 fn grouping_db(rng: &mut StdRng) -> Database {
@@ -839,6 +905,8 @@ fn grouping_db(rng: &mut StdRng) -> Database {
         ("ki", DataType::Int),
         ("kr", DataType::Int),
         ("kw", DataType::Int),
+        ("s", DataType::Str),
+        ("b", DataType::Bool),
     ]);
     let n = rng.gen_range(1..500i64);
     let (mut run, mut key_run) = (0, 0);
@@ -879,6 +947,8 @@ fn grouping_db(rng: &mut StdRng) -> Database {
             Value::Int(rng.gen_range(-3..4)),
             Value::Int(key_run),
             Value::Int(rng.gen_range(-3..3i64) * 1_000_000_007),
+            Value::from(["x", "y", "z"][rng.gen_range(0..3)]),
+            Value::Bool(rng.gen_range(0..2) == 0),
         ];
         for (c, cell) in row.iter_mut().enumerate() {
             if !matches!(c, 0 | 7) && rng.gen_range(0..null_one_in) == 0 {
@@ -919,7 +989,9 @@ fn grouping_plan(rng: &mut StdRng) -> LogicalPlan {
         vec!["kw"],
         vec!["ki", "kw"],
         vec!["kr", "g"],
-    ][rng.gen_range(0..9)]
+        vec!["s"],
+        vec!["b", "ki"],
+    ][rng.gen_range(0..11)]
     .clone();
     let funcs = [
         AggFunc::Count,
@@ -963,7 +1035,6 @@ fn grouping_plan(rng: &mut StdRng) -> LogicalPlan {
             scan.filter(Expr::InRanges {
                 column: "k".into(),
                 ranges,
-                lookup: RangeLookup::BinarySearch,
             })
         }
         4 => {
@@ -972,7 +1043,7 @@ fn grouping_plan(rng: &mut StdRng) -> LogicalPlan {
         }
         _ => {
             let all = [
-                "k", "g", "h", "vi", "vf", "vm", "vr", "vn", "ki", "kr", "kw",
+                "k", "g", "h", "vi", "vf", "vm", "vr", "vn", "ki", "kr", "kw", "s", "b",
             ];
             scan.project(all.iter().map(|&c| (col(c), c)).collect())
                 .filter(k_range)
@@ -1030,10 +1101,7 @@ fn folds_columns(db: &Database, plan: &LogicalPlan) -> bool {
         chunks.chunks().iter().all(|chunk| {
             matches!(
                 chunk.column(c).data(),
-                ColumnData::Int(_)
-                    | ColumnData::RleInt(_)
-                    | ColumnData::PackedInt(_)
-                    | ColumnData::Float(_)
+                ColumnData::Int(_) | ColumnData::PackedInt(_) | ColumnData::Float(_)
             )
         })
     };
@@ -1049,15 +1117,21 @@ fn folds_columns(db: &Database, plan: &LogicalPlan) -> bool {
 /// fused index probes, zone-map scans and chunk scans, column-at-a-time
 /// folds on one integer key (direct-mapped when its span is narrow) and on
 /// hashed keys, the generic aggregate over a filter, duplicate elimination,
-/// and tables with short chunks.
+/// tables with short chunks, and every chunk layout — with packed `k`
+/// chunks whose frame decides a `k` bound for the whole chunk.
 #[test]
 fn grouping_generators_reach_every_source() {
     let (mut probes, mut zones, mut chunk_scans, mut generic) = (0, 0, 0, 0);
     let (mut int_key_folds, mut hashed_folds, mut distinct, mut short) = (0, 0, 0, 0);
+    let (mut layouts, mut frame_decides) = (Vec::new(), 0);
     for seed in 0..128 {
         let mut rng = StdRng::seed_from_u64(seed);
         let db = grouping_db(&mut rng);
         let plan = grouping_plan(&mut rng);
+        // `k` bounds are drawn from -5 up.
+        let (names, decides) = layout_census(&db, "p", "k", -5);
+        layouts.extend(names);
+        frame_decides += usize::from(decides);
         let table = db.table("p").unwrap();
         let chunks = table.columnar_chunks();
         let inner = &chunks.chunks()[..chunks.chunks().len().saturating_sub(1)];
@@ -1094,8 +1168,12 @@ fn grouping_generators_reach_every_source() {
         ("generic aggregates", generic),
         ("distincts", distinct),
         ("short chunks", short),
+        ("packed chunks whose frame decides a bound", frame_decides),
     ] {
         assert!(n >= 3, "only {n} {what} in 128 generated cases");
+    }
+    for layout in LAYOUTS {
+        assert!(layouts.contains(&layout), "no {layout} chunk in 128 tables");
     }
 }
 
@@ -1289,7 +1367,6 @@ fn sketch_on(column: &str, ranges: &[(i64, i64)]) -> Expr {
                 hi: Some(Value::Int(hi)),
             })
             .collect(),
-        lookup: RangeLookup::BinarySearch,
     }
 }
 
