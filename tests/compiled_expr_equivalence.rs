@@ -152,14 +152,15 @@ fn random_expr(rng: &mut StdRng, depth: usize) -> Expr {
 }
 
 /// Rows shaped so every chunk layout occurs: `a` holds small ints in short
-/// runs (frame-of-reference packed), with stretches scaled past 16 bits that
-/// leave their chunks plain; `b` plain floats; `s` low-cardinality strings
+/// runs (frame-of-reference packed), spread now and then over 2, 4, 8, 160
+/// or 24 000 values (packed 1, 2, 4, 8 or 16 bits wide) or over 8 000 024
+/// (plain); `b` plain floats; `s` low-cardinality strings
 /// (a sorted dictionary); `t` strings — or, for one call in three, booleans —
 /// where a rare type-mixed cell forces the plain `Mixed` fallback for its
 /// chunk. Occasional NULLs throughout.
 fn runny_rows(rng: &mut StdRng, n: usize) -> Vec<Row> {
     let mut a = rng.gen_range(0..8i64);
-    let mut wide = false;
+    let mut span = 8;
     let mut s = STRINGS[rng.gen_range(0..3)];
     let mut t = STRINGS[rng.gen_range(0..STRINGS.len())];
     let bools = rng.gen_range(0..3) == 0;
@@ -169,7 +170,7 @@ fn runny_rows(rng: &mut StdRng, n: usize) -> Vec<Row> {
                 a = rng.gen_range(0..8);
             }
             if rng.gen_range(0..50) == 0 {
-                wide = !wide;
+                span = [2, 4, 8, 160, 24_000, 8_000_024][rng.gen_range(0..6)];
             }
             if rng.gen_range(0..8) == 0 {
                 s = STRINGS[rng.gen_range(0..3)];
@@ -180,10 +181,8 @@ fn runny_rows(rng: &mut StdRng, n: usize) -> Vec<Row> {
             vec![
                 if rng.gen_range(0..40) == 0 {
                     Value::Null
-                } else if wide {
-                    Value::Int(a * 1_000_003)
                 } else {
-                    Value::Int(a)
+                    Value::Int(a * span / 8)
                 },
                 Value::Float(a as f64 * 0.5),
                 if rng.gen_range(0..50) == 0 {
@@ -203,26 +202,38 @@ fn runny_rows(rng: &mut StdRng, n: usize) -> Vec<Row> {
         .collect()
 }
 
+/// A window of a chunk of `len` rows, as an index probe reads one: from a
+/// first to a last selected row, so it may start and end anywhere.
+fn probe_window(rng: &mut StdRng, len: usize) -> (usize, usize) {
+    let lo = rng.gen_range(0..len);
+    (lo, rng.gen_range(lo + 1..=len))
+}
+
 /// Guard against the property tests below going vacuous: over a few calls,
 /// the runny generator produces every chunk layout the kernels branch on —
 /// plain and packed integers, floats, a dictionary, booleans and mixed
-/// types — and packed chunks whose frame of reference decides, for the
-/// whole chunk, a comparison with a literal the expression generator draws.
+/// types — packed chunks of every lane width, and packed chunks whose frame
+/// of reference decides, for the whole chunk, a comparison with a literal
+/// the expression generator draws. Some probe window over a packed chunk
+/// starts off a lane boundary, where the packed reader begins mid-word.
 #[test]
 fn runny_rows_actually_encode() {
-    let mut layouts = Vec::new();
-    let mut frame_decides = false;
+    let (mut layouts, mut widths) = (Vec::new(), Vec::new());
+    let (mut frame_decides, mut off_lane) = (false, false);
     for seed in 0..8 {
         let mut rng = StdRng::seed_from_u64(seed);
         let rows = runny_rows(&mut rng, 192);
         let enc = ColumnarChunks::build(&schema(), &rows, 64);
         for chunk in enc.chunks() {
+            let (lo, _) = probe_window(&mut rng, chunk.len());
             for c in 0..COLUMNS.len() {
                 let data = chunk.column(c).data();
                 layouts.push(data.encoding_name());
                 if let ColumnData::PackedInt(p) = data {
                     // Literals are drawn from -30..30: one below the frame.
                     frame_decides |= -30 < p.base();
+                    widths.push(p.width());
+                    off_lane |= lo % (64 / p.width() as usize) != 0;
                 }
             }
         }
@@ -233,9 +244,19 @@ fn runny_rows_actually_encode() {
             "no {layout} chunk from the generator"
         );
     }
+    for width in [1, 2, 4, 8, 16] {
+        assert!(
+            widths.contains(&width),
+            "no {width}-bit packed chunk from the generator"
+        );
+    }
     assert!(
         frame_decides,
         "no packed chunk whose frame decides a literal"
+    );
+    assert!(
+        off_lane,
+        "no probe window starts off a lane boundary of a packed chunk"
     );
 }
 
@@ -430,7 +451,7 @@ proptest! {
 
     /// The encoded kernels select exactly what the plain (decoded) chunks
     /// select, for arbitrary predicates — and error in exactly the same
-    /// cases.
+    /// cases — over each whole chunk and over a probe window of it.
     #[test]
     fn block_filter_agrees_on_encoded_and_plain_chunks(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -441,16 +462,19 @@ proptest! {
         let plain = ColumnarChunks::build_plain(&schema, &rows, 64);
         let compiled = CompiledExpr::compile(&pred, &schema);
         for (ec, pc) in enc.chunks().iter().zip(plain.chunks()) {
-            let a = eval_filter_block(&compiled, ec, &rows[ec.start..ec.end], ec.start, ec.end);
-            let b = eval_filter_block(&compiled, pc, &rows[pc.start..pc.end], pc.start, pc.end);
-            match (a, b) {
-                (Ok(x), Ok(y)) => prop_assert_eq!(x, y, "pred {}", pred),
-                (Err(_), Err(_)) => {}
-                (a, b) => prop_assert!(
-                    false,
-                    "divergent outcomes (encoded ok: {}, plain ok: {}) for {}",
-                    a.is_ok(), b.is_ok(), pred
-                ),
+            let (lo, hi) = probe_window(&mut rng, ec.len());
+            for (lo, hi) in [(ec.start, ec.end), (ec.start + lo, ec.start + hi)] {
+                let a = eval_filter_block(&compiled, ec, &rows[lo..hi], lo, hi);
+                let b = eval_filter_block(&compiled, pc, &rows[lo..hi], lo, hi);
+                match (a, b) {
+                    (Ok(x), Ok(y)) => prop_assert_eq!(x, y, "pred {} rows {}..{}", pred, lo, hi),
+                    (Err(_), Err(_)) => {}
+                    (a, b) => prop_assert!(
+                        false,
+                        "divergent outcomes (encoded ok: {}, plain ok: {}) for {}",
+                        a.is_ok(), b.is_ok(), pred
+                    ),
+                }
             }
         }
     }

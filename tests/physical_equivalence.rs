@@ -226,7 +226,10 @@ fn random_db(seed: u64, rows: usize) -> Database {
     // packing over `k` / `grp` / `v`, plain `i64` wherever a rare outlier
     // widens `v` past 16 bits, a sorted dictionary over `name`, plain floats
     // over `f`, booleans over `flag` and `Mixed` wherever a stray `Int` lands
-    // among them. Occasional NULLs exercise the null fix-up passes.
+    // among them. Occasional NULLs exercise the null fix-up passes. `v`'s
+    // span changes from block to block, so its packed chunks take every
+    // lane width: 2, 4, 100 and 30 000 values need 1, 2, 8 and 16 bits.
+    const V_SPANS: [i64; 4] = [2, 4, 100, 30_000];
     let mut grp = rng.gen_range(0..10i64);
     let mut name = rng.gen_range(0..5u32);
     for i in 0..rows {
@@ -236,10 +239,11 @@ fn random_db(seed: u64, rows: usize) -> Database {
         if rng.gen_range(0..2) == 0 {
             name = rng.gen_range(0..5);
         }
+        let span = V_SPANS[i / 32 % V_SPANS.len()];
         let v = match rng.gen_range(0..100) {
             0..=2 => Value::Null,
             3 => Value::Int(rng.gen_range(-50..50) * 1_000_003),
-            _ => Value::Int(rng.gen_range(-50..50)),
+            _ => Value::Int(rng.gen_range(-50..50) * span / 100),
         };
         let flag = match rng.gen_range(0..100) {
             0 => Value::Int(1),
@@ -439,18 +443,78 @@ fn layout_census(db: &Database, table: &str, col: &str, literal: i64) -> (Vec<&'
     (names, decides)
 }
 
+/// The lane widths a packed chunk-column takes.
+const PACKED_WIDTHS: [u32; 5] = [1, 2, 4, 8, 16];
+
+/// The widths of every packed chunk-column of `table`.
+fn packed_widths(db: &Database, table: &str) -> Vec<u32> {
+    let table = db.table(table).unwrap();
+    let chunks = table.columnar_chunks();
+    let mut widths: Vec<u32> = chunks
+        .chunks()
+        .iter()
+        .flat_map(|chunk| (0..table.schema().arity()).map(|i| chunk.column(i).data()))
+        .filter_map(|data| match data {
+            ColumnData::PackedInt(p) => Some(p.width()),
+            _ => None,
+        })
+        .collect();
+    widths.sort_unstable();
+    widths.dedup();
+    widths
+}
+
+/// Whether an index probe of `table` for the rows `probed` selects has a
+/// piece that starts off a lane boundary of a packed chunk of one of `cols`.
+/// A probe piece spans its chunk's first to last probed row, and the scan
+/// reads each column it filters or folds over that window: a start off a
+/// lane boundary is where the packed reader begins mid-word.
+fn probe_starts_off_lane(
+    db: &Database,
+    table: &str,
+    cols: &[String],
+    probed: impl Fn(&Row) -> bool,
+) -> bool {
+    let table = db.table(table).unwrap();
+    let rows: Vec<&Row> = table.rows().iter().collect();
+    let cols: Vec<usize> = cols
+        .iter()
+        .map(|c| table.schema().index_of(c).unwrap())
+        .collect();
+    table.columnar_chunks().chunks().iter().any(|chunk| {
+        let Some(first) = (chunk.start..chunk.end).position(|r| probed(rows[r])) else {
+            return false;
+        };
+        cols.iter().any(|&c| match chunk.column(c).data() {
+            ColumnData::PackedInt(p) => first % (64 / p.width() as usize) != 0,
+            _ => false,
+        })
+    })
+}
+
 /// The random fixture must reach every chunk layout, or the oracle
 /// comparisons above prove nothing about the kernels on it: plain and
 /// packed integers (one packed `k` chunk whose frame decides the query
 /// family's `k >= 10` without a lane compare), floats, a dictionary,
-/// booleans and mixed types.
+/// booleans and mixed types. Packed chunks come in every lane width, and
+/// the query family's sketch probe on `k` has a piece that starts off a
+/// lane boundary of a packed `v` chunk, which its `v > -10` conjunct reads.
 #[test]
 fn random_db_produces_encoded_chunks() {
-    let (names, decides) = layout_census(&random_db(0, 300), "r", "k", 10);
+    let db = random_db(0, 300);
+    let (names, decides) = layout_census(&db, "r", "k", 10);
     for layout in LAYOUTS {
         assert!(names.contains(&layout), "no {layout} chunk among {names:?}");
     }
     assert!(decides, "no packed `k` chunk whose frame decides `k >= 10`");
+    assert_eq!(packed_widths(&db, "r"), PACKED_WIDTHS);
+    let sketch = sketch_on_k(&[(10, 45), (90, 100), (150, 230)]);
+    let schema = db.table("r").unwrap().schema().clone();
+    let probed = |row: &Row| eval_predicate(&sketch, &schema, row).unwrap();
+    assert!(
+        probe_starts_off_lane(&db, "r", &["v".into()], probed),
+        "no probe piece starts off a lane boundary of a packed `v` chunk"
+    );
 }
 
 #[test]
@@ -889,7 +953,8 @@ fn capture_result_relation_matches_plain_execution() {
 /// and `kw` spans billions (plain chunks, hashed grouping). `s` (strings, a
 /// dictionary per chunk) and `b` (booleans) are keys the fused aggregate
 /// folds row by row. The aggregate inputs are `vi` (Int), `vf` (Float), `vm`
-/// (mixed Int / Float), `vr` (Int in runs) and `vn` (all NULL); every column
+/// (mixed Int / Float), `vr` (Int in runs, some of them wide) and `vn` (all
+/// NULL); every column
 /// but `k` and `vn` carries NULLs at a per-table rate. Some rows are then
 /// deleted, which leaves short chunks behind.
 fn grouping_db(rng: &mut StdRng) -> Database {
@@ -917,7 +982,9 @@ fn grouping_db(rng: &mut StdRng) -> Database {
         let key = rng.gen_range(0..4i64);
         let x = rng.gen_range(-40..40i64);
         if rng.gen_range(0..8) == 0 {
-            run = x;
+            // Every other stretch of 100 keys draws its runs 500 times
+            // wider, so `vr` packs 16 bits wide there.
+            run = if k / 100 % 2 == 1 { x * 500 } else { x };
         }
         if rng.gen_range(0..6) == 0 {
             key_run = rng.gen_range(0..50i64);
@@ -1118,12 +1185,15 @@ fn folds_columns(db: &Database, plan: &LogicalPlan) -> bool {
 /// folds on one integer key (direct-mapped when its span is narrow) and on
 /// hashed keys, the generic aggregate over a filter, duplicate elimination,
 /// tables with short chunks, and every chunk layout — with packed `k`
-/// chunks whose frame decides a `k` bound for the whole chunk.
+/// chunks whose frame decides a `k` bound for the whole chunk, packed chunks
+/// of every lane width, and fused index probes with a piece that starts off
+/// a lane boundary of a packed chunk the scan reads.
 #[test]
 fn grouping_generators_reach_every_source() {
     let (mut probes, mut zones, mut chunk_scans, mut generic) = (0, 0, 0, 0);
     let (mut int_key_folds, mut hashed_folds, mut distinct, mut short) = (0, 0, 0, 0);
     let (mut layouts, mut frame_decides) = (Vec::new(), 0);
+    let (mut widths, mut off_lane_probes) = (Vec::new(), 0);
     for seed in 0..128 {
         let mut rng = StdRng::seed_from_u64(seed);
         let db = grouping_db(&mut rng);
@@ -1132,6 +1202,7 @@ fn grouping_generators_reach_every_source() {
         let (names, decides) = layout_census(&db, "p", "k", -5);
         layouts.extend(names);
         frame_decides += usize::from(decides);
+        widths.extend(packed_widths(&db, "p"));
         let table = db.table("p").unwrap();
         let chunks = table.columnar_chunks();
         let inner = &chunks.chunks()[..chunks.chunks().len().saturating_sub(1)];
@@ -1144,8 +1215,30 @@ fn grouping_generators_reach_every_source() {
         match &plan {
             LogicalPlan::Distinct { .. } => distinct += 1,
             _ if indexed.agg_pushdown_blocks == 0 => generic += 1,
-            LogicalPlan::Aggregate { group_by, .. } => {
+            LogicalPlan::Aggregate {
+                group_by,
+                aggregates,
+                input,
+            } => {
                 probes += usize::from(indexed.index_scans > 0);
+                if let (true, LogicalPlan::Selection { predicate, .. }) =
+                    (indexed.index_scans > 0, &**input)
+                {
+                    // The `k` conjuncts drive the probe; the scan reads the
+                    // filter's, the keys' and the inputs' columns.
+                    let schema = table.schema();
+                    let on_k: Vec<&Expr> = predicate
+                        .conjuncts()
+                        .into_iter()
+                        .filter(|c| c.columns() == ["k"])
+                        .collect();
+                    let probed =
+                        |row: &Row| on_k.iter().all(|c| eval_predicate(c, schema, row).unwrap());
+                    let mut read = predicate.columns();
+                    read.extend(group_by.iter().cloned());
+                    read.extend(aggregates.iter().flat_map(|a| a.input.columns()));
+                    off_lane_probes += usize::from(probe_starts_off_lane(&db, "p", &read, probed));
+                }
                 zones += usize::from(indexed.blocks_total > 0);
                 chunk_scans += usize::from(columnar.agg_pushdown_blocks > 0);
                 if folds_columns(&db, &plan) {
@@ -1169,11 +1262,18 @@ fn grouping_generators_reach_every_source() {
         ("distincts", distinct),
         ("short chunks", short),
         ("packed chunks whose frame decides a bound", frame_decides),
+        ("index probes starting off a lane boundary", off_lane_probes),
     ] {
         assert!(n >= 3, "only {n} {what} in 128 generated cases");
     }
     for layout in LAYOUTS {
         assert!(layouts.contains(&layout), "no {layout} chunk in 128 tables");
+    }
+    for width in PACKED_WIDTHS {
+        assert!(
+            widths.contains(&width),
+            "no {width}-bit packed chunk in 128 tables"
+        );
     }
 }
 
