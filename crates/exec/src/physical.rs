@@ -31,7 +31,7 @@ use crate::eval::{eval_predicate, ExecError};
 use crate::profile::EngineProfile;
 use crate::scan::{extract_skip_ranges, InclusiveRange};
 use crate::stats::ExecStats;
-use crate::vector::{eval_filter_block_counted, SelBitmap};
+use crate::vector::{eval_filter_block_counted, int_window, SelBitmap};
 use pbds_algebra::{infer_type, AggExpr, AggFunc, Expr, LogicalPlan, SortKey};
 use pbds_storage::{
     Column, ColumnData, ColumnVector, ColumnarChunk, ColumnarChunks, DataType, Database, Relation,
@@ -2092,6 +2092,7 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
             inputs,
             gids: Vec::new(),
             cells: Vec::new(),
+            ints: Vec::new(),
         })
     }
 
@@ -2165,6 +2166,8 @@ struct ColumnFold {
     gids: Vec<u32>,
     /// The current piece's decoded key cells, one column after another.
     cells: Vec<Value>,
+    /// The integer window [`for_each_cell`] decodes a packed column into.
+    ints: Vec<i64>,
 }
 
 impl ColumnFold {
@@ -2181,7 +2184,7 @@ impl ColumnFold {
         if selected == 0 {
             return;
         }
-        let gids = &mut self.gids;
+        let (gids, ints) = (&mut self.gids, &mut self.ints);
         gids.clear();
         // Only inputs read cell by cell need each row's group.
         let per_row = self.inputs.iter().any(|i| matches!(i, Input::Cells(_)));
@@ -2192,7 +2195,7 @@ impl ColumnFold {
                 gids.resize(selected, g as u32);
             }
             GroupKeys::Direct { col, low, slots } => {
-                for_each_cell(chunk.column(*col), sel, base, |v| {
+                for_each_cell(chunk.column(*col), sel, base, ints, |v| {
                     let slot = match v {
                         Value::Int(i) => slots.get_mut(i.wrapping_sub(*low) as usize),
                         _ => None,
@@ -2216,7 +2219,7 @@ impl ColumnFold {
                 let cells = &mut self.cells;
                 cells.clear();
                 for &c in cols.iter() {
-                    for_each_cell(chunk.column(c), sel, base, |v| cells.push(v));
+                    for_each_cell(chunk.column(c), sel, base, ints, |v| cells.push(v));
                 }
                 // Row k's key is cell k of each column.
                 let mut key: Vec<usize> = (0..cols.len()).map(|w| w * selected).collect();
@@ -2235,7 +2238,7 @@ impl ColumnFold {
                 Input::Count => {}
                 Input::Cells(c) => {
                     let mut groups = gids.iter();
-                    for_each_cell(chunk.column(c), sel, base, |v| {
+                    for_each_cell(chunk.column(c), sel, base, ints, |v| {
                         let g = *groups.next().expect("one group per selected row") as usize;
                         if !v.is_null() {
                             acc.update(g, &v);
@@ -2249,9 +2252,17 @@ impl ColumnFold {
 
 /// Visit the cells `sel` selects from numeric chunk column `col`, over the
 /// window starting at chunk row `base`, in row order — NULL cells as
-/// [`Value::Null`].
+/// [`Value::Null`]. An integer window is read as plain `i64`s, a packed one
+/// decoded into `ints` once ([`int_window`]); a NULL cell's placeholder (0,
+/// or a packed frame's base) is decoded with the rest but never visited.
 #[inline]
-fn for_each_cell(col: &ColumnVector, sel: &SelBitmap, base: usize, mut f: impl FnMut(Value)) {
+fn for_each_cell(
+    col: &ColumnVector,
+    sel: &SelBitmap,
+    base: usize,
+    ints: &mut Vec<i64>,
+    mut f: impl FnMut(Value),
+) {
     #[inline(always)]
     fn visit(
         col: &ColumnVector,
@@ -2261,14 +2272,18 @@ fn for_each_cell(col: &ColumnVector, sel: &SelBitmap, base: usize, mut f: impl F
         f: &mut impl FnMut(Value),
     ) {
         for j in sel.iter_ones() {
-            let i = base + j;
-            f(if col.is_null(i) { Value::Null } else { cell(i) });
+            f(if col.is_null(base + j) {
+                Value::Null
+            } else {
+                cell(j)
+            });
         }
     }
-    match col.data() {
-        ColumnData::Int(xs) => visit(col, sel, base, |i| Value::Int(xs[i]), &mut f),
-        ColumnData::PackedInt(p) => visit(col, sel, base, |i| Value::Int(p.get(i)), &mut f),
-        ColumnData::Float(xs) => visit(col, sel, base, |i| Value::Float(xs[i]), &mut f),
+    match (col.data(), int_window(col, base, sel.len(), ints)) {
+        (_, Some(xs)) => visit(col, sel, base, |j| Value::Int(xs[j]), &mut f),
+        (ColumnData::Float(xs), None) => {
+            visit(col, sel, base, |j| Value::Float(xs[base + j]), &mut f)
+        }
         _ => unreachable!("the column-at-a-time fold reads numeric columns only"),
     }
 }
@@ -2972,6 +2987,7 @@ mod tests {
             inputs: vec![Input::Cells(1), Input::Cells(1)],
             gids: Vec::new(),
             cells: Vec::new(),
+            ints: Vec::new(),
         };
         let chunk = &chunks.chunks()[0];
         // Two pieces, so groups are found again in the second.

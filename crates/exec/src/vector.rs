@@ -17,11 +17,17 @@
 //!
 //! ## Kernels on packed data
 //!
-//! Frame-of-reference packed columns ([`ColumnData::PackedInt`]) compare the
-//! unpacked lane against an `Int` literal in a tight loop. When the frame
-//! `[base, base + 2^width - 1]` lies wholly on one side of the literal, one
-//! ordering decides every row: the window is filled at once and its NULL
+//! The integer kernels read a window of plain `i64`s whatever the layout: a
+//! plain column's own cells, or a frame-of-reference packed column's
+//! ([`ColumnData::PackedInt`]) lanes, decoded once per kernel call a whole
+//! word at a time ([`PackedInts::unpack_into`]). Before decoding, a
+//! comparison with an `Int` literal checks the packed frame
+//! ([`PackedInts::frame`]): when it lies wholly on one side of the literal,
+//! one ordering decides every row, the window is filled at once and its NULL
 //! rows cleared with one masked pass over the null bitmap.
+//!
+//! [`PackedInts::unpack_into`]: pbds_storage::PackedInts::unpack_into
+//! [`PackedInts::frame`]: pbds_storage::PackedInts::frame
 //!
 //! [`eval_filter_block_counted`] is the same evaluation with `ExecStats`
 //! attribution: it counts blocks that carried at least one packed column and
@@ -384,8 +390,9 @@ fn cmp_str_value(s: &str, v: &Value) -> Ordering {
     }
 }
 
-/// Compare the non-null cell at chunk-relative index `i` against `v`, with
-/// exactly [`Value::cmp`]'s total-order semantics.
+/// Compare the cell at chunk-relative index `i` against `v`, with exactly
+/// [`Value::cmp`]'s total-order semantics. A NULL cell compares its layout's
+/// placeholder; callers mask it with the null bitmap.
 #[inline]
 fn cmp_cell(col: &ColumnVector, i: usize, v: &Value) -> Ordering {
     match col.data() {
@@ -405,31 +412,53 @@ fn null_window(col: &ColumnVector, base: usize, n: usize) -> Option<SelBitmap> {
     Some(SelBitmap::window(col.null_words()?, base, n))
 }
 
-/// Clear NULL-row bits from both truth bitmaps (a NULL comparison is neither
-/// true nor false). The frame shortcut fills the whole window first — NULL
-/// rows included — and fixes up here with one word-wise pass.
-fn clear_null_bits(
-    col: &ColumnVector,
-    base: usize,
-    n: usize,
-    truth: &mut SelBitmap,
-    falsity: &mut SelBitmap,
-) {
-    if let Some(nw) = null_window(col, base, n) {
-        for ((t, f), w) in truth
-            .words
-            .iter_mut()
-            .zip(falsity.words.iter_mut())
-            .zip(&nw.words)
-        {
-            *t &= !w;
-            *f &= !w;
+/// Clear the bits of `bits`, a window from chunk row `base` on, whose row
+/// holds NULL in `col`: one word-wise pass over the null bitmap.
+fn clear_nulls(col: &ColumnVector, base: usize, bits: &mut SelBitmap) {
+    if let Some(nw) = null_window(col, base, bits.len()) {
+        for (b, w) in bits.words.iter_mut().zip(&nw.words) {
+            *b &= !w;
         }
     }
 }
 
+/// The bitmap of the `n` cells of a window for which `holds(j)` is true,
+/// built a word at a time: 64 cells ORed in without a branch.
+fn bits_where(n: usize, holds: impl Fn(usize) -> bool) -> SelBitmap {
+    let mut bits = SelBitmap::zeros(n);
+    for (w, word) in bits.words.iter_mut().enumerate() {
+        let lo = 64 * w;
+        let hi = (lo + 64).min(n);
+        *word = (lo..hi).fold(0u64, |acc, j| acc | u64::from(holds(j)) << (j - lo));
+    }
+    bits
+}
+
+/// The cells of integer column `col` over the chunk-relative window
+/// `[base, base + n)` as a plain slice: a plain column's own cells, a packed
+/// column's lanes decoded into `scratch` at once. `None` for any other
+/// layout. A NULL cell reads as its layout's placeholder (0, or a packed
+/// frame's base); the null bitmap decides.
+pub(crate) fn int_window<'a>(
+    col: &'a ColumnVector,
+    base: usize,
+    n: usize,
+    scratch: &'a mut Vec<i64>,
+) -> Option<&'a [i64]> {
+    match col.data() {
+        ColumnData::Int(xs) => Some(&xs[base..base + n]),
+        ColumnData::PackedInt(p) => {
+            p.unpack_into(base, n, scratch);
+            Some(scratch)
+        }
+        _ => None,
+    }
+}
+
 /// `column <op> literal` over `[lo, hi)`. NULL cells (and a NULL literal) are
-/// neither true nor false, matching the interpreter's three-valued compare.
+/// neither true nor false, matching the interpreter's three-valued compare:
+/// every cell is compared, its placeholder too when NULL, and the NULL rows
+/// are cleared from both bitmaps afterwards.
 fn cmp_kernel(
     chunk: &ColumnarChunk,
     c: usize,
@@ -439,58 +468,31 @@ fn cmp_kernel(
     lit: &Value,
 ) -> (SelBitmap, SelBitmap) {
     let n = hi - lo;
-    let mut truth = SelBitmap::zeros(n);
-    let mut falsity = SelBitmap::zeros(n);
     if lit.is_null() {
-        return (truth, falsity);
+        return (SelBitmap::zeros(n), SelBitmap::zeros(n));
     }
     let col = chunk.column(c);
     let base = lo - chunk.start;
-    match (col.data(), lit) {
-        // Hot path: pure i64 comparison, no `Value` in the loop.
-        (ColumnData::Int(xs), Value::Int(l)) => {
-            for j in 0..n {
-                if !col.is_null(base + j) {
-                    if cmp_holds(op, xs[base + j].cmp(l)) {
-                        truth.set(j);
-                    } else {
-                        falsity.set(j);
-                    }
-                }
-            }
-        }
-        // Packed integers against an `Int` literal. The frame-of-reference
-        // header bounds every stored value to `[base, base + 2^width - 1]`,
-        // so a literal outside that window decides the whole chunk with one
-        // ordering — the common case for selective point/range predicates
-        // over clustered columns. Otherwise: unpack-and-compare in a tight
-        // lane loop, still no `Value` materialization.
-        (ColumnData::PackedInt(p), Value::Int(l)) => {
-            let span = (1i64 << p.width().min(62)) - 1;
-            let decided = if p.base().saturating_add(span) < *l {
-                Some(Ordering::Less)
-            } else if p.base() > *l {
-                Some(Ordering::Greater)
-            } else {
-                None
+    let mut truth = match (col.data(), lit) {
+        // Integers against an `Int` literal. A packed column's frame of
+        // reference bounds every stored value, so a literal outside the
+        // frame decides the whole window with one ordering — the common case
+        // for selective point/range predicates over clustered columns.
+        // Otherwise the window's cells are compared as plain `i64`s, no
+        // `Value` in the loop.
+        (ColumnData::Int(_) | ColumnData::PackedInt(_), Value::Int(l)) => {
+            let decided = match col.data() {
+                ColumnData::PackedInt(p) if p.frame().1 < *l => Some(Ordering::Less),
+                ColumnData::PackedInt(p) if p.frame().0 > *l => Some(Ordering::Greater),
+                _ => None,
             };
-            if let Some(ord) = decided {
-                let dst = if cmp_holds(op, ord) {
-                    &mut truth
-                } else {
-                    &mut falsity
-                };
-                dst.set_range(0, n);
-                clear_null_bits(col, base, n, &mut truth, &mut falsity);
-                return (truth, falsity);
-            }
-            for j in 0..n {
-                if !col.is_null(base + j) {
-                    if cmp_holds(op, p.get(base + j).cmp(l)) {
-                        truth.set(j);
-                    } else {
-                        falsity.set(j);
-                    }
+            match decided {
+                Some(ord) if cmp_holds(op, ord) => SelBitmap::ones(n),
+                Some(_) => SelBitmap::zeros(n),
+                None => {
+                    let mut ints = Vec::new();
+                    let xs = int_window(col, base, n, &mut ints).expect("an integer layout");
+                    bits_where(n, |j| cmp_holds(op, xs[j].cmp(l)))
                 }
             }
         }
@@ -499,12 +501,9 @@ fn cmp_kernel(
         (ColumnData::Dict { dict, codes }, Value::Str(s)) => {
             let lb = dict.partition_point(|d| d.as_str() < s.as_str()) as u32;
             let exact = dict.get(lb as usize).is_some_and(|d| d == s);
-            for j in 0..n {
-                if col.is_null(base + j) {
-                    continue;
-                }
+            bits_where(n, |j| {
                 let code = codes[base + j];
-                let holds = match op {
+                match op {
                     BinOp::Eq => exact && code == lb,
                     BinOp::Ne => !(exact && code == lb),
                     BinOp::Lt => code < lb,
@@ -512,32 +511,22 @@ fn cmp_kernel(
                     BinOp::Gt => code >= lb + exact as u32,
                     BinOp::Ge => code >= lb,
                     _ => unreachable!("comparison operator"),
-                };
-                if holds {
-                    truth.set(j);
-                } else {
-                    falsity.set(j);
                 }
-            }
+            })
         }
-        _ => {
-            for j in 0..n {
-                if !col.is_null(base + j) {
-                    if cmp_holds(op, cmp_cell(col, base + j, lit)) {
-                        truth.set(j);
-                    } else {
-                        falsity.set(j);
-                    }
-                }
-            }
-        }
-    }
+        _ => bits_where(n, |j| cmp_holds(op, cmp_cell(col, base + j, lit))),
+    };
+    let mut falsity = truth.negated();
+    clear_nulls(col, base, &mut truth);
+    clear_nulls(col, base, &mut falsity);
     (truth, falsity)
 }
 
 /// Sketch range membership over `[lo, hi)`; NULL cells are known-false, like
 /// the interpreter's `InRanges`. Integer layouts test their cells with
-/// [`CompiledRanges::contains_int`].
+/// [`CompiledRanges::contains_int`]. A NULL cell's placeholder is tested too
+/// — 0 in a plain column, the frame base in a packed one — and its bit
+/// cleared afterwards.
 fn ranges_kernel(
     chunk: &ColumnarChunk,
     c: usize,
@@ -548,36 +537,14 @@ fn ranges_kernel(
     let n = hi - lo;
     let col = chunk.column(c);
     let base = lo - chunk.start;
-    match col.data() {
-        ColumnData::Int(xs) => member_rows(col, base, n, |i| ranges.contains_int(xs[i])),
-        ColumnData::PackedInt(p) => member_rows(col, base, n, |i| ranges.contains_int(p.get(i))),
-        _ => member_rows(col, base, n, |i| {
-            ranges.contains_by(|b| cmp_cell(col, i, b).is_gt())
+    let mut ints = Vec::new();
+    let mut truth = match int_window(col, base, n, &mut ints) {
+        Some(xs) => bits_where(n, |j| ranges.contains_int(xs[j])),
+        None => bits_where(n, |j| {
+            ranges.contains_by(|b| cmp_cell(col, base + j, b).is_gt())
         }),
-    }
-}
-
-/// Per-row membership over the chunk-relative window `[base, base + n)`:
-/// `member(i)` decides each cell, NULL cells are known-false. The truth
-/// bits are built a word at a time, 64 cells ORed in without a branch; a
-/// NULL cell's placeholder is asked too, and its bit cleared afterwards.
-fn member_rows(
-    col: &ColumnVector,
-    base: usize,
-    n: usize,
-    member: impl Fn(usize) -> bool,
-) -> (SelBitmap, SelBitmap) {
-    let mut truth = SelBitmap::zeros(n);
-    for (w, word) in truth.words.iter_mut().enumerate() {
-        let lo = base + 64 * w;
-        let hi = (lo + 64).min(base + n);
-        *word = (lo..hi).fold(0u64, |acc, i| acc | u64::from(member(i)) << (i - lo));
-    }
-    if let Some(nw) = null_window(col, base, n) {
-        for (t, w) in truth.words.iter_mut().zip(&nw.words) {
-            *t &= !w;
-        }
-    }
+    };
+    clear_nulls(col, base, &mut truth);
     let falsity = truth.negated();
     (truth, falsity)
 }

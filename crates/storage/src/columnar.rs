@@ -22,6 +22,14 @@
 //! `i64` vector. The choice is a deterministic function of the chunk's rows,
 //! so a chunk encodes the same wherever and whenever it is encoded, and
 //! `Mixed` semantics are untouched.
+//!
+//! Readers take a packed column two ways. [`PackedInts::get`] reads one
+//! lane with a shift and a mask, for the occasional cell.
+//! [`PackedInts::unpack_into`] decodes a window of rows into a plain `i64`
+//! buffer, whole words at a time with shifts fixed per width: the scan
+//! kernels and the column fold decode each window once and then read a
+//! slice, as they do a plain `Int` column. A NULL cell decodes as the frame
+//! base, the placeholder the null bitmap masks.
 
 use crate::relation::Row;
 use crate::schema::Schema;
@@ -88,6 +96,12 @@ impl PackedInts {
         &self.words
     }
 
+    /// The inclusive range of values the lanes can hold:
+    /// `[base, base + 2^width - 1]`, the top clamped to `i64::MAX`.
+    pub fn frame(&self) -> (i64, i64) {
+        (self.base, self.base.saturating_add((1 << self.width) - 1))
+    }
+
     /// The value at row `i` (chunk-relative). A lane starts at bit
     /// `i * width` and never crosses a word, so the word is that bit over 64
     /// and the shift that bit mod 64: a shift and a mask, no division.
@@ -96,6 +110,53 @@ impl PackedInts {
         let bit = i * self.width as usize;
         let mask = (1u64 << self.width) - 1;
         self.base + ((self.words[bit >> 6] >> (bit & 63)) & mask) as i64
+    }
+
+    /// Decode the `n` values from row `lo` on into `out`, replacing its
+    /// contents. The loop is compiled once per width, so every shift is a
+    /// constant: whole words decode `64 / width` lanes at a time, and only a
+    /// window that starts or ends mid-word reads its partial words lane by
+    /// lane.
+    pub fn unpack_into(&self, lo: usize, n: usize, out: &mut Vec<i64>) {
+        assert!(lo + n <= self.len, "window past the packed values");
+        out.clear();
+        out.resize(n, 0);
+        // One copy per width, named by its lanes per word.
+        match self.width {
+            1 => self.unpack::<64>(lo, out),
+            2 => self.unpack::<32>(lo, out),
+            4 => self.unpack::<16>(lo, out),
+            8 => self.unpack::<8>(lo, out),
+            16 => self.unpack::<4>(lo, out),
+            w => unreachable!("packed width {w}"),
+        }
+    }
+
+    /// [`PackedInts::unpack_into`] at `LANES` lanes of `64 / LANES` bits a
+    /// word.
+    #[inline(always)]
+    fn unpack<const LANES: usize>(&self, lo: usize, out: &mut [i64]) {
+        let width = 64 / LANES;
+        let mask = (1u64 << width) - 1;
+        let lane =
+            |i: usize| self.base + ((self.words[i / LANES] >> (i % LANES * width)) & mask) as i64;
+        // Lane by lane up to the first word boundary, then whole words, then
+        // lane by lane after the last whole word.
+        let head = (lo.next_multiple_of(LANES) - lo).min(out.len());
+        let (head_out, rest) = out.split_at_mut(head);
+        for (o, i) in head_out.iter_mut().zip(lo..) {
+            *o = lane(i);
+        }
+        let (body, tail) = rest.as_chunks_mut::<LANES>();
+        for (o, &word) in body.iter_mut().zip(&self.words[(lo + head) / LANES..]) {
+            for (k, x) in o.iter_mut().enumerate() {
+                *x = self.base + ((word >> (k * width)) & mask) as i64;
+            }
+        }
+        let tail_lo = lo + head + body.len() * LANES;
+        for (o, i) in tail.iter_mut().zip(tail_lo..) {
+            *o = lane(i);
+        }
     }
 
     /// Approximate heap footprint in bytes.
@@ -671,30 +732,43 @@ mod tests {
 
     #[test]
     fn packed_ints_round_trip_every_width() {
+        let mut out = vec![42];
         for width in [1u32, 2, 4, 8, 16] {
             let lanes = 64 / width as usize;
             let top = (1i64 << width) - 1;
             // Two full words, then a partial last word.
             for len in [1, lanes - 1, lanes, 2 * lanes, 2 * lanes + 3] {
-                let base = -7;
-                let mut vals: Vec<i64> = (0..len as i64)
-                    .map(|i| base + (i * 5 + 3) % (top + 1))
-                    .collect();
-                // Every word's last lane holds the widest delta.
-                for w in (lanes - 1..len).step_by(lanes) {
-                    vals[w] = base + top;
+                // Frames at either end of `i64` too: no lane may overflow.
+                for base in [-7, i64::MIN, i64::MAX - top] {
+                    let mut vals: Vec<i64> = (0..len as i64)
+                        .map(|i| base + (i * 5 + 3) % (top + 1))
+                        .collect();
+                    // Every word's last lane holds the widest delta.
+                    for w in (lanes - 1..len).step_by(lanes) {
+                        vals[w] = base + top;
+                    }
+                    vals[len - 1] = base + top;
+                    let p = PackedInts::pack(vals.iter().copied(), base, width);
+                    let what = format!("width {width}, len {len}, base {base}");
+                    assert_eq!(p.words().len(), len.div_ceil(lanes), "{what}");
+                    assert_eq!(p.frame(), (base, base + top), "{what}");
+                    let back: Vec<i64> = (0..len).map(|i| p.get(i)).collect();
+                    assert_eq!(back, vals, "{what}");
+                    // Every window from each start in the first two words:
+                    // empty ones, ones within a word, ones that start or end
+                    // mid-word and ones that run to the last value.
+                    for lo in 0..(2 * lanes).min(len + 1) {
+                        for hi in lo..=len {
+                            p.unpack_into(lo, hi - lo, &mut out);
+                            assert_eq!(out, vals[lo..hi], "{what}, window {lo}..{hi}");
+                        }
+                    }
                 }
-                vals[len - 1] = base + top;
-                let p = PackedInts::pack(vals.iter().copied(), base, width);
-                assert_eq!(
-                    p.words().len(),
-                    len.div_ceil(lanes),
-                    "width {width}, len {len}"
-                );
-                let back: Vec<i64> = (0..len).map(|i| p.get(i)).collect();
-                assert_eq!(back, vals, "width {width}, len {len}");
             }
         }
+        // A frame whose top passes `i64::MAX` is clamped to it.
+        let p = PackedInts::pack([i64::MAX - 1].into_iter(), i64::MAX - 1, 4);
+        assert_eq!(p.frame(), (i64::MAX - 1, i64::MAX));
     }
 
     #[test]

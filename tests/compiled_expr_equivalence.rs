@@ -231,7 +231,7 @@ fn runny_rows_actually_encode() {
                 layouts.push(data.encoding_name());
                 if let ColumnData::PackedInt(p) = data {
                     // Literals are drawn from -30..30: one below the frame.
-                    frame_decides |= -30 < p.base();
+                    frame_decides |= -30 < p.frame().0;
                     widths.push(p.width());
                     off_lane |= lo % (64 / p.width() as usize) != 0;
                 }

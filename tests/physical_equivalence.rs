@@ -418,7 +418,7 @@ const LAYOUTS: [&str; 6] = ["int", "packed-int", "float", "dict", "bool", "mixed
 /// The layout names of every chunk-column of `table`, and whether some
 /// packed chunk of column `col` has a frame of reference that decides the
 /// comparison with `literal` for the whole chunk (the literal lies outside
-/// `[base, base + 2^width - 1]`).
+/// [`PackedInts::frame`](pbds_storage::PackedInts::frame)).
 fn layout_census(db: &Database, table: &str, col: &str, literal: i64) -> (Vec<&'static str>, bool) {
     let table = db.table(table).unwrap();
     let c = table.schema().index_of(col).unwrap();
@@ -436,7 +436,8 @@ fn layout_census(db: &Database, table: &str, col: &str, literal: i64) -> (Vec<&'
         .iter()
         .any(|chunk| match chunk.column(c).data() {
             ColumnData::PackedInt(p) => {
-                literal < p.base() || literal > p.base() + (1i64 << p.width()) - 1
+                let (min, max) = p.frame();
+                literal < min || literal > max
             }
             _ => false,
         });
