@@ -696,6 +696,26 @@ mod tests {
     }
 
     #[test]
+    fn untracked_guards_are_the_size_of_std_guards() {
+        use std::mem::size_of;
+        if tracking_enabled() {
+            return;
+        }
+        assert_eq!(
+            size_of::<MutexGuard<'_, u64>>(),
+            size_of::<std::sync::MutexGuard<'_, u64>>()
+        );
+        assert_eq!(
+            size_of::<RwLockReadGuard<'_, u64>>(),
+            size_of::<std::sync::RwLockReadGuard<'_, u64>>()
+        );
+        assert_eq!(
+            size_of::<RwLockWriteGuard<'_, u64>>(),
+            size_of::<std::sync::RwLockWriteGuard<'_, u64>>()
+        );
+    }
+
+    #[test]
     fn consistent_order_never_panics() {
         if !tracking_enabled() {
             return;

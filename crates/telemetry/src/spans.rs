@@ -213,6 +213,13 @@ mod tests {
     }
 
     #[test]
+    fn disarmed_span_guard_is_zero_sized() {
+        if !ARMED {
+            assert_eq!(std::mem::size_of::<SpanGuard>(), 0);
+        }
+    }
+
+    #[test]
     fn nested_spans_close_inner_first() {
         let _ = take_thread_events();
         {

@@ -14,6 +14,17 @@ use std::sync::{Arc, Barrier};
 
 use pbds::sync::{tracking_enabled, TrackedMutex};
 
+/// Tracking is on exactly in debug builds and under `--features lock-order`.
+/// The other tests here skip themselves when it is off, so without this
+/// check a feature that stopped arming tracking would still pass them.
+#[test]
+fn tracking_follows_the_build_configuration() {
+    assert_eq!(
+        tracking_enabled(),
+        cfg!(any(debug_assertions, feature = "lock-order"))
+    );
+}
+
 /// The classic ABBA deadlock, forced deterministically with a barrier:
 /// thread 1 establishes the order A → B and only then (barrier) does
 /// thread 2 attempt B → A. The checker panics at thread 2's second

@@ -260,6 +260,17 @@ fn snapshots_are_monotone_and_mergeable() {
     );
 }
 
+/// The tracer is armed exactly in debug builds and under `--features
+/// telemetry`, so the journal test below takes the branch its build
+/// promises.
+#[test]
+fn spans_follow_the_build_configuration() {
+    assert_eq!(
+        spans_enabled(),
+        cfg!(any(debug_assertions, feature = "telemetry"))
+    );
+}
+
 /// When the span tracer is armed (debug builds or `--features telemetry`),
 /// serving a stream leaves query-lifecycle spans in the journal; in plain
 /// release builds the tracer reports disabled and records nothing.
