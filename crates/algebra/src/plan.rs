@@ -24,14 +24,6 @@ pub enum AggFunc {
     Max,
 }
 
-impl AggFunc {
-    /// Monotone aggregation functions grow (or stay equal) when rows are
-    /// added to a group — the distinction the safety rules of Fig. 3 rely on.
-    pub fn is_monotone_under_insertion(&self) -> bool {
-        matches!(self, AggFunc::Count | AggFunc::Max)
-    }
-}
-
 impl fmt::Display for AggFunc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

@@ -1,6 +1,6 @@
 //! Prints the reproduction of every table and figure of the PBDS evaluation.
 //!
-//! Usage: `paper-figures [all|example|fig9|fig10|fig11|fig12|fig13|fig14|checks] [--quick]`
+//! Usage: `paper_figures [all|example|fig9|fig10|fig11|fig12|fig13|fig14|checks] [--quick]`
 
 use pbds_bench::{datasets, figs};
 use pbds_exec::EngineProfile;

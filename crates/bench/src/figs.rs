@@ -1,18 +1,17 @@
 //! Reproduction of every table and figure of the paper's evaluation
 //! (Sec. 9). Each function returns a formatted report that the
-//! `paper-figures` binary prints; `EXPERIMENTS.md` records a captured run.
+//! `paper_figures` binary prints.
 
 use crate::datasets;
 use crate::harness::{
-    build_partition, capture_sketch_for, fmt_ms, fmt_pct, measure_query, median_time, TablePrinter,
+    capture_sketch_for, fmt_ms, fmt_pct, measure_query, median_time, TablePrinter,
 };
 use pbds_core::{
     cumulative_elapsed, Action, EngineProfile, Pbds, ReuseChecker, SafetyChecker, ServerConfig,
     Strategy, UsePredicateStyle,
 };
-use pbds_provenance::{capture_sketches, Annotation, CaptureConfig, LookupMethod, MergeStrategy};
+use pbds_provenance::{capture_sketches, Annotation, CaptureConfig, MergeStrategy};
 use pbds_storage::{Partition, PartitionRef, RangePartition, Value};
-use pbds_telemetry::clock;
 use pbds_workloads::{crimes, movies, normal, sof, tpch, BenchQuery};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -521,8 +520,8 @@ pub fn fig13_crimes(queries: usize) -> String {
     )
 }
 
-/// Fig. 13c–13h: Stack Overflow end-to-end workload with the adaptive
-/// strategy, sweeping parameter spread (SDV) and selectivity.
+/// Fig. 13c–13h: Stack Overflow end-to-end workload with the eager and
+/// adaptive strategies, sweeping parameter spread (SDV) and selectivity.
 pub fn fig13_sof(queries: usize) -> String {
     let db = datasets::sof_small_db();
     let templates = sof::end_to_end_templates();
@@ -544,6 +543,12 @@ pub fn fig13_sof(queries: usize) -> String {
             },
             &[
                 ("No-PS", Strategy::NoPbds),
+                (
+                    "eager",
+                    Strategy::Eager {
+                        selectivity_threshold: 0.75,
+                    },
+                ),
                 (
                     "adaptive",
                     Strategy::Adaptive {
@@ -568,7 +573,9 @@ pub fn fig13_sof(queries: usize) -> String {
 // ---------------------------------------------------------------------------
 
 /// The overhead of the safety and reuse checks themselves (the paper reports
-/// ~20 ms per check with Z3; our special-purpose solver is much faster).
+/// ~20 ms per check with Z3; our special-purpose solver is much faster): both
+/// checks for the Stack Overflow end-to-end templates, and the safety check
+/// for the TPC-H joins Q3 and Q18.
 pub fn check_overhead(runs: usize) -> String {
     let db = datasets::sof_small_db();
     let templates = sof::end_to_end_templates();
@@ -589,6 +596,21 @@ pub fn check_overhead(runs: usize) -> String {
             fmt_ms(reuse_time),
         ]);
     }
+    let tpch_db = datasets::tpch(datasets::TpchScale::Small);
+    let checker = SafetyChecker::new(&tpch_db);
+    for query in tpch::queries()
+        .into_iter()
+        .filter(|q| ["Q3", "Q18"].contains(&q.name.as_str()))
+    {
+        let plan = query.template.plan();
+        let attrs = checker.candidate_attributes(plan);
+        let safety = median_time(runs, || checker.check(plan, &attrs).safe);
+        out.row(vec![
+            format!("TPC-H {}", query.name),
+            fmt_ms(safety),
+            "-".to_string(),
+        ]);
+    }
     format!(
         "Sec. 9.5 — safety and reuse check overhead (paper: ~20 ms per check)\n{}",
         out.render()
@@ -596,7 +618,7 @@ pub fn check_overhead(runs: usize) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Running example (sanity figure used in EXPERIMENTS.md)
+// Running example (Fig. 1)
 // ---------------------------------------------------------------------------
 
 /// The paper's running example (Fig. 1): capture the sketch of Q2 on the
@@ -669,47 +691,6 @@ pub fn running_example() -> String {
     )
 }
 
-// ---------------------------------------------------------------------------
-// Capture lookup micro-measurement used by the fig12 criterion bench
-// ---------------------------------------------------------------------------
-
-/// Capture a sketch for a crimes query with an explicit lookup method,
-/// returning the elapsed time (used by the Criterion benches).
-pub fn capture_with_lookup(lookup: LookupMethod, fragments: usize) -> Duration {
-    let db = datasets::crimes_small_db();
-    let pbds = Pbds::new(db);
-    let query = &crimes::queries()[0];
-    let plan = query.default_plan();
-    let partition = {
-        let table = pbds.db().table("crimes").expect("crimes");
-        let values = table.column_values("id").expect("id");
-        Arc::new(Partition::Range(
-            RangePartition::equi_depth("crimes", "id", &values, fragments).expect("partition"),
-        ))
-    };
-    let config = CaptureConfig {
-        lookup,
-        ..CaptureConfig::optimized()
-    };
-    let start = clock::Stopwatch::start();
-    let _ = pbds
-        .capture_with_config(&plan, &[partition], &config)
-        .expect("capture");
-    start.elapsed()
-}
-
-/// Build the partition used by `fig9`-style selectivity checks in tests.
-pub fn tpch_partition_for(
-    query_name: &str,
-    fragments: usize,
-) -> Option<(Pbds, BenchQuery, PartitionRef)> {
-    let db = datasets::tpch(datasets::TpchScale::Small);
-    let pbds = Pbds::new(db);
-    let query = tpch::queries().into_iter().find(|q| q.name == query_name)?;
-    let partition = build_partition(&pbds, &query.sketch, fragments).ok()?;
-    Some((pbds, query, partition))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -729,6 +710,13 @@ mod tests {
         assert!(a.lines().count() > 8);
         let b = fig12b(1);
         assert!(b.contains("delay"));
+    }
+
+    #[test]
+    fn check_overhead_times_the_tpch_safety_checks() {
+        let report = check_overhead(1);
+        assert!(report.contains("TPC-H Q3"), "{report}");
+        assert!(report.contains("TPC-H Q18"), "{report}");
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Measurement helpers shared by the Criterion benches and the
-//! `paper-figures` binary.
+//! Measurement helpers of the `paper_figures` binary.
 
 use pbds_algebra::LogicalPlan;
 use pbds_core::{Pbds, PbdsError, UsePredicateStyle};

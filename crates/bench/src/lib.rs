@@ -1,15 +1,12 @@
 //! # pbds-bench
 //!
-//! The benchmark harness reproducing every table and figure of the PBDS
-//! evaluation (Sec. 9 of the paper). The `paper-figures` binary prints each
-//! experiment as a text table; the Criterion benches under `benches/` measure
-//! the same code paths with statistical rigour.
-//!
-//! Run everything with:
+//! The harness reproducing every table and figure of the PBDS evaluation
+//! (Sec. 9 of the paper). The `paper_figures` binary is the one driver: it
+//! prints each experiment as a text table.
 //!
 //! ```text
-//! cargo run -p pbds-bench --release --bin paper-figures -- all
-//! cargo bench -p pbds-bench
+//! cargo run -p pbds-bench --release --bin paper_figures -- all
+//! cargo run -p pbds-bench --release --bin paper_figures -- fig13 --quick
 //! ```
 
 #![warn(missing_docs)]

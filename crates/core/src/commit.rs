@@ -131,7 +131,7 @@ pub(super) fn commit_loop(shared: &ServerShared, rx: &Receiver<WriteRequest>) {
         // The blocking recv is the ingest wait: how long the commit thread
         // sat idle before the next write arrived.
         let first = {
-            let _s = span!("write.ingest_wait");
+            let _s = span("write.ingest_wait");
             rx.recv()
         };
         let Ok(first) = first else {
@@ -184,7 +184,7 @@ pub(super) fn commit_loop(shared: &ServerShared, rx: &Receiver<WriteRequest>) {
 /// rest of the batch commits. A WAL failure fails the whole batch and
 /// nothing becomes visible.
 fn commit_batch(shared: &ServerShared, batch: Vec<WriteRequest>) {
-    let _batch_span = span!("write.commit_batch");
+    let _batch_span = span("write.commit_batch");
     let _serialized = shared.serialize_mutations();
     shared.take_injected_panic(PanicSite::Commit);
     // Re-check health under the mutation lock: submissions that raced the
@@ -369,7 +369,7 @@ fn commit_batch(shared: &ServerShared, batch: Vec<WriteRequest>) {
             .map(|(i, bytes)| (base + i as u64, bytes))
             .collect();
         let appended = {
-            let _s = span!("write.wal_append_fsync");
+            let _s = span("write.wal_append_fsync");
             let sw = clock::Stopwatch::start();
             let result = p.wal.append_batch(&records).map_err(PbdsError::from);
             shared
@@ -442,10 +442,10 @@ fn commit_batch(shared: &ServerShared, batch: Vec<WriteRequest>) {
         .count();
     if !deltas.is_empty() {
         {
-            let _s = span!("write.catalog_delta");
+            let _s = span("write.catalog_delta");
             shared.catalog.apply_deltas(&db, &deltas);
         }
-        let _s = span!("write.snapshot_swap");
+        let _s = span("write.snapshot_swap");
         *shared.db.write() = Arc::new(db);
     }
     if committed > 0 {

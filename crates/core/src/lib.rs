@@ -90,7 +90,7 @@ pub use pbds_sync as sync;
 // The unified telemetry layer: `PbdsServer::metrics_snapshot` /
 // `SketchCatalog::metrics_snapshot` return `MetricsSnapshot`s — the one read
 // path for every counter, including the `pbds_lock_*` hold gauges — and span
-// guards from `pbds_telemetry::span!` cover the query and write paths.
+// guards from `pbds_telemetry::span` cover the query and write paths.
 pub use pbds_telemetry as telemetry;
 pub use pbds_telemetry::{HistogramSnapshot, MetricsSnapshot};
 

@@ -1137,7 +1137,7 @@ impl PbdsSession<'_> {
         template: &QueryTemplate,
         binding: &[Value],
     ) -> Result<ServedQuery, PbdsError> {
-        let _query_span = span!("query.serve");
+        let _query_span = span("query.serve");
         let sw = clock::Stopwatch::start();
         let result = self.serve_inner(template, binding);
         if let Ok(served) = &result {
@@ -1163,7 +1163,7 @@ impl PbdsSession<'_> {
         let shared = &self.server.shared;
         // Admission: fail-safe gate plus the per-query snapshot.
         let db = {
-            let _s = span!("query.admit");
+            let _s = span("query.admit");
             shared.take_injected_panic(PanicSite::Session);
             // Fail-stop refuses reads too: an answer that cannot be
             // reconciled with the durable state is worse than no answer.
@@ -1181,7 +1181,7 @@ impl PbdsSession<'_> {
             shared.snapshot()
         };
         let plan = {
-            let _s = span!("query.template_match");
+            let _s = span("query.template_match");
             template.instantiate(binding)
         };
         if shared.config.strategy == Strategy::NoPbds {
@@ -1200,7 +1200,7 @@ impl PbdsSession<'_> {
 
         // Catalog hit, including the revalidation fallback.
         let reused = {
-            let _s = span!("query.reuse_check");
+            let _s = span("query.reuse_check");
             execute_with_reuse(
                 &db,
                 &shared.engine,
@@ -1225,7 +1225,7 @@ impl PbdsSession<'_> {
         // capture run; otherwise it enqueues the capture and answers
         // plainly, never waiting for it.
         let capture = {
-            let _s = span!("query.capture_enqueue");
+            let _s = span("query.capture_enqueue");
             shared
                 .config
                 .strategy
@@ -1243,7 +1243,7 @@ impl PbdsSession<'_> {
             return self.plain(&db, template, &plan, enqueued);
         }
         let captured = shared.contain_capture(template, binding, || {
-            let _capture_span = span!("capture.run");
+            let _capture_span = span("capture.run");
             shared.take_injected_panic(PanicSite::Capture);
             shared.capture(&db, template, binding, &plan, clock::Stopwatch::start())
         });
@@ -1296,7 +1296,7 @@ impl PbdsSession<'_> {
     ) -> Result<ServedQuery, PbdsError> {
         let shared = &self.server.shared;
         let out = {
-            let _s = span!("query.execute");
+            let _s = span("query.execute");
             shared.engine.execute(db, plan)?
         };
         Ok(ServedQuery {
@@ -1327,7 +1327,7 @@ fn capture_worker(shared: &ServerShared, rx: &TrackedMutex<Receiver<CaptureTask>
 }
 
 fn run_capture(shared: &ServerShared, task: &CaptureTask) {
-    let _capture_span = span!("capture.run");
+    let _capture_span = span("capture.run");
     shared.take_injected_panic(PanicSite::Capture);
     let started = clock::Stopwatch::start();
     // The capture runs against one database snapshot; if a mutation lands

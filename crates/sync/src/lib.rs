@@ -1,10 +1,10 @@
 //! # pbds-sync
 //!
 //! Instrumented synchronization primitives for the PBDS workspace: every
-//! lock in `pbds-core` / `pbds-storage` / `pbds-persist` is a
-//! [`TrackedMutex`] or [`TrackedRwLock`] with a **static class name**
-//! (`"server.persist"`, `"catalog.shard"`, …) instead of a bare
-//! `std::sync` primitive. The wrappers buy three things:
+//! lock in `pbds-core` / `pbds-persist` is a [`TrackedMutex`] or
+//! [`TrackedRwLock`] with a **static class name** (`"server.persist"`,
+//! `"catalog.shard"`, …) instead of a bare `std::sync` primitive. The
+//! wrappers buy three things:
 //!
 //! 1. **Poison recovery by construction.** [`TrackedMutex::lock`],
 //!    [`TrackedRwLock::read`] and [`TrackedRwLock::write`] recover from a
@@ -30,9 +30,12 @@
 //!    and total/max guard hold times ([`hold_stats`]); `pbds-core` surfaces
 //!    them as the `pbds_lock_<class>_*` gauges of its metrics snapshot.
 //!
-//! In release builds without the feature, the wrappers are passthroughs
-//! over `std::sync` — no graph, no timestamps, no thread-locals; the only
-//! cost over a bare `Mutex` is carrying a `&'static str` name.
+//! There is one implementation; only the recording depends on the build.
+//! A lock keeps its class handle and a guard its hold record in arrays of
+//! length `TRACKING as usize`, so without tracking both are empty and
+//! zero-sized: a guard is the size of its std guard, and taking a lock
+//! touches no graph, clock or thread-local. The only cost over a bare
+//! `Mutex` is carrying a `&'static str` name.
 //!
 //! ## Granularity and known blind spots
 //!
@@ -56,7 +59,18 @@
     reason = "these are the wrappers every other crate must use instead of the std locks"
 )]
 
-use std::time::Duration;
+use pbds_telemetry::clock;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{
+    Arc, Condvar as StdCondvar, Mutex as StdMutex, OnceLock, PoisonError, RwLock as StdRwLock,
+};
+use std::time::{Duration, Instant};
+
+/// Whether this build tracks lock orders and hold times: every
+/// `debug_assertions` build, and a release build with `lock-order`.
+const TRACKING: bool = cfg!(any(debug_assertions, feature = "lock-order"));
 
 /// Hold-time counters for one lock class, cumulative over the process
 /// lifetime. Returned by [`hold_stats`]; all zeros are never reported (a
@@ -74,577 +88,441 @@ pub struct LockHoldStat {
     pub max_held: Duration,
 }
 
-#[cfg(any(debug_assertions, feature = "lock-order"))]
-mod imp {
-    use super::LockHoldStat;
-    use pbds_telemetry::clock;
-    use std::cell::RefCell;
-    use std::collections::{HashMap, HashSet};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{
-        Arc, Condvar as StdCondvar, Mutex as StdMutex, OnceLock, PoisonError, RwLock as StdRwLock,
-    };
-    use std::time::Instant;
+/// One lock class: identity in the order graph plus hold counters.
+struct ClassInfo {
+    id: usize,
+    name: &'static str,
+    acquisitions: AtomicU64,
+    total_held_nanos: AtomicU64,
+    max_held_nanos: AtomicU64,
+}
 
-    /// One lock class: identity in the order graph plus hold counters.
-    struct ClassInfo {
-        id: usize,
-        name: &'static str,
-        acquisitions: AtomicU64,
-        total_held_nanos: AtomicU64,
-        max_held_nanos: AtomicU64,
-    }
+/// The process-wide acquisition-order graph. `edges[a]` containing `b`
+/// means: some thread acquired class `b` while holding class `a`.
+/// `contexts[(a, b)]` describes the first time that happened.
+#[derive(Default)]
+struct Graph {
+    edges: HashMap<usize, HashSet<usize>>,
+    contexts: HashMap<(usize, usize), String>,
+}
 
-    /// The process-wide acquisition-order graph. `edges[a]` containing `b`
-    /// means: some thread acquired class `b` while holding class `a`.
-    /// `contexts[(a, b)]` describes the first time that happened.
-    #[derive(Default)]
-    struct Graph {
-        edges: HashMap<usize, HashSet<usize>>,
-        contexts: HashMap<(usize, usize), String>,
-    }
+struct Registry {
+    classes: StdMutex<HashMap<&'static str, Arc<ClassInfo>>>,
+    graph: StdMutex<Graph>,
+}
 
-    struct Registry {
-        classes: StdMutex<HashMap<&'static str, Arc<ClassInfo>>>,
-        graph: StdMutex<Graph>,
-    }
+fn registry() -> &'static Registry {
+    static REGISTRY: OnceLock<Registry> = OnceLock::new();
+    REGISTRY.get_or_init(|| Registry {
+        classes: StdMutex::new(HashMap::new()),
+        graph: StdMutex::new(Graph::default()),
+    })
+}
 
-    fn registry() -> &'static Registry {
-        static REGISTRY: OnceLock<Registry> = OnceLock::new();
-        REGISTRY.get_or_init(|| Registry {
-            classes: StdMutex::new(HashMap::new()),
-            graph: StdMutex::new(Graph::default()),
+fn class_for(name: &'static str) -> Arc<ClassInfo> {
+    let mut classes = registry()
+        .classes
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let next_id = classes.len();
+    Arc::clone(classes.entry(name).or_insert_with(|| {
+        Arc::new(ClassInfo {
+            id: next_id,
+            name,
+            acquisitions: AtomicU64::new(0),
+            total_held_nanos: AtomicU64::new(0),
+            max_held_nanos: AtomicU64::new(0),
         })
-    }
+    }))
+}
 
-    fn class_for(name: &'static str) -> Arc<ClassInfo> {
-        let mut classes = registry()
-            .classes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let next_id = classes.len();
-        Arc::clone(classes.entry(name).or_insert_with(|| {
-            Arc::new(ClassInfo {
-                id: next_id,
-                name,
-                acquisitions: AtomicU64::new(0),
-                total_held_nanos: AtomicU64::new(0),
-                max_held_nanos: AtomicU64::new(0),
-            })
-        }))
-    }
+thread_local! {
+    /// Class ids of the locks this thread currently holds, in
+    /// acquisition order (duplicates possible for same-class guards).
+    static HELD: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+}
 
-    thread_local! {
-        /// Class ids of the locks this thread currently holds, in
-        /// acquisition order (duplicates possible for same-class guards).
-        static HELD: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
-    }
-
-    /// True iff `to` is reachable from `from` over recorded edges.
-    fn reachable(graph: &Graph, from: usize, to: usize) -> bool {
-        let mut stack = vec![from];
-        let mut seen = HashSet::new();
-        while let Some(n) = stack.pop() {
-            if n == to {
-                return true;
-            }
-            if !seen.insert(n) {
-                continue;
-            }
-            if let Some(next) = graph.edges.get(&n) {
-                stack.extend(next.iter().copied());
-            }
+/// True iff `to` is reachable from `from` over recorded edges.
+fn reachable(graph: &Graph, from: usize, to: usize) -> bool {
+    let mut stack = vec![from];
+    let mut seen = HashSet::new();
+    while let Some(n) = stack.pop() {
+        if n == to {
+            return true;
         }
-        false
-    }
-
-    /// Record `held → acquiring` edges and panic on a would-be cycle.
-    /// Runs *before* blocking on the real lock, so an inconsistent order is
-    /// reported even when the other thread is currently parked on ours.
-    fn check_order(acquiring: &ClassInfo, held_names: &[&'static str], held_ids: &[usize]) {
-        let unique: HashSet<usize> = held_ids
-            .iter()
-            .copied()
-            .filter(|&h| h != acquiring.id)
-            .collect();
-        if unique.is_empty() {
-            return;
+        if !seen.insert(n) {
+            continue;
         }
-        let mut graph = registry()
-            .graph
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        for h in unique {
-            if graph
-                .edges
-                .get(&h)
-                .is_some_and(|next| next.contains(&acquiring.id))
-            {
-                continue; // edge already known consistent
-            }
-            // A new edge h → acquiring closes a cycle iff `h` is already
-            // reachable *from* `acquiring`.
-            if reachable(&graph, acquiring.id, h) {
-                let held_name = registry()
+        if let Some(next) = graph.edges.get(&n) {
+            stack.extend(next.iter().copied());
+        }
+    }
+    false
+}
+
+/// Record `held → acquiring` edges and panic on a would-be cycle.
+/// Runs *before* blocking on the real lock, so an inconsistent order is
+/// reported even when the other thread is currently parked on ours.
+fn check_order(acquiring: &ClassInfo, held_names: &[&'static str], held_ids: &[usize]) {
+    let unique: HashSet<usize> = held_ids
+        .iter()
+        .copied()
+        .filter(|&h| h != acquiring.id)
+        .collect();
+    if unique.is_empty() {
+        return;
+    }
+    let mut graph = registry()
+        .graph
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    for h in unique {
+        if graph
+            .edges
+            .get(&h)
+            .is_some_and(|next| next.contains(&acquiring.id))
+        {
+            continue; // edge already known consistent
+        }
+        // A new edge h → acquiring closes a cycle iff `h` is already
+        // reachable *from* `acquiring`.
+        if reachable(&graph, acquiring.id, h) {
+            let held_name = registry()
+                .classes
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .values()
+                .find(|c| c.id == h)
+                .map(|c| c.name)
+                .unwrap_or("?");
+            let prior = graph
+                .contexts
+                .get(&(acquiring.id, h))
+                .cloned()
+                .unwrap_or_else(|| {
+                    format!(
+                        "\"{held_name}\" was earlier ordered after \"{}\"",
+                        acquiring.name
+                    )
+                });
+            panic!(
+                "pbds-sync lock-order violation (would-be deadlock): this \
+                 thread is acquiring \"{}\" while holding {:?}, but the \
+                 reverse order was established before: {}",
+                acquiring.name, held_names, prior
+            );
+        }
+        graph.edges.entry(h).or_default().insert(acquiring.id);
+        graph.contexts.insert(
+            (h, acquiring.id),
+            format!(
+                "\"{}\" was acquired while holding {:?}",
+                acquiring.name, held_names
+            ),
+        );
+    }
+}
+
+/// RAII bookkeeping for one held guard: pops the held stack and records
+/// hold time on drop. Declared *after* the inner std guard in every
+/// wrapper, so the real lock is released first.
+struct Hold {
+    class: Arc<ClassInfo>,
+    since: Instant,
+}
+
+impl Hold {
+    fn acquire(class: &Arc<ClassInfo>) -> Hold {
+        let (names, ids) = HELD
+            .try_with(|held| {
+                let held = held.borrow();
+                let classes = registry()
                     .classes
                     .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .find(|c| c.id == h)
-                    .map(|c| c.name)
-                    .unwrap_or("?");
-                let prior = graph
-                    .contexts
-                    .get(&(acquiring.id, h))
-                    .cloned()
-                    .unwrap_or_else(|| {
-                        format!(
-                            "\"{held_name}\" was earlier ordered after \"{}\"",
-                            acquiring.name
-                        )
-                    });
-                panic!(
-                    "pbds-sync lock-order violation (would-be deadlock): this \
-                     thread is acquiring \"{}\" while holding {:?}, but the \
-                     reverse order was established before: {}",
-                    acquiring.name, held_names, prior
-                );
-            }
-            graph.edges.entry(h).or_default().insert(acquiring.id);
-            graph.contexts.insert(
-                (h, acquiring.id),
-                format!(
-                    "\"{}\" was acquired while holding {:?}",
-                    acquiring.name, held_names
-                ),
-            );
-        }
-    }
-
-    /// RAII bookkeeping for one held guard: pops the held stack and records
-    /// hold time on drop. Declared *after* the inner std guard in every
-    /// wrapper, so the real lock is released first.
-    struct Hold {
-        class: Arc<ClassInfo>,
-        since: Instant,
-    }
-
-    impl Hold {
-        fn acquire(class: &Arc<ClassInfo>) -> Hold {
-            let (names, ids) = HELD
-                .try_with(|held| {
-                    let held = held.borrow();
-                    let classes = registry()
-                        .classes
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    let names: Vec<&'static str> = held
-                        .iter()
-                        .map(|&id| {
-                            classes
-                                .values()
-                                .find(|c| c.id == id)
-                                .map(|c| c.name)
-                                .unwrap_or("?")
-                        })
-                        .collect();
-                    (names, held.clone())
-                })
-                .unwrap_or_default();
-            check_order(class, &names, &ids);
-            class.acquisitions.fetch_add(1, Ordering::Relaxed);
-            let _ = HELD.try_with(|held| held.borrow_mut().push(class.id));
-            Hold {
-                class: Arc::clone(class),
-                since: clock::now(),
-            }
-        }
-    }
-
-    impl Drop for Hold {
-        fn drop(&mut self) {
-            let nanos = u64::try_from(self.since.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.class
-                .total_held_nanos
-                .fetch_add(nanos, Ordering::Relaxed);
-            self.class
-                .max_held_nanos
-                .fetch_max(nanos, Ordering::Relaxed);
-            let id = self.class.id;
-            // Guards may drop out of LIFO order; remove *this* class's most
-            // recent entry. The thread-local may already be torn down during
-            // thread exit — then there is nothing left to pop.
-            let _ = HELD.try_with(|held| {
-                let mut held = held.borrow_mut();
-                if let Some(pos) = held.iter().rposition(|&h| h == id) {
-                    held.remove(pos);
-                }
-            });
-        }
-    }
-
-    /// A named mutex whose acquisitions are lock-order-checked and timed.
-    pub struct TrackedMutex<T> {
-        class: OnceLock<Arc<ClassInfo>>,
-        name: &'static str,
-        inner: StdMutex<T>,
-    }
-
-    impl<T> TrackedMutex<T> {
-        /// A new mutex belonging to lock class `name`.
-        pub fn new(name: &'static str, value: T) -> Self {
-            TrackedMutex {
-                class: OnceLock::new(),
-                name,
-                inner: StdMutex::new(value),
-            }
-        }
-
-        fn class(&self) -> &Arc<ClassInfo> {
-            self.class.get_or_init(|| class_for(self.name))
-        }
-
-        /// Acquire, recovering from poisoning. Panics (instead of
-        /// deadlocking later) when the acquisition order is inconsistent
-        /// with an order any thread used before.
-        pub fn lock(&self) -> MutexGuard<'_, T> {
-            let hold = Hold::acquire(self.class());
-            let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            MutexGuard {
-                inner: Some(inner),
-                _hold: hold,
-            }
-        }
-
-        /// The lock class name.
-        pub fn name(&self) -> &'static str {
-            self.name
-        }
-    }
-
-    impl<T: std::fmt::Debug> std::fmt::Debug for TrackedMutex<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("TrackedMutex")
-                .field("name", &self.name)
-                .field("inner", &self.inner)
-                .finish()
-        }
-    }
-
-    /// Guard of a [`TrackedMutex`]. Field order matters: the inner guard
-    /// drops (releasing the lock) before the hold bookkeeping runs.
-    pub struct MutexGuard<'a, T> {
-        inner: Option<std::sync::MutexGuard<'a, T>>,
-        _hold: Hold,
-    }
-
-    impl<T> std::ops::Deref for MutexGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            self.inner.as_ref().expect("guard present outside wait")
-        }
-    }
-
-    impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            self.inner.as_mut().expect("guard present outside wait")
-        }
-    }
-
-    /// A named reader-writer lock; read and write acquisitions share the
-    /// class for ordering purposes (conservative).
-    pub struct TrackedRwLock<T> {
-        class: OnceLock<Arc<ClassInfo>>,
-        name: &'static str,
-        inner: StdRwLock<T>,
-    }
-
-    impl<T> TrackedRwLock<T> {
-        /// A new rwlock belonging to lock class `name`.
-        pub fn new(name: &'static str, value: T) -> Self {
-            TrackedRwLock {
-                class: OnceLock::new(),
-                name,
-                inner: StdRwLock::new(value),
-            }
-        }
-
-        fn class(&self) -> &Arc<ClassInfo> {
-            self.class.get_or_init(|| class_for(self.name))
-        }
-
-        /// Acquire shared, recovering from poisoning; order-checked.
-        pub fn read(&self) -> RwLockReadGuard<'_, T> {
-            let hold = Hold::acquire(self.class());
-            let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-            RwLockReadGuard { inner, _hold: hold }
-        }
-
-        /// Acquire exclusive, recovering from poisoning; order-checked.
-        pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-            let hold = Hold::acquire(self.class());
-            let inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-            RwLockWriteGuard { inner, _hold: hold }
-        }
-
-        /// The lock class name.
-        pub fn name(&self) -> &'static str {
-            self.name
-        }
-    }
-
-    impl<T: std::fmt::Debug> std::fmt::Debug for TrackedRwLock<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("TrackedRwLock")
-                .field("name", &self.name)
-                .field("inner", &self.inner)
-                .finish()
-        }
-    }
-
-    /// Shared guard of a [`TrackedRwLock`].
-    pub struct RwLockReadGuard<'a, T> {
-        inner: std::sync::RwLockReadGuard<'a, T>,
-        _hold: Hold,
-    }
-
-    impl<T> std::ops::Deref for RwLockReadGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    /// Exclusive guard of a [`TrackedRwLock`].
-    pub struct RwLockWriteGuard<'a, T> {
-        inner: std::sync::RwLockWriteGuard<'a, T>,
-        _hold: Hold,
-    }
-
-    impl<T> std::ops::Deref for RwLockWriteGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.inner
-        }
-    }
-
-    /// Condition variable usable with [`MutexGuard`]. Waiting keeps the
-    /// class on the held stack (the mutex is reacquired before `wait`
-    /// returns) and inside the guard's hold time.
-    #[derive(Default)]
-    pub struct TrackedCondvar {
-        inner: StdCondvar,
-    }
-
-    impl TrackedCondvar {
-        /// A new condition variable.
-        pub fn new() -> Self {
-            TrackedCondvar::default()
-        }
-
-        /// Wait, recovering from poisoning.
-        pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-            let inner = guard.inner.take().expect("guard present outside wait");
-            guard.inner = Some(
-                self.inner
-                    .wait(inner)
-                    .unwrap_or_else(PoisonError::into_inner),
-            );
-            guard
-        }
-
-        /// Wait until `condition` returns false, recovering from poisoning.
-        pub fn wait_while<'a, T>(
-            &self,
-            mut guard: MutexGuard<'a, T>,
-            mut condition: impl FnMut(&mut T) -> bool,
-        ) -> MutexGuard<'a, T> {
-            while condition(&mut guard) {
-                guard = self.wait(guard);
-            }
-            guard
-        }
-
-        /// Wake one waiter.
-        pub fn notify_one(&self) {
-            self.inner.notify_one();
-        }
-
-        /// Wake all waiters.
-        pub fn notify_all(&self) {
-            self.inner.notify_all();
-        }
-    }
-
-    impl std::fmt::Debug for TrackedCondvar {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("TrackedCondvar")
-        }
-    }
-
-    /// True: this build tracks lock orders and hold times.
-    pub fn tracking_enabled() -> bool {
-        true
-    }
-
-    /// Per-class hold counters, sorted by class name.
-    pub fn hold_stats() -> Vec<LockHoldStat> {
-        let classes = registry()
-            .classes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut stats: Vec<LockHoldStat> = classes
-            .values()
-            .map(|c| LockHoldStat {
-                name: c.name,
-                acquisitions: c.acquisitions.load(Ordering::Relaxed),
-                total_held: std::time::Duration::from_nanos(
-                    c.total_held_nanos.load(Ordering::Relaxed),
-                ),
-                max_held: std::time::Duration::from_nanos(c.max_held_nanos.load(Ordering::Relaxed)),
+                    .unwrap_or_else(PoisonError::into_inner);
+                let names: Vec<&'static str> = held
+                    .iter()
+                    .map(|&id| {
+                        classes
+                            .values()
+                            .find(|c| c.id == id)
+                            .map(|c| c.name)
+                            .unwrap_or("?")
+                    })
+                    .collect();
+                (names, held.clone())
             })
-            .filter(|s| s.acquisitions > 0)
-            .collect();
-        stats.sort_by_key(|s| s.name);
-        stats
+            .unwrap_or_default();
+        check_order(class, &names, &ids);
+        class.acquisitions.fetch_add(1, Ordering::Relaxed);
+        let _ = HELD.try_with(|held| held.borrow_mut().push(class.id));
+        Hold {
+            class: Arc::clone(class),
+            since: clock::now(),
+        }
     }
 }
 
-#[cfg(not(any(debug_assertions, feature = "lock-order")))]
-mod imp {
-    use super::LockHoldStat;
-    use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, PoisonError, RwLock as StdRwLock};
-
-    /// A named mutex; in this build a zero-cost passthrough over
-    /// `std::sync::Mutex` with poison recovery.
-    #[derive(Debug)]
-    pub struct TrackedMutex<T> {
-        name: &'static str,
-        inner: StdMutex<T>,
-    }
-
-    /// Guard of a [`TrackedMutex`] (the std guard itself in this build).
-    pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
-    /// Shared guard of a [`TrackedRwLock`] (the std guard in this build).
-    pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-    /// Exclusive guard of a [`TrackedRwLock`] (the std guard in this build).
-    pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
-
-    impl<T> TrackedMutex<T> {
-        /// A new mutex belonging to lock class `name`.
-        pub fn new(name: &'static str, value: T) -> Self {
-            TrackedMutex {
-                name,
-                inner: StdMutex::new(value),
+impl Drop for Hold {
+    fn drop(&mut self) {
+        let nanos = u64::try_from(self.since.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.class
+            .total_held_nanos
+            .fetch_add(nanos, Ordering::Relaxed);
+        self.class
+            .max_held_nanos
+            .fetch_max(nanos, Ordering::Relaxed);
+        let id = self.class.id;
+        // Guards may drop out of LIFO order; remove *this* class's most
+        // recent entry. The thread-local may already be torn down during
+        // thread exit — then there is nothing left to pop.
+        let _ = HELD.try_with(|held| {
+            let mut held = held.borrow_mut();
+            if let Some(pos) = held.iter().rposition(|&h| h == id) {
+                held.remove(pos);
             }
-        }
-
-        /// Acquire, recovering from poisoning.
-        pub fn lock(&self) -> MutexGuard<'_, T> {
-            self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-        }
-
-        /// The lock class name.
-        pub fn name(&self) -> &'static str {
-            self.name
-        }
-    }
-
-    /// A named reader-writer lock; passthrough in this build.
-    #[derive(Debug)]
-    pub struct TrackedRwLock<T> {
-        name: &'static str,
-        inner: StdRwLock<T>,
-    }
-
-    impl<T> TrackedRwLock<T> {
-        /// A new rwlock belonging to lock class `name`.
-        pub fn new(name: &'static str, value: T) -> Self {
-            TrackedRwLock {
-                name,
-                inner: StdRwLock::new(value),
-            }
-        }
-
-        /// Acquire shared, recovering from poisoning.
-        pub fn read(&self) -> RwLockReadGuard<'_, T> {
-            self.inner.read().unwrap_or_else(PoisonError::into_inner)
-        }
-
-        /// Acquire exclusive, recovering from poisoning.
-        pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-            self.inner.write().unwrap_or_else(PoisonError::into_inner)
-        }
-
-        /// The lock class name.
-        pub fn name(&self) -> &'static str {
-            self.name
-        }
-    }
-
-    /// Condition variable usable with [`MutexGuard`]; passthrough.
-    #[derive(Debug, Default)]
-    pub struct TrackedCondvar {
-        inner: StdCondvar,
-    }
-
-    impl TrackedCondvar {
-        /// A new condition variable.
-        pub fn new() -> Self {
-            TrackedCondvar::default()
-        }
-
-        /// Wait, recovering from poisoning.
-        pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-            self.inner
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner)
-        }
-
-        /// Wait until `condition` returns false, recovering from poisoning.
-        pub fn wait_while<'a, T>(
-            &self,
-            mut guard: MutexGuard<'a, T>,
-            mut condition: impl FnMut(&mut T) -> bool,
-        ) -> MutexGuard<'a, T> {
-            while condition(&mut guard) {
-                guard = self.wait(guard);
-            }
-            guard
-        }
-
-        /// Wake one waiter.
-        pub fn notify_one(&self) {
-            self.inner.notify_one();
-        }
-
-        /// Wake all waiters.
-        pub fn notify_all(&self) {
-            self.inner.notify_all();
-        }
-    }
-
-    /// False: this build is the zero-cost passthrough.
-    pub fn tracking_enabled() -> bool {
-        false
-    }
-
-    /// Always empty in this build.
-    pub fn hold_stats() -> Vec<LockHoldStat> {
-        Vec::new()
+        });
     }
 }
 
-pub use imp::{
-    hold_stats, tracking_enabled, MutexGuard, RwLockReadGuard, RwLockWriteGuard, TrackedCondvar,
-    TrackedMutex, TrackedRwLock,
-};
+/// A guard's hold record: one [`Hold`] when tracking; otherwise empty,
+/// zero-sized and without drop glue.
+type Holds = [Hold; TRACKING as usize];
+
+/// A lock's class: its name and, when tracking, its registry entry,
+/// resolved on the first acquisition.
+struct LockClass {
+    name: &'static str,
+    info: [OnceLock<Arc<ClassInfo>>; TRACKING as usize],
+}
+
+impl LockClass {
+    fn new(name: &'static str) -> Self {
+        LockClass {
+            name,
+            info: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// Order-check and start timing one acquisition. Without tracking the
+    /// array is empty, so this does nothing.
+    #[inline]
+    fn hold(&self) -> Holds {
+        self.info
+            .each_ref()
+            .map(|info| Hold::acquire(info.get_or_init(|| class_for(self.name))))
+    }
+}
+
+/// A named mutex whose acquisitions are lock-order-checked and timed when
+/// tracking is on.
+pub struct TrackedMutex<T> {
+    class: LockClass,
+    inner: StdMutex<T>,
+}
+
+impl<T> TrackedMutex<T> {
+    /// A new mutex belonging to lock class `name`.
+    pub fn new(name: &'static str, value: T) -> Self {
+        TrackedMutex {
+            class: LockClass::new(name),
+            inner: StdMutex::new(value),
+        }
+    }
+
+    /// Acquire, recovering from poisoning. When tracking, panics (instead
+    /// of deadlocking later) when the acquisition order is inconsistent
+    /// with an order any thread used before.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        let hold = self.class.hold();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        MutexGuard { inner, _hold: hold }
+    }
+
+    /// The lock class name.
+    pub fn name(&self) -> &'static str {
+        self.class.name
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for TrackedMutex<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TrackedMutex")
+            .field("name", &self.class.name)
+            .field("inner", &self.inner)
+            .finish()
+    }
+}
+
+/// Guard of a [`TrackedMutex`]. Field order matters: the inner guard
+/// drops (releasing the lock) before the hold bookkeeping runs.
+pub struct MutexGuard<'a, T> {
+    inner: std::sync::MutexGuard<'a, T>,
+    _hold: Holds,
+}
+
+impl<T> std::ops::Deref for MutexGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.inner
+    }
+}
+
+impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.inner
+    }
+}
+
+/// A named reader-writer lock; read and write acquisitions share the
+/// class for ordering purposes (conservative).
+pub struct TrackedRwLock<T> {
+    class: LockClass,
+    inner: StdRwLock<T>,
+}
+
+impl<T> TrackedRwLock<T> {
+    /// A new rwlock belonging to lock class `name`.
+    pub fn new(name: &'static str, value: T) -> Self {
+        TrackedRwLock {
+            class: LockClass::new(name),
+            inner: StdRwLock::new(value),
+        }
+    }
+
+    /// Acquire shared, recovering from poisoning; order-checked.
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        let hold = self.class.hold();
+        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
+        RwLockReadGuard { inner, _hold: hold }
+    }
+
+    /// Acquire exclusive, recovering from poisoning; order-checked.
+    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        let hold = self.class.hold();
+        let inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        RwLockWriteGuard { inner, _hold: hold }
+    }
+
+    /// The lock class name.
+    pub fn name(&self) -> &'static str {
+        self.class.name
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for TrackedRwLock<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TrackedRwLock")
+            .field("name", &self.class.name)
+            .field("inner", &self.inner)
+            .finish()
+    }
+}
+
+/// Shared guard of a [`TrackedRwLock`].
+pub struct RwLockReadGuard<'a, T> {
+    inner: std::sync::RwLockReadGuard<'a, T>,
+    _hold: Holds,
+}
+
+impl<T> std::ops::Deref for RwLockReadGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.inner
+    }
+}
+
+/// Exclusive guard of a [`TrackedRwLock`].
+pub struct RwLockWriteGuard<'a, T> {
+    inner: std::sync::RwLockWriteGuard<'a, T>,
+    _hold: Holds,
+}
+
+impl<T> std::ops::Deref for RwLockWriteGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.inner
+    }
+}
+
+impl<T> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.inner
+    }
+}
+
+/// Condition variable usable with [`MutexGuard`]. Waiting keeps the
+/// class on the held stack (the mutex is reacquired before `wait`
+/// returns) and inside the guard's hold time.
+#[derive(Debug, Default)]
+pub struct TrackedCondvar {
+    inner: StdCondvar,
+}
+
+impl TrackedCondvar {
+    /// A new condition variable.
+    pub fn new() -> Self {
+        TrackedCondvar::default()
+    }
+
+    /// Wait, recovering from poisoning.
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        let MutexGuard { inner, _hold } = guard;
+        let inner = self
+            .inner
+            .wait(inner)
+            .unwrap_or_else(PoisonError::into_inner);
+        MutexGuard { inner, _hold }
+    }
+
+    /// Wait until `condition` returns false, recovering from poisoning.
+    pub fn wait_while<'a, T>(
+        &self,
+        mut guard: MutexGuard<'a, T>,
+        mut condition: impl FnMut(&mut T) -> bool,
+    ) -> MutexGuard<'a, T> {
+        while condition(&mut guard) {
+            guard = self.wait(guard);
+        }
+        guard
+    }
+
+    /// Wake one waiter.
+    pub fn notify_one(&self) {
+        self.inner.notify_one();
+    }
+
+    /// Wake all waiters.
+    pub fn notify_all(&self) {
+        self.inner.notify_all();
+    }
+}
+
+/// Whether this build tracks lock orders and hold times.
+pub fn tracking_enabled() -> bool {
+    TRACKING
+}
+
+/// Per-class hold counters, sorted by class name; always empty without
+/// tracking, because no class is ever registered.
+pub fn hold_stats() -> Vec<LockHoldStat> {
+    let classes = registry()
+        .classes
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let mut stats: Vec<LockHoldStat> = classes
+        .values()
+        .map(|c| LockHoldStat {
+            name: c.name,
+            acquisitions: c.acquisitions.load(Ordering::Relaxed),
+            total_held: Duration::from_nanos(c.total_held_nanos.load(Ordering::Relaxed)),
+            max_held: Duration::from_nanos(c.max_held_nanos.load(Ordering::Relaxed)),
+        })
+        .filter(|s| s.acquisitions > 0)
+        .collect();
+    stats.sort_by_key(|s| s.name);
+    stats
+}
 
 #[cfg(test)]
 mod tests {

@@ -15,16 +15,16 @@
 //!   [`Registry::snapshot`] produces a deterministic [`MetricsSnapshot`]
 //!   renderable to Prometheus-style text exposition via a `String`-returning
 //!   API (library crates do not print).
-//! * [`span`](crate::span()) / [`span!`] — a span tracer recording
-//!   start/duration events into per-thread ring buffers and a bounded global
-//!   event journal. Compiled to zero-cost no-ops unless `debug_assertions`
-//!   or `--features telemetry` (the same dual-implementation pattern as
-//!   `pbds-sync` lock tracking); the journal is dumped into
-//!   `RecoveryReport`-style forensics when a server fail-stops.
+//! * [`span`](crate::span()) — a span tracer recording start/duration
+//!   events into per-thread ring buffers and a bounded global event
+//!   journal. One implementation whose recording is switched off, with a
+//!   zero-sized guard, unless `debug_assertions` or `--features telemetry`
+//!   (the same switch as `pbds-sync` lock tracking); the journal is dumped
+//!   into `RecoveryReport`-style forensics when a server fail-stops.
 //!
 //! The crate has **no dependencies** — it sits at the bottom of the
 //! workspace graph so `pbds-sync`, `pbds-exec`, `pbds-core`, `pbds-persist`
-//! and the benches can all report through it.
+//! and `pbds-bench` can all report through it.
 
 #![warn(missing_docs)]
 
@@ -35,22 +35,15 @@ mod spans;
 
 pub use hist::{Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge, MetricsSnapshot, Registry};
-pub use spans::{
-    journal, render_journal, span, spans_enabled, take_thread_events, SpanEvent, SpanGuard,
-};
+pub use spans::{journal, render_journal, spans_enabled, take_thread_events, SpanEvent, SpanGuard};
 
-/// Open a span guard for `phase`: records one [`SpanEvent`] (start + wall
-/// duration) when the guard drops. Compiled to a no-op unit guard unless
+/// Open a span guard for a phase: it records one [`SpanEvent`] (start and
+/// wall duration) when it drops. A no-op, zero-sized guard unless
 /// `debug_assertions` or `--features telemetry`.
 ///
 /// ```
-/// let _g = pbds_telemetry::span!("reuse-check");
+/// let _g = pbds_telemetry::span("reuse-check");
 /// // ... the phase ...
 /// // guard drop records the span (when tracing is armed)
 /// ```
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::span($name)
-    };
-}
+pub use spans::span;

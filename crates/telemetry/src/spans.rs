@@ -1,19 +1,39 @@
 //! Span-based tracing: phase guards, per-thread ring buffers, and a bounded
 //! global event journal.
 //!
-//! The same dual-implementation pattern as `pbds-sync` lock tracking: with
-//! `debug_assertions` or `--features telemetry` the tracer is armed — a
+//! With `debug_assertions` or `--features telemetry` the tracer is armed: a
 //! [`SpanGuard`] stamps its start offset at creation and records one
 //! [`SpanEvent`] on drop, into both the dropping thread's bounded ring
-//! buffer and the process-wide journal (oldest events evicted first). In a
-//! plain release build every function here compiles to a no-op and
-//! [`SpanGuard`] is a zero-sized unit, so instrumented call sites cost
-//! nothing — the acceptance bar the `pbds-sync` passthrough set.
+//! buffer and the process-wide journal (oldest events evicted first). There
+//! is one implementation; as in `pbds-sync`'s lock tracking, only the
+//! recording depends on the build. A guard keeps its start in an array of
+//! length `ARMED as usize`, so in a plain release build [`SpanGuard`] is
+//! zero-sized, reads no clock and records nothing.
 //!
 //! The journal is the forensic record: when a server fail-stops it renders
 //! the journal (via [`render_journal`]) into its `RecoveryReport`-style
 //! diagnostics, showing the last phases every thread went through before
 //! the health lattice hit bottom.
+#![expect(
+    clippy::disallowed_types,
+    reason = "pbds-telemetry sits below pbds-sync, so the journal keeps a std mutex"
+)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use crate::clock;
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
+
+/// Whether this build records spans: every `debug_assertions` build, and a
+/// release build with `telemetry`.
+const ARMED: bool = cfg!(any(debug_assertions, feature = "telemetry"));
+
+/// Per-thread ring capacity.
+const THREAD_RING_CAP: usize = 256;
+/// Global journal capacity (bounded: forensics keep the recent tail).
+const JOURNAL_CAP: usize = 1024;
 
 /// One recorded span: a named phase with its start offset (nanoseconds since
 /// the process telemetry epoch) and wall duration.
@@ -29,141 +49,101 @@ pub struct SpanEvent {
     pub dur_ns: u64,
 }
 
-#[cfg(any(debug_assertions, feature = "telemetry"))]
-#[expect(
-    clippy::disallowed_types,
-    reason = "pbds-telemetry sits below pbds-sync, so the journal keeps a std mutex"
-)]
-#[deny(clippy::unwrap_used, clippy::expect_used)]
-mod imp {
-    use super::SpanEvent;
-    use crate::clock;
-    use std::cell::RefCell;
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock, PoisonError};
+fn journal_store() -> &'static Mutex<VecDeque<SpanEvent>> {
+    static JOURNAL: OnceLock<Mutex<VecDeque<SpanEvent>>> = OnceLock::new();
+    JOURNAL.get_or_init(|| Mutex::new(VecDeque::with_capacity(JOURNAL_CAP)))
+}
 
-    /// Per-thread ring capacity.
-    const THREAD_RING_CAP: usize = 256;
-    /// Global journal capacity (bounded: forensics keep the recent tail).
-    const JOURNAL_CAP: usize = 1024;
-
-    fn journal_store() -> &'static Mutex<VecDeque<SpanEvent>> {
-        static JOURNAL: OnceLock<Mutex<VecDeque<SpanEvent>>> = OnceLock::new();
-        JOURNAL.get_or_init(|| Mutex::new(VecDeque::with_capacity(JOURNAL_CAP)))
-    }
-
-    fn thread_id() -> u64 {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        thread_local! {
-            static ID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
-        }
-        ID.with(|id| *id)
-    }
-
+fn thread_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
     thread_local! {
-        static RING: RefCell<VecDeque<SpanEvent>> =
-            RefCell::new(VecDeque::with_capacity(THREAD_RING_CAP));
+        static ID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
     }
+    ID.with(|id| *id)
+}
 
-    /// Whether span recording is armed in this build.
-    pub fn spans_enabled() -> bool {
-        true
+thread_local! {
+    static RING: RefCell<VecDeque<SpanEvent>> =
+        RefCell::new(VecDeque::with_capacity(THREAD_RING_CAP));
+}
+
+/// Whether span recording is armed in this build.
+pub fn spans_enabled() -> bool {
+    ARMED
+}
+
+/// Where and when an armed span opened; records its [`SpanEvent`] on drop.
+struct Open {
+    name: &'static str,
+    start_ns: u64,
+    sw: clock::Stopwatch,
+}
+
+impl Drop for Open {
+    fn drop(&mut self) {
+        record(SpanEvent {
+            name: self.name,
+            thread: thread_id(),
+            start_ns: self.start_ns,
+            dur_ns: self.sw.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+        });
     }
+}
 
-    /// An open span; records one [`SpanEvent`] when dropped.
-    #[must_use = "a span guard records on drop; binding it to `_` drops immediately"]
-    pub struct SpanGuard {
-        name: &'static str,
-        start_ns: u64,
-        sw: clock::Stopwatch,
-    }
+/// An open span; records one [`SpanEvent`] when dropped (when armed).
+/// Disarmed, its array is empty, so it is zero-sized and has no drop glue.
+#[must_use = "a span guard records on drop; binding it to `_` drops immediately"]
+pub struct SpanGuard {
+    _open: [Open; ARMED as usize],
+}
 
-    /// Open a span for `name`.
-    #[inline]
-    pub fn span(name: &'static str) -> SpanGuard {
-        SpanGuard {
+/// Open a span for `name`: the guard records the phase's start and wall
+/// duration when it drops. Without tracing armed it does nothing.
+#[inline]
+pub fn span(name: &'static str) -> SpanGuard {
+    SpanGuard {
+        _open: std::array::from_fn(|_| Open {
             name,
             start_ns: clock::nanos_since_start(),
             sw: clock::Stopwatch::start(),
-        }
-    }
-
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            let event = SpanEvent {
-                name: self.name,
-                thread: thread_id(),
-                start_ns: self.start_ns,
-                dur_ns: self.sw.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-            };
-            // Thread ring (bounded, oldest out).
-            let _ = RING.try_with(|ring| {
-                let mut ring = ring.borrow_mut();
-                if ring.len() == THREAD_RING_CAP {
-                    ring.pop_front();
-                }
-                ring.push_back(event);
-            });
-            // Global journal (bounded, oldest out).
-            let mut journal = journal_store()
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if journal.len() == JOURNAL_CAP {
-                journal.pop_front();
-            }
-            journal.push_back(event);
-        }
-    }
-
-    /// Drain the calling thread's span ring (oldest first).
-    pub fn take_thread_events() -> Vec<SpanEvent> {
-        RING.try_with(|ring| ring.borrow_mut().drain(..).collect())
-            .unwrap_or_default()
-    }
-
-    /// The current global journal contents, oldest first.
-    pub fn journal() -> Vec<SpanEvent> {
-        journal_store()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .copied()
-            .collect()
+        }),
     }
 }
 
-#[cfg(not(any(debug_assertions, feature = "telemetry")))]
-mod imp {
-    use super::SpanEvent;
-
-    /// Whether span recording is armed in this build.
-    pub fn spans_enabled() -> bool {
-        false
+/// Append one event to the thread's ring and the global journal, each
+/// bounded with the oldest event out.
+fn record(event: SpanEvent) {
+    let _ = RING.try_with(|ring| {
+        let mut ring = ring.borrow_mut();
+        if ring.len() == THREAD_RING_CAP {
+            ring.pop_front();
+        }
+        ring.push_back(event);
+    });
+    let mut journal = journal_store()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    if journal.len() == JOURNAL_CAP {
+        journal.pop_front();
     }
-
-    /// Zero-sized no-op span guard (tracing disarmed in this build).
-    #[must_use = "a span guard records on drop; binding it to `_` drops immediately"]
-    pub struct SpanGuard;
-
-    /// Open a span for `name` (no-op in this build).
-    #[inline(always)]
-    pub fn span(_name: &'static str) -> SpanGuard {
-        SpanGuard
-    }
-
-    /// Drain the calling thread's span ring (always empty in this build).
-    pub fn take_thread_events() -> Vec<SpanEvent> {
-        Vec::new()
-    }
-
-    /// The current global journal contents (always empty in this build).
-    pub fn journal() -> Vec<SpanEvent> {
-        Vec::new()
-    }
+    journal.push_back(event);
 }
 
-pub use imp::{journal, span, spans_enabled, take_thread_events, SpanGuard};
+/// Drain the calling thread's span ring (oldest first).
+pub fn take_thread_events() -> Vec<SpanEvent> {
+    RING.try_with(|ring| ring.borrow_mut().drain(..).collect())
+        .unwrap_or_default()
+}
+
+/// The current global journal contents, oldest first.
+pub fn journal() -> Vec<SpanEvent> {
+    journal_store()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .iter()
+        .copied()
+        .collect()
+}
 
 /// Render the event journal as human-readable forensics, oldest first —
 /// the block a fail-stopping server embeds in its diagnostics. Empty string
@@ -187,7 +167,7 @@ pub fn render_journal() -> String {
 mod tests {
     use super::*;
 
-    /// Whether this build compiled the armed tracer: debug builds and
+    /// Whether this build should arm the tracer: debug builds and
     /// `--features telemetry` do, a plain `--release` build does not. Each
     /// test checks the branch its build compiled.
     const ARMED: bool = cfg!(any(debug_assertions, feature = "telemetry"));
@@ -197,7 +177,7 @@ mod tests {
         assert_eq!(spans_enabled(), ARMED);
         let _ = take_thread_events(); // isolate from other tests on this thread
         {
-            let _g = crate::span!("unit-phase");
+            let _g = span("unit-phase");
         }
         let mine = take_thread_events();
         let rendered = render_journal();
@@ -216,6 +196,7 @@ mod tests {
     fn disarmed_span_guard_is_zero_sized() {
         if !ARMED {
             assert_eq!(std::mem::size_of::<SpanGuard>(), 0);
+            assert!(!std::mem::needs_drop::<SpanGuard>());
         }
     }
 

@@ -4,11 +4,12 @@
 //! same workload must pass. Also checks that hold-time counters surface
 //! as `pbds_lock_*` gauges in the server's metrics snapshot.
 //!
-//! All assertions are gated on `pbds::sync::tracking_enabled()`: in a
-//! release build without the `lock-order` feature the wrappers are
-//! passthroughs and the ABBA scenario would genuinely deadlock, so the
-//! tests skip themselves there. CI runs this suite in release with
-//! `--features lock-order` to cover the tracked release configuration.
+//! The ABBA and gauge tests are gated on `pbds::sync::tracking_enabled()`:
+//! in a release build without the `lock-order` feature nothing is tracked
+//! and the ABBA scenario would genuinely deadlock, so they skip themselves
+//! there; the first test checks that the gate follows the build. CI runs
+//! this suite in release with `--features lock-order` to cover the tracked
+//! release configuration.
 
 use std::sync::{Arc, Barrier};
 
