@@ -16,7 +16,7 @@
 use pbds_algebra::{col, lit, AggExpr, AggFunc, Expr, LogicalPlan, SortKey};
 use pbds_exec::{
     eval_expr, eval_predicate, execute, lower, Engine, EngineProfile, ExecError, ExecOptions,
-    ExecStats, NoTag, TagPolicy,
+    ExecStats, NoTag, PhysOp, PhysicalPlan, TagPolicy,
 };
 use pbds_provenance::{
     capture_lineage, capture_sketches_with_profile, Annotation, CaptureConfig, FragmentAssigner,
@@ -30,6 +30,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+
+#[path = "support/lifted.rs"]
+mod lifted;
+use lifted::lift_scan_filters;
 
 // ---------------------------------------------------------------------------
 // The oracle: a direct, materializing interpreter of the logical algebra.
@@ -1633,6 +1637,44 @@ proptest! {
                         actual.rows(), expected.rows(),
                         "{} = {}, {:?}, vectorized {}", left, right, profile, vectorized
                     );
+                }
+            }
+        }
+    }
+}
+
+/// True when `plan` holds a hash join, whose build scan the lowered plan may
+/// narrow to its probe side's keys.
+fn has_hash_join(plan: &PhysicalPlan) -> bool {
+    matches!(plan.op, PhysOp::HashJoin { .. }) || plan.children().into_iter().any(has_hash_join)
+}
+
+/// The lifted-filter oracle stays an oracle: on every query shape and join,
+/// on both profiles, it fuses no aggregate and narrows no build scan, and a
+/// join-free plan scans exactly the rows its lowered plan scans.
+#[test]
+fn lifted_plans_fuse_no_aggregate_and_narrow_no_build_scan() {
+    let families = [
+        (random_db(3, 300), query_family()),
+        (
+            join_db(3),
+            join_family().into_iter().map(|(_, p)| p).collect(),
+        ),
+    ];
+    for (db, plans) in &families {
+        for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
+            let engine = Engine::new(profile);
+            for (i, plan) in plans.iter().enumerate() {
+                let lowered = engine.plan(db, plan).unwrap();
+                let lifted = lift_scan_filters(&lowered);
+                let ctx = format!("plan #{i}, {profile:?}\n{lifted}");
+                let stats = engine.execute_physical(db, &lifted).unwrap().stats;
+                assert_eq!(stats.agg_pushdown_blocks, 0, "{ctx}");
+                assert_eq!(stats.join_key_filters, 0, "{ctx}");
+                assert_eq!(stats.vectorized_blocks, 0, "{ctx}");
+                if !has_hash_join(&lowered) {
+                    let planned = engine.execute_physical(db, &lowered).unwrap().stats;
+                    assert_eq!(stats.rows_scanned, planned.rows_scanned, "{ctx}");
                 }
             }
         }
