@@ -2,7 +2,7 @@
 
 use pbds_algebra::LogicalPlan;
 use pbds_core::{Pbds, PbdsError, UsePredicateStyle};
-use pbds_provenance::{CaptureConfig, ProvenanceSketch};
+use pbds_provenance::ProvenanceSketch;
 use pbds_storage::PartitionRef;
 use pbds_telemetry::clock;
 use pbds_workloads::{BenchQuery, SketchSpec};
@@ -87,7 +87,7 @@ pub fn measure_query(
 
     // Capture (also measures the instrumented execution time).
     let capture_start = clock::Stopwatch::start();
-    let captured = pbds.capture_with_config(&plan, &[partition], &CaptureConfig::optimized())?;
+    let captured = pbds.capture(&plan, &[partition])?;
     let capture = capture_start.elapsed();
     let sketch = &captured.sketches[0];
     let selectivity = sketch.selectivity(pbds.db())?;

@@ -96,6 +96,6 @@ pub use pbds_telemetry::{HistogramSnapshot, MetricsSnapshot};
 
 pub use pbds_exec::{AnalyzedQuery, Engine, EngineProfile, ExecStats, QueryOutput};
 pub use pbds_provenance::{
-    capture_lineage, capture_sketches, CaptureConfig, CaptureResult, FragmentBitset, LookupMethod,
-    MergeStrategy, ProvenanceSketch,
+    capture_lineage, capture_sketches, CaptureConfig, CaptureResult, FragmentBitset, MergeStrategy,
+    ProvenanceSketch,
 };

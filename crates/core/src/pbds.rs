@@ -9,7 +9,7 @@ use crate::server::{PbdsServer, ServerConfig};
 use pbds_algebra::{LogicalPlan, QueryTemplate};
 use pbds_exec::{Engine, EngineProfile, ExecError, QueryOutput};
 use pbds_provenance::{
-    capture_lineage, capture_sketches_with_profile, CaptureConfig, CaptureResult, ProvenanceSketch,
+    capture_lineage, capture_sketches_with_profile, CaptureResult, ProvenanceSketch,
 };
 use pbds_storage::{
     CompositePartition, Database, Partition, PartitionRef, RangePartition, StorageError, Value,
@@ -238,29 +238,17 @@ impl Pbds {
     }
 
     /// Capture provenance sketches for a query over the given partitions
-    /// using the fully optimized capture configuration (Sec. 7).
+    /// (Sec. 7). The instrumented run uses this handle's engine profile, so
+    /// capture and execution share one pipeline.
     pub fn capture(
         &self,
         plan: &LogicalPlan,
         partitions: &[PartitionRef],
     ) -> Result<CaptureResult, PbdsError> {
-        self.capture_with_config(plan, partitions, &CaptureConfig::optimized())
-    }
-
-    /// Capture with an explicit configuration (used by the capture
-    /// optimization benchmarks, Fig. 12). The instrumented run uses this
-    /// handle's engine profile, so capture and execution share one pipeline.
-    pub fn capture_with_config(
-        &self,
-        plan: &LogicalPlan,
-        partitions: &[PartitionRef],
-        config: &CaptureConfig,
-    ) -> Result<CaptureResult, PbdsError> {
         Ok(capture_sketches_with_profile(
             &self.db,
             plan,
             partitions,
-            config,
             self.engine.profile(),
         )?)
     }

@@ -28,7 +28,7 @@ use crate::catalog::SketchCatalog;
 use crate::instrument::{apply_sketches, UsePredicateStyle};
 use pbds_algebra::{BinOp, Expr, LogicalPlan, QueryTemplate};
 use pbds_exec::{Engine, EngineProfile, ExecError, ExecStats};
-use pbds_provenance::{capture_sketches_with_profile, CaptureConfig};
+use pbds_provenance::capture_sketches_with_profile;
 use pbds_storage::{Database, PartitionRef, Relation, Value};
 use std::time::Duration;
 
@@ -145,8 +145,7 @@ pub(crate) fn capture_and_store(
     if partitions.is_empty() {
         return Ok(None);
     }
-    let capture =
-        capture_sketches_with_profile(db, plan, &partitions, &CaptureConfig::optimized(), profile)?;
+    let capture = capture_sketches_with_profile(db, plan, &partitions, profile)?;
     let stored = catalog.insert(db, template, binding, capture.sketches);
     Ok(Some((capture.result, capture.stats, stored)))
 }

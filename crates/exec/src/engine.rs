@@ -9,7 +9,7 @@
 //! from provenance sketches, can be answered through indexes and zone maps.
 
 use crate::eval::ExecError;
-use crate::physical::{execute, lower, ExecOptions, Executed, NoTag, PhysicalPlan, PlanMetrics};
+use crate::physical::{execute, lower, Executed, NoTag, PhysicalPlan, PlanMetrics};
 use crate::profile::EngineProfile;
 use crate::stats::ExecStats;
 use pbds_algebra::LogicalPlan;
@@ -29,8 +29,6 @@ pub struct QueryOutput {
 #[derive(Debug, Clone, Copy)]
 pub struct Engine {
     profile: EngineProfile,
-    /// Execution switches (vectorized by default).
-    opts: ExecOptions,
 }
 
 impl Default for Engine {
@@ -40,22 +38,9 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Create an engine with the given profile (vectorized scan filters).
+    /// Create an engine with the given profile.
     pub fn new(profile: EngineProfile) -> Self {
-        Engine {
-            profile,
-            opts: ExecOptions::default(),
-        }
-    }
-
-    /// Toggle the vectorized chunk kernels. With `false`, every scan walks
-    /// the same chunk pieces but runs its pushed-down filter through the
-    /// row-at-a-time expression interpreter — the oracle the vectorized path
-    /// is proven byte-identical against. Results are identical either way;
-    /// only speed changes.
-    pub fn with_vectorization(mut self, on: bool) -> Self {
-        self.opts.vectorized = on;
-        self
+        Engine { profile }
     }
 
     /// The engine profile.
@@ -113,7 +98,7 @@ impl Engine {
         let mut stats = ExecStats::default();
         let Executed {
             relation, metrics, ..
-        } = execute(db, plan, &NoTag, &self.opts, &mut stats)?;
+        } = execute(db, plan, &NoTag, &mut stats)?;
         stats.rows_output = relation.len() as u64;
         stats.elapsed = sw.elapsed();
         Ok((QueryOutput { relation, stats }, metrics))
@@ -143,6 +128,7 @@ impl AnalyzedQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifted::lift_scan_filters;
     use pbds_algebra::{col, lit, AggExpr, AggFunc, SortKey};
     use pbds_storage::{DataType, Schema, TableBuilder, Value};
 
@@ -392,7 +378,7 @@ mod tests {
         let global = LogicalPlan::scan("t")
             .filter(col("v").lt(lit(500)))
             .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, col("v"), "total")]);
-        // (plan, fused by the scan→aggregate pushdown when vectorized)
+        // (plan, fused by the scan→aggregate pushdown)
         let plans = [
             (top1, true),
             // The sketch-instrumented shape: a range on the indexed column.
@@ -411,24 +397,25 @@ mod tests {
             (LogicalPlan::scan("t").filter(col("v").lt(lit(20))), false),
         ];
         for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-            for vectorized in [true, false] {
-                let e = Engine::new(profile).with_vectorization(vectorized);
-                for (plan, fusable) in &plans {
-                    let mut plain = e.execute(&db, plan).unwrap();
-                    let mut analyzed = e.explain_analyze(&db, plan).unwrap();
-                    assert_eq!(plain.relation, analyzed.output.relation);
-                    plain.stats.elapsed = Default::default();
-                    analyzed.output.stats.elapsed = Default::default();
-                    assert_eq!(plain.stats, analyzed.output.stats);
-                    let fused = analyzed.metrics.ops.iter().any(|m| m.fused);
-                    assert_eq!(
-                        fused,
-                        *fusable && vectorized,
-                        "{profile:?}\n{}",
-                        analyzed.physical
-                    );
-                    assert_eq!(fused, plain.stats.agg_pushdown_blocks > 0);
-                }
+            let e = Engine::new(profile);
+            for (plan, fusable) in &plans {
+                let mut plain = e.execute(&db, plan).unwrap();
+                let mut analyzed = e.explain_analyze(&db, plan).unwrap();
+                assert_eq!(plain.relation, analyzed.output.relation);
+                plain.stats.elapsed = Default::default();
+                analyzed.output.stats.elapsed = Default::default();
+                assert_eq!(plain.stats, analyzed.output.stats);
+                let fused = analyzed.metrics.ops.iter().any(|m| m.fused);
+                assert_eq!(fused, *fusable, "{profile:?}\n{}", analyzed.physical);
+                assert_eq!(fused, plain.stats.agg_pushdown_blocks > 0);
+                // The lifted-filter oracle returns the same rows and fuses
+                // nothing.
+                let lifted = lift_scan_filters(&analyzed.physical);
+                let mut stats = ExecStats::default();
+                let done = execute(&db, &lifted, &NoTag, &mut stats).unwrap();
+                assert_eq!(done.relation, plain.relation, "{profile:?}\n{lifted}");
+                assert!(!done.metrics.ops.iter().any(|m| m.fused));
+                assert_eq!(stats.agg_pushdown_blocks, 0);
             }
         }
     }

@@ -1,4 +1,12 @@
-//! Expression evaluation over rows.
+//! The reference interpreter: expression evaluation over one row, resolving
+//! every column by name.
+//!
+//! No execution path runs it. The pipeline binds each expression once into
+//! a [`crate::CompiledExpr`] and filters scans with the chunk kernels; this
+//! interpreter is what `tests/compiled_expr_equivalence.rs` proves both
+//! against, and what the logical oracle of `tests/physical_equivalence.rs`
+//! evaluates with. [`ExecError`] and the binary-operator semantics
+//! (`eval_binary`) are shared with the compiled evaluator.
 
 use pbds_algebra::{BinOp, Expr};
 use pbds_storage::{Row, Schema, Value};

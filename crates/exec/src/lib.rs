@@ -11,9 +11,10 @@
 //! tags are sketch annotations or lineage tuple sets). Every base-table
 //! scan — sequential, zone-map or index probe — is one operator over
 //! chunk-aligned pieces of its table, filtered by the vectorized chunk
-//! kernels or, as the test oracle, by the row interpreter. Which of the two
-//! runs is [`ExecOptions`]' one field, not another function. An execution
-//! runs on its calling thread.
+//! kernels; the pipeline has no other configuration. [`eval_expr`] and
+//! [`eval_predicate`] are the row-at-a-time reference interpreter that the
+//! compiled expressions and the kernels are proven against; no execution
+//! path runs them. An execution runs on its calling thread.
 //!
 //! Two [`EngineProfile`]s substitute for the paper's two evaluation hosts:
 //! `Indexed` mirrors a disk-based system with B-tree indexes and BRIN zone
@@ -31,12 +32,20 @@ pub mod scan;
 pub mod stats;
 pub mod vector;
 
+// The lifted-filter oracle is test code shared with the workspace's
+// integration tests; it names this crate by its package name.
+#[cfg(test)]
+extern crate self as pbds_exec;
+#[cfg(test)]
+#[path = "../../../tests/support/lifted.rs"]
+mod lifted;
+
 pub use compiled::{ColRef, CompiledExpr};
 pub use engine::{AnalyzedQuery, Engine, QueryOutput};
 pub use eval::{eval_expr, eval_predicate, ExecError};
 pub use physical::{
-    execute, lower, Batch, ExecOptions, Executed, NoTag, OpMetrics, PhysOp, PhysicalPlan,
-    PlanMetrics, TagPolicy, BATCH_SIZE,
+    execute, lower, Batch, Executed, NoTag, OpMetrics, PhysOp, PhysicalPlan, PlanMetrics,
+    TagPolicy, BATCH_SIZE,
 };
 pub use profile::EngineProfile;
 pub use scan::{extract_skip_ranges, ColumnRanges};

@@ -27,7 +27,7 @@
 //! (r7) is done by the caller.
 
 use crate::compiled::CompiledExpr;
-use crate::eval::{eval_predicate, ExecError};
+use crate::eval::ExecError;
 use crate::profile::EngineProfile;
 use crate::scan::{extract_skip_ranges, InclusiveRange};
 use crate::stats::ExecStats;
@@ -46,27 +46,6 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Execution-time switch for the physical pipeline: which filter path every
-/// scan takes. Nothing else about an execution is configurable; it always
-/// runs on the calling thread.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExecOptions {
-    /// Evaluate pushed-down scan filters with the vectorized chunk kernels
-    /// over the table's columnar projection, and fuse an aggregate directly
-    /// above a scan into it (the fast path). When `false`, every scan walks
-    /// the same chunk pieces but filters each selected row with the row
-    /// interpreter, and aggregates run as their own operator: the oracle the
-    /// vectorized path is proven byte-identical against
-    /// (`tests/physical_equivalence.rs`).
-    pub vectorized: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { vectorized: true }
-    }
-}
 
 /// Number of rows per pipeline batch.
 pub const BATCH_SIZE: usize = 1024;
@@ -795,7 +774,6 @@ pub fn execute<P: TagPolicy>(
     db: &Database,
     plan: &PhysicalPlan,
     policy: &P,
-    opts: &ExecOptions,
     stats: &mut ExecStats,
 ) -> Result<Executed<P::Tag>, ExecError> {
     let cells: AnalyzeShared = RefCell::new(vec![OpMetrics::default(); plan.node_count()]);
@@ -805,7 +783,6 @@ pub fn execute<P: TagPolicy>(
         let builder = OpBuilder {
             db,
             policy,
-            opts: *opts,
             metrics: &cells,
         };
         let mut root = builder.op(plan, 0, stats)?;
@@ -836,7 +813,6 @@ type BoxOp<'a, P> = Box<dyn BatchOp<P> + 'a>;
 struct OpBuilder<'a, P: TagPolicy> {
     db: &'a Database,
     policy: &'a P,
-    opts: ExecOptions,
     metrics: &'a AnalyzeShared,
 }
 
@@ -885,7 +861,7 @@ impl<'a, P: TagPolicy> OpBuilder<'a, P> {
             | PhysOp::IndexRangeScan { table, .. }
             | PhysOp::ZoneMapScan { table, .. } => {
                 let table = self.db.table(table)?;
-                let (scan, pieces) = resolve_scan(table, &plan.op, self.opts.vectorized, stats)?;
+                let (scan, pieces) = resolve_scan(table, &plan.op, stats)?;
                 Ok(self.scan_op(scan, pieces))
             }
             PhysOp::Filter { predicate, input } => Ok(Box::new(FilterOp {
@@ -916,9 +892,9 @@ impl<'a, P: TagPolicy> OpBuilder<'a, P> {
                 // An aggregate directly above a chunk-aligned scan can
                 // aggregate over the selection bitmaps without materializing
                 // row batches.
-                if let Some(op) = try_agg_pushdown(
-                    self.db, input, &group_idx, aggregates, policy, self.opts, stats,
-                )? {
+                if let Some(op) =
+                    try_agg_pushdown(self.db, input, &group_idx, aggregates, policy, stats)?
+                {
                     // The input subtree was fused into this aggregate: its
                     // operators never run on their own, so mark their
                     // pre-order slots — the ANALYZE rendering shows them as
@@ -1107,20 +1083,12 @@ struct PieceScan<'a> {
     table: &'a Table,
     /// Chunk projection snapshot fetched at resolve.
     chunks: Arc<ColumnarChunks>,
-    filter: Option<PieceFilter>,
+    /// The pushed-down filter, bound to the table schema once (it can hold
+    /// large sketch range / key sets).
+    filter: Option<CompiledExpr>,
     /// Table epoch the source was resolved at; every operator re-validates
     /// it before it reads.
     epoch: u64,
-}
-
-/// How a scan evaluates its pushed-down filter within a piece.
-enum PieceFilter {
-    /// The chunk kernels ([`ExecOptions::vectorized`]), over the filter bound
-    /// to the table schema once (it can hold large sketch range / key sets).
-    Kernels(CompiledExpr),
-    /// The row interpreter, one selected row at a time: the oracle the
-    /// kernels are proven byte-identical against.
-    Rows(Expr),
 }
 
 impl PieceScan<'_> {
@@ -1136,23 +1104,13 @@ impl PieceScan<'_> {
             .chunks
             .chunk_for(lo)
             .ok_or_else(|| ExecError::Plan("row id beyond chunk range".into()))?;
-        let rows = || piece_rows(self.table, lo, hi);
         let sel = match &self.filter {
             None => piece.within,
-            Some(PieceFilter::Kernels(pred)) => {
+            Some(pred) => {
+                let rows = piece_rows(self.table, lo, hi);
                 let sel =
-                    eval_filter_block_counted(pred, chunk, rows(), lo, hi, piece.within, stats)?;
+                    eval_filter_block_counted(pred, chunk, rows, lo, hi, piece.within, stats)?;
                 stats.vectorized_blocks += 1;
-                sel
-            }
-            Some(PieceFilter::Rows(pred)) => {
-                let rows = rows();
-                let mut sel = SelBitmap::zeros(hi - lo);
-                for j in piece.within.iter_ones() {
-                    if eval_predicate(pred, self.table.schema(), &rows[j])? {
-                        sel.set(j);
-                    }
-                }
                 sel
             }
         };
@@ -1169,7 +1127,7 @@ fn piece_rows(table: &Table, lo: usize, hi: usize) -> &[Row] {
 /// Resolve a scan operator against the current table into its
 /// [`PieceScan`] and pieces, recording the access-path statistics up front:
 /// exactly one of `full_scans` / `index_scans` / `zone_map_scans`, the
-/// zone-map block counters, `vectorized_scans` (a kernel-filtered scan or an
+/// zone-map block counters, `vectorized_scans` (a filtered scan or an
 /// index probe), and `rows_scanned` — every row the source selects counts as
 /// scanned when the scan is resolved, whichever operator then visits it (the
 /// plain scan or the fused aggregate), so the two agree by construction.
@@ -1181,7 +1139,6 @@ fn piece_rows(table: &Table, lo: usize, hi: usize) -> &[Row] {
 fn resolve_scan<'a>(
     table: &'a Table,
     op: &PhysOp,
-    vectorized: bool,
     stats: &mut ExecStats,
 ) -> Result<(PieceScan<'a>, Vec<Piece>), ExecError> {
     let stale = |what: &str, column: &str| {
@@ -1234,23 +1191,18 @@ fn resolve_scan<'a>(
             )))
         }
     };
-    if vectorized && (filter.is_some() || matches!(source, ScanSource::Probe(_))) {
+    if filter.is_some() || matches!(source, ScanSource::Probe(_)) {
         stats.vectorized_scans += 1;
     }
     let chunks = table.columnar_chunks();
     let pieces = masked_pieces(source, &chunks);
     stats.rows_scanned += selected_rows(&pieces) as u64;
-    let filter = filter.as_ref().map(|pred| {
-        if vectorized {
-            PieceFilter::Kernels(CompiledExpr::compile(pred, table.schema()))
-        } else {
-            PieceFilter::Rows(pred.clone())
-        }
-    });
     let scan = PieceScan {
         table,
         chunks,
-        filter,
+        filter: filter
+            .as_ref()
+            .map(|pred| CompiledExpr::compile(pred, table.schema())),
         epoch: table.epoch(),
     };
     Ok((scan, pieces))
@@ -1279,12 +1231,10 @@ fn check_scan_epoch(table: &Table, resolved_at: u64) -> Result<(), ExecError> {
     Ok(())
 }
 
-/// The leaf scan of every base table — sequential, zone-map or index probe,
-/// filtered by the chunk kernels or by the row interpreter. Each piece of
-/// its source ([`masked_pieces`]) is filtered by [`PieceScan::select`], and
-/// only the rows it selects are materialised from the row store into
-/// batches, in table order: every operator above the scan sees the same
-/// rows and tags whichever way the filter ran.
+/// The leaf scan of every base table — sequential, zone-map or index probe.
+/// Each piece of its source ([`masked_pieces`]) is filtered by
+/// [`PieceScan::select`], and only the rows it selects are materialised
+/// from the row store into batches, in table order.
 struct ScanOp<'a, P: TagPolicy> {
     scan: PieceScan<'a>,
     policy: &'a P,
@@ -1926,9 +1876,9 @@ impl<P: TagPolicy> BatchOp<P> for HashAggregateOp<'_, P> {
 ///
 /// Returns `Ok(None)` — keeping the generic scan + aggregate operator pair —
 /// whenever any semantic detail could make the pushdown observable beyond
-/// speed: vectorization is off, or an aggregate input is not a plain
-/// base-table column (expression inputs keep the generic operator's
-/// evaluation and error behavior). All declining checks run *before*
+/// speed: an aggregate input that is not a plain base-table column
+/// (expression inputs keep the generic operator's evaluation and error
+/// behavior). All declining checks run *before*
 /// [`resolve_scan`] so a declined attempt records no stats.
 ///
 /// Counters: `agg_pushdown_blocks` counts pieces and `vectorized_blocks`
@@ -1942,12 +1892,8 @@ fn try_agg_pushdown<'a, P: TagPolicy>(
     group_idx: &[usize],
     aggregates: &'a [AggExpr],
     policy: &'a P,
-    opts: ExecOptions,
     stats: &mut ExecStats,
 ) -> Result<Option<BoxOp<'a, P>>, ExecError> {
-    if !opts.vectorized {
-        return Ok(None);
-    }
     let Some((table_name, _)) = input.op.scan() else {
         return Ok(None);
     };
@@ -1963,7 +1909,7 @@ fn try_agg_pushdown<'a, P: TagPolicy>(
         }
     }
     // Committed: resolve the scan, with the accounting every scan gets.
-    let (scan, pieces) = resolve_scan(table, &input.op, true, stats)?;
+    let (scan, pieces) = resolve_scan(table, &input.op, stats)?;
     Ok(Some(Box::new(AggScanOp {
         scan,
         policy,
@@ -2378,12 +2324,7 @@ impl<'a, P: TagPolicy> BuildScan<'a, P> {
         let table = self.builder.db.table(table)?;
         let sw = clock::Stopwatch::start();
         let mut planned_stats = ExecStats::default();
-        let (scan, pieces) = resolve_scan(
-            table,
-            &self.plan.op,
-            self.builder.opts.vectorized,
-            &mut planned_stats,
-        )?;
+        let (scan, pieces) = resolve_scan(table, &self.plan.op, &mut planned_stats)?;
         let elapsed = sw.elapsed();
         // A filter naming an unknown column or an unbound parameter fails
         // on the rows it is evaluated on: it runs as planned, so the join
@@ -2448,8 +2389,7 @@ impl<'a, P: TagPolicy> BuildScan<'a, P> {
         };
         let narrowed = lower_scan(table, Some(predicate), self.profile);
         let scanned_before = stats.rows_scanned;
-        let vectorized = self.builder.opts.vectorized;
-        let (scan, pieces) = resolve_scan(table, &narrowed.op, vectorized, stats)?;
+        let (scan, pieces) = resolve_scan(table, &narrowed.op, stats)?;
         stats.join_key_filters += 1;
         let op = self.builder.scan_op(scan, pieces);
         // Every scan label ends in `]`; the key count goes inside it.
@@ -2687,10 +2627,8 @@ struct DistinctOp<'a, P: TagPolicy> {
 impl<P: TagPolicy> BatchOp<P> for DistinctOp<'_, P> {
     fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch<P::Tag>>, ExecError> {
         if let Some(mut input) = self.input.take() {
-            // The first occurrence of a row keeps its tag as it is and later
-            // duplicates merge theirs in. Seeding with the empty tag instead
-            // would not do: the copying-OR sketch merges rewrite a merged
-            // tag's representation.
+            // The first occurrence of a row keeps its tag and later
+            // duplicates merge theirs in.
             let mut table = GroupTable::new(self.columns.len());
             let mut tags: Vec<P::Tag> = Vec::new();
             while let Some(batch) = input.next_batch(stats)? {
@@ -2710,6 +2648,8 @@ impl<P: TagPolicy> BatchOp<P> for DistinctOp<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::eval_predicate;
+    use crate::lifted::lift_scan_filters;
     use pbds_algebra::{col, lit, SortKey};
     use pbds_storage::TableBuilder;
 
@@ -2737,21 +2677,27 @@ mod tests {
         db
     }
 
-    /// Lower and execute with explicit options, returning relation + stats.
-    fn run_with_opts(
-        db: &Database,
-        plan: &LogicalPlan,
-        profile: EngineProfile,
-        opts: ExecOptions,
-    ) -> (Relation, ExecStats) {
-        let physical = lower(db, plan, profile).unwrap();
+    /// Execute a physical plan, returning relation + stats.
+    fn run_physical(db: &Database, physical: &PhysicalPlan) -> (Relation, ExecStats) {
         let mut stats = ExecStats::default();
-        let done = execute(db, &physical, &NoTag, &opts, &mut stats).unwrap();
+        let done = execute(db, physical, &NoTag, &mut stats).unwrap();
         (done.relation, stats)
     }
 
+    /// Lower and execute, returning relation + stats.
     fn run(db: &Database, plan: &LogicalPlan, profile: EngineProfile) -> (Relation, ExecStats) {
-        run_with_opts(db, plan, profile, ExecOptions::default())
+        run_physical(db, &lower(db, plan, profile).unwrap())
+    }
+
+    /// Lower, lift every scan filter into a `Filter` above its scan, and
+    /// execute: the oracle the chunk kernels and the fused aggregate are
+    /// checked against.
+    fn run_lifted(
+        db: &Database,
+        plan: &LogicalPlan,
+        profile: EngineProfile,
+    ) -> (Relation, ExecStats) {
+        run_physical(db, &lift_scan_filters(&lower(db, plan, profile).unwrap()))
     }
 
     #[test]
@@ -3113,14 +3059,7 @@ mod tests {
         let t = db.table("t").unwrap();
         stale_db.add_table(Table::new("t", t.schema().clone(), t.rows().to_vec()));
         let mut stats = ExecStats::default();
-        let err = execute(
-            &stale_db,
-            &physical,
-            &NoTag,
-            &ExecOptions::default(),
-            &mut stats,
-        )
-        .unwrap_err();
+        let err = execute(&stale_db, &physical, &NoTag, &mut stats).unwrap_err();
         assert!(matches!(err, ExecError::Plan(_)), "got {err:?}");
     }
 
@@ -3135,7 +3074,7 @@ mod tests {
             .filter(col("id").lt(lit(3)))
             .cross(LogicalPlan::scan("t").filter(col("id").lt(lit(4))));
         let physical = lower(&db, &plan, EngineProfile::Indexed).unwrap();
-        let done = execute(&db, &physical, &NoTag, &ExecOptions::default(), &mut stats).unwrap();
+        let done = execute(&db, &physical, &NoTag, &mut stats).unwrap();
         assert_eq!(done.relation.len(), 12);
         assert_eq!(stats.intermediate_rows, u64::MAX);
     }
@@ -3183,12 +3122,6 @@ mod tests {
         assert!(text.contains("IndexRangeScan"));
     }
 
-    /// Options with the scan filter on the chunk kernels (`vectorized`) or
-    /// the row interpreter.
-    fn pinned(vectorized: bool) -> ExecOptions {
-        ExecOptions { vectorized }
-    }
-
     #[test]
     fn agg_pushdown_matches_row_path_on_global_aggregates() {
         let db = zone_db();
@@ -3206,8 +3139,8 @@ mod tests {
                 ],
             );
         for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-            let (fast, fast_stats) = run_with_opts(&db, &plan, profile, pinned(true));
-            let (oracle, oracle_stats) = run_with_opts(&db, &plan, profile, pinned(false));
+            let (fast, fast_stats) = run(&db, &plan, profile);
+            let (oracle, oracle_stats) = run_lifted(&db, &plan, profile);
             assert_eq!(fast, oracle, "profile {profile:?}");
             assert_eq!(fast_stats.rows_scanned, oracle_stats.rows_scanned);
             assert!(fast_stats.agg_pushdown_blocks > 0);
@@ -3233,9 +3166,8 @@ mod tests {
                     AggExpr::new(AggFunc::Sum, col("grp"), "total"),
                 ],
             );
-        let (fast, fast_stats) = run_with_opts(&db, &global, EngineProfile::Indexed, pinned(true));
-        let (oracle, oracle_stats) =
-            run_with_opts(&db, &global, EngineProfile::Indexed, pinned(false));
+        let (fast, fast_stats) = run(&db, &global, EngineProfile::Indexed);
+        let (oracle, oracle_stats) = run_lifted(&db, &global, EngineProfile::Indexed);
         assert_eq!(fast, oracle);
         assert_eq!(fast.value(0, "n"), Some(&Value::Int(3_701)));
         assert_eq!(fast_stats.index_scans, 1);
@@ -3254,8 +3186,8 @@ mod tests {
                 vec!["grp"],
                 vec![AggExpr::new(AggFunc::Avg, col("id"), "avg")],
             );
-        let (fast, fast_stats) = run_with_opts(&db, &grouped, EngineProfile::Indexed, pinned(true));
-        let (oracle, _) = run_with_opts(&db, &grouped, EngineProfile::Indexed, pinned(false));
+        let (fast, fast_stats) = run(&db, &grouped, EngineProfile::Indexed);
+        let (oracle, _) = run_lifted(&db, &grouped, EngineProfile::Indexed);
         assert_eq!(fast, oracle);
         assert_eq!(fast_stats.intermediate_rows, 3_000);
     }
@@ -3274,9 +3206,8 @@ mod tests {
                     AggExpr::new(AggFunc::Avg, col("id"), "avg"),
                 ],
             );
-        let (fast, fast_stats) =
-            run_with_opts(&db, &plan, EngineProfile::ColumnarScan, pinned(true));
-        let (oracle, _) = run_with_opts(&db, &plan, EngineProfile::ColumnarScan, pinned(false));
+        let (fast, fast_stats) = run(&db, &plan, EngineProfile::ColumnarScan);
+        let (oracle, _) = run_lifted(&db, &plan, EngineProfile::ColumnarScan);
         assert_eq!(fast, oracle);
         assert!(fast_stats.agg_pushdown_blocks > 0);
         // A scan of [0, 3000) over 100-row blocks under a zone map... the
@@ -3291,9 +3222,8 @@ mod tests {
         let db = zone_db();
         let whole = LogicalPlan::scan("t")
             .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, col("id"), "total")]);
-        let (fast, fast_stats) =
-            run_with_opts(&db, &whole, EngineProfile::ColumnarScan, pinned(true));
-        let (oracle, _) = run_with_opts(&db, &whole, EngineProfile::ColumnarScan, pinned(false));
+        let (fast, fast_stats) = run(&db, &whole, EngineProfile::ColumnarScan);
+        let (oracle, _) = run_lifted(&db, &whole, EngineProfile::ColumnarScan);
         assert_eq!(fast, oracle);
         assert_eq!(fast.value(0, "total"), Some(&Value::Int(4_999 * 5_000 / 2)));
         assert!(fast_stats.agg_pushdown_blocks > 0);
@@ -3303,8 +3233,8 @@ mod tests {
         let empty = LogicalPlan::scan("t")
             .filter(col("id").lt(lit(0)))
             .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, col("id"), "total")]);
-        let (fast, _) = run_with_opts(&db, &empty, EngineProfile::ColumnarScan, pinned(true));
-        let (oracle, _) = run_with_opts(&db, &empty, EngineProfile::ColumnarScan, pinned(false));
+        let (fast, _) = run(&db, &empty, EngineProfile::ColumnarScan);
+        let (oracle, _) = run_lifted(&db, &empty, EngineProfile::ColumnarScan);
         assert_eq!(fast, oracle);
         assert_eq!(fast.value(0, "total"), Some(&Value::Null));
         assert_eq!(fast.len(), 1);
@@ -3321,9 +3251,8 @@ mod tests {
                 vec![],
                 vec![AggExpr::new(AggFunc::Sum, col("id").mul(lit(2)), "total")],
             );
-        let (fast, fast_stats) =
-            run_with_opts(&db, &plan, EngineProfile::ColumnarScan, pinned(true));
-        let (oracle, _) = run_with_opts(&db, &plan, EngineProfile::ColumnarScan, pinned(false));
+        let (fast, fast_stats) = run(&db, &plan, EngineProfile::ColumnarScan);
+        let (oracle, _) = run_lifted(&db, &plan, EngineProfile::ColumnarScan);
         assert_eq!(fast, oracle);
         assert_eq!(fast_stats.agg_pushdown_blocks, 0);
         assert_eq!(fast.value(0, "total"), Some(&Value::Int(9_900)));
@@ -3350,19 +3279,18 @@ mod tests {
             .collect();
         assert_eq!(oracle.len(), 271 - 39 + 11 - 1);
 
-        let (rel, stats) = run_with_opts(&db, &plan, EngineProfile::Indexed, pinned(true));
+        let (rel, stats) = run(&db, &plan, EngineProfile::Indexed);
         assert_eq!(rel.rows(), &oracle[..]);
         assert_eq!(stats.index_scans, 1);
         assert_eq!(stats.rows_scanned, 271 + 11);
         assert_eq!(stats.vectorized_scans, 1);
         assert_eq!(stats.vectorized_blocks, 5);
 
-        // The oracle override: vectorized off walks the same rows through
-        // the row interpreter and counts no vectorized scan.
-        let (rel, stats) = run_with_opts(&db, &plan, EngineProfile::Indexed, pinned(false));
+        // The lifted oracle probes the same rows and filters them one at a
+        // time above the scan: no chunk is filtered by the kernels.
+        let (rel, stats) = run_lifted(&db, &plan, EngineProfile::Indexed);
         assert_eq!(rel.rows(), &oracle[..]);
         assert_eq!(stats.rows_scanned, 271 + 11);
-        assert_eq!(stats.vectorized_scans, 0);
         assert_eq!(stats.vectorized_blocks, 0);
     }
 
@@ -3386,11 +3314,10 @@ mod tests {
         db: &Database,
         plan: &LogicalPlan,
         profile: EngineProfile,
-        opts: ExecOptions,
     ) -> (PhysicalPlan, Executed<()>, ExecStats) {
         let physical = lower(db, plan, profile).unwrap();
         let mut stats = ExecStats::default();
-        let done = execute(db, &physical, &NoTag, &opts, &mut stats).unwrap();
+        let done = execute(db, &physical, &NoTag, &mut stats).unwrap();
         (physical, done, stats)
     }
 
@@ -3421,15 +3348,13 @@ mod tests {
         ];
         for (plan, scans) in cases {
             for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-                for vectorized in [true, false] {
-                    let (_, _, stats) = analyze(&db, &plan, profile, pinned(vectorized));
-                    assert_eq!(
-                        stats.full_scans + stats.index_scans + stats.zone_map_scans,
-                        scans,
-                        "{profile:?}, vectorized {vectorized}\n{}",
-                        plan.display_tree()
-                    );
-                }
+                let (_, _, stats) = analyze(&db, &plan, profile);
+                assert_eq!(
+                    stats.full_scans + stats.index_scans + stats.zone_map_scans,
+                    scans,
+                    "{profile:?}\n{}",
+                    plan.display_tree()
+                );
             }
         }
     }
@@ -3442,8 +3367,7 @@ mod tests {
             "zid",
             "id",
         );
-        let (physical, done, stats) =
-            analyze(&db, &plan, EngineProfile::Indexed, ExecOptions::default());
+        let (physical, done, stats) = analyze(&db, &plan, EngineProfile::Indexed);
         assert!(matches!(physical.children()[1].op, PhysOp::SeqScan { .. }));
         assert_eq!(done.relation.len(), 5);
         assert_eq!(stats.join_key_filters, 1);
@@ -3460,12 +3384,7 @@ mod tests {
 
         // The scan-only profile narrows through the kernels: every row is
         // scanned, only the matching ones are built.
-        let (_, done, stats) = analyze(
-            &db,
-            &plan,
-            EngineProfile::ColumnarScan,
-            ExecOptions::default(),
-        );
+        let (_, done, stats) = analyze(&db, &plan, EngineProfile::ColumnarScan);
         assert_eq!(done.relation.len(), 5);
         assert_eq!(stats.join_key_filters, 1);
         assert_eq!(stats.rows_scanned, 10_000);
@@ -3481,8 +3400,7 @@ mod tests {
             "id",
             "zid",
         );
-        let (physical, done, stats) =
-            analyze(&db, &plan, EngineProfile::Indexed, ExecOptions::default());
+        let (physical, done, stats) = analyze(&db, &plan, EngineProfile::Indexed);
         assert_eq!(done.relation.len(), 10);
         assert_eq!(stats.join_key_filters, 0);
         assert_eq!(stats.rows_scanned, 5_000 + 100);
@@ -3501,8 +3419,7 @@ mod tests {
                 LogicalPlan::scan("z")
                     .filter(probe)
                     .join(LogicalPlan::scan("t"), "zid", "id");
-            let (physical, done, stats) =
-                analyze(&db, &plan, EngineProfile::Indexed, ExecOptions::default());
+            let (physical, done, stats) = analyze(&db, &plan, EngineProfile::Indexed);
             assert!(done.relation.is_empty());
             // Only the probe side was scanned.
             let scans = stats.full_scans + stats.index_scans + stats.zone_map_scans;
@@ -3528,7 +3445,7 @@ mod tests {
         );
         let physical = lower(&db, &plan, EngineProfile::Indexed).unwrap();
         let mut stats = ExecStats::default();
-        let err = execute(&db, &physical, &NoTag, &ExecOptions::default(), &mut stats);
+        let err = execute(&db, &physical, &NoTag, &mut stats);
         assert!(matches!(err, Err(ExecError::UnknownColumn(_))), "{err:?}");
     }
 }

@@ -180,7 +180,7 @@ pub fn extract_skip_ranges(pred: &Expr) -> Option<ColumnRanges> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::{execute, lower_scan, ExecOptions, NoTag};
+    use crate::physical::{execute, lower_scan, NoTag};
     use crate::profile::EngineProfile;
     use crate::stats::ExecStats;
     use pbds_algebra::{col, lit};
@@ -197,7 +197,7 @@ mod tests {
         let plan = lower_scan(table, predicate.cloned(), profile);
         let mut db = Database::new();
         db.add_table(table.clone());
-        let done = execute(&db, &plan, &NoTag, &ExecOptions::default(), stats).unwrap();
+        let done = execute(&db, &plan, &NoTag, stats).unwrap();
         done.relation.into_rows()
     }
 

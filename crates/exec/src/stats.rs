@@ -32,7 +32,7 @@ pub struct ExecStats {
     /// Batches emitted by the root of the physical operator pipeline.
     pub batches: u64,
     /// Scans on the vectorized chunk kernels: every scan with a pushed-down
-    /// filter, and every index probe, when `ExecOptions::vectorized` is on.
+    /// filter, and every index probe.
     pub vectorized_scans: u64,
     /// Chunk pieces whose filter the kernels evaluated into selection
     /// bitmaps.

@@ -172,7 +172,7 @@ impl Annotation {
     /// Merge another annotation into this one using the given strategy.
     pub fn merge(&mut self, other: &Annotation, nbits: usize, strategy: MergeStrategy) {
         match strategy {
-            MergeStrategy::Bitor | MergeStrategy::BytewiseBitor => {
+            MergeStrategy::BytewiseBitor => {
                 let a = self.to_bitset(nbits);
                 let b = other.to_bitset(nbits);
                 *self = Annotation::Bits(a.or(&b));
@@ -201,7 +201,8 @@ impl Annotation {
     }
 }
 
-/// How per-row sketch annotations are merged during capture (Fig. 12b).
+/// The annotation merge methods Fig. 12b compares. Capture always merges
+/// with [`MergeStrategy::DelayNoCopy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MergeStrategy {
     /// Materialize every annotation as a bitset immediately and merge with a
@@ -211,13 +212,11 @@ pub enum MergeStrategy {
     /// [`MergeStrategy::Delay`]/[`MergeStrategy::DelayNoCopy`] only in its
     /// eager materialization and per-merge allocation.
     BytewiseBitor,
-    /// Materialize eagerly, merge with a word-wise copying OR.
-    Bitor,
     /// Keep singleton annotations as integers until a merge point
     /// (the paper's *delay* method).
     Delay,
     /// Delay plus in-place word-wise merging (the paper's *no-copy* method);
-    /// this is the default used outside the optimization benchmark.
+    /// the one capture uses.
     #[default]
     DelayNoCopy,
 }
@@ -292,7 +291,6 @@ mod tests {
         let nbits = 96;
         for strategy in [
             MergeStrategy::BytewiseBitor,
-            MergeStrategy::Bitor,
             MergeStrategy::Delay,
             MergeStrategy::DelayNoCopy,
         ] {

@@ -21,27 +21,23 @@
 //!
 //! There is deliberately **no plan interpreter here** any more: capture is a
 //! pipeline *mode*, so execution and capture cannot drift apart.
+//!
+//! Capture runs one configuration, the one the paper uses for every
+//! experiment after Sec. 9.2: fragments are found by binary search over a
+//! range partition's bounds, annotations merge with the delay + no-copy
+//! method ([`MergeStrategy::DelayNoCopy`]) and min/max aggregates narrow to
+//! their witness rows. Fig. 12 times the lookup and merge alternatives
+//! directly on `RangePartition` and [`Annotation`], not through capture.
 
 use crate::bitset::{Annotation, FragmentBitset, MergeStrategy};
 use crate::sketch::ProvenanceSketch;
 use pbds_algebra::LogicalPlan;
-use pbds_exec::{
-    execute, lower, EngineProfile, ExecError, ExecOptions, ExecStats, Executed, TagPolicy,
-};
+use pbds_exec::{execute, lower, EngineProfile, ExecError, ExecStats, Executed, TagPolicy};
 use pbds_storage::{Database, Partition, PartitionRef, Relation, Row, Schema};
 use pbds_telemetry::clock;
 
-/// How a tuple's fragment is computed when seeding annotations (Fig. 12a).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LookupMethod {
-    /// Linear list of `CASE WHEN` range tests (`O(#fragments)` per row).
-    CaseLinear,
-    /// Binary search over the partition's ranges (`O(log #fragments)`).
-    #[default]
-    BinarySearch,
-}
-
-/// Assigns rows of a partitioned table to fragments.
+/// Assigns rows of a partitioned table to fragments (by binary search over
+/// a range partition's bounds).
 ///
 /// The partitioning attributes are resolved against the table schema **once**
 /// on first use and cached; the per-row hot path (`seed_tag` calls this for
@@ -51,7 +47,6 @@ pub enum LookupMethod {
 #[derive(Debug, Clone)]
 pub struct FragmentAssigner {
     partition: PartitionRef,
-    lookup: LookupMethod,
     /// Resolved attribute indexes (`None` inside = some attribute missing
     /// from the schema). Seeded lazily because the schema only becomes
     /// available per row batch.
@@ -60,10 +55,9 @@ pub struct FragmentAssigner {
 
 impl FragmentAssigner {
     /// Create an assigner for a partition.
-    pub fn new(partition: PartitionRef, lookup: LookupMethod) -> Self {
+    pub fn new(partition: PartitionRef) -> Self {
         FragmentAssigner {
             partition,
-            lookup,
             attr_idx: std::sync::OnceLock::new(),
         }
     }
@@ -85,20 +79,9 @@ impl FragmentAssigner {
             // caller reusing one assigner across schemas with different
             // column orders falls through to per-call resolution.
             Some(idxs) if self.cache_matches(idxs, schema) => {
-                match (self.partition.as_ref(), self.lookup) {
-                    (Partition::Range(p), LookupMethod::CaseLinear) => {
-                        p.fragment_of_linear(&row[*idxs.first()?])
-                    }
-                    _ => self.partition.fragment_of_row_at(idxs, row),
-                }
+                self.partition.fragment_of_row_at(idxs, row)
             }
-            _ => match (self.partition.as_ref(), self.lookup) {
-                (Partition::Range(p), LookupMethod::CaseLinear) => {
-                    let idx = schema.index_of(p.attr())?;
-                    p.fragment_of_linear(&row[idx])
-                }
-                _ => self.partition.fragment_of_row(schema, row),
-            },
+            _ => self.partition.fragment_of_row(schema, row),
         }
     }
 
@@ -123,37 +106,19 @@ impl FragmentAssigner {
     }
 }
 
-/// Configuration of a capture run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CaptureConfig {
-    /// Fragment lookup method (Fig. 12a).
-    pub lookup: LookupMethod,
-    /// Annotation merge strategy (Fig. 12b).
-    pub merge: MergeStrategy,
-    /// Apply the min/max narrowing of rule r3 (only the extremal rows of a
-    /// group contribute their fragments).
-    pub minmax_narrowing: bool,
-}
+/// The capture configuration [`capture_sketches`] takes. It has no field:
+/// capture always runs the paper's optimized configuration (binary search,
+/// delay + no-copy merging, min/max narrowing), and this type stays for the
+/// callers that name it.
+#[derive(Debug, Clone, Copy)]
+#[non_exhaustive]
+pub struct CaptureConfig {}
 
 impl CaptureConfig {
-    /// The configuration with all optimizations enabled (binary search,
-    /// delay + no-copy merging, min/max narrowing). This is what the paper
-    /// uses for all experiments after Sec. 9.2.
+    /// The configuration the paper uses for all experiments after Sec. 9.2,
+    /// and the only one.
     pub fn optimized() -> Self {
-        CaptureConfig {
-            lookup: LookupMethod::BinarySearch,
-            merge: MergeStrategy::DelayNoCopy,
-            minmax_narrowing: true,
-        }
-    }
-
-    /// The unoptimized baseline (CASE lookup, byte-wise copying BITOR).
-    pub fn naive() -> Self {
-        CaptureConfig {
-            lookup: LookupMethod::CaseLinear,
-            merge: MergeStrategy::BytewiseBitor,
-            minmax_narrowing: false,
-        }
+        CaptureConfig {}
     }
 }
 
@@ -170,17 +135,17 @@ pub struct CaptureResult {
 }
 
 /// The pipeline tag policy that turns execution into sketch capture: tags
-/// are one [`Annotation`] per requested partition.
+/// are one [`Annotation`] per requested partition, merged with the delay +
+/// no-copy method, and min/max aggregates narrow to their witness rows.
 #[derive(Debug)]
 pub struct SketchTagPolicy<'a> {
     assigners: &'a [FragmentAssigner],
-    config: &'a CaptureConfig,
 }
 
 impl<'a> SketchTagPolicy<'a> {
     /// Create the policy for a set of fragment assigners.
-    pub fn new(assigners: &'a [FragmentAssigner], config: &'a CaptureConfig) -> Self {
-        SketchTagPolicy { assigners, config }
+    pub fn new(assigners: &'a [FragmentAssigner]) -> Self {
+        SketchTagPolicy { assigners }
     }
 }
 
@@ -211,25 +176,25 @@ impl TagPolicy for SketchTagPolicy<'_> {
     fn merge_tags(&self, into: &mut Vec<Annotation>, from: &Vec<Annotation>) {
         for (i, ann) in from.iter().enumerate() {
             let nbits = self.assigners[i].partition().num_fragments();
-            into[i].merge(ann, nbits, self.config.merge);
+            into[i].merge(ann, nbits, MergeStrategy::DelayNoCopy);
         }
     }
 
     fn minmax_narrowing(&self) -> bool {
-        self.config.minmax_narrowing
+        true
     }
 }
 
 /// Capture provenance sketches for `plan` over `db` according to the given
 /// partitions (rule `INSTR` of Fig. 6), using the default indexed engine
-/// profile.
+/// profile. `_config` selects nothing ([`CaptureConfig`]).
 pub fn capture_sketches(
     db: &Database,
     plan: &LogicalPlan,
     partitions: &[PartitionRef],
-    config: &CaptureConfig,
+    _config: &CaptureConfig,
 ) -> Result<CaptureResult, ExecError> {
-    capture_sketches_with_profile(db, plan, partitions, config, EngineProfile::default())
+    capture_sketches_with_profile(db, plan, partitions, EngineProfile::default())
 }
 
 /// Capture provenance sketches using an explicit engine profile: the
@@ -239,25 +204,24 @@ pub fn capture_sketches_with_profile(
     db: &Database,
     plan: &LogicalPlan,
     partitions: &[PartitionRef],
-    config: &CaptureConfig,
     profile: EngineProfile,
 ) -> Result<CaptureResult, ExecError> {
     let start = clock::Stopwatch::start();
     let assigners: Vec<FragmentAssigner> = partitions
         .iter()
-        .map(|p| FragmentAssigner::new(p.clone(), config.lookup))
+        .map(|p| FragmentAssigner::new(p.clone()))
         .collect();
-    let policy = SketchTagPolicy::new(&assigners, config);
+    let policy = SketchTagPolicy::new(&assigners);
     let physical = lower(db, plan, profile)?;
     let mut stats = ExecStats::default();
-    let Executed { relation, tags, .. } =
-        execute(db, &physical, &policy, &ExecOptions::default(), &mut stats)?;
+    let Executed { relation, tags, .. } = execute(db, &physical, &policy, &mut stats)?;
 
     // Rule r7: final BITOR over the annotations of the result rows.
     let mut final_bits: Vec<Annotation> = vec![Annotation::Empty; partitions.len()];
     for anns in &tags {
         for (i, ann) in anns.iter().enumerate() {
-            final_bits[i].merge(ann, partitions[i].num_fragments(), config.merge);
+            let nbits = partitions[i].num_fragments();
+            final_bits[i].merge(ann, nbits, MergeStrategy::DelayNoCopy);
         }
     }
     let sketches = partitions
@@ -371,41 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn all_capture_configs_produce_the_same_sketch() {
-        let db = cities_db();
-        let plan = LogicalPlan::scan("cities")
-            .filter(col("popden").gt(lit(2400)))
-            .aggregate(
-                vec!["state"],
-                vec![AggExpr::new(AggFunc::Count, col("city"), "cnt")],
-            )
-            .filter(col("cnt").gt(lit(1)));
-        let configs = [
-            CaptureConfig::naive(),
-            CaptureConfig::optimized(),
-            CaptureConfig {
-                lookup: LookupMethod::BinarySearch,
-                merge: MergeStrategy::Delay,
-                minmax_narrowing: false,
-            },
-            CaptureConfig {
-                lookup: LookupMethod::CaseLinear,
-                merge: MergeStrategy::Bitor,
-                minmax_narrowing: true,
-            },
-        ];
-        let reference = capture_sketches(&db, &plan, &[state_partition()], &configs[0]).unwrap();
-        for cfg in &configs[1..] {
-            let res = capture_sketches(&db, &plan, &[state_partition()], cfg).unwrap();
-            assert_eq!(
-                res.sketches[0].selected_fragments(),
-                reference.sketches[0].selected_fragments(),
-                "config {cfg:?}"
-            );
-        }
-    }
-
-    #[test]
     fn captured_sketch_covers_lineage() {
         // Every fragment containing a provenance row must be in the sketch.
         let db = cities_db();
@@ -488,27 +417,12 @@ mod tests {
             &db,
             &plan,
             &[state_partition()],
-            &CaptureConfig {
-                minmax_narrowing: true,
-                ..CaptureConfig::optimized()
-            },
+            &CaptureConfig::optimized(),
         )
         .unwrap();
-        let full = capture_sketches(
-            &db,
-            &plan,
-            &[state_partition()],
-            &CaptureConfig {
-                minmax_narrowing: false,
-                ..CaptureConfig::optimized()
-            },
-        )
-        .unwrap();
-        // The max row (New York, 7000) is in fragment f3 (index 2).
+        // The max row (New York, 7000) is in fragment f3 (index 2), though
+        // f1 = AK/CA and f4 = TX hold rows too.
         assert_eq!(narrowed.sketches[0].selected_fragments(), vec![2]);
-        // Without narrowing every fragment that holds rows is selected
-        // (f1 = AK/CA, f3 = NY, f4 = TX; no state falls into f2).
-        assert_eq!(full.sketches[0].num_selected(), 3);
     }
 
     #[test]
@@ -558,7 +472,7 @@ mod tests {
         // attribute at different positions: the index cache must not leak
         // the first schema's binding into the second.
         let part = state_partition();
-        let a = FragmentAssigner::new(part, LookupMethod::BinarySearch);
+        let a = FragmentAssigner::new(part);
         let schema1 = Schema::from_pairs(&[
             ("popden", pbds_storage::DataType::Int),
             ("city", pbds_storage::DataType::Str),
@@ -579,15 +493,20 @@ mod tests {
 
     #[test]
     fn fragment_assigner_case_and_binary_agree() {
+        // The assigner's binary search finds the fragment the linear CASE
+        // list of Fig. 12a finds.
         let db = cities_db();
         let table = db.table("cities").unwrap();
         let part = state_partition();
-        let a1 = FragmentAssigner::new(part.clone(), LookupMethod::CaseLinear);
-        let a2 = FragmentAssigner::new(part, LookupMethod::BinarySearch);
+        let Partition::Range(range) = part.as_ref() else {
+            unreachable!("a range partition")
+        };
+        let state = table.schema().index_of("state").unwrap();
+        let assigner = FragmentAssigner::new(part.clone());
         for row in table.rows() {
             assert_eq!(
-                a1.assign(table.schema(), row),
-                a2.assign(table.schema(), row)
+                assigner.assign(table.schema(), row),
+                range.fragment_of_linear(&row[state])
             );
         }
     }

@@ -9,7 +9,8 @@
 //! * [`sketch`] — provenance sketches (Sec. 4): fragments selected from a
 //!   range or composite partition, selectivity, sketch instances `D_P`;
 //! * [`capture`] — sketch capture by query instrumentation (Sec. 7, rules
-//!   r0–r7), including the binary-search / delay / no-copy optimizations.
+//!   r0–r7), always with the binary-search / delay / no-copy optimizations
+//!   and min/max narrowing.
 
 #![warn(missing_docs)]
 
@@ -21,7 +22,7 @@ pub mod sketch;
 pub use bitset::{Annotation, FragmentBitset, MergeStrategy};
 pub use capture::{
     capture_sketches, capture_sketches_with_profile, CaptureConfig, CaptureResult,
-    FragmentAssigner, LookupMethod, SketchTagPolicy,
+    FragmentAssigner, SketchTagPolicy,
 };
 pub use lineage::{
     capture_lineage, is_sufficient_subset, LineageResult, LineageTagPolicy, TupleSet,

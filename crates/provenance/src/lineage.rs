@@ -12,9 +12,7 @@
 //! Lineage keeps the full witness set of every group.
 
 use pbds_algebra::{AggFunc, LogicalPlan};
-use pbds_exec::{
-    execute, lower, EngineProfile, ExecError, ExecOptions, ExecStats, Executed, TagPolicy,
-};
+use pbds_exec::{execute, lower, EngineProfile, ExecError, ExecStats, Executed, TagPolicy};
 use pbds_storage::{Database, Relation, Row, Schema, Value};
 use std::collections::BTreeSet;
 
@@ -73,13 +71,7 @@ pub fn capture_lineage(db: &Database, plan: &LogicalPlan) -> Result<LineageResul
         relation,
         tags: per_row,
         ..
-    } = execute(
-        db,
-        &physical,
-        &LineageTagPolicy,
-        &ExecOptions::default(),
-        &mut stats,
-    )?;
+    } = execute(db, &physical, &LineageTagPolicy, &mut stats)?;
     let mut provenance = TupleSet::new();
     for lin in &per_row {
         provenance.extend(lin.iter().cloned());

@@ -88,15 +88,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          ({} chunk(s) -> selection bitmaps, {} rows scanned)",
         out.stats.vectorized_scans, out.stats.vectorized_blocks, out.stats.rows_scanned
     );
-    let row_path = columnar
-        .with_vectorization(false)
-        .execute(pbds.db(), &instrumented)?;
-    assert_eq!(out.relation, row_path.relation);
-    println!(
-        "row-interpreter oracle agrees: {} identical rows (vectorized_scans = {})",
-        row_path.relation.len(),
-        row_path.stats.vectorized_scans
-    );
 
     // What do those columnar chunks actually hold? The build packs each
     // integer chunk-column whose values span 16 bits or fewer

@@ -6,9 +6,9 @@
 //! proves the invariants the design promises:
 //!
 //! 1. **Scan-path equivalence under mutation** — after any generated
-//!    sequence of appends and deletes, row-at-a-time and vectorized
-//!    execution return *byte-identical* results (rows **and** capture tags)
-//!    on both engine profiles. A stale zone
+//!    sequence of appends and deletes, each plan and its lifted-filter
+//!    oracle (`support/lifted.rs`) return *byte-identical* results (rows
+//!    **and** capture tags) on both engine profiles. A stale zone
 //!    map, rid list or chunk projection would break this immediately.
 //! 2. **Sketch maintenance stays a safe superset** — a sketch captured
 //!    before the mutations and maintained through them (fragment-bitset
@@ -24,7 +24,7 @@
 
 use pbds_algebra::{col, lit, param, AggExpr, AggFunc, LogicalPlan, QueryTemplate, SortKey};
 use pbds_core::{Mutation, PbdsServer, ServerConfig};
-use pbds_exec::{execute, lower, Engine, EngineProfile, ExecOptions, ExecStats};
+use pbds_exec::{execute, lower, Engine, EngineProfile, ExecStats, PhysicalPlan};
 use pbds_provenance::{
     capture_lineage, capture_sketches, CaptureConfig, FragmentAssigner, ProvenanceSketch,
     SketchTagPolicy,
@@ -36,6 +36,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
+
+#[path = "support/lifted.rs"]
+mod lifted;
+use lifted::lift_scan_filters;
 
 // ---------------------------------------------------------------------------
 // Fixtures
@@ -137,51 +141,52 @@ fn decode_op((kind, seed, x): (u8, u64, i64)) -> Op {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Row vs vectorized equivalence (rows and capture tags) under mutation
+// 1. Lowered vs lifted-filter equivalence (rows and capture tags) under
+//    mutation
 // ---------------------------------------------------------------------------
 
-/// Execute `plan` over `db` with both scan paths and assert byte-identical
-/// rows, tags and machine-independent counters.
+/// Execute `plan` over `db` as lowered and as its lifted-filter oracle and
+/// assert byte-identical rows and tags, and the same rows scanned by the
+/// same access paths (the family is join-free).
 fn assert_paths_identical<P>(db: &Database, plan: &LogicalPlan, policy: &P, ctx: &str)
 where
     P: pbds_exec::TagPolicy,
     P::Tag: PartialEq + std::fmt::Debug,
 {
     for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-        let run = |vectorized: bool| {
-            let opts = ExecOptions { vectorized };
-            let physical = lower(db, plan, profile).unwrap();
+        let lowered = lower(db, plan, profile).unwrap();
+        let run = |physical: &PhysicalPlan| {
             let mut stats = ExecStats::default();
-            let done = execute(db, &physical, policy, &opts, &mut stats).unwrap();
+            let done = execute(db, physical, policy, &mut stats).unwrap();
             ((done.relation, done.tags), stats)
         };
-        let ((rel_row, tags_row), stats_row) = run(false);
-        let ((rel_vec, tags_vec), stats_vec) = run(true);
+        let ((lifted_rel, lifted_tags), lifted_stats) = run(&lift_scan_filters(&lowered));
+        let ((rel, tags), stats) = run(&lowered);
         assert_eq!(
-            rel_row,
-            rel_vec,
-            "{ctx}, {profile:?}: rows differ between scan paths\n{}",
+            lifted_rel,
+            rel,
+            "{ctx}, {profile:?}: rows differ from the lifted plan's\n{}",
             plan.display_tree()
         );
         assert_eq!(
-            tags_row,
-            tags_vec,
-            "{ctx}, {profile:?}: tags differ between scan paths\n{}",
+            lifted_tags,
+            tags,
+            "{ctx}, {profile:?}: tags differ from the lifted plan's\n{}",
             plan.display_tree()
         );
-        assert_eq!(stats_row.rows_scanned, stats_vec.rows_scanned, "{ctx}");
-        assert_eq!(stats_row.full_scans, stats_vec.full_scans, "{ctx}");
-        assert_eq!(stats_row.index_scans, stats_vec.index_scans, "{ctx}");
+        assert_eq!(lifted_stats.rows_scanned, stats.rows_scanned, "{ctx}");
+        assert_eq!(lifted_stats.full_scans, stats.full_scans, "{ctx}");
+        assert_eq!(lifted_stats.index_scans, stats.index_scans, "{ctx}");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// After every mutation in a generated interleaving, the vectorized
-    /// scan path (over epoch-maintained chunks / zone maps / indexes) stays
-    /// byte-identical to the row interpreter — for plain execution *and*
-    /// for sketch-capture tags.
+    /// After every mutation in a generated interleaving, the lowered plan
+    /// (over epoch-maintained chunks / zone maps / indexes) stays
+    /// byte-identical to its lifted-filter oracle — for plain execution
+    /// *and* for sketch-capture tags.
     #[test]
     fn scan_paths_agree_after_any_mutation_sequence(
         seed in 0u64..1_000_000,
@@ -194,9 +199,8 @@ proptest! {
             "grp",
             vec![Value::Int(3), Value::Int(7), Value::Int(9)],
         )));
-        let config = CaptureConfig::optimized();
-        let assigners = vec![FragmentAssigner::new(part, config.lookup)];
-        let policy = SketchTagPolicy::new(&assigners, &config);
+        let assigners = vec![FragmentAssigner::new(part)];
+        let policy = SketchTagPolicy::new(&assigners);
 
         for (step, raw) in raw_ops.into_iter().enumerate() {
             let op = decode_op(raw);

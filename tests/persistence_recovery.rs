@@ -7,7 +7,7 @@
 //!    then truncated at *every byte prefix* (simulating a crash mid-append)
 //!    and reopened. The recovered database must be byte-identical to the
 //!    state after exactly the mutations whose records survived whole — no
-//!    more, no fewer — and the row-at-a-time vs vectorized oracle must agree
+//!    more, no fewer — and the lifted-filter oracle must agree
 //!    on the recovered state (stale derived artifacts would break it).
 //! 2. **The catalog is warm across restarts, and only with epoch-valid
 //!    entries.** A server that served a Zipf stream, checkpointed and was
@@ -31,6 +31,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+#[path = "support/lifted.rs"]
+mod lifted;
+use lifted::lift_scan_filters;
 
 // ---------------------------------------------------------------------------
 // Fixtures
@@ -100,21 +104,23 @@ fn query_family() -> Vec<LogicalPlan> {
     ]
 }
 
-/// Row-vs-vectorized oracle on one database: both scan paths must return
-/// byte-identical rows (a stale zone map / chunk projection / rid list in a
-/// restored table would diverge immediately), and both must match `expect`.
+/// Lifted-filter oracle on one database: the lowered plan and the same plan
+/// with its scan filters lifted above the scans must return byte-identical
+/// rows (a stale zone map / chunk projection / rid list in a restored table
+/// would diverge immediately), and both must match `expect`.
 fn assert_oracle_agrees(db: &Database, expect: &Database, ctx: &str) {
-    let vectorized = Engine::new(EngineProfile::Indexed);
-    let row_path = Engine::new(EngineProfile::Indexed).with_vectorization(false);
+    let engine = Engine::new(EngineProfile::Indexed);
     for (qi, plan) in query_family().iter().enumerate() {
-        let vec_out = vectorized.execute(db, plan).unwrap().relation;
-        let row_out = row_path.execute(db, plan).unwrap().relation;
+        let lowered = engine.plan(db, plan).unwrap();
+        let out = engine.execute_physical(db, &lowered).unwrap().relation;
+        let lifted = lift_scan_filters(&lowered);
+        let lifted_out = engine.execute_physical(db, &lifted).unwrap().relation;
         assert_eq!(
-            vec_out, row_out,
-            "{ctx}: query #{qi} diverged between scan paths on the recovered db"
+            out, lifted_out,
+            "{ctx}: query #{qi} diverged from its lifted plan on the recovered db"
         );
-        let expected = vectorized.execute(expect, plan).unwrap().relation;
-        assert_eq!(vec_out, expected, "{ctx}: query #{qi} wrong result");
+        let expected = engine.execute(expect, plan).unwrap().relation;
+        assert_eq!(out, expected, "{ctx}: query #{qi} wrong result");
     }
 }
 

@@ -11,16 +11,20 @@
 //! A second group asserts capture equivalence: the sketches produced by the
 //! unified pipeline (capture as a tag-policy *mode*) still match the paper's
 //! worked examples — the values the seed's standalone capture interpreter
-//! produced — for every capture configuration and on both profiles.
+//! produced — on both profiles.
+//!
+//! A third group checks the scan path against its oracle, the same plan
+//! with every scan filter lifted into a `Filter` above its scan
+//! (`support/lifted.rs`): rows and tags must be byte-identical.
 
 use pbds_algebra::{col, lit, AggExpr, AggFunc, Expr, LogicalPlan, SortKey};
 use pbds_exec::{
-    eval_expr, eval_predicate, execute, lower, Engine, EngineProfile, ExecError, ExecOptions,
-    ExecStats, NoTag, PhysOp, PhysicalPlan, TagPolicy,
+    eval_expr, eval_predicate, execute, lower, Engine, EngineProfile, ExecError, ExecStats, NoTag,
+    PhysOp, PhysicalPlan, QueryOutput, TagPolicy,
 };
 use pbds_provenance::{
-    capture_lineage, capture_sketches_with_profile, Annotation, CaptureConfig, FragmentAssigner,
-    LineageTagPolicy, LookupMethod, MergeStrategy, ProvenanceSketch, SketchTagPolicy,
+    capture_lineage, capture_sketches_with_profile, Annotation, FragmentAssigner, LineageTagPolicy,
+    ProvenanceSketch, SketchTagPolicy,
 };
 use pbds_storage::{
     ColumnData, DataType, Database, Partition, PartitionRef, RangePartition, Relation, Row, Schema,
@@ -385,20 +389,30 @@ fn sketch_on_k(ranges: &[(i64, i64)]) -> Expr {
     sketch_on("k", ranges)
 }
 
-/// Both scan filters — the chunk kernels and the row interpreter, which walk
-/// the same chunk pieces — against the oracle, which shares no piece code.
+/// Run `plan` on `engine` as lowered, or as its lifted-filter oracle.
+fn execute_as(engine: &Engine, db: &Database, plan: &LogicalPlan, lifted: bool) -> QueryOutput {
+    let physical = engine.plan(db, plan).unwrap();
+    let physical = if lifted {
+        lift_scan_filters(&physical)
+    } else {
+        physical
+    };
+    engine.execute_physical(db, &physical).unwrap()
+}
+
+/// The lowered plan and its lifted-filter oracle, which walk the same chunk
+/// pieces, against the logical oracle, which shares no piece code.
 #[test]
 fn pipeline_matches_direct_evaluation_on_every_query_and_profile() {
     for seed in 0..4u64 {
         let db = random_db(seed, 300);
         for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-            for vectorized in [true, false] {
-                let engine = Engine::new(profile).with_vectorization(vectorized);
+            let engine = Engine::new(profile);
+            for lifted in [false, true] {
                 for (i, plan) in query_family().iter().enumerate() {
-                    let ctx =
-                        format!("seed {seed}, query #{i}, {profile:?}, vectorized {vectorized}");
+                    let ctx = format!("seed {seed}, query #{i}, {profile:?}, lifted {lifted}");
                     let expected = oracle(&db, plan).unwrap();
-                    let actual = engine.execute(&db, plan).unwrap().relation;
+                    let actual = execute_as(&engine, &db, plan, lifted).relation;
                     assert_eq!(
                         actual.len(),
                         expected.len(),
@@ -600,50 +614,20 @@ fn q2() -> LogicalPlan {
         .top_k(vec![SortKey::desc("avgden")], 1)
 }
 
-fn all_configs() -> Vec<CaptureConfig> {
-    vec![
-        CaptureConfig::naive(),
-        CaptureConfig::optimized(),
-        CaptureConfig {
-            lookup: LookupMethod::BinarySearch,
-            merge: MergeStrategy::Delay,
-            minmax_narrowing: false,
-        },
-        CaptureConfig {
-            lookup: LookupMethod::CaseLinear,
-            merge: MergeStrategy::Bitor,
-            minmax_narrowing: true,
-        },
-    ]
-}
-
 #[test]
 fn unified_pipeline_reproduces_seed_capture_on_paper_examples() {
     let db = cities_db();
     for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-        for config in all_configs() {
-            // Ex. 3: the sketch of Q2 on the state partition is {f1}.
-            let res =
-                capture_sketches_with_profile(&db, &q2(), &[state_partition()], &config, profile)
-                    .unwrap();
-            assert_eq!(
-                res.sketches[0].selected_fragments(),
-                vec![0],
-                "{profile:?} {config:?}"
-            );
-            assert_eq!(res.sketches[0].bitset().to_string(), "1000");
-            assert_eq!(res.result.value(0, "state"), Some(&Value::from("CA")));
+        // Ex. 3: the sketch of Q2 on the state partition is {f1}.
+        let res = capture_sketches_with_profile(&db, &q2(), &[state_partition()], profile).unwrap();
+        assert_eq!(res.sketches[0].selected_fragments(), vec![0], "{profile:?}");
+        assert_eq!(res.sketches[0].bitset().to_string(), "1000");
+        assert_eq!(res.result.value(0, "state"), Some(&Value::from("CA")));
 
-            // Ex. 5: the popden-partition sketch of Q2 is {g2}.
-            let res =
-                capture_sketches_with_profile(&db, &q2(), &[popden_partition()], &config, profile)
-                    .unwrap();
-            assert_eq!(
-                res.sketches[0].selected_fragments(),
-                vec![1],
-                "{profile:?} {config:?}"
-            );
-        }
+        // Ex. 5: the popden-partition sketch of Q2 is {g2}.
+        let res =
+            capture_sketches_with_profile(&db, &q2(), &[popden_partition()], profile).unwrap();
+        assert_eq!(res.sketches[0].selected_fragments(), vec![1], "{profile:?}");
     }
 }
 
@@ -675,21 +659,13 @@ fn captured_sketches_cover_lineage_on_both_profiles() {
                 .map(|rid| db.table("cities").unwrap().rows()[rid as usize].clone()),
         );
         for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-            for config in all_configs() {
-                let res = capture_sketches_with_profile(
-                    &db,
-                    &plan,
-                    &[state_partition()],
-                    &config,
-                    profile,
-                )
-                .unwrap();
-                assert!(
-                    res.sketches[0].is_superset_of(&accurate),
-                    "sketch must cover lineage ({profile:?}, {config:?})\n{}",
-                    plan.display_tree()
-                );
-            }
+            let res =
+                capture_sketches_with_profile(&db, &plan, &[state_partition()], profile).unwrap();
+            assert!(
+                res.sketches[0].is_superset_of(&accurate),
+                "sketch must cover lineage ({profile:?})\n{}",
+                plan.display_tree()
+            );
         }
     }
 }
@@ -699,58 +675,60 @@ fn minmax_narrowing_still_selects_only_the_witness_fragment() {
     let db = cities_db();
     let plan = LogicalPlan::scan("cities")
         .aggregate(vec![], vec![AggExpr::new(AggFunc::Max, col("popden"), "m")]);
+    // Lineage keeps every row of the group: the three fragments that hold
+    // rows (f1 = AK/CA, f3 = NY, f4 = TX).
+    let lineage = capture_lineage(&db, &plan).unwrap();
+    let table = db.table("cities").unwrap();
+    let accurate = ProvenanceSketch::from_rows(
+        state_partition(),
+        table.schema(),
+        lineage
+            .rows_of("cities")
+            .into_iter()
+            .map(|rid| table.rows()[rid as usize].clone()),
+    );
+    assert_eq!(accurate.num_selected(), 3);
     for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-        let narrowed = capture_sketches_with_profile(
-            &db,
-            &plan,
-            &[state_partition()],
-            &CaptureConfig::optimized(),
-            profile,
-        )
-        .unwrap();
+        let narrowed =
+            capture_sketches_with_profile(&db, &plan, &[state_partition()], profile).unwrap();
         // The max row (New York, 7000) is in fragment f3 (index 2).
         assert_eq!(narrowed.sketches[0].selected_fragments(), vec![2]);
-        let full = capture_sketches_with_profile(
-            &db,
-            &plan,
-            &[state_partition()],
-            &CaptureConfig {
-                minmax_narrowing: false,
-                ..CaptureConfig::optimized()
-            },
-            profile,
-        )
-        .unwrap();
-        assert_eq!(full.sketches[0].num_selected(), 3);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized vs row-interpreter scan path: byte-identical rows *and* tags.
+// The lowered plan vs its lifted-filter oracle: byte-identical rows *and*
+// tags.
 // ---------------------------------------------------------------------------
 
-/// Execute `plan` with the scan filter on the chunk kernels (`vectorized`)
-/// or the row interpreter, returning the relation, the per-row tags and the
-/// stats.
+/// Execute `plan` as lowered, or as its lifted-filter oracle (`lifted`),
+/// returning the relation, the per-row tags and the stats.
 fn run_pinned<P>(
     db: &Database,
     plan: &LogicalPlan,
     profile: EngineProfile,
-    vectorized: bool,
+    lifted: bool,
     policy: &P,
 ) -> ((Relation, Vec<P::Tag>), ExecStats)
 where
     P: pbds_exec::TagPolicy,
 {
-    let opts = ExecOptions { vectorized };
     let physical = lower(db, plan, profile).unwrap();
+    let physical = if lifted {
+        lift_scan_filters(&physical)
+    } else {
+        physical
+    };
     let mut stats = ExecStats::default();
-    let done = execute(db, &physical, policy, &opts, &mut stats).unwrap();
+    let done = execute(db, &physical, policy, &mut stats).unwrap();
     ((done.relation, done.tags), stats)
 }
 
-/// Run one plan through both scan paths and assert the result relations are
-/// identical row for row (not just bag-equal) with equal tag vectors.
+/// Run one plan as lowered and as its lifted-filter oracle and assert the
+/// result relations are identical row for row (not just bag-equal) with
+/// equal tag vectors. A join-free plan must also scan the same rows by the
+/// same access paths; a hash join may narrow its build scan only as
+/// lowered.
 fn assert_paths_identical<P>(
     db: &Database,
     plan: &LogicalPlan,
@@ -761,35 +739,33 @@ fn assert_paths_identical<P>(
     P: pbds_exec::TagPolicy,
     P::Tag: PartialEq + std::fmt::Debug,
 {
-    let run = |vectorized: bool| run_pinned(db, plan, profile, vectorized, policy);
-    let ((rel_row, tags_row), stats_row) = run(false);
-    let ((rel_vec, tags_vec), stats_vec) = run(true);
+    let run = |lifted: bool| run_pinned(db, plan, profile, lifted, policy);
+    let ((lifted_rel, lifted_tags), lifted_stats) = run(true);
+    let ((rel, tags), stats) = run(false);
     assert_eq!(
-        rel_row,
-        rel_vec,
-        "{context}: relations differ between scan paths\n{}",
+        lifted_rel,
+        rel,
+        "{context}: relations differ from the lifted plan's\n{}",
         plan.display_tree()
     );
     assert_eq!(
-        tags_row,
-        tags_vec,
-        "{context}: tags differ between scan paths\n{}",
+        lifted_tags,
+        tags,
+        "{context}: tags differ from the lifted plan's\n{}",
         plan.display_tree()
     );
+    // The lifted plan filters no chunk through the kernels.
+    assert_eq!(lifted_stats.vectorized_blocks, 0, "{context}");
     // The machine-independent scan accounting must agree too.
-    assert_eq!(stats_row.rows_scanned, stats_vec.rows_scanned, "{context}");
-    assert_eq!(stats_row.full_scans, stats_vec.full_scans, "{context}");
-    assert_eq!(stats_row.index_scans, stats_vec.index_scans, "{context}");
-    assert_eq!(
-        stats_row.blocks_skipped, stats_vec.blocks_skipped,
-        "{context}"
-    );
-    // The interpreter path never touches the chunk kernels.
-    assert_eq!(
-        (stats_row.vectorized_scans, stats_row.vectorized_blocks),
-        (0, 0),
-        "{context}"
-    );
+    if !has_hash_join(&lower(db, plan, profile).unwrap()) {
+        assert_eq!(lifted_stats.rows_scanned, stats.rows_scanned, "{context}");
+        assert_eq!(lifted_stats.full_scans, stats.full_scans, "{context}");
+        assert_eq!(lifted_stats.index_scans, stats.index_scans, "{context}");
+        assert_eq!(
+            lifted_stats.blocks_skipped, stats.blocks_skipped,
+            "{context}"
+        );
+    }
 }
 
 #[test]
@@ -818,9 +794,8 @@ fn vectorized_path_is_byte_identical_for_sketch_capture_tags() {
         "grp",
         vec![Value::Int(2), Value::Int(5), Value::Int(7)],
     )));
-    let config = CaptureConfig::optimized();
-    let assigners = vec![FragmentAssigner::new(part, config.lookup)];
-    let policy = SketchTagPolicy::new(&assigners, &config);
+    let assigners = vec![FragmentAssigner::new(part)];
+    let policy = SketchTagPolicy::new(&assigners);
     for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
         for (i, plan) in query_family().iter().enumerate() {
             assert_paths_identical(
@@ -896,7 +871,7 @@ fn big_scan_family() -> Vec<LogicalPlan> {
 
 /// Every scan of [`big_scan_family`] — many chunk pieces, zone maps that
 /// really skip — must give the same rows, tags and scan accounting on the
-/// chunk kernels as on the row interpreter, plain and under capture tags.
+/// chunk kernels as its lifted-filter oracle, plain and under capture tags.
 #[test]
 fn many_piece_scans_are_byte_identical_across_scan_paths() {
     let db = big_db();
@@ -905,9 +880,8 @@ fn many_piece_scans_are_byte_identical_across_scan_paths() {
         "grp",
         vec![Value::Int(2), Value::Int(5), Value::Int(7)],
     )));
-    let config = CaptureConfig::optimized();
-    let assigners = vec![FragmentAssigner::new(part, config.lookup)];
-    let policy = SketchTagPolicy::new(&assigners, &config);
+    let assigners = vec![FragmentAssigner::new(part)];
+    let policy = SketchTagPolicy::new(&assigners);
     for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
         for (i, plan) in big_scan_family().iter().enumerate() {
             let ctx = format!("query #{i}, {profile:?}");
@@ -929,14 +903,9 @@ fn capture_result_relation_matches_plain_execution() {
         let engine = Engine::new(profile);
         for (i, plan) in query_family().iter().enumerate() {
             let plain = engine.execute(&db, plan).unwrap().relation;
-            let captured = capture_sketches_with_profile(
-                &db,
-                plan,
-                std::slice::from_ref(&part),
-                &CaptureConfig::optimized(),
-                profile,
-            )
-            .unwrap();
+            let captured =
+                capture_sketches_with_profile(&db, plan, std::slice::from_ref(&part), profile)
+                    .unwrap();
             assert!(
                 plain.bag_eq(&captured.result),
                 "query #{i}, {profile:?}: capture by-product differs from execution"
@@ -1131,23 +1100,23 @@ fn grouping_plan(rng: &mut StdRng) -> LogicalPlan {
     input.aggregate(group_by, aggregates)
 }
 
-/// `plan` under `policy`: the row-interpreter run is the oracle, and the
-/// vectorized run (fused scans, index probes, bitmap kernels) must reproduce
-/// its rows, their order and their tags exactly — `Debug` renderings are compared, so `Int(3)` and
-/// `Float(3.0)` count as different.
+/// `plan` under `policy`: the lifted-filter run is the oracle, and the
+/// lowered run (fused scans, index probes, bitmap kernels) must reproduce
+/// its rows, their order and their tags exactly — `Debug` renderings are
+/// compared, so `Int(3)` and `Float(3.0)` count as different.
 fn assert_grouping_identical<P>(db: &Database, plan: &LogicalPlan, policy: &P, what: &str)
 where
     P: TagPolicy,
     P::Tag: std::fmt::Debug,
 {
     for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-        let render = |vectorized: bool| {
-            let ((rel, tags), _) = run_pinned(db, plan, profile, vectorized, policy);
+        let render = |lifted: bool| {
+            let ((rel, tags), _) = run_pinned(db, plan, profile, lifted, policy);
             format!("{:?}\n{tags:?}", rel.rows())
         };
         assert_eq!(
-            render(false),
             render(true),
+            render(false),
             "{what}, {profile:?}\n{}",
             plan.display_tree()
         );
@@ -1215,8 +1184,8 @@ fn grouping_generators_reach_every_source() {
             .iter()
             .filter(|c| c.len() < table.block_size())
             .count();
-        let (_, indexed) = run_pinned(&db, &plan, EngineProfile::Indexed, true, &NoTag);
-        let (_, columnar) = run_pinned(&db, &plan, EngineProfile::ColumnarScan, true, &NoTag);
+        let (_, indexed) = run_pinned(&db, &plan, EngineProfile::Indexed, false, &NoTag);
+        let (_, columnar) = run_pinned(&db, &plan, EngineProfile::ColumnarScan, false, &NoTag);
         match &plan {
             LogicalPlan::Distinct { .. } => distinct += 1,
             _ if indexed.agg_pushdown_blocks == 0 => generic += 1,
@@ -1285,9 +1254,9 @@ fn grouping_generators_reach_every_source() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// Grouping is byte-identical across scan paths and worker counts for
-    /// every tag policy, and its rows equal the naive interpreter's, in
-    /// first-seen group order.
+    /// Grouping is byte-identical to the lifted-filter oracle for every tag
+    /// policy, and its rows equal the naive interpreter's, in first-seen
+    /// group order.
     #[test]
     fn grouping_matches_the_oracle_on_generated_aggregations(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1310,24 +1279,14 @@ proptest! {
             "k",
             vec![Value::Int(60), Value::Int(150), Value::Int(320)],
         )));
-        for config in [
-            CaptureConfig::optimized(),
-            CaptureConfig { minmax_narrowing: false, ..CaptureConfig::optimized() },
-            CaptureConfig::naive(),
-        ] {
-            let assigners = vec![FragmentAssigner::new(part.clone(), config.lookup)];
-            let policy = SketchTagPolicy::new(&assigners, &config);
-            assert_grouping_identical(&db, &plan, &policy, &format!("sketch {config:?}"));
-        }
+        let assigners = vec![FragmentAssigner::new(part)];
+        let policy = SketchTagPolicy::new(&assigners);
+        assert_grouping_identical(&db, &plan, &policy, "sketch");
     }
 }
 
 /// `merge_tags(empty_tag(), t)` returns `t` for plain execution, lineage and
-/// the delaying sketch merges. The copying-OR merges (`Bitor`,
-/// `BytewiseBitor`) materialize a `Single` annotation into `Bits`: the same
-/// fragments, another representation — so an operator that must hand a lone
-/// row's tag on unchanged (duplicate elimination) seeds a new entry with the
-/// row's tag instead of merging it into the empty tag.
+/// sketch capture.
 #[test]
 fn empty_tag_is_a_left_identity_of_merge() {
     fn merged<P: TagPolicy>(policy: &P, t: &P::Tag) -> P::Tag {
@@ -1352,36 +1311,19 @@ fn empty_tag_is_a_left_identity_of_merge() {
         "k",
         vec![Value::Int(10), Value::Int(20)],
     )));
-    for merge in [
-        MergeStrategy::Delay,
-        MergeStrategy::DelayNoCopy,
-        MergeStrategy::Bitor,
-        MergeStrategy::BytewiseBitor,
-    ] {
-        let config = CaptureConfig {
-            merge,
-            ..CaptureConfig::optimized()
-        };
-        let assigners = vec![FragmentAssigner::new(part.clone(), config.lookup)];
-        let policy = SketchTagPolicy::new(&assigners, &config);
-        let row = vec![Value::Int(15)];
-        let schema = Schema::from_pairs(&[("k", DataType::Int)]);
-        let single = policy.seed_tag("p", &schema, &row, 0);
-        assert_eq!(single, vec![Annotation::Single(1)]);
-        let mut bits = single.clone();
-        policy.merge_tags(
-            &mut bits,
-            &policy.seed_tag("p", &schema, &vec![Value::Int(25)], 1),
-        );
-        for t in [policy.empty_tag(), single, bits] {
-            let m = merged(&policy, &t);
-            let copying = matches!(merge, MergeStrategy::Bitor | MergeStrategy::BytewiseBitor);
-            if copying && matches!(t[0], Annotation::Single(_) | Annotation::Empty) {
-                assert_eq!(m[0].to_bitset(3), t[0].to_bitset(3), "{merge:?}");
-            } else {
-                assert_eq!(m, t, "{merge:?}");
-            }
-        }
+    let assigners = vec![FragmentAssigner::new(part)];
+    let policy = SketchTagPolicy::new(&assigners);
+    let row = vec![Value::Int(15)];
+    let schema = Schema::from_pairs(&[("k", DataType::Int)]);
+    let single = policy.seed_tag("p", &schema, &row, 0);
+    assert_eq!(single, vec![Annotation::Single(1)]);
+    let mut bits = single.clone();
+    policy.merge_tags(
+        &mut bits,
+        &policy.seed_tag("p", &schema, &vec![Value::Int(25)], 1),
+    );
+    for t in [policy.empty_tag(), single, bits] {
+        assert_eq!(merged(&policy, &t), t);
     }
 }
 
@@ -1566,8 +1508,8 @@ fn join_family() -> Vec<(&'static str, LogicalPlan)> {
 }
 
 /// Every join of the family equals the oracle row for row, in output order,
-/// on both profiles and both scan paths, and its tags agree across the scan
-/// paths for lineage and sketch capture.
+/// on both profiles, as lowered and as its lifted-filter oracle, and its tags
+/// agree with the lifted plan's for lineage and sketch capture.
 #[test]
 fn hash_joins_match_the_oracle_on_the_join_family() {
     let part: PartitionRef = Arc::new(Partition::Range(RangePartition::from_uppers(
@@ -1575,9 +1517,8 @@ fn hash_joins_match_the_oracle_on_the_join_family() {
         "bv",
         vec![Value::Int(25), Value::Int(50), Value::Int(75)],
     )));
-    let config = CaptureConfig::optimized();
-    let assigners = vec![FragmentAssigner::new(part, config.lookup)];
-    let sketch = SketchTagPolicy::new(&assigners, &config);
+    let assigners = vec![FragmentAssigner::new(part)];
+    let sketch = SketchTagPolicy::new(&assigners);
     // Joins whose build scan was narrowed, and joins that ran as planned.
     let (mut narrowed, mut planned) = (0, 0);
     for seed in 0..4u64 {
@@ -1585,18 +1526,15 @@ fn hash_joins_match_the_oracle_on_the_join_family() {
         for (what, plan) in join_family() {
             let expected = oracle(&db, &plan).unwrap();
             for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-                for vectorized in [true, false] {
-                    let out = Engine::new(profile)
-                        .with_vectorization(vectorized)
-                        .execute(&db, &plan)
-                        .unwrap();
+                for lifted in [false, true] {
+                    let out = execute_as(&Engine::new(profile), &db, &plan, lifted);
                     narrowed += out.stats.join_key_filters;
                     planned += u64::from(out.stats.join_key_filters == 0);
                     let actual = out.relation;
                     assert_eq!(
                         actual.rows(),
                         expected.rows(),
-                        "seed {seed}, {what}, {profile:?}, vectorized {vectorized}\n{}",
+                        "seed {seed}, {what}, {profile:?}, lifted {lifted}\n{}",
                         plan.display_tree()
                     );
                 }
@@ -1627,15 +1565,11 @@ proptest! {
             let plan = probe.clone().join(LogicalPlan::scan("jb"), left, right);
             let expected = oracle(&db, &plan).unwrap();
             for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-                for vectorized in [true, false] {
-                    let actual = Engine::new(profile)
-                        .with_vectorization(vectorized)
-                        .execute(&db, &plan)
-                        .unwrap()
-                        .relation;
+                for lifted in [false, true] {
+                    let actual = execute_as(&Engine::new(profile), &db, &plan, lifted).relation;
                     prop_assert_eq!(
                         actual.rows(), expected.rows(),
-                        "{} = {}, {:?}, vectorized {}", left, right, profile, vectorized
+                        "{} = {}, {:?}, lifted {}", left, right, profile, lifted
                     );
                 }
             }
@@ -1765,22 +1699,17 @@ fn tpch_join_digests_are_pinned() {
         ));
         let mut seen: [Vec<u64>; 4] = Default::default();
         for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-            let capture = capture_sketches_with_profile(
-                &db,
-                &plan,
-                std::slice::from_ref(&part),
-                &CaptureConfig::optimized(),
-                profile,
-            )
-            .unwrap();
+            let capture =
+                capture_sketches_with_profile(&db, &plan, std::slice::from_ref(&part), profile)
+                    .unwrap();
             let instrumented = pbds_core::apply_sketches(
                 &plan,
                 &capture.sketches,
                 pbds_core::UsePredicateStyle::BinarySearch,
             );
-            for vectorized in [true, false] {
-                let engine = Engine::new(profile).with_vectorization(vectorized);
-                let rows = |p: &LogicalPlan| engine.execute(&db, p).unwrap().relation;
+            let engine = Engine::new(profile);
+            for lifted in [false, true] {
+                let rows = |p: &LogicalPlan| execute_as(&engine, &db, p, lifted).relation;
                 seen[0].push(digest(&rows(&plan).rows()));
                 seen[1].push(digest(&rows(&instrumented).rows()));
             }
@@ -1795,7 +1724,7 @@ fn tpch_join_digests_are_pinned() {
         for (i, digests) in seen.iter().enumerate() {
             assert!(
                 digests.iter().all(|d| *d == digests[0]),
-                "{name}: digest {i} differs across profiles or scan paths: {digests:?}"
+                "{name}: digest {i} differs across profiles or lifted plans: {digests:?}"
             );
             row[i] = digests[0];
         }

@@ -100,7 +100,6 @@ proptest! {
         reference.dedup();
         for strategy in [
             MergeStrategy::BytewiseBitor,
-            MergeStrategy::Bitor,
             MergeStrategy::Delay,
             MergeStrategy::DelayNoCopy,
         ] {
