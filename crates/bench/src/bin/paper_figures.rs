@@ -1,8 +1,11 @@
 //! Prints the reproduction of every table and figure of the PBDS evaluation.
 //!
-//! Usage: `paper_figures [all|example|fig9|fig10|fig11|fig12|fig13|fig14|checks] [--quick]`
+//! Usage: `paper_figures [all|example|fig9|fig10|fig11|fig12|fig13|fig14|fig15|checks]... [--quick]`
+//!
+//! `fig15` and `checks` name the same check-overhead table. An unknown
+//! figure name prints the usage to stderr and exits with status 2.
 
-use pbds_bench::{datasets, figs};
+use pbds_bench::{datasets, figs, select_figures};
 use pbds_exec::EngineProfile;
 
 fn main() {
@@ -13,11 +16,20 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(|s| s.as_str())
         .collect();
-    let all = which.is_empty() || which.contains(&"all");
+    let selected = match select_figures(&which) {
+        Ok(selected) => selected,
+        Err(e) => {
+            eprintln!("paper_figures: {e}");
+            eprintln!(
+                "usage: paper_figures [all|example|fig9|fig10|fig11|fig12|fig13|fig14|fig15|checks]... [--quick]"
+            );
+            std::process::exit(2);
+        }
+    };
     let runs = if quick { 1 } else { 3 };
     let e2e_queries = if quick { 60 } else { 200 };
 
-    let want = |name: &str| all || which.contains(&name);
+    let want = |name: &str| selected.contains(&name);
 
     if want("example") {
         println!("{}", figs::running_example());
