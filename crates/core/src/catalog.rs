@@ -1035,13 +1035,7 @@ impl SketchCatalog {
             return Some(p.clone());
         }
         let table = db.table(&attr.table).ok()?;
-        let values = table.column_iter(&attr.column)?;
-        let distinct = table.distinct(&attr.column)?;
-        let partition = if distinct <= fragments {
-            RangePartition::per_distinct_value_from_iter(&attr.table, &attr.column, values)?
-        } else {
-            RangePartition::equi_depth_from_iter(&attr.table, &attr.column, values, fragments)?
-        };
+        let partition = RangePartition::of_column(table, &attr.column, fragments)?;
         let part: PartitionRef = Arc::new(Partition::Range(partition));
         // Under a race, hand every caller the cached winner so all captures
         // share one `Arc<Partition>` per (table, column).

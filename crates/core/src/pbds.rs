@@ -165,9 +165,10 @@ impl Pbds {
         Ok(self.engine.execute(&self.db, plan)?)
     }
 
-    /// Build an equi-depth range partition of `table.attr` with (up to)
-    /// `fragments` fragments; falls back to one fragment per distinct value
-    /// when the column has fewer distinct values than requested fragments.
+    /// Build a range partition of `table.attr` with (up to) `fragments`
+    /// fragments by [`RangePartition::of_column`]'s rule: one fragment per
+    /// distinct value when there are no more distinct values than that,
+    /// equi-depth otherwise.
     pub fn range_partition(
         &self,
         table: &str,
@@ -175,19 +176,13 @@ impl Pbds {
         fragments: usize,
     ) -> Result<PartitionRef, PbdsError> {
         let t = self.db.table(table)?;
-        let values = t.column_iter(attr).ok_or_else(|| {
-            PbdsError::Storage(StorageError::UnknownColumn {
+        if t.schema().index_of(attr).is_none() {
+            return Err(PbdsError::Storage(StorageError::UnknownColumn {
                 table: table.to_string(),
                 column: attr.to_string(),
-            })
-        })?;
-        let distinct = t.distinct(attr).unwrap_or(usize::MAX);
-        let partition = if distinct <= fragments {
-            RangePartition::per_distinct_value_from_iter(table, attr, values)
-        } else {
-            RangePartition::equi_depth_from_iter(table, attr, values, fragments)
+            }));
         }
-        .ok_or_else(|| {
+        let partition = RangePartition::of_column(t, attr, fragments).ok_or_else(|| {
             PbdsError::Partitioning(format!(
                 "cannot partition {table}.{attr} (no non-null values)"
             ))

@@ -10,6 +10,7 @@
 use crate::relation::Row;
 use crate::schema::Schema;
 use crate::stats::EquiDepthHistogram;
+use crate::table::Table;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -149,6 +150,19 @@ impl RangePartition {
             attr: attr.into(),
             uppers: distinct,
         })
+    }
+
+    /// The range partition of `table.attr` with (up to) `fragments`
+    /// fragments: one per distinct value when the column has no more
+    /// distinct values than that, equi-depth otherwise. `None` when the
+    /// column is missing or holds only NULLs.
+    pub fn of_column(table: &Table, attr: &str, fragments: usize) -> Option<Self> {
+        let values = table.column_iter(attr)?;
+        if table.distinct(attr)? <= fragments {
+            Self::per_distinct_value_from_iter(table.name(), attr, values)
+        } else {
+            Self::equi_depth_from_iter(table.name(), attr, values, fragments)
+        }
     }
 
     /// The partitioned table name.
@@ -536,5 +550,27 @@ mod tests {
             Value::from("CA"),
         ];
         assert_eq!(p.fragment_of_row(&schema, &row), Some(0));
+    }
+
+    #[test]
+    fn of_column_picks_per_distinct_or_equi_depth_by_the_distinct_count() {
+        let schema = Schema::from_pairs(&[("g", DataType::Int), ("n", DataType::Int)]);
+        let rows = (0..100i64)
+            .map(|i| vec![Value::Int(i % 5), Value::Null])
+            .collect();
+        let table = Table::new("t", schema, rows);
+        // Five distinct values fit five or more fragments: one each.
+        for fragments in [5, 8] {
+            let p = RangePartition::of_column(&table, "g", fragments).unwrap();
+            assert_eq!(p.uppers(), &[0, 1, 2, 3].map(Value::Int));
+        }
+        // Fewer fragments than distinct values: equi-depth.
+        let values: Vec<Value> = table.column_iter("g").unwrap().cloned().collect();
+        assert_eq!(
+            RangePartition::of_column(&table, "g", 2),
+            RangePartition::equi_depth("t", "g", &values, 2)
+        );
+        assert_eq!(RangePartition::of_column(&table, "n", 4), None);
+        assert_eq!(RangePartition::of_column(&table, "missing", 4), None);
     }
 }
