@@ -14,7 +14,7 @@
 //! count), then one frame per entry. Written atomically like snapshots.
 
 use crate::codec::{decode_sketch, encode_sketch, ByteReader, ByteWriter};
-use crate::frame::{check_header, file_header, read_frame, write_frame, FileKind, FrameRead};
+use crate::frame::{file_header, write_frame, FileKind, FramedFile};
 use crate::io::{Io, RealIo};
 use crate::snapshot::write_atomically;
 use crate::PersistError;
@@ -126,30 +126,15 @@ pub fn read_catalog_with(io: &dyn Io, path: &Path) -> Result<PersistedCatalog, P
         }
         Err(e) => return Err(e.into()),
     };
-    let mut pos = 0;
-    let mut next = |what: &str| -> Result<&[u8], PersistError> {
-        match read_frame(&bytes, pos) {
-            FrameRead::Frame { payload, next } => {
-                pos = next;
-                Ok(payload)
-            }
-            _ => Err(PersistError::corrupt(format!(
-                "catalog {}: missing or torn {what} frame",
-                path.display()
-            ))),
-        }
-    };
-    check_header(next("header")?, FileKind::Catalog)?;
-    let mut meta = ByteReader::new(next("meta")?);
+    let mut file = FramedFile::open(&bytes, FileKind::Catalog, path)?;
+    let mut meta = ByteReader::new(file.next("meta")?);
     let count = meta.u32()? as usize;
     meta.finish("catalog meta")?;
     let mut entries = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
-        entries.push(decode_entry(next("entry")?)?);
+        entries.push(decode_entry(file.next("entry")?)?);
     }
-    if read_frame(&bytes, pos) != FrameRead::End {
-        return Err(PersistError::corrupt("catalog has trailing frames"));
-    }
+    file.finish()?;
     Ok(PersistedCatalog { entries })
 }
 

@@ -27,6 +27,7 @@
 
 use crate::PersistError;
 use std::io::Write;
+use std::path::Path;
 
 /// Magic bytes opening every PBDS persistence file.
 pub const MAGIC: &[u8; 8] = b"PBDSDUR1";
@@ -51,6 +52,15 @@ impl FileKind {
             FileKind::Snapshot => 1,
             FileKind::Wal => 2,
             FileKind::Catalog => 3,
+        }
+    }
+
+    /// The file kind's name in error messages.
+    fn name(self) -> &'static str {
+        match self {
+            FileKind::Snapshot => "snapshot",
+            FileKind::Wal => "wal",
+            FileKind::Catalog => "catalog",
         }
     }
 
@@ -216,6 +226,61 @@ pub fn check_header(payload: &[u8], expected: FileKind) -> Result<(), PersistErr
             "wrong file kind: expected {expected:?}, found {kind:?}"
         ))),
         None => Err(PersistError::corrupt("unknown file kind tag")),
+    }
+}
+
+/// The frames of an atomically written file (a snapshot or a catalog), read
+/// in order after its header. A missing, torn or corrupt frame is
+/// corruption, and so is a frame after the last one its reader takes.
+pub(crate) struct FramedFile<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    kind: FileKind,
+    path: &'a Path,
+}
+
+impl<'a> FramedFile<'a> {
+    /// Open the image `bytes` of the file at `path`, checking its header
+    /// frame against `kind`.
+    pub(crate) fn open(
+        bytes: &'a [u8],
+        kind: FileKind,
+        path: &'a Path,
+    ) -> Result<Self, PersistError> {
+        let mut file = FramedFile {
+            bytes,
+            pos: 0,
+            kind,
+            path,
+        };
+        check_header(file.next("header")?, kind)?;
+        Ok(file)
+    }
+
+    /// The payload of the next frame, which the error calls `what`.
+    pub(crate) fn next(&mut self, what: &str) -> Result<&'a [u8], PersistError> {
+        match read_frame(self.bytes, self.pos) {
+            FrameRead::Frame { payload, next } => {
+                self.pos = next;
+                Ok(payload)
+            }
+            _ => Err(PersistError::corrupt(format!(
+                "{} {}: missing or torn {what} frame",
+                self.kind.name(),
+                self.path.display()
+            ))),
+        }
+    }
+
+    /// Check that the file ends after the frames read.
+    pub(crate) fn finish(self) -> Result<(), PersistError> {
+        if read_frame(self.bytes, self.pos) != FrameRead::End {
+            return Err(PersistError::corrupt(format!(
+                "{} has trailing frames",
+                self.kind.name()
+            )));
+        }
+        Ok(())
     }
 }
 

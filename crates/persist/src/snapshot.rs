@@ -18,7 +18,7 @@
 //! torn frame is therefore reported as corruption, never tolerated.
 
 use crate::codec::{decode_table_image, encode_table, ByteReader, ByteWriter};
-use crate::frame::{check_header, file_header, read_frame, write_frame, FileKind, FrameRead};
+use crate::frame::{file_header, write_frame, FileKind, FramedFile};
 use crate::io::{Io, RealIo};
 use crate::PersistError;
 use pbds_storage::{Database, Table};
@@ -99,36 +99,19 @@ pub fn read_snapshot(path: &Path) -> Result<(Database, u64), PersistError> {
 /// [`read_snapshot`] through an injectable [`Io`].
 pub fn read_snapshot_with(io: &dyn Io, path: &Path) -> Result<(Database, u64), PersistError> {
     let bytes = io.read(path)?;
-    let mut pos = 0;
-    let mut next = |what: &str| -> Result<&[u8], PersistError> {
-        match read_frame(&bytes, pos) {
-            FrameRead::Frame { payload, next } => {
-                pos = next;
-                Ok(payload)
-            }
-            _ => Err(PersistError::corrupt(format!(
-                "snapshot {}: missing or torn {what} frame",
-                path.display()
-            ))),
-        }
-    };
-    check_header(next("header")?, FileKind::Snapshot)?;
-    let meta_payload = next("meta")?;
-    let mut meta = ByteReader::new(meta_payload);
+    let mut file = FramedFile::open(&bytes, FileKind::Snapshot, path)?;
+    let mut meta = ByteReader::new(file.next("meta")?);
     let applied_seq = meta.u64()?;
     let table_count = meta.u32()? as usize;
     meta.finish("snapshot meta")?;
     let mut db = Database::new();
     for _ in 0..table_count {
-        let payload = next("table")?;
-        let mut r = ByteReader::new(payload);
+        let mut r = ByteReader::new(file.next("table")?);
         let image = decode_table_image(&mut r)?;
         r.finish("table frame")?;
         db.add_table(Table::restore(image));
     }
-    if read_frame(&bytes, pos) != FrameRead::End {
-        return Err(PersistError::corrupt("snapshot has trailing frames"));
-    }
+    file.finish()?;
     Ok((db, applied_seq))
 }
 
