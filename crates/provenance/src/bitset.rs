@@ -203,7 +203,7 @@ impl Annotation {
 
 /// The annotation merge methods Fig. 12b compares. Capture always merges
 /// with [`MergeStrategy::DelayNoCopy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeStrategy {
     /// Materialize every annotation as a bitset immediately and merge with a
     /// copying OR (the unoptimized baseline). Historically this modelled
@@ -217,7 +217,6 @@ pub enum MergeStrategy {
     Delay,
     /// Delay plus in-place word-wise merging (the paper's *no-copy* method);
     /// the one capture uses.
-    #[default]
     DelayNoCopy,
 }
 

@@ -20,7 +20,7 @@
 use pbds_algebra::{col, lit, AggExpr, AggFunc, Expr, LogicalPlan, SortKey};
 use pbds_exec::{
     eval_expr, eval_predicate, execute, lower, Engine, EngineProfile, ExecError, ExecStats, NoTag,
-    PhysOp, PhysicalPlan, QueryOutput, TagPolicy,
+    PhysOp, PhysicalPlan, TagPolicy,
 };
 use pbds_provenance::{
     capture_lineage, capture_sketches_with_profile, Annotation, FragmentAssigner, LineageTagPolicy,
@@ -389,17 +389,6 @@ fn sketch_on_k(ranges: &[(i64, i64)]) -> Expr {
     sketch_on("k", ranges)
 }
 
-/// Run `plan` on `engine` as lowered, or as its lifted-filter oracle.
-fn execute_as(engine: &Engine, db: &Database, plan: &LogicalPlan, lifted: bool) -> QueryOutput {
-    let physical = engine.plan(db, plan).unwrap();
-    let physical = if lifted {
-        lift_scan_filters(&physical)
-    } else {
-        physical
-    };
-    engine.execute_physical(db, &physical).unwrap()
-}
-
 /// The lowered plan and its lifted-filter oracle, which walk the same chunk
 /// pieces, against the logical oracle, which shares no piece code.
 #[test]
@@ -407,12 +396,11 @@ fn pipeline_matches_direct_evaluation_on_every_query_and_profile() {
     for seed in 0..4u64 {
         let db = random_db(seed, 300);
         for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
-            let engine = Engine::new(profile);
             for lifted in [false, true] {
                 for (i, plan) in query_family().iter().enumerate() {
                     let ctx = format!("seed {seed}, query #{i}, {profile:?}, lifted {lifted}");
                     let expected = oracle(&db, plan).unwrap();
-                    let actual = execute_as(&engine, &db, plan, lifted).relation;
+                    let ((actual, _), _) = run_pinned(&db, plan, profile, lifted, &NoTag);
                     assert_eq!(
                         actual.len(),
                         expected.len(),
@@ -1527,10 +1515,9 @@ fn hash_joins_match_the_oracle_on_the_join_family() {
             let expected = oracle(&db, &plan).unwrap();
             for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
                 for lifted in [false, true] {
-                    let out = execute_as(&Engine::new(profile), &db, &plan, lifted);
-                    narrowed += out.stats.join_key_filters;
-                    planned += u64::from(out.stats.join_key_filters == 0);
-                    let actual = out.relation;
+                    let ((actual, _), stats) = run_pinned(&db, &plan, profile, lifted, &NoTag);
+                    narrowed += stats.join_key_filters;
+                    planned += u64::from(stats.join_key_filters == 0);
                     assert_eq!(
                         actual.rows(),
                         expected.rows(),
@@ -1566,7 +1553,7 @@ proptest! {
             let expected = oracle(&db, &plan).unwrap();
             for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
                 for lifted in [false, true] {
-                    let actual = execute_as(&Engine::new(profile), &db, &plan, lifted).relation;
+                    let ((actual, _), _) = run_pinned(&db, &plan, profile, lifted, &NoTag);
                     prop_assert_eq!(
                         actual.rows(), expected.rows(),
                         "{} = {}, {:?}, lifted {}", left, right, profile, lifted
@@ -1707,9 +1694,11 @@ fn tpch_join_digests_are_pinned() {
                 &capture.sketches,
                 pbds_core::UsePredicateStyle::BinarySearch,
             );
-            let engine = Engine::new(profile);
             for lifted in [false, true] {
-                let rows = |p: &LogicalPlan| execute_as(&engine, &db, p, lifted).relation;
+                let rows = |p: &LogicalPlan| {
+                    let ((rel, _), _) = run_pinned(&db, p, profile, lifted, &NoTag);
+                    rel
+                };
                 seen[0].push(digest(&rows(&plan).rows()));
                 seen[1].push(digest(&rows(&instrumented).rows()));
             }
