@@ -4,20 +4,31 @@
 //! front of the database: sketches captured for one instance of a
 //! parameterized query are reused by later — possibly concurrent — instances.
 //! That makes the sketch store a shared, contended data structure, not a
-//! per-executor appendage. [`SketchCatalog`] is that store:
+//! per-executor appendage. [`SketchCatalog`] is that store. It keeps one
+//! record per template and one per table:
 //!
-//! * **template-keyed and sharded** — entries are grouped by template key
-//!   (name + structural fingerprint, so same-named templates of different
-//!   shape can never see each other's sketches);
-//!   templates are distributed over [`TrackedRwLock`]-protected shards so sessions
-//!   serving different templates never contend on one lock, and sessions
-//!   serving the *same* template share a read lock on the hot reuse path;
+//! * a `TemplateState` holds everything known about one template: stored
+//!   entries, the reuse-check memo and the denials (by binding), the version
+//!   guarding memo writes, the safety verdict with the bounds it was proven
+//!   under, the adaptive evidence counter, the tables it reads and the
+//!   bindings whose capture is in flight. It is keyed by name + structural
+//!   fingerprint (same-named templates of different shape never share
+//!   state) and hashed over [`TrackedRwLock`] shards (`"catalog.shard"`): a
+//!   served query takes only its own template's shard lock, shared on the
+//!   hot reuse path;
+//! * a `TableState`, behind the one `"catalog.tables"` lock, holds the data
+//!   epoch of the last mutation the catalog processed (inserts captured
+//!   against an older epoch are rejected as stale) and the table's cached
+//!   range partitions.
+//!
+//! No catalog lock is taken while another is held. The reuse check runs
+//! under the shard's read lock; the safety derivation runs outside it.
+//!
 //! * **memoized reuse checks** — the solver-backed reuse check
 //!   ([`crate::reuse::ReuseChecker`]) is the per-query CPU cost of PBDS
 //!   middleware. Its outcome depends only on `(template, captured binding,
-//!   new binding)` and the table statistics, so the catalog memoizes it per
-//!   `(template, new binding)` and invalidates the memo when the template's
-//!   entry set changes or the underlying data mutates;
+//!   new binding)` and the table statistics, so each template memoizes it
+//!   per new binding until its entry set changes or a table it reads mutates;
 //! * **epoch-checked under mutation** — every stored entry records, per
 //!   sketched table, the table epoch its sketches reflect.
 //!   [`SketchCatalog::apply_deltas`] extends stored sketches with the
@@ -25,20 +36,16 @@
 //!   them across deletes as still-safe supersets while invalidating what was
 //!   derived from the old statistics (a memoized safety verdict instead
 //!   carries the column bounds it was proven under, and is kept while the
-//!   data stays inside them); a lookup only ever offers entries whose
-//!   recorded epochs match the serving database, so stale sketches are
-//!   structurally unreachable;
+//!   data stays inside them); a lookup, memoized or not, only offers entries
+//!   whose recorded epochs match the serving database;
 //! * **observable** — hit / miss / eviction / memo-hit counters
-//!   ([`SketchCatalog::metrics_snapshot`]) are maintained with atomics so
-//!   monitoring never takes a lock;
+//!   ([`SketchCatalog::metrics_snapshot`]) are atomics, so monitoring never
+//!   takes a lock;
 //! * **bounded** — an optional byte budget triggers least-recently-used
-//!   eviction across shards, so a long-running server cannot grow its sketch
-//!   store without bound.
+//!   eviction across shards.
 //!
-//! The catalog also centralizes the per-template metadata the self-tuning
-//! loop needs — chosen safe attributes, adaptive-strategy evidence counters
-//! and built partitions — so any number of [`crate::server::PbdsServer`]
-//! sessions, and servers sharing one catalog, share one self-tuning state.
+//! Every [`crate::server::PbdsServer`] session, and every server sharing one
+//! catalog, shares one self-tuning state.
 
 use crate::reuse::ReuseChecker;
 use crate::safety::{BoundKey, ColumnBounds, PartitionAttr, SafetyChecker};
@@ -53,14 +60,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pbds_sync::{TrackedMutex, TrackedRwLock};
+use pbds_sync::TrackedRwLock;
 
 /// Number of lock shards (templates are hashed across them).
 const SHARDS: usize = 8;
 
-/// Upper bound on memoized reuse-check outcomes per shard; when reached, the
-/// shard's memo is cleared (the memo is a cache — clearing only costs
-/// re-derivation).
+/// Upper bound on a template's memoized reuse-check outcomes (when reached,
+/// the memo is cleared: it is a cache, and clearing only costs
+/// re-derivation) and on the bindings it keeps denials for.
 const MEMO_CAPACITY: usize = 4096;
 
 /// One coalesced table-level mutation delta of a commit batch, for
@@ -213,13 +220,11 @@ fn capture_epochs_of(db: &Database, sketches: &[ProvenanceSketch]) -> HashMap<St
     epochs
 }
 
-/// Memoized outcome of "which stored entry (if any) answers this binding?".
-type MemoKey = (String, Vec<Value>);
-
 /// Catalog key of a template: its name combined with its structural
 /// fingerprint, so two templates sharing a name but differing in query shape
 /// can never see each other's sketches, memos or metadata (important for
-/// `serve_plan`-style callers that pick names ad hoc).
+/// `serve_plan`-style callers that pick names ad hoc). Persisted catalogs
+/// store entries under this string.
 fn template_key(template: &QueryTemplate) -> String {
     format!("{}#{:016x}", template.name(), template.fingerprint())
 }
@@ -246,23 +251,6 @@ pub struct ReusableSketches {
     pub sketches: Vec<ProvenanceSketch>,
 }
 
-#[derive(Default)]
-struct Shard {
-    /// Template key (name + fingerprint) → stored entries, in insertion order.
-    entries: HashMap<String, Vec<CatalogEntry>>,
-    /// Reuse-check memo: `Some(id)` = entry `id` answers the binding,
-    /// `None` = nothing stored answers it.
-    memo: HashMap<MemoKey, Option<u64>>,
-    /// `(binding, entry)` pairs disproved by runtime top-k re-validation:
-    /// the solver said reusable, execution said otherwise. Unlike negative
-    /// memos, inserts do not clear these — a pair is only forgotten when the
-    /// set reaches its capacity bound and single pairs are evicted.
-    denied: HashSet<(MemoKey, u64)>,
-    /// Bumped whenever the entry set or denial set changes; guards against a
-    /// stale memo write racing with an insert/eviction/denial.
-    version: u64,
-}
-
 /// A memoized safety verdict together with what it was proven under.
 struct SafeAttrs {
     /// Chosen safe partition attributes (`None` = query is not sketch-safe).
@@ -272,9 +260,22 @@ struct SafeAttrs {
     proven_under: ColumnBounds,
 }
 
-/// Per-template self-tuning metadata shared across sessions.
+/// Everything the catalog knows about one template.
 #[derive(Default)]
-struct TemplateMeta {
+struct TemplateState {
+    /// Stored entries, in insertion order.
+    entries: Vec<CatalogEntry>,
+    /// Reuse-check memo by binding: `Some(id)` = entry `id` answers it,
+    /// `None` = nothing stored answers it.
+    memo: HashMap<Vec<Value>, Option<u64>>,
+    /// Per binding, the entries runtime top-k re-validation disproved for
+    /// it: the solver said reusable, execution said otherwise. Unlike
+    /// negative memos, inserts do not clear these — a binding's denials are
+    /// only forgotten when [`MEMO_CAPACITY`] bindings hold some.
+    denied: HashMap<Vec<Value>, Vec<u64>>,
+    /// Bumped whenever the entry set or denial set changes; guards against a
+    /// stale memo write racing with an insert/eviction/denial/mutation.
+    version: u64,
     /// The memoized safety verdict, if one has been derived.
     safe_attrs: Option<SafeAttrs>,
     /// Bounds that have escaped a memoized verdict's premises so far: the
@@ -283,10 +284,83 @@ struct TemplateMeta {
     moved: HashSet<BoundKey>,
     /// Adaptive-strategy evidence counter (missed reuse opportunities).
     evidence: usize,
-    /// Base tables the template reads (`None` until first seen). Lets
-    /// mutation maintenance invalidate only the templates that actually
-    /// touch the mutated table instead of wiping every cache.
+    /// Base tables the template reads (`None` for a record only
+    /// [`SketchCatalog::import`] has seen). Lets mutation maintenance
+    /// invalidate only the templates that actually touch the mutated table.
     tables: Option<HashSet<String>>,
+    /// Bindings whose capture is currently in flight (server sessions use
+    /// this to avoid enqueueing duplicate capture work).
+    pending: HashSet<Vec<Value>>,
+}
+
+impl TemplateState {
+    /// The one lookup behind [`SketchCatalog::find_reusable`] and
+    /// [`SketchCatalog::is_covered`]: the entry that answers `binding` on
+    /// `db`, and whether the memo gave the answer. A memoized entry answers
+    /// only while it is fresh against `db` (a mutation that bypassed
+    /// maintenance falls through to the scan); otherwise the first entry
+    /// that is fresh, not denied for `binding` and approved by the reuse
+    /// check answers. Pure: no counters, LRU stamps or memo writes.
+    fn lookup(
+        &self,
+        db: &Database,
+        template: &QueryTemplate,
+        binding: &[Value],
+    ) -> (Option<&CatalogEntry>, bool) {
+        match self.memo.get(binding) {
+            Some(None) => return (None, true),
+            Some(&Some(id)) => {
+                let memoized = self.entries.iter().find(|e| e.id == id);
+                if let Some(e) = memoized.filter(|e| e.fresh(db)) {
+                    return (Some(e), true);
+                }
+            }
+            None => {}
+        }
+        let denied = self.denied.get(binding).map_or(&[][..], Vec::as_slice);
+        let checker = ReuseChecker::new(db);
+        let found = self.entries.iter().find(|e| {
+            !denied.contains(&e.id)
+                && e.fresh(db)
+                && checker.can_reuse(template, &e.binding, binding).reusable
+        });
+        (found, false)
+    }
+
+    /// True when the template may read one of `tables` (a record that does
+    /// not know its tables may read any).
+    fn reads_any(&self, tables: &HashSet<&str>) -> bool {
+        self.tables
+            .as_ref()
+            .is_none_or(|ts| tables.iter().any(|t| ts.contains(*t)))
+    }
+}
+
+/// One lock shard: template key → that template's record.
+type Shard = HashMap<String, TemplateState>;
+
+/// The record of `template` under `key`, created on first use; learns the
+/// template's tables when the record does not know them yet.
+fn state_of<'a>(
+    shard: &'a mut Shard,
+    key: String,
+    template: &QueryTemplate,
+) -> &'a mut TemplateState {
+    let state = shard.entry(key).or_default();
+    state
+        .tables
+        .get_or_insert_with(|| template.plan().tables().into_iter().collect());
+    state
+}
+
+/// Everything the catalog knows about one table.
+#[derive(Default)]
+struct TableState {
+    /// Data epoch of the last mutation the catalog processed; inserts of
+    /// sketch sets captured against an older epoch are rejected as stale.
+    epoch: u64,
+    /// Cached range partitions, by column.
+    partitions: HashMap<String, PartitionRef>,
 }
 
 /// A thread-safe, shared store of provenance sketches keyed by query
@@ -298,14 +372,7 @@ pub struct SketchCatalog {
     /// evicted until the total fits again.
     byte_budget: Option<usize>,
     shards: Vec<TrackedRwLock<Shard>>,
-    meta: TrackedMutex<HashMap<String, TemplateMeta>>,
-    partitions: TrackedRwLock<HashMap<(String, String), PartitionRef>>,
-    /// Bindings whose capture is currently in flight (server sessions use
-    /// this to avoid enqueueing duplicate capture work).
-    pending: TrackedMutex<HashSet<MemoKey>>,
-    /// Per-table epoch of the last mutation the catalog processed; inserts
-    /// of sketch sets captured against an older epoch are rejected as stale.
-    table_epochs: TrackedRwLock<HashMap<String, u64>>,
+    tables: TrackedRwLock<HashMap<String, TableState>>,
     clock: AtomicU64,
     next_id: AtomicU64,
     /// The catalog's metrics registry: every counter below is a cached
@@ -346,10 +413,7 @@ impl SketchCatalog {
         SketchCatalog {
             byte_budget,
             shards,
-            meta: TrackedMutex::new("catalog.meta", HashMap::new()),
-            partitions: TrackedRwLock::new("catalog.partitions", HashMap::new()),
-            pending: TrackedMutex::new("catalog.pending", HashSet::new()),
-            table_epochs: TrackedRwLock::new("catalog.table_epochs", HashMap::new()),
+            tables: TrackedRwLock::new("catalog.tables", HashMap::new()),
             clock: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
             bytes: registry.gauge("pbds_catalog_bytes"),
@@ -380,6 +444,26 @@ impl SketchCatalog {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// A new entry with a fresh id and LRU stamp.
+    fn new_entry(
+        &self,
+        binding: Vec<Value>,
+        sketches: Vec<ProvenanceSketch>,
+        capture_epochs: HashMap<String, u64>,
+    ) -> CatalogEntry {
+        let bytes = sketches.iter().map(|s| s.size_bytes()).sum::<usize>()
+            + std::mem::size_of_val(&binding[..]);
+        CatalogEntry {
+            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+            binding,
+            sketches,
+            capture_epochs,
+            bytes,
+            last_used: AtomicU64::new(self.tick()),
+            uses: AtomicU64::new(0),
+        }
+    }
+
     /// Find a stored sketch set that can answer `template(binding)`,
     /// consulting the reuse-check memo first. Counts a hit or a miss and
     /// refreshes the winning entry's LRU stamp.
@@ -389,104 +473,71 @@ impl SketchCatalog {
         template: &QueryTemplate,
         binding: &[Value],
     ) -> Option<ReusableSketches> {
-        let name = template_key(template);
-        let key: MemoKey = (name.clone(), binding.to_vec());
-        let shard = self.shard_for(&name);
-
-        // Fast path: memo lookup + fresh reuse scan under the read lock.
+        let key = template_key(template);
+        let shard = self.shard_for(&key);
         let (outcome, version) = {
             let guard = shard.read();
-            if let Some(&memo) = guard.memo.get(&key) {
-                match memo {
-                    // The memoized entry is only served while its capture
-                    // epochs still match the database: a mutation that
-                    // bypassed the maintenance hooks falls through to the
-                    // epoch-checked scan below instead of serving stale
-                    // sketches.
-                    Some(id) => {
-                        let entries = guard.entries.get(&name).expect("memoized template");
-                        let e = entries
-                            .iter()
-                            .find(|e| e.id == id)
-                            .expect("memo points at live entry");
-                        if e.fresh(db) {
-                            self.memo_hits.inc();
-                            e.last_used.store(self.tick(), Ordering::Relaxed);
-                            e.uses.fetch_add(1, Ordering::Relaxed);
-                            self.hits.inc();
-                            return Some(ReusableSketches {
-                                entry_id: id,
-                                sketches: e.sketches.clone(),
-                            });
-                        }
-                    }
-                    None => {
-                        self.memo_hits.inc();
-                        self.misses.inc();
-                        return None;
-                    }
-                }
+            let state = guard.get(&key);
+            let (found, memoized) =
+                state.map_or((None, false), |s| s.lookup(db, template, binding));
+            if memoized {
+                self.memo_hits.inc();
             }
-            let hit = scan_for_reusable(&guard, db, template, &key, binding);
-            match hit {
-                Some((id, sketches)) => {
-                    if let Some(e) = guard
-                        .entries
-                        .get(&name)
-                        .and_then(|entries| entries.iter().find(|e| e.id == id))
-                    {
-                        e.last_used.store(self.tick(), Ordering::Relaxed);
-                        e.uses.fetch_add(1, Ordering::Relaxed);
-                    }
+            let outcome = match found {
+                Some(e) => {
+                    e.last_used.store(self.tick(), Ordering::Relaxed);
+                    e.uses.fetch_add(1, Ordering::Relaxed);
                     self.hits.inc();
-                    (Some((id, sketches)), guard.version)
+                    Some(ReusableSketches {
+                        entry_id: e.id,
+                        sketches: e.sketches.clone(),
+                    })
                 }
                 None => {
                     self.misses.inc();
-                    (None, guard.version)
+                    None
                 }
+            };
+            if memoized {
+                return outcome;
             }
+            (outcome, state.map_or(0, |s| s.version))
         };
 
         // Record the outcome in the memo — but only if no insert/eviction/
-        // denial changed the shard in between (a stale memo entry would
-        // otherwise suppress reuse of a sketch inserted concurrently, or
-        // resurrect a just-denied pair), and only if every entry of the
-        // template is fresh against `db`. An outcome computed while any
-        // entry disagrees with the snapshot's data epoch — e.g. a session
-        // holding a pre-mutation snapshot after the entry was maintained
-        // forward — is snapshot-dependent: caching its miss would suppress
-        // reuse for every later current-snapshot lookup of this binding.
-        {
-            let mut guard = shard.write();
-            let all_fresh = guard
-                .entries
-                .get(&name)
-                .is_none_or(|es| es.iter().all(|e| e.fresh(db)));
-            if guard.version == version && all_fresh {
-                if guard.memo.len() >= MEMO_CAPACITY {
-                    guard.memo.clear();
-                }
-                guard.memo.insert(key, outcome.as_ref().map(|(id, _)| *id));
+        // denial/mutation changed the template in between (a stale memo
+        // entry would otherwise suppress reuse of a sketch inserted
+        // concurrently, or resurrect a just-denied pair), and only if every
+        // entry of the template is fresh against `db`. An outcome computed
+        // while any entry disagrees with the snapshot's data epoch — e.g. a
+        // session holding a pre-mutation snapshot after the entry was
+        // maintained forward — is snapshot-dependent: caching its miss would
+        // suppress reuse for every later current-snapshot lookup of this
+        // binding.
+        let mut guard = shard.write();
+        let state = state_of(&mut guard, key, template);
+        if state.version == version && state.entries.iter().all(|e| e.fresh(db)) {
+            if state.memo.len() >= MEMO_CAPACITY {
+                state.memo.clear();
             }
+            let id = outcome.as_ref().map(|r| r.entry_id);
+            state.memo.insert(binding.to_vec(), id);
         }
-        outcome.map(|(entry_id, sketches)| ReusableSketches { entry_id, sketches })
+        outcome
     }
 
     /// Quiet coverage probe for background capture workers: true when a
-    /// stored sketch already answers `template(binding)`. Unlike
-    /// [`SketchCatalog::find_reusable`] this touches no hit/miss counters,
-    /// no use counts, no LRU stamps and no memo — monitoring keeps
+    /// stored sketch already answers `template(binding)`. It runs the same
+    /// lookup as [`SketchCatalog::find_reusable`] but touches no hit/miss
+    /// counters, no use counts, no LRU stamps and no memo — monitoring keeps
     /// reflecting serving traffic only, and a background re-check cannot
     /// keep a cold entry alive under eviction.
     pub fn is_covered(&self, db: &Database, template: &QueryTemplate, binding: &[Value]) -> bool {
-        let name = template_key(template);
-        let key: MemoKey = (name.clone(), binding.to_vec());
-        let guard = self.shard_for(&name).read();
-        if let Some(&memo) = guard.memo.get(&key) {
-            return memo.is_some();
-        }
-        scan_for_reusable(&guard, db, template, &key, binding).is_some()
+        let key = template_key(template);
+        let guard = self.shard_for(&key).read();
+        guard
+            .get(&key)
+            .is_some_and(|s| s.lookup(db, template, binding).0.is_some())
     }
 
     /// Record that the runtime top-k re-validation disproved a reuse the
@@ -501,20 +552,24 @@ impl SketchCatalog {
         binding: &[Value],
         entry_id: u64,
     ) {
-        let name = template_key(template);
-        let key: MemoKey = (name.clone(), binding.to_vec());
-        let mut guard = self.shard_for(&name).write();
-        guard.version += 1; // invalidate concurrent memo writes for this pair
-        guard.memo.remove(&key);
-        // Bound the denial set by evicting single pairs, never wholesale: a
-        // resurrected pair costs a double execution, so forgetting should be
-        // as rare and as local as possible.
-        if guard.denied.len() >= MEMO_CAPACITY {
-            if let Some(victim) = guard.denied.iter().next().cloned() {
-                guard.denied.remove(&victim);
+        let key = template_key(template);
+        let mut guard = self.shard_for(&key).write();
+        let state = state_of(&mut guard, key, template);
+        state.version += 1; // invalidate concurrent memo writes for this pair
+        state.memo.remove(binding);
+        // Bound the denials by forgetting one other binding's, never
+        // wholesale: a resurrected pair costs a double execution, so
+        // forgetting should be as rare and as local as possible.
+        if state.denied.len() >= MEMO_CAPACITY && !state.denied.contains_key(binding) {
+            if let Some(victim) = state.denied.keys().next().cloned() {
+                state.denied.remove(&victim);
             }
         }
-        guard.denied.insert((key, entry_id));
+        state
+            .denied
+            .entry(binding.to_vec())
+            .or_default()
+            .push(entry_id);
     }
 
     /// Store a freshly captured sketch set for `template(binding)`,
@@ -534,50 +589,30 @@ impl SketchCatalog {
     ) -> Option<u64> {
         let capture_epochs = capture_epochs_of(db, &sketches);
         {
-            let mut known = self.table_epochs.write();
+            let mut tables = self.tables.write();
+            let stale = capture_epochs
+                .iter()
+                .any(|(table, &epoch)| tables.get(table).is_some_and(|t| t.epoch > epoch));
+            if stale {
+                // Captured against a pre-mutation snapshot.
+                self.invalidated.inc();
+                return None;
+            }
             for (table, &epoch) in &capture_epochs {
-                match known.get(table) {
-                    Some(&k) if k > epoch => {
-                        // Captured against a pre-mutation snapshot: stale.
-                        self.invalidated.inc();
-                        return None;
-                    }
-                    _ => {
-                        known.insert(table.clone(), epoch);
-                    }
-                }
+                tables.entry(table.clone()).or_default().epoch = epoch;
             }
         }
-        let name = template_key(template);
-        // Record which base tables the template reads, so mutation
-        // maintenance can spare the caches of unrelated templates.
-        self.meta
-            .lock()
-            .entry(name.clone())
-            .or_default()
-            .tables
-            .get_or_insert_with(|| template.plan().tables().into_iter().collect());
-        let bytes: usize =
-            sketches.iter().map(|s| s.size_bytes()).sum::<usize>() + std::mem::size_of_val(binding);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let entry = CatalogEntry {
-            id,
-            binding: binding.to_vec(),
-            sketches,
-            capture_epochs,
-            bytes,
-            last_used: AtomicU64::new(self.tick()),
-            uses: AtomicU64::new(0),
-        };
+        let entry = self.new_entry(binding.to_vec(), sketches, capture_epochs);
+        let (id, bytes) = (entry.id, entry.bytes);
         {
-            let mut guard = self.shard_for(&name).write();
-            guard.version += 1;
+            let key = template_key(template);
+            let mut guard = self.shard_for(&key).write();
+            let state = state_of(&mut guard, key, template);
+            state.version += 1;
             // The new sketch may answer bindings that previously missed:
-            // negative memo entries for this template are now stale.
-            guard
-                .memo
-                .retain(|(t, _), outcome| *t != name || outcome.is_some());
-            guard.entries.entry(name).or_default().push(entry);
+            // the template's negative memo entries are now stale.
+            state.memo.retain(|_, outcome| outcome.is_some());
+            state.entries.push(entry);
         }
         self.bytes.add(bytes as i64);
         if let Some(budget) = self.byte_budget {
@@ -587,16 +622,17 @@ impl SketchCatalog {
     }
 
     /// Maintain the catalog across a whole **commit batch** of coalesced
-    /// mutation deltas in one pass: the table-epoch map, reuse memos, every
-    /// stored entry, cached partitions and per-template metadata are each
+    /// mutation deltas in one pass: the table records, then every template
+    /// record — its memo, evidence counter and stored entries — are each
     /// visited **once** for the batch instead of once per mutation, and
     /// every entry is extended/advanced through the deltas *in order* — so a
     /// sketch captured at the pre-batch epoch ends the pass stamped with the
     /// post-batch epoch exactly as if each delta had been applied on its
-    /// own (see [`CatalogDelta`] for what each kind maintains). `db` is the
-    /// **post-batch** database (deltas that reference appended rows by tail
-    /// range resolve against it). Deltas for tables `db` does not contain
-    /// are skipped.
+    /// own (see [`CatalogDelta`] for what each kind maintains). A template
+    /// that reads none of the mutated tables keeps its memo and evidence.
+    /// `db` is the **post-batch** database (deltas that reference appended
+    /// rows by tail range resolve against it). Deltas for tables `db` does
+    /// not contain are skipped.
     pub fn apply_deltas(&self, db: &Database, deltas: &[CatalogDelta]) {
         let deltas: Vec<ResolvedDelta<'_>> = deltas
             .iter()
@@ -644,28 +680,33 @@ impl SketchCatalog {
             return;
         }
         self.maintenance_deltas.add(deltas.len() as u64);
-        {
-            let mut known = self.table_epochs.write();
-            for d in &deltas {
-                known.insert(d.table().to_string(), d.new_epoch());
-            }
-        }
         let affected: HashSet<&str> = deltas.iter().map(|d| d.table()).collect();
         let deleted: HashSet<&str> = deltas
             .iter()
             .filter(|d| matches!(d, ResolvedDelta::Delete { .. }))
             .map(|d| d.table())
             .collect();
-        let unaffected = self.templates_unaffected_by_all(&affected);
+        {
+            let mut tables = self.tables.write();
+            for d in &deltas {
+                let table = tables.entry(d.table().to_string()).or_default();
+                table.epoch = d.new_epoch();
+                if matches!(d, ResolvedDelta::Delete { .. }) {
+                    table.partitions.clear();
+                }
+            }
+        }
         for shard in &self.shards {
             let mut guard = shard.write();
-            guard.version += 1;
-            guard.memo.retain(|(tkey, _), _| unaffected.contains(tkey));
             let mut freed = 0usize;
             let mut dropped = 0u64;
             let mut extended = 0u64;
-            for entries in guard.entries.values_mut() {
-                entries.retain_mut(|e| {
+            for state in guard.values_mut() {
+                if !deleted.is_empty() && state.reads_any(&deleted) {
+                    state.evidence = 0;
+                }
+                let stored = state.entries.len();
+                state.entries.retain_mut(|e| {
                     for d in &deltas {
                         let table = d.table();
                         if !e.capture_epochs.contains_key(table) {
@@ -711,50 +752,15 @@ impl SketchCatalog {
                     }
                     true
                 });
+                if state.entries.len() != stored || state.reads_any(&affected) {
+                    state.version += 1;
+                    state.memo.clear();
+                }
             }
             self.bytes.add(-(freed as i64));
             self.invalidated.add(dropped);
             self.extended.add(extended);
         }
-        if !deleted.is_empty() {
-            self.partitions
-                .write()
-                .retain(|(t, _), _| !deleted.contains(t.as_str()));
-        }
-        for table in deleted {
-            self.reset_evidence(table);
-        }
-    }
-
-    /// Reset the adaptive strategy's evidence counters of the templates
-    /// that read `table` (or whose table set is not known yet) after a
-    /// delete. Memoized safe-attribute choices are *not* cleared here: each
-    /// carries the column bounds it was proven under and
-    /// [`SketchCatalog::safe_attrs`] checks them against the database it is
-    /// asked about.
-    fn reset_evidence(&self, table: &str) {
-        let mut meta = self.meta.lock();
-        for entry in meta.values_mut() {
-            if entry.tables.as_ref().is_none_or(|ts| ts.contains(table)) {
-                entry.evidence = 0;
-            }
-        }
-    }
-
-    /// Template keys proven *not* to read any of `tables` (their memoized
-    /// reuse outcomes survive a batch mutating those tables); everything
-    /// else — including templates the catalog has no table set for — must be
-    /// invalidated.
-    fn templates_unaffected_by_all(&self, tables: &HashSet<&str>) -> HashSet<String> {
-        let meta = self.meta.lock();
-        meta.iter()
-            .filter(|(_, m)| {
-                m.tables
-                    .as_ref()
-                    .is_some_and(|ts| tables.iter().all(|t| !ts.contains(*t)))
-            })
-            .map(|(k, _)| k.clone())
-            .collect()
     }
 
     /// Evict least-recently-used entries (never `keep_id`) until the total
@@ -775,16 +781,9 @@ impl SketchCatalog {
             let mut candidates: Vec<(u64, usize, u64, usize)> = Vec::new();
             for (si, shard) in self.shards.iter().enumerate() {
                 let guard = shard.read();
-                for entries in guard.entries.values() {
-                    for e in entries {
-                        if e.id != keep_id {
-                            candidates.push((
-                                e.last_used.load(Ordering::Relaxed),
-                                si,
-                                e.id,
-                                e.bytes,
-                            ));
-                        }
+                for e in guard.values().flat_map(|s| &s.entries) {
+                    if e.id != keep_id {
+                        candidates.push((e.last_used.load(Ordering::Relaxed), si, e.id, e.bytes));
                     }
                 }
             }
@@ -806,23 +805,20 @@ impl SketchCatalog {
             for (si, ids) in victims_by_shard {
                 let mut guard = self.shards[si].write();
                 for vid in ids {
-                    let mut freed = None;
-                    for entries in guard.entries.values_mut() {
-                        if let Some(pos) = entries.iter().position(|e| e.id == vid) {
-                            freed = Some(entries[pos].bytes);
-                            entries.remove(pos);
-                            break;
-                        }
-                    }
                     // A victim may have vanished concurrently; skip it.
-                    if let Some(freed) = freed {
-                        guard.version += 1;
+                    for state in guard.values_mut() {
+                        let Some(pos) = state.entries.iter().position(|e| e.id == vid) else {
+                            continue;
+                        };
+                        let freed = state.entries.remove(pos).bytes;
+                        state.version += 1;
                         // Positive memo entries pointing at the evicted
                         // sketch are now dangling.
-                        guard.memo.retain(|_, outcome| *outcome != Some(vid));
+                        state.memo.retain(|_, outcome| *outcome != Some(vid));
                         self.bytes.add(-(freed as i64));
                         self.evictions.inc();
                         evicted_any = true;
+                        break;
                     }
                 }
             }
@@ -844,8 +840,8 @@ impl SketchCatalog {
         let mut entries: Vec<PersistedCatalogEntry> = Vec::new();
         for shard in &self.shards {
             let guard = shard.read();
-            for (key, stored) in &guard.entries {
-                for e in stored {
+            for (key, state) in guard.iter() {
+                for e in &state.entries {
                     let mut capture_epochs: Vec<(String, u64)> = e
                         .capture_epochs
                         .iter()
@@ -880,51 +876,32 @@ impl SketchCatalog {
     /// entries start with cold LRU stamps and zero use counts.
     pub fn import(&self, db: &Database, persisted: PersistedCatalog) -> CatalogImport {
         {
-            let mut known = self.table_epochs.write();
+            let mut tables = self.tables.write();
             for name in db.table_names() {
                 let epoch = db.table(name).expect("listed table exists").data_epoch();
-                known.insert(name.to_string(), epoch);
+                tables.entry(name.to_string()).or_default().epoch = epoch;
             }
         }
         let mut report = CatalogImport::default();
         for entry in persisted.entries {
-            let epochs: HashMap<String, u64> = entry.capture_epochs.into_iter().collect();
-            let valid = !entry.sketches.is_empty()
-                && entry.sketches.iter().all(|s| {
-                    epochs.get(s.table()).is_some_and(|&epoch| {
-                        db.table(s.table())
-                            .map(|t| t.data_epoch() == epoch)
-                            .unwrap_or(false)
-                    })
-                })
-                && epochs.iter().all(|(table, &epoch)| {
-                    db.table(table)
-                        .map(|t| t.data_epoch() == epoch)
-                        .unwrap_or(false)
-                });
+            let stored = self.new_entry(
+                entry.binding,
+                entry.sketches,
+                entry.capture_epochs.into_iter().collect(),
+            );
+            let valid = !stored.sketches.is_empty()
+                && (stored.sketches.iter()).all(|s| stored.capture_epochs.contains_key(s.table()))
+                && stored.fresh(db);
             if !valid {
                 report.dropped += 1;
                 continue;
             }
-            let bytes: usize = entry.sketches.iter().map(|s| s.size_bytes()).sum::<usize>()
-                + std::mem::size_of_val(&entry.binding[..]);
-            let stored = CatalogEntry {
-                id: self.next_id.fetch_add(1, Ordering::Relaxed),
-                binding: entry.binding,
-                sketches: entry.sketches,
-                capture_epochs: epochs,
-                bytes,
-                last_used: AtomicU64::new(self.tick()),
-                uses: AtomicU64::new(0),
-            };
+            let bytes = stored.bytes;
             {
                 let mut guard = self.shard_for(&entry.template_key).write();
-                guard.version += 1;
-                guard
-                    .entries
-                    .entry(entry.template_key)
-                    .or_default()
-                    .push(stored);
+                let state = guard.entry(entry.template_key).or_default();
+                state.version += 1;
+                state.entries.push(stored);
             }
             self.bytes.add(bytes as i64);
             report.imported += 1;
@@ -940,7 +917,7 @@ impl SketchCatalog {
     pub fn stored_sketches(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().entries.values().map(|v| v.len()).sum::<usize>())
+            .map(|s| s.read().values().map(|t| t.entries.len()).sum::<usize>())
             .sum()
     }
 
@@ -975,22 +952,25 @@ impl SketchCatalog {
         template: &QueryTemplate,
     ) -> Option<Vec<PartitionAttr>> {
         let key = template_key(template);
-        let moved = {
-            let mut meta = self.meta.lock();
-            let entry = meta.entry(key.clone()).or_default();
-            if let Some(known) = &entry.safe_attrs {
-                let escaped = known.proven_under.escaped_by(db);
-                if escaped.is_empty() {
-                    return known.attrs.clone();
-                }
-                entry.moved.extend(escaped);
+        let shard = self.shard_for(&key);
+        // Fast path, under the shared lock: a verdict whose premises hold.
+        if let Some(known) = shard.read().get(&key).and_then(|s| s.safe_attrs.as_ref()) {
+            if known.proven_under.escaped_by(db).is_empty() {
+                return known.attrs.clone();
             }
-            entry.moved.clone()
+        }
+        let moved = {
+            let mut guard = shard.write();
+            let state = state_of(&mut guard, key.clone(), template);
+            if let Some(known) = &state.safe_attrs {
+                state.moved.extend(known.proven_under.escaped_by(db));
+            }
+            state.moved.clone()
         };
         // Run the (solver-backed) safety analysis *outside* the lock so the
         // first query of one template cannot stall concurrent sessions
-        // serving unrelated templates. A racing duplicate derivation just
-        // stores its own verdict with its own bounds.
+        // serving other templates of its shard. A racing duplicate
+        // derivation just stores its own verdict with its own bounds.
         let tables: HashSet<String> = template.plan().tables().into_iter().collect();
         let exact = ColumnBounds::of(db, &tables);
         let attrs = SafetyChecker::new(db).choose_safe_attributes(template.plan(), &[]);
@@ -998,13 +978,11 @@ impl SketchCatalog {
         let holds_wide = wide != exact
             && SafetyChecker::assuming(db, &wide).choose_safe_attributes(template.plan(), &[])
                 == attrs;
-        let mut meta = self.meta.lock();
-        let entry = meta.entry(key).or_default();
-        entry.safe_attrs = Some(SafeAttrs {
+        let mut guard = shard.write();
+        state_of(&mut guard, key, template).safe_attrs = Some(SafeAttrs {
             attrs: attrs.clone(),
             proven_under: if holds_wide { wide } else { exact },
         });
-        entry.tables.get_or_insert(tables);
         attrs
     }
 
@@ -1012,11 +990,12 @@ impl SketchCatalog {
     /// `true` (and resets the counter) once `threshold` missed reuse
     /// opportunities have accumulated.
     pub fn evidence_reached(&self, template: &QueryTemplate, threshold: usize) -> bool {
-        let mut meta = self.meta.lock();
-        let entry = meta.entry(template_key(template)).or_default();
-        entry.evidence += 1;
-        if entry.evidence >= threshold {
-            entry.evidence = 0;
+        let key = template_key(template);
+        let mut guard = self.shard_for(&key).write();
+        let state = state_of(&mut guard, key, template);
+        state.evidence += 1;
+        if state.evidence >= threshold {
+            state.evidence = 0;
             true
         } else {
             false
@@ -1030,31 +1009,42 @@ impl SketchCatalog {
         attr: &PartitionAttr,
         fragments: usize,
     ) -> Option<PartitionRef> {
-        let key = (attr.table.clone(), attr.column.clone());
-        if let Some(p) = self.partitions.read().get(&key) {
-            return Some(p.clone());
+        if let Some(t) = self.tables.read().get(&attr.table) {
+            if let Some(p) = t.partitions.get(&attr.column) {
+                return Some(p.clone());
+            }
         }
         let table = db.table(&attr.table).ok()?;
         let partition = RangePartition::of_column(table, &attr.column, fragments)?;
         let part: PartitionRef = Arc::new(Partition::Range(partition));
         // Under a race, hand every caller the cached winner so all captures
         // share one `Arc<Partition>` per (table, column).
-        Some(self.partitions.write().entry(key).or_insert(part).clone())
+        let mut tables = self.tables.write();
+        let t = tables.entry(attr.table.clone()).or_default();
+        Some(
+            t.partitions
+                .entry(attr.column.clone())
+                .or_insert(part)
+                .clone(),
+        )
     }
 
     /// Mark a `(template, binding)` capture as in flight. Returns `false`
     /// when it already was (the caller should not enqueue duplicate work).
     pub fn begin_capture(&self, template: &QueryTemplate, binding: &[Value]) -> bool {
-        self.pending
-            .lock()
-            .insert((template_key(template), binding.to_vec()))
+        let key = template_key(template);
+        let mut guard = self.shard_for(&key).write();
+        state_of(&mut guard, key, template)
+            .pending
+            .insert(binding.to_vec())
     }
 
     /// Clear the in-flight mark set by [`SketchCatalog::begin_capture`].
     pub fn finish_capture(&self, template: &QueryTemplate, binding: &[Value]) {
-        self.pending
-            .lock()
-            .remove(&(template_key(template), binding.to_vec()));
+        let key = template_key(template);
+        if let Some(state) = self.shard_for(&key).write().get_mut(&key) {
+            state.pending.remove(binding);
+        }
     }
 
     /// Total use count of all stored entries (for tests and monitoring).
@@ -1063,45 +1053,13 @@ impl SketchCatalog {
             .iter()
             .map(|s| {
                 s.read()
-                    .entries
                     .values()
-                    .flatten()
+                    .flat_map(|t| &t.entries)
                     .map(|e| e.uses.load(Ordering::Relaxed))
                     .sum::<u64>()
             })
             .sum()
     }
-}
-
-/// Scan a shard's entries for one the reuse check approves for `binding`,
-/// skipping `(binding, entry)` pairs disproved by runtime re-validation and
-/// entries whose capture epochs no longer match the database (stale after an
-/// unprocessed mutation). Pure lookup: no counters, LRU stamps or memo
-/// writes (callers decide).
-fn scan_for_reusable(
-    shard: &Shard,
-    db: &Database,
-    template: &QueryTemplate,
-    key: &MemoKey,
-    binding: &[Value],
-) -> Option<(u64, Vec<ProvenanceSketch>)> {
-    let denied_ids: Vec<u64> = shard
-        .denied
-        .iter()
-        .filter(|(k, _)| k == key)
-        .map(|(_, id)| *id)
-        .collect();
-    let checker = ReuseChecker::new(db);
-    shard
-        .entries
-        .get(&key.0)?
-        .iter()
-        .find(|e| {
-            !denied_ids.contains(&e.id)
-                && e.fresh(db)
-                && checker.can_reuse(template, &e.binding, binding).reusable
-        })
-        .map(|e| (e.id, e.sketches.clone()))
 }
 
 #[cfg(test)]
@@ -1650,8 +1608,9 @@ mod tests {
                 let from_scratch =
                     |db: &Database| SafetyChecker::new(db).choose_safe_attributes(t.plan(), &[]);
                 let proven_under = || {
-                    let meta = catalog.meta.lock();
-                    let known = meta[&template_key(t)].safe_attrs.as_ref().unwrap();
+                    let key = template_key(t);
+                    let shard = catalog.shard_for(&key).read();
+                    let known = shard[&key].safe_attrs.as_ref().unwrap();
                     known.proven_under.clone()
                 };
                 let tables: HashSet<String> = t.plan().tables().into_iter().collect();
@@ -1885,5 +1844,50 @@ mod tests {
         assert_eq!(counter(&catalog, "pbds_catalog_hits"), 8 * 50);
         assert!(counter(&catalog, "pbds_catalog_memo_hits") > 0);
         assert_eq!(catalog.total_uses(), 8 * 50);
+    }
+
+    #[test]
+    fn export_writes_the_template_key_as_name_hash_fingerprint() {
+        // Persisted catalogs, and tools that read them, file entries under
+        // this exact string.
+        let db = sales_db();
+        let catalog = SketchCatalog::default();
+        let t = having_template();
+        catalog.insert(
+            &db,
+            &t,
+            &[Value::Int(50_000)],
+            capture_for(&db, &catalog, 50_000),
+        );
+        assert_eq!(
+            catalog.export().entries[0].template_key,
+            format!("{}#{:016x}", t.name(), t.fingerprint())
+        );
+    }
+
+    #[test]
+    fn is_covered_rechecks_a_memoized_entry_against_the_database() {
+        let db = sales_db();
+        let catalog = SketchCatalog::default();
+        let t = having_template();
+        catalog.insert(
+            &db,
+            &t,
+            &[Value::Int(50_000)],
+            capture_for(&db, &catalog, 50_000),
+        );
+        let tight = vec![Value::Int(53_000)];
+        // Memoizes the entry as the answer for `tight`.
+        assert!(catalog.find_reusable(&db, &t, &tight).is_some());
+        // A row appended without maintenance: the entry no longer describes
+        // the table, so neither lookup may offer it.
+        let mut db2 = db.clone();
+        db2.append_rows("sales", vec![vec![Value::Int(1), Value::Int(7)]])
+            .unwrap();
+        assert!(catalog.find_reusable(&db2, &t, &tight).is_none());
+        assert!(
+            !catalog.is_covered(&db2, &t, &tight),
+            "a memoized entry answered for a database it does not describe"
+        );
     }
 }

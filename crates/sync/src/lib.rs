@@ -3,8 +3,8 @@
 //! Instrumented synchronization primitives for the PBDS workspace: every
 //! lock in `pbds-core` / `pbds-persist` is a [`TrackedMutex`] or
 //! [`TrackedRwLock`] with a **static class name** (`"server.persist"`,
-//! `"catalog.shard"`, …) instead of a bare `std::sync` primitive. The
-//! wrappers buy three things:
+//! `"catalog.shard"`, `"catalog.tables"`, …) instead of a bare `std::sync`
+//! primitive. The wrappers buy three things:
 //!
 //! 1. **Poison recovery by construction.** [`TrackedMutex::lock`],
 //!    [`TrackedRwLock::read`] and [`TrackedRwLock::write`] recover from a
@@ -40,8 +40,9 @@
 //! ## Granularity and known blind spots
 //!
 //! Ordering is tracked per **class** (name), not per instance, like
-//! lockdep: two different catalog shards share the class
-//! `"catalog.shard"`. Consequences:
+//! lockdep: the catalog's eight shards, one lock each over the records of
+//! the templates hashed to it, share the class `"catalog.shard"`.
+//! Consequences:
 //!
 //! * An order inconsistency between two *instances* of different classes
 //!   is caught even when the particular instances could never deadlock —
