@@ -273,8 +273,8 @@ struct TemplateState {
     /// negative memos, inserts do not clear these — a binding's denials are
     /// only forgotten when [`MEMO_CAPACITY`] bindings hold some.
     denied: HashMap<Vec<Value>, Vec<u64>>,
-    /// Bumped whenever the entry set or denial set changes; guards against a
-    /// stale memo write racing with an insert/eviction/denial/mutation.
+    /// Bumped whenever the entries, the denials or a table the template
+    /// reads change; guards against a stale memo write racing with them.
     version: u64,
     /// The memoized safety verdict, if one has been derived.
     safe_attrs: Option<SafeAttrs>,
@@ -702,10 +702,13 @@ impl SketchCatalog {
             let mut dropped = 0u64;
             let mut extended = 0u64;
             for state in guard.values_mut() {
+                if state.reads_any(&affected) {
+                    state.version += 1;
+                    state.memo.clear();
+                }
                 if !deleted.is_empty() && state.reads_any(&deleted) {
                     state.evidence = 0;
                 }
-                let stored = state.entries.len();
                 state.entries.retain_mut(|e| {
                     for d in &deltas {
                         let table = d.table();
@@ -752,10 +755,6 @@ impl SketchCatalog {
                     }
                     true
                 });
-                if state.entries.len() != stored || state.reads_any(&affected) {
-                    state.version += 1;
-                    state.memo.clear();
-                }
             }
             self.bytes.add(-(freed as i64));
             self.invalidated.add(dropped);
