@@ -609,3 +609,105 @@ fn acknowledged_batches_survive_a_crash_before_any_checkpoint() {
     assert_eq!(server.db().table("r").unwrap().rows(), &expected[..]);
     assert_oracle_agrees(&server.db(), &server.db().clone(), "acked-batch recovery");
 }
+
+// ---------------------------------------------------------------------------
+// 6. Replay maintains the catalog as the live server did
+// ---------------------------------------------------------------------------
+
+/// What a live server acknowledged before it crashed, and the server reopened
+/// over its durability directory.
+struct Crashed {
+    live_rows: Vec<Row>,
+    live_sketches: Vec<(String, Vec<usize>)>,
+    reopened: PbdsServer,
+}
+
+/// The table and selected fragments of every stored sketch.
+fn stored_sketches(server: &PbdsServer) -> Vec<(String, Vec<usize>)> {
+    server
+        .catalog()
+        .export()
+        .entries
+        .iter()
+        .flat_map(|e| &e.sketches)
+        .map(|s| (s.table().to_string(), s.selected_fragments()))
+        .collect()
+}
+
+/// A durable server that never checkpoints on its own captures a sketch on
+/// `r`, checkpoints, then acknowledges append, append, delete, append on `r`
+/// — all past the checkpoint, so only the WAL holds them. It is dropped
+/// without `shutdown` (a crash) and reopened.
+fn crash_after_append_append_delete_append(name: &str, binding: &[Value]) -> Crashed {
+    let dir = test_dir(name);
+    let config = ServerConfig {
+        checkpoint_every: None,
+        ..ServerConfig::default()
+    };
+    let (live_rows, live_sketches);
+    {
+        let server = PbdsServer::create(&dir, Arc::new(base_db(21, 600)), config).unwrap();
+        let served = server.session().serve(&having_template(), binding).unwrap();
+        assert!(served.capture_enqueued);
+        server.drain();
+        assert_eq!(server.catalog().stored_sketches(), 1);
+        server.checkpoint().unwrap();
+        // Every appended row lands in group 3, so maintenance extends the
+        // sketch by that group's fragment alone.
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut append = |k: i64| {
+            let rows = (k..k + 20).map(|k| {
+                let mut row = random_row(&mut rng, k);
+                row[1] = Value::Int(3);
+                row
+            });
+            Mutation::Append(rows.collect())
+        };
+        for mutation in [
+            append(600),
+            append(620),
+            Mutation::DeleteWhere(col("v").gt(lit(380))),
+            append(640),
+        ] {
+            let outcome = server.apply_mutation("r", mutation).unwrap();
+            assert!(outcome.rows_affected > 0, "{outcome:?}");
+        }
+        live_rows = server.db().table("r").unwrap().rows().to_vec();
+        live_sketches = stored_sketches(&server);
+        drop(server); // crash: no shutdown, no checkpoint
+    }
+    let reopened = PbdsServer::open(&dir, config).unwrap();
+    assert_eq!(reopened.recovery_report().unwrap().wal_replayed, 4);
+    Crashed {
+        live_rows,
+        live_sketches,
+        reopened,
+    }
+}
+
+/// Replay brings back the rows and the maintained sketches the live server
+/// acknowledged, and the recovered sketch serves the next query with no
+/// recapture.
+#[test]
+fn replay_restores_rows_and_maintained_sketches() {
+    let binding = [Value::Int(12_500)];
+    let crashed = crash_after_append_append_delete_append("replay-catalog", &binding);
+    let server = &crashed.reopened;
+    assert_eq!(
+        server.db().table("r").unwrap().rows(),
+        &crashed.live_rows[..]
+    );
+    assert_eq!(crashed.live_sketches.len(), 1);
+    assert_eq!(stored_sketches(server), crashed.live_sketches);
+    assert_catalog_epoch_valid(server, "replayed catalog");
+
+    let served = server.session().serve(&having_template(), &binding).unwrap();
+    use pbds_core::tuning::Action;
+    assert_eq!(served.record.action, Action::UseSketch);
+    assert!(!served.capture_enqueued);
+    assert_eq!(captures_done(server), 0);
+    let plain = Engine::new(EngineProfile::Indexed)
+        .execute(&server.db(), &having_template().instantiate(&binding))
+        .unwrap();
+    assert!(served.relation.bag_eq(&plain.relation));
+}
