@@ -43,6 +43,18 @@ impl BinOp {
             BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
         )
     }
+
+    /// The comparison with its operands swapped: `a op b` holds exactly when
+    /// `b op.flipped() a` does. Any other operator is returned unchanged.
+    pub fn flipped(self) -> BinOp {
+        match self {
+            BinOp::Lt => BinOp::Gt,
+            BinOp::Le => BinOp::Ge,
+            BinOp::Gt => BinOp::Lt,
+            BinOp::Ge => BinOp::Le,
+            other => other,
+        }
+    }
 }
 
 impl fmt::Display for BinOp {
@@ -399,6 +411,34 @@ pub fn param(i: usize) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flipped_swaps_the_operands() {
+        let holds = |op: BinOp, a: i64, b: i64| match op {
+            BinOp::Eq => a == b,
+            BinOp::Ne => a != b,
+            BinOp::Lt => a < b,
+            BinOp::Le => a <= b,
+            BinOp::Gt => a > b,
+            BinOp::Ge => a >= b,
+            _ => unreachable!("not a comparison"),
+        };
+        for op in [
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+        ] {
+            for (a, b) in [(1, 2), (2, 2), (3, 2)] {
+                assert_eq!(holds(op, a, b), holds(op.flipped(), b, a), "{a} {op} {b}");
+            }
+        }
+        for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div] {
+            assert_eq!(op.flipped(), op);
+        }
+    }
 
     #[test]
     fn fluent_builders_compose() {

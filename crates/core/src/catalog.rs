@@ -70,11 +70,12 @@ const SHARDS: usize = 8;
 /// re-derivation) and on the bindings it keeps denials for.
 const MEMO_CAPACITY: usize = 4096;
 
-/// One coalesced table-level mutation delta of a commit batch, for
-/// [`SketchCatalog::apply_deltas`]. The group-commit thread merges a batch's
-/// per-mutation effects into at most a few of these per table (consecutive
-/// appends collapse into one `Append` covering the combined rows) so the
-/// catalog walks its shards once per batch instead of once per mutation.
+/// One coalesced table-level mutation delta of a batch, for
+/// [`SketchCatalog::apply_deltas`]. Applying a batch — a commit batch, or the
+/// WAL records a restart replays — merges its per-mutation effects into at
+/// most a few of these per table (consecutive appends collapse into one
+/// `Append` carrying the combined rows) so the catalog walks its shards once
+/// per batch instead of once per mutation.
 #[derive(Debug, Clone)]
 pub enum CatalogDelta {
     /// Rows appended to `table`.
@@ -103,13 +104,8 @@ pub enum CatalogDelta {
         prev_epoch: u64,
         /// The table's data epoch after the append(s).
         new_epoch: u64,
-        /// The appended rows, when the producer had to materialize them
-        /// (e.g. a later delete in the same batch shifted the table's rows);
-        /// `None` means "read them from `range` of the post-batch table".
-        rows: Option<Vec<Row>>,
-        /// Row positions the append covers in the post-batch table (used
-        /// when `rows` is `None`).
-        range: std::ops::Range<usize>,
+        /// The appended rows, in append order.
+        rows: Vec<Row>,
     },
     /// Rows deleted from `table`.
     ///
@@ -135,35 +131,16 @@ pub enum CatalogDelta {
     },
 }
 
-/// A [`CatalogDelta`] with its row payload resolved against the post-batch
-/// database (borrowed — nothing is cloned on the maintenance path).
-enum ResolvedDelta<'a> {
-    Append {
-        table: &'a str,
-        schema: &'a Schema,
-        prev_epoch: u64,
-        new_epoch: u64,
-        /// `None` when the rows could not be resolved: affected entries are
-        /// dropped instead of extended over unknown rows.
-        rows: Option<Vec<&'a Row>>,
-    },
-    Delete {
-        table: &'a str,
-        prev_epoch: u64,
-        new_epoch: u64,
-    },
-}
-
-impl ResolvedDelta<'_> {
+impl CatalogDelta {
     fn table(&self) -> &str {
         match self {
-            ResolvedDelta::Append { table, .. } | ResolvedDelta::Delete { table, .. } => table,
+            CatalogDelta::Append { table, .. } | CatalogDelta::Delete { table, .. } => table,
         }
     }
 
     fn new_epoch(&self) -> u64 {
         match self {
-            ResolvedDelta::Append { new_epoch, .. } | ResolvedDelta::Delete { new_epoch, .. } => {
+            CatalogDelta::Append { new_epoch, .. } | CatalogDelta::Delete { new_epoch, .. } => {
                 *new_epoch
             }
         }
@@ -630,68 +607,30 @@ impl SketchCatalog {
     /// post-batch epoch exactly as if each delta had been applied on its
     /// own (see [`CatalogDelta`] for what each kind maintains). A template
     /// that reads none of the mutated tables keeps its memo and evidence.
-    /// `db` is the **post-batch** database (deltas that reference appended
-    /// rows by tail range resolve against it). Deltas for tables `db` does
-    /// not contain are skipped.
+    /// `db` is the **post-batch** database, which supplies each mutated
+    /// table's schema. Deltas for tables `db` does not contain are skipped.
     pub fn apply_deltas(&self, db: &Database, deltas: &[CatalogDelta]) {
-        let deltas: Vec<ResolvedDelta<'_>> = deltas
+        // Each delta with its table's schema.
+        let deltas: Vec<(&CatalogDelta, &Schema)> = deltas
             .iter()
-            .filter_map(|d| match d {
-                CatalogDelta::Append {
-                    table,
-                    prev_epoch,
-                    new_epoch,
-                    rows,
-                    range,
-                } => {
-                    let t = db.table(table).ok()?;
-                    // A range that no longer addresses the post-batch table
-                    // (a later delete shifted rows and the producer failed to
-                    // materialize) resolves to `None`: affected entries are
-                    // dropped rather than extended over the wrong rows.
-                    let rows: Option<Vec<&Row>> = match rows {
-                        Some(owned) => Some(owned.iter().collect()),
-                        None => (range.start <= range.end && range.end <= t.len())
-                            .then(|| t.rows().range(range.clone()).iter().collect()),
-                    };
-                    Some(ResolvedDelta::Append {
-                        table,
-                        schema: t.schema(),
-                        prev_epoch: *prev_epoch,
-                        new_epoch: *new_epoch,
-                        rows,
-                    })
-                }
-                CatalogDelta::Delete {
-                    table,
-                    prev_epoch,
-                    new_epoch,
-                } => {
-                    db.table(table).ok()?;
-                    Some(ResolvedDelta::Delete {
-                        table,
-                        prev_epoch: *prev_epoch,
-                        new_epoch: *new_epoch,
-                    })
-                }
-            })
+            .filter_map(|d| Some((d, db.table(d.table()).ok()?.schema())))
             .collect();
         if deltas.is_empty() {
             return;
         }
         self.maintenance_deltas.add(deltas.len() as u64);
-        let affected: HashSet<&str> = deltas.iter().map(|d| d.table()).collect();
+        let affected: HashSet<&str> = deltas.iter().map(|(d, _)| d.table()).collect();
         let deleted: HashSet<&str> = deltas
             .iter()
-            .filter(|d| matches!(d, ResolvedDelta::Delete { .. }))
-            .map(|d| d.table())
+            .filter(|(d, _)| matches!(d, CatalogDelta::Delete { .. }))
+            .map(|(d, _)| d.table())
             .collect();
         {
             let mut tables = self.tables.write();
-            for d in &deltas {
+            for (d, _) in &deltas {
                 let table = tables.entry(d.table().to_string()).or_default();
                 table.epoch = d.new_epoch();
-                if matches!(d, ResolvedDelta::Delete { .. }) {
+                if matches!(d, CatalogDelta::Delete { .. }) {
                     table.partitions.clear();
                 }
             }
@@ -710,32 +649,30 @@ impl SketchCatalog {
                     state.evidence = 0;
                 }
                 state.entries.retain_mut(|e| {
-                    for d in &deltas {
+                    for &(d, schema) in &deltas {
                         let table = d.table();
                         if !e.capture_epochs.contains_key(table) {
                             continue; // entry does not sketch this table
                         }
                         let keep = match d {
-                            ResolvedDelta::Append {
+                            CatalogDelta::Append {
                                 prev_epoch,
                                 new_epoch,
-                                schema,
                                 rows,
                                 ..
                             } => {
                                 let maintainable = e.capture_epochs.get(table) == Some(prev_epoch)
-                                    && rows.as_ref().is_some_and(|rows| {
-                                        e.sketches.iter_mut().filter(|s| s.table() == table).all(
-                                            |s| s.extend_for_append(schema, rows.iter().copied()),
-                                        )
-                                    });
+                                    && e.sketches
+                                        .iter_mut()
+                                        .filter(|s| s.table() == table)
+                                        .all(|s| s.extend_for_append(schema, rows));
                                 if maintainable {
                                     e.capture_epochs.insert(table.to_string(), *new_epoch);
                                     extended += 1;
                                 }
                                 maintainable
                             }
-                            ResolvedDelta::Delete {
+                            CatalogDelta::Delete {
                                 prev_epoch,
                                 new_epoch,
                                 ..
@@ -1302,15 +1239,12 @@ mod tests {
     fn append_sales(db: &Database, catalog: &SketchCatalog, rows: Vec<Vec<Value>>) -> Database {
         let mut db2 = db.clone();
         let prev_epoch = db2.table("sales").unwrap().data_epoch();
-        let old_len = db2.table("sales").unwrap().len();
-        db2.append_rows("sales", rows).unwrap();
-        let sales = db2.table("sales").unwrap();
+        let new_epoch = db2.append_rows("sales", rows.clone()).unwrap();
         let delta = CatalogDelta::Append {
             table: "sales".into(),
             prev_epoch,
-            new_epoch: sales.data_epoch(),
-            rows: None,
-            range: old_len..sales.len(),
+            new_epoch,
+            rows,
         };
         catalog.apply_deltas(&db2, &[delta]);
         db2
@@ -1410,10 +1344,7 @@ mod tests {
         );
         let mut db2 = db.clone();
         let prev_append = db2.table("sales").unwrap().data_epoch();
-        let old_len = db2.table("sales").unwrap().len();
-        db2.append_rows("sales", new_rows.clone()).unwrap();
-        let mid_epoch = db2.table("sales").unwrap().data_epoch();
-        let appended = db2.table("sales").unwrap().rows().range(old_len..).to_vec();
+        let mid_epoch = db2.append_rows("sales", new_rows.clone()).unwrap();
         db2.delete_where("sales", |r| r[1] == Value::Int(500))
             .unwrap();
         let final_epoch = db2.table("sales").unwrap().data_epoch();
@@ -1424,8 +1355,7 @@ mod tests {
                     table: "sales".into(),
                     prev_epoch: prev_append,
                     new_epoch: mid_epoch,
-                    rows: Some(appended), // materialized: the delete shifted the tail
-                    range: old_len..old_len + new_rows.len(),
+                    rows: new_rows.clone(),
                 },
                 CatalogDelta::Delete {
                     table: "sales".into(),

@@ -1,119 +1,197 @@
 //! The commit pipeline: the commit thread's loop, group commit of one batch
 //! (one copy-on-write database fork, one WAL append + fsync, one catalog
-//! delta pass, one atomic swap) and the mutation core it shares with WAL
-//! replay.
+//! delta pass, one atomic swap), and [`apply_batch`] — the one way a
+//! mutation reaches a [`Database`], taken by the commit thread on its fork
+//! and by WAL replay on the recovered snapshot.
 
 use super::{
     HealthState, Mutation, MutationOutcome, PanicSite, ServerShared, TicketState, WriteRequest,
 };
 use crate::catalog::CatalogDelta;
 use crate::pbds::PbdsError;
+use pbds_algebra::Expr;
 use pbds_exec::CompiledExpr;
-use pbds_persist::{encode_op, PersistError, WalOpRef};
+use pbds_persist::{encode_op, PersistError};
 use pbds_storage::{Database, Row, StorageError};
 use pbds_telemetry::{clock, span};
 use std::collections::HashMap;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
-/// Apply a mutation to a database in place (no catalog, no WAL): the shared
-/// core of the commit thread's batch application and WAL replay, so a
-/// replayed record takes exactly the code path the live mutation took.
-/// Returns the outcome (with the WAL fields unfilled — the commit thread
-/// stamps them once the batch's sequence numbers are durable) and the
-/// [`CatalogDelta`] the sketch catalog is owed, or `None` when nothing
-/// changed (empty append / delete matching nothing).
-pub(super) fn mutate_database(
-    db: &mut Database,
-    table: &str,
-    mutation: Mutation,
-) -> Result<(MutationOutcome, Option<CatalogDelta>), PbdsError> {
-    let prev_epoch = db.table(table)?.data_epoch();
-    match mutation {
-        Mutation::Append(rows) => {
-            let appended = rows.len();
-            let old_len = db.table(table)?.len();
-            let epoch = db.append_rows(table, rows)?;
-            let delta = (appended > 0).then(|| CatalogDelta::Append {
-                table: table.to_string(),
-                prev_epoch,
-                new_epoch: epoch,
-                rows: None,
-                range: old_len..old_len + appended,
-            });
-            Ok((
-                MutationOutcome {
-                    table: table.to_string(),
-                    epoch,
-                    rows_affected: appended,
-                    wal_seq: None,
-                    batch_len: 0,
-                },
-                delta,
-            ))
-        }
-        Mutation::DeleteWhere(predicate) => {
-            // Evaluate the predicate first (propagating evaluation errors
-            // before anything is deleted), then delete by mask.
-            let doomed: Vec<bool> = {
-                let t = db.table(table)?;
-                let compiled = CompiledExpr::compile(&predicate, t.schema());
-                t.rows()
-                    .iter()
-                    .map(|row| compiled.matches(row))
-                    .collect::<Result<_, _>>()?
-            };
-            let mut i = 0;
-            let deleted = db.delete_where(table, |_| {
-                let d = doomed[i];
-                i += 1;
-                d
-            })?;
-            let epoch = db.table(table)?.data_epoch();
-            let delta = (deleted > 0).then(|| CatalogDelta::Delete {
-                table: table.to_string(),
-                prev_epoch,
-                new_epoch: epoch,
-            });
-            Ok((
-                MutationOutcome {
-                    table: table.to_string(),
-                    epoch,
-                    rows_affected: deleted,
-                    wal_seq: None,
-                    batch_len: 0,
-                },
-                delta,
-            ))
-        }
+/// The outcome of a mutation of `table`, with the WAL fields unfilled — the
+/// commit thread stamps them once the batch's sequence numbers are durable.
+fn outcome(table: &str, epoch: u64, rows_affected: usize) -> MutationOutcome {
+    MutationOutcome {
+        table: table.to_string(),
+        epoch,
+        rows_affected,
+        wal_seq: None,
+        batch_len: 0,
     }
 }
 
-/// An open run of consecutive appends to one table inside a commit batch,
-/// merged into a single epoch advance (appends to the same table commute
-/// with each other, so `k` queued appends cost one epoch advance and
-/// produce one [`CatalogDelta::Append`] instead of `k`).
+/// An open run of consecutive appends to one table inside a batch, merged
+/// into a single epoch advance (appends to the same table commute with each
+/// other, so `k` appends cost one epoch advance and produce one
+/// [`CatalogDelta::Append`] instead of `k`).
 struct AppendRun {
     /// Table length before the first append of the run.
     old_len: usize,
     /// Table data epoch before the first append of the run.
     prev_epoch: u64,
-    /// `(pending index, rows in that append)` for every merged request, in
-    /// submission order — used to stamp per-request outcomes after the run
-    /// lands.
+    /// `(batch index, rows in that append)` for every merged mutation, in
+    /// batch order — used to stamp per-mutation outcomes when the run lands.
     members: Vec<(usize, usize)>,
-    /// The queued row batches, in submission order.
+    /// The queued row batches, in batch order.
     batches: Vec<Vec<Row>>,
+}
+
+type Applied = Result<MutationOutcome, PbdsError>;
+
+/// Apply `mutations` to `db` in order, in place — no catalog, no WAL. This is
+/// the only way a mutation reaches a [`Database`]: the commit thread applies
+/// each batch through it on its fork, and `PbdsServer::open` replays every
+/// WAL record past the snapshot through it in one call, so a replayed
+/// mutation takes exactly the path the live one took.
+///
+/// Consecutive appends to a table merge into one run: one epoch advance and
+/// one [`CatalogDelta::Append`] carrying the run's rows, read back once when
+/// the run lands. A delete first lands its table's open run (it must see the
+/// run's rows), then deletes and yields one [`CatalogDelta::Delete`]. A
+/// mutation that fails validation (unknown table, arity mismatch, predicate
+/// type error) fails alone and changes nothing; the rest still apply.
+///
+/// Returns one outcome per mutation, in order, and the deltas the sketch
+/// catalog is owed. A mutation changed its table exactly when its outcome is
+/// `Ok` with `rows_affected > 0`; an empty append or a delete matching
+/// nothing changes nothing and yields no delta.
+pub(super) fn apply_batch(
+    db: &mut Database,
+    mutations: impl IntoIterator<Item = (String, Mutation)>,
+) -> (Vec<Applied>, Vec<CatalogDelta>) {
+    let mut results: Vec<Option<Applied>> = Vec::new();
+    let mut deltas: Vec<CatalogDelta> = Vec::new();
+    let mut runs: HashMap<String, AppendRun> = HashMap::new();
+    for (table, mutation) in mutations {
+        let idx = results.len();
+        results.push(None);
+        match mutation {
+            Mutation::Append(rows) => {
+                // Validate now so a bad mutation fails alone; the append
+                // itself is deferred into the table's open run.
+                let (len, arity, prev_epoch) = match db.table(&table) {
+                    Ok(t) => (t.len(), t.schema().arity(), t.data_epoch()),
+                    Err(e) => {
+                        results[idx] = Some(Err(e.into()));
+                        continue;
+                    }
+                };
+                if let Some(bad) = rows.iter().find(|r| r.len() != arity) {
+                    results[idx] = Some(Err(PbdsError::Storage(StorageError::ArityMismatch {
+                        context: table.clone(),
+                        expected: arity,
+                        got: bad.len(),
+                    })));
+                    continue;
+                }
+                if rows.is_empty() {
+                    // No-op: no epoch advance, not part of any run.
+                    results[idx] = Some(Ok(outcome(&table, prev_epoch, 0)));
+                    continue;
+                }
+                let run = runs.entry(table).or_insert(AppendRun {
+                    old_len: len,
+                    prev_epoch,
+                    members: Vec::new(),
+                    batches: Vec::new(),
+                });
+                run.members.push((idx, rows.len()));
+                run.batches.push(rows);
+            }
+            Mutation::DeleteWhere(predicate) => {
+                if let Some(run) = runs.remove(&table) {
+                    land_run(db, &table, run, &mut results, &mut deltas);
+                }
+                results[idx] = Some(delete_where(db, &table, &predicate, &mut deltas));
+            }
+        }
+    }
+    for (table, run) in std::mem::take(&mut runs) {
+        land_run(db, &table, run, &mut results, &mut deltas);
+    }
+    let results = results
+        .into_iter()
+        .map(|r| r.expect("every mutation of the batch resolved"))
+        .collect();
+    (results, deltas)
+}
+
+/// Append an open run's rows through one epoch advance, stamp its members'
+/// outcomes and push its delta.
+fn land_run(
+    db: &mut Database,
+    table: &str,
+    run: AppendRun,
+    results: &mut [Option<Applied>],
+    deltas: &mut Vec<CatalogDelta>,
+) {
+    let landed = db
+        .append_row_batches(table, run.batches)
+        .map_err(PbdsError::Storage);
+    if let Ok(epoch) = landed {
+        let t = db.table(table).expect("appended table exists");
+        deltas.push(CatalogDelta::Append {
+            table: table.to_string(),
+            prev_epoch: run.prev_epoch,
+            new_epoch: epoch,
+            rows: t.rows().range(run.old_len..t.len()).to_vec(),
+        });
+    }
+    // Every row was arity-checked before joining the run and the table
+    // existed; only an unforeseen storage failure fails the members.
+    for (idx, appended) in run.members {
+        results[idx] = Some(landed.clone().map(|epoch| outcome(table, epoch, appended)));
+    }
+}
+
+/// Delete the rows of `table` matching `predicate`, pushing a delta when any
+/// row went.
+fn delete_where(
+    db: &mut Database,
+    table: &str,
+    predicate: &Expr,
+    deltas: &mut Vec<CatalogDelta>,
+) -> Applied {
+    let prev_epoch = db.table(table)?.data_epoch();
+    // Evaluate the predicate first (propagating evaluation errors before
+    // anything is deleted), then delete by mask.
+    let doomed: Vec<bool> = {
+        let t = db.table(table)?;
+        let compiled = CompiledExpr::compile(predicate, t.schema());
+        t.rows()
+            .iter()
+            .map(|row| compiled.matches(row))
+            .collect::<Result<_, _>>()?
+    };
+    let mut doomed = doomed.into_iter();
+    let deleted = db.delete_where(table, |_| doomed.next().unwrap_or(false))?;
+    let epoch = db.table(table)?.data_epoch();
+    if deleted > 0 {
+        deltas.push(CatalogDelta::Delete {
+            table: table.to_string(),
+            prev_epoch,
+            new_epoch: epoch,
+        });
+    }
+    Ok(outcome(table, epoch, deleted))
 }
 
 /// A submitted mutation travelling through a commit batch.
 struct PendingWrite {
     ticket: Arc<TicketState>,
-    /// Set once the mutation has applied (or short-circuited); `Err` means
-    /// the request was rejected without touching any state.
-    result: Option<Result<MutationOutcome, PbdsError>>,
+    result: Applied,
     /// Encoded WAL record body, present on durable servers for every
-    /// mutation that actually changed state.
+    /// mutation that changed state.
     wal_bytes: Option<Vec<u8>>,
 }
 
@@ -206,153 +284,32 @@ fn commit_batch(shared: &ServerShared, batch: Vec<WriteRequest>) {
     let mut db = (*current).clone();
     let durable = shared.persist.is_some();
 
-    let mut pending: Vec<PendingWrite> = Vec::with_capacity(batch.len());
-    let mut deltas: Vec<CatalogDelta> = Vec::new();
-    // Open append runs per table: consecutive appends to a table merge into
-    // one epoch advance. A delete on the table closes its run first (the
-    // delete shifts row indices, so the run's delta must materialize its
-    // rows before they move).
-    let mut runs: HashMap<String, AppendRun> = HashMap::new();
-
-    fn flush_run(
-        db: &mut Database,
-        runs: &mut HashMap<String, AppendRun>,
-        pending: &mut [PendingWrite],
-        deltas: &mut Vec<CatalogDelta>,
-        table: &str,
-        materialize_rows: bool,
-    ) {
-        let Some(run) = runs.remove(table) else {
-            return;
-        };
-        let total: usize = run.members.iter().map(|(_, n)| n).sum();
-        match db.append_row_batches(table, run.batches) {
-            Ok(epoch) => {
-                let new_len = run.old_len + total;
-                let rows = materialize_rows.then(|| {
-                    let table = db.table(table).expect("appended table exists");
-                    table.rows().range(run.old_len..new_len).to_vec()
-                });
-                deltas.push(CatalogDelta::Append {
-                    table: table.to_string(),
-                    prev_epoch: run.prev_epoch,
-                    new_epoch: epoch,
-                    rows,
-                    range: run.old_len..new_len,
-                });
-                for (idx, appended) in run.members {
-                    pending[idx].result = Some(Ok(MutationOutcome {
-                        table: table.to_string(),
-                        epoch,
-                        rows_affected: appended,
-                        wal_seq: None,
-                        batch_len: 0,
-                    }));
-                }
-            }
-            Err(e) => {
-                // Every row was arity-checked before joining the run, and
-                // the table existed; only an unforeseen storage failure
-                // lands here. Fail the run's members, drop their WAL bytes.
-                for (idx, _) in run.members {
-                    pending[idx].result = Some(Err(PbdsError::Storage(e.clone())));
-                    pending[idx].wal_bytes = None;
-                }
-            }
-        }
-    }
-
+    let mut tickets = Vec::with_capacity(batch.len());
+    let mut encoded = Vec::with_capacity(batch.len());
+    let mut mutations = Vec::with_capacity(batch.len());
     for request in batch {
-        let WriteRequest {
-            table,
-            mutation,
-            ticket,
-        } = request;
-        let idx = pending.len();
-        pending.push(PendingWrite {
-            ticket,
-            result: None,
-            wal_bytes: None,
-        });
-        // Encode the WAL record body from the borrowed mutation before it
-        // is consumed — no clone of a bulk append's rows, and nothing is
-        // encoded at all on in-memory servers.
-        let wal_bytes = durable.then(|| {
-            encode_op(match &mutation {
-                Mutation::Append(rows) => WalOpRef::Append {
-                    table: &table,
-                    rows,
-                },
-                Mutation::DeleteWhere(predicate) => WalOpRef::DeleteWhere {
-                    table: &table,
-                    predicate,
-                },
-            })
-        });
-        match mutation {
-            Mutation::Append(rows) => {
-                // Validate now so a bad request fails alone; the actual
-                // append is deferred into the table's open run.
-                let (len, arity, prev_epoch) = match db.table(&table) {
-                    Ok(t) => (t.len(), t.schema().arity(), t.data_epoch()),
-                    Err(e) => {
-                        pending[idx].result = Some(Err(PbdsError::Storage(e)));
-                        continue;
-                    }
-                };
-                if let Some(bad) = rows.iter().find(|r| r.len() != arity) {
-                    pending[idx].result =
-                        Some(Err(PbdsError::Storage(StorageError::ArityMismatch {
-                            context: table.clone(),
-                            expected: arity,
-                            got: bad.len(),
-                        })));
-                    continue;
-                }
-                if rows.is_empty() {
-                    // No-op: no WAL record, no epoch bump, not part of any run.
-                    pending[idx].result = Some(Ok(MutationOutcome {
-                        table: table.clone(),
-                        epoch: prev_epoch,
-                        rows_affected: 0,
-                        wal_seq: None,
-                        batch_len: 0,
-                    }));
-                    continue;
-                }
-                pending[idx].wal_bytes = wal_bytes;
-                let run = runs.entry(table).or_insert(AppendRun {
-                    old_len: len,
-                    prev_epoch,
-                    members: Vec::new(),
-                    batches: Vec::new(),
-                });
-                run.members.push((idx, rows.len()));
-                run.batches.push(rows);
-            }
-            Mutation::DeleteWhere(_) => {
-                // The delete must observe the run's rows and will shift
-                // indices, so the table's open run lands first — with its
-                // delta rows materialized, since `range` would dangle.
-                flush_run(&mut db, &mut runs, &mut pending, &mut deltas, &table, true);
-                match mutate_database(&mut db, &table, mutation) {
-                    Ok((outcome, delta)) => {
-                        if delta.is_some() {
-                            // Only a delete that removed rows is logged.
-                            pending[idx].wal_bytes = wal_bytes;
-                            deltas.extend(delta);
-                        }
-                        pending[idx].result = Some(Ok(outcome));
-                    }
-                    Err(e) => pending[idx].result = Some(Err(e)),
-                }
-            }
-        }
+        // Encode the WAL record body from the borrowed mutation before it is
+        // consumed — no clone of a bulk append's rows, and nothing is encoded
+        // at all on in-memory servers.
+        encoded.push(durable.then(|| encode_op(request.mutation.wal_op(&request.table))));
+        tickets.push(request.ticket);
+        mutations.push((request.table, request.mutation));
     }
-    let tables: Vec<String> = runs.keys().cloned().collect();
-    for table in tables {
-        flush_run(&mut db, &mut runs, &mut pending, &mut deltas, &table, false);
-    }
+    let (results, deltas) = apply_batch(&mut db, mutations);
+    // Only a mutation that changed its table is logged.
+    let mut pending: Vec<PendingWrite> = tickets
+        .into_iter()
+        .zip(results)
+        .zip(encoded)
+        .map(|((ticket, result), bytes)| {
+            let changed = matches!(&result, Ok(o) if o.rows_affected > 0);
+            PendingWrite {
+                ticket,
+                result,
+                wal_bytes: bytes.filter(|_| changed),
+            }
+        })
+        .collect();
 
     // Write-ahead: every surviving record must be durable before anything
     // becomes visible or is acknowledged. One append, one fsync.
@@ -391,7 +348,7 @@ fn commit_batch(shared: &ServerShared, batch: Vec<WriteRequest>) {
                 let mut seq = base;
                 for w in &mut pending {
                     if w.wal_bytes.is_some() {
-                        if let Some(Ok(outcome)) = &mut w.result {
+                        if let Ok(outcome) = &mut w.result {
                             outcome.wal_seq = Some(seq);
                         }
                         seq += 1;
@@ -416,17 +373,12 @@ fn commit_batch(shared: &ServerShared, batch: Vec<WriteRequest>) {
                     format!("WAL append failed ({e}); refusing writes until repaired"),
                 );
                 shared.request_repair();
-                for w in &mut pending {
-                    if w.wal_bytes.is_some() {
-                        w.result = Some(Err(e.clone()));
-                    }
-                }
                 for w in pending {
-                    let result = w.result.unwrap_or_else(|| {
-                        Err(PbdsError::Persist(PersistError::Io(
-                            "commit batch aborted".into(),
-                        )))
-                    });
+                    let result = if w.wal_bytes.is_some() {
+                        Err(e.clone())
+                    } else {
+                        w.result
+                    };
                     w.ticket.complete(result);
                 }
                 return;
@@ -438,7 +390,7 @@ fn commit_batch(shared: &ServerShared, batch: Vec<WriteRequest>) {
     // publish the new database in one atomic swap.
     let committed = pending
         .iter()
-        .filter(|w| matches!(&w.result, Some(Ok(o)) if o.rows_affected > 0 || o.wal_seq.is_some()))
+        .filter(|w| matches!(&w.result, Ok(o) if o.rows_affected > 0))
         .count();
     if !deltas.is_empty() {
         {
@@ -486,15 +438,10 @@ fn commit_batch(shared: &ServerShared, batch: Vec<WriteRequest>) {
         }
     }
 
-    for w in pending {
-        let mut result = w.result.unwrap_or_else(|| {
-            Err(PbdsError::Persist(PersistError::Io(
-                "commit batch dropped a request".into(),
-            )))
-        });
-        if let Ok(outcome) = &mut result {
+    for mut w in pending {
+        if let Ok(outcome) = &mut w.result {
             outcome.batch_len = committed;
         }
-        w.ticket.complete(result);
+        w.ticket.complete(w.result);
     }
 }

@@ -51,14 +51,13 @@ use crate::pbds::PbdsError;
 use crate::tuning::{
     capture_and_store, estimate_selectivity, execute_with_reuse, Action, QueryRecord, Strategy,
 };
-use pbds_algebra::{templatize, Expr, LogicalPlan, QueryTemplate};
+use pbds_algebra::{templatize, LogicalPlan, QueryTemplate};
 use pbds_exec::{Engine, EngineProfile, ExecStats};
 use pbds_persist::{
     read_catalog_with, read_snapshot_with, write_catalog_with, write_snapshot_with, Io,
-    MutationWal, PersistError, PersistedCatalog, RealIo, WalOp, CATALOG_FILE, SNAPSHOT_FILE,
-    WAL_FILE,
+    MutationWal, PersistError, PersistedCatalog, RealIo, CATALOG_FILE, SNAPSHOT_FILE, WAL_FILE,
 };
-use pbds_storage::{Database, Relation, Row, Value};
+use pbds_storage::{Database, Relation, Value};
 use pbds_telemetry::{clock, span, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -76,7 +75,7 @@ use std::thread::JoinHandle;
 mod commit;
 #[path = "health.rs"]
 mod health;
-use commit::{commit_loop, mutate_database};
+use commit::{apply_batch, commit_loop};
 pub use health::HealthState;
 use health::{janitor_loop, Health, RepairState};
 
@@ -376,15 +375,10 @@ impl ServerShared {
     }
 }
 
-/// A data mutation applied through the serving middleware.
-#[derive(Debug, Clone)]
-pub enum Mutation {
-    /// Append rows at the tail of the table.
-    Append(Vec<Row>),
-    /// Delete every row matching the predicate (evaluated against the
-    /// table's schema; NULL counts as not matching).
-    DeleteWhere(Expr),
-}
+/// A data mutation applied through the serving middleware. One type serves
+/// the ingest queue, the commit thread and the WAL, which logs and replays it
+/// as is; it lives next to the WAL codec in `pbds-persist`.
+pub use pbds_persist::Mutation;
 
 /// What [`PbdsServer::apply_mutation`] did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -685,11 +679,12 @@ impl PbdsServer {
     /// 2. the persisted **catalog** is imported — every entry is validated
     ///    against the recovered tables' data epochs and dropped if stale, so
     ///    no restart can resurrect a sketch describing other data;
-    /// 3. the **WAL** is replayed through the same mutation path a live
-    ///    server uses (records the snapshot already covers are skipped by
-    ///    sequence number; a torn tail is truncated to the longest
-    ///    whole-record prefix), maintaining the imported catalog entries
-    ///    across each replayed mutation exactly as live serving would.
+    /// 3. the **WAL** is replayed as one batch through the commit thread's
+    ///    own mutation path (records the snapshot already covers are skipped
+    ///    by sequence number; a torn tail is truncated to the longest
+    ///    whole-record prefix), and the imported catalog entries are
+    ///    maintained across it with one delta pass, as live serving
+    ///    maintains them across a commit batch.
     ///
     /// The result serves with a warm catalog: the first instance of a
     /// template captured before the restart reuses its sketch with no
@@ -731,34 +726,24 @@ impl PbdsServer {
             }
         };
         let import = catalog.import(&db, persisted);
-        let (wal, records) = MutationWal::open_with(Arc::clone(&io), &dir.join(WAL_FILE))?;
-        let mut next_seq = applied_seq + 1;
-        let mut replayed = 0usize;
-        for record in records {
-            if record.seq <= applied_seq {
-                continue; // the snapshot already includes this mutation
-            }
-            let (table, mutation) = match record.op {
-                WalOp::Append { table, rows } => (table, Mutation::Append(rows)),
-                WalOp::DeleteWhere { table, predicate } => {
-                    (table, Mutation::DeleteWhere(predicate))
-                }
-            };
-            // A record was logged only after the mutation succeeded in
-            // memory, and replay starts from the same state, so replay
-            // errors indicate corruption rather than a bad mutation.
-            let (_, delta) = mutate_database(&mut db, &table, mutation).map_err(|e| {
-                pbds_persist::PersistError::corrupt(format!(
-                    "WAL record {} does not replay: {e}",
-                    record.seq
-                ))
-            })?;
-            if let Some(delta) = delta {
-                catalog.apply_deltas(&db, &[delta]);
-            }
-            next_seq = record.seq + 1;
-            replayed += 1;
+        let (wal, mut records) = MutationWal::open_with(Arc::clone(&io), &dir.join(WAL_FILE))?;
+        // Records the snapshot already includes are skipped; the rest replay
+        // as one batch through the commit thread's own mutation path.
+        records.retain(|r| r.seq > applied_seq);
+        let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
+        let (results, deltas) =
+            apply_batch(&mut db, records.into_iter().map(|r| (r.table, r.mutation)));
+        // A record was logged only after the mutation succeeded in memory,
+        // and replay starts from the same state, so a replay error indicates
+        // corruption rather than a bad mutation.
+        if let Some((seq, Err(e))) = seqs.iter().zip(&results).find(|(_, r)| r.is_err()) {
+            return Err(
+                PersistError::corrupt(format!("WAL record {seq} does not replay: {e}")).into(),
+            );
         }
+        catalog.apply_deltas(&db, &deltas);
+        let replayed = seqs.len();
+        let next_seq = seqs.last().map_or(applied_seq, |&seq| seq) + 1;
         Ok(PbdsServer::build(
             Arc::new(db),
             catalog,

@@ -222,7 +222,7 @@ pub fn estimate_selectivity(db: &Database, plan: &LogicalPlan) -> Option<f64> {
         if let Expr::Binary { op, left, right } = pred {
             let (col, cst, op) = match (&**left, &**right) {
                 (Expr::Column(c), Expr::Literal(v)) => (c, v, *op),
-                (Expr::Literal(v), Expr::Column(c)) => (c, v, flip(*op)),
+                (Expr::Literal(v), Expr::Column(c)) => (c, v, op.flipped()),
                 _ => return None,
             };
             for t in plan.tables() {
@@ -246,15 +246,6 @@ pub fn estimate_selectivity(db: &Database, plan: &LogicalPlan) -> Option<f64> {
             }
         }
         None
-    }
-    fn flip(op: BinOp) -> BinOp {
-        match op {
-            BinOp::Lt => BinOp::Gt,
-            BinOp::Le => BinOp::Ge,
-            BinOp::Gt => BinOp::Lt,
-            BinOp::Ge => BinOp::Le,
-            other => other,
-        }
     }
 
     let mut best: Option<f64> = None;

@@ -34,16 +34,6 @@ fn cmp_to_range(op: BinOp, v: &Value) -> Option<InclusiveRange> {
     }
 }
 
-fn flip(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Ge => BinOp::Le,
-        other => other,
-    }
-}
-
 /// Intersect two inclusive ranges.
 fn intersect(a: &InclusiveRange, b: &InclusiveRange) -> InclusiveRange {
     let lo = match (&a.0, &b.0) {
@@ -84,7 +74,7 @@ fn conjunct_ranges(e: &Expr) -> Option<ColumnRanges> {
                 from_sketch: false,
             }),
             (Expr::Literal(v), Expr::Column(c)) => {
-                cmp_to_range(flip(*op), v).map(|r| ColumnRanges {
+                cmp_to_range(op.flipped(), v).map(|r| ColumnRanges {
                     column: c.clone(),
                     ranges: vec![r],
                     from_sketch: false,

@@ -307,7 +307,7 @@ fn vec_truth(
                     Some(cmp_kernel(chunk, *c, lo, hi, *op, v))
                 }
                 (CompiledExpr::Literal(v), CompiledExpr::Column(ColRef::Idx(c))) => {
-                    Some(cmp_kernel(chunk, *c, lo, hi, flip_cmp(*op), v))
+                    Some(cmp_kernel(chunk, *c, lo, hi, op.flipped(), v))
                 }
                 _ => None,
             }
@@ -353,16 +353,6 @@ fn vec_truth(
             ranges,
         } => Some(ranges_kernel(chunk, *c, lo, hi, ranges)),
         _ => None,
-    }
-}
-
-fn flip_cmp(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Ge => BinOp::Le,
-        other => other,
     }
 }
 

@@ -19,7 +19,8 @@
 //!   re-declared and built lazily after a restore, as in a live table.
 //!   Per-table `epoch` / `data_epoch` **are** persisted — they
 //!   are the validity tokens the sketch catalog checks entries against;
-//! * [`wal`] — the mutation write-ahead log: fsynced appends, torn-tail
+//! * [`wal`] — the one [`Mutation`] type and the mutation write-ahead log
+//!   that records it: fsynced appends, torn-tail
 //!   tolerant recovery to the longest whole-record prefix, sequence numbers
 //!   that make replay idempotent against the snapshot;
 //! * [`catalog`] — the persisted sketch-catalog format, entries carrying
@@ -53,7 +54,8 @@ pub use snapshot::{
     read_snapshot, read_snapshot_with, write_snapshot, write_snapshot_with, SNAPSHOT_FILE,
 };
 pub use wal::{
-    encode_op, read_records, read_records_with, MutationWal, WalOp, WalOpRef, WalRecord, WAL_FILE,
+    encode_op, read_records, read_records_with, Mutation, MutationWal, WalOpRef, WalRecord,
+    WAL_FILE,
 };
 
 /// Errors raised by the durability layer.

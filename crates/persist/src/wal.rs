@@ -42,34 +42,39 @@ use std::sync::Arc;
 /// Default WAL file name inside a durability directory.
 pub const WAL_FILE: &str = "wal.pbds";
 
-/// A logged mutation.
+/// A data mutation of one table: what the serving middleware applies and
+/// what the WAL logs, so a replayed record is the mutation that was
+/// submitted, not a conversion of it.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WalOp {
-    /// Rows appended at the tail of `table`.
-    Append {
-        /// The mutated table.
-        table: String,
-        /// The appended rows.
-        rows: Vec<Row>,
-    },
-    /// Rows deleted from `table` by predicate.
-    DeleteWhere {
-        /// The mutated table.
-        table: String,
-        /// The delete predicate (re-evaluated deterministically on replay
-        /// against the same pre-mutation state).
-        predicate: Expr,
-    },
+pub enum Mutation {
+    /// Append rows at the tail of the table.
+    Append(Vec<Row>),
+    /// Delete every row matching the predicate (evaluated against the
+    /// table's schema; NULL counts as not matching). Re-evaluated
+    /// deterministically on replay against the same pre-mutation state.
+    DeleteWhere(Expr),
 }
 
-/// One WAL record: a sequence number plus the operation.
+impl Mutation {
+    /// The borrowed WAL view of this mutation of `table`, for [`encode_op`].
+    pub fn wal_op<'a>(&'a self, table: &'a str) -> WalOpRef<'a> {
+        match self {
+            Mutation::Append(rows) => WalOpRef::Append { table, rows },
+            Mutation::DeleteWhere(predicate) => WalOpRef::DeleteWhere { table, predicate },
+        }
+    }
+}
+
+/// One WAL record: a sequence number plus the mutation of one table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalRecord {
     /// Monotone sequence number (1-based; snapshots record the highest
     /// sequence they include).
     pub seq: u64,
+    /// The mutated table.
+    pub table: String,
     /// The logged mutation.
-    pub op: WalOp,
+    pub mutation: Mutation,
 }
 
 /// A borrowed view of a WAL operation, so callers can encode a record
@@ -93,17 +98,8 @@ pub enum WalOpRef<'a> {
     },
 }
 
-impl WalOp {
-    fn as_ref(&self) -> WalOpRef<'_> {
-        match self {
-            WalOp::Append { table, rows } => WalOpRef::Append { table, rows },
-            WalOp::DeleteWhere { table, predicate } => WalOpRef::DeleteWhere { table, predicate },
-        }
-    }
-}
-
 /// Encode a WAL operation body (everything but the sequence number), for use
-/// with [`MutationWal::append_encoded`].
+/// with [`MutationWal::append_batch`].
 pub fn encode_op(op: WalOpRef<'_>) -> Vec<u8> {
     let mut w = ByteWriter::new();
     match op {
@@ -127,26 +123,27 @@ pub fn encode_op(op: WalOpRef<'_>) -> Vec<u8> {
 fn decode_record(payload: &[u8]) -> Result<WalRecord, PersistError> {
     let mut r = ByteReader::new(payload);
     let seq = r.u64()?;
-    let op = match r.u8()? {
+    let kind = r.u8()?;
+    let table = r.str()?;
+    let mutation = match kind {
         0 => {
-            let table = r.str()?;
             let n = r.u32()? as usize;
             let n = r.count(n, "appended row")?;
             let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
                 rows.push(r.values()?);
             }
-            WalOp::Append { table, rows }
+            Mutation::Append(rows)
         }
-        1 => {
-            let table = r.str()?;
-            let predicate = decode_expr(&mut r)?;
-            WalOp::DeleteWhere { table, predicate }
-        }
+        1 => Mutation::DeleteWhere(decode_expr(&mut r)?),
         other => return Err(PersistError::corrupt(format!("unknown WAL op {other}"))),
     };
     r.finish("WAL record")?;
-    Ok(WalRecord { seq, op })
+    Ok(WalRecord {
+        seq,
+        table,
+        mutation,
+    })
 }
 
 /// Scan a WAL file, returning every whole valid record and the byte length
@@ -321,25 +318,13 @@ impl MutationWal {
         Ok(records)
     }
 
-    /// Append one record and fsync it. On return the record is durable.
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), PersistError> {
-        self.append_encoded(record.seq, &encode_op(record.op.as_ref()))
-    }
-
-    /// Append a record from its pre-encoded operation body (see
-    /// [`encode_op`]) and fsync it. Equivalent to a one-record
-    /// [`MutationWal::append_batch`].
-    pub fn append_encoded(&mut self, seq: u64, op_bytes: &[u8]) -> Result<(), PersistError> {
-        self.append_batch(&[(seq, op_bytes)])
-    }
-
     /// Group commit: append every record in `records` (sequence number +
     /// pre-encoded operation body, see [`encode_op`]) as consecutive
     /// per-record CRC frames, then issue **one** `sync_data` for the whole
     /// batch. The on-disk format is byte-identical to appending each record
-    /// with [`MutationWal::append_encoded`] — torn-tail recovery and
-    /// seq-skipping replay see individual records, never batch boundaries —
-    /// but the durability cost is amortized: one fsync covers them all.
+    /// in a batch of its own — torn-tail recovery and seq-skipping replay see
+    /// individual records, never batch boundaries — but the durability cost
+    /// is amortized: one fsync covers them all.
     ///
     /// On success every record is durable. On error the file is rolled back
     /// to the last previously-acknowledged whole record, so nothing of the
@@ -471,29 +456,28 @@ mod tests {
         vec![
             WalRecord {
                 seq: 1,
-                op: WalOp::Append {
-                    table: "t".into(),
-                    rows: vec![
-                        vec![Value::Int(1), Value::from("a")],
-                        vec![Value::Float(-0.0), Value::Null],
-                    ],
-                },
+                table: "t".into(),
+                mutation: Mutation::Append(vec![
+                    vec![Value::Int(1), Value::from("a")],
+                    vec![Value::Float(-0.0), Value::Null],
+                ]),
             },
             WalRecord {
                 seq: 2,
-                op: WalOp::DeleteWhere {
-                    table: "t".into(),
-                    predicate: col("v").between(lit(3), lit(9)),
-                },
+                table: "t".into(),
+                mutation: Mutation::DeleteWhere(col("v").between(lit(3), lit(9))),
             },
             WalRecord {
                 seq: 3,
-                op: WalOp::Append {
-                    table: "u".into(),
-                    rows: vec![],
-                },
+                table: "u".into(),
+                mutation: Mutation::Append(vec![]),
             },
         ]
+    }
+
+    /// A record as [`MutationWal::append_batch`] takes it.
+    fn encoded(r: &WalRecord) -> (u64, Vec<u8>) {
+        (r.seq, encode_op(r.mutation.wal_op(&r.table)))
     }
 
     #[test]
@@ -503,7 +487,7 @@ mod tests {
         let (mut wal, existing) = MutationWal::open(&path).unwrap();
         assert!(existing.is_empty());
         for r in sample_records() {
-            wal.append(&r).unwrap();
+            wal.append_batch(&[encoded(&r)]).unwrap();
         }
         drop(wal);
         let (_, records) = MutationWal::open(&path).unwrap();
@@ -519,7 +503,7 @@ mod tests {
         // Record the valid length after each whole record.
         let mut boundaries = vec![fs::metadata(&path).unwrap().len()];
         for r in &all {
-            wal.append(r).unwrap();
+            wal.append_batch(&[encoded(r)]).unwrap();
             boundaries.push(fs::metadata(&path).unwrap().len());
         }
         drop(wal);
@@ -548,15 +532,15 @@ mod tests {
         let path = dir.join(WAL_FILE);
         let (mut wal, _) = MutationWal::open(&path).unwrap();
         let all = sample_records();
-        wal.append(&all[0]).unwrap();
-        wal.append(&all[1]).unwrap();
+        wal.append_batch(&[encoded(&all[0])]).unwrap();
+        wal.append_batch(&[encoded(&all[1])]).unwrap();
         drop(wal);
         // Tear the last record.
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         let (mut wal, records) = MutationWal::open(&path).unwrap();
         assert_eq!(&records[..], &all[..1]);
-        wal.append(&all[2]).unwrap();
+        wal.append_batch(&[encoded(&all[2])]).unwrap();
         drop(wal);
         let (records, _) = read_records(&path).unwrap();
         assert_eq!(records, vec![all[0].clone(), all[2].clone()]);
@@ -568,17 +552,15 @@ mod tests {
         let path = dir.join(WAL_FILE);
         let (mut wal, _) = MutationWal::open(&path).unwrap();
         for r in sample_records() {
-            wal.append(&r).unwrap();
+            wal.append_batch(&[encoded(&r)]).unwrap();
         }
         wal.truncate().unwrap();
         let extra = WalRecord {
             seq: 9,
-            op: WalOp::Append {
-                table: "t".into(),
-                rows: vec![vec![Value::Int(5)]],
-            },
+            table: "t".into(),
+            mutation: Mutation::Append(vec![vec![Value::Int(5)]]),
         };
-        wal.append(&extra).unwrap();
+        wal.append_batch(&[encoded(&extra)]).unwrap();
         drop(wal);
         let (records, _) = read_records(&path).unwrap();
         assert_eq!(records, vec![extra]);
@@ -588,25 +570,25 @@ mod tests {
     fn batched_append_is_byte_identical_to_sequential_appends() {
         let dir = test_dir("wal_batch_identical");
         let all = sample_records();
-        let encoded: Vec<(u64, Vec<u8>)> = all
-            .iter()
-            .map(|r| (r.seq, encode_op(r.op.as_ref())))
-            .collect();
+        let encoded: Vec<(u64, Vec<u8>)> = all.iter().map(encoded).collect();
 
-        let one_by_one = dir.join("sequential.pbds");
-        let (mut wal, _) = MutationWal::open(&one_by_one).unwrap();
-        for (seq, bytes) in &encoded {
-            wal.append_encoded(*seq, bytes).unwrap();
+        let one_per_batch = dir.join("one_per_batch.pbds");
+        let (mut wal, _) = MutationWal::open(&one_per_batch).unwrap();
+        for record in &encoded {
+            wal.append_batch(std::slice::from_ref(record)).unwrap();
         }
         drop(wal);
 
-        let batched = dir.join("batched.pbds");
-        let (mut wal, _) = MutationWal::open(&batched).unwrap();
+        let one_batch = dir.join("one_batch.pbds");
+        let (mut wal, _) = MutationWal::open(&one_batch).unwrap();
         wal.append_batch(&encoded).unwrap();
         drop(wal);
 
-        assert_eq!(fs::read(&one_by_one).unwrap(), fs::read(&batched).unwrap());
-        let (records, _) = read_records(&batched).unwrap();
+        assert_eq!(
+            fs::read(&one_per_batch).unwrap(),
+            fs::read(&one_batch).unwrap()
+        );
+        let (records, _) = read_records(&one_batch).unwrap();
         assert_eq!(records, all);
     }
 
@@ -619,10 +601,7 @@ mod tests {
         let path = dir.join(WAL_FILE);
         let all = sample_records();
         let (mut wal, _) = MutationWal::open(&path).unwrap();
-        let encoded: Vec<(u64, Vec<u8>)> = all
-            .iter()
-            .map(|r| (r.seq, encode_op(r.op.as_ref())))
-            .collect();
+        let encoded: Vec<(u64, Vec<u8>)> = all.iter().map(encoded).collect();
         wal.append_batch(&encoded).unwrap();
         drop(wal);
         let bytes = fs::read(&path).unwrap();
@@ -668,7 +647,7 @@ mod tests {
         let all = sample_records();
         let mut boundaries = vec![fs::metadata(&path).unwrap().len() as usize];
         for r in &all {
-            wal.append(r).unwrap();
+            wal.append_batch(&[encoded(r)]).unwrap();
             boundaries.push(fs::metadata(&path).unwrap().len() as usize);
         }
         drop(wal);
@@ -705,16 +684,16 @@ mod tests {
         let io: Arc<dyn Io> = Arc::new(FaultIo::new(Arc::clone(&inj)));
         let (mut wal, _) = MutationWal::open_with(Arc::clone(&io), &path).unwrap();
         let all = sample_records();
-        wal.append(&all[0]).unwrap();
+        wal.append_batch(&[encoded(&all[0])]).unwrap();
         inj.inject(FaultSpec {
             kind: FaultKind::FsyncFail,
             class: FileClass::Wal,
             skip: 0,
         });
         // The batch fails, and the handle refuses everything after.
-        assert!(wal.append(&all[1]).is_err());
+        assert!(wal.append_batch(&[encoded(&all[1])]).is_err());
         assert!(!wal.is_healthy());
-        let refused = wal.append(&all[2]).unwrap_err();
+        let refused = wal.append_batch(&[encoded(&all[2])]).unwrap_err();
         assert!(refused.to_string().contains("poisoned"), "{refused}");
         // reopen_and_verify lands on a verified whole-record prefix: record
         // 0 for sure (synced before the fault), record 1 only if the seeded
@@ -724,7 +703,7 @@ mod tests {
         assert!(records.len() <= 2);
         assert!(wal.is_healthy());
         // Appends resume and the log stays fully readable.
-        wal.append(&all[2]).unwrap();
+        wal.append_batch(&[encoded(&all[2])]).unwrap();
         drop(wal);
         let (recovered, _) = read_records(&path).unwrap();
         assert_eq!(recovered.len(), records.len() + 1);
@@ -739,18 +718,18 @@ mod tests {
         let io: Arc<dyn Io> = Arc::new(FaultIo::new(Arc::clone(&inj)));
         let (mut wal, _) = MutationWal::open_with(Arc::clone(&io), &path).unwrap();
         let all = sample_records();
-        wal.append(&all[0]).unwrap();
+        wal.append_batch(&[encoded(&all[0])]).unwrap();
         inj.inject(FaultSpec {
             kind: FaultKind::FsyncFail,
             class: FileClass::Wal,
             skip: 0,
         });
-        assert!(wal.append(&all[1]).is_err());
+        assert!(wal.append_batch(&[encoded(&all[1])]).is_err());
         assert!(!wal.is_healthy());
         // A checkpoint-driven truncate restores health on a fresh fd.
         wal.truncate().unwrap();
         assert!(wal.is_healthy());
-        wal.append(&all[2]).unwrap();
+        wal.append_batch(&[encoded(&all[2])]).unwrap();
         drop(wal);
         let (records, _) = read_records(&path).unwrap();
         assert_eq!(records, vec![all[2].clone()]);
@@ -764,19 +743,19 @@ mod tests {
         let io: Arc<dyn Io> = Arc::new(FaultIo::new(Arc::clone(&inj)));
         let (mut wal, _) = MutationWal::open_with(Arc::clone(&io), &path).unwrap();
         let all = sample_records();
-        wal.append(&all[0]).unwrap();
+        wal.append_batch(&[encoded(&all[0])]).unwrap();
         let acked_len = fs::metadata(&path).unwrap().len();
         inj.inject(FaultSpec {
             kind: FaultKind::ShortWrite,
             class: FileClass::Wal,
             skip: 0,
         });
-        assert!(wal.append(&all[1]).is_err());
+        assert!(wal.append_batch(&[encoded(&all[1])]).is_err());
         // A failed write is rolled back in place: no torn bytes on disk,
         // the handle stays healthy, the next append succeeds.
         assert_eq!(fs::metadata(&path).unwrap().len(), acked_len);
         assert!(wal.is_healthy());
-        wal.append(&all[2]).unwrap();
+        wal.append_batch(&[encoded(&all[2])]).unwrap();
         drop(wal);
         let (records, _) = read_records(&path).unwrap();
         assert_eq!(records, vec![all[0].clone(), all[2].clone()]);

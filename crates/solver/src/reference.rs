@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! The reference decision procedure the kernel in [`crate::solve`] must agree
 //! with verdict for verdict: the formula is negated by building a new
 //! [`Formula`], rewritten into negation normal form and then disjunctive

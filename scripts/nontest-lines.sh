@@ -2,8 +2,10 @@
 # Print each workspace crate's non-test Rust lines, then the total.
 #
 # The rule: every `.rs` file under a crate's `src/` counts up to (not
-# including) its first `#[cfg(test)]` that starts in column 0; the vendored
-# shims under `crates/shims/` are excluded. Run from anywhere:
+# including) its first `#[cfg(test)]` or `#![cfg(test)]` that starts in
+# column 0, so a test-only module file that opens with `#![cfg(test)]`
+# counts nothing; the vendored shims under `crates/shims/` are excluded.
+# Run from anywhere:
 #
 #   scripts/nontest-lines.sh
 set -eu
@@ -14,7 +16,7 @@ for dir in crates/*/; do
     [ "$crate" = shims ] && continue
     lines=$(find "$dir/src" -name '*.rs' -exec awk '
         FNR == 1 { counting = 1 }
-        /^#\[cfg\(test\)\]/ { counting = 0 }
+        /^#!?\[cfg\(test\)\]/ { counting = 0 }
         counting { n++ }
         END { print n + 0 }
     ' {} +)

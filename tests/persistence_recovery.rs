@@ -701,7 +701,10 @@ fn replay_restores_rows_and_maintained_sketches() {
     assert_eq!(stored_sketches(server), crashed.live_sketches);
     assert_catalog_epoch_valid(server, "replayed catalog");
 
-    let served = server.session().serve(&having_template(), &binding).unwrap();
+    let served = server
+        .session()
+        .serve(&having_template(), &binding)
+        .unwrap();
     use pbds_core::tuning::Action;
     assert_eq!(served.record.action, Action::UseSketch);
     assert!(!served.capture_enqueued);
@@ -710,4 +713,21 @@ fn replay_restores_rows_and_maintained_sketches() {
         .execute(&server.db(), &having_template().instantiate(&binding))
         .unwrap();
     assert!(served.relation.bag_eq(&plain.relation));
+}
+
+/// Replay applies the WAL as one batch through the commit thread's path:
+/// the two leading appends merge into one run, the delete lands alone and
+/// the last append forms a second run, so the catalog is owed three deltas,
+/// not one per record.
+#[test]
+fn replay_merges_consecutive_appends_into_runs() {
+    let crashed = crash_after_append_append_delete_append("replay-runs", &[Value::Int(12_500)]);
+    let name = "pbds_catalog_maintenance_deltas";
+    let deltas = crashed
+        .reopened
+        .catalog()
+        .metrics_snapshot()
+        .counter(name)
+        .expect(name);
+    assert_eq!(deltas, 3, "two append runs and a delete");
 }
