@@ -731,3 +731,82 @@ fn replay_merges_consecutive_appends_into_runs() {
         .expect(name);
     assert_eq!(deltas, 3, "two append runs and a delete");
 }
+
+// ---------------------------------------------------------------------------
+// 7. An explicit checkpoint writes a whole-batch state
+// ---------------------------------------------------------------------------
+
+/// A writer pipelines appends while another thread checkpoints several
+/// times. Every snapshot a checkpoint leaves on disk is the state after
+/// exactly the mutations logged up to its applied sequence number `s` — no
+/// half-applied batch — and holds every mutation acknowledged before the
+/// checkpoint was called.
+#[test]
+fn checkpoints_racing_pipelined_appends_write_whole_batches() {
+    const APPENDS: i64 = 400;
+    const IN_FLIGHT: usize = 8;
+    const BASE_ROWS: usize = 100;
+    let dir = test_dir("checkpoint-races-appends");
+    let config = ServerConfig {
+        checkpoint_every: None,
+        ..ServerConfig::default()
+    };
+    let server = PbdsServer::create(&dir, Arc::new(base_db(21, BASE_ROWS)), config).unwrap();
+    // `acked` counts the writer's acknowledged prefix (it waits in order).
+    let acked = AtomicU64::new(0);
+    // (acknowledged before the call, applied seq, appended keys on disk)
+    let mut checkpoints: Vec<(u64, u64, Vec<i64>)> = Vec::new();
+    let seqs: Vec<u64> = std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            let mut seqs = Vec::new();
+            let mut tickets = std::collections::VecDeque::new();
+            for i in 0..APPENDS {
+                let row = vec![Value::Int(1_000 + i), Value::Int(i % 10), Value::Int(1 + i)];
+                tickets.push_back(server.submit_mutation("r", Mutation::Append(vec![row])));
+                if tickets.len() == IN_FLIGHT || i == APPENDS - 1 {
+                    while let Some(t) = tickets.pop_front() {
+                        seqs.push(t.wait().unwrap().wal_seq.expect("durable append"));
+                        acked.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+            }
+            seqs
+        });
+        for round in 0..6u64 {
+            // Spread the checkpoints over the whole burst.
+            while acked.load(Ordering::SeqCst) < round * 60 && !writer.is_finished() {
+                std::thread::yield_now();
+            }
+            let before = acked.load(Ordering::SeqCst);
+            server.checkpoint().unwrap();
+            let (db, applied) = pbds_persist::read_snapshot(&dir.join(SNAPSHOT_FILE)).unwrap();
+            let keys = (db.table("r").unwrap().rows().iter().skip(BASE_ROWS))
+                .map(|row| match row[0] {
+                    Value::Int(k) => k,
+                    ref other => panic!("non-integer key {other:?}"),
+                })
+                .collect();
+            checkpoints.push((before, applied, keys));
+        }
+        writer.join().unwrap()
+    });
+    assert_eq!(seqs.len(), APPENDS as usize);
+    for (before, applied, keys) in &checkpoints {
+        let expected: Vec<i64> = (0..APPENDS)
+            .zip(&seqs)
+            .filter(|(_, &seq)| seq <= *applied)
+            .map(|(i, _)| 1_000 + i)
+            .collect();
+        assert_eq!(
+            keys, &expected,
+            "snapshot at seq {applied} is not the state after records 1..={applied}"
+        );
+        assert!(
+            keys.len() as u64 >= *before,
+            "snapshot at seq {applied} misses mutations acknowledged before the call \
+             ({} on disk, {before} acknowledged)",
+            keys.len()
+        );
+    }
+    server.shutdown().unwrap();
+}
