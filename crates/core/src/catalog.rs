@@ -165,8 +165,6 @@ struct CatalogEntry {
     bytes: usize,
     /// Logical LRU timestamp (global clock tick of the last hit).
     last_used: AtomicU64,
-    /// Number of instances that reused this entry.
-    uses: AtomicU64,
 }
 
 impl CatalogEntry {
@@ -437,7 +435,6 @@ impl SketchCatalog {
             capture_epochs,
             bytes,
             last_used: AtomicU64::new(self.tick()),
-            uses: AtomicU64::new(0),
         }
     }
 
@@ -463,7 +460,6 @@ impl SketchCatalog {
             let outcome = match found {
                 Some(e) => {
                     e.last_used.store(self.tick(), Ordering::Relaxed);
-                    e.uses.fetch_add(1, Ordering::Relaxed);
                     self.hits.inc();
                     Some(ReusableSketches {
                         entry_id: e.id,
@@ -982,20 +978,6 @@ impl SketchCatalog {
             state.pending.remove(binding);
         }
     }
-
-    /// Total use count of all stored entries (for tests and monitoring).
-    pub fn total_uses(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .values()
-                    .flat_map(|t| &t.entries)
-                    .map(|e| e.uses.load(Ordering::Relaxed))
-                    .sum::<u64>()
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -1073,7 +1055,6 @@ mod tests {
         assert_eq!(counter(&catalog, "pbds_catalog_misses"), 1);
         assert_eq!(gauge(&catalog, "pbds_catalog_stored"), 1);
         assert!(gauge(&catalog, "pbds_catalog_bytes") > 0);
-        assert_eq!(catalog.total_uses(), 1);
     }
 
     #[test]
@@ -1174,7 +1155,7 @@ mod tests {
         assert!(!catalog.is_covered(&db, &t, &[Value::Int(10_000)]));
         let after = catalog.metrics_snapshot();
         assert_eq!(before, after, "quiet probe moved the counters");
-        assert_eq!(catalog.total_uses(), 0);
+        assert_eq!(counter(&catalog, "pbds_catalog_hits"), 0);
     }
 
     #[test]
@@ -1772,7 +1753,6 @@ mod tests {
         });
         assert_eq!(counter(&catalog, "pbds_catalog_hits"), 8 * 50);
         assert!(counter(&catalog, "pbds_catalog_memo_hits") > 0);
-        assert_eq!(catalog.total_uses(), 8 * 50);
     }
 
     #[test]

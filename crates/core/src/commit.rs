@@ -1,22 +1,31 @@
-//! The commit pipeline: the commit thread's loop, group commit of one batch
-//! (one copy-on-write database fork, one WAL append + fsync, one catalog
-//! delta pass, one atomic swap), and [`apply_batch`] — the one way a
-//! mutation reaches a [`Database`], taken by the commit thread on its fork
-//! and by WAL replay on the recovered snapshot.
+//! The commit pipeline and the durability state it alone owns: the commit
+//! thread's loop, which serves the ingest queue in order — mutations in
+//! group-commit batches (one copy-on-write database fork, one WAL append +
+//! fsync, one catalog delta pass, one atomic swap), checkpoint requests and
+//! flush barriers — and runs repair campaigns between them; and
+//! [`apply_batch`] — the one way a mutation reaches a [`Database`], taken by
+//! the commit thread on its fork and by WAL replay on the recovered
+//! snapshot.
 
 use super::{
-    HealthState, Mutation, MutationOutcome, PanicSite, ServerShared, TicketState, WriteRequest,
+    HealthState, Mutation, MutationOutcome, PanicSite, Request, ServerShared, TicketState,
+    WriteRequest,
 };
-use crate::catalog::CatalogDelta;
+use crate::catalog::{CatalogDelta, SketchCatalog};
 use crate::pbds::PbdsError;
 use pbds_algebra::Expr;
 use pbds_exec::CompiledExpr;
-use pbds_persist::{encode_op, PersistError};
+use pbds_persist::{
+    encode_op, write_catalog_with, write_snapshot_with, Io, MutationWal, PersistError,
+    CATALOG_FILE, SNAPSHOT_FILE,
+};
 use pbds_storage::{Database, Row, StorageError};
 use pbds_telemetry::{clock, span};
 use std::collections::HashMap;
-use std::sync::mpsc::Receiver;
+use std::path::PathBuf;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The outcome of a mutation of `table`, with the WAL fields unfilled — the
 /// commit thread stamps them once the batch's sequence numbers are durable.
@@ -186,6 +195,63 @@ fn delete_where(
     Ok(outcome(table, epoch, deleted))
 }
 
+/// Durable state of a server opened over a durability directory. The
+/// commit thread owns it: nothing else appends, checkpoints or repairs.
+pub(super) struct Persistence {
+    pub(super) dir: PathBuf,
+    /// The I/O layer every durable write goes through: `RealIo`, or a
+    /// fault-injecting one (`PbdsServer::create_with_io` / `open_with_io`).
+    pub(super) io: Arc<dyn Io>,
+    pub(super) wal: MutationWal,
+    /// Sequence number the next WAL record will carry.
+    pub(super) next_seq: u64,
+    /// Mutations logged since the last checkpoint (drives the automatic
+    /// checkpoint policy).
+    pub(super) since_checkpoint: usize,
+}
+
+impl Persistence {
+    /// Write a snapshot of `db` (recording the WAL sequence it includes),
+    /// export `catalog`, then truncate the WAL. Called between batches, so
+    /// `db` is the state the records up to `next_seq - 1` produced.
+    fn checkpoint(&mut self, db: &Database, catalog: &SketchCatalog) -> Result<(), PbdsError> {
+        let io = self.io.as_ref();
+        write_snapshot_with(io, &self.dir.join(SNAPSHOT_FILE), db, self.next_seq - 1)?;
+        // Captures may land concurrently; the export is simply the set of
+        // entries present now. A capture finishing after the export is lost
+        // from *this* checkpoint — an optimization, never an answer.
+        write_catalog_with(io, &self.dir.join(CATALOG_FILE), &catalog.export())?;
+        self.wal.truncate()?;
+        self.since_checkpoint = 0;
+        Ok(())
+    }
+}
+
+/// A running repair campaign: the attempt to make next, and the telemetry
+/// clock its backoff runs on from when it was scheduled, so requests served
+/// meanwhile never postpone it.
+struct Repair {
+    attempt: usize,
+    since: clock::Stopwatch,
+}
+
+impl Repair {
+    fn attempt(attempt: usize) -> Repair {
+        let since = clock::Stopwatch::start();
+        Repair { attempt, since }
+    }
+
+    /// Time left before the attempt is due: none for the first, else a
+    /// backoff of `1ms << (attempt - 2)`, capped at 64 ms.
+    fn remaining(&self) -> Duration {
+        let backoff_ms = match self.attempt {
+            0 | 1 => 0,
+            n => 1u64 << (n - 2).min(6),
+        };
+        Duration::from_millis(backoff_ms).saturating_sub(self.since.elapsed())
+    }
+}
+
 /// A submitted mutation travelling through a commit batch.
 struct PendingWrite {
     ticket: Arc<TicketState>,
@@ -199,51 +265,92 @@ struct PendingWrite {
 /// fsync, one copy-on-write fork, one snapshot swap).
 const COMMIT_BATCH_LIMIT: usize = 128;
 
-/// Commit-thread main loop: block for the next write, then greedily drain
-/// the queue (up to [`COMMIT_BATCH_LIMIT`]) so every mutation that arrived
-/// while the previous batch was fsyncing rides the next batch — classic
-/// group commit. Exits when the ingest channel closes, after committing
-/// everything still queued.
-pub(super) fn commit_loop(shared: &ServerShared, rx: &Receiver<WriteRequest>) {
-    loop {
-        // The blocking recv is the ingest wait: how long the commit thread
-        // sat idle before the next write arrived.
-        let first = {
-            let _s = span("write.ingest_wait");
-            rx.recv()
+/// The commit thread, the only code that touches the durability state:
+/// batches, checkpoints and repair attempts are ordered by construction, so
+/// catalog deltas land in WAL order and a batch sees the health it must obey.
+pub(super) struct CommitThread<'s> {
+    shared: &'s ServerShared,
+    /// `None` on an in-memory server.
+    persist: Option<Persistence>,
+    repair: Option<Repair>,
+}
+
+impl CommitThread<'_> {
+    /// Serve the ingest queue until it closes. A mutation opens a batch of the
+    /// mutations queued behind it (up to [`COMMIT_BATCH_LIMIT`]): classic
+    /// group commit. A control request ends the batch and is served once it
+    /// has committed. A due repair attempt runs before the next request.
+    pub(super) fn run(shared: &ServerShared, persist: Option<Persistence>, rx: &Receiver<Request>) {
+        let mut this = CommitThread {
+            shared,
+            persist,
+            repair: None,
         };
-        let Ok(first) = first else {
-            return;
-        };
-        let mut batch = vec![first];
-        while batch.len() < COMMIT_BATCH_LIMIT {
-            match rx.try_recv() {
-                Ok(req) => batch.push(req),
-                Err(_) => break,
+        let mut next: Option<Request> = None;
+        loop {
+            let wait = (this.repair.as_ref()).map_or(Duration::MAX, Repair::remaining);
+            if wait.is_zero() {
+                this.repair_attempt();
+                continue;
+            }
+            let request = match next.take() {
+                Some(request) => Ok(request),
+                None => {
+                    // The ingest wait: how long the thread sat idle. With no
+                    // campaign running it never times out (`recv_timeout`
+                    // waits indefinitely when the deadline overflows).
+                    let _s = span("write.ingest_wait");
+                    rx.recv_timeout(wait)
+                }
+            };
+            match request {
+                Ok(Request::Write(first)) => {
+                    let mut batch = vec![first];
+                    while batch.len() < COMMIT_BATCH_LIMIT {
+                        match rx.try_recv() {
+                            Ok(Request::Write(write)) => batch.push(write),
+                            control => {
+                                next = control.ok();
+                                break;
+                            }
+                        }
+                    }
+                    this.commit(batch);
+                }
+                Ok(Request::Checkpoint(reply)) => {
+                    let _unused = reply.send(this.checkpoint());
+                }
+                Ok(Request::Flush(reply)) => {
+                    let _unused = reply.send(());
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return,
             }
         }
-        let n = batch.len();
+    }
+
+    /// [`CommitThread::commit_batch`], with a panic contained: it fails the
+    /// batch's tickets instead of stranding their submitters.
+    fn commit(&mut self, batch: Vec<WriteRequest>) {
+        let (shared, n) = (self.shared, batch.len());
         let tickets: Vec<Arc<TicketState>> = batch.iter().map(|r| Arc::clone(&r.ticket)).collect();
-        // Contain panics: a commit panic must not strand submitters on
-        // never-completed tickets or leave `backlog` counted forever.
         let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| commit_batch(shared, batch)));
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.commit_batch(batch)));
         if outcome.is_err() {
             shared.metrics.commit_panics.inc();
             shared.note(format!("commit batch panicked; failed its {n} mutation(s)"));
-            if shared.persist.is_some() {
+            if self.persist.is_some() {
                 // The panic may have struck between "WAL appended" and
                 // "database swapped": the log could hold records memory
                 // never applied. A checkpoint from the consistent in-memory
                 // state resolves the ambiguity (the failed tickets were
                 // reported indeterminate, never acknowledged).
-                shared.degrade(
+                self.degrade_and_repair(
                     HealthState::Degraded,
                     "commit panic left the WAL possibly ahead of memory; \
-                     checkpoint repair requested"
+                     checkpoint repair started"
                         .into(),
                 );
-                shared.request_repair();
             }
             for t in &tickets {
                 t.complete(Err(PbdsError::Persist(PersistError::Io(
@@ -251,197 +358,248 @@ pub(super) fn commit_loop(shared: &ServerShared, rx: &Receiver<WriteRequest>) {
                 ))));
             }
         }
-        shared.writes_finished(n);
     }
-}
 
-/// Commit one batch of writes: one copy-on-write database fork, one WAL
-/// append + fsync covering every record, one catalog delta pass, one atomic
-/// swap, then ticket completion. Per-request validation failures (unknown
-/// table, arity mismatch, predicate type error) fail only that ticket; the
-/// rest of the batch commits. A WAL failure fails the whole batch and
-/// nothing becomes visible.
-fn commit_batch(shared: &ServerShared, batch: Vec<WriteRequest>) {
-    let _batch_span = span("write.commit_batch");
-    let _serialized = shared.serialize_mutations();
-    shared.take_injected_panic(PanicSite::Commit);
-    // Re-check health under the mutation lock: submissions that raced the
-    // degradation (already queued when the server went read-only) must not
-    // commit while the janitor repairs the durability layer.
-    let health = shared.health();
-    if health >= HealthState::ReadOnly {
-        let err = if health == HealthState::FailStop {
-            PbdsError::FailStop
-        } else {
-            PbdsError::ReadOnly
-        };
-        for request in batch {
-            request.ticket.complete(Err(err.clone()));
-        }
-        return;
-    }
-    let current = shared.snapshot();
-    let mut db = (*current).clone();
-    let durable = shared.persist.is_some();
-
-    let mut tickets = Vec::with_capacity(batch.len());
-    let mut encoded = Vec::with_capacity(batch.len());
-    let mut mutations = Vec::with_capacity(batch.len());
-    for request in batch {
-        // Encode the WAL record body from the borrowed mutation before it is
-        // consumed — no clone of a bulk append's rows, and nothing is encoded
-        // at all on in-memory servers.
-        encoded.push(durable.then(|| encode_op(request.mutation.wal_op(&request.table))));
-        tickets.push(request.ticket);
-        mutations.push((request.table, request.mutation));
-    }
-    let (results, deltas) = apply_batch(&mut db, mutations);
-    // Only a mutation that changed its table is logged.
-    let mut pending: Vec<PendingWrite> = tickets
-        .into_iter()
-        .zip(results)
-        .zip(encoded)
-        .map(|((ticket, result), bytes)| {
-            let changed = matches!(&result, Ok(o) if o.rows_affected > 0);
-            PendingWrite {
-                ticket,
-                result,
-                wal_bytes: bytes.filter(|_| changed),
+    /// Commit one batch of writes: one copy-on-write database fork, one WAL
+    /// append + fsync covering every record, one catalog delta pass, one
+    /// atomic swap, then ticket completion. Per-request validation failures
+    /// (unknown table, arity mismatch, predicate type error) fail only that
+    /// ticket; the rest of the batch commits. A WAL failure fails the whole
+    /// batch and nothing becomes visible.
+    fn commit_batch(&mut self, batch: Vec<WriteRequest>) {
+        let _batch_span = span("write.commit_batch");
+        let shared = self.shared;
+        shared.take_injected_panic(PanicSite::Commit);
+        // Submissions that raced the degradation (already queued when the
+        // server went read-only) must not commit until a repair on this
+        // thread has settled health again.
+        if let Some(refused) = shared.health().write_refusal() {
+            for request in batch {
+                request.ticket.complete(Err(refused.clone()));
             }
-        })
-        .collect();
-
-    // Write-ahead: every surviving record must be durable before anything
-    // becomes visible or is acknowledged. One append, one fsync.
-    let logged = pending.iter().filter(|p| p.wal_bytes.is_some()).count();
-    let mut checkpoint_due = false;
-    if logged > 0 {
-        let persist = shared.persist.as_ref().expect("wal_bytes implies durable");
-        let mut p = persist.lock();
-        let base = p.next_seq;
-        let records: Vec<(u64, &[u8])> = pending
-            .iter()
-            .filter_map(|w| w.wal_bytes.as_deref())
-            .enumerate()
-            .map(|(i, bytes)| (base + i as u64, bytes))
+            return;
+        }
+        let mut db = (*shared.snapshot()).clone();
+        let durable = self.persist.is_some();
+        // Encode the WAL record bodies from the borrowed mutations before they
+        // are consumed — no clone of a bulk append's rows, and nothing is
+        // encoded at all on in-memory servers.
+        let encoded: Vec<Option<Vec<u8>>> = (batch.iter())
+            .map(|r| durable.then(|| encode_op(r.mutation.wal_op(&r.table))))
             .collect();
-        let appended = {
-            let _s = span("write.wal_append_fsync");
-            let sw = clock::Stopwatch::start();
-            let result = p.wal.append_batch(&records).map_err(PbdsError::from);
-            shared
-                .metrics
-                .wal_fsync_seconds
-                .record_duration(sw.elapsed());
-            result
-        };
-        match appended {
-            Ok(()) => {
-                shared.metrics.fsyncs.inc();
-                p.next_seq = base + logged as u64;
-                p.since_checkpoint += logged;
-                checkpoint_due = shared
-                    .config
-                    .checkpoint_every
-                    .is_some_and(|n| p.since_checkpoint >= n);
-                // Stamp each logged mutation's durable sequence number.
-                let mut seq = base;
-                for w in &mut pending {
-                    if w.wal_bytes.is_some() {
+        let (tickets, mutations): (Vec<_>, Vec<_>) = (batch.into_iter())
+            .map(|r| (r.ticket, (r.table, r.mutation)))
+            .unzip();
+        let (results, deltas) = apply_batch(&mut db, mutations);
+        // Only a mutation that changed its table is logged.
+        let mut pending: Vec<PendingWrite> = tickets
+            .into_iter()
+            .zip(results)
+            .zip(encoded)
+            .map(|((ticket, result), bytes)| {
+                let changed = matches!(&result, Ok(o) if o.rows_affected > 0);
+                PendingWrite {
+                    ticket,
+                    result,
+                    wal_bytes: bytes.filter(|_| changed),
+                }
+            })
+            .collect();
+
+        // Write-ahead: every surviving record must be durable before
+        // anything becomes visible or is acknowledged. One append, one fsync.
+        let logged = pending.iter().filter(|p| p.wal_bytes.is_some()).count();
+        let mut checkpoint_due = false;
+        if let Some(p) = self.persist.as_mut().filter(|_| logged > 0) {
+            let base = p.next_seq;
+            let bodies = pending.iter().filter_map(|w| w.wal_bytes.as_deref());
+            let records: Vec<(u64, &[u8])> = (base..).zip(bodies).collect();
+            let appended = {
+                let _s = span("write.wal_append_fsync");
+                let sw = clock::Stopwatch::start();
+                let result = p.wal.append_batch(&records).map_err(PbdsError::from);
+                shared
+                    .metrics
+                    .wal_fsync_seconds
+                    .record_duration(sw.elapsed());
+                result
+            };
+            match appended {
+                Ok(()) => {
+                    shared.metrics.fsyncs.inc();
+                    p.next_seq = base + logged as u64;
+                    p.since_checkpoint += logged;
+                    checkpoint_due = shared
+                        .config
+                        .checkpoint_every
+                        .is_some_and(|n| p.since_checkpoint >= n);
+                    // Stamp each logged mutation's durable sequence number.
+                    let logged_writes = pending.iter_mut().filter(|w| w.wal_bytes.is_some());
+                    for (seq, w) in (base..).zip(logged_writes) {
                         if let Ok(outcome) = &mut w.result {
                             outcome.wal_seq = Some(seq);
                         }
-                        seq += 1;
                     }
                 }
+                Err(e) => {
+                    // The batch could not be made durable. fsyncgate
+                    // semantics forbid the tempting fix (retry the fsync, or
+                    // checkpoint over the same descriptor, and acknowledge):
+                    // after a failed fsync the durable state of this WAL
+                    // handle is UNKNOWN, and a retry that "succeeds" may be
+                    // lying. The only safe moves, in order: (1) fail the
+                    // whole batch — nothing was swapped in, the catalog is
+                    // untouched, no caller sees an ack; (2) stop accepting
+                    // writes (read-only) so no later batch can be
+                    // acknowledged against an unverified log; (3) repair —
+                    // fresh descriptor, re-verify, checkpoint — in a
+                    // campaign this thread starts before its next request.
+                    shared.metrics.wal_append_failures.inc();
+                    self.degrade_and_repair(
+                        HealthState::ReadOnly,
+                        format!("WAL append failed ({e}); refusing writes until repaired"),
+                    );
+                    for w in pending {
+                        let result = if w.wal_bytes.is_some() {
+                            Err(e.clone())
+                        } else {
+                            w.result
+                        };
+                        w.ticket.complete(result);
+                    }
+                    return;
+                }
+            }
+        }
+
+        // Maintain the shared catalog with the batch's coalesced deltas, then
+        // publish the new database in one atomic swap.
+        let committed = pending
+            .iter()
+            .filter(|w| matches!(&w.result, Ok(o) if o.rows_affected > 0))
+            .count();
+        if !deltas.is_empty() {
+            {
+                let _s = span("write.catalog_delta");
+                shared.catalog.apply_deltas(&db, &deltas);
+            }
+            let _s = span("write.snapshot_swap");
+            *shared.db.write() = Arc::new(db);
+        }
+        if committed > 0 {
+            shared.metrics.mutations_committed.add(committed as u64);
+            shared.metrics.batched_commits.inc();
+            shared
+                .metrics
+                .max_batch
+                .set_max(committed.min(i64::MAX as usize) as i64);
+        }
+        if checkpoint_due {
+            // The snapshot written here is exactly the state the just-logged
+            // batch produced. The batch is already durable at this point, so
+            // a checkpoint failure must not be reported as a mutation
+            // failure (a retrying caller would double-apply); the WAL keeps
+            // the records and the next batch retries the checkpoint. Runs
+            // before ticket completion so a returned `apply_mutation`
+            // implies the due checkpoint happened.
+            if let Err(e) = self.checkpoint() {
+                // Transient: the WAL keeps every record, so nothing
+                // acknowledged is at risk — the failure costs recovery time
+                // (replay length), not data. Degrade and retry in a repair
+                // campaign with backoff.
+                shared.metrics.checkpoint_failures.inc();
+                self.degrade_and_repair(
+                    HealthState::Degraded,
+                    format!(
+                        "automatic checkpoint failed ({e}); mutations remain \
+                         recoverable from the WAL, repair started"
+                    ),
+                );
+            }
+        }
+
+        for mut w in pending {
+            if let Ok(outcome) = &mut w.result {
+                outcome.batch_len = committed;
+            }
+            w.ticket.complete(w.result);
+        }
+    }
+
+    /// Checkpoint the current state (explicitly, automatically or to
+    /// repair). Success re-establishes full durability (fresh snapshot,
+    /// fresh WAL on a fresh descriptor), so it settles a degraded or
+    /// read-only server back to health (`FailStop` stays terminal) and ends
+    /// any running repair campaign.
+    fn checkpoint(&mut self) -> Result<(), PbdsError> {
+        let p = self.persist.as_mut().ok_or(PbdsError::NotDurable)?;
+        p.checkpoint(&self.shared.snapshot(), &self.shared.catalog)?;
+        self.shared.settle_health();
+        self.repair = None;
+        Ok(())
+    }
+
+    /// Escalate health to at least `to`, and start a repair campaign whose
+    /// first attempt runs before the next request is taken, unless one is
+    /// running already (none with `repair_attempts: 0`).
+    fn degrade_and_repair(&mut self, to: HealthState, why: String) {
+        self.shared.degrade(to, why);
+        if self.shared.config.repair_attempts > 0 && self.repair.is_none() {
+            self.repair = Some(Repair::attempt(1));
+        }
+    }
+
+    /// Make the running campaign's due attempt — fresh WAL descriptor,
+    /// re-verify, checkpoint — then end the campaign on success, schedule
+    /// the next attempt with capped exponential backoff, or, when
+    /// [`ServerConfig::repair_attempts`](super::ServerConfig) are used up,
+    /// end it: exhaustion from read-only escalates to fail-stop.
+    fn repair_attempt(&mut self) {
+        let (shared, Some(repair)) = (self.shared, self.repair.take()) else {
+            return;
+        };
+        let (attempt, max_attempts) = (repair.attempt, shared.config.repair_attempts);
+        shared.metrics.repair_attempts_made.inc();
+        if let Some(p) = self.persist.as_mut().filter(|p| !p.wal.is_healthy()) {
+            // fsyncgate: never reuse a descriptor whose fsync failed —
+            // re-open fresh and truncate to the verified prefix. Even a
+            // verify *failure* is survivable here, because the checkpoint
+            // below re-establishes durability from the consistent in-memory
+            // state and rebuilds the log.
+            let _unused = p.wal.reopen_and_verify();
+        }
+        match self.checkpoint() {
+            Ok(()) => {
+                shared.metrics.repairs_succeeded.inc();
+                shared.note(format!(
+                    "repair succeeded on attempt {attempt}/{max_attempts}"
+                ));
             }
             Err(e) => {
-                // The batch could not be made durable. fsyncgate semantics
-                // forbid the tempting fix (retry the fsync, or checkpoint
-                // over the same descriptor, and acknowledge): after a failed
-                // fsync the durable state of this WAL handle is UNKNOWN, and
-                // a retry that "succeeds" may be lying. The only safe moves,
-                // in order: (1) fail the whole batch — nothing was swapped
-                // in, the catalog is untouched, no caller sees an ack;
-                // (2) stop accepting writes (read-only) so no later batch
-                // can be acknowledged against an unverified log; (3) hand
-                // repair — fresh descriptor, re-verify, checkpoint — to the
-                // janitor thread, off the commit path.
-                shared.metrics.wal_append_failures.inc();
-                shared.degrade(
-                    HealthState::ReadOnly,
-                    format!("WAL append failed ({e}); refusing writes until repaired"),
-                );
-                shared.request_repair();
-                for w in pending {
-                    let result = if w.wal_bytes.is_some() {
-                        Err(e.clone())
-                    } else {
-                        w.result
-                    };
-                    w.ticket.complete(result);
+                shared.note(format!(
+                    "repair attempt {attempt}/{max_attempts} failed: {e}"
+                ));
+                if attempt < max_attempts {
+                    self.repair = Some(Repair::attempt(attempt + 1));
+                    return;
                 }
-                return;
+                // A read-only server that cannot be repaired will never
+                // accept another write — fail-stop is the honest terminal
+                // state. A merely degraded server keeps full service: its
+                // WAL still holds every acknowledged mutation, the failure
+                // only costs recovery time.
+                if shared.health() == HealthState::ReadOnly {
+                    shared.degrade(
+                        HealthState::FailStop,
+                        format!("repair exhausted after {max_attempts} attempts from read-only"),
+                    );
+                } else {
+                    shared.note(format!(
+                        "repair exhausted after {max_attempts} attempts; server stays \
+                         degraded (WAL intact, acknowledged mutations recoverable)"
+                    ));
+                }
             }
         }
-    }
-
-    // Maintain the shared catalog with the batch's coalesced deltas, then
-    // publish the new database in one atomic swap.
-    let committed = pending
-        .iter()
-        .filter(|w| matches!(&w.result, Ok(o) if o.rows_affected > 0))
-        .count();
-    if !deltas.is_empty() {
-        {
-            let _s = span("write.catalog_delta");
-            shared.catalog.apply_deltas(&db, &deltas);
-        }
-        let _s = span("write.snapshot_swap");
-        *shared.db.write() = Arc::new(db);
-    }
-    if committed > 0 {
-        shared.metrics.mutations_committed.add(committed as u64);
-        shared.metrics.batched_commits.inc();
-        shared
-            .metrics
-            .max_batch
-            .set_max(committed.min(i64::MAX as usize) as i64);
-    }
-    if checkpoint_due {
-        // Still under the mutation lock: the snapshot written here is
-        // exactly the state the just-logged batch produced. The batch is
-        // already durable at this point, so a checkpoint failure must not
-        // be reported as a mutation failure (a retrying caller would
-        // double-apply); the WAL keeps the records and the next batch
-        // retries the checkpoint. Runs before ticket completion so a
-        // returned `apply_mutation` implies the due checkpoint happened.
-        let persist = shared
-            .persist
-            .as_ref()
-            .expect("checkpoint_due implies durable");
-        let mut p = persist.lock();
-        if let Err(e) = shared.checkpoint_with(&mut p) {
-            // Transient: the WAL keeps every record, so nothing acknowledged
-            // is at risk — the failure costs recovery time (replay length),
-            // not data. Degrade and let the janitor retry with backoff, off
-            // the commit path.
-            shared.metrics.checkpoint_failures.inc();
-            shared.degrade(
-                HealthState::Degraded,
-                format!(
-                    "automatic checkpoint failed ({e}); mutations remain \
-                     recoverable from the WAL, repair requested"
-                ),
-            );
-            shared.request_repair();
-        }
-    }
-
-    for mut w in pending {
-        if let Ok(outcome) = &mut w.result {
-            outcome.batch_len = committed;
-        }
-        w.ticket.complete(w.result);
     }
 }

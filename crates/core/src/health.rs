@@ -1,18 +1,15 @@
-//! The fail-safe health lattice and the janitor that repairs it: the
-//! [`HealthState`] enum, the [`Health`] atom whose only mutators are
-//! [`Health::escalate`] and [`Health::settle`], the server's `degrade` /
-//! `settle_health` transitions, and the background repair loop.
+//! The fail-safe health lattice: the [`HealthState`] enum, the [`Health`]
+//! atom whose only mutators are [`Health::escalate`] and [`Health::settle`],
+//! and the server's `degrade` / `settle_health` transitions. Repair
+//! campaigns run on the commit thread (`commit.rs`).
 //!
 //! The atom is a private field of this module's newtype, so the rest of the
 //! server (its parent module and the commit pipeline) can read the health
 //! state and move it through these two operations, but cannot write it.
 
 use super::ServerShared;
+use crate::pbds::PbdsError;
 use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Janitor backoff between repair attempts is `1ms << (attempt - 2)`,
-/// capped here.
-const MAX_REPAIR_BACKOFF_MS: u64 = 64;
 
 /// Fail-safe degradation state of a [`PbdsServer`](super::PbdsServer).
 /// Health only ever escalates (`fetch_max` on the shared atom) while a
@@ -27,11 +24,11 @@ const MAX_REPAIR_BACKOFF_MS: u64 = 64;
 /// * [`HealthState::ReadOnly`] — a WAL append or fsync failed, so new writes
 ///   can no longer be made durable before acknowledgement. Writes are
 ///   refused fast with [`PbdsError::ReadOnly`]; reads keep serving from the
-///   consistent in-memory state. The janitor retries repair with backoff.
+///   consistent in-memory state. The commit thread retries repair with
+///   backoff.
 /// * [`HealthState::FailStop`] — repair was exhausted from read-only.
 ///   Terminal: reads and writes are both refused.
 ///
-/// [`PbdsError::ReadOnly`]: crate::pbds::PbdsError::ReadOnly
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HealthState {
     /// Full service.
@@ -45,6 +42,15 @@ pub enum HealthState {
 }
 
 impl HealthState {
+    /// The error writes are refused with in this state, if any.
+    pub(super) fn write_refusal(self) -> Option<PbdsError> {
+        match self {
+            HealthState::Healthy | HealthState::Degraded => None,
+            HealthState::ReadOnly => Some(PbdsError::ReadOnly),
+            HealthState::FailStop => Some(PbdsError::FailStop),
+        }
+    }
+
     fn from_u8(v: u8) -> HealthState {
         match v {
             0 => HealthState::Healthy,
@@ -109,13 +115,6 @@ impl Health {
     }
 }
 
-/// Janitor thread wake-up state.
-#[derive(Default)]
-pub(super) struct RepairState {
-    wanted: bool,
-    shutdown: bool,
-}
-
 impl ServerShared {
     /// Current health state.
     pub(super) fn health(&self) -> HealthState {
@@ -123,7 +122,7 @@ impl ServerShared {
     }
 
     /// Escalate health to at least `to` (never downward) and log why.
-    /// Transitions taken on the write path run under the mutation lock, so a
+    /// Transitions taken on the write path run on the commit thread, so a
     /// batch can never commit concurrently with the degradation it should
     /// have observed.
     pub(super) fn degrade(&self, to: HealthState, why: String) {
@@ -146,112 +145,13 @@ impl ServerShared {
     }
 
     /// Settle health back down after a *successful* repair or checkpoint
-    /// (see [`Health::settle`]). Callers hold the mutation lock, so the
-    /// write path observes the restored state consistently.
+    /// (see [`Health::settle`]). Only the commit thread calls this, between
+    /// batches, so the write path observes the restored state consistently.
     pub(super) fn settle_health(&self) {
         let capture_disabled = self.capture_disabled.load(Ordering::SeqCst);
         if let Some((from, to)) = self.health.settle(capture_disabled) {
             self.note(format!("health {from} -> {to}: repair succeeded"));
         }
-    }
-
-    /// Wake the janitor thread to attempt repair (no-op without a janitor —
-    /// in-memory servers and `repair_attempts: 0`).
-    pub(super) fn request_repair(&self) {
-        let mut state = self.repair.lock();
-        state.wanted = true;
-        self.repair_cv.notify_all();
-    }
-
-    /// Tell the janitor thread to exit its loop.
-    pub(super) fn stop_janitor(&self) {
-        self.repair.lock().shutdown = true;
-        self.repair_cv.notify_all();
-    }
-}
-
-/// Background repair loop: sleep until a failure path requests repair
-/// ([`ServerShared::request_repair`]), then retry the repair sequence —
-/// fresh WAL descriptor, re-verify, checkpoint — with capped exponential
-/// backoff, up to [`ServerConfig::repair_attempts`](super::ServerConfig)
-/// times per request. Success settles health; exhaustion from read-only
-/// escalates to fail-stop.
-pub(super) fn janitor_loop(shared: &ServerShared) {
-    loop {
-        {
-            let state = shared.repair.lock();
-            let mut state = shared
-                .repair_cv
-                .wait_while(state, |s| !s.wanted && !s.shutdown);
-            if state.shutdown {
-                return;
-            }
-            state.wanted = false;
-        }
-        repair(shared);
-    }
-}
-
-/// One repair campaign. Each attempt runs under the mutation lock (same
-/// order as the commit thread: mutation lock, then persistence lock), so a
-/// successful repair and the batch that next observes it are serialized.
-fn repair(shared: &ServerShared) {
-    let max_attempts = shared.config.repair_attempts;
-    for attempt in 1..=max_attempts {
-        if attempt > 1 {
-            let ms = (1u64 << (attempt as u32 - 2).min(20)).min(MAX_REPAIR_BACKOFF_MS);
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-        shared.metrics.repair_attempts_made.inc();
-        let result = {
-            let _serialized = shared.serialize_mutations();
-            let Some(persist) = &shared.persist else {
-                return; // only spawned for durable servers
-            };
-            let mut p = persist.lock();
-            if !p.wal.is_healthy() {
-                // fsyncgate: never reuse a descriptor whose fsync failed —
-                // re-open fresh and truncate to the verified prefix. Even a
-                // verify *failure* is survivable here, because the
-                // checkpoint below re-establishes durability from the
-                // consistent in-memory state and rebuilds the log.
-                let _ = p.wal.reopen_and_verify();
-            }
-            let result = shared.checkpoint_with(&mut p);
-            if result.is_ok() {
-                // Settle while still holding the mutation lock, so the next
-                // batch the commit thread gates is admitted consistently.
-                shared.settle_health();
-            }
-            result
-        };
-        match result {
-            Ok(()) => {
-                shared.metrics.repairs_succeeded.inc();
-                shared.note(format!(
-                    "repair succeeded on attempt {attempt}/{max_attempts}"
-                ));
-                return;
-            }
-            Err(e) => shared.note(format!(
-                "repair attempt {attempt}/{max_attempts} failed: {e}"
-            )),
-        }
-    }
-    // Exhausted. A read-only server that cannot be repaired will never
-    // accept another write — fail-stop is the honest terminal state. A
-    // merely degraded server keeps full service: its WAL still holds every
-    // acknowledged mutation, the failure only costs recovery time.
-    if shared.health() == HealthState::ReadOnly {
-        shared.degrade(
-            HealthState::FailStop,
-            format!("repair exhausted after {max_attempts} attempts from read-only"),
-        );
-    } else {
-        shared.note(format!(
-            "repair exhausted after {max_attempts} attempts; server stays \
-             degraded (WAL intact, acknowledged mutations recoverable)"
-        ));
     }
 }
 

@@ -32,8 +32,8 @@ pub enum PbdsError {
     NotDurable,
     /// The server has degraded to read-only: a durability failure (e.g. a
     /// failed WAL fsync) means new writes could be acknowledged but lost, so
-    /// they are refused fast while reads keep serving. The janitor thread
-    /// retries repair in the background; a successful repair (or an explicit
+    /// they are refused fast while reads keep serving. The commit thread
+    /// retries repair between requests; a successful repair (or an explicit
     /// [`crate::server::PbdsServer::checkpoint`]) restores write service.
     ReadOnly,
     /// The server is fail-stopped: repeated repair attempts could not

@@ -35,8 +35,8 @@
 //! acknowledgement it cannot back with durability would be a silent-loss
 //! bug; a failed checkpoint merely degrades (the WAL still holds every
 //! acknowledged record); repeated capture panics blow a fuse that disables
-//! capture (an optimization, never an answer). A janitor thread
-//! repairs in the background — fresh WAL descriptor, re-verify, checkpoint
+//! capture (an optimization, never an answer). The commit thread
+//! repairs between requests — fresh WAL descriptor, re-verify, checkpoint
 //! — with capped exponential backoff; success settles health, exhaustion
 //! from read-only fail-stops the server. Every event is counted in the
 //! `pbds_robustness_*` series of [`PbdsServer::metrics_snapshot`] and
@@ -60,7 +60,7 @@ use pbds_persist::{
 use pbds_storage::{Database, Relation, Value};
 use pbds_telemetry::{clock, span, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
@@ -68,16 +68,15 @@ use std::sync::Arc;
 use pbds_sync::{TrackedCondvar, TrackedMutex, TrackedRwLock};
 use std::thread::JoinHandle;
 
-// The commit pipeline and the health lattice with its janitor live in
-// `commit.rs` and `health.rs`, as children of this module so they keep
-// reading the server's private shared state.
+// The commit pipeline, which owns the durability state, and the health
+// lattice are child modules, so they read the server's private state.
 #[path = "commit.rs"]
 mod commit;
 #[path = "health.rs"]
 mod health;
-use commit::{apply_batch, commit_loop};
+use commit::{apply_batch, CommitThread, Persistence};
+use health::Health;
 pub use health::HealthState;
-use health::{janitor_loop, Health, RepairState};
 
 /// Configuration of a [`PbdsServer`].
 ///
@@ -105,13 +104,13 @@ pub struct ServerConfig {
     /// happen only via [`PbdsServer::checkpoint`] /
     /// [`PbdsServer::shutdown`]). Ignored for in-memory servers.
     pub checkpoint_every: Option<usize>,
-    /// How many times the background janitor thread retries repairing a
-    /// degraded durability layer (reopen-and-verify the WAL + checkpoint)
-    /// before giving up, with capped exponential backoff between attempts.
-    /// Exhausting the attempts while the server is read-only escalates it to
-    /// [`HealthState::FailStop`]. `0` disables background repair entirely:
-    /// the server then stays [`HealthState::ReadOnly`] (stable — never
-    /// fail-stopped by the janitor) until an explicit
+    /// How many times the commit thread retries repairing a degraded
+    /// durability layer (reopen-and-verify the WAL + checkpoint) before
+    /// giving up, with capped exponential backoff between attempts, serving
+    /// the ingest queue meanwhile. Exhausting the attempts while the server
+    /// is read-only escalates it to [`HealthState::FailStop`]. `0` disables
+    /// repair entirely: the server then stays [`HealthState::ReadOnly`]
+    /// (stable — never fail-stopped by the commit thread) until an explicit
     /// [`PbdsServer::checkpoint`] succeeds. Ignored for in-memory servers.
     pub repair_attempts: usize,
 }
@@ -185,25 +184,13 @@ struct ServerShared {
     /// Sessions and capture workers take an `Arc` snapshot per unit of work,
     /// so every query executes against one consistent database state.
     db: TrackedRwLock<Arc<Database>>,
-    /// Serializes the commit thread's batch application against explicit
-    /// [`PbdsServer::checkpoint`] calls: the whole read-snapshot →
-    /// copy-on-write → swap cycle runs under this lock, so the snapshot a
-    /// checkpoint writes can never interleave with a half-applied batch.
-    mutation_lock: TrackedMutex<()>,
     catalog: Arc<SketchCatalog>,
     engine: Engine,
     config: ServerConfig,
-    /// Durability state; `None` for a purely in-memory server. Lives in the
-    /// shared state so the commit thread can append and checkpoint.
-    persist: Option<TrackedMutex<Persistence>>,
     /// Capture tasks enqueued but not yet finished, with a condvar for
     /// [`PbdsServer::drain`].
     in_flight: TrackedMutex<usize>,
     drained: TrackedCondvar,
-    /// Mutations submitted to the ingest queue but not yet completed, with a
-    /// condvar so [`PbdsServer::drain`] can also flush the write path.
-    backlog: TrackedMutex<usize>,
-    backlog_drained: TrackedCondvar,
     /// Registry-backed counters, gauges and latency histograms. Every
     /// write-path and robustness counter lives here and is read through
     /// [`PbdsServer::metrics_snapshot`].
@@ -223,9 +210,6 @@ struct ServerShared {
     /// hit bottom. `None` until fail-stop; empty string when the tracer is
     /// disarmed (release build without `--features telemetry`).
     failstop_forensics: TrackedMutex<Option<String>>,
-    /// Janitor wake-up state + condvar ([`ServerShared::request_repair`]).
-    repair: TrackedMutex<RepairState>,
-    repair_cv: TrackedCondvar,
     /// One-shot injected panics, indexed by [`PanicSite`] discriminant.
     injected_panics: [AtomicBool; 3],
 }
@@ -260,7 +244,7 @@ struct ServerMetrics {
     exec_blocks_skipped: Counter,
     exec_join_key_filters: Counter,
     /// Robustness counters (`pbds_robustness_*`): contained panics, durability
-    /// failures, janitor repairs and quarantined catalogs.
+    /// failures, repair attempts and quarantined catalogs.
     commit_panics: Counter,
     capture_panics: Counter,
     session_panics: Counter,
@@ -314,48 +298,6 @@ impl ServerShared {
         if *n == 0 {
             self.drained.notify_all();
         }
-    }
-
-    fn writes_finished(&self, count: usize) {
-        let mut n = self.backlog.lock();
-        *n -= count;
-        if *n == 0 {
-            self.backlog_drained.notify_all();
-        }
-    }
-
-    /// Checkpoint body for callers holding both the mutation lock and the
-    /// persistence state (the commit thread, the janitor and
-    /// [`PbdsServer::checkpoint`]).
-    fn checkpoint_with(&self, p: &mut Persistence) -> Result<(), PbdsError> {
-        let db = self.snapshot();
-        write_snapshot_with(
-            p.io.as_ref(),
-            &p.dir.join(SNAPSHOT_FILE),
-            &db,
-            p.next_seq - 1,
-        )?;
-        // Captures may land concurrently; the export is simply the set of
-        // entries present now. A capture finishing after the export is lost
-        // from *this* checkpoint — an optimization, never an answer.
-        write_catalog_with(
-            p.io.as_ref(),
-            &p.dir.join(CATALOG_FILE),
-            &self.catalog.export(),
-        )?;
-        p.wal.truncate()?;
-        p.since_checkpoint = 0;
-        Ok(())
-    }
-
-    /// Acquire the mutation-serialization lock, recovering from poisoning.
-    /// The lock guards no data (`Mutex<()>`): it only orders commit batches,
-    /// explicit checkpoints and repair campaigns against each other. A panic
-    /// while holding it is already contained (the commit loop catches it and
-    /// requests checkpoint repair), so honoring the poison flag would turn
-    /// one contained panic into a permanently wedged write path.
-    fn serialize_mutations(&self) -> pbds_sync::MutexGuard<'_, ()> {
-        self.mutation_lock.lock()
     }
 
     /// Record an event message (bounded ring, oldest dropped).
@@ -423,16 +365,6 @@ impl TicketState {
             self.cv.notify_all();
         }
     }
-
-    fn wait(&self) -> Result<MutationOutcome, PbdsError> {
-        let mut slot = self.done.lock();
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            slot = self.cv.wait(slot);
-        }
-    }
 }
 
 /// Handle for a mutation submitted to the ingest queue
@@ -450,12 +382,16 @@ impl MutationTicket {
     /// outcome. On `Ok`, the mutation is durable (durable servers) and
     /// visible to every subsequently taken snapshot.
     pub fn wait(self) -> Result<MutationOutcome, PbdsError> {
-        self.state.wait()
+        let state = &self.state;
+        let mut slot = state
+            .cv
+            .wait_while(state.done.lock(), |done| done.is_none());
+        slot.take().expect("a completed ticket holds its outcome")
     }
 
     /// True once the mutation has been completed (successfully or not);
     /// [`MutationTicket::wait`] will then return without blocking.
-    pub fn is_complete(&self) -> bool {
+    fn is_complete(&self) -> bool {
         self.state.done.lock().is_some()
     }
 }
@@ -468,26 +404,20 @@ impl std::fmt::Debug for MutationTicket {
     }
 }
 
-/// One queue entry: a mutation plus the ticket to complete.
+/// A mutation plus the ticket to complete.
 struct WriteRequest {
     table: String,
     mutation: Mutation,
     ticket: Arc<TicketState>,
 }
 
-/// Durable state of a server opened over a durability directory.
-struct Persistence {
-    dir: PathBuf,
-    /// The I/O layer every durable write goes through — [`RealIo`] in
-    /// production, a fault-injecting one in the robustness suite
-    /// ([`PbdsServer::create_with_io`] / [`PbdsServer::open_with_io`]).
-    io: Arc<dyn Io>,
-    wal: MutationWal,
-    /// Sequence number the next WAL record will carry.
-    next_seq: u64,
-    /// Mutations logged since the last checkpoint (drives the automatic
-    /// checkpoint policy).
-    since_checkpoint: usize,
+/// One entry of the ingest queue, served in order by the commit thread: the
+/// mutations queued ahead of a control request ([`PbdsServer::checkpoint`],
+/// the flush barrier of [`PbdsServer::drain`]) commit before it is answered.
+enum Request {
+    Write(WriteRequest),
+    Checkpoint(SyncSender<Result<(), PbdsError>>),
+    Flush(SyncSender<()>),
 }
 
 /// What [`PbdsServer::open`] recovered from disk.
@@ -517,10 +447,10 @@ pub struct PbdsServer {
     workers: Vec<JoinHandle<()>>,
     /// Bounded ingest queue feeding the commit thread; dropping the sender
     /// lets the commit thread drain what is queued and exit.
-    ingest_tx: Option<SyncSender<WriteRequest>>,
+    ingest_tx: Option<SyncSender<Request>>,
     commit_thread: Option<JoinHandle<()>>,
-    /// Background repair thread (durable servers with `repair_attempts > 0`).
-    janitor: Option<JoinHandle<()>>,
+    /// Set at build: the durability state itself lives on the commit thread.
+    durable: bool,
     /// Set by [`PbdsServer::open`].
     recovery: Option<RecoveryReport>,
 }
@@ -561,22 +491,16 @@ impl PbdsServer {
     ) -> Self {
         let shared = Arc::new(ServerShared {
             db: TrackedRwLock::new("server.db", db),
-            mutation_lock: TrackedMutex::new("server.mutation", ()),
             catalog,
             engine: Engine::new(config.profile),
             config,
-            persist: persist.map(|p| TrackedMutex::new("server.persist", p)),
             in_flight: TrackedMutex::new("server.in_flight", 0),
             drained: TrackedCondvar::new(),
-            backlog: TrackedMutex::new("server.backlog", 0),
-            backlog_drained: TrackedCondvar::new(),
             metrics: ServerMetrics::new(),
             health: Health::new(),
             capture_disabled: AtomicBool::new(false),
             event_log: TrackedMutex::new("server.event_log", VecDeque::new()),
             failstop_forensics: TrackedMutex::new("server.failstop_forensics", None),
-            repair: TrackedMutex::new("server.repair", RepairState::default()),
-            repair_cv: TrackedCondvar::new(),
             injected_panics: [
                 AtomicBool::new(false),
                 AtomicBool::new(false),
@@ -600,22 +524,19 @@ impl PbdsServer {
                 std::thread::spawn(move || capture_worker(&shared, &rx))
             })
             .collect();
-        let (ingest_tx, ingest_rx) = sync_channel::<WriteRequest>(INGEST_QUEUE_DEPTH);
+        let (ingest_tx, ingest_rx) = sync_channel::<Request>(INGEST_QUEUE_DEPTH);
+        let durable = persist.is_some();
         let commit_thread = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || commit_loop(&shared, &ingest_rx))
+            std::thread::spawn(move || CommitThread::run(&shared, persist, &ingest_rx))
         };
-        let janitor = (shared.persist.is_some() && config.repair_attempts > 0).then(|| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || janitor_loop(&shared))
-        });
         PbdsServer {
             shared,
             capture_tx: Some(tx),
             workers,
             ingest_tx: Some(ingest_tx),
             commit_thread: Some(commit_thread),
-            janitor,
+            durable,
             recovery,
         }
     }
@@ -770,11 +691,6 @@ impl PbdsServer {
         self.recovery
     }
 
-    /// True when this server persists its state to a durability directory.
-    pub fn is_durable(&self) -> bool {
-        self.shared.persist.is_some()
-    }
-
     /// Checkpoint the durable state: write a snapshot of the current
     /// database (recording the WAL sequence it includes), export the sketch
     /// catalog, then truncate the WAL. Both files are written atomically
@@ -783,26 +699,26 @@ impl PbdsServer {
     /// included records by sequence number, and a catalog file older than
     /// the snapshot merely loses entries to the epoch check on import.
     ///
+    /// It runs on the commit thread, between the mutations submitted before
+    /// and after this call. Success doubles as the explicit repair path: it
+    /// settles a degraded or read-only server back to health (fail-stop
+    /// stays terminal) and ends a running repair campaign.
+    ///
     /// Errors with [`PbdsError::NotDurable`] on an in-memory server.
     pub fn checkpoint(&self) -> Result<(), PbdsError> {
-        let _serialized = self.shared.serialize_mutations();
-        self.checkpoint_locked()
+        if !self.durable {
+            return Err(PbdsError::NotDurable);
+        }
+        self.ask(Request::Checkpoint)
+            .unwrap_or_else(|| Err(commit_thread_gone()))
     }
 
-    /// Checkpoint body; the caller must hold the mutation lock so the
-    /// database cannot move between "snapshot written" and "WAL truncated".
-    fn checkpoint_locked(&self) -> Result<(), PbdsError> {
-        let Some(persist) = &self.shared.persist else {
-            return Err(PbdsError::NotDurable);
-        };
-        let mut p = persist.lock();
-        // A successful checkpoint re-establishes full durability (fresh
-        // snapshot, fresh WAL on a fresh descriptor), so it doubles as the
-        // explicit repair path: settle a degraded/read-only server back to
-        // health. FailStop stays terminal.
-        self.shared.checkpoint_with(&mut p)?;
-        self.shared.settle_health();
-        Ok(())
+    /// Send a control request to the commit thread and wait for its reply;
+    /// `None` when the commit thread is gone.
+    fn ask<R>(&self, request: impl FnOnce(SyncSender<R>) -> Request) -> Option<R> {
+        let (reply, answer) = sync_channel(1);
+        self.ingest_tx.as_ref()?.send(request(reply)).ok()?;
+        answer.recv().ok()
     }
 
     /// The server's current fail-safe degradation state.
@@ -874,15 +790,15 @@ impl PbdsServer {
         self.shared.injected_panics[site as usize].store(true, Ordering::SeqCst);
     }
 
-    /// Graceful shutdown: flush the ingest queue (every acknowledged — and
-    /// even every merely submitted — mutation commits and, on durable
-    /// servers, reaches the WAL), drain in-flight captures so their sketches
-    /// make it into the persisted catalog, checkpoint (durable servers), and
-    /// stop the worker pool. In-memory servers just drain and stop. No
-    /// acknowledged-but-unflushed mutation can exist after this returns.
+    /// Graceful shutdown: flush the ingest queue (every submitted mutation
+    /// commits and, on durable servers, reaches the WAL), drain in-flight
+    /// captures so their sketches make it into the persisted catalog,
+    /// checkpoint (durable servers), and stop the commit thread and the
+    /// worker pool. No acknowledged-but-unflushed mutation can exist after
+    /// this returns.
     pub fn shutdown(self) -> Result<(), PbdsError> {
         self.drain();
-        if self.shared.persist.is_some() {
+        if self.durable {
             self.checkpoint()?;
         }
         Ok(()) // dropping `self` joins the commit thread and capture workers
@@ -962,18 +878,11 @@ impl PbdsServer {
         // Fail-safe gate: a degraded-to-read-only server must refuse writes
         // *fast* (never acknowledge what it cannot make durable), and a
         // fail-stopped one refuses everything. Raced submissions that slip
-        // past this check are caught again by the commit thread under the
-        // mutation lock.
-        match self.shared.health() {
-            HealthState::ReadOnly => {
-                state.complete(Err(PbdsError::ReadOnly));
-                return ticket;
-            }
-            HealthState::FailStop => {
-                state.complete(Err(PbdsError::FailStop));
-                return ticket;
-            }
-            HealthState::Healthy | HealthState::Degraded => {}
+        // past this check are caught again by the commit thread, the only
+        // thread that moves health on the write path.
+        if let Some(refused) = self.shared.health().write_refusal() {
+            state.complete(Err(refused));
+            return ticket;
         }
         // Fix: an empty append cannot change any state — complete it here
         // with no WAL record, no epoch bump and no queue round-trip. (The
@@ -996,24 +905,15 @@ impl PbdsServer {
             return ticket;
         }
         self.shared.metrics.mutations_submitted.inc();
-        *self.shared.backlog.lock() += 1;
-        let request = WriteRequest {
+        let request = Request::Write(WriteRequest {
             table: table.to_string(),
             mutation,
             ticket: state,
-        };
-        let sent = match &self.ingest_tx {
-            Some(tx) => tx.send(request).map_err(|e| e.0),
-            None => Err(request),
-        };
-        if let Err(request) = sent {
+        });
+        let sent = (self.ingest_tx.as_ref()).is_some_and(|tx| tx.send(request).is_ok());
+        if !sent {
             // Only reachable mid-teardown: the commit thread is gone.
-            request
-                .ticket
-                .complete(Err(PbdsError::Persist(PersistError::Io(
-                    "commit thread unavailable (server shutting down)".into(),
-                ))));
-            self.shared.writes_finished(1);
+            ticket.state.complete(Err(commit_thread_gone()));
         }
         ticket
     }
@@ -1078,13 +978,11 @@ impl PbdsServer {
         Ok(merged.into_iter().map(|(_, q)| q).collect())
     }
 
-    /// Block until every submitted mutation has committed and every enqueued
+    /// Block until every mutation submitted before this call has committed
+    /// (a flush barrier through the commit thread) and every enqueued
     /// capture task has finished.
     pub fn drain(&self) {
-        {
-            let guard = self.shared.backlog.lock();
-            let _unused = self.shared.backlog_drained.wait_while(guard, |n| *n > 0);
-        }
+        self.ask(Request::Flush);
         let guard = self.shared.in_flight.lock();
         let _unused = self.shared.drained.wait_while(guard, |n| *n > 0);
     }
@@ -1098,10 +996,6 @@ impl Drop for PbdsServer {
         self.ingest_tx.take();
         if let Some(commit) = self.commit_thread.take() {
             let _unused = commit.join();
-        }
-        if let Some(janitor) = self.janitor.take() {
-            self.shared.stop_janitor();
-            let _unused = janitor.join();
         }
         self.capture_tx.take();
         for w in self.workers.drain(..) {
@@ -1293,6 +1187,14 @@ impl PbdsSession<'_> {
     }
 }
 
+/// The error a mutation or checkpoint gets when the commit thread is gone
+/// (only mid-teardown).
+fn commit_thread_gone() -> PbdsError {
+    PbdsError::Persist(PersistError::Io(
+        "commit thread unavailable (server shutting down)".into(),
+    ))
+}
+
 /// Background capture loop: pull tasks until the channel closes.
 fn capture_worker(shared: &ServerShared, rx: &TrackedMutex<Receiver<CaptureTask>>) {
     loop {
@@ -1412,6 +1314,7 @@ mod tests {
     use super::*;
     use pbds_algebra::{col, lit, param, AggExpr, AggFunc};
     use pbds_storage::{DataType, Schema, StorageError, TableBuilder};
+    use std::path::PathBuf;
 
     fn sales_db() -> Arc<Database> {
         let schema = Schema::from_pairs(&[("grp", DataType::Int), ("amount", DataType::Int)]);
@@ -1868,7 +1771,6 @@ mod tests {
     #[test]
     fn durability_calls_on_memory_servers_error() {
         let server = PbdsServer::new(sales_db(), ServerConfig::default());
-        assert!(!server.is_durable());
         assert!(server.recovery_report().is_none());
         assert_eq!(server.checkpoint().unwrap_err(), PbdsError::NotDurable);
         // Shutdown of an in-memory server is still a clean no-op.

@@ -32,14 +32,6 @@ pub mod scan;
 pub mod stats;
 pub mod vector;
 
-// The lifted-filter oracle is test code shared with the workspace's
-// integration tests; it names this crate by its package name.
-#[cfg(test)]
-extern crate self as pbds_exec;
-#[cfg(test)]
-#[path = "../../../tests/support/lifted.rs"]
-mod lifted;
-
 pub use compiled::{ColRef, CompiledExpr};
 pub use engine::{AnalyzedQuery, Engine, QueryOutput};
 pub use eval::{eval_expr, eval_predicate, ExecError};
@@ -51,3 +43,11 @@ pub use profile::EngineProfile;
 pub use scan::{extract_skip_ranges, ColumnRanges};
 pub use stats::ExecStats;
 pub use vector::{eval_filter_block, eval_filter_block_counted, SelBitmap};
+
+// The lifted-filter oracle is test code shared with the workspace's
+// integration tests; it names this crate by its package name.
+#[cfg(test)]
+extern crate self as pbds_exec;
+#[cfg(test)]
+#[path = "../../../tests/support/lifted.rs"]
+mod lifted;

@@ -15,9 +15,10 @@
 #![warn(missing_docs)]
 
 pub mod formula;
-#[cfg(test)]
-mod reference;
 pub mod solve;
 
 pub use formula::{Atom, CmpOp, Formula, LinExpr};
 pub use solve::{implies, is_satisfiable, is_valid, SolverResult};
+
+#[cfg(test)]
+mod reference;

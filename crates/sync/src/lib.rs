@@ -2,7 +2,7 @@
 //!
 //! Instrumented synchronization primitives for the PBDS workspace: every
 //! lock in `pbds-core` / `pbds-persist` is a [`TrackedMutex`] or
-//! [`TrackedRwLock`] with a **static class name** (`"server.persist"`,
+//! [`TrackedRwLock`] with a **static class name** (`"server.db"`,
 //! `"catalog.shard"`, `"catalog.tables"`, …) instead of a bare `std::sync`
 //! primitive. The wrappers buy three things:
 //!

@@ -1,7 +1,7 @@
 //! Fault-injection demo: the durability stack behind a seeded fault
 //! injector. A failed WAL fsync (fsyncgate semantics: retrying the same
 //! descriptor lies) refuses the write and flips the server read-only; the
-//! janitor repairs on a fresh descriptor and writes resume. A corrupted
+//! commit thread repairs on a fresh descriptor and writes resume. A corrupted
 //! on-disk catalog is quarantined at the next open and the server comes up
 //! cold — degraded, never wrong.
 //!
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..ServerConfig::default()
     };
 
-    // --- Phase 1: a write hits a failed fsync; the janitor heals ----------
+    // --- Phase 1: a write hits a failed fsync; the commit thread heals ----
     let injector = FaultInjector::new(42);
     let server = PbdsServer::create_with_io(
         &dir,
@@ -84,10 +84,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(
         server.health(),
         HealthState::Healthy,
-        "janitor did not heal"
+        "the commit thread did not heal"
     );
     println!(
-        "heal : janitor repaired in {:?} ({} attempt(s), {} succeeded) -> health {:?}",
+        "heal : commit thread repaired in {:?} ({} attempt(s), {} succeeded) -> health {:?}",
         start.elapsed(),
         counter("pbds_robustness_repair_attempts"),
         counter("pbds_robustness_repairs_succeeded"),

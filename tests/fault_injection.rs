@@ -4,7 +4,8 @@
 //! these tests pin down the *behavioral* contract of each degradation path:
 //! which health state the server enters, which typed error callers see,
 //! whether reads keep serving, and how the server gets back to healthy —
-//! janitor repair, explicit checkpoint, or not at all (fail-stop).
+//! a repair campaign on the commit thread, explicit checkpoint, or not at
+//! all (fail-stop).
 
 use pbds_algebra::{col, param, AggExpr, AggFunc, LogicalPlan, QueryTemplate};
 use pbds_core::{HealthState, Mutation, PbdsError, PbdsServer, ServerConfig};
@@ -86,7 +87,7 @@ fn await_health(server: &PbdsServer, want: HealthState) -> bool {
 }
 
 /// A failed WAL fsync refuses the write (never a silent ack), flips the
-/// server read-only, and the janitor repairs it back to healthy — after
+/// server read-only, and the commit thread repairs it back to healthy — after
 /// which writes resume and a crash + reopen shows exactly the acked rows.
 #[test]
 fn wal_fsync_failure_refuses_the_write_then_the_janitor_heals() {
@@ -120,7 +121,7 @@ fn wal_fsync_failure_refuses_the_write_then_the_janitor_heals() {
 
         assert!(
             await_health(&server, HealthState::Healthy),
-            "janitor never repaired: health {:?}, events {:?}",
+            "never repaired: health {:?}, events {:?}",
             server.health(),
             server.recent_events()
         );
@@ -155,7 +156,7 @@ fn read_only_is_stable_without_a_janitor_and_an_explicit_checkpoint_heals() {
     let config = ServerConfig {
         capture_workers: 1,
         checkpoint_every: None,
-        repair_attempts: 0, // no janitor
+        repair_attempts: 0, // no repair campaigns
         ..ServerConfig::default()
     };
     let injector = FaultInjector::new(11);
@@ -176,7 +177,9 @@ fn read_only_is_stable_without_a_janitor_and_an_explicit_checkpoint_heals() {
 
     server.apply_mutation("r", append(1_000)).unwrap_err();
     assert_eq!(server.health(), HealthState::ReadOnly);
-    std::thread::sleep(Duration::from_millis(25));
+    // Repair runs only on the commit thread, so this barrier comes after
+    // any attempt the failed batch could have started.
+    server.drain();
     assert_eq!(
         server.health(),
         HealthState::ReadOnly,
@@ -262,7 +265,7 @@ fn repair_exhaustion_escalates_read_only_to_fail_stop() {
 /// A snapshot that hits ENOSPC during an automatic checkpoint degrades the
 /// server without failing the acked batch: atomic replacement never leaves
 /// a damaged snapshot (the file is the previous one or a complete repaired
-/// one), writes keep flowing, and the janitor's retried checkpoint
+/// one), writes keep flowing, and the repair campaign's checkpoint
 /// eventually covers the new mutations.
 #[test]
 fn snapshot_enospc_during_auto_checkpoint_degrades_but_keeps_serving() {
@@ -286,15 +289,15 @@ fn snapshot_enospc_during_auto_checkpoint_degrades_but_keeps_serving() {
         skip: 0,
     });
 
-    // Both mutations ack: a checkpoint failure is the janitor's problem,
-    // never the batch's.
+    // Both mutations ack: a checkpoint failure is repair's problem, never
+    // the batch's.
     server.apply_mutation("r", append(1_000)).unwrap();
     server.apply_mutation("r", append(1_001)).unwrap();
 
     // The failure was observed and the snapshot file is still whole. By now
-    // the janitor may already have replaced it with a repaired one, so the
-    // file reads back either as the old snapshot or as a complete repaired
-    // one covering both mutations — never as a damaged one.
+    // a repair attempt may already have replaced it with a repaired one, so
+    // the file reads back either as the old snapshot or as a complete
+    // repaired one covering both mutations — never as a damaged one.
     let deadline = Instant::now() + Duration::from_secs(5);
     let failures = || counter(&server, "pbds_robustness_checkpoint_failures");
     while failures() == 0 && Instant::now() < deadline {
@@ -308,12 +311,12 @@ fn snapshot_enospc_during_auto_checkpoint_degrades_but_keeps_serving() {
         "snapshot damaged: {rows} rows at seq {seq}"
     );
 
-    // Writes keep flowing while degraded, and the janitor's retry lands a
+    // Writes keep flowing while degraded, and the repair campaign lands a
     // snapshot that finally covers the mutations.
     server.apply_mutation("r", append(1_002)).unwrap();
     assert!(
         await_health(&server, HealthState::Healthy),
-        "janitor never recovered the checkpoint: {:?}",
+        "repair never recovered the checkpoint: {:?}",
         server.recent_events()
     );
     let (new_snap, new_seq) = read_snapshot(&dir.join(SNAPSHOT_FILE)).unwrap();
@@ -465,7 +468,7 @@ fn a_restart_and_a_fault_cycle_both_keep_the_catalog_warm() {
     );
 
     // The fault cycle: the first write's WAL fsync fails and it is refused;
-    // the janitor's repair checkpoint then eats an ENOSPC before landing.
+    // the first repair checkpoint then eats an ENOSPC before a retry lands.
     injector.inject(FaultSpec {
         kind: FaultKind::FsyncFail,
         class: FileClass::Wal,
@@ -481,7 +484,7 @@ fn a_restart_and_a_fault_cycle_both_keep_the_catalog_warm() {
         .expect_err("a write whose WAL fsync failed must be refused");
     assert!(
         await_health(&server, HealthState::Healthy),
-        "janitor never repaired: {:?}",
+        "never repaired: {:?}",
         server.recent_events()
     );
     assert_eq!(counter(&server, "pbds_robustness_wal_append_failures"), 1);

@@ -176,7 +176,7 @@ fn shadow_rows(mutations: &[Mutation], include: &[bool]) -> Vec<Row> {
     table_rows(&shadow)
 }
 
-/// Wait (bounded) for the janitor to repair a degraded server, so most
+/// Wait (bounded) for the commit thread to repair a degraded server, so most
 /// schedules continue writing after the fault; schedules whose fault fires
 /// late still crash mid-repair, covering that window too.
 fn await_settled(server: &PbdsServer) {

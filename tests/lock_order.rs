@@ -135,7 +135,7 @@ fn server_lock_holds_surface_as_snapshot_gauges() {
         snap.gauge(&name)
             .unwrap_or_else(|| panic!("{name} missing from {:?}", snap.gauges.keys()))
     };
-    for class in ["server_db", "server_mutation", "server_ticket"] {
+    for class in ["server_db", "server_in_flight", "server_ticket"] {
         assert!(gauge(format!("pbds_lock_{class}_acquisitions")) > 0);
         assert!(
             gauge(format!("pbds_lock_{class}_held_nanos"))
