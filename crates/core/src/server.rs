@@ -449,7 +449,7 @@ pub struct PbdsServer {
     /// lets the commit thread drain what is queued and exit.
     ingest_tx: Option<SyncSender<Request>>,
     commit_thread: Option<JoinHandle<()>>,
-    /// Set at build: the durability state itself lives on the commit thread.
+    /// Whether the commit thread owns a durability state (fixed at build).
     durable: bool,
     /// Set by [`PbdsServer::open`].
     recovery: Option<RecoveryReport>,
