@@ -17,7 +17,7 @@
 //! with every scan filter lifted into a `Filter` above its scan
 //! (`support/lifted.rs`): rows and tags must be byte-identical.
 
-use pbds_algebra::{col, lit, AggExpr, AggFunc, Expr, LogicalPlan, SortKey};
+use pbds_algebra::{col, lit, param, AggExpr, AggFunc, Expr, LogicalPlan, SortKey};
 use pbds_exec::{
     eval_expr, eval_predicate, execute, lower, Engine, EngineProfile, ExecError, ExecStats, NoTag,
     PhysOp, PhysicalPlan, TagPolicy,
@@ -542,6 +542,79 @@ fn pipeline_reports_errors_like_the_oracle() {
         let engine_err = engine.execute(&db, &plan);
         assert!(oracle_err.is_err() && engine_err.is_err(), "both must fail");
     }
+
+    // A HAVING that cannot be evaluated fails on the first group it is
+    // evaluated on, with the error of the naive interpreter and of the
+    // lifted plan, which filters the aggregate's rows in a `Filter` — and
+    // not at all over a grouped aggregate without input rows, which has no
+    // group. A global aggregate always has its one row.
+    let failing: [(fn(&str) -> Expr, ExecError); 2] = [
+        (
+            |out| col("nope").gt(col(out)),
+            ExecError::UnknownColumn("nope".into()),
+        ),
+        (
+            |out| Expr::IsNull(Box::new(col(out))).or(col(out).lt(param(0))),
+            ExecError::UnboundParameter(0),
+        ),
+    ];
+    // Fed by a fused scan (column and row folds), a fused index probe, and
+    // the generic aggregate over a projection.
+    let sources = [
+        LogicalPlan::scan("r"),
+        LogicalPlan::scan("r").filter(col("k").between(lit(10), lit(40))),
+        LogicalPlan::scan("r").project(vec![
+            (col("k"), "k"),
+            (col("name"), "grp"),
+            (col("v"), "v"),
+        ]),
+    ];
+    let aggregates = [
+        AggExpr::new(AggFunc::Count, col("k"), "cnt"),
+        AggExpr::new(AggFunc::Sum, col("v"), "total"),
+    ];
+    let cases = [
+        (vec!["grp"], false),
+        (vec![], false),
+        (vec!["grp"], true),
+        (vec![], true),
+    ];
+    for (having, error) in failing {
+        for (source, agg) in sources
+            .iter()
+            .flat_map(|s| aggregates.iter().map(move |a| (s, a)))
+        {
+            for (group_by, empty) in &cases {
+                let input = if *empty {
+                    source.clone().filter(col("k").lt(lit(-1)))
+                } else {
+                    source.clone()
+                };
+                let plan = input
+                    .aggregate(group_by.clone(), vec![agg.clone()])
+                    .filter(having(&agg.alias));
+                let rows = |r: Result<Relation, ExecError>| r.map(|r| r.len());
+                let expected = rows(oracle(&db, &plan));
+                let ctx = plan.display_tree();
+                match (empty, group_by.is_empty()) {
+                    (true, false) => assert_eq!(expected, Ok(0), "{ctx}"),
+                    (false, _) => assert_eq!(expected, Err(error.clone()), "{ctx}"),
+                    (true, true) => {}
+                }
+                for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
+                    let lowered = Engine::new(profile).plan(&db, &plan).unwrap();
+                    for physical in [lift_scan_filters(&lowered), lowered] {
+                        let mut stats = ExecStats::default();
+                        let plain = execute(&db, &physical, &NoTag, &mut stats);
+                        let lineage = execute(&db, &physical, &LineageTagPolicy, &mut stats);
+                        let ctx = format!("{profile:?}\n{physical}");
+                        assert_eq!(rows(plain.map(|d| d.relation)), expected, "{ctx}");
+                        assert_eq!(rows(lineage.map(|d| d.relation)), expected, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1005,8 +1078,8 @@ fn grouping_db(rng: &mut StdRng) -> Database {
 /// probe (a `k` filter or sketch ranges under the indexed profile), a fused
 /// zone-map scan (a `kr` filter under the indexed profile) or a
 /// `HashAggregateOp` over a `Filter` (a projection keeps the filter out of
-/// the scan). One plan in six is duplicate elimination over two key columns
-/// instead.
+/// the scan). About half the aggregations carry a HAVING ([`having`]). One
+/// plan in six is duplicate elimination over two key columns instead.
 fn grouping_plan(rng: &mut StdRng) -> LogicalPlan {
     let group_by: Vec<&str> = [
         vec![],
@@ -1085,7 +1158,56 @@ fn grouping_plan(rng: &mut StdRng) -> LogicalPlan {
             .project(cols.iter().map(|&c| (col(c), c)).collect())
             .distinct();
     }
-    input.aggregate(group_by, aggregates)
+    let having = (rng.gen_range(0..2) == 0).then(|| having(rng, &group_by, &aggregates));
+    let aggregate = input.aggregate(group_by, aggregates);
+    match having {
+        Some(predicate) => aggregate.filter(predicate),
+        None => aggregate,
+    }
+}
+
+/// A HAVING over an aggregation's output: one or two terms joined by AND or
+/// OR, each comparing a group key or an aggregate result with an `Int` or a
+/// `Float` literal (integral or not, so `3` meets `3.0`), or testing it for
+/// NULL — a `SUM`, `MIN` or `AVG` over an all-NULL group is NULL, and so is
+/// every comparison with it.
+fn having(rng: &mut StdRng, group_by: &[&str], aggregates: &[AggExpr]) -> Expr {
+    let outputs: Vec<&str> = group_by
+        .iter()
+        .copied()
+        .chain(aggregates.iter().map(|a| a.alias.as_str()))
+        .collect();
+    let term = |rng: &mut StdRng| {
+        let output = col(outputs[rng.gen_range(0..outputs.len())]);
+        let x = rng.gen_range(-20..20i64);
+        let literal = if rng.gen_range(0..2) == 0 {
+            lit(x)
+        } else {
+            lit(x as f64 / 2.0)
+        };
+        match rng.gen_range(0..6) {
+            0 => output.gt(literal),
+            1 => output.lt(literal),
+            2 => output.ge(literal),
+            3 => output.le(literal),
+            4 => output.eq(literal),
+            _ => Expr::IsNull(Box::new(output)),
+        }
+    };
+    let first = term(rng);
+    match rng.gen_range(0..3) {
+        0 => first,
+        1 => first.and(term(rng)),
+        _ => first.or(term(rng)),
+    }
+}
+
+/// The aggregation of a grouping plan, below its HAVING if it has one.
+fn below_having(plan: &LogicalPlan) -> &LogicalPlan {
+    match plan {
+        LogicalPlan::Selection { input, .. } => input,
+        other => other,
+    }
 }
 
 /// `plan` under `policy`: the lifted-filter run is the oracle, and the
@@ -1119,7 +1241,7 @@ fn folds_columns(db: &Database, plan: &LogicalPlan) -> bool {
         group_by,
         aggregates,
         ..
-    } = plan
+    } = below_having(plan)
     else {
         return false;
     };
@@ -1142,18 +1264,36 @@ fn folds_columns(db: &Database, plan: &LogicalPlan) -> bool {
         })
 }
 
+/// Whether the column fold direct-maps the single integer key `key` of a
+/// scan whose source selects `candidates` rows: the table statistics bound
+/// the key to a span of fewer than twice that many values.
+fn direct_maps(db: &Database, key: &str, candidates: u64) -> bool {
+    let stats = db.table("p").unwrap().stats();
+    match stats.column(key).map(|c| (&c.min, &c.max)) {
+        Some((Some(Value::Int(low)), Some(Value::Int(high)))) => {
+            ((high - low) as u64) < 2 * candidates
+        }
+        _ => false,
+    }
+}
+
 /// Guard against the property below going vacuous: the generators reach
 /// fused index probes, zone-map scans and chunk scans, column-at-a-time
-/// folds on one integer key (direct-mapped when its span is narrow) and on
-/// hashed keys, the generic aggregate over a filter, duplicate elimination,
-/// tables with short chunks, and every chunk layout — with packed `k`
-/// chunks whose frame decides a `k` bound for the whole chunk, packed chunks
-/// of every lane width, and fused index probes with a piece that starts off
-/// a lane boundary of a packed chunk the scan reads.
+/// folds on one integer key (direct-mapped when its span is narrow, some
+/// over a key column holding NULLs) and on hashed keys, the generic
+/// aggregate over a filter, duplicate elimination, a HAVING over each of
+/// those folds, tables with short chunks, and every chunk layout — with
+/// packed `k` chunks whose frame decides a `k` bound for the whole chunk,
+/// packed chunks of every lane width, and fused index probes with a piece
+/// that starts off a lane boundary of a packed chunk the scan reads.
 #[test]
 fn grouping_generators_reach_every_source() {
     let (mut probes, mut zones, mut chunk_scans, mut generic) = (0, 0, 0, 0);
     let (mut int_key_folds, mut hashed_folds, mut distinct, mut short) = (0, 0, 0, 0);
+    let (mut nullable_direct_folds, mut row_folds) = (0, 0);
+    // HAVINGs over direct-mapped, hashed-key and row-at-a-time folds and
+    // over the generic aggregate.
+    let mut havings = [0; 4];
     let (mut layouts, mut frame_decides) = (Vec::new(), 0);
     let (mut widths, mut off_lane_probes) = (Vec::new(), 0);
     for seed in 0..128 {
@@ -1174,9 +1314,13 @@ fn grouping_generators_reach_every_source() {
             .count();
         let (_, indexed) = run_pinned(&db, &plan, EngineProfile::Indexed, false, &NoTag);
         let (_, columnar) = run_pinned(&db, &plan, EngineProfile::ColumnarScan, false, &NoTag);
-        match &plan {
+        let has_having = matches!(plan, LogicalPlan::Selection { .. });
+        match below_having(&plan) {
             LogicalPlan::Distinct { .. } => distinct += 1,
-            _ if indexed.agg_pushdown_blocks == 0 => generic += 1,
+            _ if indexed.agg_pushdown_blocks == 0 => {
+                generic += 1;
+                havings[3] += usize::from(has_having);
+            }
             LogicalPlan::Aggregate {
                 group_by,
                 aggregates,
@@ -1203,11 +1347,26 @@ fn grouping_generators_reach_every_source() {
                 }
                 zones += usize::from(indexed.blocks_total > 0);
                 chunk_scans += usize::from(columnar.agg_pushdown_blocks > 0);
-                if folds_columns(&db, &plan) {
-                    match &group_by[..] {
-                        [k] if k != "kw" && k != "g" => int_key_folds += 1,
-                        [] => {}
-                        _ => hashed_folds += 1,
+                if !folds_columns(&db, &plan) {
+                    row_folds += 1;
+                    havings[2] += usize::from(has_having);
+                    continue;
+                }
+                match &group_by[..] {
+                    [k] if k != "kw" && k != "g" => {
+                        int_key_folds += 1;
+                        if direct_maps(&db, k, indexed.rows_scanned) {
+                            havings[0] += usize::from(has_having);
+                            let c = table.schema().index_of(k).unwrap();
+                            let nullable =
+                                chunks.chunks().iter().any(|ch| ch.column(c).has_nulls());
+                            nullable_direct_folds += usize::from(nullable);
+                        }
+                    }
+                    [] => {}
+                    _ => {
+                        hashed_folds += 1;
+                        havings[1] += usize::from(has_having);
                     }
                 }
             }
@@ -1219,8 +1378,17 @@ fn grouping_generators_reach_every_source() {
         ("fused zone-map scans", zones),
         ("fused chunk scans", chunk_scans),
         ("column folds on one integer key", int_key_folds),
+        (
+            "direct-mapped folds over a nullable key",
+            nullable_direct_folds,
+        ),
         ("column folds on hashed keys", hashed_folds),
+        ("row-at-a-time folds", row_folds),
         ("generic aggregates", generic),
+        ("HAVINGs over direct-mapped folds", havings[0]),
+        ("HAVINGs over hashed-key folds", havings[1]),
+        ("HAVINGs over row-at-a-time folds", havings[2]),
+        ("HAVINGs over generic aggregates", havings[3]),
         ("distincts", distinct),
         ("short chunks", short),
         ("packed chunks whose frame decides a bound", frame_decides),
