@@ -195,6 +195,9 @@ pub enum PhysOp {
         group_by: Vec<String>,
         /// Aggregation expressions.
         aggregates: Vec<AggExpr>,
+        /// HAVING: the selection lowered from directly above the aggregate,
+        /// over its output schema. A group it rejects is never emitted.
+        having: Option<Expr>,
         /// Input operator.
         input: Box<PhysicalPlan>,
     },
@@ -323,14 +326,18 @@ impl PhysicalPlan {
             PhysOp::HashAggregate {
                 group_by,
                 aggregates,
+                having,
                 ..
             } => {
                 let aggs: Vec<String> = aggregates
                     .iter()
                     .map(|a| format!("{}({}) AS {}", a.func, a.input, a.alias))
                     .collect();
+                let having = having
+                    .as_ref()
+                    .map_or(String::new(), |h| format!(", having={h}"));
                 format!(
-                    "HashAggregate[group_by=({}), {}]",
+                    "HashAggregate[group_by=({}), {}{having}]",
                     group_by.join(", "),
                     aggs.join(", ")
                 )
@@ -519,7 +526,9 @@ impl std::fmt::Display for PhysicalPlan {
 /// bottoms out at a table scan the predicate is pushed into the scan and the
 /// best access path the `profile` allows is chosen: ordered index, then zone
 /// map, then sequential scan. The full predicate is always re-checked per
-/// row, so access-path choice affects performance and statistics only.
+/// row, so access-path choice affects performance and statistics only. A
+/// chain that bottoms out at an aggregate becomes its HAVING, decided per
+/// group before an output row is built.
 pub fn lower(
     db: &Database,
     plan: &LogicalPlan,
@@ -544,7 +553,11 @@ pub fn lower(
             if let LogicalPlan::TableScan { table } = node {
                 return Ok(lower_scan(db.table(table)?, Some(combined), profile));
             }
-            let input = lower(db, node, profile)?;
+            let mut input = lower(db, node, profile)?;
+            if let PhysOp::HashAggregate { having, .. } = &mut input.op {
+                *having = Some(combined);
+                return Ok(input);
+            }
             Ok(PhysicalPlan {
                 schema: input.schema.clone(),
                 op: PhysOp::Filter {
@@ -601,6 +614,7 @@ pub fn lower(
                 op: PhysOp::HashAggregate {
                     group_by: group_by.clone(),
                     aggregates: aggregates.clone(),
+                    having: None,
                     input: Box::new(input),
                 },
             })
@@ -878,8 +892,12 @@ impl<'a, P: TagPolicy> OpBuilder<'a, P> {
             PhysOp::HashAggregate {
                 group_by,
                 aggregates,
+                having,
                 input,
             } => {
+                let having = having
+                    .as_ref()
+                    .map(|h| CompiledExpr::compile(h, &plan.schema));
                 let group_idx: Vec<usize> = group_by
                     .iter()
                     .map(|g| {
@@ -892,9 +910,10 @@ impl<'a, P: TagPolicy> OpBuilder<'a, P> {
                 // An aggregate directly above a chunk-aligned scan can
                 // aggregate over the selection bitmaps without materializing
                 // row batches.
-                if let Some(op) =
-                    try_agg_pushdown(self.db, input, &group_idx, aggregates, policy, stats)?
-                {
+                let fused =
+                    try_agg_pushdown(self.db, input, &group_idx, aggregates, policy, stats)?;
+                if let Some(mut op) = fused {
+                    op.having = having;
                     // The input subtree was fused into this aggregate: its
                     // operators never run on their own, so mark their
                     // pre-order slots — the ANALYZE rendering shows them as
@@ -903,11 +922,12 @@ impl<'a, P: TagPolicy> OpBuilder<'a, P> {
                     for slot in &mut all[id + 1..id + 1 + input.node_count()] {
                         slot.fused = true;
                     }
-                    return Ok(op);
+                    return Ok(Box::new(op));
                 }
                 Ok(Box::new(HashAggregateOp {
                     group_idx,
                     aggregates,
+                    having,
                     agg_inputs: aggregates
                         .iter()
                         .map(|a| CompiledExpr::compile(&a.input, &input.schema))
@@ -1502,12 +1522,15 @@ impl Hasher for PassThrough {
 /// empty); slots are probed linearly from the hash's top bits, and a slot
 /// matches when its hash half and then every key value are equal (`Value`'s
 /// exact `Eq`: distinct 64-bit integers never conflate, and NULL equals
-/// NULL). The table stays at most half full.
+/// NULL). A group [`GroupTable::append`]s takes no slot. The table stays at
+/// most half full.
 struct GroupTable {
     hasher: KeyHasher,
     width: usize,
     keys: Vec<Value>,
     groups: usize,
+    /// The groups that hold a slot.
+    hashed: usize,
     slots: Vec<u64>,
     /// `64 - log2(slots.len())`: a hash's first slot is `hash >> shift`.
     shift: u32,
@@ -1526,6 +1549,7 @@ impl GroupTable {
             width,
             keys: Vec::new(),
             groups: 0,
+            hashed: 0,
             slots: vec![0; 16],
             shift: 60,
             #[cfg(test)]
@@ -1564,11 +1588,22 @@ impl GroupTable {
         let id = u32::try_from(g + 1).expect("fewer than 2^32 groups");
         self.slots[s] = h & HASH_HALF | u64::from(id);
         self.groups += 1;
+        self.hashed += 1;
         self.keys.extend(key_idx.iter().map(|&i| row[i].clone()));
-        if 2 * self.groups > self.slots.len() {
+        if 2 * self.hashed > self.slots.len() {
             self.grow();
         }
         (g, true)
+    }
+
+    /// A new group for the one-value `key`, appended without a slot, so no
+    /// lookup ever finds it: the caller finds it by other means and never
+    /// looks up a key equal to it.
+    fn append(&mut self, key: Value) -> usize {
+        debug_assert_eq!(self.width, 1);
+        self.keys.push(key);
+        self.groups += 1;
+        self.groups - 1
     }
 
     /// Double the slots and re-place every group by its hash half, which
@@ -1591,16 +1626,11 @@ impl GroupTable {
         }
     }
 
-    /// The group keys, in group order, as rows with room for `extra` more
-    /// values each.
-    fn into_rows(self, extra: usize) -> impl Iterator<Item = Row> {
+    /// The group keys, in group order, as rows.
+    fn into_rows(self) -> impl Iterator<Item = Row> {
         let (groups, width) = (self.groups, self.width);
         let mut keys = self.keys.into_iter();
-        (0..groups).map(move |_| {
-            let mut row = Vec::with_capacity(width + extra);
-            row.extend(keys.by_ref().take(width));
-            row
-        })
+        (0..groups).map(move |_| keys.by_ref().take(width).collect())
     }
 }
 
@@ -1732,6 +1762,9 @@ fn narrows_to_witness<P: TagPolicy>(policy: &P, aggregates: &[AggExpr]) -> bool 
 /// under min/max narrowing ([`narrows_to_witness`]), the tag of the first
 /// row holding the extremal value — the first member's while every input is
 /// NULL, since any single member reproduces a `(key, NULL)` output.
+/// [`GroupFold::finish`] decides the aggregate's HAVING on each finished
+/// group, so a rejected group is never allocated as a row and its tag is
+/// dropped with it.
 struct GroupFold<'a, P: TagPolicy> {
     policy: &'a P,
     narrow: bool,
@@ -1808,30 +1841,48 @@ impl<'a, P: TagPolicy> GroupFold<'a, P> {
         g
     }
 
-    /// The output rows — key values then aggregate results — in group
-    /// order. A global aggregation over no rows still produces one row
-    /// (`COUNT` 0, every other aggregate NULL), as in SQL.
-    fn finish(mut self) -> Vec<(Row, P::Tag)> {
+    /// A new group, with the empty tag, for a direct-mapped key's in-span
+    /// value `key` ([`GroupTable::append`]).
+    fn append_group(&mut self, key: i64) -> usize {
+        let g = self.table.append(Value::Int(key));
+        self.push_group(self.policy.empty_tag());
+        g
+    }
+
+    /// The output rows — key values then aggregate results — of the groups
+    /// `having` keeps, in group order. A global aggregation over no rows
+    /// still produces one row (`COUNT` 0, every other aggregate NULL), as in
+    /// SQL. Each group is built into one reused row and tested there, so
+    /// only the groups that pass are allocated; a `having` that fails to
+    /// evaluate fails on the first group, as a filter above would.
+    fn finish(mut self, having: Option<&CompiledExpr>) -> Result<Vec<(Row, P::Tag)>, ExecError> {
         if self.table.len() == 0 && self.table.width == 0 {
             self.group(&[], &[]);
         }
-        let mut out = Vec::with_capacity(self.table.len());
-        let rows = self.table.into_rows(self.aggs.len());
-        for ((g, mut row), tag) in rows.enumerate().zip(self.tags) {
+        let (width, groups) = (self.table.width + self.aggs.len(), self.table.len());
+        let mut out = Vec::with_capacity(if having.is_some() { 0 } else { groups });
+        let mut keys = self.table.keys.into_iter();
+        let mut row = Vec::with_capacity(width);
+        for (g, tag) in self.tags.into_iter().enumerate() {
+            row.clear();
+            row.extend(keys.by_ref().take(self.table.width));
             row.extend(
                 self.aggs
                     .iter_mut()
                     .map(|acc| acc.finish(g, self.counts[g])),
             );
-            out.push((row, tag));
+            if having.map_or(Ok(true), |h| h.matches(&row))? {
+                out.push((std::mem::replace(&mut row, Vec::with_capacity(width)), tag));
+            }
         }
-        out
+        Ok(out)
     }
 }
 
 struct HashAggregateOp<'a, P: TagPolicy> {
     group_idx: Vec<usize>,
     aggregates: &'a [AggExpr],
+    having: Option<CompiledExpr>,
     /// Aggregate input expressions, bound once against the input schema.
     agg_inputs: Vec<CompiledExpr>,
     policy: &'a P,
@@ -1851,7 +1902,7 @@ impl<P: TagPolicy> HashAggregateOp<'_, P> {
                 })?;
             }
         }
-        self.out.fill(fold.finish());
+        self.out.fill(fold.finish(self.having.as_ref())?);
         Ok(())
     }
 }
@@ -1893,7 +1944,7 @@ fn try_agg_pushdown<'a, P: TagPolicy>(
     aggregates: &'a [AggExpr],
     policy: &'a P,
     stats: &mut ExecStats,
-) -> Result<Option<BoxOp<'a, P>>, ExecError> {
+) -> Result<Option<AggScanOp<'a, P>>, ExecError> {
     let Some((table_name, _)) = input.op.scan() else {
         return Ok(None);
     };
@@ -1910,24 +1961,26 @@ fn try_agg_pushdown<'a, P: TagPolicy>(
     }
     // Committed: resolve the scan, with the accounting every scan gets.
     let (scan, pieces) = resolve_scan(table, &input.op, stats)?;
-    Ok(Some(Box::new(AggScanOp {
+    Ok(Some(AggScanOp {
         scan,
         policy,
         aggregates,
+        having: None,
         group_idx: group_idx.to_vec(),
         agg_cols,
         pieces,
         out: Emitter::new(),
-    })))
+    }))
 }
 
 /// Fused scan + aggregate ([`try_agg_pushdown`]). Each piece's pushed-down
 /// filter is evaluated by the chunk kernels into a selection bitmap, ANDed
 /// with the rows the source selects, and the selected rows are aggregated
 /// without ever building `Batch` rows. Everything lands in the
-/// [`GroupFold`] that [`HashAggregateOp`] uses, so the output — rows, group
-/// order and capture tags — is byte-identical to scanning then
-/// hash-aggregating. The selected rows are folded one of two ways:
+/// [`GroupFold`] that [`HashAggregateOp`] uses, which also decides the
+/// HAVING, so the output — rows, group order and capture tags — is
+/// byte-identical to scanning, hash-aggregating, then filtering. The
+/// selected rows are folded one of two ways:
 ///
 /// * **column-at-a-time** ([`ColumnFold`]) when tags are trivial and every
 ///   group key and every aggregate input read has a numeric layout in every
@@ -1939,6 +1992,7 @@ struct AggScanOp<'a, P: TagPolicy> {
     scan: PieceScan<'a>,
     policy: &'a P,
     aggregates: &'a [AggExpr],
+    having: Option<CompiledExpr>,
     /// Table-schema indexes of the group-by keys.
     group_idx: Vec<usize>,
     /// Table-schema index of each aggregate's input column.
@@ -1997,7 +2051,7 @@ impl<P: TagPolicy> AggScanOp<'_, P> {
                 }
             }
         }
-        self.out.fill(fold.finish());
+        self.out.fill(fold.finish(self.having.as_ref())?);
         Ok(())
     }
 
@@ -2084,11 +2138,13 @@ enum GroupKeys {
     /// No group keys: every row belongs to the global group.
     Global,
     /// One integer key whose values the table statistics bound to
-    /// `low ..= low + slots.len() - 1`: slot `v - low` caches the group id
-    /// plus one (0 until the value is first seen), so only a value's first
-    /// row is looked up in the group table. The NULL key, and a value
-    /// outside the span should the statistics ever miss one, are looked up
-    /// on every row.
+    /// `low ..= low + slots.len() - 1`: slot `v - low` holds the group id
+    /// plus one (0 until the value is first seen). A value's first row
+    /// appends its group to the group table without hashing it; the NULL
+    /// key, and a value outside the span should the statistics ever miss
+    /// one, are looked up in the table on every row, and neither can equal
+    /// an in-span value. The keys are read from the chunk's decoded `i64`
+    /// window, and the null bitmap only where the chunk column has one.
     Direct {
         col: usize,
         low: i64,
@@ -2141,25 +2197,30 @@ impl ColumnFold {
                 gids.resize(selected, g as u32);
             }
             GroupKeys::Direct { col, low, slots } => {
-                for_each_cell(chunk.column(*col), sel, base, ints, |v| {
-                    let slot = match v {
-                        Value::Int(i) => slots.get_mut(i.wrapping_sub(*low) as usize),
-                        _ => None,
-                    };
-                    let g = match slot {
-                        Some(&mut id) if id != 0 => id as usize - 1,
-                        Some(id) => {
-                            let g = fold.group(&[v], &[0]);
-                            *id = u32::try_from(g + 1).expect("fewer than 2^32 groups");
-                            g
+                let col = chunk.column(*col);
+                let xs = int_window(col, base, sel.len(), ints)
+                    .expect("a direct-mapped key is stored as integers");
+                let nullable = col.has_nulls();
+                for j in sel.iter_ones() {
+                    let g = if nullable && col.is_null(base + j) {
+                        fold.group(&[Value::Null], &[0])
+                    } else {
+                        let x = xs[j];
+                        match slots.get_mut(x.wrapping_sub(*low) as usize) {
+                            Some(&mut id) if id != 0 => id as usize - 1,
+                            Some(id) => {
+                                let g = fold.append_group(x);
+                                *id = u32::try_from(g + 1).expect("fewer than 2^32 groups");
+                                g
+                            }
+                            None => fold.group(&[Value::Int(x)], &[0]),
                         }
-                        None => fold.group(&[v], &[0]),
                     };
                     fold.counts[g] += 1;
                     if per_row {
                         gids.push(g as u32);
                     }
-                })
+                }
             }
             GroupKeys::Hashed { cols } => {
                 let cells = &mut self.cells;
@@ -2639,7 +2700,7 @@ impl<P: TagPolicy> BatchOp<P> for DistinctOp<'_, P> {
                     }
                 }
             }
-            self.out.fill(table.into_rows(0).zip(tags).collect());
+            self.out.fill(table.into_rows().zip(tags).collect());
         }
         Ok(self.out.emit())
     }
@@ -2748,6 +2809,34 @@ mod tests {
     }
 
     #[test]
+    fn selections_above_an_aggregate_become_its_having() {
+        let db = indexed_db();
+        let count = vec![AggExpr::new(AggFunc::Count, col("id"), "cnt")];
+        let plan = LogicalPlan::scan("t")
+            .filter(col("id").lt(lit(4_000)))
+            .aggregate(vec!["grp"], count)
+            .filter(col("cnt").gt(lit(571)))
+            .filter(col("grp").ne(lit(2)));
+        let physical = lower(&db, &plan, EngineProfile::Indexed).unwrap();
+        assert_eq!(
+            physical.display_tree(),
+            "HashAggregate[group_by=(grp), count(id) AS cnt, \
+             having=((grp <> 2) AND (cnt > 571))]\n  \
+             IndexRangeScan[t.id, 1 range(s)]\n"
+        );
+        // Groups 0 to 2 hold 572 of the 4 000 rows, 3 to 6 hold 571.
+        let expected: Vec<Row> = [0, 1].map(|g| vec![Value::Int(g), Value::Int(572)]).into();
+        for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
+            let (fused, stats) = run(&db, &plan, profile);
+            let (lifted, lifted_stats) = run_lifted(&db, &plan, profile);
+            assert_eq!(fused.rows(), expected.as_slice(), "{profile:?}");
+            assert_eq!(lifted.rows(), fused.rows(), "{profile:?}");
+            assert!(stats.agg_pushdown_blocks > 0, "{profile:?}");
+            assert_eq!(lifted_stats.rows_scanned, stats.rows_scanned);
+        }
+    }
+
+    #[test]
     fn selection_chain_collapses_into_one_scan() {
         let db = indexed_db();
         let plan = LogicalPlan::scan("t")
@@ -2812,7 +2901,12 @@ mod tests {
             fold.fold(row, &(), &[0], |_| Ok(&row[1])).unwrap();
         }
         let slots = fold.table.slots.clone();
-        let out = fold.finish().into_iter().map(|(row, ())| row).collect();
+        let out = fold
+            .finish(None)
+            .unwrap()
+            .into_iter()
+            .map(|(row, ())| row)
+            .collect();
         (out, slots)
     }
 
@@ -2903,10 +2997,18 @@ mod tests {
 
     #[test]
     fn direct_mapped_keys_share_the_group_table_with_hashed_ones() {
-        // Slots for keys 5 to 7 only: 3 and 9 fall outside, as does NULL.
-        let keys = [6, 3, 5, 9, 6, 0, 3, 7, 5, 0, 9, 7];
+        // Slots for keys 5 to 8 only: 3, 9 and 11 fall outside, as does
+        // NULL (0 here). Chunks of six rows: the first and the last hold no
+        // NULL, and the first NULL comes between the in-span 5 and 7.
+        let keys = [
+            [6, 3, 5, 9, 6, 7],
+            [5, 0, 7, 3, 0, 8],
+            [9, 6, 0, 5, 11, 7],
+            [7, 6, 5, 3, 9, 8],
+        ];
         let rows: Vec<Row> = keys
             .iter()
+            .flatten()
             .enumerate()
             .map(|(i, &k)| {
                 let key = if k == 0 { Value::Null } else { Value::Int(k) };
@@ -2914,7 +3016,13 @@ mod tests {
             })
             .collect();
         let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]);
-        let chunks = ColumnarChunks::build(&schema, &rows, 64);
+        let chunks = ColumnarChunks::build(&schema, &rows, 6);
+        let nullable: Vec<bool> = chunks
+            .chunks()
+            .iter()
+            .map(|c| c.column(0).has_nulls())
+            .collect();
+        assert_eq!(nullable, [false, true, true, false]);
         let aggs = [
             AggExpr::new(AggFunc::Sum, col("v"), "s"),
             AggExpr::new(AggFunc::Max, col("v"), "m"),
@@ -2928,24 +3036,33 @@ mod tests {
             keys: GroupKeys::Direct {
                 col: 0,
                 low: 5,
-                slots: vec![0; 3],
+                slots: vec![0; 4],
             },
             inputs: vec![Input::Cells(1), Input::Cells(1)],
             gids: Vec::new(),
             cells: Vec::new(),
             ints: Vec::new(),
         };
-        let chunk = &chunks.chunks()[0];
-        // Two pieces, so groups are found again in the second.
-        let (mut first, mut second) = (SelBitmap::zeros(12), SelBitmap::zeros(12));
-        (0..6).for_each(|j| first.set(j));
-        (6..12).for_each(|j| second.set(j));
-        for sel in [&first, &second] {
-            columns.fold_piece(&mut by_columns, chunk, sel, 0);
+        // Two pieces per chunk, so groups are found again in the second.
+        for chunk in chunks.chunks() {
+            for (base, len) in [(0, 4), (4, 2)] {
+                columns.fold_piece(&mut by_columns, chunk, &SelBitmap::ones(len), base);
+            }
         }
-        let expected = by_rows.finish();
-        assert_eq!(expected.len(), 6);
-        assert_eq!(by_columns.finish(), expected);
+        // Group ids in first-seen order; only NULL and the out-of-span
+        // keys hold a slot.
+        let first_seen = [6, 3, 5, 9, 7, 0, 8, 11];
+        let seen: Vec<Value> = (0..by_columns.table.len())
+            .map(|g| by_columns.table.key(g)[0].clone())
+            .collect();
+        let expected_keys: Vec<Value> = first_seen
+            .iter()
+            .map(|&k| if k == 0 { Value::Null } else { Value::Int(k) })
+            .collect();
+        assert_eq!(seen, expected_keys);
+        assert_eq!(by_columns.table.hashed, 4);
+        let expected = by_rows.finish(None).unwrap();
+        assert_eq!(by_columns.finish(None).unwrap(), expected);
     }
 
     #[test]

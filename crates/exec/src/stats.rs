@@ -107,15 +107,6 @@ impl ExecStats {
             .iter()
             .all(|(limit, input)| *input >= *limit as u64)
     }
-
-    /// Fraction of zone-map blocks skipped (0 when no zone maps were used).
-    pub fn skip_ratio(&self) -> f64 {
-        if self.blocks_total == 0 {
-            0.0
-        } else {
-            self.blocks_skipped as f64 / self.blocks_total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -174,17 +165,6 @@ mod tests {
         assert_eq!(a.encoded_kernel_fallbacks, 3);
         assert_eq!(a.agg_pushdown_blocks, 8);
         assert_eq!(a.elapsed, Duration::from_millis(80));
-    }
-
-    #[test]
-    fn skip_ratio_handles_zero_blocks() {
-        assert_eq!(ExecStats::default().skip_ratio(), 0.0);
-        let s = ExecStats {
-            blocks_skipped: 3,
-            blocks_total: 4,
-            ..Default::default()
-        };
-        assert!((s.skip_ratio() - 0.75).abs() < 1e-9);
     }
 
     #[test]

@@ -148,7 +148,7 @@ impl SelBitmap {
     }
 
     /// Word-wise intersection.
-    pub fn and_assign(&mut self, other: &SelBitmap) {
+    pub(crate) fn and_assign(&mut self, other: &SelBitmap) {
         debug_assert_eq!(self.len, other.len);
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= *b;

@@ -3,8 +3,9 @@
 //! `Display` as an indented tree — showing exactly which access path each
 //! scan got, before and after sketch instrumentation. The EXPLAIN ANALYZE
 //! section actually *runs* the tree and annotates every operator with
-//! observed rows, batches and wall time, and the last section shows a hash
-//! join narrowing its build scan to the keys its probe side produced.
+//! observed rows, batches and wall time, including a HAVING decided inside
+//! the aggregate, and the last section shows a hash join narrowing its
+//! build scan to the keys its probe side produced.
 //!
 //! Run with: `cargo run --release --example explain`
 
@@ -155,6 +156,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .output
         .relation
         .bag_eq(&analyzed.output.relation));
+
+    // A HAVING is decided inside the aggregate: the selection above it
+    // lowers into the aggregate's `having=`, each finished group is tested
+    // before its row is built, and only the groups that pass leave it.
+    let having = LogicalPlan::scan("t")
+        .aggregate(
+            vec!["grp"],
+            vec![AggExpr::new(AggFunc::Sum, col("v"), "total")],
+        )
+        .filter(col("total").gt(lit(25_000)))
+        .top_k(vec![SortKey::desc("total")], 3);
+    println!(
+        "EXPLAIN ANALYZE (HAVING decided per group inside the aggregate):\n{}",
+        engine.explain_analyze(pbds.db(), &having)?.render()
+    );
 
     // A two-table join. The plan builds its hash table on a full scan of
     // `t`, but the join runs its probe side (the groups of one region)

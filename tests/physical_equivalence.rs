@@ -548,16 +548,14 @@ fn pipeline_reports_errors_like_the_oracle() {
     // lifted plan, which filters the aggregate's rows in a `Filter` — and
     // not at all over a grouped aggregate without input rows, which has no
     // group. A global aggregate always has its one row.
-    let failing: [(fn(&str) -> Expr, ExecError); 2] = [
-        (
-            |out| col("nope").gt(col(out)),
-            ExecError::UnknownColumn("nope".into()),
-        ),
-        (
-            |out| Expr::IsNull(Box::new(col(out))).or(col(out).lt(param(0))),
-            ExecError::UnboundParameter(0),
-        ),
+    let failing = [
+        ExecError::UnknownColumn("nope".into()),
+        ExecError::UnboundParameter(0),
     ];
+    let having = |error: &ExecError, out: &str| match error {
+        ExecError::UnknownColumn(_) => col("nope").gt(col(out)),
+        _ => Expr::IsNull(Box::new(col(out))).or(col(out).lt(param(0))),
+    };
     // Fed by a fused scan (column and row folds), a fused index probe, and
     // the generic aggregate over a projection.
     let sources = [
@@ -579,7 +577,7 @@ fn pipeline_reports_errors_like_the_oracle() {
         (vec!["grp"], true),
         (vec![], true),
     ];
-    for (having, error) in failing {
+    for error in failing {
         for (source, agg) in sources
             .iter()
             .flat_map(|s| aggregates.iter().map(move |a| (s, a)))
@@ -592,7 +590,7 @@ fn pipeline_reports_errors_like_the_oracle() {
                 };
                 let plan = input
                     .aggregate(group_by.clone(), vec![agg.clone()])
-                    .filter(having(&agg.alias));
+                    .filter(having(&error, &agg.alias));
                 let rows = |r: Result<Relation, ExecError>| r.map(|r| r.len());
                 let expected = rows(oracle(&db, &plan));
                 let ctx = plan.display_tree();
@@ -1743,13 +1741,18 @@ fn has_hash_join(plan: &PhysicalPlan) -> bool {
 /// join-free plan scans exactly the rows its lowered plan scans.
 #[test]
 fn lifted_plans_fuse_no_aggregate_and_narrow_no_build_scan() {
-    let families = [
+    let mut families = vec![
         (random_db(3, 300), query_family()),
         (
             join_db(3),
             join_family().into_iter().map(|(_, p)| p).collect(),
         ),
     ];
+    families.extend((0..24).map(|seed| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (grouping_db(&mut rng), vec![grouping_plan(&mut rng)])
+    }));
+    let mut havings = 0;
     for (db, plans) in &families {
         for profile in [EngineProfile::Indexed, EngineProfile::ColumnarScan] {
             let engine = Engine::new(profile);
@@ -1757,6 +1760,8 @@ fn lifted_plans_fuse_no_aggregate_and_narrow_no_build_scan() {
                 let lowered = engine.plan(db, plan).unwrap();
                 let lifted = lift_scan_filters(&lowered);
                 let ctx = format!("plan #{i}, {profile:?}\n{lifted}");
+                havings += usize::from(keeps_having(&lowered));
+                assert!(!keeps_having(&lifted), "{ctx}");
                 let stats = engine.execute_physical(db, &lifted).unwrap().stats;
                 assert_eq!(stats.agg_pushdown_blocks, 0, "{ctx}");
                 assert_eq!(stats.join_key_filters, 0, "{ctx}");
@@ -1768,6 +1773,18 @@ fn lifted_plans_fuse_no_aggregate_and_narrow_no_build_scan() {
             }
         }
     }
+    assert!(havings >= 3, "only {havings} lowered plans decide a HAVING");
+}
+
+/// Whether some aggregate of `plan` decides a HAVING.
+fn keeps_having(plan: &PhysicalPlan) -> bool {
+    matches!(
+        plan.op,
+        PhysOp::HashAggregate {
+            having: Some(_),
+            ..
+        }
+    ) || plan.children().into_iter().any(keeps_having)
 }
 
 /// FNV-1a over a value's `Debug` rendering: a digest that is the same on
